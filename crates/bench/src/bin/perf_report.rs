@@ -27,7 +27,8 @@ use sofya_endpoint::{
     BudgetConfig, DeadlineEndpoint, Endpoint, EndpointError, LocalEndpoint, Request, SnapshotStore,
 };
 use sofya_kbgen::{generate, GeneratedPair, PairConfig, StructureCounts};
-use sofya_net::{HttpServer, RemoteEndpoint, ServerConfig};
+use sofya_net::wire::envelope_to_json;
+use sofya_net::{execute_wire, HttpServer, Json, RemoteEndpoint, ServerConfig, WireRequest};
 use sofya_rdf::{Term, TriplePattern, TripleStore};
 use sofya_service::{AlignmentRequest, AlignmentService, SchedulerConfig};
 use sofya_sparql::{execute, execute_ask, Prepared, QueryBudget};
@@ -323,7 +324,12 @@ fn endpoint_cases(suite: &mut Suite, pair: &GeneratedPair) {
 /// dispatch, wire decode), and a whole relation aligned
 /// source-local/target-remote — the federation hot path whose cost the
 /// batching work bounds at one round trip per probe set.
-fn net_cases(suite: &mut Suite, pair: &GeneratedPair) {
+///
+/// Then the wire parser on its own, in process: the answers those cases
+/// move, rendered once and parsed over and over. Returns what a byte of
+/// a 400-row page costs `Json::parse` relative to a byte of an `ask`
+/// envelope: parsing is linear, so `--check` fails above 2x.
+fn net_cases(suite: &mut Suite, pair: &GeneratedPair) -> Option<f64> {
     let server = HttpServer::start(
         Arc::new(LocalEndpoint::new("kb2", pair.kb2.clone())),
         ServerConfig::default(),
@@ -351,7 +357,7 @@ fn net_cases(suite: &mut Suite, pair: &GeneratedPair) {
         .iter()
         .map(|s| vec![s.clone(), Term::iri(&big_rel)])
         .collect();
-    suite.run("net/remote_probe_small", true, || {
+    let probe_batch = || {
         let mut requests: Vec<Request<'_>> = Vec::with_capacity(16);
         for (pa, sa) in probe_args.iter().zip(&select_args) {
             requests.push(Request::PreparedAsk {
@@ -363,7 +369,10 @@ fn net_cases(suite: &mut Suite, pair: &GeneratedPair) {
                 args: sa,
             });
         }
-        let response = remote.execute(Request::Batch(requests)).expect("batch");
+        Request::Batch(requests)
+    };
+    suite.run("net/remote_probe_small", true, || {
+        let response = remote.execute(probe_batch()).expect("batch");
         response.row_count()
     });
 
@@ -396,6 +405,47 @@ fn net_cases(suite: &mut Suite, pair: &GeneratedPair) {
         }
     });
     server.shutdown();
+
+    let local = LocalEndpoint::new("kb2", pair.kb2.clone());
+    let answer_text = |request: Request<'_>| {
+        let wire = WireRequest::from_request(&request).expect("lowering");
+        envelope_to_json(&execute_wire(&local, &wire)).to_text()
+    };
+    let page = |rows: usize| {
+        let query = format!("SELECT ?x ?y WHERE {{ ?x ?p ?y }} LIMIT {rows}");
+        answer_text(Request::Select { query: &query })
+    };
+    let parse = |text: &str| match Json::parse(text) {
+        Ok(json) => std::hint::black_box(json).get("ok").map_or(0, |_| 1),
+        Err(e) => panic!("rendered envelope does not parse: {e}"),
+    };
+    let rows_200 = page(200);
+    suite.run("net/json_parse_rows_200", true, || parse(&rows_200));
+    let batch16 = answer_text(probe_batch());
+    suite.run("net/json_parse_batch16_response", true, || parse(&batch16));
+
+    if !suite.selected("net/json_parse") {
+        return None;
+    }
+    // Cost per byte at both ends of the size range. The small envelope
+    // is parsed many times per sample so the timer does not dominate.
+    let ns_per_byte = |text: &str, reps: u64| {
+        let ns = median_ns(|| (0..reps).map(|_| parse(text)).sum());
+        ns as f64 / (reps * text.len() as u64) as f64
+    };
+    let ask = answer_text(Request::Ask {
+        query: "ASK { ?s ?p ?o }",
+    });
+    let rows_400 = page(400);
+    let small = ns_per_byte(&ask, 256);
+    let large = ns_per_byte(&rows_400, 1);
+    eprintln!(
+        "    -> Json::parse {small:.2} ns/B at {} B, {large:.2} ns/B at {} B ({:.2}x)",
+        ask.len(),
+        rows_400.len(),
+        large / small
+    );
+    Some(large / small)
 }
 
 /// The kill switch's price tag: the whole-relation alignment of
@@ -801,7 +851,7 @@ fn main() {
     alignment_cases(&mut suite, "small", true, &small_pair);
     session_case(&mut suite, &small_pair);
     endpoint_cases(&mut suite, &small_pair);
-    net_cases(&mut suite, &small_pair);
+    let parse_cost_ratio = net_cases(&mut suite, &small_pair);
     stream_cases(&mut suite);
     durability_cases(&mut suite, "small", true, &small_pair);
     if let Some(big) = &big_pair {
@@ -856,6 +906,17 @@ fn main() {
                 eprintln!(
                     "REGRESSION service/deadline_check_overhead: budgeted evaluation runs at \
                      {ratio:.3}x the unbudgeted in-process reference (budget 1.05x)"
+                );
+                failed = true;
+            }
+        }
+        // Likewise machine-independent: a byte of a large body must not
+        // cost `Json::parse` more than twice a byte of a small one.
+        if let Some(ratio) = parse_cost_ratio {
+            if ratio > 2.0 {
+                eprintln!(
+                    "REGRESSION net/json_parse: a byte of a 400-row page costs {ratio:.2}x a \
+                     byte of an ask envelope (budget 2x) — parsing is no longer linear"
                 );
                 failed = true;
             }

@@ -9,13 +9,13 @@
 //! and the alignment pipeline compose over it unchanged.
 //!
 //! Connections are reused across requests (HTTP/1.1 keep-alive, one
-//! pooled connection guarded by a mutex). A send on a previously pooled
-//! connection that fails mid-flight is retried once on a fresh dial —
-//! the server may have expired the idle connection. Transport-level
-//! failures (connect/read timeouts, refused or reset connections,
-//! mid-response disconnects) surface as the typed, retryable
-//! [`EndpointError::Unavailable`] — the class
-//! [`sofya_endpoint::RetryEndpoint`] backs off on and its circuit
+//! pooled connection guarded by a mutex, kept together with its read
+//! buffer). A send on a previously pooled connection that fails
+//! mid-flight is retried once on a fresh dial — the server may have
+//! expired the idle connection. Transport-level failures (connect/read
+//! timeouts, refused or reset connections, mid-response disconnects)
+//! surface as the typed, retryable [`EndpointError::Unavailable`] — the
+//! class [`sofya_endpoint::RetryEndpoint`] backs off on and its circuit
 //! breaker counts; only non-transport decode failures fall back to
 //! [`EndpointError::Other`].
 //!
@@ -62,7 +62,9 @@ pub struct RemoteEndpoint {
     name: String,
     addr: SocketAddr,
     config: RemoteConfig,
-    conn: Mutex<Option<TcpStream>>,
+    /// The pooled connection inside its read buffer; requests are
+    /// written through [`BufReader::get_mut`].
+    conn: Mutex<Option<BufReader<TcpStream>>>,
 }
 
 impl RemoteEndpoint {
@@ -100,13 +102,13 @@ impl RemoteEndpoint {
             .map_err(|e| EndpointError::Other(format!("non-UTF-8 metrics body: {e}")))
     }
 
-    fn dial(&self) -> Result<TcpStream, EndpointError> {
+    fn dial(&self) -> Result<BufReader<TcpStream>, EndpointError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
             .map_err(|e| classify_io(format!("connect to {}", self.addr), &e))?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.config.io_timeout));
         let _ = stream.set_write_timeout(Some(self.config.io_timeout));
-        Ok(stream)
+        Ok(BufReader::new(stream))
     }
 
     /// One HTTP round trip with connection reuse: take the pooled
@@ -121,44 +123,41 @@ impl RemoteEndpoint {
         deadline_ms: Option<u64>,
     ) -> Result<HttpResponse, EndpointError> {
         let mut pooled = self.conn.lock();
-        let (stream, was_pooled) = match pooled.take() {
-            Some(stream) => (stream, true),
+        let (mut conn, was_pooled) = match pooled.take() {
+            Some(conn) => (conn, true),
             None => (self.dial()?, false),
         };
-        match self.send_recv(stream, method, path, body, deadline_ms) {
-            Ok((stream, response)) => {
-                *pooled = Some(stream);
+        let first = match self.send_recv(&mut conn, method, path, body, deadline_ms) {
+            Ok(response) => {
+                *pooled = Some(conn);
+                return Ok(response);
+            }
+            Err(first) if !was_pooled => return Err(classify_io("http round trip", &first)),
+            Err(first) => first,
+        };
+        // The pooled connection may have been closed server-side while
+        // idle; retry exactly once on a fresh dial.
+        let mut conn = self.dial()?;
+        match self.send_recv(&mut conn, method, path, body, deadline_ms) {
+            Ok(response) => {
+                *pooled = Some(conn);
                 Ok(response)
             }
-            Err(first) => {
-                if !was_pooled {
-                    return Err(classify_io("http round trip", &first));
-                }
-                // The pooled connection may have been closed server-side
-                // while idle; retry exactly once on a fresh dial.
-                let stream = self.dial()?;
-                match self.send_recv(stream, method, path, body, deadline_ms) {
-                    Ok((stream, response)) => {
-                        *pooled = Some(stream);
-                        Ok(response)
-                    }
-                    Err(second) => Err(classify_io(
-                        format!("http round trip failed twice: {first}; then"),
-                        &second,
-                    )),
-                }
-            }
+            Err(second) => Err(classify_io(
+                format!("http round trip failed twice: {first}; then"),
+                &second,
+            )),
         }
     }
 
     fn send_recv(
         &self,
-        mut stream: TcpStream,
+        conn: &mut BufReader<TcpStream>,
         method: &str,
         path: &str,
         body: &[u8],
         deadline_ms: Option<u64>,
-    ) -> std::io::Result<(TcpStream, HttpResponse)> {
+    ) -> std::io::Result<HttpResponse> {
         let deadline_value;
         let mut headers = vec![
             ("Host", "sofya"),
@@ -169,10 +168,8 @@ impl RemoteEndpoint {
             deadline_value = ms.to_string();
             headers.push(("X-Deadline-Ms", &deadline_value));
         }
-        write_request(&mut stream, method, path, &headers, body)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let response = read_response(&mut reader)?;
-        Ok((stream, response))
+        write_request(conn.get_mut(), method, path, &headers, body)?;
+        read_response(conn)
     }
 
     fn execute_inner(

@@ -6,7 +6,7 @@
 //! chunked transfer, compression, and multi-line headers are out of
 //! scope — both ends of the wire are this crate.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Upper bound on a message body; larger announcements are rejected
 /// before any allocation, so a corrupt length can't balloon memory.
@@ -14,6 +14,10 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// Upper bound on header section size.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
+
+/// Room reserved ahead of the body of an outgoing message: a first line
+/// and a handful of headers.
+const HEAD_ROOM: usize = 256;
 
 /// A parsed request head plus body.
 #[derive(Debug, Clone)]
@@ -31,11 +35,7 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// First value of a header (name matched case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 
@@ -53,12 +53,15 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First value of a header (name matched case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
+}
+
+fn find_header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 fn bad_data(message: impl Into<String>) -> io::Error {
@@ -72,47 +75,42 @@ fn torn_down(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, message.into())
 }
 
-/// Reads one `\r\n`-terminated line (returned without the terminator).
+/// Reads one `\r\n`-terminated line into `line` and returns it without
+/// the terminator, taking whole spans out of the reader's buffer.
 /// `Ok(None)` signals clean EOF **before any byte** — the peer closed a
 /// keep-alive connection between messages.
-fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> io::Result<Option<String>> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(torn_down("connection closed mid-line"));
-            }
-            Ok(_) => {
-                *budget = budget
-                    .checked_sub(1)
-                    .ok_or_else(|| bad_data("header section too large"))?;
-                let [b] = byte;
-                if b == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text =
-                        String::from_utf8(line).map_err(|_| bad_data("non-UTF-8 header line"))?;
-                    return Ok(Some(text));
-                }
-                line.push(b);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+fn read_line<'l>(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    line: &'l mut Vec<u8>,
+) -> io::Result<Option<&'l str>> {
+    line.clear();
+    let read = reader
+        .by_ref()
+        .take(*budget as u64)
+        .read_until(b'\n', line)?;
+    *budget = budget.saturating_sub(read);
+    let Some(line) = line.strip_suffix(b"\n") else {
+        return match (*budget, read) {
+            (0, _) => Err(bad_data("header section too large")),
+            (_, 0) => Ok(None),
+            _ => Err(torn_down("connection closed mid-line")),
+        };
+    };
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    std::str::from_utf8(line)
+        .map(Some)
+        .map_err(|_| bad_data("non-UTF-8 header line"))
 }
 
 fn read_headers(
     reader: &mut impl BufRead,
     budget: &mut usize,
+    line: &mut Vec<u8>,
 ) -> io::Result<Vec<(String, String)>> {
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader, budget)?
+        let line = read_line(reader, budget, line)?
             .ok_or_else(|| torn_down("connection closed inside headers"))?;
         if line.is_empty() {
             return Ok(headers);
@@ -125,10 +123,8 @@ fn read_headers(
 }
 
 fn read_body(reader: &mut impl BufRead, headers: &[(String, String)]) -> io::Result<Vec<u8>> {
-    let length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
+    let length = find_header(headers, "content-length")
+        .map(|v| {
             v.parse::<usize>()
                 .map_err(|_| bad_data(format!("bad content-length {v:?}")))
         })
@@ -142,26 +138,48 @@ fn read_body(reader: &mut impl BufRead, headers: &[(String, String)]) -> io::Res
     Ok(body)
 }
 
+/// Appends the header lines, the `Content-Length` line and the body to
+/// a message that already holds its first line, and sends the whole
+/// message with one write.
+fn write_message(
+    writer: &mut impl Write,
+    mut message: Vec<u8>,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    for (name, value) in headers {
+        message.extend_from_slice(name.as_bytes());
+        message.extend_from_slice(b": ");
+        message.extend_from_slice(value.as_bytes());
+        message.extend_from_slice(b"\r\n");
+    }
+    write!(message, "Content-Length: {}\r\n\r\n", body.len())?;
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
+    writer.flush()
+}
+
 /// Reads one request. `Ok(None)` means the peer closed the idle
 /// connection cleanly (keep-alive end-of-life, not an error).
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<HttpRequest>> {
     let mut budget = MAX_HEADER_BYTES;
-    let Some(request_line) = read_line(reader, &mut budget)? else {
+    let mut line = Vec::new();
+    let Some(request_line) = read_line(reader, &mut budget, &mut line)? else {
         return Ok(None);
     };
     let mut parts = request_line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m, p, v),
+        (Some(m), Some(p), Some(v)) => (m.to_ascii_uppercase(), p.to_owned(), v),
         _ => return Err(bad_data(format!("malformed request line {request_line:?}"))),
     };
     if !version.starts_with("HTTP/1.") {
         return Err(bad_data(format!("unsupported protocol {version:?}")));
     }
-    let headers = read_headers(reader, &mut budget)?;
+    let headers = read_headers(reader, &mut budget, &mut line)?;
     let body = read_body(reader, &headers)?;
     Ok(Some(HttpRequest {
-        method: method.to_ascii_uppercase(),
-        path: path.to_owned(),
+        method,
+        path,
         headers,
         body,
     }))
@@ -175,20 +193,16 @@ pub fn write_request(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    let mut head = format!("{method} {path} HTTP/1.1\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body)?;
-    writer.flush()
+    let mut message = Vec::with_capacity(HEAD_ROOM + body.len());
+    write!(message, "{method} {path} HTTP/1.1\r\n")?;
+    write_message(writer, message, headers, body)
 }
 
 /// Reads one response.
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     let mut budget = MAX_HEADER_BYTES;
-    let status_line = read_line(reader, &mut budget)?
+    let mut line = Vec::new();
+    let status_line = read_line(reader, &mut budget, &mut line)?
         .ok_or_else(|| torn_down("connection closed before response"))?;
     let mut parts = status_line.split_whitespace();
     let (version, status) = match (parts.next(), parts.next()) {
@@ -201,7 +215,7 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     let status: u16 = status
         .parse()
         .map_err(|_| bad_data(format!("bad status code {status:?}")))?;
-    let headers = read_headers(reader, &mut budget)?;
+    let headers = read_headers(reader, &mut budget, &mut line)?;
     let body = read_body(reader, &headers)?;
     Ok(HttpResponse {
         status,
@@ -218,14 +232,9 @@ pub fn write_response(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body)?;
-    writer.flush()
+    let mut message = Vec::with_capacity(HEAD_ROOM + body.len());
+    write!(message, "HTTP/1.1 {status} {reason}\r\n")?;
+    write_message(writer, message, headers, body)
 }
 
 #[cfg(test)]
@@ -270,6 +279,62 @@ mod tests {
         assert_eq!(resp.status, 429);
         assert_eq!(resp.header("retry-after"), Some("1"));
         assert_eq!(resp.body, b"{}");
+    }
+
+    /// Counts `write` calls and keeps what they carried.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write_of_pinned_bytes() {
+        let mut out = CountingWriter::default();
+        let headers = [("Host", "sofya"), ("X-Deadline-Ms", "250")];
+        write_request(&mut out, "POST", "/query", &headers, b"{\"op\":\"ask\"}\n").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "POST /query HTTP/1.1\r\nHost: sofya\r\nX-Deadline-Ms: 250\r\n\
+             Content-Length: 13\r\n\r\n{\"op\":\"ask\"}\n"
+        );
+
+        let mut out = CountingWriter::default();
+        let headers = [("Content-Type", "application/json"), ("Retry-After", "7")];
+        write_response(&mut out, 503, "Service Unavailable", &headers, b"").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Retry-After: 7\r\nContent-Length: 0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn the_header_budget_counts_every_line() {
+        // Exactly at the limit parses; one byte over does not, however
+        // the bytes are split across lines.
+        let head = "GET / HTTP/1.1\r\n";
+        let filler = |len: usize| format!("X-Pad: {}\r\n", "a".repeat(len - 9));
+        let rest = MAX_HEADER_BYTES - head.len() - 2;
+        for (pad, ok) in [(rest, true), (rest + 1, false)] {
+            let message = format!("{head}{}{}\r\n", filler(pad / 2), filler(pad - pad / 2));
+            let parsed = read_request(&mut BufReader::new(message.as_bytes()));
+            assert_eq!(parsed.is_ok(), ok, "{} header bytes", message.len());
+        }
     }
 
     #[test]

@@ -48,14 +48,19 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// How often an idle connection wakes to check for shutdown; also
     /// the read timeout granularity. Keep-alive connections poll at this
-    /// interval, so shutdown latency is bounded by it.
+    /// interval, so shutdown latency is bounded by it. It bounds idle
+    /// waits only: once a request's first byte has arrived, a pause of
+    /// this length inside the message is waited out (see
+    /// `drain_deadline`).
     pub poll_interval: Duration,
     /// How long [`HttpServer::shutdown`] waits for in-flight requests to
     /// finish before closing connections anyway. During the drain, new
     /// requests are refused with `503` instead of being left hanging.
     /// If in-flight queries outlive the drain, the server trips its
     /// cancel token so budgeted evaluation unwinds, and allows up to one
-    /// more `drain_deadline` of grace for that.
+    /// more `drain_deadline` of grace for that. It is also how long, in
+    /// total, a request that has started arriving may stall before the
+    /// connection is given up as malformed.
     pub drain_deadline: Duration,
     /// Per-query execution limits (the runaway-query kill switch). The
     /// effective deadline of a request is the *tighter* of
@@ -323,32 +328,70 @@ fn accept_loop(
     });
 }
 
+/// The read half of a served connection. The socket's read timeout is
+/// [`ServerConfig::poll_interval`], so that an idle connection wakes to
+/// notice shutdown; inside a message the same timeout firing only means
+/// the peer paused between two writes. `patience` is how many more such
+/// pauses the message being read may take: zero between requests (a
+/// timeout surfaces and the caller polls again), the whole of
+/// [`ServerConfig::drain_deadline`] once a request has started.
+struct ConnReader {
+    stream: TcpStream,
+    patience: u128,
+}
+
+impl ConnReader {
+    /// Sets the connection's read timeout and splits off its read half.
+    fn over(stream: &TcpStream, config: &ServerConfig) -> Option<BufReader<ConnReader>> {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(config.poll_interval));
+        let stream = stream.try_clone().ok()?;
+        Some(BufReader::new(ConnReader {
+            stream,
+            patience: 0,
+        }))
+    }
+
+    /// Pauses of one `poll_interval` that add up to `drain_deadline`.
+    fn message_patience(config: &ServerConfig) -> u128 {
+        config
+            .drain_deadline
+            .as_nanos()
+            .checked_div(config.poll_interval.as_nanos())
+            .unwrap_or(0)
+    }
+}
+
+impl std::io::Read for ConnReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if is_poll_timeout(&e) && self.patience > 0 => self.patience -= 1,
+                other => return other,
+            }
+        }
+    }
+}
+
+fn is_poll_timeout(error: &std::io::Error) -> bool {
+    matches!(
+        error.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+const JSON_CONTENT_TYPE: (&str, &str) = ("Content-Type", "application/json");
+
 /// Answers one request on a connection accepted mid-drain with `503`,
 /// then closes.
 fn refuse_connection(mut stream: TcpStream, config: &ServerConfig) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.poll_interval));
-    let Ok(read_half) = stream.try_clone() else {
+    let Some(mut reader) = ConnReader::over(&stream, config) else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
     // Wait (bounded by the drain deadline, so shutdown's join cannot
-    // hang on us) for the request to start arriving, then read it so the
-    // peer is not mid-write when the response lands.
-    // sofya: allow(determinism) — socket-drain deadline is wall-clock by contract
-    let deadline = Instant::now() + config.drain_deadline;
-    loop {
-        match std::io::BufRead::fill_buf(&mut reader) {
-            Ok([]) => return,
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut // sofya: allow(determinism) — retry window for a mid-write peer, wall-clock bounded
-                ) && Instant::now() < deadline => {}
-            Err(_) => return,
-        }
-    }
+    // hang on us) for the request to arrive, and read it so the peer is
+    // not mid-write when the response lands.
+    reader.get_mut().patience = ConnReader::message_patience(config);
     let Ok(Some(_request)) = read_request(&mut reader) else {
         return;
     };
@@ -356,8 +399,7 @@ fn refuse_connection(mut stream: TcpStream, config: &ServerConfig) {
         message: "server shutting down".into(),
         retry_after: None,
     });
-    let mut headers = json_headers();
-    headers.push(("Connection", "close"));
+    let headers = [JSON_CONTENT_TYPE, ("Connection", "close")];
     let _ = write_response(&mut stream, 503, "Service Unavailable", &headers, &body);
 }
 
@@ -377,29 +419,24 @@ fn serve_connection(
     metrics: &Mutex<MetricsReport>,
     cancel: &Arc<CancelToken>,
 ) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.poll_interval));
-    let Ok(read_half) = stream.try_clone() else {
+    let Some(mut reader) = ConnReader::over(&stream, config) else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
+    let message_patience = ConnReader::message_patience(config);
     while lifecycle.phase() == RUNNING {
         // Poll for the first byte without consuming anything.
         match std::io::BufRead::fill_buf(&mut reader) {
             Ok([]) => return, // clean close
             Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
+            Err(e) if is_poll_timeout(&e) => continue,
             Err(_) => return,
         }
         lifecycle.in_flight.fetch_add(1, Ordering::SeqCst);
+        // The request has started: from here to its last byte a read
+        // timeout is a pause in the peer's writing, not an idle poll.
+        reader.get_mut().patience = message_patience;
         let outcome = serve_one_request(&mut stream, &mut reader, handle, config, metrics, cancel);
+        reader.get_mut().patience = 0;
         lifecycle.in_flight.fetch_sub(1, Ordering::SeqCst);
         if outcome.is_err() {
             return;
@@ -411,7 +448,7 @@ fn serve_connection(
 /// already buffered. `Err` means the connection is unusable.
 fn serve_one_request(
     stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<ConnReader>,
     handle: &Handle<'_>,
     config: &ServerConfig,
     metrics: &Mutex<MetricsReport>,
@@ -422,21 +459,20 @@ fn serve_one_request(
         Ok(None) => return Err(()),
         Err(_) => {
             let body = error_body(&EndpointError::Other("malformed HTTP request".into()));
-            let _ = write_response(stream, 400, "Bad Request", &json_headers(), &body);
+            let _ = write_response(stream, 400, "Bad Request", &[JSON_CONTENT_TYPE], &body);
             return Err(());
         }
     };
     let (status, reason, extra, body) = route(&request, handle, config, cancel);
     *metrics.lock() = handle.metrics().report();
-    let mut headers = json_headers();
-    if let Some((name, value)) = &extra {
-        headers.push((name, value));
-    }
-    write_response(stream, status, reason, &headers, &body).map_err(|_| ())
-}
-
-fn json_headers() -> Vec<(&'static str, &'static str)> {
-    vec![("Content-Type", "application/json")]
+    let written = match &extra {
+        Some((name, value)) => {
+            let headers = [JSON_CONTENT_TYPE, (*name, value.as_str())];
+            write_response(stream, status, reason, &headers, &body)
+        }
+        None => write_response(stream, status, reason, &[JSON_CONTENT_TYPE], &body),
+    };
+    written.map_err(|_| ())
 }
 
 fn error_body(error: &EndpointError) -> Vec<u8> {
@@ -594,8 +630,7 @@ fn serve_ingest(
         Ok(ticket) => match ticket.wait() {
             JobOutcome::Completed(Ok(Response::Count(epoch))) => {
                 let mut text =
-                    Json::obj(vec![("ok", Json::Bool(true)), ("epoch", Json::Uint(epoch))])
-                        .to_text();
+                    Json::obj([("ok", Json::Bool(true)), ("epoch", Json::Uint(epoch))]).to_text();
                 text.push('\n');
                 (202, "Accepted", None, text.into_bytes())
             }
@@ -734,7 +769,7 @@ fn configured_quota(scheduler: &SchedulerConfig, client: &str) -> u64 {
 
 /// Serializes a [`MetricsReport`] for `GET /metrics`.
 pub fn metrics_to_json(report: &MetricsReport) -> Json {
-    Json::obj(vec![
+    Json::obj([
         ("submitted", Json::Uint(report.submitted)),
         ("completed", Json::Uint(report.completed)),
         ("rejected_full", Json::Uint(report.rejected_full)),

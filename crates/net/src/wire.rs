@@ -97,15 +97,13 @@ impl WireRequest {
     pub fn to_json(&self) -> Json {
         match self {
             WireRequest::Select(q) => {
-                Json::obj(vec![("op", Json::str("select")), ("query", Json::str(q))])
+                Json::obj([("op", Json::str("select")), ("query", Json::str(q))])
             }
-            WireRequest::Ask(q) => {
-                Json::obj(vec![("op", Json::str("ask")), ("query", Json::str(q))])
-            }
+            WireRequest::Ask(q) => Json::obj([("op", Json::str("ask")), ("query", Json::str(q))]),
             WireRequest::Count(q) => {
-                Json::obj(vec![("op", Json::str("count")), ("query", Json::str(q))])
+                Json::obj([("op", Json::str("count")), ("query", Json::str(q))])
             }
-            WireRequest::Batch(subs) => Json::obj(vec![
+            WireRequest::Batch(subs) => Json::obj([
                 ("op", Json::str("batch")),
                 (
                     "requests",
@@ -206,7 +204,7 @@ pub fn execute_wire_budgeted(
 /// (`{"t":"iri"|"lit"|"bnode","v":…}` plus optional `lang`/`dt`).
 pub fn term_to_json(term: &Term) -> Json {
     match term {
-        Term::Iri(value) => Json::obj(vec![("t", Json::str("iri")), ("v", Json::str(value))]),
+        Term::Iri(value) => Json::obj([("t", Json::str("iri")), ("v", Json::str(value))]),
         Term::Literal {
             lexical,
             lang,
@@ -221,7 +219,7 @@ pub fn term_to_json(term: &Term) -> Json {
             }
             Json::obj(pairs)
         }
-        Term::BNode(label) => Json::obj(vec![("t", Json::str("bnode")), ("v", Json::str(label))]),
+        Term::BNode(label) => Json::obj([("t", Json::str("bnode")), ("v", Json::str(label))]),
     }
 }
 
@@ -250,7 +248,7 @@ pub fn term_from_json(json: &Json) -> Result<Term, WireError> {
 /// Encodes a response to a JSON value.
 pub fn response_to_json(response: &Response) -> Json {
     match response {
-        Response::Rows(rows) => Json::obj(vec![
+        Response::Rows(rows) => Json::obj([
             ("type", Json::str("rows")),
             (
                 "vars",
@@ -275,15 +273,11 @@ pub fn response_to_json(response: &Response) -> Json {
                 ),
             ),
         ]),
-        Response::Boolean(b) => Json::obj(vec![
-            ("type", Json::str("boolean")),
-            ("value", Json::Bool(*b)),
-        ]),
-        Response::Count(n) => Json::obj(vec![
-            ("type", Json::str("count")),
-            ("value", Json::Uint(*n)),
-        ]),
-        Response::Batch(responses) => Json::obj(vec![
+        Response::Boolean(b) => {
+            Json::obj([("type", Json::str("boolean")), ("value", Json::Bool(*b))])
+        }
+        Response::Count(n) => Json::obj([("type", Json::str("count")), ("value", Json::Uint(*n))]),
+        Response::Batch(responses) => Json::obj([
             ("type", Json::str("batch")),
             (
                 "responses",
@@ -368,19 +362,18 @@ pub fn response_from_json(json: &Json) -> Result<Response, WireError> {
 /// Encodes an endpoint error to a JSON value.
 pub fn error_to_json(error: &EndpointError) -> Json {
     match error {
-        EndpointError::Sparql(SparqlError::Lex { offset, message }) => Json::obj(vec![
+        EndpointError::Sparql(SparqlError::Lex { offset, message }) => Json::obj([
             ("kind", Json::str("lex")),
             ("offset", Json::Uint(*offset as u64)),
             ("message", Json::str(message)),
         ]),
-        EndpointError::Sparql(SparqlError::Parse { message }) => Json::obj(vec![
+        EndpointError::Sparql(SparqlError::Parse { message }) => Json::obj([
             ("kind", Json::str("parse")),
             ("message", Json::str(message)),
         ]),
-        EndpointError::Sparql(SparqlError::Eval { message }) => Json::obj(vec![
-            ("kind", Json::str("eval")),
-            ("message", Json::str(message)),
-        ]),
+        EndpointError::Sparql(SparqlError::Eval { message }) => {
+            Json::obj([("kind", Json::str("eval")), ("message", Json::str(message))])
+        }
         // Raw engine-level breaches normally get mapped to the typed
         // deadline/budget classes before reaching the wire (see
         // `sofya_endpoint::map_budget_error`), but the encoding is
@@ -401,14 +394,14 @@ pub fn error_to_json(error: &EndpointError) -> Json {
             }
             Json::obj(fields)
         }
-        EndpointError::DeadlineExceeded { elapsed } => Json::obj(vec![
+        EndpointError::DeadlineExceeded { elapsed } => Json::obj([
             ("kind", Json::str("deadline")),
             (
                 "elapsed_ns",
                 Json::Uint(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)),
             ),
         ]),
-        EndpointError::BudgetExceeded { message } => Json::obj(vec![
+        EndpointError::BudgetExceeded { message } => Json::obj([
             ("kind", Json::str("budget")),
             ("message", Json::str(message)),
         ]),
@@ -446,7 +439,7 @@ pub fn error_to_json(error: &EndpointError) -> Json {
             }
             Json::obj(fields)
         }
-        EndpointError::Other(message) => Json::obj(vec![
+        EndpointError::Other(message) => Json::obj([
             ("kind", Json::str("other")),
             ("message", Json::str(message)),
         ]),
@@ -542,14 +535,11 @@ pub fn error_from_json(json: &Json) -> Result<EndpointError, WireError> {
 /// Encodes the full result envelope the server sends back.
 pub fn envelope_to_json(result: &Result<Response, EndpointError>) -> Json {
     match result {
-        Ok(response) => Json::obj(vec![
+        Ok(response) => Json::obj([
             ("ok", Json::Bool(true)),
             ("response", response_to_json(response)),
         ]),
-        Err(error) => Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            ("error", error_to_json(error)),
-        ]),
+        Err(error) => Json::obj([("ok", Json::Bool(false)), ("error", error_to_json(error))]),
     }
 }
 
@@ -598,6 +588,86 @@ mod tests {
         let json = wire.to_json();
         assert_eq!(WireRequest::from_json(&json).unwrap(), wire);
         assert_eq!(wire.leaf_count(), 3);
+    }
+
+    /// The exact bytes of two representative messages: a codec change
+    /// that alters what travels fails here, not at a peer running the
+    /// previous build.
+    #[test]
+    fn encodings_are_pinned_byte_for_byte() {
+        let batch = WireRequest::Batch(vec![
+            WireRequest::Select("SELECT ?o { <e:a> <r:p> ?o }".to_owned()),
+            WireRequest::Ask("ASK { <e:a> <r:p> \"x\\y\"@en }".to_owned()),
+            WireRequest::Batch(vec![WireRequest::Count(
+                "SELECT (COUNT(*) AS ?n) { ?s <r:p> ?o }".to_owned(),
+            )]),
+        ]);
+        assert_eq!(
+            batch.to_json().to_text(),
+            concat!(
+                r#"{"op":"batch","requests":["#,
+                r#"{"op":"select","query":"SELECT ?o { <e:a> <r:p> ?o }"},"#,
+                r#"{"op":"ask","query":"ASK { <e:a> <r:p> \"x\\y\"@en }"},"#,
+                r#"{"op":"batch","requests":["#,
+                r#"{"op":"count","query":"SELECT (COUNT(*) AS ?n) { ?s <r:p> ?o }"}]}]}"#,
+            )
+        );
+
+        let rows = ResultSet::new(
+            vec!["s".to_owned(), "o".to_owned()],
+            vec![
+                vec![
+                    Some(Term::iri("e:a")),
+                    Some(Term::literal("tab\there \u{1} é")),
+                ],
+                vec![
+                    Some(Term::BNode("b0".to_owned())),
+                    Some(Term::Literal {
+                        lexical: "1".to_owned(),
+                        lang: Some("en".to_owned()),
+                        datatype: Some("x:int".to_owned()),
+                    }),
+                ],
+                vec![None, None],
+            ],
+        );
+        assert_eq!(
+            envelope_to_json(&Ok(Response::Rows(rows))).to_text(),
+            concat!(
+                r#"{"ok":true,"response":{"type":"rows","vars":["s","o"],"rows":["#,
+                r#"[{"t":"iri","v":"e:a"},{"t":"lit","v":"tab\there \u0001 é"}],"#,
+                r#"[{"t":"bnode","v":"b0"},{"t":"lit","v":"1","lang":"en","dt":"x:int"}],"#,
+                r#"[null,null]]}}"#,
+            )
+        );
+    }
+
+    /// Parsing is linear in the body: a 2 MiB row set, far beyond any
+    /// page the aligner asks for, decodes within a debug-build test run.
+    /// (The per-character decoder this replaced re-validated the rest of
+    /// the input at every character and needed minutes for this body.)
+    #[test]
+    fn a_two_mebibyte_row_set_parses_in_linear_time() {
+        let cell =
+            |i: usize, kind: &str| Some(Term::iri(format!("http://kb.example/{kind}/{i:07}")));
+        let rows: Vec<Vec<Option<Term>>> = (0..21_000)
+            .map(|i| vec![cell(i, "entity"), cell(i, "linked")])
+            .collect();
+        let result = Ok(Response::Rows(ResultSet::new(
+            vec!["x".to_owned(), "y".to_owned()],
+            rows,
+        )));
+        let text = envelope_to_json(&result).to_text();
+        assert!(text.len() >= 2 << 20, "body is only {} bytes", text.len());
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).expect("parse");
+        let elapsed = started.elapsed();
+        assert_eq!(envelope_from_json(&parsed).expect("decode"), result);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use sofya_endpoint::{EndpointExt, LocalEndpoint};
-use sofya_net::http::{read_request, write_request, MAX_BODY_BYTES};
-use sofya_net::{HttpServer, RemoteEndpoint, ServerConfig};
+use sofya_net::http::{read_request, read_response, write_request, MAX_BODY_BYTES};
+use sofya_net::{HttpServer, Json, RemoteEndpoint, ServerConfig};
 use sofya_rdf::{Term, TripleStore};
 use std::io::{BufReader, Read, Write};
 use std::sync::Arc;
@@ -106,14 +106,22 @@ proptest! {
     }
 
     /// Arbitrary garbage never panics the parser, and a truncated
-    /// Content-Length body is always an error, not a short read.
+    /// Content-Length body is always an error, not a short read. Nor
+    /// does a body of nothing but openers, however deep: the JSON parser
+    /// refuses it at its nesting cap instead of recursing to the end.
     #[test]
     fn garbage_never_panics(
         garbage in proptest::collection::vec(0u8..=255, 0..200),
         chunk in 1usize..16,
+        opener in 0usize..4,
+        depth in 0usize..200_000,
     ) {
+        let opener = ["[", "{\"k\":", "[{\"requests\":", " [\n"][opener];
         let drip = Drip { data: &garbage, pos: 0, chunk };
         let _ = read_request(&mut BufReader::new(drip)); // any Ok/Err, no panic
+        let _ = Json::parse(&String::from_utf8_lossy(&garbage));
+        let nested = Json::parse(&opener.repeat(depth));
+        prop_assert!(nested.is_err(), "{depth} unclosed {opener:?} parsed");
     }
 
     #[test]
@@ -155,7 +163,7 @@ fn live_server_survives_malformed_clients() {
         b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
         b"POST /query HTTP/1.1\r\nX-Junk: \xFF\xFE\r\n\r\n",
     ];
-    for attack in attacks {
+    let reply_to = |attack: &[u8]| {
         let mut conn = std::net::TcpStream::connect(addr).expect("connect");
         conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();
@@ -165,17 +173,72 @@ fn live_server_survives_malformed_clients() {
         let _ = conn.shutdown(std::net::Shutdown::Write);
         let mut reply = Vec::new();
         conn.take(4096).read_to_end(&mut reply).expect("no hang");
-        if !reply.is_empty() {
-            let head = String::from_utf8_lossy(&reply);
-            assert!(
-                head.starts_with("HTTP/1.1 400"),
-                "malformed input answered with: {head}"
-            );
-        }
+        String::from_utf8_lossy(&reply).into_owned()
+    };
+    for attack in attacks {
+        let reply = reply_to(attack);
+        assert!(
+            reply.is_empty() || reply.starts_with("HTTP/1.1 400"),
+            "malformed input answered with: {reply}"
+        );
     }
+    // Well-formed HTTP around a body that is all openers: without a
+    // nesting cap, parsing it recurses once per byte and takes the whole
+    // process down with the connection thread's stack.
+    let reply = reply_to(&valid_request("/query", "attacker", &vec![b'['; 1 << 20]));
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert!(reply.contains("\"kind\":\"other\""), "{reply}");
+    assert!(reply.contains("nesting deeper than 64"), "{reply}");
 
     // The server is unharmed.
     let remote = RemoteEndpoint::new("kb", addr);
     assert!(remote.ask("ASK { <e:s> <e:p> <e:o> }").unwrap());
+    server.shutdown();
+}
+
+/// A client that pauses between the head and the body for longer than
+/// the server's idle poll is slow, not malformed: the request is
+/// answered, and the connection stays usable.
+#[test]
+fn a_pause_inside_a_request_is_waited_out() {
+    let mut store = TripleStore::new();
+    store.insert_terms(&Term::iri("e:s"), &Term::iri("e:p"), &Term::iri("e:o"));
+    let config = ServerConfig::default();
+    let pause = config.poll_interval * 3;
+    let server = HttpServer::start(
+        Arc::new(LocalEndpoint::new("kb", store)),
+        config,
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+
+    let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let message = valid_request(
+        "/query",
+        "slow",
+        b"{\"op\":\"ask\",\"query\":\"ASK { <e:s> <e:p> <e:o> }\"}\n",
+    );
+    let body_at = message.len() - 20;
+    // Pause after the head and again inside the body; then once more
+    // with no pause, on the same connection.
+    for cuts in [vec![body_at - 30, body_at], vec![]] {
+        let mut sent = 0;
+        for cut in cuts {
+            conn.write_all(&message[sent..cut]).unwrap();
+            sent = cut;
+            std::thread::sleep(pause);
+        }
+        conn.write_all(&message[sent..]).unwrap();
+        let response = read_response(&mut reader).expect("answered, not disconnected");
+        assert_eq!(response.status, 200);
+        assert_eq!(
+            String::from_utf8_lossy(&response.body),
+            "{\"ok\":true,\"response\":{\"type\":\"boolean\",\"value\":true}}\n"
+        );
+    }
     server.shutdown();
 }
