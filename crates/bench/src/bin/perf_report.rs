@@ -15,8 +15,11 @@
 //!   committed JSON instead of writing: any tracked case slower than
 //!   2x its committed `median_ns` fails with exit code 1 (cases under
 //!   2µs are exempt — they measure timer overhead, not the engine, and
-//!   vary with the host machine). This is the CI soft guard; skip it
-//!   with a `[skip-perf]` commit tag.
+//!   vary with the host machine). Three rules need no committed number:
+//!   budget polling ≤ 1.05x of unbudgeted evaluation, `Json::parse` cost
+//!   per byte flat in the body size, and a publish cycle that costs the
+//!   same whatever the dictionary holds. This is the CI soft guard; skip
+//!   it with a `[skip-perf]` commit tag.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -29,7 +32,7 @@ use sofya_endpoint::{
 use sofya_kbgen::{generate, GeneratedPair, PairConfig, StructureCounts};
 use sofya_net::wire::envelope_to_json;
 use sofya_net::{execute_wire, HttpServer, Json, RemoteEndpoint, ServerConfig, WireRequest};
-use sofya_rdf::{Term, TriplePattern, TripleStore};
+use sofya_rdf::{StoreSnapshot, Term, TermId, TriplePattern, TripleStore};
 use sofya_service::{AlignmentRequest, AlignmentService, SchedulerConfig};
 use sofya_sparql::{execute, execute_ask, Prepared, QueryBudget};
 use std::sync::Arc;
@@ -212,6 +215,100 @@ fn store_cases(suite: &mut Suite, tag: &str, small: bool, pair: &GeneratedPair) 
         }
         n
     });
+}
+
+/// The write cycle of a durable ingest sink, on the store alone: load a
+/// 256-triple batch of terms, remove the previous batch one triple at a
+/// time, take a snapshot, drop the one it replaces. Two batches take
+/// turns, so the store is the same size on every cycle.
+struct PublishCycle {
+    store: TripleStore,
+    live: StoreSnapshot,
+    /// `[next to load, loaded last]`
+    batches: [Vec<(Term, Term, Term)>; 2],
+}
+
+impl PublishCycle {
+    /// A copy of `base` with `filler_terms` more terms in its dictionary
+    /// that no triple uses, one batch loaded and a snapshot live.
+    fn new(base: &TripleStore, relations: &[String], filler_terms: usize) -> Self {
+        let mut store = base.clone();
+        for i in 0..filler_terms {
+            store.intern(&Term::iri(format!("perf:filler{i}")));
+        }
+        let predicates: Vec<TermId> = relations
+            .iter()
+            .filter_map(|r| store.dict().lookup_iri(r))
+            .collect();
+        let mut entities: Vec<TermId> = store.iter().map(|t| t.s).collect();
+        entities.dedup();
+        // 512 triples the store does not hold, over terms it knows.
+        let fresh: Vec<(Term, Term, Term)> = (0usize..)
+            .map(|i| {
+                (
+                    entities[(i * 31) % entities.len()],
+                    predicates[i % predicates.len()],
+                    entities[(i * 17 + 5) % entities.len()],
+                )
+            })
+            .filter(|&(s, p, o)| !store.contains(s, p, o))
+            .take(512)
+            .map(|(s, p, o)| {
+                let dict = store.dict();
+                (
+                    dict.resolve(s).clone(),
+                    dict.resolve(p).clone(),
+                    dict.resolve(o).clone(),
+                )
+            })
+            .collect();
+        let (first, second) = fresh.split_at(256);
+        store.load_batch_terms(second.iter().map(|(s, p, o)| (s, p, o)));
+        let live = store.snapshot();
+        Self {
+            store,
+            live,
+            batches: [first.to_vec(), second.to_vec()],
+        }
+    }
+
+    fn run(&mut self) -> u64 {
+        let [load, retire] = &self.batches;
+        self.store
+            .load_batch_terms(load.iter().map(|(s, p, o)| (s, p, o)));
+        for (s, p, o) in retire {
+            let dict = self.store.dict();
+            if let (Some(s), Some(p), Some(o)) = (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
+                self.store.remove(s, p, o);
+            }
+        }
+        // The previous snapshot is live until the new one replaces it.
+        self.live = self.store.snapshot();
+        self.batches.swap(0, 1);
+        self.live.len() as u64
+    }
+}
+
+/// `store/publish_cycle_256_<tag>`, and — for `--check` — what the same
+/// cycle costs on a store whose dictionary holds four times the terms,
+/// none of the extra ones used: a publish must not pay for the
+/// dictionary, so the ratio is held under 1.5x. No baseline involved.
+fn publish_cycle_cases(
+    suite: &mut Suite,
+    tag: &str,
+    small: bool,
+    pair: &GeneratedPair,
+) -> Option<f64> {
+    let name = format!("store/publish_cycle_256_{tag}");
+    let mut cycle = PublishCycle::new(&pair.kb2, &pair.kb2_relations, 0);
+    suite.run(&name, small, || cycle.run());
+    let measured = suite.cases.last().filter(|(n, _)| *n == name)?.1;
+
+    let mut inflated = PublishCycle::new(&pair.kb2, &pair.kb2_relations, 3 * pair.kb2.dict().len());
+    let ns = median_ns(|| inflated.run());
+    let ratio = ns as f64 / measured.max(1) as f64;
+    eprintln!("    -> with a 4x dictionary: {ns} ns/op ({ratio:.2}x)");
+    Some(ratio)
 }
 
 fn sparql_cases(suite: &mut Suite, tag: &str, small: bool, pair: &GeneratedPair) {
@@ -847,6 +944,7 @@ fn main() {
 
     eprintln!("running cases…");
     store_cases(&mut suite, "small", true, &small_pair);
+    let dictionary_cost_ratio = publish_cycle_cases(&mut suite, "small", true, &small_pair);
     sparql_cases(&mut suite, "small", true, &small_pair);
     alignment_cases(&mut suite, "small", true, &small_pair);
     session_case(&mut suite, &small_pair);
@@ -856,6 +954,7 @@ fn main() {
     durability_cases(&mut suite, "small", true, &small_pair);
     if let Some(big) = &big_pair {
         store_cases(&mut suite, "100k", false, big);
+        publish_cycle_cases(&mut suite, "100k", false, big);
         sparql_cases(&mut suite, "100k", false, big);
         alignment_cases(&mut suite, "100k", false, big);
         durability_cases(&mut suite, "100k", false, big);
@@ -917,6 +1016,18 @@ fn main() {
                 eprintln!(
                     "REGRESSION net/json_parse: a byte of a 400-row page costs {ratio:.2}x a \
                      byte of an ask envelope (budget 2x) — parsing is no longer linear"
+                );
+                failed = true;
+            }
+        }
+        // And a publish must cost what was written, not what the store's
+        // dictionary holds.
+        if let Some(ratio) = dictionary_cost_ratio {
+            if ratio > 1.5 {
+                eprintln!(
+                    "REGRESSION store/publish_cycle_256: the cycle costs {ratio:.2}x on a store \
+                     with four times the dictionary terms, none of them used (budget 1.5x) — \
+                     a publish pays for the dictionary again"
                 );
                 failed = true;
             }

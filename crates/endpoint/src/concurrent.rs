@@ -7,9 +7,9 @@
 //! * [`SnapshotStore`] owns the mutable [`TripleStore`]. The writer
 //!   inserts, removes, and bulk-loads at will, then calls
 //!   [`SnapshotStore::publish`] to make the current state visible: the
-//!   store's insert buffers are flushed and an immutable
-//!   [`StoreSnapshot`] (shared `Arc`s — no triple copied) is swapped into
-//!   a shared cell.
+//!   store's pending inserts and removals are applied and an immutable
+//!   [`StoreSnapshot`] (shared `Arc`s — no triple or term copied) is
+//!   swapped into a shared cell.
 //! * [`ConcurrentEndpoint`] is a full [`Endpoint`] over the *currently
 //!   published* snapshot. Each query clones the snapshot `Arc` out of the
 //!   cell (one brief mutex acquisition — the epoch swap) and then runs
@@ -194,8 +194,11 @@ impl SnapshotStore {
     }
 
     /// Publishes the writer's current state: flush, snapshot, swap. Cost
-    /// is the pending buffer merge plus O(#predicates) `Arc` clones; see
-    /// [`sofya_rdf::snapshot`] for the copy-on-write fine print.
+    /// is one pass over each index run written to since the last publish
+    /// plus O(#predicates) `Arc` clones — it follows the mutations, not
+    /// the size of the store or of its dictionary, and retiring the
+    /// previous snapshot frees only what those passes replaced. The
+    /// [`sofya_rdf::store`] module docs state the whole cost model.
     ///
     /// Returns the [`PublishDelta`] describing exactly what changed
     /// since the previous epoch — O(mutations since the last publish),

@@ -4,13 +4,14 @@
 //! referred to by a dense [`TermId`] (`u32`). This keeps triples at twelve
 //! bytes and makes joins integer comparisons.
 //!
-//! The hash map uses a small FNV-1a based hasher defined here instead of
+//! Terms are hashed with a small FNV-1a hasher defined here instead of
 //! SipHash: dictionary keys are not attacker-controlled in this system and
 //! the offline dependency list does not include `rustc-hash`, so we ship the
-//! ~20-line equivalent ourselves (see DESIGN.md §5).
+//! ~20-line equivalent ourselves (see DESIGN.md §5). The index over them is
+//! a plain open-addressing table of positions, so a term is stored once.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::term::Term;
 
@@ -64,14 +65,136 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// `HashMap` keyed with [`FnvHasher`].
-pub type FnvHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+/// The 32-bit tag a term is indexed under: FNV-1a folded to a word.
+fn tag_of(term: &Term) -> u32 {
+    let mut hasher = FnvHasher::default();
+    term.hash(&mut hasher);
+    let h = hasher.finish();
+    (h ^ (h >> 32)) as u32
+}
+
+/// A run of consecutive ids: the terms themselves (each stored once) and
+/// an open-addressing index over them. A slot packs the term's tag (high
+/// word) with its position + 1 (low word); 0 is an empty slot. The table
+/// is a power of two at most half full, probed linearly from the tag's
+/// low bits — growing and merging move slots without rehashing a term.
+#[derive(Debug, Clone, Default)]
+struct Segment {
+    /// Id of `terms[0]`.
+    start: u32,
+    terms: Vec<Term>,
+    slots: Vec<u64>,
+}
+
+impl Segment {
+    fn starting_at(start: usize) -> Self {
+        Self {
+            start: u32::try_from(start).expect("dictionary overflow: >4G terms"),
+            ..Self::default()
+        }
+    }
+
+    /// One past the last id held.
+    #[inline]
+    fn end(&self) -> usize {
+        self.start as usize + self.terms.len()
+    }
+
+    fn find(&self, tag: u32, term: &Term) -> Option<TermId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = tag as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return None;
+            }
+            let pos = (slot as u32 - 1) as usize;
+            if (slot >> 32) as u32 == tag && self.terms[pos] == *term {
+                return Some(TermId(self.start + pos as u32));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Files an occupied slot; the table must have a free one.
+    #[inline]
+    fn place(slots: &mut [u64], slot: u64) {
+        let mask = slots.len() - 1;
+        let mut at = (slot >> 32) as usize & mask;
+        while slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        slots[at] = slot;
+    }
+
+    /// Re-files every occupied slot of `old`, positions shifted by `shift`.
+    fn place_all(slots: &mut [u64], old: &[u64], shift: usize) {
+        for &slot in old.iter().filter(|&&slot| slot != 0) {
+            Self::place(slots, slot + shift as u64);
+        }
+    }
+
+    /// Appends a term known to be absent; returns its id.
+    fn push(&mut self, tag: u32, term: Term) -> TermId {
+        let id = u32::try_from(self.end()).expect("dictionary overflow: >4G terms");
+        if (self.terms.len() + 1) * 2 > self.slots.len() {
+            let old = std::mem::take(&mut self.slots);
+            self.slots = vec![0; (old.len() * 2).max(8)];
+            Self::place_all(&mut self.slots, &old, 0);
+        }
+        self.terms.push(term);
+        let slot = (u64::from(tag) << 32) | self.terms.len() as u64;
+        Self::place(&mut self.slots, slot);
+        TermId(id)
+    }
+
+    /// The concatenation of consecutive segments as one.
+    fn merged(parts: Vec<Arc<Segment>>) -> Segment {
+        let len: usize = parts.iter().map(|part| part.terms.len()).sum();
+        let mut merged = Segment {
+            start: parts.first().map_or(0, |part| part.start),
+            terms: Vec::with_capacity(len),
+            slots: vec![0; (len * 2).next_power_of_two().max(8)],
+        };
+        for part in parts {
+            Self::place_all(&mut merged.slots, &part.slots, merged.terms.len());
+            // A part no snapshot holds any more gives its terms away.
+            match Arc::try_unwrap(part) {
+                Ok(part) => merged.terms.extend(part.terms),
+                Err(part) => merged.terms.extend_from_slice(&part.terms),
+            }
+        }
+        merged
+    }
+}
+
+/// How many times the size of the next each frozen segment of a [`Dict`]
+/// is kept, at least. A lookup may have to probe every segment, and a
+/// term is copied about `RATIO / 2` times per level of the hierarchy:
+/// at 4 that is as many copies as at 2, over half as many segments.
+const SEGMENT_RATIO: usize = 4;
 
 /// A bidirectional Term ⇄ TermId dictionary.
-#[derive(Debug, Default, Clone)]
+///
+/// Ids are dense and append-only. The terms live in a few **frozen
+/// segments** (consecutive id ranges behind `Arc`s, largest first) plus a
+/// writer-owned **tail** that takes every new term. [`Dict::snapshot`]
+/// freezes the tail and hands out a dictionary sharing every segment, so
+/// a snapshot costs O(terms interned since the previous one) and a
+/// dropped snapshot frees nothing the writer still uses. A dictionary
+/// that was never snapshotted is a single tail.
+///
+/// Freezing keeps the segments geometric — each at least four times the
+/// size of the next, so there are at most log₄(len) + 1 of them — by
+/// merging the offending suffix in one pass; a term is copied O(log len)
+/// times over the dictionary's life.
+#[derive(Debug, Clone, Default)]
 pub struct Dict {
-    terms: Vec<Term>,
-    ids: FnvHashMap<Term, TermId>,
+    frozen: Vec<Arc<Segment>>,
+    tail: Segment,
 }
 
 impl Dict {
@@ -82,23 +205,28 @@ impl Dict {
 
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.tail.end()
     }
 
     /// Whether the dictionary is empty.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len() == 0
+    }
+
+    fn find(&self, tag: u32, term: &Term) -> Option<TermId> {
+        self.frozen
+            .iter()
+            .find_map(|segment| segment.find(tag, term))
+            .or_else(|| self.tail.find(tag, term))
     }
 
     /// Interns a term, returning its id. Idempotent.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        let tag = tag_of(term);
+        match self.find(tag, term) {
+            Some(id) => id,
+            None => self.tail.push(tag, term.clone()),
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("dictionary overflow: >4G terms"));
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
     }
 
     /// Interns an IRI string.
@@ -108,7 +236,7 @@ impl Dict {
 
     /// Looks up the id of an already-interned term.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        self.find(tag_of(term), term)
     }
 
     /// Looks up the id of an already-interned IRI.
@@ -121,20 +249,62 @@ impl Dict {
     /// # Panics
     /// Panics if the id was not produced by this dictionary.
     pub fn resolve(&self, id: TermId) -> &Term {
-        &self.terms[id.index()]
+        self.try_resolve(id)
+            .unwrap_or_else(|| panic!("term id {id} is foreign to this dictionary"))
     }
 
     /// Resolves an id, returning `None` for foreign ids.
     pub fn try_resolve(&self, id: TermId) -> Option<&Term> {
-        self.terms.get(id.index())
+        let segment = self
+            .frozen
+            .iter()
+            .map(|segment| &**segment)
+            .find(|segment| id.index() < segment.end())
+            .unwrap_or(&self.tail);
+        segment
+            .terms
+            .get(id.index().checked_sub(segment.start as usize)?)
     }
 
-    /// Iterates over all `(id, term)` pairs in insertion order.
+    /// Iterates over all `(id, term)` pairs in id (= insertion) order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.terms
+        self.frozen
             .iter()
+            .map(|segment| &**segment)
+            .chain(std::iter::once(&self.tail))
+            .flat_map(|segment| &segment.terms)
             .enumerate()
             .map(|(i, t)| (TermId(i as u32), t))
+    }
+
+    /// An immutable view of the terms interned so far, sharing their
+    /// storage: freezes the tail (see the type docs for the merge policy)
+    /// and clones the segment `Arc`s. Terms interned later never show
+    /// through it.
+    pub fn snapshot(&mut self) -> Dict {
+        if !self.tail.terms.is_empty() {
+            let next = Segment::starting_at(self.len());
+            let tail = std::mem::replace(&mut self.tail, next);
+            // The suffix that would break "RATIO times the size of the next".
+            let mut following = tail.terms.len();
+            let mut keep = self.frozen.len();
+            while keep > 0 && self.frozen[keep - 1].terms.len() < SEGMENT_RATIO * following {
+                following += self.frozen[keep - 1].terms.len();
+                keep -= 1;
+            }
+            let mut parts = self.frozen.split_off(keep);
+            let frozen = if parts.is_empty() {
+                tail
+            } else {
+                parts.push(Arc::new(tail));
+                Segment::merged(parts)
+            };
+            self.frozen.push(Arc::new(frozen));
+        }
+        Dict {
+            frozen: self.frozen.clone(),
+            tail: Segment::starting_at(self.len()),
+        }
     }
 }
 
@@ -190,6 +360,51 @@ mod tests {
         d.intern(&Term::iri("b"));
         let collected: Vec<_> = d.iter().map(|(id, t)| (id.0, t.clone())).collect();
         assert_eq!(collected, vec![(0, Term::iri("a")), (1, Term::iri("b"))]);
+    }
+
+    #[test]
+    fn a_dictionary_never_snapshotted_is_one_segment() {
+        let mut d = Dict::new();
+        for i in 0..1000 {
+            d.intern(&Term::iri(format!("t{i}")));
+        }
+        assert!(d.frozen.is_empty());
+        assert_eq!(d.tail.terms.len(), 1000);
+    }
+
+    #[test]
+    fn snapshots_share_segments_and_their_count_stays_logarithmic() {
+        let mut d = Dict::new();
+        let mut snapshots = Vec::new();
+        for i in 0..1000usize {
+            d.intern(&Term::iri(format!("t{i}")));
+            snapshots.push(d.snapshot());
+            // Each segment at least four times the next: log4(len) + 1 at most.
+            let sizes: Vec<usize> = d.frozen.iter().map(|s| s.terms.len()).collect();
+            assert!(
+                sizes.windows(2).all(|w| w[0] >= SEGMENT_RATIO * w[1]),
+                "{sizes:?}"
+            );
+            assert!(sizes.len() <= (i + 1).ilog(4) as usize + 1, "{sizes:?}");
+            assert_eq!(sizes.iter().sum::<usize>(), i + 1);
+        }
+        // A snapshot taken with nothing new interned shares every segment.
+        let again = d.snapshot();
+        let last = snapshots.last().unwrap();
+        assert!(again
+            .frozen
+            .iter()
+            .zip(&last.frozen)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        // Old snapshots still end where they were taken.
+        for (i, snapshot) in snapshots.iter().enumerate() {
+            assert_eq!(snapshot.len(), i + 1);
+            assert_eq!(snapshot.lookup_iri(&format!("t{}", i + 1)), None);
+            assert_eq!(
+                snapshot.lookup_iri(&format!("t{i}")),
+                Some(TermId(i as u32))
+            );
+        }
     }
 
     #[test]

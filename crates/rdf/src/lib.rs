@@ -16,8 +16,10 @@
 //!   OSP — plain `Vec`s, binary-search prefix bounds) so every
 //!   triple-pattern shape resolves to a contiguous, zero-allocation range
 //!   scan and an O(log n) exact cardinality
-//!   ([`TripleStore::count_pattern`]). Writes land in a small sorted
-//!   insert buffer merged on a threshold.
+//!   ([`TripleStore::count_pattern`]). Inserts and removals land in small
+//!   sorted buffers applied on a threshold or at publish time, and
+//!   published snapshots share every run and dictionary segment the
+//!   writer has not replaced since (cost model: [`store`] module docs).
 //! * A small N-Triples subset parser/serialiser ([`ntriples`]) provides
 //!   durable text I/O for fixtures and examples.
 //! * [`stats`] computes the per-predicate statistics (fact counts,
@@ -59,7 +61,7 @@ pub use inverse::{
 };
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use segment::CodecError;
-pub use snapshot::StoreSnapshot;
+pub use snapshot::{fingerprint_of, StoreSnapshot};
 pub use stats::{PredicateStats, StoreStats};
 pub use store::{PatternScan, StoreDelta, TripleStore};
 pub use term::Term;

@@ -1,23 +1,17 @@
 //! Immutable published store snapshots.
 //!
-//! [`TripleStore::snapshot`] flushes the insert buffers and clones the
-//! `Arc`s of the dictionary and every main run into a [`StoreSnapshot`]:
-//! an immutable view sharing all triple data with the writer at the
-//! moment of publication. Readers query it lock-free (it derefs to
-//! [`TripleStore`], so the whole scan / count / SPARQL surface applies)
-//! while the single writer keeps inserting into its own buffers.
+//! [`TripleStore::snapshot`] applies the writer's pending inserts and
+//! tombstones and clones the `Arc`s of every main run and dictionary
+//! segment into a [`StoreSnapshot`]: an immutable view sharing all triple
+//! and term data with the writer at the moment of publication. Readers
+//! query it lock-free (it derefs to [`TripleStore`], so the whole scan /
+//! count / SPARQL surface applies) while the single writer keeps writing
+//! into its own buffers; nothing it does afterwards shows through.
 //!
-//! The cost model:
-//!
-//! * publishing is O(#predicates) — no triple or term is copied;
-//! * writer mutations after publication land in fresh insert buffers and
-//!   never show through the snapshot;
-//! * the first buffer merge (or removal) touching a run that a live
-//!   snapshot still references pays a one-time copy of that run
-//!   (`Arc::make_mut`); once the snapshot is dropped, merges are in-place
-//!   again.
+//! What taking, holding and dropping a snapshot costs is stated once, in
+//! the [`crate::store`] module docs ("The write path and what it costs").
 
-use crate::store::TripleStore;
+use crate::store::{fingerprint_mix, TripleStore};
 use crate::triple::Triple;
 
 /// An immutable, cheaply cloneable view of a [`TripleStore`] at one
@@ -44,24 +38,6 @@ impl StoreSnapshot {
     pub fn store(&self) -> &TripleStore {
         &self.store
     }
-
-    /// An order-independent fingerprint of the triple set (ids under this
-    /// snapshot's dictionary). Two snapshots of the same store state agree;
-    /// any inserted or removed triple changes it with high probability.
-    /// Used by the concurrency stress tests to assert that readers observe
-    /// exactly a published state, never a torn intermediate one.
-    pub fn fingerprint(&self) -> u64 {
-        let mut acc = 0u64;
-        for Triple { s, p, o } in self.store.iter() {
-            let key = (u64::from(s.0) << 42) ^ (u64::from(p.0) << 21) ^ u64::from(o.0);
-            // splitmix64 finalizer: decorrelates keys before the XOR fold.
-            let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            acc ^= z ^ (z >> 31);
-        }
-        acc ^ self.store.len() as u64
-    }
 }
 
 impl std::ops::Deref for StoreSnapshot {
@@ -70,6 +46,18 @@ impl std::ops::Deref for StoreSnapshot {
     fn deref(&self) -> &TripleStore {
         &self.store
     }
+}
+
+/// The definition of [`TripleStore::fingerprint`], by a full walk: the
+/// XOR of a per-triple mix, folded with the triple count. The store
+/// answers from a fold it maintains instead; tests hold the two equal.
+pub fn fingerprint_of(triples: impl IntoIterator<Item = Triple>) -> u64 {
+    let (fold, len) = triples
+        .into_iter()
+        .fold((0u64, 0u64), |(fold, len), Triple { s, p, o }| {
+            (fold ^ fingerprint_mix(s.0, p.0, o.0), len + 1)
+        });
+    fold ^ len
 }
 
 // The whole point of a snapshot is crossing threads; keep the guarantee

@@ -10,29 +10,46 @@
 //! The POS permutation is different: every scan of it binds the predicate
 //! (the `?x <p> ?y` / `?x <p> <o>` shapes — SOFYA's bread and butter), so
 //! instead of one flat run it is partitioned into **per-predicate pages**,
-//! each a sorted `Vec<(u32, u32)>` of `(o, s)` pairs. Buffer merges and
-//! removals memmove only the touched predicate's page, binary searches are
-//! page-local, and a predicate's cardinality is just its page length —
-//! read in O(log #predicates) and fed to the query planner's selectivity
-//! oracle through [`TripleStore::count_pattern`].
+//! each a sorted `Vec<(u32, u32)>` of `(o, s)` pairs. Merges touch only the
+//! pages a write names, binary searches are page-local, and a predicate's
+//! cardinality is just its page length — read in O(log #predicates) and
+//! fed to the query planner's selectivity oracle through
+//! [`TripleStore::count_pattern`].
 //!
-//! Writes go through small *insert buffers* — a second sorted run per flat
-//! permutation and per page — merged into the main run whenever they reach
-//! the merge threshold (amortized O(1) index maintenance per insert at
-//! repo scales). Reads consult both runs through a two-way merge, so
-//! results are always exact regardless of pending buffered inserts;
-//! [`TripleStore::flush`] compacts eagerly. Bulk ingestion should use
-//! [`TripleStore::load_batch`], which appends unsorted and pays one
-//! sort + dedup + merge per index for the whole batch.
+//! # The write path and what it costs
 //!
-//! The dictionary and every main run live behind `Arc`s with
-//! copy-on-write mutation (`Arc::make_mut`), so
-//! [`TripleStore::snapshot`] can publish an immutable
-//! [`crate::snapshot::StoreSnapshot`] by flushing and
-//! cloning the `Arc`s — O(#predicates), no data copy. The single writer
-//! keeps loading afterwards; the first merge or removal touching a run
-//! still referenced by a live snapshot pays one copy of that run, and
-//! later ones are free again.
+//! Every run (SPO, OSP, each page) is three sorted vectors: the **main
+//! run** behind an `Arc`, shared with every live snapshot that contains
+//! it; a small **insert buffer**; and a small **tombstone buffer** naming
+//! main-run keys that have been removed. The live keys are
+//! `(main − tombstones) ∪ buffer`, and every read subtracts and merges on
+//! the fly, so the writer's own reads are exact — and exact-size — at all
+//! times.
+//!
+//! * [`TripleStore::insert`] costs a sorted insertion into the buffers
+//!   (or clears the key's tombstone). [`TripleStore::remove`] deletes a
+//!   buffered key directly and otherwise records a tombstone. Neither
+//!   touches a main run.
+//! * Pending keys are **applied** to a main run — buffer merged in,
+//!   tombstoned keys dropped — by [`TripleStore::flush`] (which
+//!   [`TripleStore::snapshot`] calls first), by
+//!   [`TripleStore::load_batch`] (together with its batch), and when a
+//!   buffer reaches its threshold. Applying is one linear pass over that
+//!   run and skips runs with nothing pending: in place when no snapshot
+//!   shares the run, otherwise written straight into a fresh vector, which
+//!   leaves the snapshot's copy untouched.
+//! * [`TripleStore::snapshot`] publishes an immutable
+//!   [`crate::snapshot::StoreSnapshot`] by flushing and then cloning the
+//!   `Arc`s of the runs and of the dictionary's segments (see
+//!   [`Dict::snapshot`]): O(#predicates) pointer copies plus freezing the
+//!   terms interned since the previous snapshot. No triple and no older
+//!   term is copied, and dropping a snapshot frees only the runs and
+//!   dictionary segments that have been replaced since it was taken.
+//!
+//! A publish therefore costs O(mutations since the last publish)
+//! allocations and at most one pass per run those mutations touched.
+//! Snapshots are always flushed: their buffers are empty and their scans
+//! walk the main runs alone.
 
 use crate::dict::{Dict, TermId};
 use crate::snapshot::StoreSnapshot;
@@ -45,14 +62,14 @@ type Key = (u32, u32, u32);
 /// An `(o, s)` entry of one predicate's POS page.
 type Pair = (u32, u32);
 
-/// Buffered inserts per permutation before they are merged into the main
-/// run. Small enough that the sorted insertion memmove stays cheap, large
-/// enough that merges amortize.
+/// Pending keys per flat run — buffered inserts or tombstones — before
+/// they are applied to the main run. Small enough that the sorted
+/// insertion memmove stays cheap, large enough that merges amortize.
 const DEFAULT_MERGE_THRESHOLD: usize = 1024;
 
-/// Per-page insert buffer bound: pages are merged independently, so the
-/// buffer can stay much smaller than the global threshold without losing
-/// amortization (the memmove it triggers is page-local).
+/// Per-page bound on the same: pages are merged independently, so it can
+/// stay much smaller than the global threshold without losing
+/// amortization (the pass it triggers is page-local).
 const PAGE_BUFFER_THRESHOLD: usize = 64;
 
 /// Mutations accumulated in the writer path since the last
@@ -105,6 +122,17 @@ impl StoreDelta {
     }
 }
 
+/// One triple's contribution to [`TripleStore::fingerprint`].
+#[inline]
+pub(crate) fn fingerprint_mix(s: u32, p: u32, o: u32) -> u64 {
+    let key = (u64::from(s) << 42) ^ (u64::from(p) << 21) ^ u64::from(o);
+    // splitmix64 finalizer: decorrelates keys before the XOR fold.
+    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Which permutation a key run is sorted by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Perm {
@@ -125,212 +153,23 @@ impl Perm {
     }
 }
 
-/// One predicate's slice of the POS index: sorted `(o, s)` pairs in a main
-/// run plus a small sorted insert buffer.
-#[derive(Debug, Clone, Default)]
-struct PredPage {
-    /// The predicate's id (the page key; pages are sorted by it).
-    pred: u32,
-    /// Main sorted run of `(o, s)` pairs, shared with live snapshots.
-    run: Arc<Vec<Pair>>,
-    /// Pending sorted inserts, merged into `run` on threshold or flush.
-    buf: Vec<Pair>,
-}
-
-impl PredPage {
-    #[inline]
-    fn len(&self) -> usize {
-        self.run.len() + self.buf.len()
-    }
-}
-
-/// The sub-slice of a sorted run whose keys start with the given prefix.
-///
-/// Bound positions must form a prefix of the permutation order (`a`, then
-/// `a,b`, then `a,b,c`). Implemented with `partition_point`, so there is
-/// no successor arithmetic and no `u32::MAX` edge case (the old
-/// `prefix_range` computed `a + 1` exclusive bounds and had to special-case
-/// every saturated id).
+/// Inserts `key` into a sorted run, preserving order. The caller
+/// guarantees the key is not already present.
 #[inline]
-fn prefix_slice(run: &[Key], a: Option<u32>, b: Option<u32>, c: Option<u32>) -> &[Key] {
-    let (lo, hi) = match (a, b, c) {
-        (None, _, _) => (0, run.len()),
-        (Some(a), None, _) => (
-            run.partition_point(|&(x, _, _)| x < a),
-            run.partition_point(|&(x, _, _)| x <= a),
-        ),
-        (Some(a), Some(b), None) => (
-            run.partition_point(|&(x, y, _)| (x, y) < (a, b)),
-            run.partition_point(|&(x, y, _)| (x, y) <= (a, b)),
-        ),
-        (Some(a), Some(b), Some(c)) => (
-            run.partition_point(|&k| k < (a, b, c)),
-            run.partition_point(|&k| k <= (a, b, c)),
-        ),
-    };
-    &run[lo..hi]
+fn sorted_insert<T: Copy + Ord>(run: &mut Vec<T>, key: T) {
+    let at = run.partition_point(|&k| k < key);
+    run.insert(at, key);
 }
 
-/// The sub-slice of a sorted pair run with first component `a` (or all).
-/// `(None, Some(_))` is not a prefix and must not reach this function.
+/// Removes `key` from a sorted run if present; `true` on removal.
 #[inline]
-fn pair_prefix_slice(run: &[Pair], a: Option<u32>, b: Option<u32>) -> &[Pair] {
-    let (lo, hi) = match (a, b) {
-        (None, _) => {
-            debug_assert!(b.is_none(), "bound second component without the first");
-            (0, run.len())
+fn sorted_remove<T: Copy + Ord>(run: &mut Vec<T>, key: T) -> bool {
+    match run.binary_search(&key) {
+        Ok(at) => {
+            run.remove(at);
+            true
         }
-        (Some(a), None) => (
-            run.partition_point(|&(x, _)| x < a),
-            run.partition_point(|&(x, _)| x <= a),
-        ),
-        (Some(a), Some(b)) => (
-            run.partition_point(|&k| k < (a, b)),
-            run.partition_point(|&k| k <= (a, b)),
-        ),
-    };
-    &run[lo..hi]
-}
-
-/// A zero-allocation pattern scan: a two-way sorted merge over a main
-/// run's prefix slice and an insert buffer's prefix slice, decoded to
-/// [`Triple`]s on the fly. For predicate-bound shapes the slices come from
-/// one predicate's page (pairs `(o, s)` with the fixed predicate re-attached
-/// during decoding).
-///
-/// Yields triples in the permutation's sort order. The length is exact
-/// ([`ExactSizeIterator`]), because every pattern shape maps to pure
-/// prefix ranges — no residual filtering.
-#[derive(Debug, Clone)]
-pub struct PatternScan<'a> {
-    mode: ScanMode<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum ScanMode<'a> {
-    /// A flat-run scan (SPO or OSP order).
-    Flat {
-        main: &'a [Key],
-        buf: &'a [Key],
-        perm: Perm,
-    },
-    /// One predicate's page (POS order within the page: by `(o, s)`).
-    Page {
-        pred: u32,
-        run: &'a [Pair],
-        buf: &'a [Pair],
-    },
-}
-
-impl PatternScan<'_> {
-    /// An always-empty scan.
-    fn empty() -> PatternScan<'static> {
-        PatternScan {
-            mode: ScanMode::Flat {
-                main: &[],
-                buf: &[],
-                perm: Perm::Spo,
-            },
-        }
-    }
-}
-
-/// Pops the smaller head of two sorted slices (two-way merge step).
-#[inline]
-fn merge_next<'a, T: Copy + Ord>(main: &mut &'a [T], buf: &mut &'a [T]) -> Option<T> {
-    let take_main = match (main.first(), buf.first()) {
-        (Some(m), Some(b)) => m <= b,
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (None, None) => return None,
-    };
-    let src = if take_main { main } else { buf };
-    let k = src[0];
-    *src = &src[1..];
-    Some(k)
-}
-
-impl Iterator for PatternScan<'_> {
-    type Item = Triple;
-
-    #[inline]
-    fn next(&mut self) -> Option<Triple> {
-        match &mut self.mode {
-            ScanMode::Flat { main, buf, perm } => merge_next(main, buf).map(|k| perm.decode(k)),
-            ScanMode::Page { pred, run, buf } => {
-                merge_next(run, buf).map(|(o, s)| Triple::new(TermId(s), TermId(*pred), TermId(o)))
-            }
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.len();
-        (n, Some(n))
-    }
-
-    #[inline]
-    fn count(self) -> usize {
-        self.len()
-    }
-}
-
-impl ExactSizeIterator for PatternScan<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        match &self.mode {
-            ScanMode::Flat { main, buf, .. } => main.len() + buf.len(),
-            ScanMode::Page { run, buf, .. } => run.len() + buf.len(),
-        }
-    }
-}
-
-/// An in-memory, dictionary-encoded triple store.
-///
-/// Any triple pattern shape is answered by a contiguous prefix range on
-/// one of the three permutations:
-///
-/// | bound          | index | prefix      |
-/// |----------------|-------|-------------|
-/// | `s` / `s,p` / `s,p,o` | SPO | `s` / `s,p` / `s,p,o` |
-/// | `p` / `p,o`    | POS page for `p` | `·` / `o` |
-/// | `o` / `o,s`    | OSP   | `o` / `o,s` |
-/// | nothing        | SPO   | full run    |
-///
-/// The store is append-mostly (plus [`TripleStore::remove`]) and
-/// single-writer; the endpoint layer wraps it for shared access. All read
-/// methods take `&self` and never allocate for the scan itself.
-#[derive(Debug, Clone)]
-pub struct TripleStore {
-    dict: Arc<Dict>,
-    spo: Arc<Vec<Key>>,
-    osp: Arc<Vec<Key>>,
-    buf_spo: Vec<Key>,
-    buf_osp: Vec<Key>,
-    /// Per-predicate POS pages, sorted by predicate id.
-    pages: Vec<PredPage>,
-    merge_threshold: usize,
-    /// Bumped on every successful mutation; snapshots record the value
-    /// they were taken at, so staleness is a subtraction.
-    generation: u64,
-    /// Mutations since the last `take_pending_delta` (the publish-time
-    /// delta feed).
-    pending: PendingDelta,
-}
-
-impl Default for TripleStore {
-    fn default() -> Self {
-        Self {
-            dict: Arc::new(Dict::new()),
-            spo: Arc::new(Vec::new()),
-            osp: Arc::new(Vec::new()),
-            buf_spo: Vec::new(),
-            buf_osp: Vec::new(),
-            pages: Vec::new(),
-            merge_threshold: DEFAULT_MERGE_THRESHOLD,
-            generation: 0,
-            pending: PendingDelta::default(),
-        }
+        Err(_) => false,
     }
 }
 
@@ -362,22 +201,414 @@ fn merge_run<T: Copy + Ord + Default>(main: &mut Vec<T>, buf: &mut Vec<T>) {
     buf.clear();
 }
 
-/// Inserts `key` into a sorted run, preserving order. The caller
-/// guarantees the key is not already present.
+/// `run.partition_point(|k| k < key)`, found by doubling steps from the
+/// front: O(log answer), so a pass that looks up ascending keys in the
+/// rest of a run costs O(run) however many keys there are.
 #[inline]
-fn sorted_insert<T: Copy + Ord>(run: &mut Vec<T>, key: T) {
-    let at = run.partition_point(|&k| k < key);
-    run.insert(at, key);
+fn gallop<T: Ord>(run: &[T], key: &T) -> usize {
+    let mut hi = 1;
+    while hi < run.len() && run[hi] < *key {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + run[lo..hi.min(run.len())].partition_point(|k| k < key)
 }
 
-/// Removes `key` from a sorted run if present; `true` on removal.
-fn sorted_remove<T: Copy + Ord>(run: &mut Vec<T>, key: T) -> bool {
-    match run.binary_search(&key) {
-        Ok(at) => {
-            run.remove(at);
-            true
+/// Drops the sorted keys `dead`, each of them present, from the sorted
+/// `run` in place: one forward pass from the first of them.
+fn drop_sorted<T: Copy + Ord>(run: &mut Vec<T>, dead: &[T]) {
+    let Some(first) = dead.first() else {
+        return;
+    };
+    let mut write = run.partition_point(|k| k < first);
+    let mut read = write;
+    for next_dead in dead.iter().skip(1).map(Some).chain([None]) {
+        read += 1; // the dead key itself
+        let kept = next_dead.map_or(run.len() - read, |d| gallop(&run[read..], d));
+        run.copy_within(read..read + kept, write);
+        write += kept;
+        read += kept;
+    }
+    run.truncate(write);
+}
+
+/// `(main − dead) ∪ adds` as a fresh sorted vector, in one forward pass
+/// that copies the stretches between changes wholesale. `dead` is a
+/// subset of `main`; an added key is in `main` only if it is also dead.
+fn merged_copy<T: Copy + Ord>(main: &[T], mut adds: &[T], mut dead: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(main.len() - dead.len() + adds.len());
+    let mut rest = main;
+    loop {
+        // The next key at which the output departs from `rest`.
+        let change = match (adds.first(), dead.first()) {
+            (Some(&a), Some(&d)) => a.min(d),
+            (Some(&a), None) => a,
+            (None, Some(&d)) => d,
+            (None, None) => break,
+        };
+        let (same, after) = rest.split_at(gallop(rest, &change));
+        out.extend_from_slice(same);
+        rest = after;
+        if dead.first() == Some(&change) {
+            debug_assert!(rest.first() == Some(&change), "tombstone without its key");
+            rest = &rest[1..];
+            dead = &dead[1..];
         }
-        Err(_) => false,
+        if adds.first() == Some(&change) {
+            out.push(change);
+            adds = &adds[1..];
+        }
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// One sorted index run and its pending changes (see the module docs).
+///
+/// `buf` is disjoint from `main`, `dead` is a subset of `main`, and the
+/// live keys are `(main − dead) ∪ buf`.
+#[derive(Debug, Clone, Default)]
+struct Run<T> {
+    /// Main sorted run, shared with live snapshots.
+    main: Arc<Vec<T>>,
+    /// Pending sorted inserts.
+    buf: Vec<T>,
+    /// Pending sorted tombstones.
+    dead: Vec<T>,
+}
+
+impl<T: Copy + Ord + Default> Run<T> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.main.len() - self.dead.len() + self.buf.len()
+    }
+
+    fn contains(&self, key: &T) -> bool {
+        self.buf.binary_search(key).is_ok()
+            || (self.main.binary_search(key).is_ok() && self.dead.binary_search(key).is_err())
+    }
+
+    /// Makes an absent key live: clears its tombstone if it has one,
+    /// buffers it otherwise.
+    #[inline]
+    fn add(&mut self, key: T) {
+        if !sorted_remove(&mut self.dead, key) {
+            sorted_insert(&mut self.buf, key);
+        }
+    }
+
+    /// Makes a live key absent: unbuffers it if it was only buffered,
+    /// tombstones it otherwise.
+    #[inline]
+    fn delete(&mut self, key: T) {
+        if !sorted_remove(&mut self.buf, key) {
+            sorted_insert(&mut self.dead, key);
+        }
+    }
+
+    /// Whether either pending buffer has reached `threshold`.
+    #[inline]
+    fn is_due(&self, threshold: usize) -> bool {
+        self.buf.len() >= threshold || self.dead.len() >= threshold
+    }
+
+    /// Applies the pending inserts and tombstones, plus the sorted
+    /// `batch` of keys that are not live, to the main run.
+    fn apply(&mut self, mut batch: Vec<T>) {
+        merge_run(&mut batch, &mut self.buf);
+        if batch.is_empty() && self.dead.is_empty() {
+            return;
+        }
+        if self.main.is_empty() {
+            self.main = Arc::new(batch);
+        } else if let Some(main) = Arc::get_mut(&mut self.main) {
+            drop_sorted(main, &self.dead);
+            merge_run(main, &mut batch);
+        } else {
+            self.main = Arc::new(merged_copy(&self.main, &batch, &self.dead));
+        }
+        self.dead.clear();
+    }
+
+    /// The live keys within `range`, which maps each of the three sorted
+    /// vectors to the same prefix range of it.
+    #[inline]
+    fn select<'a>(&'a self, range: impl Fn(&'a [T]) -> &'a [T]) -> LiveKeys<'a, T> {
+        let mut keys = LiveKeys {
+            main: range(&self.main),
+            // Always empty on a snapshot: no range to search for.
+            buf: if self.buf.is_empty() {
+                &[]
+            } else {
+                range(&self.buf)
+            },
+            later: &[],
+            dead: &[],
+        };
+        if !self.dead.is_empty() {
+            keys.dead = range(&self.dead);
+            keys.later = std::mem::take(&mut keys.main);
+            keys.next_stretch();
+        }
+        keys
+    }
+}
+
+/// The live keys of a [`Run`] (or of one prefix range of it) in order: a
+/// two-way merge of main run and insert buffer that skips tombstones.
+///
+/// The main run is walked one tombstone-free stretch at a time, so the
+/// merge step never looks at a tombstone; with none pending — always, on
+/// a snapshot — the first stretch is the whole range.
+#[derive(Debug, Clone, Copy)]
+struct LiveKeys<'a, T> {
+    /// The current stretch of the main run.
+    main: &'a [T],
+    buf: &'a [T],
+    /// The main run after the stretch: empty, or starting at `dead[0]`.
+    later: &'a [T],
+    /// Tombstones still ahead: a subset of `later`.
+    dead: &'a [T],
+}
+
+impl<T: Copy + Ord> LiveKeys<'_, T> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.main.len() + self.later.len() - self.dead.len() + self.buf.len()
+    }
+
+    /// With the stretch used up, moves on to the next one that has keys.
+    #[cold]
+    #[inline(never)]
+    fn next_stretch(&mut self) {
+        while self.main.is_empty() && !self.later.is_empty() {
+            let stretch = match self.dead.split_first() {
+                None => self.later.len(),
+                Some((dead, _)) if self.later[0] != *dead => gallop(self.later, dead),
+                Some((_, dead)) => {
+                    self.later = &self.later[1..];
+                    self.dead = dead;
+                    continue;
+                }
+            };
+            (self.main, self.later) = self.later.split_at(stretch);
+        }
+    }
+
+    /// [`Iterator::next`] once the stretch is used up. Out of line: it
+    /// runs once per tombstone, once as a scan ends and for buffered keys
+    /// beyond the main run's last, and `next` must stay small enough to
+    /// inline into the callers' loops. Takes and returns the state by
+    /// value, which leaves the callers free to keep theirs in registers.
+    #[cold]
+    #[inline(never)]
+    fn next_after_stretch(mut self) -> (Self, Option<T>) {
+        self.next_stretch();
+        let next = merge_next(&mut self.main, &mut self.buf);
+        (self, next)
+    }
+}
+
+/// Pops the smaller head of two sorted slices (two-way merge step).
+#[inline]
+fn merge_next<'a, T: Copy + Ord>(main: &mut &'a [T], buf: &mut &'a [T]) -> Option<T> {
+    let take_main = match (main.first(), buf.first()) {
+        (Some(m), Some(b)) => m <= b,
+        (Some(_), None) => true,
+        (None, Some(_)) => false,
+        (None, None) => return None,
+    };
+    let src = if take_main { main } else { buf };
+    let k = src[0];
+    *src = &src[1..];
+    Some(k)
+}
+
+impl<T: Copy + Ord> Iterator for LiveKeys<'_, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        if self.main.is_empty() {
+            let (after, next) = self.next_after_stretch();
+            *self = after;
+            return next;
+        }
+        merge_next(&mut self.main, &mut self.buf)
+    }
+}
+
+/// One predicate's slice of the POS index: its sorted `(o, s)` pairs.
+#[derive(Debug, Clone, Default)]
+struct PredPage {
+    /// The predicate's id (the page key; pages are sorted by it).
+    pred: u32,
+    pairs: Run<Pair>,
+}
+
+/// The sub-slice of a sorted run whose keys start with the given prefix.
+///
+/// Bound positions must form a prefix of the permutation order (`a`, then
+/// `a,b`, then `a,b,c`). Implemented with `partition_point`, so there is
+/// no successor arithmetic and no `u32::MAX` edge case (the old
+/// `prefix_range` computed `a + 1` exclusive bounds and had to special-case
+/// every saturated id).
+#[inline]
+fn prefix_slice(run: &[Key], a: Option<u32>, b: Option<u32>, c: Option<u32>) -> &[Key] {
+    let (lo, hi) = match (a, b, c) {
+        (None, _, _) => (0, run.len()),
+        (Some(a), None, _) => (
+            run.partition_point(|&(x, _, _)| x < a),
+            run.partition_point(|&(x, _, _)| x <= a),
+        ),
+        (Some(a), Some(b), None) => (
+            run.partition_point(|&(x, y, _)| (x, y) < (a, b)),
+            run.partition_point(|&(x, y, _)| (x, y) <= (a, b)),
+        ),
+        (Some(a), Some(b), Some(c)) => (
+            run.partition_point(|&k| k < (a, b, c)),
+            run.partition_point(|&k| k <= (a, b, c)),
+        ),
+    };
+    &run[lo..hi]
+}
+
+/// The sub-slice of a sorted pair run with first component `a` (or all).
+#[inline]
+fn pair_prefix_slice(run: &[Pair], a: Option<u32>) -> &[Pair] {
+    match a {
+        None => run,
+        Some(a) => {
+            let lo = run.partition_point(|&(x, _)| x < a);
+            let hi = run.partition_point(|&(x, _)| x <= a);
+            &run[lo..hi]
+        }
+    }
+}
+
+/// A zero-allocation pattern scan: the live keys of one prefix range of
+/// one run, decoded to [`Triple`]s on the fly. For predicate-bound shapes
+/// the range comes from one predicate's page (pairs `(o, s)` with the
+/// fixed predicate re-attached during decoding).
+///
+/// Yields triples in the permutation's sort order. The length is exact
+/// ([`ExactSizeIterator`]), because every pattern shape maps to pure
+/// prefix ranges — no residual filtering — and the tombstones of a range
+/// are a subset of its main-run keys.
+#[derive(Debug, Clone)]
+pub struct PatternScan<'a> {
+    mode: ScanMode<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum ScanMode<'a> {
+    /// A flat-run scan (SPO or OSP order).
+    Flat { keys: LiveKeys<'a, Key>, perm: Perm },
+    /// One predicate's page (POS order within the page: by `(o, s)`).
+    Page {
+        pred: u32,
+        pairs: LiveKeys<'a, Pair>,
+    },
+}
+
+impl PatternScan<'_> {
+    /// An always-empty scan.
+    fn empty() -> PatternScan<'static> {
+        PatternScan {
+            mode: ScanMode::Flat {
+                keys: LiveKeys {
+                    main: &[],
+                    buf: &[],
+                    later: &[],
+                    dead: &[],
+                },
+                perm: Perm::Spo,
+            },
+        }
+    }
+}
+
+impl Iterator for PatternScan<'_> {
+    type Item = Triple;
+
+    #[inline]
+    fn next(&mut self) -> Option<Triple> {
+        match &mut self.mode {
+            ScanMode::Flat { keys, perm } => keys.next().map(|k| perm.decode(k)),
+            ScanMode::Page { pred, pairs } => pairs
+                .next()
+                .map(|(o, s)| Triple::new(TermId(s), TermId(*pred), TermId(o))),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.len();
+        (n, Some(n))
+    }
+
+    #[inline]
+    fn count(self) -> usize {
+        self.len()
+    }
+}
+
+impl ExactSizeIterator for PatternScan<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        match &self.mode {
+            ScanMode::Flat { keys, .. } => keys.len(),
+            ScanMode::Page { pairs, .. } => pairs.len(),
+        }
+    }
+}
+
+/// An in-memory, dictionary-encoded triple store.
+///
+/// Any triple pattern shape is answered by a contiguous prefix range on
+/// one of the three permutations:
+///
+/// | bound          | index | prefix      |
+/// |----------------|-------|-------------|
+/// | `s` / `s,p` / `s,p,o` | SPO | `s` / `s,p` / `s,p,o` |
+/// | `p` / `p,o`    | POS page for `p` | `·` / `o` |
+/// | `o` / `o,s`    | OSP   | `o` / `o,s` |
+/// | nothing        | SPO   | full run    |
+///
+/// The store is append-mostly (plus [`TripleStore::remove`]) and
+/// single-writer; the endpoint layer wraps it for shared access. All read
+/// methods take `&self` and never allocate for the scan itself.
+#[derive(Debug, Clone)]
+pub struct TripleStore {
+    dict: Dict,
+    spo: Run<Key>,
+    osp: Run<Key>,
+    /// Per-predicate POS pages, sorted by predicate id.
+    pages: Vec<PredPage>,
+    merge_threshold: usize,
+    /// Bumped on every successful mutation; snapshots record the value
+    /// they were taken at, so staleness is a subtraction.
+    generation: u64,
+    /// Mutations since the last `take_pending_delta` (the publish-time
+    /// delta feed).
+    pending: PendingDelta,
+    /// XOR of [`fingerprint_mix`] over the live triples, kept current by
+    /// every mutation.
+    fold: u64,
+}
+
+impl Default for TripleStore {
+    fn default() -> Self {
+        Self {
+            dict: Dict::new(),
+            spo: Run::default(),
+            osp: Run::default(),
+            pages: Vec::new(),
+            merge_threshold: DEFAULT_MERGE_THRESHOLD,
+            generation: 0,
+            pending: PendingDelta::default(),
+            fold: 0,
+        }
     }
 }
 
@@ -393,10 +624,8 @@ impl TripleStore {
     }
 
     /// Mutable access to the dictionary (to pre-intern vocabulary).
-    /// Copy-on-write: if a snapshot still shares the dictionary, this
-    /// clones it once before handing out the mutable reference.
     pub fn dict_mut(&mut self) -> &mut Dict {
-        Arc::make_mut(&mut self.dict)
+        &mut self.dict
     }
 
     /// The mutation counter: bumped once per successful `insert`,
@@ -408,18 +637,25 @@ impl TripleStore {
     }
 
     /// Publishes the current contents as an immutable, shareable
-    /// [`StoreSnapshot`]: flushes the insert buffers, then clones the
-    /// `Arc`s of the dictionary and every main run — O(#predicates), no
-    /// triple is copied. The writer may keep mutating `self`; the first
-    /// merge or removal that touches a run still shared with a live
-    /// snapshot pays a one-time copy of that run (`Arc::make_mut`).
+    /// [`StoreSnapshot`]: applies the pending inserts and tombstones,
+    /// then clones the `Arc`s of every main run and dictionary segment.
+    /// No triple is copied and the writer may keep mutating `self`; the
+    /// module docs give the whole cost model.
     pub fn snapshot(&mut self) -> StoreSnapshot {
         self.flush();
-        let mut clone = self.clone();
-        // The snapshot is immutable; carrying the writer's pending
-        // mutation log into it would only pin memory.
-        clone.pending = PendingDelta::default();
-        StoreSnapshot::new(clone, self.generation)
+        let published = TripleStore {
+            dict: self.dict.snapshot(),
+            spo: self.spo.clone(),
+            osp: self.osp.clone(),
+            pages: self.pages.clone(),
+            merge_threshold: self.merge_threshold,
+            generation: self.generation,
+            // The snapshot is immutable; the writer's mutation log stays
+            // with the writer.
+            pending: PendingDelta::default(),
+            fold: self.fold,
+        };
+        StoreSnapshot::new(published, self.generation)
     }
 
     /// Drains the mutation log accumulated since the previous call (or
@@ -446,7 +682,7 @@ impl TripleStore {
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.spo.len() + self.buf_spo.len()
+        self.spo.len()
     }
 
     /// Whether the store holds no triples.
@@ -454,7 +690,20 @@ impl TripleStore {
         self.len() == 0
     }
 
-    /// Overrides the insert-buffer merge threshold (tuning / test knob).
+    /// An order-independent fingerprint of the triple set (ids under this
+    /// store's dictionary): [`crate::snapshot::fingerprint_of`] its
+    /// triples, but read from a fold every mutation keeps current, so
+    /// O(1). Two stores holding the same triples agree; any inserted or
+    /// removed triple changes it with high probability. The durable log
+    /// seals it into every commit, and the concurrency stress tests use it
+    /// to assert that readers observe exactly a published state, never a
+    /// torn intermediate one.
+    pub fn fingerprint(&self) -> u64 {
+        self.fold ^ self.len() as u64
+    }
+
+    /// Overrides the merge threshold of the flat runs (tuning / test
+    /// knob).
     pub fn set_merge_threshold(&mut self, threshold: usize) {
         self.merge_threshold = threshold.max(1);
         self.maybe_merge();
@@ -462,7 +711,7 @@ impl TripleStore {
 
     /// Interns a term in this store's dictionary.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        Arc::make_mut(&mut self.dict).intern(term)
+        self.dict.intern(term)
     }
 
     /// The POS page for predicate `p`, if it exists.
@@ -492,44 +741,44 @@ impl TripleStore {
         }
     }
 
+    /// Records one successful single-triple mutation.
+    fn mutated(&mut self, (s, p, o): Key, removal: bool) {
+        self.fold ^= fingerprint_mix(s, p, o);
+        self.generation += 1;
+        self.pending.record(s, p, o, removal);
+        self.maybe_merge();
+    }
+
     /// Inserts an encoded triple. Returns `false` if it was already present.
     pub fn insert(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         let key = (s.0, p.0, o.0);
-        // The dedup probe on the buffer doubles as the insertion point.
-        let at = match self.buf_spo.binary_search(&key) {
-            Ok(_) => return false,
-            Err(at) => at,
-        };
-        if self.spo.binary_search(&key).is_ok() {
+        if self.spo.contains(&key) {
             return false;
         }
-        self.buf_spo.insert(at, key);
-        sorted_insert(&mut self.buf_osp, (o.0, s.0, p.0));
+        self.spo.add(key);
+        self.osp.add((o.0, s.0, p.0));
         let page = self.page_mut(p.0);
-        sorted_insert(&mut page.buf, (o.0, s.0));
-        if page.buf.len() >= PAGE_BUFFER_THRESHOLD {
-            merge_run(Arc::make_mut(&mut page.run), &mut page.buf);
+        page.pairs.add((o.0, s.0));
+        if page.pairs.is_due(PAGE_BUFFER_THRESHOLD) {
+            page.pairs.apply(Vec::new());
         }
-        self.generation += 1;
-        self.pending.record(s.0, p.0, o.0, false);
-        self.maybe_merge();
+        self.mutated(key, false);
         true
     }
 
     /// Interns the three terms and inserts the triple.
     pub fn insert_terms(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
-        let dict = Arc::make_mut(&mut self.dict);
-        let s = dict.intern(s);
-        let p = dict.intern(p);
-        let o = dict.intern(o);
+        let s = self.dict.intern(s);
+        let p = self.dict.intern(p);
+        let o = self.dict.intern(o);
         self.insert(s, p, o)
     }
 
-    /// Bulk-loads encoded triples: appends the batch unsorted, then pays
-    /// one sort + dedup + merge per index for the whole batch instead of a
-    /// sorted-buffer memmove per triple. Returns the number of *new*
-    /// triples inserted (duplicates within the batch and against the store
-    /// are skipped).
+    /// Bulk-loads encoded triples: one sort + dedup of the batch, then one
+    /// pass per touched run that applies the batch together with whatever
+    /// that run had pending, instead of a sorted-buffer memmove per
+    /// triple. Returns the number of *new* triples inserted (duplicates
+    /// within the batch and against the store are skipped).
     pub fn load_batch(
         &mut self,
         triples: impl IntoIterator<Item = (TermId, TermId, TermId)>,
@@ -538,54 +787,35 @@ impl TripleStore {
             .into_iter()
             .map(|(s, p, o)| (s.0, p.0, o.0))
             .collect();
-        if batch.is_empty() {
-            return 0;
-        }
         batch.sort_unstable();
         batch.dedup();
-        batch.retain(|key| {
-            self.spo.binary_search(key).is_err() && self.buf_spo.binary_search(key).is_err()
-        });
+        batch.retain(|key| !self.spo.contains(key));
         if batch.is_empty() {
             return 0;
         }
         let inserted = batch.len();
         // `batch` now holds exactly the new triples.
         for &(s, p, o) in &batch {
+            self.fold ^= fingerprint_mix(s, p, o);
             self.pending.record(s, p, o, false);
         }
-
-        // SPO: the batch is already in SPO order.
-        let mut spo_batch = batch.clone();
-        let spo = Arc::make_mut(&mut self.spo);
-        merge_run(spo, &mut self.buf_spo);
-        merge_run(spo, &mut spo_batch);
 
         // OSP: re-key and sort once.
         let mut osp_batch: Vec<Key> = batch.iter().map(|&(s, p, o)| (o, s, p)).collect();
         osp_batch.sort_unstable();
-        let osp = Arc::make_mut(&mut self.osp);
-        merge_run(osp, &mut self.buf_osp);
-        merge_run(osp, &mut osp_batch);
+        self.osp.apply(osp_batch);
 
-        // POS pages: sort the batch by (p, o, s) and merge each predicate's
-        // contiguous sub-run into its page.
+        // POS pages: sort the batch by (p, o, s) and apply each predicate's
+        // contiguous sub-run to its page.
         let mut pos_batch: Vec<Key> = batch.iter().map(|&(s, p, o)| (p, o, s)).collect();
         pos_batch.sort_unstable();
-        let mut start = 0;
-        while start < pos_batch.len() {
-            let pred = pos_batch[start].0;
-            let end = start + pos_batch[start..].partition_point(|&(p, _, _)| p == pred);
-            let mut pairs: Vec<Pair> = pos_batch[start..end]
-                .iter()
-                .map(|&(_, o, s)| (o, s))
-                .collect();
-            let page = self.page_mut(pred);
-            let run = Arc::make_mut(&mut page.run);
-            merge_run(run, &mut page.buf);
-            merge_run(run, &mut pairs);
-            start = end;
+        for group in pos_batch.chunk_by(|a, b| a.0 == b.0) {
+            let pairs = group.iter().map(|&(_, o, s)| (o, s)).collect();
+            self.page_mut(group[0].0).pairs.apply(pairs);
         }
+
+        // SPO: the batch is already in SPO order.
+        self.spo.apply(batch);
         self.generation += 1;
         inserted
     }
@@ -595,7 +825,7 @@ impl TripleStore {
         &mut self,
         triples: impl IntoIterator<Item = (&'t Term, &'t Term, &'t Term)>,
     ) -> usize {
-        let dict = Arc::make_mut(&mut self.dict);
+        let dict = &mut self.dict;
         let keys: Vec<(TermId, TermId, TermId)> = triples
             .into_iter()
             .map(|(s, p, o)| (dict.intern(s), dict.intern(p), dict.intern(o)))
@@ -606,65 +836,50 @@ impl TripleStore {
     /// Removes a triple. Returns `true` if it was present.
     pub fn remove(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         let key = (s.0, p.0, o.0);
-        // Probe before `make_mut` so a miss never copies a shared run.
-        if !sorted_remove(&mut self.buf_spo, key) {
-            if self.spo.binary_search(&key).is_err() {
-                return false;
-            }
-            sorted_remove(Arc::make_mut(&mut self.spo), key);
+        if !self.spo.contains(&key) {
+            return false;
         }
-        let osp_key = (o.0, s.0, p.0);
-        if !sorted_remove(&mut self.buf_osp, osp_key) && self.osp.binary_search(&osp_key).is_ok() {
-            sorted_remove(Arc::make_mut(&mut self.osp), osp_key);
+        self.spo.delete(key);
+        self.osp.delete((o.0, s.0, p.0));
+        let page = self.page_mut(p.0);
+        page.pairs.delete((o.0, s.0));
+        if page.pairs.is_due(PAGE_BUFFER_THRESHOLD) {
+            page.pairs.apply(Vec::new());
         }
-        // The page memmove is bounded by one predicate's cardinality.
-        if let Ok(at) = self.pages.binary_search_by_key(&p.0, |page| page.pred) {
-            let page = &mut self.pages[at];
-            if !sorted_remove(&mut page.buf, (o.0, s.0))
-                && page.run.binary_search(&(o.0, s.0)).is_ok()
-            {
-                sorted_remove(Arc::make_mut(&mut page.run), (o.0, s.0));
-            }
-        }
-        self.generation += 1;
-        self.pending.record(s.0, p.0, o.0, true);
+        self.mutated(key, true);
         true
     }
 
-    /// Merges pending buffered inserts into the main runs. Reads are
-    /// exact either way; this only compacts (useful after a bulk load).
+    /// Applies every pending insert and tombstone to its main run. Reads
+    /// are exact either way; this only compacts (useful after a bulk
+    /// load), and runs with nothing pending are left alone.
     pub fn flush(&mut self) {
-        // Guarded so a no-op flush never copies runs shared with snapshots.
-        if !self.buf_spo.is_empty() {
-            merge_run(Arc::make_mut(&mut self.spo), &mut self.buf_spo);
-        }
-        if !self.buf_osp.is_empty() {
-            merge_run(Arc::make_mut(&mut self.osp), &mut self.buf_osp);
-        }
+        self.spo.apply(Vec::new());
+        self.osp.apply(Vec::new());
         for page in &mut self.pages {
-            if !page.buf.is_empty() {
-                merge_run(Arc::make_mut(&mut page.run), &mut page.buf);
-            }
+            page.pairs.apply(Vec::new());
         }
     }
 
     fn maybe_merge(&mut self) {
-        if self.buf_spo.len() >= self.merge_threshold {
+        if self.spo.is_due(self.merge_threshold) {
             self.flush();
         }
     }
 
     /// Existence probe for a fully-bound triple.
     pub fn contains(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        let key = (s.0, p.0, o.0);
-        self.spo.binary_search(&key).is_ok() || self.buf_spo.binary_search(&key).is_ok()
+        self.spo.contains(&(s.0, p.0, o.0))
     }
 
     /// Borrowed range scan for `pattern`: binary-search prefix bounds on
     /// the selected permutation (a predicate page for `p`-bound shapes),
-    /// returning a zero-allocation iterator over the matching slices of
-    /// the main run and the insert buffer.
-    #[inline]
+    /// returning a zero-allocation iterator over the live keys in range.
+    ///
+    /// Always inlined: callers mostly pass a pattern of known shape, which
+    /// folds the dispatch below away and spares returning the scan state
+    /// through memory (a sixth of what a subject-prefix probe costs).
+    #[inline(always)]
     pub fn scan_range(&self, pattern: TriplePattern) -> PatternScan<'_> {
         let TriplePattern { s, p, o } = pattern;
         let (s, p, o) = (s.map(|t| t.0), p.map(|t| t.0), o.map(|t| t.0));
@@ -674,8 +889,7 @@ impl TripleStore {
                 Some(page) => PatternScan {
                     mode: ScanMode::Page {
                         pred: p,
-                        run: pair_prefix_slice(&page.run, o, None),
-                        buf: pair_prefix_slice(&page.buf, o, None),
+                        pairs: page.pairs.select(|run| pair_prefix_slice(run, o)),
                     },
                 },
                 None => PatternScan::empty(),
@@ -689,14 +903,13 @@ impl TripleStore {
                     (None, None, None) => (Perm::Spo, [None, None, None]),
                     (None, Some(_), _) => unreachable!("handled by the page arm"),
                 };
-                let (main, buf) = match perm {
-                    Perm::Spo => (&self.spo, &self.buf_spo),
-                    Perm::Osp => (&self.osp, &self.buf_osp),
+                let run = match perm {
+                    Perm::Spo => &self.spo,
+                    Perm::Osp => &self.osp,
                 };
                 PatternScan {
                     mode: ScanMode::Flat {
-                        main: prefix_slice(main, a, b, c),
-                        buf: prefix_slice(buf, a, b, c),
+                        keys: run.select(|run| prefix_slice(run, a, b, c)),
                         perm,
                     },
                 }
@@ -721,7 +934,7 @@ impl TripleStore {
             o: None,
         } = pattern
         {
-            return self.page(p.0).map_or(0, PredPage::len);
+            return self.page(p.0).map_or(0, |page| page.pairs.len());
         }
         self.scan_range(pattern).len()
     }
@@ -759,39 +972,21 @@ impl TripleStore {
     pub fn predicates(&self) -> Vec<TermId> {
         self.pages
             .iter()
-            .filter(|page| page.len() > 0)
+            .filter(|page| page.pairs.len() > 0)
             .map(|page| TermId(page.pred))
             .collect()
     }
 
     /// Distinct subjects across the whole store, counted in one linear
-    /// pass over the SPO order (first components of a sorted merge).
+    /// pass over the SPO order.
     pub fn distinct_subject_count(&self) -> usize {
-        let (mut main, mut buf) = (self.spo.as_slice(), self.buf_spo.as_slice());
-        let mut n = 0usize;
-        let mut last = None;
-        while let Some((s, _, _)) = merge_next(&mut main, &mut buf) {
-            if last != Some(s) {
-                n += 1;
-                last = Some(s);
-            }
-        }
-        n
+        distinct_firsts(self.spo.select(|run| run))
     }
 
     /// Distinct objects across the whole store, counted in one linear pass
     /// over the OSP order.
     pub fn distinct_object_count(&self) -> usize {
-        let (mut main, mut buf) = (self.osp.as_slice(), self.buf_osp.as_slice());
-        let mut n = 0usize;
-        let mut last = None;
-        while let Some((o, _, _)) = merge_next(&mut main, &mut buf) {
-            if last != Some(o) {
-                n += 1;
-                last = Some(o);
-            }
-        }
-        n
+        distinct_firsts(self.osp.select(|run| run))
     }
 
     /// Distinct subjects of predicate `p`, ascending by id.
@@ -851,6 +1046,19 @@ impl TripleStore {
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.scan_range(TriplePattern::any())
     }
+}
+
+/// How many distinct first components a run's live keys have.
+fn distinct_firsts(keys: LiveKeys<'_, Key>) -> usize {
+    let mut n = 0usize;
+    let mut last = None;
+    for (first, _, _) in keys {
+        if last != Some(first) {
+            n += 1;
+            last = Some(first);
+        }
+    }
+    n
 }
 
 #[cfg(test)]

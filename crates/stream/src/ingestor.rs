@@ -1,9 +1,13 @@
 //! Micro-batched triple ingestion in front of a [`SnapshotStore`].
 //!
 //! The streaming front door buffers offered triples and publishes them
-//! in batches, because a publish is the expensive step (buffer merge,
-//! snapshot swap, delta resolution) while an insert is cheap. Three
-//! triggers bound how long a triple can sit invisible in the buffer:
+//! in batches. A publish costs in proportion to what changed — one pass
+//! over each index run the batch wrote to, the snapshot swap, resolving
+//! the delta (the store's module docs in `sofya_rdf::store` have the cost
+//! model) — but that pass, the swap and the re-mining each publish sets
+//! off downstream are per publish, not per triple, so batching spreads
+//! them. Three triggers bound how long a triple can sit invisible in the
+//! buffer:
 //!
 //! * **count** — `publish_count` buffered triples force a publish
 //!   (classic micro-batching);
