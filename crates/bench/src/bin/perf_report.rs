@@ -31,7 +31,9 @@ use sofya_endpoint::{
 };
 use sofya_kbgen::{generate, GeneratedPair, PairConfig, StructureCounts};
 use sofya_net::wire::envelope_to_json;
-use sofya_net::{execute_wire, HttpServer, Json, RemoteEndpoint, ServerConfig, WireRequest};
+use sofya_net::{
+    execute_wire_budgeted, HttpServer, Json, RemoteEndpoint, ServerConfig, WireRequest,
+};
 use sofya_rdf::{StoreSnapshot, Term, TermId, TriplePattern, TripleStore};
 use sofya_service::{AlignmentRequest, AlignmentService, SchedulerConfig};
 use sofya_sparql::{execute, execute_ask, Prepared, QueryBudget};
@@ -506,7 +508,12 @@ fn net_cases(suite: &mut Suite, pair: &GeneratedPair) -> Option<f64> {
     let local = LocalEndpoint::new("kb2", pair.kb2.clone());
     let answer_text = |request: Request<'_>| {
         let wire = WireRequest::from_request(&request).expect("lowering");
-        envelope_to_json(&execute_wire(&local, &wire)).to_text()
+        envelope_to_json(&execute_wire_budgeted(
+            &local,
+            &wire,
+            &QueryBudget::unlimited(),
+        ))
+        .to_text()
     };
     let page = |rows: usize| {
         let query = format!("SELECT ?x ?y WHERE {{ ?x ?p ?y }} LIMIT {rows}");

@@ -193,15 +193,6 @@ impl<'a> RecordingEndpoint<'a> {
 }
 
 impl Endpoint for RecordingEndpoint<'_> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.record(&req);
-        self.inner.execute(req)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -209,6 +200,10 @@ impl Endpoint for RecordingEndpoint<'_> {
     ) -> Result<Response, EndpointError> {
         self.record(&req);
         self.inner.execute_with_budget(req, budget)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

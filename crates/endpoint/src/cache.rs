@@ -23,7 +23,7 @@ use std::time::Duration;
 /// a batch re-issuing known probes is answered from the cache without
 /// touching the inner endpoint at all. (Decomposition means a cached
 /// batch no longer reaches the inner endpoint as one unit; stack this
-/// wrapper over a [`crate::PinnedEndpoint`] when batch-level snapshot
+/// wrapper over [`crate::ConcurrentEndpoint::pinned`] when batch-level snapshot
 /// consistency matters too.)
 ///
 /// [`CachingEndpoint::with_ttl`] adds expiry against an injected
@@ -119,50 +119,9 @@ impl<E: Endpoint> CachingEndpoint<E> {
             None => None,
         }
     }
-
-    /// The cache key of a non-batch request: its response shape (so one
-    /// pattern rendered as `SELECT` and as `COUNT` never collide) plus
-    /// its SPARQL rendering (each page of a paged shape renders to a
-    /// distinct string, so pages never collide either).
-    fn key(req: &Request<'_>) -> Result<String, EndpointError> {
-        let shape = match req {
-            Request::Select { .. }
-            | Request::PreparedSelect { .. }
-            | Request::PreparedSelectPaged { .. } => 'S',
-            Request::Ask { .. } | Request::PreparedAsk { .. } => 'A',
-            Request::Count { .. } => 'C',
-            // sofya: allow(panic_path) — execute() decomposes batches before keying; a Batch here is a caller bug in this crate
-            Request::Batch(_) => unreachable!("batches are decomposed before keying"),
-        };
-        Ok(format!("{shape}\u{1}{}", req.to_sparql()?))
-    }
 }
 
 impl<E: Endpoint> Endpoint for CachingEndpoint<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        if let Request::Batch(requests) = req {
-            return Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| self.execute(sub))
-                    .collect::<Result<_, _>>()?,
-            ));
-        }
-        let key = Self::key(&req)?;
-        if let Some(hit) = self.lookup(&key) {
-            return Ok(hit);
-        }
-        let response = self.inner.execute(req)?;
-        self.cache
-            .lock()
-            .insert(key, (response.clone(), self.now()));
-        Ok(response)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     /// A cache hit answers without touching the inner endpoint (and so
     /// without spending any of the budget); a miss forwards the budget
     /// inward. Errors — including budget breaches — are never cached, so
@@ -172,15 +131,27 @@ impl<E: Endpoint> Endpoint for CachingEndpoint<E> {
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        if let Request::Batch(requests) = req {
-            return Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| self.execute_with_budget(sub, budget))
-                    .collect::<Result<_, _>>()?,
-            ));
-        }
-        let key = Self::key(&req)?;
+        // The key of a leaf is its response shape (so one pattern
+        // rendered as `SELECT` and as `COUNT` never collide) plus its
+        // SPARQL rendering (each page of a paged shape renders to a
+        // distinct string, so pages never collide either); a batch has
+        // no key and is answered leaf by leaf.
+        let shape = match req {
+            Request::Batch(requests) => {
+                return Ok(Response::Batch(
+                    requests
+                        .into_iter()
+                        .map(|sub| self.execute_with_budget(sub, budget))
+                        .collect::<Result<_, _>>()?,
+                ));
+            }
+            Request::Select { .. }
+            | Request::PreparedSelect { .. }
+            | Request::PreparedSelectPaged { .. } => 'S',
+            Request::Ask { .. } | Request::PreparedAsk { .. } => 'A',
+            Request::Count { .. } => 'C',
+        };
+        let key = format!("{shape}\u{1}{}", req.to_sparql()?);
         if let Some(hit) = self.lookup(&key) {
             return Ok(hit);
         }
@@ -189,6 +160,10 @@ impl<E: Endpoint> Endpoint for CachingEndpoint<E> {
             .lock()
             .insert(key, (response.clone(), self.now()));
         Ok(response)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

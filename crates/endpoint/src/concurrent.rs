@@ -17,6 +17,12 @@
 //!   each other or the writer mid-query, and a publish mid-query is
 //!   harmless: the running query keeps its snapshot alive.
 //!
+//! A `ConcurrentEndpoint` — and [`LocalEndpoint`], which is the same
+//! thing over a snapshot that nobody republishes — answers through the
+//! one in-process execution core, `run`: the only place a [`Request`] is
+//! matched and handed to the SPARQL engine, always under a
+//! [`QueryBudget`].
+//!
 //! Plans are cached in a sharded LRU keyed by query string and stamped
 //! with the snapshot version they were compiled against (see the
 //! crate-private `plan_cache` module); a publish therefore invalidates
@@ -25,15 +31,16 @@
 use crate::delta::{DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
-use crate::local::DEFAULT_PLAN_CACHE_CAPACITY;
-use crate::plan_cache::ShardedPlanCache;
+use crate::local::LocalEndpoint;
+use crate::outcome::{execute_count, response_of};
+use crate::plan_cache::{prepared_cache_key, ShardedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use parking_lot::Mutex;
-use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, Term, TripleStore};
+use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TripleStore};
 use sofya_sparql::{
-    compile_with_options, execute_ast_budgeted, execute_ast_with_options, execute_compiled,
-    execute_compiled_paged, execute_compiled_paged_budgeted, CompiledQuery, PlanOptions, Prepared,
-    QueryBudget,
+    compile_ast_with_options, compile_with_options, execute_ast_budgeted,
+    execute_compiled_paged_budgeted, PlanOptions, QueryBudget,
 };
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -48,7 +55,7 @@ pub struct PublishedSnapshot {
 }
 
 impl PublishedSnapshot {
-    fn new(snapshot: StoreSnapshot) -> Self {
+    pub(crate) fn new(snapshot: StoreSnapshot) -> Self {
         Self {
             snapshot,
             stats: OnceLock::new(),
@@ -318,9 +325,10 @@ impl ConcurrentEndpoint {
     /// straddle a publish and observe two different states. A pinned view
     /// answers every query from the one snapshot current at pin time, so
     /// such sequences are transactionally consistent; create one per
-    /// logical unit of work and drop it to release the snapshot.
-    pub fn pinned(&self) -> PinnedEndpoint {
-        PinnedEndpoint {
+    /// logical unit of work and drop it to release the snapshot. It
+    /// shares this endpoint's plan cache.
+    pub fn pinned(&self) -> LocalEndpoint {
+        LocalEndpoint {
             name: self.name.clone(),
             snap: self.cell.load(),
             plans: Arc::clone(&self.plans),
@@ -328,246 +336,89 @@ impl ConcurrentEndpoint {
     }
 }
 
-/// Answers every snapshot-level request; shared by the per-query-fresh
-/// [`ConcurrentEndpoint`] and the transactionally-consistent
-/// [`PinnedEndpoint`].
-mod on_snapshot {
-    use super::*;
-    use crate::outcome::{execute_count, execute_count_budgeted, response_of};
-
-    /// Compile-or-cache a query string against `snap`. Entries from older
-    /// snapshot versions are misses (their constant ids may be stale).
-    fn compiled(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        query: &str,
-    ) -> Result<Arc<CompiledQuery>, EndpointError> {
-        let version = snap.version();
-        if let Some(hit) = plans.get(query, version) {
-            return Ok(hit);
+/// The in-process execution core: the one place a [`Request`] is matched
+/// and run. [`ConcurrentEndpoint`] calls it with the snapshot current at
+/// the start of the request, [`LocalEndpoint`] with the one it holds.
+///
+/// A batch recurses with the **same** snapshot, so its sub-requests
+/// observe one consistent state no matter how many publishes land while
+/// it runs, and with the same budget: the deadline is absolute and the
+/// scan counter is per sub-query, so a batch cannot outlive the deadline
+/// even though each member restarts its row count.
+///
+/// The budget is threaded into the evaluator's scan loops, so a breached
+/// query unwinds within one poll interval instead of running to
+/// completion; under [`QueryBudget::unlimited`] the tracker is off and
+/// each check is one dead branch. A killed query drops its snapshot
+/// `Arc` like any other — no state to roll back — and leaves its (valid,
+/// budget-independent) cached plan for the next caller.
+pub(crate) fn run(
+    plans: &ShardedPlanCache,
+    snap: &PublishedSnapshot,
+    req: Request<'_>,
+    budget: &QueryBudget,
+) -> Result<Response, EndpointError> {
+    let store = snap.snapshot().store();
+    let outcome = match req {
+        // String queries compile once per (text, snapshot version).
+        Request::Select { query } | Request::Ask { query } => {
+            let compiled = plans.get_or_compile(Cow::Borrowed(query), snap.version(), || {
+                compile_with_options(store, query, snap.plan_options())
+            })?;
+            execute_compiled_paged_budgeted(store, &compiled, None, None, budget)?
         }
-        let compiled = Arc::new(compile_with_options(
-            snap.snapshot().store(),
-            query,
-            snap.plan_options(),
-        )?);
-        plans.insert(query, version, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
-    /// Compile-or-cache the bound form of a paged template, keyed by
-    /// `(template token, args)` + snapshot version (pagination is applied
-    /// at execution time, so all pages share one compilation).
-    fn compiled_prepared_paged(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        prepared: &Prepared,
-        args: &[Term],
-    ) -> Result<Arc<CompiledQuery>, EndpointError> {
-        let version = snap.version();
-        Ok(crate::plan_cache::compile_bound_paged(
-            snap.snapshot().store(),
-            snap.plan_options(),
+        // Prepared probes bind + plan per call: their args vary per
+        // probe and their plans are trivial, so caching buys nothing.
+        Request::PreparedSelect { prepared, args } | Request::PreparedAsk { prepared, args } => {
+            execute_ast_budgeted(store, &prepared.bind(args)?, snap.plan_options(), budget)?
+        }
+        // Paged shapes are the expensive multi-pattern joins and their
+        // bound plan is page-independent, so it is compiled once per
+        // (template, args, snapshot version) and every page reuses it
+        // with an execution-time LIMIT/OFFSET override.
+        Request::PreparedSelectPaged {
             prepared,
             args,
-            |key| plans.get(key, version),
-            |key, plan| plans.insert(&key, version, plan),
-        )?)
-    }
-
-    /// Executes one typed request against one published snapshot. A
-    /// batch recurses with the **same** snapshot, so its sub-requests
-    /// observe one consistent state no matter how many publishes land
-    /// while it runs.
-    pub(super) fn execute(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        req: Request<'_>,
-    ) -> Result<Response, EndpointError> {
-        match req {
-            Request::Select { query } | Request::Ask { query } => {
-                let compiled = compiled(plans, snap, query)?;
-                Ok(response_of(execute_compiled(
-                    snap.snapshot().store(),
-                    &compiled,
-                )?))
-            }
-            Request::PreparedSelect { prepared, args }
-            | Request::PreparedAsk { prepared, args } => Ok(response_of(execute_ast_with_options(
-                snap.snapshot().store(),
-                &prepared.bind(args)?,
-                snap.plan_options(),
-            )?)),
-            Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => {
-                let compiled = compiled_prepared_paged(plans, snap, prepared, args)?;
-                Ok(response_of(execute_compiled_paged(
-                    snap.snapshot().store(),
-                    &compiled,
-                    limit,
-                    offset,
-                )?))
-            }
-            Request::Count { prepared, args } => {
-                execute_count(snap.snapshot().store(), prepared, args, snap.plan_options())
-                    .map(Response::Count)
-            }
-            Request::Batch(requests) => Ok(Response::Batch(
+            limit,
+            offset,
+        } => {
+            let key = Cow::Owned(prepared_cache_key(prepared, args));
+            let compiled = plans.get_or_compile(key, snap.version(), || {
+                let bound = prepared.bind(args)?;
+                Ok(compile_ast_with_options(store, &bound, snap.plan_options()))
+            })?;
+            execute_compiled_paged_budgeted(store, &compiled, limit, offset, budget)?
+        }
+        Request::Count { prepared, args } => {
+            let n = execute_count(store, prepared, args, snap.plan_options(), budget)?;
+            return Ok(Response::Count(n));
+        }
+        Request::Batch(requests) => {
+            return Ok(Response::Batch(
                 requests
                     .into_iter()
-                    .map(|sub| execute(plans, snap, sub))
+                    .map(|sub| run(plans, snap, sub, budget))
                     .collect::<Result<_, _>>()?,
-            )),
+            ));
         }
-    }
-
-    /// [`execute`] under a [`QueryBudget`]: same snapshot discipline,
-    /// but the budget is threaded into the evaluator's scan loops. A
-    /// killed query drops its snapshot `Arc` like any other — no state
-    /// to roll back, and cached plans stay valid for the next caller.
-    pub(super) fn execute_budgeted(
-        plans: &ShardedPlanCache,
-        snap: &PublishedSnapshot,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        match req {
-            Request::Select { query } | Request::Ask { query } => {
-                let compiled = compiled(plans, snap, query)?;
-                Ok(response_of(execute_compiled_paged_budgeted(
-                    snap.snapshot().store(),
-                    &compiled,
-                    None,
-                    None,
-                    budget,
-                )?))
-            }
-            Request::PreparedSelect { prepared, args }
-            | Request::PreparedAsk { prepared, args } => Ok(response_of(execute_ast_budgeted(
-                snap.snapshot().store(),
-                &prepared.bind(args)?,
-                snap.plan_options(),
-                budget,
-            )?)),
-            Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => {
-                let compiled = compiled_prepared_paged(plans, snap, prepared, args)?;
-                Ok(response_of(execute_compiled_paged_budgeted(
-                    snap.snapshot().store(),
-                    &compiled,
-                    limit,
-                    offset,
-                    budget,
-                )?))
-            }
-            Request::Count { prepared, args } => execute_count_budgeted(
-                snap.snapshot().store(),
-                prepared,
-                args,
-                snap.plan_options(),
-                budget,
-            )
-            .map(Response::Count),
-            // Sub-requests share the one (absolute-deadline) budget.
-            Request::Batch(requests) => Ok(Response::Batch(
-                requests
-                    .into_iter()
-                    .map(|sub| execute_budgeted(plans, snap, sub, budget))
-                    .collect::<Result<_, _>>()?,
-            )),
-        }
-    }
+    };
+    Ok(response_of(outcome))
 }
 
 impl Endpoint for ConcurrentEndpoint {
     /// Resolves the published snapshot **once** per request — a batch
     /// therefore runs entirely against the snapshot current at its
     /// start, paying a single epoch-cell load for all its sub-requests.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        on_snapshot::execute(&self.plans, &self.cell.load(), req)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        if budget.is_unlimited() {
-            return self.execute(req);
-        }
-        on_snapshot::execute_budgeted(&self.plans, &self.cell.load(), req, budget)
-    }
-}
-
-/// An [`Endpoint`] pinned to one published snapshot (see
-/// [`ConcurrentEndpoint::pinned`]): every query — string, prepared, or
-/// paged — answers from the same state, so dependent query sequences are
-/// transactionally consistent even while the writer keeps publishing.
-/// Shares the plan cache of the endpoint it was pinned from.
-#[derive(Clone)]
-pub struct PinnedEndpoint {
-    name: String,
-    snap: Arc<PublishedSnapshot>,
-    plans: Arc<ShardedPlanCache>,
-}
-
-impl PinnedEndpoint {
-    /// The snapshot this view is pinned to.
-    pub fn snapshot(&self) -> &PublishedSnapshot {
-        &self.snap
-    }
-
-    /// Version of the pinned snapshot.
-    pub fn snapshot_version(&self) -> u64 {
-        self.snap.version()
-    }
-
-    /// Age of the pinned snapshot (grows while pinned).
-    pub fn snapshot_age(&self) -> Duration {
-        self.snap.age()
-    }
-}
-
-impl Endpoint for PinnedEndpoint {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        on_snapshot::execute(&self.plans, &self.snap, req)
+        run(&self.plans, &self.cell.load(), req, budget)
     }
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn execute_with_budget(
-        &self,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        if budget.is_unlimited() {
-            return self.execute(req);
-        }
-        on_snapshot::execute_budgeted(&self.plans, &self.snap, req, budget)
-    }
-}
-
-impl std::fmt::Debug for PinnedEndpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PinnedEndpoint")
-            .field("name", &self.name)
-            .field("snapshot_version", &self.snap.version())
-            .field("snapshot_triples", &self.snap.snapshot().len())
-            .finish()
     }
 }
 
@@ -587,8 +438,8 @@ impl std::fmt::Debug for ConcurrentEndpoint {
 mod tests {
     use super::*;
     use crate::endpoint::EndpointExt;
-    use crate::local::LocalEndpoint;
-    use sofya_rdf::TriplePattern;
+    use sofya_rdf::{Term, TriplePattern};
+    use sofya_sparql::Prepared;
 
     fn seeded() -> SnapshotStore {
         let mut store = TripleStore::new();

@@ -126,42 +126,31 @@ impl<E: Endpoint> DeadlineEndpoint<E> {
     pub fn inner(&self) -> &E {
         &self.inner
     }
+}
 
-    fn run(&self, req: Request<'_>, budget: QueryBudget) -> Result<Response, EndpointError> {
+impl<E: Endpoint> Endpoint for DeadlineEndpoint<E> {
+    /// The caller's budget merges with the configured one: the tighter
+    /// deadline and caps win, and this endpoint's cancel token is
+    /// attached (outermost token wins, see [`QueryBudget::merge`]).
+    fn execute_with_budget(
+        &self,
+        req: Request<'_>,
+        budget: &QueryBudget,
+    ) -> Result<Response, EndpointError> {
+        let budget = self
+            .config
+            .budget_starting_now()
+            .with_cancel(Arc::clone(&self.cancel))
+            .merge(budget);
         // sofya: allow(determinism) — elapsed time reported in DeadlineExceeded errors
         let start = Instant::now();
         self.inner
             .execute_with_budget(req, &budget)
             .map_err(|e| map_budget_error(e, start.elapsed()))
     }
-}
-
-impl<E: Endpoint> Endpoint for DeadlineEndpoint<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        let budget = self
-            .config
-            .budget_starting_now()
-            .with_cancel(Arc::clone(&self.cancel));
-        self.run(req, budget)
-    }
 
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    /// A caller-supplied budget merges with the configured one: the
-    /// tighter deadline and caps win, and this endpoint's cancel token
-    /// is attached (outermost token wins, see [`QueryBudget::merge`]).
-    fn execute_with_budget(
-        &self,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        let own = self
-            .config
-            .budget_starting_now()
-            .with_cancel(Arc::clone(&self.cancel));
-        self.run(req, own.merge(budget))
     }
 }
 

@@ -1,12 +1,14 @@
 //! The endpoint trait: one typed request/response pipeline.
 //!
-//! Every KB access in SOFYA is a [`Request`] handed to
-//! [`Endpoint::execute`], which answers with the matching [`Response`]
-//! shape. Wrappers (caching, quota, retry, instrumentation, latency, …)
-//! therefore intercept **every** query kind — string, prepared, paged,
-//! count, batch, and ones added later — by overriding a single method,
-//! instead of forwarding five parallel entry points and silently missing
-//! one (the bug class that regressed the first paged fast path).
+//! Every KB access in SOFYA is a [`Request`] handed, with the
+//! [`QueryBudget`] it runs under, to [`Endpoint::execute_with_budget`],
+//! which answers with the matching [`Response`] shape. That is the one
+//! method an endpoint implements ([`Endpoint::execute`] is the same call
+//! under the unlimited budget), so wrappers (caching, quota, retry,
+//! instrumentation, latency, …) intercept **every** query kind — string,
+//! prepared, paged, count, batch, and ones added later — budgeted or
+//! not, with a single body, instead of forwarding parallel entry points
+//! and silently missing one.
 //!
 //! Callers never build requests by hand: [`EndpointExt`] provides the
 //! ergonomic methods ([`EndpointExt::select`], [`EndpointExt::ask`],
@@ -345,32 +347,47 @@ impl Response {
 /// Implementations must be shareable across threads — the evaluation
 /// harness aligns many relations in parallel against the same endpoints.
 ///
-/// `execute` is the **single required method**: every query shape
-/// arrives as a typed [`Request`] and leaves as the matching
-/// [`Response`]. Wrappers therefore compose as middleware — each
-/// intercepts one `execute`, and a query shape added to the enum later
-/// is covered by every existing wrapper by construction. Algorithms call
-/// the ergonomic [`EndpointExt`] methods instead of building requests.
+/// [`Endpoint::execute_with_budget`] is the **single required method**:
+/// every query shape arrives as a typed [`Request`] together with the
+/// [`QueryBudget`] it must run under, and leaves as the matching
+/// [`Response`]. [`Endpoint::execute`] is *provided* — it is the same
+/// call under [`QueryBudget::unlimited`] — so an implementor has one
+/// body to write and no second entry point to forget. Wrappers therefore
+/// compose as middleware: each intercepts the one method and hands the
+/// budget inward, so neither a query shape added to the enum later nor a
+/// caller's budget can bypass a layer. Algorithms call the ergonomic
+/// [`EndpointExt`] methods instead of building requests.
+///
+/// ```
+/// use sofya_endpoint::{Endpoint, EndpointError, EndpointExt, LocalEndpoint, Request, Response};
+/// use sofya_sparql::QueryBudget;
+///
+/// /// A whole middleware layer: one method.
+/// struct Loud<E>(E);
+///
+/// impl<E: Endpoint> Endpoint for Loud<E> {
+///     fn execute_with_budget(
+///         &self,
+///         req: Request<'_>,
+///         budget: &QueryBudget,
+///     ) -> Result<Response, EndpointError> {
+///         println!("{} <- {}", self.0.name(), req.kind());
+///         self.0.execute_with_budget(req, budget)
+///     }
+/// }
+///
+/// let ep = Loud(LocalEndpoint::new("kb", sofya_rdf::TripleStore::new()));
+/// assert!(!ep.ask("ASK { ?s ?p ?o }").unwrap());
+/// // A caller's budget crosses the layer: this one has already run out.
+/// let spent = QueryBudget::unlimited().with_time_limit(std::time::Duration::ZERO);
+/// assert!(ep.execute_with_budget(Request::Ask { query: "ASK { ?s ?p ?o }" }, &spent).is_err());
+/// ```
 pub trait Endpoint: Send + Sync {
-    /// Executes one typed request.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError>;
-
-    /// A short display name (e.g. `"yago"`, `"dbpedia"`), used in
-    /// reports. Wrappers forward their inner endpoint's name; the
-    /// default is a placeholder for anonymous test endpoints.
-    fn name(&self) -> &str {
-        "endpoint"
-    }
-
     /// Executes one typed request under a [`QueryBudget`].
     ///
-    /// The default refuses already-expired or cancelled work up front,
-    /// then runs `execute` to completion — correct (the budget is a cap,
-    /// not a guarantee of partial progress) but not *cooperative*.
-    /// Backends that own an evaluator override this to thread the budget
-    /// into scanning so a breached query unwinds in bounded time;
-    /// wrappers override it to delegate inward so the budget survives
-    /// the whole middleware stack.
+    /// Backends that own an evaluator thread the budget into scanning so
+    /// a breached query unwinds in bounded time; wrappers hand it to
+    /// their inner endpoint so it survives the whole middleware stack.
     ///
     /// Budget breaches surface as [`sofya_sparql::SparqlError::Budget`]
     /// wrapped in [`EndpointError::Sparql`]; the deadline middleware
@@ -381,9 +398,19 @@ pub trait Endpoint: Send + Sync {
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        budget.check_expired()?;
-        self.execute(req)
+    ) -> Result<Response, EndpointError>;
+
+    /// Executes one typed request with no limits: the same path as
+    /// [`Endpoint::execute_with_budget`], under the no-op budget.
+    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        self.execute_with_budget(req, &QueryBudget::unlimited())
+    }
+
+    /// A short display name (e.g. `"yago"`, `"dbpedia"`), used in
+    /// reports. Wrappers forward their inner endpoint's name; the
+    /// default is a placeholder for anonymous test endpoints.
+    fn name(&self) -> &str {
+        "endpoint"
     }
 }
 
@@ -458,20 +485,16 @@ impl<E: Endpoint + ?Sized> EndpointExt for E {}
 /// Blanket implementation so `Arc<E>` is itself an endpoint; wrappers and
 /// algorithms can hold `Arc<dyn Endpoint>` and compose freely.
 impl<E: Endpoint + ?Sized> Endpoint for Arc<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        (**self).execute(req)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         (**self).execute_with_budget(req, budget)
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
     }
 }
 
@@ -482,7 +505,11 @@ mod tests {
     struct Fake;
 
     impl Endpoint for Fake {
-        fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        fn execute_with_budget(
+            &self,
+            req: Request<'_>,
+            _budget: &QueryBudget,
+        ) -> Result<Response, EndpointError> {
             Ok(match req {
                 Request::Select { .. }
                 | Request::PreparedSelect { .. }

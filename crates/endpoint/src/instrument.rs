@@ -166,17 +166,6 @@ impl<E: Endpoint> InstrumentedEndpoint<E> {
 }
 
 impl<E: Endpoint> Endpoint for InstrumentedEndpoint<E> {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.counters.record_request(&req, false);
-        let response = self.inner.execute(req)?;
-        self.counters.record_response(&response);
-        Ok(response)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -186,6 +175,10 @@ impl<E: Endpoint> Endpoint for InstrumentedEndpoint<E> {
         let response = self.inner.execute_with_budget(req, budget)?;
         self.counters.record_response(&response);
         Ok(response)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

@@ -83,16 +83,6 @@ impl<E: Endpoint> Endpoint for LatencyEndpoint<E> {
     /// One round trip per request plus transfer per response row — which
     /// is exactly why [`Request::Batch`] exists: N batched probes cost
     /// one RTT where N sequential requests cost N.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        let response = self.inner.execute(req)?;
-        self.charge(response.row_count() as usize);
-        Ok(response)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -101,6 +91,10 @@ impl<E: Endpoint> Endpoint for LatencyEndpoint<E> {
         let response = self.inner.execute_with_budget(req, budget)?;
         self.charge(response.row_count() as usize);
         Ok(response)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

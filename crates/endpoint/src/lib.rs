@@ -9,32 +9,42 @@
 //! that contract:
 //!
 //! * [`Endpoint`] — the trait every KB access goes through. One required
-//!   method: `execute(Request) -> Response`, a **typed request/response
-//!   pipeline**. The [`Request`] enum covers every query shape (string
-//!   `SELECT`/`ASK`, prepared, paged-prepared, `COUNT`, and `Batch`);
-//!   wrappers intercept all of them by overriding that single method, so
-//!   no query shape can bypass a middleware layer. Algorithms call the
-//!   ergonomic [`EndpointExt`] methods, which build the request and
-//!   destructure the [`Response`].
-//! * [`LocalEndpoint`] — an endpoint backed by an in-process
-//!   [`sofya_rdf::TripleStore`] evaluated by `sofya-sparql`; plays the role
-//!   of the remote server in this reproduction.
+//!   method: `execute_with_budget(Request, &QueryBudget) -> Response`, a
+//!   **typed request/response pipeline** (`execute` is provided: the same
+//!   call under the unlimited budget). The [`Request`] enum covers every
+//!   query shape (string `SELECT`/`ASK`, prepared, paged-prepared,
+//!   `COUNT`, and `Batch`); wrappers intercept all of them with that
+//!   single method, so neither a query shape nor a caller's budget can
+//!   bypass a middleware layer. Algorithms call the ergonomic
+//!   [`EndpointExt`] methods, which build the request and destructure the
+//!   [`Response`].
+//! * [`SnapshotStore`] / [`ConcurrentEndpoint`] / [`LocalEndpoint`] — the
+//!   one in-process backend, evaluated by `sofya-sparql`; plays the role
+//!   of the remote server in this reproduction. The writer keeps loading
+//!   and periodically publishes an immutable [`PublishedSnapshot`]; a
+//!   `ConcurrentEndpoint` answers each request lock-free from the snapshot
+//!   current when it starts, a `LocalEndpoint` from one snapshot for good
+//!   (a store it published itself, or [`ConcurrentEndpoint::pinned`]).
+//!   Both run the same execution core through one sharded,
+//!   snapshot-versioned LRU plan cache. [`DurableStore`] is the
+//!   `SnapshotStore` that commits to a write-ahead log before it
+//!   publishes.
 //! * [`InstrumentedEndpoint`] — counts queries and transferred rows/cells,
 //!   so experiments can report the paper's "works with few queries" claim
 //!   quantitatively (experiment S3 in DESIGN.md).
 //! * [`QuotaEndpoint`] — enforces a hard query budget and a per-query row
 //!   cap, turning "you may not download the whole KB" into an actual
 //!   runtime error.
+//! * [`DeadlineEndpoint`] — gives every request a deadline, scan and
+//!   binding caps and a cancel switch, and maps breaches to typed errors.
+//! * [`RetryEndpoint`] — re-issues transient failures with accounted
+//!   backoff behind an optional circuit breaker.
 //! * [`CachingEndpoint`] — memoises identical query strings, as a client
-//!   library would.
-//! * [`SnapshotStore`] / [`ConcurrentEndpoint`] — the single-writer /
-//!   many-readers split: the writer keeps loading and periodically
-//!   publishes an immutable store snapshot; concurrent readers answer
-//!   every query (string, prepared, and paged-prepared) lock-free against
-//!   the currently published snapshot through a sharded LRU plan cache.
+//!   library would; [`LatencyEndpoint`] accounts simulated network time.
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
+//! * [`testing`] — endpoints that misbehave on purpose, for tests.
 //!
 //! Wrappers compose: `Quota(Instrumented(Local))` is the standard
 //! experiment stack.
@@ -57,10 +67,11 @@ pub(crate) mod outcome;
 pub(crate) mod plan_cache;
 pub mod quota;
 pub mod retry;
+pub mod testing;
 
 pub use cache::CachingEndpoint;
 pub use clock::{Clock, ManualClock, WallClock};
-pub use concurrent::{ConcurrentEndpoint, PinnedEndpoint, PublishedSnapshot, SnapshotStore};
+pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
 pub use deadline::{map_budget_error, BudgetConfig, DeadlineEndpoint};
 pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};
@@ -70,4 +81,4 @@ pub use instrument::{EndpointCounters, InstrumentedEndpoint};
 pub use latency::{LatencyEndpoint, LatencyModel};
 pub use local::LocalEndpoint;
 pub use quota::{QuotaConfig, QuotaEndpoint};
-pub use retry::{BackoffPolicy, BreakerConfig, BreakerState, FlakyEndpoint, RetryEndpoint};
+pub use retry::{BackoffPolicy, BreakerConfig, BreakerState, RetryEndpoint};

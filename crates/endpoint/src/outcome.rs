@@ -1,4 +1,4 @@
-//! Shared execution fragments for the in-process endpoints: mapping the
+//! Execution fragments of the in-process core: mapping the
 //! engine's [`QueryOutcome`] into the typed [`Response`], and the
 //! `COUNT(*)` rewrite behind [`crate::Request::Count`].
 
@@ -6,8 +6,8 @@ use crate::endpoint::{count_of_ask_error, Response};
 use crate::error::EndpointError;
 use sofya_rdf::{Term, TripleStore};
 use sofya_sparql::{
-    execute_select_budgeted, execute_select_with, PlanOptions, Prepared, Projection, Query,
-    QueryBudget, QueryOutcome, SelectQuery,
+    execute_select_budgeted, PlanOptions, Prepared, Projection, Query, QueryBudget, QueryOutcome,
+    SelectQuery,
 };
 
 /// The typed response for an engine outcome: `SELECT` rows become
@@ -52,22 +52,9 @@ pub(crate) fn count_rewrite(
 /// [`count_rewrite`]. A bare single-pattern template then
 /// short-circuits through the planner's `count_pattern` index bounds —
 /// no join, no row materialization — and multi-pattern templates count
-/// bindings at the interned-id level without ever resolving a term.
+/// bindings at the interned-id level without ever resolving a term,
+/// ticking `budget` per scanned row like any other query.
 pub(crate) fn execute_count(
-    store: &TripleStore,
-    prepared: &Prepared,
-    args: &[Term],
-    opts: PlanOptions<'_>,
-) -> Result<u64, EndpointError> {
-    let select = count_rewrite(prepared, args)?;
-    let rs = execute_select_with(store, &select, opts)?;
-    Ok(rs.single_integer().unwrap_or(0).max(0) as u64)
-}
-
-/// [`execute_count`] under a [`QueryBudget`]: the count rewrite still
-/// short-circuits through index bounds when it can, but a scan-backed
-/// count ticks the budget per row like any other query.
-pub(crate) fn execute_count_budgeted(
     store: &TripleStore,
     prepared: &Prepared,
     args: &[Term],

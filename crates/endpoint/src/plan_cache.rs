@@ -1,10 +1,11 @@
-//! Bounded LRU caches for compiled query plans.
+//! The plan cache of the in-process execution core: one bounded,
+//! sharded, snapshot-versioned LRU of compiled query plans.
 //!
-//! Both in-process endpoints reuse this policy: [`crate::LocalEndpoint`]
-//! keeps one cache behind a single mutex (its store never changes), and
-//! [`crate::ConcurrentEndpoint`] shards the same cache by query hash so
-//! worker threads re-compiling different queries never serialise on one
-//! lock.
+//! [`crate::ConcurrentEndpoint`] and every [`crate::LocalEndpoint`]
+//! pinned from it share one [`ShardedPlanCache`]; a `LocalEndpoint` built
+//! over a store of its own gets a cache of its own. The query string's
+//! hash picks the shard, so worker threads compiling different queries
+//! never serialise on one lock.
 //!
 //! Entries are stamped with the store **version** they were compiled
 //! against. A plan embeds dictionary ids resolved at compile time — in
@@ -14,39 +15,20 @@
 //! *newer* version than the entry therefore evicts it and reports a miss;
 //! a lookup at an *older* version (a reader pinned to an outgoing
 //! snapshot) misses without evicting, so it cannot thrash the current
-//! generation's plans. `LocalEndpoint` wraps an immutable store and
-//! always passes version 0.
+//! generation's plans.
 
 use sofya_rdf::dict::FnvHasher;
-use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::{compile_ast_with_options, CompiledQuery, PlanOptions, Prepared, SparqlError};
+use sofya_rdf::Term;
+use sofya_sparql::{CompiledQuery, Prepared, SparqlError};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 
-/// The compile-or-cache step shared by [`crate::LocalEndpoint`] (single
-/// LRU behind one mutex, version 0) and [`crate::ConcurrentEndpoint`] /
-/// [`crate::concurrent::PinnedEndpoint`] (sharded, snapshot-versioned):
-/// key the bound template, consult the caller's cache, bind + plan on a
-/// miss, publish the compilation. Pagination is applied at execution
-/// time, so the key excludes `LIMIT`/`OFFSET`.
-pub(crate) fn compile_bound_paged(
-    store: &TripleStore,
-    opts: PlanOptions<'_>,
-    prepared: &Prepared,
-    args: &[Term],
-    lookup: impl FnOnce(&str) -> Option<Arc<CompiledQuery>>,
-    publish: impl FnOnce(String, Arc<CompiledQuery>),
-) -> Result<Arc<CompiledQuery>, SparqlError> {
-    let key = prepared_cache_key(prepared, args);
-    if let Some(hit) = lookup(&key) {
-        return Ok(hit);
-    }
-    let bound = prepared.bind(args)?;
-    let compiled = Arc::new(compile_ast_with_options(store, &bound, opts));
-    publish(key, Arc::clone(&compiled));
-    Ok(compiled)
-}
+/// Default bound on a plan cache. The aligner issues a few dozen distinct
+/// query strings per relation; 512 comfortably covers a whole alignment
+/// session while bounding memory for adversarial query streams.
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 512;
 
 /// Cache key for a bound *paged* prepared template: the template's
 /// process-unique token plus an **injective** encoding of the argument
@@ -55,11 +37,11 @@ pub(crate) fn compile_bound_paged(
 /// distinct argument lists collide). `LIMIT`/`OFFSET` are deliberately
 /// **not** part of the key — the join plan of a bound shape does not
 /// depend on pagination, so one compilation serves every page
-/// (see [`sofya_sparql::execute_compiled_paged`]).
+/// (see [`sofya_sparql::execute_compiled_paged_budgeted`]).
 ///
 /// The `\u{1}` prefix cannot appear in SPARQL text, so prepared keys
 /// never collide with query-string keys sharing the same cache.
-fn prepared_cache_key(prepared: &Prepared, args: &[Term]) -> String {
+pub(crate) fn prepared_cache_key(prepared: &Prepared, args: &[Term]) -> String {
     fn push_field(key: &mut String, field: &str) {
         key.push_str(&field.len().to_string());
         key.push(':');
@@ -108,7 +90,7 @@ fn prepared_cache_key(prepared: &Prepared, args: &[Term]) -> String {
 /// cheaper than maintaining an intrusive list and only runs on insertion
 /// into a full cache.
 #[derive(Debug, Default)]
-pub(crate) struct LruPlanCache {
+struct LruPlanCache {
     entries: HashMap<String, Entry>,
     capacity: usize,
     tick: u64,
@@ -122,7 +104,7 @@ struct Entry {
 }
 
 impl LruPlanCache {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             entries: HashMap::new(),
             capacity,
@@ -130,12 +112,12 @@ impl LruPlanCache {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Re-bounds the cache, evicting least-recently-used entries first.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+    fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         while self.entries.len() > capacity {
             self.evict_lru();
@@ -148,7 +130,7 @@ impl LruPlanCache {
     /// entry is kept but not returned, so a reader still pinned to an
     /// outgoing snapshot cannot thrash the current generation's plans
     /// during a publish.
-    pub(crate) fn get(&mut self, query: &str, version: u64) -> Option<Arc<CompiledQuery>> {
+    fn get(&mut self, query: &str, version: u64) -> Option<Arc<CompiledQuery>> {
         match self.entries.get_mut(query) {
             Some(entry) if entry.version == version => {
                 self.tick += 1;
@@ -167,7 +149,7 @@ impl LruPlanCache {
     /// Inserts unless a newer-version entry already holds the slot (the
     /// mirror of the `get` rule: pinned old readers never overwrite the
     /// current generation).
-    pub(crate) fn insert(&mut self, query: String, version: u64, plan: Arc<CompiledQuery>) {
+    fn insert(&mut self, query: String, version: u64, plan: Arc<CompiledQuery>) {
         if self.capacity == 0 {
             return;
         }
@@ -232,14 +214,29 @@ impl ShardedPlanCache {
         &self.shards[(h.finish() as usize) % PLAN_CACHE_SHARDS]
     }
 
-    pub(crate) fn get(&self, query: &str, version: u64) -> Option<Arc<CompiledQuery>> {
+    fn get(&self, query: &str, version: u64) -> Option<Arc<CompiledQuery>> {
         self.shard(query).lock().get(query, version)
     }
 
-    pub(crate) fn insert(&self, query: &str, version: u64, plan: Arc<CompiledQuery>) {
-        self.shard(query)
-            .lock()
-            .insert(query.to_owned(), version, plan);
+    fn insert(&self, query: String, version: u64, plan: Arc<CompiledQuery>) {
+        self.shard(&query).lock().insert(query, version, plan);
+    }
+
+    /// The plan cached under `key` at `version`, or `compile`'s result,
+    /// inserted. Compilation runs outside the shard lock; two threads
+    /// missing on one key both compile and the later insert wins.
+    pub(crate) fn get_or_compile(
+        &self,
+        key: Cow<'_, str>,
+        version: u64,
+        compile: impl FnOnce() -> Result<CompiledQuery, SparqlError>,
+    ) -> Result<Arc<CompiledQuery>, SparqlError> {
+        if let Some(hit) = self.get(&key, version) {
+            return Ok(hit);
+        }
+        let compiled = Arc::new(compile()?);
+        self.insert(key.into_owned(), version, Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// Total entries across all shards.
@@ -348,10 +345,10 @@ mod tests {
     fn sharded_cache_bounds_and_hits() {
         let cache = ShardedPlanCache::new(16);
         for i in 0..100 {
-            cache.insert(&format!("q{i}"), 0, plan());
+            cache.insert(format!("q{i}"), 0, plan());
         }
         assert!(cache.len() <= 16 + PLAN_CACHE_SHARDS);
-        cache.insert("stable", 0, plan());
+        cache.insert("stable".to_owned(), 0, plan());
         assert!(cache.get("stable", 0).is_some());
         assert!(cache.get("stable", 1).is_none());
     }

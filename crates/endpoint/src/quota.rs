@@ -129,15 +129,6 @@ impl<E: Endpoint> Endpoint for QuotaEndpoint<E> {
     /// Charges one budget unit per **leaf** request — a batch of five
     /// queries spends five, so batching can never smuggle work past the
     /// budget — then caps every row-shaped response.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.charge(req.leaf_count())?;
-        Ok(self.cap_response(self.inner.execute(req)?))
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -145,6 +136,10 @@ impl<E: Endpoint> Endpoint for QuotaEndpoint<E> {
     ) -> Result<Response, EndpointError> {
         self.charge(req.leaf_count())?;
         Ok(self.cap_response(self.inner.execute_with_budget(req, budget)?))
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 

@@ -1,10 +1,11 @@
-//! Transient-failure simulation and retries.
+//! Retries and the circuit breaker.
 //!
-//! Public endpoints fail transiently (timeouts, 503s). [`FlakyEndpoint`]
-//! injects such failures deterministically — every `n`-th query errors —
-//! and [`RetryEndpoint`] re-issues failed queries up to a bound, which is
+//! Public endpoints fail transiently (timeouts, 503s).
+//! [`RetryEndpoint`] re-issues failed queries up to a bound, which is
 //! how a production client would wrap a remote endpoint. Quota errors are
 //! **not** retried: retrying an exhausted budget can never succeed.
+//! (Tests inject such failures deterministically with
+//! [`crate::testing::FlakyEndpoint`].)
 
 use crate::clock::Clock;
 use crate::endpoint::{Endpoint, Request, Response};
@@ -13,66 +14,6 @@ use sofya_sparql::QueryBudget;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Injects a deterministic transient failure every `period`-th query.
-pub struct FlakyEndpoint<E> {
-    inner: E,
-    period: u64,
-    counter: AtomicU64,
-}
-
-impl<E: Endpoint> FlakyEndpoint<E> {
-    /// Wraps `inner`; every `period`-th query (1-based) fails with a
-    /// transient error. `period == 0` never fails.
-    pub fn new(inner: E, period: u64) -> Self {
-        Self {
-            inner,
-            period,
-            counter: AtomicU64::new(0),
-        }
-    }
-
-    fn maybe_fail(&self) -> Result<(), EndpointError> {
-        if self.period == 0 {
-            return Ok(());
-        }
-        let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % self.period == 0 {
-            Err(EndpointError::Other(format!(
-                "simulated transient failure (query #{n})"
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Queries attempted so far (including failed ones).
-    pub fn attempts(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
-    }
-}
-
-impl<E: Endpoint> Endpoint for FlakyEndpoint<E> {
-    /// One failure opportunity per request — a whole batch is one
-    /// transport exchange, so it fails (and is retried) as a unit.
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.maybe_fail()?;
-        self.inner.execute(req)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn execute_with_budget(
-        &self,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        self.maybe_fail()?;
-        self.inner.execute_with_budget(req, budget)
-    }
-}
 
 /// The externally visible state of a [`RetryEndpoint`] circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -454,20 +395,16 @@ impl<E: Endpoint> Endpoint for RetryEndpoint<E> {
     /// Re-issues the whole request on transient failure (requests are
     /// cheap to clone: borrowed strings, template references, and — for
     /// batches — a vector of the same).
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.guarded(|| self.inner.execute(req.clone()))
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         self.guarded(|| self.inner.execute_with_budget(req.clone(), budget))
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 
@@ -477,6 +414,7 @@ mod tests {
     use crate::endpoint::EndpointExt;
     use crate::local::LocalEndpoint;
     use crate::quota::{QuotaConfig, QuotaEndpoint};
+    use crate::testing::FlakyEndpoint;
     use sofya_rdf::{Term, TripleStore};
 
     fn base() -> LocalEndpoint {
@@ -547,10 +485,14 @@ mod tests {
     }
 
     impl Endpoint for Scripted {
-        fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+        fn execute_with_budget(
+            &self,
+            req: Request<'_>,
+            budget: &QueryBudget,
+        ) -> Result<Response, EndpointError> {
             let mut errors = self.errors.lock().unwrap();
             if errors.is_empty() {
-                self.inner.execute(req)
+                self.inner.execute_with_budget(req, budget)
             } else {
                 Err(errors.remove(0))
             }

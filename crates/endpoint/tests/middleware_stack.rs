@@ -1,24 +1,29 @@
 //! Property test: the middleware wrappers must be order-independent.
 //!
 //! The typed request pipeline's core claim is that every wrapper
-//! intercepts one `execute` and therefore covers every query shape.
-//! This test stacks the caching / quota / resilience (retry-over-flaky)
-//! / instrumentation wrappers in **every** order over a `LocalEndpoint`
-//! and fires a random request sequence (string, prepared, paged, count,
-//! and batch shapes — including batches nested inside batches): the
-//! responses must be identical to the bare endpoint's, and the
-//! instrumentation counters must stay consistent with the issued
-//! traffic.
+//! intercepts one method and therefore covers every query shape, with
+//! or without a budget. This test stacks the caching / quota /
+//! resilience (retry-over-flaky) / instrumentation wrappers in **every**
+//! order over each in-process backend — a `LocalEndpoint` of its own,
+//! the live `SnapshotStore::reader`, and a view pinned from it — and
+//! fires a random request sequence (string, prepared, paged, count, and
+//! batch shapes — including batches nested inside batches), unbudgeted
+//! and under a generous finite budget: the responses must be identical
+//! to the bare endpoint's, and the instrumentation counters must stay
+//! consistent with the issued traffic. A second, exhaustive test holds
+//! the other half of the claim: no stack can drop a caller's budget.
 
 use proptest::prelude::*;
+use sofya_endpoint::testing::FlakyEndpoint;
 use sofya_endpoint::{
-    CachingEndpoint, Endpoint, EndpointCounters, EndpointError, FlakyEndpoint,
-    InstrumentedEndpoint, LocalEndpoint, QuotaConfig, QuotaEndpoint, RequestBuf, Response,
-    RetryEndpoint,
+    BudgetConfig, CachingEndpoint, DeadlineEndpoint, Endpoint, EndpointCounters, EndpointError,
+    InstrumentedEndpoint, LocalEndpoint, QuotaConfig, QuotaEndpoint, Request, RequestBuf, Response,
+    RetryEndpoint, SnapshotStore,
 };
 use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::Prepared;
+use sofya_sparql::{Prepared, QueryBudget};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 const SUBJECTS: u8 = 5;
 const PREDICATES: u8 = 3;
@@ -126,6 +131,36 @@ impl Spec {
     fn run(&self, ep: &dyn Endpoint) -> Result<Response, EndpointError> {
         ep.execute(self.to_buf().as_request())
     }
+
+    /// [`Spec::run`] under a budget.
+    fn run_budgeted(
+        &self,
+        ep: &dyn Endpoint,
+        budget: &QueryBudget,
+    ) -> Result<Response, EndpointError> {
+        ep.execute_with_budget(self.to_buf().as_request(), budget)
+    }
+}
+
+/// A finite budget no generated request comes near: every limit is set,
+/// so the evaluator's tracker is on, and none can trip.
+fn generous_budget() -> QueryBudget {
+    QueryBudget::unlimited()
+        .with_time_limit(Duration::from_secs(3600))
+        .with_max_rows_scanned(1_000_000)
+        .with_max_bindings(1_000_000)
+}
+
+/// The three in-process backends over one store: an endpoint that
+/// published it itself, the live reader of a `SnapshotStore`, and a view
+/// pinned from that reader.
+fn backends(store: &TripleStore) -> [Arc<dyn Endpoint>; 3] {
+    let reader = SnapshotStore::new(store.clone()).reader("kb");
+    [
+        Arc::new(LocalEndpoint::new("kb", store.clone())),
+        Arc::new(reader.pinned()),
+        Arc::new(reader),
+    ]
 }
 
 fn leaf_spec() -> impl Strategy<Value = Spec> {
@@ -191,8 +226,8 @@ fn permutation(k: usize) -> Vec<Layer> {
 
 /// Builds the stack inner-to-outer in `order`, returning the outermost
 /// endpoint and the instrumentation counter handle.
-fn build_stack(base: LocalEndpoint, order: &[Layer]) -> (Arc<dyn Endpoint>, EndpointCounters) {
-    let mut ep: Arc<dyn Endpoint> = Arc::new(base);
+fn build_stack(base: Arc<dyn Endpoint>, order: &[Layer]) -> (Arc<dyn Endpoint>, EndpointCounters) {
+    let mut ep = base;
     let mut counters = EndpointCounters::default();
     for layer in order {
         ep = match layer {
@@ -220,24 +255,41 @@ fn build_stack(base: LocalEndpoint, order: &[Layer]) -> (Arc<dyn Endpoint>, Endp
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any stacking order yields bare-endpoint responses, and the
-    /// counters never lose a query.
+    /// Any stacking order over any backend yields bare-endpoint
+    /// responses, budgeted or not, and the counters never lose a query.
     #[test]
     fn stacked_wrappers_match_bare_endpoint(
         perm in 0usize..24,
+        backend in 0usize..3,
         specs in proptest::collection::vec(spec(), 1..24),
     ) {
-        let shared = Arc::new(store());
-        let bare = LocalEndpoint::from_arc("kb", Arc::clone(&shared));
+        let store = store();
+        let bare = LocalEndpoint::new("kb", store.clone());
+        let backends = backends(&store);
+        let budget = generous_budget();
         let order = permutation(perm);
-        let (stacked, counters) =
-            build_stack(LocalEndpoint::from_arc("kb", Arc::clone(&shared)), &order);
+        let (stacked, counters) = build_stack(Arc::clone(&backends[backend]), &order);
 
         let mut issued_leaves = 0u64;
-        for spec in &specs {
+        for (i, spec) in specs.iter().enumerate() {
             let want = spec.run(&bare).expect("bare endpoint answers");
-            let got = spec.run(&*stacked).expect("stacked endpoint answers");
-            prop_assert_eq!(&got, &want, "order {:?}, spec {:?}", &order, spec);
+            // The one execution path: every backend, with the budget
+            // tracker off and on, answers what the bare endpoint does.
+            for (b, ep) in backends.iter().enumerate() {
+                let plain = spec.run(&**ep).expect("backend answers");
+                prop_assert_eq!(&plain, &want, "backend {}, spec {:?}", b, spec);
+                let budgeted = spec.run_budgeted(&**ep, &budget).expect("budget is generous");
+                prop_assert_eq!(&budgeted, &want, "budgeted backend {}, spec {:?}", b, spec);
+            }
+            // The stack sees each spec once (the counters below depend
+            // on it), alternately unbudgeted and budgeted.
+            let got = if i % 2 == 0 {
+                spec.run(&*stacked)
+            } else {
+                spec.run_budgeted(&*stacked, &budget)
+            }
+            .expect("stacked endpoint answers");
+            prop_assert_eq!(&got, &want, "order {:?} over backend {}, spec {:?}", &order, backend, spec);
             issued_leaves += spec.leaves();
         }
 
@@ -263,6 +315,59 @@ proptest! {
             // all cases every *distinct* issued request is visible.
             prop_assert!(counters.total_queries() <= issued_leaves * 2);
             prop_assert!(counters.batch_expanded() <= counters.total_queries());
+        }
+    }
+}
+
+/// A middleware layer written against the trait as it is: one method.
+struct OneMethod(Arc<dyn Endpoint>);
+
+impl Endpoint for OneMethod {
+    fn execute_with_budget(
+        &self,
+        req: Request<'_>,
+        budget: &QueryBudget,
+    ) -> Result<Response, EndpointError> {
+        self.0.execute_with_budget(req, budget)
+    }
+}
+
+/// No stack can drop a budget: a one-row scan cap set by the outermost
+/// `DeadlineEndpoint` reaches the evaluator through a one-method wrapper
+/// and every order of the four stock wrappers, over the fixed and the
+/// live backend alike — all 24 × 2 combinations, not a sample. (When
+/// `execute` was the required method, `OneMethod` could only have
+/// implemented that, and the provided budgeted method ran the query to
+/// completion.)
+#[test]
+fn no_wrapper_order_drops_the_callers_budget() {
+    let store = store();
+    let cap = BudgetConfig {
+        max_rows_scanned: Some(1),
+        ..BudgetConfig::default()
+    };
+    let [fixed, _, live] = backends(&store);
+    for (b, backend) in [("fixed", fixed), ("live", live)] {
+        for perm in 0..24 {
+            let order = permutation(perm);
+            let (stack, _) = build_stack(backend.clone(), &order);
+            let ep = DeadlineEndpoint::new(OneMethod(stack), cap);
+            // Five subjects carry `r:p0`: the scan passes one row.
+            let err = ep
+                .execute(Request::Select {
+                    query: "SELECT ?s ?o { ?s <r:p0> ?o }",
+                })
+                .expect_err("a scan past the cap must be killed");
+            assert!(
+                matches!(err, EndpointError::BudgetExceeded { .. }),
+                "order {order:?} over the {b} backend: {err:?}"
+            );
+            // The stack itself is healthy: an index-resolved probe
+            // scans nothing and answers.
+            let probe = ep.execute(Request::Ask {
+                query: "ASK { <e:s0> <r:p0> <e:o0> }",
+            });
+            assert_eq!(probe, Ok(Response::Boolean(true)), "order {order:?}");
         }
     }
 }

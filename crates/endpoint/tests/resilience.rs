@@ -2,9 +2,10 @@
 //! quota accounting, and cache hit/expiry — all driven by injected
 //! clocks and counters, never wall time, so every assertion is exact.
 
+use sofya_endpoint::testing::FlakyEndpoint;
 use sofya_endpoint::{
-    BackoffPolicy, CachingEndpoint, Clock, EndpointError, EndpointExt, FlakyEndpoint,
-    InstrumentedEndpoint, LocalEndpoint, ManualClock, QuotaConfig, QuotaEndpoint, RetryEndpoint,
+    BackoffPolicy, CachingEndpoint, Clock, EndpointError, EndpointExt, InstrumentedEndpoint,
+    LocalEndpoint, ManualClock, QuotaConfig, QuotaEndpoint, RetryEndpoint,
 };
 use sofya_rdf::{Term, TripleStore};
 use std::sync::Arc;

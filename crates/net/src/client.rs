@@ -32,7 +32,7 @@ use sofya_endpoint::{map_budget_error, Endpoint, EndpointError, Request, Respons
 use sofya_sparql::QueryBudget;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client knobs.
 #[derive(Debug, Clone)]
@@ -171,28 +171,6 @@ impl RemoteEndpoint {
         write_request(conn.get_mut(), method, path, &headers, body)?;
         read_response(conn)
     }
-
-    fn execute_inner(
-        &self,
-        req: Request<'_>,
-        deadline_ms: Option<u64>,
-    ) -> Result<Response, EndpointError> {
-        let wire = WireRequest::from_request(&req)?;
-        let mut body = wire.to_json().to_text();
-        body.push('\n');
-        let response = self.roundtrip("POST", "/query", body.as_bytes(), deadline_ms)?;
-        let text = std::str::from_utf8(&response.body)
-            .map_err(|e| EndpointError::Other(format!("non-UTF-8 response body: {e}")))?;
-        let json = Json::parse(text.trim_end_matches('\n'))
-            .map_err(|e| EndpointError::Other(format!("bad response JSON: {e}")))?;
-        match envelope_from_json(&json) {
-            Ok(result) => result,
-            Err(e) => Err(EndpointError::Other(format!(
-                "HTTP {} with undecodable envelope: {e}",
-                response.status
-            ))),
-        }
-    }
 }
 
 /// Classifies a transport-level I/O failure: timeouts, refused, reset,
@@ -219,14 +197,6 @@ fn classify_io(context: impl std::fmt::Display, error: &std::io::Error) -> Endpo
 }
 
 impl Endpoint for RemoteEndpoint {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
-        self.execute_inner(req, None)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The remaining time of the caller's budget travels as
     /// `X-Deadline-Ms`; an already-expired or cancelled budget fails
     /// locally without spending a round trip. Scan/binding caps are
@@ -236,17 +206,34 @@ impl Endpoint for RemoteEndpoint {
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        // sofya: allow(determinism) — measured request latency for retry pacing and receipts
-        let started = Instant::now();
+        // Refused before anything is sent: no time has been spent on it.
         budget
             .check_expired()
-            .map_err(|e| map_budget_error(EndpointError::Sparql(e), started.elapsed()))?;
+            .map_err(|e| map_budget_error(EndpointError::Sparql(e), Duration::ZERO))?;
         let deadline_ms = budget.remaining_time().map(|left| {
             // Round down, but never announce 0 for a still-live budget
             // (0 means "already expired" server-side).
             (left.as_millis() as u64).max(1)
         });
-        self.execute_inner(req, deadline_ms)
+        let wire = WireRequest::from_request(&req)?;
+        let mut body = wire.to_json().to_text();
+        body.push('\n');
+        let response = self.roundtrip("POST", "/query", body.as_bytes(), deadline_ms)?;
+        let text = std::str::from_utf8(&response.body)
+            .map_err(|e| EndpointError::Other(format!("non-UTF-8 response body: {e}")))?;
+        let json = Json::parse(text.trim_end_matches('\n'))
+            .map_err(|e| EndpointError::Other(format!("bad response JSON: {e}")))?;
+        match envelope_from_json(&json) {
+            Ok(result) => result,
+            Err(e) => Err(EndpointError::Other(format!(
+                "HTTP {} with undecodable envelope: {e}",
+                response.status
+            ))),
+        }
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 

@@ -35,6 +35,4 @@ pub use client::{RemoteConfig, RemoteEndpoint};
 pub use ingest::{parse_ingest_body, IngestSink};
 pub use json::Json;
 pub use server::{metrics_to_json, HttpServer, ServerConfig};
-pub use wire::{
-    execute_wire, execute_wire_budgeted, term_from_json, term_to_json, WireError, WireRequest,
-};
+pub use wire::{execute_wire_budgeted, term_from_json, term_to_json, WireError, WireRequest};

@@ -151,12 +151,16 @@ impl WireRequest {
 /// recurse positionally. Select and ask leaves pass through untouched.
 pub fn reshape(wire: &WireRequest, response: Response) -> Result<Response, EndpointError> {
     match (wire, response) {
-        (WireRequest::Count(_), Response::Rows(rows)) => {
-            let n = rows.single_integer().ok_or_else(|| {
+        // The text of a `count` leaf is the client's: any single-cell
+        // `SELECT` gets here, so the cell may be no integer, or a
+        // negative one that must not wrap into a huge count.
+        (WireRequest::Count(_), Response::Rows(rows)) => rows
+            .single_integer()
+            .and_then(|n| u64::try_from(n).ok())
+            .map(Response::Count)
+            .ok_or_else(|| {
                 EndpointError::Other("count query returned a non-aggregate result".to_owned())
-            })?;
-            Ok(Response::Count(n as u64))
-        }
+            }),
         (WireRequest::Batch(subs), Response::Batch(responses)) => {
             if subs.len() != responses.len() {
                 return Err(EndpointError::Other(format!(
@@ -176,20 +180,10 @@ pub fn reshape(wire: &WireRequest, response: Response) -> Result<Response, Endpo
     }
 }
 
-/// Executes one wire request against an endpoint: a single
-/// `execute` call for the whole tree, then [`reshape`].
-pub fn execute_wire(
-    ep: &dyn sofya_endpoint::Endpoint,
-    wire: &WireRequest,
-) -> Result<Response, EndpointError> {
-    let buf = wire.to_request_buf();
-    let response = ep.execute(buf.as_request())?;
-    reshape(wire, response)
-}
-
-/// [`execute_wire`] under a [`QueryBudget`]: the whole tree runs on the
-/// endpoint's budgeted path, so a deadline, scan cap, or cancel token
-/// bounds server-side work for the request as a unit.
+/// Executes one wire request against an endpoint under a
+/// [`QueryBudget`]: a single call for the whole tree — so a deadline,
+/// scan cap, or cancel token bounds server-side work for the request as
+/// a unit — then [`reshape`].
 pub fn execute_wire_budgeted(
     ep: &dyn sofya_endpoint::Endpoint,
     wire: &WireRequest,
@@ -702,7 +696,7 @@ mod tests {
             args: &args,
         })
         .unwrap();
-        let remote_shaped = execute_wire(&ep, &wire).unwrap();
+        let remote_shaped = execute_wire_budgeted(&ep, &wire, &QueryBudget::unlimited()).unwrap();
         assert_eq!(remote_shaped, local);
         assert_eq!(remote_shaped, Response::Count(2));
     }

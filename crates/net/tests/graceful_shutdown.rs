@@ -10,6 +10,7 @@
 use sofya_endpoint::{Endpoint, EndpointError, EndpointExt, LocalEndpoint, Request, Response};
 use sofya_net::{HttpServer, RemoteEndpoint, ServerConfig};
 use sofya_rdf::{Term, TripleStore};
+use sofya_sparql::QueryBudget;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -38,7 +39,11 @@ impl GatedEndpoint {
 }
 
 impl Endpoint for GatedEndpoint {
-    fn execute(&self, req: Request<'_>) -> Result<Response, EndpointError> {
+    fn execute_with_budget(
+        &self,
+        req: Request<'_>,
+        budget: &QueryBudget,
+    ) -> Result<Response, EndpointError> {
         self.entered.fetch_add(1, Ordering::SeqCst);
         let (lock, cvar) = &self.gate;
         let mut open = lock.lock().unwrap();
@@ -46,7 +51,7 @@ impl Endpoint for GatedEndpoint {
             open = cvar.wait(open).unwrap();
         }
         drop(open);
-        self.inner.execute(req)
+        self.inner.execute_with_budget(req, budget)
     }
 
     fn name(&self) -> &str {

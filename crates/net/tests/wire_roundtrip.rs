@@ -8,9 +8,9 @@ use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, RequestBuf, Response};
 use sofya_net::wire::{envelope_from_json, envelope_to_json};
-use sofya_net::{execute_wire, Json, WireRequest};
+use sofya_net::{execute_wire_budgeted, Json, WireRequest};
 use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::{Prepared, ResultSet, SparqlError};
+use sofya_sparql::{Prepared, QueryBudget, ResultSet, SparqlError};
 use std::sync::{Arc, OnceLock};
 
 // --------------------------------------------------------------- fixtures
@@ -193,7 +193,8 @@ proptest! {
         let ep = store_endpoint();
         let direct = ep.execute(req.as_request()).expect("direct execution");
         let wire = WireRequest::from_request(&req.as_request()).expect("lowering");
-        let via_wire = execute_wire(ep, &wire).expect("wire execution");
+        let via_wire = execute_wire_budgeted(ep, &wire, &QueryBudget::unlimited())
+            .expect("wire execution");
         prop_assert_eq!(direct, via_wire);
     }
 
@@ -223,4 +224,47 @@ proptest! {
         let decoded = envelope_from_json(&Json::parse(&text).expect("parse")).expect("decode");
         prop_assert_eq!(decoded, Err(error));
     }
+}
+
+/// The text under a `count` op is the client's, not a rendering of ours:
+/// a `SELECT` whose single cell is a negative integer must be refused as
+/// a non-aggregate, exactly like a non-integer cell — never wrapped into
+/// a count near 2^64.
+#[test]
+fn a_count_op_over_a_negative_cell_is_refused_not_wrapped() {
+    let mut store = TripleStore::new();
+    store.insert_terms(
+        &Term::iri("e:acct"),
+        &Term::iri("e:balance"),
+        &Term::integer(-5),
+    );
+    store.insert_terms(
+        &Term::iri("e:acct"),
+        &Term::iri("e:owner"),
+        &Term::literal("ann"),
+    );
+    let ep = LocalEndpoint::new("kb", store);
+    let refused = Err(EndpointError::Other(
+        "count query returned a non-aggregate result".to_owned(),
+    ));
+    for query in [
+        "SELECT ?o { <e:acct> <e:balance> ?o }",
+        "SELECT ?o { <e:acct> <e:owner> ?o }",
+    ] {
+        let wire = WireRequest::from_json(
+            &Json::parse(&format!(r#"{{"op":"count","query":"{query}"}}"#)).expect("parse"),
+        )
+        .expect("decode");
+        assert_eq!(
+            execute_wire_budgeted(&ep, &wire, &QueryBudget::unlimited()),
+            refused,
+            "{query}"
+        );
+    }
+    // A real aggregate still reshapes.
+    let wire = WireRequest::Count("SELECT (COUNT(*) AS ?n) { <e:acct> ?p ?o }".to_owned());
+    assert_eq!(
+        execute_wire_budgeted(&ep, &wire, &QueryBudget::unlimited()),
+        Ok(Response::Count(2))
+    );
 }

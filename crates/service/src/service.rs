@@ -9,10 +9,10 @@
 //! instead of unbounded thread spawn.
 //!
 //! When reading from a live [`sofya_endpoint::SnapshotStore`], hand the
-//! service **pinned** views ([`sofya_endpoint::ConcurrentEndpoint::pinned`])
-//! rather than the per-query-fresh endpoint: an alignment issues
-//! *dependent* query sequences (count → offset → page), and pinning keeps
-//! each sequence on one snapshot even while the writer keeps publishing.
+//! service **pinned** views ([`sofya_endpoint::ConcurrentEndpoint::pinned`],
+//! each a [`sofya_endpoint::LocalEndpoint`]), not the per-query-fresh one: an
+//! alignment issues *dependent* query sequences (count → offset → page), and
+//! pinning keeps each on one snapshot even while the writer keeps publishing.
 
 use crate::metrics::MetricsReport;
 use crate::scheduler::{serve, JobOutcome, SchedulerConfig, ServiceError, SubmitError};

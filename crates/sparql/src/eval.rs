@@ -30,22 +30,18 @@ pub fn execute_with_options(
     query: &str,
     opts: PlanOptions<'_>,
 ) -> Result<QueryOutcome, SparqlError> {
-    execute_ast_with_options(store, &parse_query(query)?, opts)
+    execute_ast_budgeted(store, &parse_query(query)?, opts, &QueryBudget::unlimited())
 }
 
 /// Executes an already-parsed query (the fast path for prepared queries:
 /// no tokenizing, no parsing).
 pub fn execute_ast(store: &TripleStore, query: &Query) -> Result<QueryOutcome, SparqlError> {
-    execute_ast_with_options(store, query, PlanOptions::default())
-}
-
-/// Executes an already-parsed query with explicit [`PlanOptions`].
-pub fn execute_ast_with_options(
-    store: &TripleStore,
-    query: &Query,
-    opts: PlanOptions<'_>,
-) -> Result<QueryOutcome, SparqlError> {
-    execute_ast_budgeted(store, query, opts, &QueryBudget::unlimited())
+    execute_ast_budgeted(
+        store,
+        query,
+        PlanOptions::default(),
+        &QueryBudget::unlimited(),
+    )
 }
 
 /// Executes an already-parsed query under a [`QueryBudget`]: the
@@ -129,7 +125,7 @@ pub fn compile_with_options(
 /// execution. This is the backing for endpoint-level *prepared* plan
 /// caches: the join order of a bound template does not depend on
 /// `LIMIT`/`OFFSET`, so one compilation serves every page via
-/// [`execute_compiled_paged`].
+/// [`execute_compiled_paged_budgeted`].
 pub fn compile_ast_with_options(
     store: &TripleStore,
     query: &Query,
@@ -152,34 +148,14 @@ pub fn execute_compiled(
     store: &TripleStore,
     compiled: &CompiledQuery,
 ) -> Result<QueryOutcome, SparqlError> {
-    execute_compiled_paged(store, compiled, None, None)
+    execute_compiled_paged_budgeted(store, compiled, None, None, &QueryBudget::unlimited())
 }
 
 /// Executes a compiled query under a [`QueryBudget`] (see
-/// [`execute_ast_budgeted`] for the cooperative-cancellation contract).
-pub fn execute_compiled_budgeted(
-    store: &TripleStore,
-    compiled: &CompiledQuery,
-    budget: &QueryBudget,
-) -> Result<QueryOutcome, SparqlError> {
-    execute_compiled_paged_budgeted(store, compiled, None, None, budget)
-}
-
-/// Executes a compiled query with a structural `LIMIT`/`OFFSET` override
+/// [`execute_ast_budgeted`]) with a structural `LIMIT`/`OFFSET` override
 /// (`None` keeps the compiled query's own modifier). The pagination of a
 /// solution sequence never changes the plan, so cached compilations are
 /// shared across all pages of a shape.
-pub fn execute_compiled_paged(
-    store: &TripleStore,
-    compiled: &CompiledQuery,
-    limit: Option<usize>,
-    offset: Option<usize>,
-) -> Result<QueryOutcome, SparqlError> {
-    execute_compiled_paged_budgeted(store, compiled, limit, offset, &QueryBudget::unlimited())
-}
-
-/// Executes a compiled query with pagination overrides under a
-/// [`QueryBudget`] (see [`execute_ast_budgeted`]).
 pub fn execute_compiled_paged_budgeted(
     store: &TripleStore,
     compiled: &CompiledQuery,
@@ -279,11 +255,6 @@ fn exact_pattern_count(store: &TripleStore, plan: &GroupPlan) -> Option<usize> {
     }
 }
 
-/// Executes a parsed `SELECT` query.
-pub fn execute_select(store: &TripleStore, query: &SelectQuery) -> Result<ResultSet, SparqlError> {
-    execute_select_with(store, query, PlanOptions::default())
-}
-
 /// The single-row result of an aggregate projection, with the effective
 /// solution modifiers applied: `OFFSET ≥ 1` or `LIMIT 0` drop the row.
 fn aggregate_row(
@@ -299,15 +270,6 @@ fn aggregate_row(
         Vec::new()
     };
     ResultSet::new(vec![alias.to_owned()], rows)
-}
-
-/// Executes a parsed `SELECT` query with explicit [`PlanOptions`].
-pub fn execute_select_with(
-    store: &TripleStore,
-    query: &SelectQuery,
-    opts: PlanOptions<'_>,
-) -> Result<ResultSet, SparqlError> {
-    execute_select_budgeted(store, query, opts, &QueryBudget::unlimited())
 }
 
 /// Executes a parsed `SELECT` under a [`QueryBudget`] (see

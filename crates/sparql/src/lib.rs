@@ -55,10 +55,8 @@ pub use budget::{BudgetBreach, CancelToken, QueryBudget};
 pub use error::SparqlError;
 pub use eval::{
     compile_ast_with_options, compile_with_options, execute, execute_ask, execute_ast,
-    execute_ast_budgeted, execute_ast_with_options, execute_compiled, execute_compiled_budgeted,
-    execute_compiled_paged, execute_compiled_paged_budgeted, execute_query,
-    execute_select_budgeted, execute_select_with, execute_with_options, CompiledQuery,
-    QueryOutcome,
+    execute_ast_budgeted, execute_compiled, execute_compiled_paged_budgeted, execute_query,
+    execute_select_budgeted, execute_with_options, CompiledQuery, QueryOutcome,
 };
 pub use parser::parse_query;
 pub use plan::PlanOptions;
