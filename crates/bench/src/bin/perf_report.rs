@@ -27,7 +27,8 @@ use std::time::{Duration, Instant};
 use sofya_core::{Aligner, AlignerConfig, AlignmentSession};
 use sofya_durability::{DurabilityConfig, DurableLog, StdIo, StorageIo};
 use sofya_endpoint::{
-    BudgetConfig, DeadlineEndpoint, Endpoint, EndpointError, LocalEndpoint, Request, SnapshotStore,
+    BudgetConfig, DeadlineEndpoint, Endpoint, EndpointError, InstrumentedEndpoint, LocalEndpoint,
+    Request, SnapshotStore,
 };
 use sofya_kbgen::{generate, GeneratedPair, PairConfig, StructureCounts};
 use sofya_net::wire::envelope_to_json;
@@ -372,6 +373,38 @@ fn alignment_cases(suite: &mut Suite, tag: &str, small: bool, pair: &GeneratedPa
         let aligner = Aligner::new(&source, &target, config.clone());
         aligner.align_relation(&relation).unwrap().len() as u64
     });
+}
+
+/// `align/round_trips_paper_pair`: all 92 relations of the paper-scale
+/// pair aligned in process, both endpoints counted. The median is one
+/// whole pass; returned — and held by `--check` at 18, on any machine —
+/// is the number of endpoint requests a relation costs, which is what
+/// it pays in round trips once the endpoints are remote (46.76 while
+/// discovery, sibling hunting and UBS sent one request per probe).
+fn round_trips_case(suite: &mut Suite) -> Option<f64> {
+    let name = "align/round_trips_paper_pair";
+    if !suite.selected(name) {
+        return None;
+    }
+    let pair = generate(&PairConfig::yago_dbpedia(SEED));
+    let source = InstrumentedEndpoint::new(LocalEndpoint::new("kb2", pair.kb2.clone()));
+    let target = InstrumentedEndpoint::new(LocalEndpoint::new("kb1", pair.kb1.clone()));
+    let config = AlignerConfig::paper_defaults(SEED);
+    let mut aligned = 0usize;
+    suite.run(name, true, || {
+        aligned += pair.kb1_relations.len();
+        let aligner = Aligner::new(&source, &target, config.clone());
+        pair.kb1_relations
+            .iter()
+            .map(|relation| aligner.align_relation(relation).unwrap().len() as u64)
+            .sum()
+    });
+    let (source, target) = (source.counters(), target.counters());
+    let per_relation = |n: u64| n as f64 / aligned.max(1) as f64;
+    let requests = per_relation(source.requests() + target.requests());
+    let leaves = per_relation(source.total_queries() + target.total_queries());
+    eprintln!("    -> per relation: {requests:.2} requests, {leaves:.2} leaf queries");
+    Some(requests)
 }
 
 /// The typed-pipeline batch path: one `Request::Batch` of 16 prepared
@@ -954,6 +987,7 @@ fn main() {
     let dictionary_cost_ratio = publish_cycle_cases(&mut suite, "small", true, &small_pair);
     sparql_cases(&mut suite, "small", true, &small_pair);
     alignment_cases(&mut suite, "small", true, &small_pair);
+    let requests_per_relation = round_trips_case(&mut suite);
     session_case(&mut suite, &small_pair);
     endpoint_cases(&mut suite, &small_pair);
     let parse_cost_ratio = net_cases(&mut suite, &small_pair);
@@ -1035,6 +1069,17 @@ fn main() {
                     "REGRESSION store/publish_cycle_256: the cycle costs {ratio:.2}x on a store \
                      with four times the dictionary terms, none of them used (budget 1.5x) — \
                      a publish pays for the dictionary again"
+                );
+                failed = true;
+            }
+        }
+        // A count, exact on every machine: the aligner batches each
+        // phase's probes, so a relation costs a handful of requests.
+        if let Some(requests) = requests_per_relation {
+            if requests > 18.0 {
+                eprintln!(
+                    "REGRESSION align/round_trips_paper_pair: a relation costs {requests:.2} \
+                     endpoint requests (budget 18) — some phase sends one request per probe again"
                 );
                 failed = true;
             }

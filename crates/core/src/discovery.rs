@@ -80,29 +80,41 @@ fn discover_entity(
     let facts =
         helpers::linked_entity_facts_page(target, relation, &config.same_as, window, offset)?;
 
-    let mut freq: std::collections::BTreeMap<String, usize> = Default::default();
     let mut subjects = Vec::new();
+    let mut translated: Vec<(&str, &str)> = Vec::new();
     for (x, _y, x2, y2) in &facts {
         if let Some(x_iri) = x.as_iri() {
             if !subjects.iter().any(|s| s == x_iri) {
                 subjects.push(x_iri.to_owned());
             }
         }
-        let (Some(x2), Some(y2)) = (x2.as_iri(), y2.as_iri()) else {
-            continue;
-        };
-        for rel in helpers::relations_between(source, x2, y2)? {
-            if rel != config.same_as {
-                *freq.entry(rel).or_insert(0) += 1;
-            }
+        if let (Some(x2), Some(y2)) = (x2.as_iri(), y2.as_iri()) {
+            translated.push((x2, y2));
         }
     }
-    let mut candidates: Vec<(String, usize)> = freq.into_iter().collect();
-    candidates.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    // Every translated pair of the page is an independent probe.
+    let between = helpers::relations_between_batch(source, &translated)?;
     Ok(Discovery {
-        candidates: candidates.into_iter().map(|(r, _)| r).collect(),
+        candidates: most_frequent_first(
+            between
+                .into_iter()
+                .flatten()
+                .filter(|rel| *rel != config.same_as),
+        ),
         target_subjects: subjects,
     })
+}
+
+/// The distinct relations of `seen`, most often seen first; ties in IRI
+/// order.
+pub(crate) fn most_frequent_first(seen: impl Iterator<Item = String>) -> Vec<String> {
+    let mut freq: std::collections::BTreeMap<String, usize> = Default::default();
+    for relation in seen {
+        *freq.entry(relation).or_insert(0) += 1;
+    }
+    let mut counted: Vec<(String, usize)> = freq.into_iter().collect();
+    counted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    counted.into_iter().map(|(r, _)| r).collect()
 }
 
 fn discover_literal(
@@ -123,38 +135,51 @@ fn discover_literal(
     let facts =
         helpers::linked_literal_facts_page(target, relation, &config.same_as, window, offset)?;
 
-    let mut freq: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut subjects = Vec::new();
-    let mut seen_subjects = std::collections::BTreeSet::new();
+    // The facts to probe — `(x₂, v)` — are those of the page's first
+    // `sample_size` distinct subjects.
+    let mut subjects: Vec<String> = Vec::new();
+    let mut probed: Vec<(&str, &str)> = Vec::new();
     for (x, v, x2) in &facts {
         let Some(x2_iri) = x2.as_iri() else { continue };
         if let Some(x_iri) = x.as_iri() {
-            if seen_subjects.insert(x_iri.to_owned()) {
+            if !subjects.iter().any(|s| s == x_iri) {
+                if subjects.len() == config.sample_size {
+                    break;
+                }
                 subjects.push(x_iri.to_owned());
             }
         }
-        if seen_subjects.len() > config.sample_size {
-            break;
-        }
-        let Some(v) = v.as_literal() else { continue };
-        for rel in helpers::relations_of_entity(source, x2_iri)? {
-            if rel == config.same_as {
-                continue;
-            }
-            let objects = helpers::objects_of(source, x2_iri, &rel)?;
-            let matches = objects
-                .iter()
-                .filter_map(|o| o.as_literal())
-                .any(|lex| matcher.matches(lex, v));
-            if matches {
-                *freq.entry(rel).or_insert(0) += 1;
-            }
+        if let Some(v) = v.as_literal() {
+            probed.push((x2_iri, v));
         }
     }
-    let mut candidates: Vec<(String, usize)> = freq.into_iter().collect();
-    candidates.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+
+    // First batch: the relations of every translated subject. Second
+    // batch: its objects under each of them, to match against the literal.
+    let entities: Vec<&str> = probed.iter().map(|(x2, _)| *x2).collect();
+    let relations = helpers::relations_of_entity_batch(source, &entities)?;
+    let mut wanted: Vec<(&str, &str)> = Vec::new();
+    let mut literals: Vec<&str> = Vec::new();
+    for ((x2, v), rels) in probed.iter().zip(&relations) {
+        for rel in rels.iter().filter(|rel| **rel != config.same_as) {
+            wanted.push((x2, rel));
+            literals.push(v);
+        }
+    }
+    let object_sets = helpers::objects_of_batch(source, &wanted)?;
+    let matched = wanted
+        .iter()
+        .zip(literals)
+        .zip(object_sets)
+        .filter(|((_, v), objects)| {
+            objects
+                .iter()
+                .filter_map(|o| o.as_literal())
+                .any(|lex| matcher.matches(lex, v))
+        })
+        .map(|(((_, rel), _), _)| (*rel).to_owned());
     Ok(Discovery {
-        candidates: candidates.into_iter().map(|(r, _)| r).collect(),
+        candidates: most_frequent_first(matched),
         target_subjects: subjects,
     })
 }
@@ -239,6 +264,29 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let d = discover(&dbp, &yago, &config(), "y:label", true, &mut rng).unwrap();
         assert_eq!(d.candidates, vec!["d:name"]);
+    }
+
+    /// `target_subjects` are the subjects discovery probed: with six
+    /// labelled subjects on the page and a cap of three, the fourth — at
+    /// which the loop stops — was never probed and is not reported.
+    #[test]
+    fn literal_discovery_reports_only_the_subjects_it_probed() {
+        let (dbp, yago) = scenario();
+        let cfg = AlignerConfig {
+            sample_size: 3,
+            ..config()
+        };
+        let counted = sofya_endpoint::InstrumentedEndpoint::new(dbp);
+        let mut rng = StdRng::seed_from_u64(1);
+        let d = discover(&counted, &yago, &cfg, "y:label", true, &mut rng).unwrap();
+        assert_eq!(d.target_subjects, vec!["y:p0", "y:p1", "y:p2"]);
+        assert_eq!(d.candidates, vec!["d:name"]);
+        // Three `relations_of_entity` probes in one batch; each entity
+        // has d:birthPlace, d:name and sameAs, and the two that are not
+        // sameAs are fetched in a second.
+        let counters = counted.counters();
+        assert_eq!(counters.requests(), 2);
+        assert_eq!(counters.select_queries(), 3 + 3 * 2);
     }
 
     #[test]

@@ -123,7 +123,8 @@ pub fn entity_evidence(
     // relation costs one round trip (and one snapshot pin) instead of one
     // SELECT per translated subject.
     let translated = distinct_translated(&subject_order, &by_subject);
-    let object_sets = helpers::objects_of_batch(target, &translated, conclusion)?;
+    let probes: Vec<(&str, &str)> = translated.iter().map(|x2| (*x2, conclusion)).collect();
+    let object_sets = helpers::objects_of_batch(target, &probes)?;
     let objects_by_x2: BTreeMap<&str, Vec<Term>> =
         translated.iter().copied().zip(object_sets).collect();
     for subject in &subject_order {
@@ -197,7 +198,8 @@ pub fn literal_evidence(
     // conclusion objects at all stays outside the denominator. The
     // literal filter applies afterwards, for the similarity match only.
     let translated = distinct_translated(&subject_order, &by_subject);
-    let object_sets = helpers::objects_of_batch(target, &translated, conclusion)?;
+    let probes: Vec<(&str, &str)> = translated.iter().map(|x2| (*x2, conclusion)).collect();
+    let object_sets = helpers::objects_of_batch(target, &probes)?;
     let literals_by_x2: BTreeMap<&str, (bool, Vec<String>)> = translated
         .iter()
         .copied()

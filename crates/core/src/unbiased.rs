@@ -18,11 +18,11 @@
 
 use crate::aligner::Scored;
 use crate::config::AlignerConfig;
+use crate::discovery::most_frequent_first;
 use crate::error::AlignError;
 use sofya_endpoint::helpers;
 use sofya_endpoint::Endpoint;
 use sofya_rdf::Term;
-use std::collections::BTreeMap;
 
 /// Finds conclusion-side siblings of `r`: target relations co-occurring
 /// on `r`'s sampled subjects, most frequent first (excluding `r` itself
@@ -33,22 +33,23 @@ pub fn conclusion_siblings(
     relation: &str,
     target_subjects: &[String],
 ) -> Result<Vec<String>, AlignError> {
-    let mut freq: BTreeMap<String, usize> = BTreeMap::new();
-    for subject in target_subjects.iter().take(config.sample_size) {
-        for rel in helpers::relations_of_entity(target, subject)? {
-            if rel != relation && rel != config.same_as {
-                *freq.entry(rel).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut siblings: Vec<(String, usize)> = freq.into_iter().collect();
-    siblings.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    Ok(siblings
-        .into_iter()
-        .map(|(r, _)| r)
-        .take(config.max_siblings)
-        .collect())
+    let subjects: Vec<&str> = target_subjects
+        .iter()
+        .take(config.sample_size)
+        .map(String::as_str)
+        .collect();
+    let mut siblings = most_frequent_first(
+        helpers::relations_of_entity_batch(target, &subjects)?
+            .into_iter()
+            .flatten()
+            .filter(|rel| rel != relation && *rel != config.same_as),
+    );
+    siblings.truncate(config.max_siblings);
+    Ok(siblings)
 }
+
+/// One page of contrastive samples `(x, y₁, y₂)`, translated.
+type ContrastivePage = Vec<(Term, Term, Term)>;
 
 /// Applies UBS pruning to the accepted candidates of `relation`.
 ///
@@ -68,6 +69,11 @@ pub fn prune(
     }
     let t_siblings = conclusion_siblings(target, config, relation, target_subjects)?;
     let premises: Vec<String> = accepted.iter().map(|c| c.premise.clone()).collect();
+    // A conclusion-side page depends on `relation` and the sibling, not
+    // on the candidate: each is fetched when the first candidate gets as
+    // far as its sibling, and kept for the others.
+    let mut t_pages: Vec<(&str, Option<ContrastivePage>)> =
+        t_siblings.iter().map(|s| (s.as_str(), None)).collect();
 
     let mut survivors = Vec::with_capacity(accepted.len());
     for candidate in accepted {
@@ -91,7 +97,7 @@ pub fn prune(
                     config,
                     relation,
                     &candidate.premise,
-                    &t_siblings,
+                    &mut t_pages,
                 )?);
         if !contradicted {
             survivors.push(candidate);
@@ -114,7 +120,7 @@ fn premise_side_contradiction(
         .filter(|p| p.as_str() != suspect)
         .take(config.max_siblings)
     {
-        let samples = helpers::linked_contrastive_subjects_page(
+        let page = helpers::linked_contrastive_subjects_page(
             source,
             sibling,
             suspect,
@@ -122,17 +128,23 @@ fn premise_side_contradiction(
             config.contrastive_samples,
             0,
         )?;
-        for (xt, y1t, y2t) in &samples {
-            let (Some(xt), Some(y1t), Some(y2t)) = (xt.as_iri(), y1t.as_iri(), y2t.as_iri()) else {
-                continue;
-            };
-            // r(x,y₁) holds and r(x,y₂) does not: (x,y₂) is a PCA
-            // counter-example to suspect ⇒ r.
-            if helpers::has_fact(target, xt, relation, &Term::iri(y1t))?
-                && !helpers::has_fact(target, xt, relation, &Term::iri(y2t))?
-            {
-                return Ok(true);
-            }
+        let samples: Vec<(&str, &str, &str)> = page
+            .iter()
+            .filter_map(|(xt, y1t, y2t)| Some((xt.as_iri()?, y1t.as_iri()?, y2t.as_iri()?)))
+            .collect();
+        // r(x,y₁) holds and r(x,y₂) does not: (x,y₂) is a PCA
+        // counter-example to suspect ⇒ r. One batch asks r(x,y₁) of the
+        // whole page, a second r(x,y₂) of the samples that passed.
+        let firsts: Vec<(&str, &str)> = samples.iter().map(|(x, y1, _)| (*x, *y1)).collect();
+        let known = helpers::has_fact_batch(target, relation, &firsts)?;
+        let seconds: Vec<(&str, &str)> = samples
+            .iter()
+            .zip(known)
+            .filter(|(_, known)| *known)
+            .map(|((x, _, y2), _)| (*x, *y2))
+            .collect();
+        if helpers::has_fact_batch(target, relation, &seconds)?.contains(&false) {
+            return Ok(true);
         }
     }
     Ok(false)
@@ -145,27 +157,29 @@ fn conclusion_side_contradiction(
     config: &AlignerConfig,
     relation: &str,
     suspect: &str,
-    t_siblings: &[String],
+    t_pages: &mut [(&str, Option<ContrastivePage>)],
 ) -> Result<bool, AlignError> {
-    for sibling in t_siblings {
-        let samples = helpers::linked_contrastive_subjects_page(
-            target,
-            relation,
-            sibling,
-            &config.same_as,
-            config.contrastive_samples,
-            0,
-        )?;
-        for (xs, _y1s, y2s) in &samples {
-            let (Some(xs), Some(y2s)) = (xs.as_iri(), y2s.as_iri()) else {
-                continue;
-            };
-            // The contrastive sample certifies r(x,y₁) ∧ ¬r(x,y₂). If the
-            // suspect premise holds on (x,y₂), the rule suspect ⇒ r has a
-            // counter-example.
-            if helpers::has_fact(source, xs, suspect, &Term::iri(y2s))? {
-                return Ok(true);
-            }
+    for (sibling, page) in t_pages {
+        let page = match page {
+            Some(page) => page,
+            None => page.insert(helpers::linked_contrastive_subjects_page(
+                target,
+                relation,
+                sibling,
+                &config.same_as,
+                config.contrastive_samples,
+                0,
+            )?),
+        };
+        // The contrastive sample certifies r(x,y₁) ∧ ¬r(x,y₂). If the
+        // suspect premise holds on (x,y₂), the rule suspect ⇒ r has a
+        // counter-example.
+        let pairs: Vec<(&str, &str)> = page
+            .iter()
+            .filter_map(|(xs, _y1s, y2s)| Some((xs.as_iri()?, y2s.as_iri()?)))
+            .collect();
+        if helpers::has_fact_batch(source, suspect, &pairs)?.contains(&true) {
+            return Ok(true);
         }
     }
     Ok(false)

@@ -19,12 +19,13 @@ use std::time::Duration;
 /// Every request kind shares one cache: the key is the request's SPARQL
 /// rendering prefixed with its response shape, so a `SELECT` and a
 /// `COUNT` over the same pattern never collide. A [`Request::Batch`] is
-/// **decomposed** — each leaf is looked up and memoised individually, so
-/// a batch re-issuing known probes is answered from the cache without
-/// touching the inner endpoint at all. (Decomposition means a cached
-/// batch no longer reaches the inner endpoint as one unit; stack this
-/// wrapper over [`crate::ConcurrentEndpoint::pinned`] when batch-level snapshot
-/// consistency matters too.)
+/// looked up **leaf by leaf** — a batch re-issuing known probes is
+/// answered from the cache without touching the inner endpoint at all —
+/// and the leaves it misses are forwarded together, as **one** inner
+/// batch: through a remote endpoint the misses still cost one round
+/// trip, and on a [`crate::ConcurrentEndpoint`] they are answered from
+/// one snapshot. (Hits may be older than that snapshot; bound their age
+/// with a TTL where that matters.)
 ///
 /// [`CachingEndpoint::with_ttl`] adds expiry against an injected
 /// [`Clock`]: an entry older than the TTL counts as a miss, is evicted,
@@ -121,45 +122,128 @@ impl<E: Endpoint> CachingEndpoint<E> {
     }
 }
 
+/// The cache key of a leaf: its response shape (so one pattern rendered
+/// as `SELECT` and as `COUNT` never collide) plus its SPARQL rendering
+/// (each page of a paged shape renders to a distinct string, so pages
+/// never collide either). A batch has no key.
+fn leaf_key(req: &Request<'_>) -> Result<String, EndpointError> {
+    let shape = match req {
+        Request::Select { .. }
+        | Request::PreparedSelect { .. }
+        | Request::PreparedSelectPaged { .. } => 'S',
+        Request::Ask { .. } | Request::PreparedAsk { .. } => 'A',
+        Request::Count { .. } => 'C',
+        // No single rendering: `to_sparql` below says so.
+        Request::Batch(_) => 'B',
+    };
+    Ok(format!("{shape}\u{1}{}", req.to_sparql()?))
+}
+
+/// Where one sub-response of a batch comes from.
+enum Slot {
+    /// Answered from the cache.
+    Hit(Response),
+    /// Forwarded; the answer is stored under this key.
+    Miss(String),
+    /// A nested batch, slot by slot.
+    Nested(Vec<Slot>),
+}
+
+impl<E: Endpoint> CachingEndpoint<E> {
+    /// Caches a successful answer, stamped with the current time.
+    fn store(&self, key: String, response: &Response) {
+        self.cache
+            .lock()
+            .insert(key, (response.clone(), self.now()));
+    }
+
+    /// Looks every leaf of a batch up, moving the ones the cache cannot
+    /// answer to `misses` in the order their answers will be consumed.
+    fn look_up<'a>(
+        &self,
+        requests: Vec<Request<'a>>,
+        misses: &mut Vec<Request<'a>>,
+    ) -> Result<Vec<Slot>, EndpointError> {
+        requests
+            .into_iter()
+            .map(|req| match req {
+                Request::Batch(subs) => Ok(Slot::Nested(self.look_up(subs, misses)?)),
+                leaf => {
+                    let key = leaf_key(&leaf)?;
+                    Ok(match self.lookup(&key) {
+                        Some(hit) => Slot::Hit(hit),
+                        None => {
+                            misses.push(leaf);
+                            Slot::Miss(key)
+                        }
+                    })
+                }
+            })
+            .collect()
+    }
+
+    /// Rebuilds the response tree of a batch from its hits and the inner
+    /// endpoint's `answers` to its misses, caching each answer.
+    fn stitch(
+        &self,
+        slots: Vec<Slot>,
+        answers: &mut std::vec::IntoIter<Response>,
+    ) -> Result<Vec<Response>, EndpointError> {
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Hit(hit) => Ok(hit),
+                Slot::Nested(subs) => Ok(Response::Batch(self.stitch(subs, answers)?)),
+                Slot::Miss(key) => {
+                    let answer = answers.next().ok_or_else(|| {
+                        EndpointError::Other(
+                            "the inner endpoint answered fewer requests than the batch forwarded"
+                                .to_owned(),
+                        )
+                    })?;
+                    self.store(key, &answer);
+                    Ok(answer)
+                }
+            })
+            .collect()
+    }
+}
+
 impl<E: Endpoint> Endpoint for CachingEndpoint<E> {
     /// A cache hit answers without touching the inner endpoint (and so
-    /// without spending any of the budget); a miss forwards the budget
-    /// inward. Errors — including budget breaches — are never cached, so
-    /// a killed query does not poison the entry for the next caller.
+    /// without spending any of the budget); misses forward the budget
+    /// inward — the misses of one batch as one inner batch. Errors —
+    /// including budget breaches — are never cached, so a killed query
+    /// does not poison the entry for the next caller.
     fn execute_with_budget(
         &self,
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        // The key of a leaf is its response shape (so one pattern
-        // rendered as `SELECT` and as `COUNT` never collide) plus its
-        // SPARQL rendering (each page of a paged shape renders to a
-        // distinct string, so pages never collide either); a batch has
-        // no key and is answered leaf by leaf.
-        let shape = match req {
-            Request::Batch(requests) => {
-                return Ok(Response::Batch(
-                    requests
-                        .into_iter()
-                        .map(|sub| self.execute_with_budget(sub, budget))
-                        .collect::<Result<_, _>>()?,
-                ));
+        let requests = match req {
+            Request::Batch(requests) => requests,
+            leaf => {
+                let key = leaf_key(&leaf)?;
+                if let Some(hit) = self.lookup(&key) {
+                    return Ok(hit);
+                }
+                let response = self.inner.execute_with_budget(leaf, budget)?;
+                self.store(key, &response);
+                return Ok(response);
             }
-            Request::Select { .. }
-            | Request::PreparedSelect { .. }
-            | Request::PreparedSelectPaged { .. } => 'S',
-            Request::Ask { .. } | Request::PreparedAsk { .. } => 'A',
-            Request::Count { .. } => 'C',
         };
-        let key = format!("{shape}\u{1}{}", req.to_sparql()?);
-        if let Some(hit) = self.lookup(&key) {
-            return Ok(hit);
-        }
-        let response = self.inner.execute_with_budget(req, budget)?;
-        self.cache
-            .lock()
-            .insert(key, (response.clone(), self.now()));
-        Ok(response)
+        let mut misses = Vec::new();
+        let slots = self.look_up(requests, &mut misses)?;
+        let answers = if misses.is_empty() {
+            Vec::new()
+        } else {
+            self.inner
+                .execute_with_budget(Request::Batch(misses), budget)?
+                .into_batch()?
+        };
+        Ok(Response::Batch(
+            self.stitch(slots, &mut answers.into_iter())?,
+        ))
     }
 
     fn name(&self) -> &str {
@@ -250,6 +334,142 @@ mod tests {
         assert_eq!(counters.ask_queries(), 1);
         assert_eq!(ep.hits(), 1);
         assert_eq!(ep.entries(), 2);
+    }
+
+    /// A batch reaches the inner endpoint as one request: over a remote
+    /// endpoint its misses cost one round trip, not one each.
+    #[test]
+    fn cold_batch_is_forwarded_as_one_batch() {
+        let ep = stack();
+        let counters = ep.inner().counters();
+        let probe = Prepared::new("ASK { ?s <p> ?o }", &["s", "o"]).unwrap();
+        let args: Vec<[Term; 2]> = (0..5)
+            .map(|i| [Term::iri("a"), Term::iri(format!("o{i}"))])
+            .collect();
+        let batch = || {
+            args.iter()
+                .map(|a| Request::PreparedAsk {
+                    prepared: &probe,
+                    args: a,
+                })
+                .collect::<Vec<_>>()
+        };
+        let cold = ep.execute_batch(batch()).unwrap();
+        assert_eq!(counters.requests(), 1);
+        assert_eq!(counters.batches(), 1);
+        assert_eq!(counters.batch_expanded(), 5);
+        assert_eq!(counters.ask_queries(), 5);
+        assert_eq!(ep.entries(), 5);
+        // Warm, the same batch never leaves the cache.
+        assert_eq!(ep.execute_batch(batch()).unwrap(), cold);
+        assert_eq!(counters.requests(), 1);
+        assert_eq!(ep.hits(), 5);
+    }
+
+    /// Hits and misses interleaved, one level of nesting: the stitched
+    /// response tree is the uncached endpoint's, and only the misses
+    /// travelled — together.
+    #[test]
+    fn hits_and_misses_stitch_back_in_order() {
+        let ep = stack();
+        let counters = ep.inner().counters();
+        let queries = [
+            "ASK { <a> <p> <b> }",
+            "SELECT ?o { <a> <p> ?o }",
+            "ASK { <a> <p> <zzz> }",
+            "SELECT ?s { ?s <p> <b> }",
+            "ASK { <b> <p> <a> }",
+        ];
+        let request = |q: &'static str| {
+            if q.starts_with("ASK") {
+                Request::Ask { query: q }
+            } else {
+                Request::Select { query: q }
+            }
+        };
+        let tree = || {
+            vec![
+                request(queries[0]),
+                request(queries[1]),
+                Request::Batch(vec![request(queries[2]), request(queries[3])]),
+                request(queries[4]),
+            ]
+        };
+        let uncached = ep.inner().execute_batch(tree()).unwrap();
+        counters.reset();
+        // Warm every other leaf, singly.
+        for q in [queries[1], queries[3]] {
+            ep.execute(request(q)).unwrap();
+        }
+        assert_eq!(counters.requests(), 2);
+        assert_eq!(ep.execute_batch(tree()).unwrap(), uncached);
+        assert_eq!(counters.requests(), 3, "the three misses share one request");
+        assert_eq!(counters.ask_queries(), 3);
+        assert_eq!(counters.select_queries(), 2);
+        assert_eq!(ep.hits(), 2);
+        assert_eq!(ep.entries(), 5);
+    }
+
+    /// The promise of `concurrent.rs::batch_is_pinned_to_one_snapshot`
+    /// holds through the cache: the inner endpoint here publishes a new
+    /// fact before every request it receives, so a `count → page` batch
+    /// forwarded leaf by leaf would count one state and page the next.
+    #[test]
+    fn cached_batch_is_answered_from_one_snapshot() {
+        use crate::concurrent::{ConcurrentEndpoint, SnapshotStore};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        struct PublishesBeforeEveryRequest {
+            writer: Mutex<SnapshotStore>,
+            reader: ConcurrentEndpoint,
+            published: AtomicU64,
+        }
+        impl Endpoint for PublishesBeforeEveryRequest {
+            fn execute_with_budget(
+                &self,
+                req: Request<'_>,
+                budget: &QueryBudget,
+            ) -> Result<Response, EndpointError> {
+                let n = self.published.fetch_add(1, Ordering::Relaxed);
+                let mut writer = self.writer.lock();
+                writer.store_mut().insert_terms(
+                    &Term::iri("a"),
+                    &Term::iri("p"),
+                    &Term::iri(format!("new{n}")),
+                );
+                writer.publish();
+                drop(writer);
+                self.reader.execute_with_budget(req, budget)
+            }
+        }
+
+        let mut store = TripleStore::new();
+        store.insert_terms(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
+        let writer = SnapshotStore::new(store);
+        let ep = CachingEndpoint::new(PublishesBeforeEveryRequest {
+            reader: writer.reader("kb"),
+            writer: Mutex::new(writer),
+            published: AtomicU64::new(0),
+        });
+        let pattern = Prepared::new("SELECT ?o WHERE { ?s <p> ?o }", &["s"]).unwrap();
+        let args = [Term::iri("a")];
+        let responses = ep
+            .execute_batch(vec![
+                Request::Count {
+                    prepared: &pattern,
+                    args: &args,
+                },
+                Request::PreparedSelect {
+                    prepared: &pattern,
+                    args: &args,
+                },
+            ])
+            .unwrap();
+        let [count, page] = responses.try_into().expect("two sub-responses");
+        assert_eq!(
+            count.into_count().unwrap(),
+            page.into_rows().unwrap().len() as u64
+        );
     }
 
     #[test]

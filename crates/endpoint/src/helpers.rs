@@ -4,8 +4,51 @@
 //! `sofya-core` read like the paper's pseudo-code and guarantees every
 //! data access goes through the [`Endpoint`] trait (and therefore through
 //! the quota/instrumentation wrappers).
+//!
+//! # What a relation costs
+//!
+//! Sampling pages and counts are one request each. Everything the
+//! aligner asks *per sample* — per discovered fact, per sampled subject,
+//! per contrastive sample — goes through [`probe_batch`], so a phase
+//! costs a request per 16 probes instead of one per probe. Requests and
+//! leaf queries per aligned relation on the paper-scale pair
+//! (`PairConfig::yago_dbpedia(42)`, 92 relations against 1313, both
+//! endpoints counted; the totals are `perf_report`'s
+//! `align/round_trips_paper_pair`, the split classifies each request by
+//! its template and the side it went to):
+//!
+//! | phase | requests, one per probe | requests, batched | leaf queries, one per probe | leaf queries, batched |
+//! |---|---|---|---|---|
+//! | literal-or-entity probe (a facts page) | 1.00 | 1.00 | 1.00 | 1.00 |
+//! | discovery: count and facts page | 2.00 | 2.00 | 2.00 | 2.00 |
+//! | discovery: `relations_between` per fact | 15.70 | 1.46 | 15.70 | 15.70 |
+//! | discovery, literal: `relations_of_entity`, `objects_of` | 4.00 | 0.30 | 4.00 | 4.00 |
+//! | evidence: count and facts page per candidate | 2.50 | 2.50 | 2.50 | 2.50 |
+//! | evidence: `objects_of` per sampled subject | 1.25 | 1.25 | 11.26 | 11.26 |
+//! | sibling hunting: `relations_of_entity` per subject | 3.91 | 0.41 | 3.91 | 3.91 |
+//! | UBS: contrastive pages | 3.07 | 2.65 | 3.07 | 2.65 |
+//! | UBS: `has_fact` per contrastive sample | 13.34 | 3.92 | 13.34 | 23.02 |
+//! | **total** | **46.76** | **15.48** | **56.77** | **66.03** |
+//!
+//! UBS asks more leaf queries than it did one probe at a time: a page's
+//! probes travel together, so they no longer stop at the first
+//! contradiction *inside* the page (they still stop between pages and
+//! between siblings). Its conclusion-side pages depend on the relation
+//! and the sibling only, and are fetched once per relation, not once
+//! per candidate. At `LatencyModel::wan()` (20 ms per request) the
+//! request column reads 0.94 s → 0.31 s of latency per relation.
+//!
+//! A batch is cut at **16 leaves**. A server worker answers a whole
+//! batch before it takes the next job, so an uncut 40–80-leaf discovery
+//! batch delays every other client of that server: on the
+//! `federated_align` benchmark the side reader's `open_p95_us` read
+//! 608–644 µs with uncut batches (1.24× the ≈499 µs of one request per
+//! probe, at the benchmark's 0.25 bound) and 519–573 µs (1.11×) with
+//! chunks of 16 — the size of the hot batch the benchmark's
+//! `endpoint.batch16_us` measures — for ≈3 % on the aligner's own
+//! `op_p50_us` (≈480 → ≈497 µs, against 729 µs unbatched).
 
-use crate::endpoint::{Endpoint, EndpointExt, Request};
+use crate::endpoint::{Endpoint, EndpointExt, Request, Response};
 use crate::error::EndpointError;
 use sofya_rdf::term::escape_literal;
 use sofya_rdf::Term;
@@ -202,122 +245,150 @@ pub fn linked_literal_fact_count<E: Endpoint + ?Sized>(
     Ok(ep.count_prepared(q, &[Term::iri(relation), Term::iri(same_as)])? as usize)
 }
 
-/// Distinct relations of an entity (in subject position).
-pub fn relations_of_entity<E: Endpoint + ?Sized>(
+/// The most leaves one [`Request::Batch`] of [`probe_batch`] carries;
+/// the module docs give the two readings that chose it.
+const MAX_BATCH_LEAVES: usize = 16;
+
+/// Binds `template` to every row of `arg_rows` and sends the probes as
+/// [`Request::Batch`]es of at most 16 leaves each —
+/// one round trip (and, on a [`crate::ConcurrentEndpoint`], one snapshot
+/// pin) per chunk, where one request per probe would pay one each.
+/// Returns one response per row, in row order; no rows, no request.
+///
+/// This is what makes alignment viable against a remote endpoint at
+/// real round-trip times: every phase of the aligner sends its
+/// independent probes through here, so a relation costs O(phases) round
+/// trips instead of O(samples) (see the module docs for the count).
+pub fn probe_batch<E: Endpoint + ?Sized, A: AsRef<[Term]>>(
     ep: &E,
-    entity: &str,
-) -> Result<Vec<String>, EndpointError> {
+    template: &Prepared,
+    arg_rows: &[A],
+) -> Result<Vec<Response>, EndpointError> {
+    let mut answers = Vec::with_capacity(arg_rows.len());
+    for chunk in arg_rows.chunks(MAX_BATCH_LEAVES) {
+        let requests = chunk
+            .iter()
+            .map(|row| {
+                let args = row.as_ref();
+                if template.is_select() {
+                    Request::PreparedSelect {
+                        prepared: template,
+                        args,
+                    }
+                } else {
+                    Request::PreparedAsk {
+                        prepared: template,
+                        args,
+                    }
+                }
+            })
+            .collect();
+        let responses = ep.execute_batch(requests)?;
+        // The callers pair answers with probes by position; an endpoint
+        // that answers a different number must not shift that pairing.
+        if responses.len() != chunk.len() {
+            return Err(EndpointError::Other(format!(
+                "a batch of {} probes was answered with {} responses",
+                chunk.len(),
+                responses.len()
+            )));
+        }
+        answers.extend(responses);
+    }
+    Ok(answers)
+}
+
+/// The first column of a rows response.
+fn first_column(response: Response) -> Result<impl Iterator<Item = Term>, EndpointError> {
+    let (_, rows) = response.into_rows()?.into_parts();
+    Ok(rows
+        .into_iter()
+        .filter_map(|row| row.into_iter().next().flatten()))
+}
+
+/// The IRIs of the first column of each rows response.
+fn iri_columns(responses: Vec<Response>) -> Result<Vec<Vec<String>>, EndpointError> {
+    responses
+        .into_iter()
+        .map(|response| {
+            Ok(first_column(response)?
+                .filter_map(|t| t.as_iri().map(str::to_owned))
+                .collect())
+        })
+        .collect()
+}
+
+/// Distinct relations of each entity (in subject position), positionally
+/// aligned with `entities`.
+pub fn relations_of_entity_batch<E: Endpoint + ?Sized>(
+    ep: &E,
+    entities: &[&str],
+) -> Result<Vec<Vec<String>>, EndpointError> {
     static Q: OnceLock<Prepared> = OnceLock::new();
     let q = prepared(
         &Q,
         "SELECT DISTINCT ?p WHERE { ?x ?p ?o } ORDER BY ?p",
         &["x"],
     );
-    let rs = ep.select_prepared(q, &[Term::iri(entity)])?;
-    Ok(rs
-        .column("p")
-        .into_iter()
-        .filter_map(|t| t.as_iri().map(str::to_owned))
-        .collect())
+    let args: Vec<[Term; 1]> = entities.iter().map(|e| [Term::iri(*e)]).collect();
+    iri_columns(probe_batch(ep, q, &args)?)
 }
 
-/// Distinct relations holding **between** two given entities.
-pub fn relations_between<E: Endpoint + ?Sized>(
+/// Distinct relations holding **between** the two entities of each
+/// `(subject, object)` pair, positionally aligned with `pairs`.
+pub fn relations_between_batch<E: Endpoint + ?Sized>(
     ep: &E,
-    subject: &str,
-    object: &str,
-) -> Result<Vec<String>, EndpointError> {
+    pairs: &[(&str, &str)],
+) -> Result<Vec<Vec<String>>, EndpointError> {
     static Q: OnceLock<Prepared> = OnceLock::new();
     let q = prepared(
         &Q,
         "SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?p",
         &["s", "o"],
     );
-    let rs = ep.select_prepared(q, &[Term::iri(subject), Term::iri(object)])?;
-    Ok(rs
-        .column("p")
-        .into_iter()
-        .filter_map(|t| t.as_iri().map(str::to_owned))
-        .collect())
+    let args: Vec<[Term; 2]> = pairs
+        .iter()
+        .map(|(s, o)| [Term::iri(*s), Term::iri(*o)])
+        .collect();
+    iri_columns(probe_batch(ep, q, &args)?)
 }
 
-/// The shared `objects_of` template, used by both the single-subject
-/// probe and the batched variant so prepared-plan and response caches
-/// agree on the query identity.
-fn objects_template() -> &'static Prepared {
-    static Q: OnceLock<Prepared> = OnceLock::new();
-    prepared(&Q, "SELECT ?y WHERE { ?s ?r ?y } ORDER BY ?y", &["s", "r"])
-}
-
-/// All objects `y` of `r(x, y)` for a fixed subject.
-pub fn objects_of<E: Endpoint + ?Sized>(
-    ep: &E,
-    subject: &str,
-    relation: &str,
-) -> Result<Vec<Term>, EndpointError> {
-    let rs = ep.select_prepared(
-        objects_template(),
-        &[Term::iri(subject), Term::iri(relation)],
-    )?;
-    Ok(rs.column("y").into_iter().cloned().collect())
-}
-
-/// The objects `y` of `r(x, y)` for **many** subjects at once, issued as
-/// a single [`Request::Batch`] — one round trip (and, on a
-/// [`crate::ConcurrentEndpoint`], one snapshot pin) for a whole probe
-/// set, where per-subject [`objects_of`] calls would pay one each. The
-/// returned object lists are positionally aligned with `subjects`.
-///
-/// This is the aligner's evidence hot path: one relation's sampled
-/// subjects cost O(1) round trips instead of O(subjects), which is what
-/// makes alignment viable against a remote endpoint at real RTTs.
+/// All objects `y` of `r(x, y)` for each `(subject, relation)` probe,
+/// positionally aligned with `probes`. An empty object list means the KB
+/// knows no `r`-fact of that subject — the PCA's denominator test.
 pub fn objects_of_batch<E: Endpoint + ?Sized>(
     ep: &E,
-    subjects: &[&str],
-    relation: &str,
+    probes: &[(&str, &str)],
 ) -> Result<Vec<Vec<Term>>, EndpointError> {
-    if subjects.is_empty() {
-        return Ok(Vec::new());
-    }
-    let template = objects_template();
-    let args: Vec<[Term; 2]> = subjects
+    static Q: OnceLock<Prepared> = OnceLock::new();
+    let q = prepared(&Q, "SELECT ?y WHERE { ?s ?r ?y } ORDER BY ?y", &["s", "r"]);
+    let args: Vec<[Term; 2]> = probes
         .iter()
-        .map(|s| [Term::iri(*s), Term::iri(relation)])
+        .map(|(s, r)| [Term::iri(*s), Term::iri(*r)])
         .collect();
-    let requests: Vec<Request<'_>> = args
-        .iter()
-        .map(|a| Request::PreparedSelect {
-            prepared: template,
-            args: a,
-        })
-        .collect();
-    let responses = ep.execute(Request::Batch(requests))?.into_batch()?;
-    responses
+    probe_batch(ep, q, &args)?
         .into_iter()
-        .map(|resp| {
-            let (vars, rows) = resp.into_rows()?.into_parts();
-            debug_assert_eq!(vars.as_slice(), ["y".to_owned()]);
-            Ok(rows
-                .into_iter()
-                .filter_map(|row| row.into_iter().next().flatten())
-                .collect())
-        })
+        .map(|response| Ok(first_column(response)?.collect()))
         .collect()
 }
 
-/// Existence probe `ASK { s r o }`.
-pub fn has_fact<E: Endpoint + ?Sized>(
+/// Existence probes `ASK { s r o }` of one relation for each
+/// `(subject, object)` pair of IRIs, positionally aligned with `pairs`.
+pub fn has_fact_batch<E: Endpoint + ?Sized>(
     ep: &E,
-    subject: &str,
     relation: &str,
-    object: &Term,
-) -> Result<bool, EndpointError> {
+    pairs: &[(&str, &str)],
+) -> Result<Vec<bool>, EndpointError> {
     static Q: OnceLock<Prepared> = OnceLock::new();
     let q = prepared(&Q, "ASK { ?s ?r ?o }", &["s", "r", "o"]);
-    ep.ask_prepared(
-        q,
-        &[Term::iri(subject), Term::iri(relation), object.clone()],
-    )
+    let args: Vec<[Term; 3]> = pairs
+        .iter()
+        .map(|(s, o)| [Term::iri(*s), Term::iri(relation), Term::iri(*o)])
+        .collect();
+    probe_batch(ep, q, &args)?
+        .into_iter()
+        .map(Response::into_boolean)
+        .collect()
 }
 
 /// Whether the subject has *any* `r` fact (the PCA's "knows r-attributes
@@ -528,46 +599,87 @@ mod tests {
     #[test]
     fn relations_of_and_between() {
         let ep = movie_endpoint();
-        let rels = relations_of_entity(&ep, "m:inception").unwrap();
-        assert!(rels.contains(&"r:director".to_owned()));
-        assert!(rels.contains(&"r:label".to_owned()));
-        let between = relations_between(&ep, "m:inception", "p:nolan").unwrap();
-        assert_eq!(between, vec!["r:director", "r:producer"]);
+        let rels = relations_of_entity_batch(&ep, &["m:inception", "m:missing"]).unwrap();
+        assert_eq!(
+            rels,
+            vec![
+                vec!["owl:sameAs", "r:director", "r:label", "r:producer"],
+                vec![]
+            ]
+        );
+        let between =
+            relations_between_batch(&ep, &[("m:inception", "p:nolan"), ("m:tenet", "p:thomas")])
+                .unwrap();
+        assert_eq!(
+            between,
+            vec![vec!["r:director", "r:producer"], vec!["r:producer"]]
+        );
     }
 
     #[test]
     fn objects_and_existence() {
         let ep = movie_endpoint();
-        let objs = objects_of(&ep, "m:inception", "r:producer").unwrap();
-        assert_eq!(objs.len(), 2);
-        assert!(has_fact(&ep, "m:inception", "r:director", &Term::iri("p:nolan")).unwrap());
-        assert!(!has_fact(&ep, "m:tenet", "r:director", &Term::iri("p:thomas")).unwrap());
+        let objs = objects_of_batch(
+            &ep,
+            &[("m:inception", "r:producer"), ("m:missing", "r:producer")],
+        )
+        .unwrap();
+        assert_eq!(
+            objs,
+            vec![vec![Term::iri("p:nolan"), Term::iri("p:thomas")], vec![]]
+        );
+        assert_eq!(
+            has_fact_batch(
+                &ep,
+                "r:director",
+                &[("m:inception", "p:nolan"), ("m:tenet", "p:thomas")]
+            )
+            .unwrap(),
+            vec![true, false]
+        );
         assert!(has_any_fact(&ep, "m:tenet", "r:producer").unwrap());
         assert!(!has_any_fact(&ep, "p:nolan", "r:producer").unwrap());
     }
 
+    /// 40 probes travel as batches of 16, 16 and 8 — never as single
+    /// requests — and the answers keep the probes' order across the cuts.
     #[test]
-    fn objects_of_batch_matches_per_subject_probes_in_one_request() {
-        let ep = std::sync::Arc::new(movie_endpoint());
-        let counted = crate::InstrumentedEndpoint::new(ep.clone());
+    fn probe_batch_cuts_into_chunks_and_keeps_order() {
+        let counted = crate::InstrumentedEndpoint::new(movie_endpoint());
         let subjects = ["m:inception", "m:tenet", "m:missing"];
-        let batched = objects_of_batch(&counted, &subjects, "r:producer").unwrap();
-        assert_eq!(batched.len(), 3);
-        for (subject, objects) in subjects.iter().zip(&batched) {
-            assert_eq!(
-                objects,
-                &objects_of(ep.as_ref(), subject, "r:producer").unwrap()
-            );
+        let pairs: Vec<(&str, &str)> = (0..40).map(|i| (subjects[i % 3], "p:nolan")).collect();
+        let answers = has_fact_batch(&counted, "r:director", &pairs).unwrap();
+        let expected: Vec<bool> = (0..40).map(|i| i % 3 != 2).collect();
+        assert_eq!(answers, expected);
+        let counters = counted.counters();
+        assert_eq!(counters.requests(), 3);
+        assert_eq!(counters.batches(), 3);
+        assert_eq!(counters.largest_request(), MAX_BATCH_LEAVES as u64);
+        assert_eq!(counters.ask_queries(), 40);
+        assert_eq!(counters.batch_expanded(), 40);
+        // No probes, no request.
+        assert!(has_fact_batch(&counted, "r:director", &[])
+            .unwrap()
+            .is_empty());
+        assert_eq!(counters.requests(), 3);
+    }
+
+    /// An endpoint that answers a batch with the wrong number of
+    /// responses is an error, not a silent misalignment of answers.
+    #[test]
+    fn probe_batch_rejects_a_short_answer() {
+        struct Short;
+        impl Endpoint for Short {
+            fn execute_with_budget(
+                &self,
+                _req: Request<'_>,
+                _budget: &sofya_sparql::QueryBudget,
+            ) -> Result<Response, EndpointError> {
+                Ok(Response::Batch(vec![Response::Boolean(true)]))
+            }
         }
-        assert!(batched[2].is_empty());
-        // The whole probe set travelled as ONE batch request.
-        assert_eq!(counted.counters().batches(), 1);
-        assert_eq!(
-            objects_of_batch(ep.as_ref(), &[], "r:producer")
-                .unwrap()
-                .len(),
-            0
-        );
+        let err = has_fact_batch(&Short, "r:p", &[("a", "b"), ("c", "d")]).unwrap_err();
+        assert!(err.to_string().contains("2 probes"), "{err}");
     }
 
     #[test]

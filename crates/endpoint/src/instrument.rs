@@ -25,6 +25,8 @@ use std::sync::Arc;
 /// failing leaf: the server received them all.
 #[derive(Debug, Clone, Default)]
 pub struct EndpointCounters {
+    requests: Arc<AtomicU64>,
+    largest_request: Arc<AtomicU64>,
     select_queries: Arc<AtomicU64>,
     ask_queries: Arc<AtomicU64>,
     count_queries: Arc<AtomicU64>,
@@ -35,6 +37,17 @@ pub struct EndpointCounters {
 }
 
 impl EndpointCounters {
+    /// Number of requests received, a whole batch counting once: what a
+    /// remote endpoint would pay in round trips.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    /// The most leaf requests any one request carried.
+    pub fn largest_request(&self) -> u64 {
+        self.largest_request.load(Ordering::Relaxed)
+    }
+
     /// Number of `SELECT`-shaped leaf requests issued (string, prepared,
     /// and paged-prepared).
     pub fn select_queries(&self) -> u64 {
@@ -81,6 +94,8 @@ impl EndpointCounters {
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
+        self.requests.store(0, Ordering::Relaxed);
+        self.largest_request.store(0, Ordering::Relaxed);
         self.select_queries.store(0, Ordering::Relaxed);
         self.ask_queries.store(0, Ordering::Relaxed);
         self.count_queries.store(0, Ordering::Relaxed);
@@ -171,6 +186,10 @@ impl<E: Endpoint> Endpoint for InstrumentedEndpoint<E> {
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .largest_request
+            .fetch_max(req.leaf_count(), Ordering::Relaxed);
         self.counters.record_request(&req, false);
         let response = self.inner.execute_with_budget(req, budget)?;
         self.counters.record_response(&response);
@@ -260,6 +279,8 @@ mod tests {
         assert_eq!(counters.total_queries(), 4);
         assert_eq!(counters.batch_expanded(), 4);
         assert_eq!(counters.batches(), 2); // outer + nested
+        assert_eq!(counters.requests(), 1); // …all in one round trip
+        assert_eq!(counters.largest_request(), 4);
         assert_eq!(counters.rows_returned(), 2 + 1); // select rows + count row
     }
 
@@ -281,6 +302,7 @@ mod tests {
         assert_eq!(counters.total_queries(), 0);
         assert_eq!(counters.rows_returned(), 0);
         assert_eq!(counters.batches(), 0);
+        assert_eq!(counters.requests(), 0);
     }
 
     #[test]

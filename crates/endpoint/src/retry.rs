@@ -745,15 +745,16 @@ mod tests {
                 0,
             )
             .unwrap();
-            let mut out = std::collections::BTreeSet::new();
-            for (_, _, x2, y2) in &facts {
-                let (Some(x2), Some(y2)) = (x2.as_iri(), y2.as_iri()) else {
-                    continue;
-                };
-                for rel in helpers::relations_between(source, x2, y2).unwrap() {
-                    out.insert(rel);
-                }
-            }
+            let pairs: Vec<(&str, &str)> = facts
+                .iter()
+                .filter_map(|(_, _, x2, y2)| Some((x2.as_iri()?, y2.as_iri()?)))
+                .collect();
+            let out: std::collections::BTreeSet<String> =
+                helpers::relations_between_batch(source, &pairs)
+                    .unwrap()
+                    .into_iter()
+                    .flatten()
+                    .collect();
             out.into_iter().collect()
         }
     }

@@ -16,21 +16,31 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use sofya::align::{AlignerConfig, AlignmentSession, QueryRewriter};
-use sofya::endpoint::{Endpoint, EndpointExt, LatencyEndpoint, LatencyModel, LocalEndpoint};
+use sofya::endpoint::{
+    Endpoint, EndpointExt, InstrumentedEndpoint, LatencyEndpoint, LatencyModel, LocalEndpoint,
+};
 use sofya::kbgen::{generate, PairConfig};
 
 fn main() {
     let pair = generate(&PairConfig::small(42));
 
-    // Both KBs sit behind simulated WAN endpoints (20 ms per query).
+    // Both KBs sit behind simulated WAN endpoints (20 ms per request,
+    // a whole batch being one request), each counting what it is sent.
     let yago = LatencyEndpoint::new(
-        LocalEndpoint::new(pair.kb1_name(), pair.kb1.clone()),
+        InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb1_name(), pair.kb1.clone())),
         LatencyModel::wan(),
     );
     let dbp = LatencyEndpoint::new(
-        LocalEndpoint::new(pair.kb2_name(), pair.kb2.clone()),
+        InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb2_name(), pair.kb2.clone())),
         LatencyModel::wan(),
     );
+    let sent = || {
+        let (dbp, yago) = (dbp.inner().counters(), yago.inner().counters());
+        (
+            dbp.requests() + yago.requests(),
+            dbp.total_queries() + yago.total_queries(),
+        )
+    };
 
     // Pick an equivalent-pair relation as the user's query target.
     let relation = pair
@@ -54,12 +64,17 @@ fn main() {
     let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(42));
     let rewriter = QueryRewriter::new(&session, &yago);
     let align_clock = dbp.simulated_time() + yago.simulated_time();
+    let (requests_before, queries_before) = sent();
     let rewrite = rewriter.rewrite(&user_query).expect("rewrite failed");
     let align_cost = dbp.simulated_time() + yago.simulated_time() - align_clock;
+    let (requests, queries) = sent();
     println!(
-        "\nrewritten for {} (alignment cost ≈ {:?} of simulated WAN time):",
+        "\nrewritten for {} (aligning the relation cost ≈ {:?} of simulated WAN time: \
+         {} queries in {} round trips):",
         pair.kb2_name(),
-        round(align_cost)
+        round(align_cost),
+        queries - queries_before,
+        requests - requests_before,
     );
     println!("  {}", rewrite.query);
     for (from, to) in &rewrite.mapped {

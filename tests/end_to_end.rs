@@ -34,6 +34,71 @@ fn table1_shape_holds_on_small_scale() {
     }
 }
 
+/// What the aligner concludes, pinned: the exact rule list and
+/// precision/recall of both directions for four fixed kbgen pairs,
+/// rendered one rule per line and compared byte for byte with
+/// `tests/pinned_alignments.txt`. A refactor or speed-up that changes a
+/// sample, a confidence digit or a pruning verdict fails here; an
+/// intended change re-pins from the rendering the failure leaves under
+/// the target directory.
+#[test]
+fn alignments_are_pinned_per_seed() {
+    use std::fmt::Write;
+    let mut actual = String::new();
+    for (label, pair_config, seed) in [
+        ("small(1001)", PairConfig::small(1001), 1001),
+        ("tiny(5)", PairConfig::tiny(5), 5),
+        ("tiny(99)", PairConfig::tiny(99), 99),
+        ("tiny(12345)", PairConfig::tiny(12345), 12345),
+    ] {
+        let pair = generate(&pair_config);
+        let config = AlignerConfig::paper_defaults(seed);
+        for (source, target, source_name, target_name) in [
+            (&pair.kb2, &pair.kb1, pair.kb2_name(), pair.kb1_name()),
+            (&pair.kb1, &pair.kb2, pair.kb1_name(), pair.kb2_name()),
+        ] {
+            let out = align_direction(source, target, source_name, target_name, &config, 4)
+                .expect("alignment of a generated pair");
+            let m = evaluate_rules(&out.rules, &pair.gold, source_name, target_name);
+            writeln!(
+                actual,
+                "# {label} {source_name}⊂{target_name}: {} rules, P {:.12} R {:.12} (tp {}, fp {}, fn {})",
+                out.rules.len(),
+                m.precision(),
+                m.recall(),
+                m.true_positives,
+                m.false_positives,
+                m.false_negatives,
+            )
+            .expect("writing to a String");
+            for r in &out.rules {
+                writeln!(
+                    actual,
+                    "{} ⇒ {} conf {:.12} support {} pairs {}",
+                    r.premise, r.conclusion, r.confidence, r.support, r.sample_pairs
+                )
+                .expect("writing to a String");
+            }
+        }
+    }
+    let pinned = include_str!("pinned_alignments.txt");
+    if actual != pinned {
+        let path =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("pinned_alignments.actual");
+        std::fs::write(&path, &actual).expect("write the actual rendering");
+        let line = actual
+            .lines()
+            .zip(pinned.lines())
+            .position(|(a, p)| a != p)
+            .unwrap_or_else(|| actual.lines().count().min(pinned.lines().count()));
+        panic!(
+            "alignments differ from tests/pinned_alignments.txt at line {}; actual rendering in {}",
+            line + 1,
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn alignment_is_reproducible_across_runs_and_threads() {
     let pair = generate(&PairConfig::tiny(77));
