@@ -387,9 +387,9 @@ mod tests {
 
     #[test]
     fn out_of_scope_crates_skip_scoped_rules() {
-        // bench is outside determinism/panic scope: wall-clock is its job.
+        // eval is outside determinism/panic scope: wall-clock is its job.
         let src = "fn f() { let t = Instant::now(); x.unwrap(); }";
-        let v = analyze_file("crates/bench/src/lib.rs", src, &cfg());
+        let v = analyze_file("crates/eval/src/lib.rs", src, &cfg());
         assert!(v.is_empty(), "{v:?}");
     }
 

@@ -80,8 +80,8 @@ pub struct Violation {
 #[derive(Debug)]
 pub struct Config {
     /// Crates whose code must not read wall clocks or unseeded RNG
-    /// without an audited allow. Offline harnesses (bench, eval,
-    /// kbgen) are exempt: measuring wall time is their job.
+    /// without an audited allow. Offline harnesses (eval, kbgen)
+    /// are exempt: measuring wall time is their job.
     pub determinism_crates: &'static [&'static str],
     /// Crates whose non-test code serves requests: a panic there costs
     /// a contained-but-wasted scheduler worker instead of a typed

@@ -13,9 +13,10 @@
 //! costs a request per 16 probes instead of one per probe. Requests and
 //! leaf queries per aligned relation on the paper-scale pair
 //! (`PairConfig::yago_dbpedia(42)`, 92 relations against 1313, both
-//! endpoints counted; the totals are `perf_report`'s
-//! `align/round_trips_paper_pair`, the split classifies each request by
-//! its template and the side it went to):
+//! endpoints counted; the totals are the `UBS pcaconf`,
+//! `dbpedia ⊂ yago` row of `sofya-eval query-cost --scale=paper`, the
+//! split classifies each request by its template and the side it went
+//! to):
 //!
 //! | phase | requests, one per probe | requests, batched | leaf queries, one per probe | leaf queries, batched |
 //! |---|---|---|---|---|

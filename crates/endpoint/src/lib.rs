@@ -31,7 +31,7 @@
 //!   publishes.
 //! * [`InstrumentedEndpoint`] — counts queries and transferred rows/cells,
 //!   so experiments can report the paper's "works with few queries" claim
-//!   quantitatively (experiment S3 in DESIGN.md).
+//!   quantitatively (experiment S3, `sofya-eval query-cost`).
 //! * [`QuotaEndpoint`] — enforces a hard query budget and a per-query row
 //!   cap, turning "you may not download the whole KB" into an actual
 //!   runtime error.

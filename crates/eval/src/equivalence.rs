@@ -6,7 +6,7 @@
 //! and scores against the gold's equivalent pairs.
 
 use crate::metrics::PrecisionRecall;
-use crate::runner::align_direction;
+use crate::runner::align_pair;
 use sofya_core::{equivalences, AlignError, AlignerConfig, EquivalenceRule};
 use sofya_kbgen::GeneratedPair;
 
@@ -26,22 +26,7 @@ pub fn mine_equivalences(
     config: &AlignerConfig,
     threads: usize,
 ) -> Result<EquivalenceOutcome, AlignError> {
-    let fwd = align_direction(
-        &pair.kb2,
-        &pair.kb1,
-        pair.kb2_name(),
-        pair.kb1_name(),
-        config,
-        threads,
-    )?;
-    let bwd = align_direction(
-        &pair.kb1,
-        &pair.kb2,
-        pair.kb1_name(),
-        pair.kb2_name(),
-        config,
-        threads,
-    )?;
+    let (fwd, bwd) = align_pair(pair, config, threads)?;
     let mined = equivalences(&fwd.rules, &bwd.rules);
 
     // Gold equivalences between the two KBs: pairs subsumed both ways.

@@ -2,14 +2,14 @@
 //!
 //! Evaluation harness for the SOFYA reproduction.
 //!
-//! Everything the paper's Section 3 does — and everything DESIGN.md's
-//! experiment index adds — runs through this crate:
+//! Everything the paper's Section 3 does — and everything the experiment
+//! index in `sofya-eval --help` adds — runs through this crate:
 //!
 //! * [`metrics`] — precision / recall / F1 of predicted subsumption rules
 //!   against the generator's world-level gold;
-//! * [`runner`] — a crossbeam-parallel "align every relation" driver with
-//!   the standard endpoint stack (instrumented + quota), reporting query
-//!   costs alongside rules;
+//! * [`runner`] — an "align every relation" driver fanned out over
+//!   `sofya_service::run_batch`, with both stores behind instrumented
+//!   endpoints so each run reports its query costs alongside its rules;
 //! * [`table1`] — the Table 1 experiment: three method rows
 //!   (pcaconf-SSE τ>0.3, cwaconf-SSE τ>0.1, UBS-pcaconf) × two directions
 //!   (`yago ⊂ dbpd`, `dbpd ⊂ yago`);
@@ -30,6 +30,6 @@ pub mod table1;
 pub use equivalence::{mine_equivalences, EquivalenceOutcome};
 pub use metrics::{evaluate_rules, PrecisionRecall};
 pub use multiseed::{table1_over_seeds, Aggregate, AggregatedRow};
-pub use runner::{align_direction, DirectionOutcome};
+pub use runner::{align_direction, align_pair, DirectionOutcome};
 pub use sweep::{sample_size_sweep, threshold_sweep, SweepPoint};
 pub use table1::{run_table1, MethodRow, Table1Result};

@@ -1,5 +1,7 @@
 //! Fixed-width ASCII tables for terminal reports.
 
+use crate::metrics::PrecisionRecall;
+
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -80,6 +82,33 @@ impl Table {
         }
         out
     }
+}
+
+/// Header of a table scoring both directions between two KBs, in the
+/// paper's column order: `kb1 ⊂ kb2` first.
+pub fn direction_header(first: &str, kb1: &str, kb2: &str) -> Vec<String> {
+    vec![
+        first.to_owned(),
+        format!("{kb1} ⊂ {kb2} P"),
+        format!("{kb1} ⊂ {kb2} F1"),
+        format!("{kb2} ⊂ {kb1} P"),
+        format!("{kb2} ⊂ {kb1} F1"),
+    ]
+}
+
+/// The row under a [`direction_header`].
+pub fn direction_row(
+    first: String,
+    kb1_in_kb2: &PrecisionRecall,
+    kb2_in_kb1: &PrecisionRecall,
+) -> Vec<String> {
+    vec![
+        first,
+        format!("{:.2}", kb1_in_kb2.precision()),
+        format!("{:.2}", kb1_in_kb2.f1()),
+        format!("{:.2}", kb2_in_kb1.precision()),
+        format!("{:.2}", kb2_in_kb1.f1()),
+    ]
 }
 
 #[cfg(test)]

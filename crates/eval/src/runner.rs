@@ -8,7 +8,8 @@
 //! hand-rolled-scope semantics for the test suite.
 
 use sofya_core::{AlignError, Aligner, AlignerConfig, SubsumptionRule};
-use sofya_endpoint::{Endpoint, EndpointCounters, InstrumentedEndpoint, LocalEndpoint};
+use sofya_endpoint::{Endpoint, InstrumentedEndpoint, LocalEndpoint};
+use sofya_kbgen::GeneratedPair;
 use sofya_rdf::TripleStore;
 use sofya_service::run_batch;
 
@@ -21,6 +22,9 @@ pub struct DirectionOutcome {
     pub source_queries: u64,
     /// Queries issued against the target endpoint.
     pub target_queries: u64,
+    /// Requests received by both endpoints, a whole batch counting once:
+    /// the round trips the run would pay were the endpoints remote.
+    pub requests: u64,
     /// Rows transferred from both endpoints.
     pub rows_transferred: u64,
     /// Number of target relations aligned.
@@ -35,10 +39,19 @@ impl DirectionOutcome {
 
     /// Average queries per aligned target relation.
     pub fn queries_per_relation(&self) -> f64 {
+        self.per_relation(self.total_queries())
+    }
+
+    /// Average requests (round trips) per aligned target relation.
+    pub fn requests_per_relation(&self) -> f64 {
+        self.per_relation(self.requests)
+    }
+
+    fn per_relation(&self, n: u64) -> f64 {
         if self.relations_aligned == 0 {
             0.0
         } else {
-            self.total_queries() as f64 / self.relations_aligned as f64
+            n as f64 / self.relations_aligned as f64
         }
     }
 }
@@ -61,25 +74,34 @@ pub fn align_direction(
     let source_counters = source.counters();
     let target_counters = target.counters();
 
-    let rules = align_all_parallel(&source, &target, config, threads)?;
-    let relations_aligned = {
-        let aligner = Aligner::new(&source, &target, config.clone());
-        aligner.target_relations()?.len()
-    };
+    let (rules, relations_aligned) = align_all_parallel(&source, &target, config, threads)?;
     Ok(DirectionOutcome {
         rules,
         source_queries: source_counters.total_queries(),
         target_queries: target_counters.total_queries(),
-        rows_transferred: rows_of(&source_counters) + rows_of(&target_counters),
+        requests: source_counters.requests() + target_counters.requests(),
+        rows_transferred: source_counters.rows_returned() + target_counters.rows_returned(),
         relations_aligned,
     })
 }
 
-fn rows_of(c: &EndpointCounters) -> u64 {
-    c.rows_returned()
+/// Aligns both directions of a generated pair with one configuration:
+/// `kb2 ⊂ kb1` first (premises in KB2, the source; conclusions in KB1,
+/// the target), then the reverse.
+pub fn align_pair(
+    pair: &GeneratedPair,
+    config: &AlignerConfig,
+    threads: usize,
+) -> Result<(DirectionOutcome, DirectionOutcome), AlignError> {
+    let (kb1, kb2) = (pair.kb1_name(), pair.kb2_name());
+    let fwd = align_direction(&pair.kb2, &pair.kb1, kb2, kb1, config, threads)?;
+    let bwd = align_direction(&pair.kb1, &pair.kb2, kb1, kb2, config, threads)?;
+    Ok((fwd, bwd))
 }
 
-/// Aligns all target relations across `threads` scheduler workers.
+/// Aligns all target relations across `threads` scheduler workers and
+/// returns the rules with the number of relations aligned, so a caller
+/// counting endpoint costs need not list the relations a second time.
 ///
 /// Each relation is one job on the service scheduler's bounded queue;
 /// the pool shares a single [`Aligner`] over the shared endpoints.
@@ -90,10 +112,11 @@ pub fn align_all_parallel(
     target: &dyn Endpoint,
     config: &AlignerConfig,
     threads: usize,
-) -> Result<Vec<SubsumptionRule>, AlignError> {
-    let relations = Aligner::new(source, target, config.clone()).target_relations()?;
-    let threads = threads.max(1).min(relations.len().max(1));
+) -> Result<(Vec<SubsumptionRule>, usize), AlignError> {
     let aligner = Aligner::new(source, target, config.clone());
+    let relations = aligner.target_relations()?;
+    let relations_aligned = relations.len();
+    let threads = threads.max(1).min(relations_aligned.max(1));
 
     let results: Vec<Result<Vec<SubsumptionRule>, AlignError>> =
         run_batch(threads, relations, |relation: String| {
@@ -111,7 +134,7 @@ pub fn align_all_parallel(
             .cmp(&b.conclusion)
             .then_with(|| a.premise.cmp(&b.premise))
     });
-    Ok(rules)
+    Ok((rules, relations_aligned))
 }
 
 #[cfg(test)]
@@ -138,6 +161,27 @@ mod tests {
         assert!(out.relations_aligned > 0);
         assert!(out.queries_per_relation() > 0.0);
         assert!(out.rows_transferred > 0);
+    }
+
+    /// The reported cost is what the alignment itself cost: counters
+    /// around `align_all_parallel` alone read the same.
+    #[test]
+    fn outcome_costs_are_exactly_those_of_the_alignment() {
+        let pair = generate(&PairConfig::tiny(22));
+        let config = AlignerConfig::paper_defaults(22);
+        let out = align_direction(&pair.kb2, &pair.kb1, "dbp", "yago", &config, 2).unwrap();
+
+        let source = InstrumentedEndpoint::new(LocalEndpoint::new("dbp", pair.kb2.clone()));
+        let target = InstrumentedEndpoint::new(LocalEndpoint::new("yago", pair.kb1.clone()));
+        let (rules, relations) = align_all_parallel(&source, &target, &config, 2).unwrap();
+        let (s, t) = (source.counters(), target.counters());
+
+        assert_eq!(out.rules, rules);
+        assert_eq!(out.relations_aligned, relations);
+        assert_eq!(out.source_queries, s.total_queries());
+        assert_eq!(out.target_queries, t.total_queries());
+        assert_eq!(out.requests, s.requests() + t.requests());
+        assert_eq!(out.rows_transferred, s.rows_returned() + t.rows_returned());
     }
 
     #[test]

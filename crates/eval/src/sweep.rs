@@ -2,7 +2,7 @@
 //! sample size, and `sameAs` coverage.
 
 use crate::metrics::{evaluate_rules, PrecisionRecall};
-use crate::runner::align_direction;
+use crate::runner::align_pair;
 use sofya_core::{AlignError, AlignerConfig};
 use sofya_kbgen::GeneratedPair;
 
@@ -39,22 +39,7 @@ pub fn threshold_sweep(
 ) -> Result<Vec<SweepPoint>, AlignError> {
     let mut config = base.clone();
     config.tau = 0.0;
-    let fwd = align_direction(
-        &pair.kb2,
-        &pair.kb1,
-        pair.kb2_name(),
-        pair.kb1_name(),
-        &config,
-        threads,
-    )?;
-    let bwd = align_direction(
-        &pair.kb1,
-        &pair.kb2,
-        pair.kb1_name(),
-        pair.kb2_name(),
-        &config,
-        threads,
-    )?;
+    let (fwd, bwd) = align_pair(pair, &config, threads)?;
 
     Ok(taus
         .iter()
@@ -92,7 +77,7 @@ pub fn best_tau(points: &[SweepPoint]) -> Option<f64> {
         .map(|p| p.x)
 }
 
-/// Full re-runs with varying sample sizes (S2 in DESIGN.md).
+/// Full re-runs with varying sample sizes (experiment S2).
 pub fn sample_size_sweep(
     pair: &GeneratedPair,
     base: &AlignerConfig,
@@ -103,22 +88,7 @@ pub fn sample_size_sweep(
     for &size in sizes {
         let mut config = base.clone();
         config.sample_size = size;
-        let fwd = align_direction(
-            &pair.kb2,
-            &pair.kb1,
-            pair.kb2_name(),
-            pair.kb1_name(),
-            &config,
-            threads,
-        )?;
-        let bwd = align_direction(
-            &pair.kb1,
-            &pair.kb2,
-            pair.kb1_name(),
-            pair.kb2_name(),
-            &config,
-            threads,
-        )?;
+        let (fwd, bwd) = align_pair(pair, &config, threads)?;
         out.push(SweepPoint {
             x: size as f64,
             forward: evaluate_rules(&fwd.rules, &pair.gold, pair.kb2_name(), pair.kb1_name()),

@@ -1,8 +1,8 @@
 //! The Table 1 experiment: three methods × two directions.
 
 use crate::metrics::{evaluate_rules, PrecisionRecall};
-use crate::report::Table;
-use crate::runner::{align_direction, DirectionOutcome};
+use crate::report::{direction_header, direction_row, Table};
+use crate::runner::align_pair;
 use sofya_core::{AlignError, AlignerConfig};
 use sofya_kbgen::GeneratedPair;
 
@@ -35,50 +35,16 @@ pub struct Table1Result {
 impl Table1Result {
     /// Renders the table in the paper's layout (P and F1 per direction).
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "ILP".to_owned(),
-            format!("{} ⊂ {} P", self.kb1_name, self.kb2_name),
-            format!("{} ⊂ {} F1", self.kb1_name, self.kb2_name),
-            format!("{} ⊂ {} P", self.kb2_name, self.kb1_name),
-            format!("{} ⊂ {} F1", self.kb2_name, self.kb1_name),
-        ]);
+        let mut table = Table::new(direction_header("ILP", &self.kb1_name, &self.kb2_name));
         for row in &self.rows {
-            table.push(vec![
+            table.push(direction_row(
                 row.label.clone(),
-                format!("{:.2}", row.kb1_in_kb2.precision()),
-                format!("{:.2}", row.kb1_in_kb2.f1()),
-                format!("{:.2}", row.kb2_in_kb1.precision()),
-                format!("{:.2}", row.kb2_in_kb1.f1()),
-            ]);
+                &row.kb1_in_kb2,
+                &row.kb2_in_kb1,
+            ));
         }
         table.render()
     }
-}
-
-fn run_method(
-    pair: &GeneratedPair,
-    config: &AlignerConfig,
-    threads: usize,
-) -> Result<(DirectionOutcome, DirectionOutcome), AlignError> {
-    // kb2 ⊂ kb1: premises in KB2 (source), conclusions in KB1 (target).
-    let fwd = align_direction(
-        &pair.kb2,
-        &pair.kb1,
-        pair.kb2_name(),
-        pair.kb1_name(),
-        config,
-        threads,
-    )?;
-    // kb1 ⊂ kb2: the reverse.
-    let bwd = align_direction(
-        &pair.kb1,
-        &pair.kb2,
-        pair.kb1_name(),
-        pair.kb2_name(),
-        config,
-        threads,
-    )?;
-    Ok((fwd, bwd))
 }
 
 /// Runs the three Table 1 methods on a generated pair.
@@ -118,7 +84,7 @@ pub fn run_table1(
     ];
 
     for (label, config) in methods {
-        let (fwd, bwd) = run_method(pair, &config, threads)?;
+        let (fwd, bwd) = align_pair(pair, &config, threads)?;
         rows.push(MethodRow {
             label,
             kb2_in_kb1: evaluate_rules(&fwd.rules, &pair.gold, pair.kb2_name(), pair.kb1_name()),

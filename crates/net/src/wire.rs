@@ -14,7 +14,7 @@
 //! are deterministic: same message, same bytes.
 
 use crate::json::Json;
-use sofya_endpoint::{EndpointError, Request, RequestBuf, Response};
+use sofya_endpoint::{EndpointError, Request, Response};
 use sofya_rdf::Term;
 use sofya_sparql::{BudgetBreach, QueryBudget, ResultSet, SparqlError};
 
@@ -67,19 +67,17 @@ impl WireRequest {
         })
     }
 
-    /// The owned request the server executes: `count` runs as the
-    /// rendered `SELECT (COUNT(*) AS ?n)` string (one execution for the
-    /// whole tree — a batch stays a single [`RequestBuf::Batch`], so one
-    /// snapshot pin); [`reshape`] converts the aggregate row back to a
-    /// [`Response::Count`] afterwards.
-    pub fn to_request_buf(&self) -> RequestBuf {
+    /// The request the server executes, borrowing this one's text:
+    /// `count` runs as the rendered `SELECT (COUNT(*) AS ?n)` string (one
+    /// execution for the whole tree — a batch stays a single
+    /// [`Request::Batch`], so one snapshot pin); [`reshape`] converts the
+    /// aggregate row back to a [`Response::Count`] afterwards.
+    pub fn as_request(&self) -> Request<'_> {
         match self {
-            WireRequest::Select(q) | WireRequest::Count(q) => {
-                RequestBuf::Select { query: q.clone() }
-            }
-            WireRequest::Ask(q) => RequestBuf::Ask { query: q.clone() },
+            WireRequest::Select(query) | WireRequest::Count(query) => Request::Select { query },
+            WireRequest::Ask(query) => Request::Ask { query },
             WireRequest::Batch(subs) => {
-                RequestBuf::Batch(subs.iter().map(WireRequest::to_request_buf).collect())
+                Request::Batch(subs.iter().map(WireRequest::as_request).collect())
             }
         }
     }
@@ -189,8 +187,7 @@ pub fn execute_wire_budgeted(
     wire: &WireRequest,
     budget: &QueryBudget,
 ) -> Result<Response, EndpointError> {
-    let buf = wire.to_request_buf();
-    let response = ep.execute_with_budget(buf.as_request(), budget)?;
+    let response = ep.execute_with_budget(wire.as_request(), budget)?;
     reshape(wire, response)
 }
 

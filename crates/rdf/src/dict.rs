@@ -7,7 +7,7 @@
 //! Terms are hashed with a small FNV-1a hasher defined here instead of
 //! SipHash: dictionary keys are not attacker-controlled in this system and
 //! the offline dependency list does not include `rustc-hash`, so we ship the
-//! ~20-line equivalent ourselves (see DESIGN.md §5). The index over them is
+//! ~20-line equivalent ourselves. The index over them is
 //! a plain open-addressing table of positions, so a term is stored once.
 
 use std::hash::{Hash, Hasher};

@@ -3,8 +3,8 @@
 //! least 10x faster than re-aligning all 32 from scratch.
 //!
 //! Timing-sensitive, so the assertion only runs in release builds; the
-//! `stream/realign_dirty_1_of_32` perf_report case pins the absolute
-//! numbers against a committed baseline.
+//! absolute numbers are the benchmark's (`core.refresh_dirty_us` on the
+//! `stream_refresh` workload).
 
 use sofya_core::{AlignerConfig, AlignmentSession};
 use sofya_endpoint::{Endpoint, LocalEndpoint, SnapshotStore};

@@ -1,0 +1,240 @@
+//! Three costs held as ratios, not times: each test measures two things
+//! in one process and asserts how far apart they may lie, so it means
+//! the same on any machine and needs no committed baseline.
+//!
+//! * polling a far-future deadline costs an alignment at most 5%;
+//! * `Json::parse` is linear: a byte of a 400-row page costs at most
+//!   twice a byte of an `ask` envelope;
+//! * a publish pays for what was written, not for what the dictionary
+//!   holds: the same 256-triple cycle on a store with four times the
+//!   terms costs at most 1.5x.
+//!
+//! Timing-sensitive, so the assertions only run in release builds
+//! (`cargo test --release --test cost_ratios`). Absolute times are the
+//! business of `benchmark/`.
+
+use sofya::align::{Aligner, AlignerConfig};
+use sofya::endpoint::{BudgetConfig, DeadlineEndpoint, LocalEndpoint, Request};
+use sofya::kbgen::{generate, GeneratedPair, PairConfig};
+use sofya::net::wire::envelope_to_json;
+use sofya::net::{execute_wire_budgeted, Json, WireRequest};
+use sofya::rdf::{StoreSnapshot, Term, TermId, TripleStore};
+use sofya::sparql::QueryBudget;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+const SEED: u64 = 42;
+
+/// The test harness runs tests on parallel threads; a ratio of two
+/// timings is only meaningful if nothing else of ours is running.
+fn alone() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn small_pair() -> GeneratedPair {
+    generate(&PairConfig::small(SEED))
+}
+
+/// Measures `f` repeatedly and returns the median ns per call.
+fn median_ns(mut f: impl FnMut() -> u64) -> u64 {
+    // Warm-up (also keeps the result observable).
+    let mut sink = 0u64;
+    sink = sink.wrapping_add(f());
+
+    let mut samples: Vec<u64> = Vec::new();
+    let budget_start = Instant::now();
+    // At least 9 samples; stop early once we have them and ~1.5s elapsed.
+    while samples.len() < 9 || (budget_start.elapsed().as_millis() < 1500 && samples.len() < 301) {
+        let t0 = Instant::now();
+        sink = sink.wrapping_add(f());
+        samples.push(t0.elapsed().as_nanos() as u64);
+        if budget_start.elapsed().as_millis() >= 1500 && samples.len() >= 9 {
+            break;
+        }
+    }
+    std::hint::black_box(sink);
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// The kill switch's price tag: a whole-relation alignment with both
+/// endpoints behind a [`DeadlineEndpoint`] carrying a far-future
+/// deadline — every query runs fully budgeted (deadline polled each
+/// 1024 scan rows) yet nothing ever trips.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn budget_polling_costs_an_alignment_at_most_5_percent() {
+    let _alone = alone();
+    let pair = small_pair();
+    let config = AlignerConfig::paper_defaults(SEED);
+    let relation = pair.kb1_relations[0].clone();
+
+    let source = LocalEndpoint::new("kb2", pair.kb2.clone());
+    let target = LocalEndpoint::new("kb1", pair.kb1.clone());
+    let unbudgeted = || {
+        median_ns(|| {
+            let aligner = Aligner::new(&source, &target, config.clone());
+            aligner.align_relation(&relation).unwrap().len() as u64
+        })
+    };
+    let budget = BudgetConfig::with_time_limit(Duration::from_secs(3600));
+    let budgeted_source =
+        DeadlineEndpoint::new(LocalEndpoint::new("kb2", pair.kb2.clone()), budget);
+    let budgeted_target =
+        DeadlineEndpoint::new(LocalEndpoint::new("kb1", pair.kb1.clone()), budget);
+    let budgeted = || {
+        median_ns(|| {
+            let aligner = Aligner::new(&budgeted_source, &budgeted_target, config.clone());
+            aligner.align_relation(&relation).unwrap().len() as u64
+        })
+    };
+
+    // Run-to-run noise on this case is ±5% — the same order as the guard
+    // itself — so compare the *best* budgeted median against the *worst*
+    // unbudgeted one, interleaved so drift lands on both: random jitter
+    // cancels out of the ratio, while a systematic polling cost shifts
+    // every budgeted sample and still trips.
+    let (unbudgeted_before, budgeted_first) = (unbudgeted(), budgeted());
+    let (unbudgeted_after, budgeted_retry) = (unbudgeted(), budgeted());
+    let reference = unbudgeted_before.max(unbudgeted_after);
+    let ratio = budgeted_first.min(budgeted_retry) as f64 / reference.max(1) as f64;
+    assert!(
+        ratio <= 1.05,
+        "budgeted evaluation runs at {ratio:.3}x the unbudgeted reference ({reference} ns)"
+    );
+}
+
+/// The wire parser on its own: answers rendered once and parsed over
+/// and over, cost per byte at both ends of the size range.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn json_parse_cost_per_byte_is_flat_in_the_body_size() {
+    let _alone = alone();
+    let local = LocalEndpoint::new("kb2", small_pair().kb2);
+    let answer_text = |request: Request<'_>| {
+        let wire = WireRequest::from_request(&request).expect("lowering");
+        envelope_to_json(&execute_wire_budgeted(
+            &local,
+            &wire,
+            &QueryBudget::unlimited(),
+        ))
+        .to_text()
+    };
+    let parse = |text: &str| match Json::parse(text) {
+        Ok(json) => std::hint::black_box(json).get("ok").map_or(0, |_| 1),
+        Err(e) => panic!("rendered envelope does not parse: {e}"),
+    };
+    // The small envelope is parsed many times per sample so the timer
+    // does not dominate.
+    let ns_per_byte = |text: &str, reps: u64| {
+        let ns = median_ns(|| (0..reps).map(|_| parse(text)).sum());
+        ns as f64 / (reps * text.len() as u64) as f64
+    };
+
+    let ask = answer_text(Request::Ask {
+        query: "ASK { ?s ?p ?o }",
+    });
+    let rows_400 = answer_text(Request::Select {
+        query: "SELECT ?x ?y WHERE { ?x ?p ?y } LIMIT 400",
+    });
+    let small = ns_per_byte(&ask, 256);
+    let large = ns_per_byte(&rows_400, 1);
+    assert!(
+        large <= 2.0 * small,
+        "Json::parse costs {small:.2} ns/B at {} B but {large:.2} ns/B at {} B ({:.2}x) — \
+         parsing is no longer linear",
+        ask.len(),
+        rows_400.len(),
+        large / small
+    );
+}
+
+/// The write cycle of a durable ingest sink, on the store alone: load a
+/// 256-triple batch of terms, remove the previous batch one triple at a
+/// time, take a snapshot, drop the one it replaces. Two batches take
+/// turns, so the store is the same size on every cycle.
+struct PublishCycle {
+    store: TripleStore,
+    live: StoreSnapshot,
+    /// `[next to load, loaded last]`
+    batches: [Vec<(Term, Term, Term)>; 2],
+}
+
+impl PublishCycle {
+    /// A copy of `base` with `filler_terms` more terms in its dictionary
+    /// that no triple uses, one batch loaded and a snapshot live.
+    fn new(base: &TripleStore, relations: &[String], filler_terms: usize) -> Self {
+        let mut store = base.clone();
+        for i in 0..filler_terms {
+            store.intern(&Term::iri(format!("perf:filler{i}")));
+        }
+        let predicates: Vec<TermId> = relations
+            .iter()
+            .filter_map(|r| store.dict().lookup_iri(r))
+            .collect();
+        let mut entities: Vec<TermId> = store.iter().map(|t| t.s).collect();
+        entities.dedup();
+        // 512 triples the store does not hold, over terms it knows.
+        let fresh: Vec<(Term, Term, Term)> = (0usize..)
+            .map(|i| {
+                (
+                    entities[(i * 31) % entities.len()],
+                    predicates[i % predicates.len()],
+                    entities[(i * 17 + 5) % entities.len()],
+                )
+            })
+            .filter(|&(s, p, o)| !store.contains(s, p, o))
+            .take(512)
+            .map(|(s, p, o)| {
+                let dict = store.dict();
+                (
+                    dict.resolve(s).clone(),
+                    dict.resolve(p).clone(),
+                    dict.resolve(o).clone(),
+                )
+            })
+            .collect();
+        let (first, second) = fresh.split_at(256);
+        store.load_batch_terms(second.iter().map(|(s, p, o)| (s, p, o)));
+        let live = store.snapshot();
+        Self {
+            store,
+            live,
+            batches: [first.to_vec(), second.to_vec()],
+        }
+    }
+
+    fn run(&mut self) -> u64 {
+        let [load, retire] = &self.batches;
+        self.store
+            .load_batch_terms(load.iter().map(|(s, p, o)| (s, p, o)));
+        for (s, p, o) in retire {
+            let dict = self.store.dict();
+            if let (Some(s), Some(p), Some(o)) = (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
+                self.store.remove(s, p, o);
+            }
+        }
+        // The previous snapshot is live until the new one replaces it.
+        self.live = self.store.snapshot();
+        self.batches.swap(0, 1);
+        self.live.len() as u64
+    }
+}
+
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn publish_cycle_does_not_pay_for_the_dictionary() {
+    let _alone = alone();
+    let pair = small_pair();
+    let mut cycle = PublishCycle::new(&pair.kb2, &pair.kb2_relations, 0);
+    let mut inflated = PublishCycle::new(&pair.kb2, &pair.kb2_relations, 3 * pair.kb2.dict().len());
+    let plain_ns = median_ns(|| cycle.run());
+    let inflated_ns = median_ns(|| inflated.run());
+    let ratio = inflated_ns as f64 / plain_ns.max(1) as f64;
+    assert!(
+        ratio <= 1.5,
+        "the cycle costs {inflated_ns} ns on a store with four times the dictionary terms, none \
+         of them used, against {plain_ns} ns ({ratio:.2}x) — a publish pays for the dictionary"
+    );
+}
