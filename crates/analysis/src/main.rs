@@ -1,58 +1,45 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! cargo run -p sofya-analysis --            # report new/stale findings
-//! cargo run -p sofya-analysis -- --deny     # CI gate: nonzero on drift
-//! cargo run -p sofya-analysis -- --update-baseline
+//! cargo run -p sofya-analysis --            # report findings
+//! cargo run -p sofya-analysis -- --deny     # CI gate: nonzero on any finding
 //! ```
 
 #![forbid(unsafe_code)]
 
-use sofya_analysis::baseline::{key, Baseline};
 use sofya_analysis::rules::Config;
-use sofya_analysis::Violation;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     deny: bool,
-    update_baseline: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
         deny: false,
-        update_baseline: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--deny" => args.deny = true,
-            "--update-baseline" => args.update_baseline = true,
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a path")?);
-            }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
             }
             "--help" | "-h" => {
                 println!(
                     "sofya-analysis: workspace invariant checker\n\
                      \n\
-                     USAGE: sofya-analysis [--root DIR] [--baseline FILE] [--deny] [--update-baseline]\n\
+                     USAGE: sofya-analysis [--root DIR] [--deny]\n\
                      \n\
                      Rules: determinism, panic_path, lock_discipline, wire_safety,\n\
                      forbid_unsafe, allow_audit. Exemptions:\n\
                      // sofya: allow(<rule>) — <reason>\n\
                      \n\
-                     --deny             exit nonzero on new violations, stale baseline\n\
-                     \u{20}                   entries, or an unsorted/malformed baseline\n\
-                     --update-baseline  rewrite the baseline from current findings"
+                     --deny  exit nonzero on any finding, including a malformed or\n\
+                     \u{20}       unused exemption comment"
                 );
                 std::process::exit(0);
             }
@@ -60,11 +47,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn print_violation(v: &Violation, tag: &str) {
-    println!("{tag} [{}] {}:{} — {}", v.rule, v.path, v.line, v.message);
-    println!("      {}", v.snippet);
 }
 
 fn main() -> ExitCode {
@@ -75,10 +57,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("crates/analysis/baseline.txt"));
 
     let cfg = Config::workspace();
     let violations = match sofya_analysis::analyze_workspace(&args.root, &cfg) {
@@ -89,81 +67,13 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.update_baseline {
-        let text = Baseline::render(&violations);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("sofya-analysis: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline rewritten: {} entries at {}",
-            violations.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text),
-        Err(_) => Baseline::parse(""),
-    };
-
-    // Count current findings per baseline key, then split into
-    // baselined (up to the allowed count) and new (the excess).
-    let mut current: BTreeMap<String, usize> = BTreeMap::new();
     for v in &violations {
-        *current.entry(key(v)).or_insert(0) += 1;
+        println!("[{}] {}:{} — {}", v.rule, v.path, v.line, v.message);
+        println!("      {}", v.snippet);
     }
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    let mut fresh: Vec<&Violation> = Vec::new();
-    let mut baselined = 0usize;
-    for v in &violations {
-        let k = key(v);
-        let n = seen.entry(k.clone()).or_insert(0);
-        *n += 1;
-        if *n <= baseline.allowed(&k) {
-            baselined += 1;
-        } else {
-            fresh.push(v);
-        }
-    }
-    let stale = baseline.stale(&current);
+    println!("sofya-analysis: {} finding(s)", violations.len());
 
-    for v in &fresh {
-        print_violation(v, "NEW  ");
-    }
-    for k in &stale {
-        let mut parts = k.splitn(3, '\t');
-        let rule = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("");
-        let snippet = parts.next().unwrap_or("");
-        println!(
-            "STALE [{rule}] {path} — baseline entry no longer fires; \
-             shrink the baseline (ratchet)"
-        );
-        println!("      {snippet}");
-    }
-    for line in &baseline.malformed {
-        println!("BAD baseline line: {line}");
-    }
-    if !baseline.sorted {
-        println!("BAD baseline: entries are not sorted");
-    }
-
-    println!(
-        "sofya-analysis: {} finding(s): {} new, {} baselined, {} stale baseline entr{}",
-        violations.len(),
-        fresh.len(),
-        baselined,
-        stale.len(),
-        if stale.len() == 1 { "y" } else { "ies" },
-    );
-
-    let dirty = !fresh.is_empty()
-        || !stale.is_empty()
-        || !baseline.malformed.is_empty()
-        || !baseline.sorted;
-    if args.deny && dirty {
+    if args.deny && !violations.is_empty() {
         eprintln!("sofya-analysis: --deny: failing the gate");
         return ExitCode::FAILURE;
     }

@@ -1,7 +1,7 @@
 //! The invariant rules: token-sequence matchers over unmasked code.
 //!
 //! Each rule returns raw [`Violation`]s; the engine then resolves them
-//! against `// sofya: allow(...)` comments and the committed baseline.
+//! against `// sofya: allow(...)` comments.
 //! All matchers run on *significant* tokens only (comments stripped)
 //! with test regions masked, so nothing here can fire inside a string
 //! literal, a comment, or test code — the lexer proptest pins that.
@@ -28,7 +28,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The rule's name as written in allow comments and the baseline.
+    /// The rule's name as written in allow comments.
     pub fn name(self) -> &'static str {
         match self {
             Rule::Determinism => "determinism",
@@ -40,7 +40,7 @@ impl Rule {
         }
     }
 
-    /// Parses a rule name (as used in allow comments / the baseline).
+    /// Parses a rule name (as used in allow comments).
     pub fn parse(name: &str) -> Option<Rule> {
         match name {
             "determinism" => Some(Rule::Determinism),
@@ -60,7 +60,7 @@ impl fmt::Display for Rule {
     }
 }
 
-/// One rule hit, before allow/baseline resolution.
+/// One rule hit, before allow resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Which rule fired.
@@ -171,7 +171,7 @@ pub fn crate_of(path: &str) -> &str {
     }
 }
 
-/// Collapses a source line into a stable, baseline-friendly snippet.
+/// Collapses a source line into a whitespace-normalised snippet.
 pub fn snippet_of(lines: &[&str], line: u32) -> String {
     let raw = lines.get(line as usize - 1).copied().unwrap_or("");
     let mut out = String::new();

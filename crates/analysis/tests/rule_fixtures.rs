@@ -1,11 +1,9 @@
 //! Per-rule fixture tests: each invariant rule demonstrated firing,
 //! suppressed by an audited allow, silenced by test masking, and scoped
-//! to the crates/files it polices — plus baseline round-trips.
+//! to the crates/files it polices.
 
-use sofya_analysis::baseline::key;
 use sofya_analysis::engine::forbid_unsafe_inventory;
-use sofya_analysis::{analyze_file, Baseline, Config, Rule, Violation};
-use std::collections::BTreeMap;
+use sofya_analysis::{analyze_file, Config, Rule, Violation};
 
 fn run(path: &str, src: &str) -> Vec<Violation> {
     analyze_file(path, src, &Config::workspace())
@@ -188,25 +186,4 @@ fn forbid_unsafe_inventory_accepts_attributed_safe_crate() {
         "#![forbid(unsafe_code)]\npub fn f() {}\n".to_owned(),
     )];
     assert!(forbid_unsafe_inventory(&files).is_empty());
-}
-
-// ------------------------------------------------------------- baseline
-
-#[test]
-fn baseline_render_parse_roundtrip_suppresses_known_findings() {
-    let src = "fn f(o: Option<u8>) -> u8 { o.unwrap() }\n";
-    let found = run("crates/net/src/x.rs", src);
-    assert_eq!(found.len(), 1);
-
-    let rendered = Baseline::render(&found);
-    let parsed = Baseline::parse(&rendered);
-    assert!(parsed.malformed.is_empty());
-    assert!(parsed.sorted);
-    for v in &found {
-        assert_eq!(parsed.allowed(&key(v)), 1, "baselined finding is allowed");
-    }
-
-    // Once the violation is fixed, the entry must read as stale.
-    let stale = parsed.stale(&BTreeMap::new());
-    assert_eq!(stale.len(), 1);
 }

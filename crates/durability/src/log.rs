@@ -152,11 +152,6 @@ impl DurableLog {
         self.wal_bytes
     }
 
-    /// Mutations recorded but not yet committed.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Records a fresh insert (call only when the store reported the
     /// triple as new).
     pub fn record_insert(&mut self, s: &Term, p: &Term, o: &Term) {

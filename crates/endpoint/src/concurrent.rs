@@ -42,16 +42,14 @@ use sofya_sparql::{
 };
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
-/// One published store state: the immutable snapshot plus everything the
-/// query layer derives from it (statistics, publication time).
+/// One published store state: the immutable snapshot plus the planner
+/// statistics the query layer derives from it.
 #[derive(Debug)]
 pub struct PublishedSnapshot {
     snapshot: StoreSnapshot,
     /// Planner statistics, computed once per snapshot on first use.
     stats: OnceLock<StoreStats>,
-    published_at: Instant,
 }
 
 impl PublishedSnapshot {
@@ -59,8 +57,6 @@ impl PublishedSnapshot {
         Self {
             snapshot,
             stats: OnceLock::new(),
-            // sofya: allow(determinism) — publish timestamp is a freshness gauge, never alignment state
-            published_at: Instant::now(),
         }
     }
 
@@ -72,11 +68,6 @@ impl PublishedSnapshot {
     /// The writer generation this state was published at.
     pub fn version(&self) -> u64 {
         self.snapshot.version()
-    }
-
-    /// Wall-clock time since publication (the staleness a reader sees).
-    pub fn age(&self) -> Duration {
-        self.published_at.elapsed()
     }
 
     /// Cardinality statistics for the planner, computed lazily once and
@@ -299,11 +290,6 @@ impl ConcurrentEndpoint {
     /// Version of the currently published snapshot.
     pub fn snapshot_version(&self) -> u64 {
         self.current().version()
-    }
-
-    /// Age of the currently published snapshot.
-    pub fn snapshot_age(&self) -> Duration {
-        self.current().age()
     }
 
     /// Total cached plans across all shards.
@@ -711,8 +697,8 @@ mod tests {
     }
 
     /// Satellite regression: a publish with zero pending mutations must
-    /// not bump the epoch, swap the snapshot `Arc`, reset the age clock,
-    /// or invalidate version-stamped cached plans.
+    /// not bump the epoch, swap the snapshot `Arc`, or invalidate
+    /// version-stamped cached plans.
     #[test]
     fn noop_publish_keeps_snapshot_epoch_and_plans() {
         let mut writer = seeded();

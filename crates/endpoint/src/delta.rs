@@ -72,11 +72,6 @@ impl PublishDelta {
     pub fn is_noop(&self) -> bool {
         self.epoch == self.prev_epoch
     }
-
-    /// Whether any of `preds` was touched by this delta.
-    pub fn touches_any_predicate<'a>(&self, mut preds: impl Iterator<Item = &'a Term>) -> bool {
-        preds.any(|p| self.predicates.iter().any(|pd| &pd.predicate == p))
-    }
 }
 
 /// How a subscriber at some past epoch gets back to the present.

@@ -21,8 +21,7 @@ use sofya_sparql::{unparse, Prepared, Query, QueryBudget, ResultSet, SparqlError
 use std::sync::Arc;
 
 /// One typed endpoint request. Borrowed: a request is built on the stack
-/// of the issuing call and consumed by [`Endpoint::execute`]; use
-/// [`RequestBuf`] when a request must own its parts (queues, schedulers).
+/// of the issuing call and consumed by [`Endpoint::execute`].
 ///
 /// ```
 /// use sofya_endpoint::{Endpoint, EndpointExt, LocalEndpoint, Request, Response};
@@ -167,94 +166,6 @@ pub(crate) fn count_of_ask_error() -> EndpointError {
     EndpointError::Sparql(SparqlError::eval(
         "COUNT requires a SELECT template, found ASK",
     ))
-}
-
-/// An owning [`Request`]: the same variants with owned strings,
-/// `Arc`-shared templates, and owned argument vectors, so a request can
-/// outlive the frame that built it (queued batches, scheduler jobs —
-/// see `sofya-service`'s query service). Borrow it back with
-/// [`RequestBuf::as_request`] at execution time.
-#[derive(Debug, Clone)]
-pub enum RequestBuf {
-    /// Owned form of [`Request::Select`].
-    Select {
-        /// The SPARQL text.
-        query: String,
-    },
-    /// Owned form of [`Request::Ask`].
-    Ask {
-        /// The SPARQL text.
-        query: String,
-    },
-    /// Owned form of [`Request::PreparedSelect`].
-    PreparedSelect {
-        /// The shared template.
-        prepared: Arc<Prepared>,
-        /// One constant per template parameter.
-        args: Vec<Term>,
-    },
-    /// Owned form of [`Request::PreparedAsk`].
-    PreparedAsk {
-        /// The shared template.
-        prepared: Arc<Prepared>,
-        /// One constant per template parameter.
-        args: Vec<Term>,
-    },
-    /// Owned form of [`Request::PreparedSelectPaged`].
-    PreparedSelectPaged {
-        /// The shared template.
-        prepared: Arc<Prepared>,
-        /// One constant per template parameter.
-        args: Vec<Term>,
-        /// Page size.
-        limit: Option<usize>,
-        /// Page start.
-        offset: Option<usize>,
-    },
-    /// Owned form of [`Request::Count`].
-    Count {
-        /// The shared pattern template.
-        prepared: Arc<Prepared>,
-        /// One constant per template parameter.
-        args: Vec<Term>,
-    },
-    /// Owned form of [`Request::Batch`].
-    Batch(Vec<RequestBuf>),
-}
-
-impl RequestBuf {
-    /// The borrowed view this buffer executes as.
-    pub fn as_request(&self) -> Request<'_> {
-        match self {
-            RequestBuf::Select { query } => Request::Select { query },
-            RequestBuf::Ask { query } => Request::Ask { query },
-            RequestBuf::PreparedSelect { prepared, args } => {
-                Request::PreparedSelect { prepared, args }
-            }
-            RequestBuf::PreparedAsk { prepared, args } => Request::PreparedAsk { prepared, args },
-            RequestBuf::PreparedSelectPaged {
-                prepared,
-                args,
-                limit,
-                offset,
-            } => Request::PreparedSelectPaged {
-                prepared,
-                args,
-                limit: *limit,
-                offset: *offset,
-            },
-            RequestBuf::Count { prepared, args } => Request::Count { prepared, args },
-            RequestBuf::Batch(reqs) => Request::Batch(reqs.iter().map(Self::as_request).collect()),
-        }
-    }
-
-    /// Number of leaf (non-batch) requests (see [`Request::leaf_count`]).
-    pub fn leaf_count(&self) -> u64 {
-        match self {
-            RequestBuf::Batch(reqs) => reqs.iter().map(Self::leaf_count).sum(),
-            _ => 1,
-        }
-    }
 }
 
 /// One typed endpoint response, mirroring the [`Request`] variants.
@@ -501,6 +412,7 @@ impl<E: Endpoint + ?Sized> Endpoint for Arc<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::RequestBuf;
 
     struct Fake;
 
@@ -603,7 +515,6 @@ mod tests {
                 args: vec![Term::iri("a")],
             },
         ]);
-        assert_eq!(buf.leaf_count(), 2);
         let req = buf.as_request();
         assert_eq!(req.kind(), "batch");
         assert_eq!(req.leaf_count(), 2);

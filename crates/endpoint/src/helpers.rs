@@ -92,11 +92,6 @@ pub fn term_ref(term: &Term) -> String {
     }
 }
 
-/// Renders an IRI string as a SPARQL IRI reference.
-pub fn iri_ref(iri: &str) -> String {
-    format!("<{iri}>")
-}
-
 /// All distinct relation IRIs of the KB.
 pub fn all_relations<E: Endpoint + ?Sized>(ep: &E) -> Result<Vec<String>, EndpointError> {
     let rs = ep.select("SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?p")?;
@@ -105,18 +100,6 @@ pub fn all_relations<E: Endpoint + ?Sized>(ep: &E) -> Result<Vec<String>, Endpoi
         .into_iter()
         .filter_map(|t| t.as_iri().map(str::to_owned))
         .collect())
-}
-
-/// `COUNT(*)` of facts `r(x, y)`, via the typed
-/// [`crate::Request::Count`] fast path (the single-pattern count reads
-/// straight off the index bounds — no rows materialized).
-pub fn relation_fact_count<E: Endpoint + ?Sized>(
-    ep: &E,
-    relation: &str,
-) -> Result<usize, EndpointError> {
-    static Q: OnceLock<Prepared> = OnceLock::new();
-    let q = prepared(&Q, "SELECT ?x ?y WHERE { ?x ?r ?y }", &["r"]);
-    Ok(ep.count_prepared(q, &[Term::iri(relation)])? as usize)
 }
 
 /// A page of facts `r(x, y)`, ordered deterministically. The page bounds
@@ -392,18 +375,6 @@ pub fn has_fact_batch<E: Endpoint + ?Sized>(
         .collect()
 }
 
-/// Whether the subject has *any* `r` fact (the PCA's "knows r-attributes
-/// of x" test).
-pub fn has_any_fact<E: Endpoint + ?Sized>(
-    ep: &E,
-    subject: &str,
-    relation: &str,
-) -> Result<bool, EndpointError> {
-    static Q: OnceLock<Prepared> = OnceLock::new();
-    let q = prepared(&Q, "ASK { ?s ?r ?y }", &["s", "r"]);
-    ep.ask_prepared(q, &[Term::iri(subject), Term::iri(relation)])
-}
-
 /// The `sameAs` images of an entity.
 pub fn same_as_of<E: Endpoint + ?Sized>(
     ep: &E,
@@ -425,42 +396,9 @@ pub fn same_as_of<E: Endpoint + ?Sized>(
 }
 
 /// UBS discriminating sample (§2.2): subjects `x` with `r1(x, y1)`,
-/// `r2(x, y2)`, `y1 ≠ y2` and **not** `r1(x, y2)`. Returns `(x, y1, y2)`.
-pub fn contrastive_subjects_page<E: Endpoint + ?Sized>(
-    ep: &E,
-    r1: &str,
-    r2: &str,
-    limit: usize,
-    offset: usize,
-) -> Result<Vec<(Term, Term, Term)>, EndpointError> {
-    static Q: OnceLock<Prepared> = OnceLock::new();
-    let q = prepared(
-        &Q,
-        "SELECT ?x ?y1 ?y2 WHERE { ?x ?r1 ?y1 . ?x ?r2 ?y2 . \
-         FILTER(?y1 != ?y2) . FILTER NOT EXISTS { ?x ?r1 ?y2 } } \
-         ORDER BY ?x ?y1 ?y2",
-        &["r1", "r2"],
-    );
-    let rs = ep.select_prepared_paged(
-        q,
-        &[Term::iri(r1), Term::iri(r2)],
-        Some(limit),
-        Some(offset),
-    )?;
-    Ok(rs
-        .into_parts()
-        .1
-        .into_iter()
-        .filter_map(|row| {
-            let mut cells = row.into_iter();
-            Some((cells.next()??, cells.next()??, cells.next()??))
-        })
-        .collect())
-}
-
-/// Like [`contrastive_subjects_page`], but joined with `sameAs` so every
-/// returned sample is guaranteed translatable into the other KB. Returns
-/// `(x', y1', y2')` — the *translated* identifiers.
+/// `r2(x, y2)`, `y1 ≠ y2` and **not** `r1(x, y2)`, joined with `sameAs` so
+/// every returned sample is guaranteed translatable into the other KB.
+/// Returns `(x', y1', y2')` — the *translated* identifiers.
 pub fn linked_contrastive_subjects_page<E: Endpoint + ?Sized>(
     ep: &E,
     r1: &str,
@@ -555,13 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn relation_fact_count_counts() {
-        let ep = movie_endpoint();
-        assert_eq!(relation_fact_count(&ep, "r:producer").unwrap(), 3);
-        assert_eq!(relation_fact_count(&ep, "r:ghost").unwrap(), 0);
-    }
-
-    #[test]
     fn relation_facts_page_paginates() {
         let ep = movie_endpoint();
         let all = relation_facts_page(&ep, "r:producer", 100, 0).unwrap();
@@ -638,8 +569,6 @@ mod tests {
             .unwrap(),
             vec![true, false]
         );
-        assert!(has_any_fact(&ep, "m:tenet", "r:producer").unwrap());
-        assert!(!has_any_fact(&ep, "p:nolan", "r:producer").unwrap());
     }
 
     /// 40 probes travel as batches of 16, 16 and 8 — never as single
@@ -691,20 +620,5 @@ mod tests {
             vec!["d:Inception"]
         );
         assert!(same_as_of(&ep, "m:tenet", "owl:sameAs").unwrap().is_empty());
-    }
-
-    #[test]
-    fn contrastive_subjects_filter_shared_objects() {
-        let ep = movie_endpoint();
-        // director(x,y1), producer(x,y2), y1≠y2, ¬director(x,y2):
-        // inception: director=nolan, producer∈{thomas,nolan} → y2=thomas
-        //   qualifies (nolan excluded by y1≠y2 and director(x,nolan) holds).
-        // tenet: director=nolan, producer=thomas → qualifies.
-        let rows = contrastive_subjects_page(&ep, "r:director", "r:producer", 10, 0).unwrap();
-        assert_eq!(rows.len(), 2);
-        for (_, y1, y2) in &rows {
-            assert_eq!(y1.as_iri(), Some("p:nolan"));
-            assert_eq!(y2.as_iri(), Some("p:thomas"));
-        }
     }
 }

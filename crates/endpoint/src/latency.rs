@@ -30,14 +30,6 @@ impl LatencyModel {
             per_row: Duration::from_micros(50),
         }
     }
-
-    /// A cross-continent endpoint: 120 ms RTT, 50 µs/row.
-    pub fn intercontinental() -> Self {
-        Self {
-            round_trip: Duration::from_millis(120),
-            per_row: Duration::from_micros(50),
-        }
-    }
 }
 
 /// An endpoint wrapper accumulating simulated network time.
@@ -163,10 +155,5 @@ mod tests {
         assert!(ep.simulated_time() > Duration::ZERO);
         ep.reset();
         assert_eq!(ep.simulated_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn presets_are_ordered() {
-        assert!(LatencyModel::intercontinental().round_trip > LatencyModel::wan().round_trip);
     }
 }

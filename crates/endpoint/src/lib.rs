@@ -44,7 +44,8 @@
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
-//! * [`testing`] — endpoints that misbehave on purpose, for tests.
+//! * [`testing`] — an endpoint that misbehaves on purpose and the owning
+//!   request form proptest strategies generate, for tests.
 //!
 //! Wrappers compose: `Quota(Instrumented(Local))` is the standard
 //! experiment stack.
@@ -75,7 +76,7 @@ pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
 pub use deadline::{map_budget_error, BudgetConfig, DeadlineEndpoint};
 pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};
-pub use endpoint::{Endpoint, EndpointExt, Request, RequestBuf, Response};
+pub use endpoint::{Endpoint, EndpointExt, Request, Response};
 pub use error::EndpointError;
 pub use instrument::{EndpointCounters, InstrumentedEndpoint};
 pub use latency::{LatencyEndpoint, LatencyModel};

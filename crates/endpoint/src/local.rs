@@ -7,7 +7,6 @@ use crate::plan_cache::{ShardedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use sofya_rdf::TripleStore;
 use sofya_sparql::QueryBudget;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The "remote server" of this reproduction: one immutable published
 /// store state, queried through `sofya-sparql` by the same execution
@@ -59,11 +58,6 @@ impl LocalEndpoint {
     /// Version of that state.
     pub fn snapshot_version(&self) -> u64 {
         self.snap.version()
-    }
-
-    /// Age of that state (grows for as long as the endpoint lives).
-    pub fn snapshot_age(&self) -> Duration {
-        self.snap.age()
     }
 
     /// Re-bounds the plan cache (total capacity, split evenly across

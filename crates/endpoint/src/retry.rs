@@ -28,18 +28,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// A numeric encoding for metrics gauges: closed = 0, open = 1,
-    /// half-open = 2.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        }
-    }
-}
-
 impl std::fmt::Display for BreakerState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

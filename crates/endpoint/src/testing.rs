@@ -1,12 +1,15 @@
-//! Test scaffolding: endpoints that misbehave on purpose.
+//! Test scaffolding: an endpoint that misbehaves on purpose, and the
+//! owning request form the proptest suites generate.
 //!
 //! Not re-exported at the crate root — nothing here belongs in a
 //! production stack.
 
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
-use sofya_sparql::QueryBudget;
+use sofya_rdf::Term;
+use sofya_sparql::{Prepared, QueryBudget};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Injects a deterministic transient failure every `period`-th query.
 pub struct FlakyEndpoint<E> {
@@ -60,5 +63,84 @@ impl<E: Endpoint> Endpoint for FlakyEndpoint<E> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+}
+
+/// An owning [`Request`]: the same variants with owned strings,
+/// `Arc`-shared templates, and owned argument vectors, so a proptest
+/// strategy can generate a request tree as a value. Borrow it back with
+/// [`RequestBuf::as_request`] at execution time.
+#[derive(Debug, Clone)]
+pub enum RequestBuf {
+    /// Owned form of [`Request::Select`].
+    Select {
+        /// The SPARQL text.
+        query: String,
+    },
+    /// Owned form of [`Request::Ask`].
+    Ask {
+        /// The SPARQL text.
+        query: String,
+    },
+    /// Owned form of [`Request::PreparedSelect`].
+    PreparedSelect {
+        /// The shared template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+    },
+    /// Owned form of [`Request::PreparedAsk`].
+    PreparedAsk {
+        /// The shared template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+    },
+    /// Owned form of [`Request::PreparedSelectPaged`].
+    PreparedSelectPaged {
+        /// The shared template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+        /// Page size.
+        limit: Option<usize>,
+        /// Page start.
+        offset: Option<usize>,
+    },
+    /// Owned form of [`Request::Count`].
+    Count {
+        /// The shared pattern template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+    },
+    /// Owned form of [`Request::Batch`].
+    Batch(Vec<RequestBuf>),
+}
+
+impl RequestBuf {
+    /// The borrowed view this buffer executes as.
+    pub fn as_request(&self) -> Request<'_> {
+        match self {
+            RequestBuf::Select { query } => Request::Select { query },
+            RequestBuf::Ask { query } => Request::Ask { query },
+            RequestBuf::PreparedSelect { prepared, args } => {
+                Request::PreparedSelect { prepared, args }
+            }
+            RequestBuf::PreparedAsk { prepared, args } => Request::PreparedAsk { prepared, args },
+            RequestBuf::PreparedSelectPaged {
+                prepared,
+                args,
+                limit,
+                offset,
+            } => Request::PreparedSelectPaged {
+                prepared,
+                args,
+                limit: *limit,
+                offset: *offset,
+            },
+            RequestBuf::Count { prepared, args } => Request::Count { prepared, args },
+            RequestBuf::Batch(reqs) => Request::Batch(reqs.iter().map(Self::as_request).collect()),
+        }
     }
 }

@@ -14,10 +14,10 @@
 //! the other half of the claim: no stack can drop a caller's budget.
 
 use proptest::prelude::*;
-use sofya_endpoint::testing::FlakyEndpoint;
+use sofya_endpoint::testing::{FlakyEndpoint, RequestBuf};
 use sofya_endpoint::{
     BudgetConfig, CachingEndpoint, DeadlineEndpoint, Endpoint, EndpointCounters, EndpointError,
-    InstrumentedEndpoint, LocalEndpoint, QuotaConfig, QuotaEndpoint, Request, RequestBuf, Response,
+    InstrumentedEndpoint, LocalEndpoint, QuotaConfig, QuotaEndpoint, Request, Response,
     RetryEndpoint, SnapshotStore,
 };
 use sofya_rdf::{Term, TripleStore};

@@ -3,9 +3,9 @@
 //! This crate takes the [`sofya_endpoint::Endpoint`] abstraction across
 //! process boundaries. The server side ([`HttpServer`]) fronts any local
 //! endpoint with a minimal HTTP/1.1 listener whose every request flows
-//! through the [`sofya_service::scheduler`] — so remote clients get the
-//! same per-client quotas, bounded-queue backpressure, panic
-//! containment, and latency metrics as local service traffic. The client
+//! through the [`sofya_service::scheduler`] — so remote clients get
+//! per-client quotas, bounded-queue backpressure, deadline shedding,
+//! panic containment, and latency metrics. The client
 //! side ([`RemoteEndpoint`]) implements `Endpoint` over that wire, so a
 //! remote store composes with the existing middleware stack (retry,
 //! caching, instrumentation) and the alignment pipeline unchanged: two

@@ -3,12 +3,11 @@
 //!
 //! Every wire request — a single query or a whole batch — is **one
 //! scheduler job**, submitted under the client id from the `X-Client`
-//! header. That puts remote traffic behind exactly the machinery local
-//! [`sofya_service::QueryService`] traffic gets: per-client quotas
-//! (`429 Too Many Requests`), bounded-queue backpressure (`503` with
-//! `Retry-After`), panic containment (`500`, pool keeps serving), and
-//! p50/p99 latency metrics (exposed at `GET /metrics` and via
-//! [`HttpServer::metrics`]).
+//! header. That puts remote traffic behind the scheduler's admission
+//! machinery: per-client quotas (`429 Too Many Requests`), bounded-queue
+//! backpressure (`503` with `Retry-After`), deadline shedding (`504`),
+//! panic containment (`500`, pool keeps serving), and p50/p99 latency
+//! metrics (exposed at `GET /metrics` and via [`HttpServer::metrics`]).
 //!
 //! Routes:
 //!
@@ -534,7 +533,6 @@ fn serve_query(
 ) -> Routed {
     // sofya: allow(determinism) — request latency for the routed response metric
     let started = Instant::now();
-    let client = request.header("x-client").unwrap_or("anonymous").to_owned();
     let wire = match std::str::from_utf8(&request.body)
         .map_err(|e| e.to_string())
         .and_then(|text| Json::parse(text.trim_end_matches('\n')))
@@ -550,27 +548,17 @@ fn serve_query(
             )
         }
     };
-    let deadline = effective_deadline(request, config, started);
-    let job = WireJob {
-        payload: JobPayload::Query(wire),
-        deadline,
+    let result = match run_job(request, JobPayload::Query(wire), started, handle, config) {
+        Ok(result) => result,
+        Err(routed) => return routed,
     };
-    match handle.submit_with_deadline(&client, job, deadline) {
-        Ok(ticket) => match ticket.wait() {
-            JobOutcome::Completed(result) => {
-                let (status, reason) = match &result {
-                    Err(error) => completed_error_status(error, handle, cancel),
-                    Ok(_) => (200, "OK"),
-                };
-                let mut text = envelope_to_json(&result).to_text();
-                text.push('\n');
-                (status, reason, None, text.into_bytes())
-            }
-            JobOutcome::Shed => shed_routed(started),
-            JobOutcome::Panicked(message) => panicked_routed(&message),
-        },
-        Err(rejected) => rejected_routed(rejected.error, config),
-    }
+    let (status, reason) = match &result {
+        Err(error) => completed_error_status(error, handle, cancel),
+        Ok(_) => (200, "OK"),
+    };
+    let mut text = envelope_to_json(&result).to_text();
+    text.push('\n');
+    (status, reason, None, text.into_bytes())
 }
 
 /// Handles `POST /ingest`: parses the triple batch (N-Triples or
@@ -596,7 +584,6 @@ fn serve_ingest(
     }
     // sofya: allow(determinism) — ingest latency for the routed response metric
     let started = Instant::now();
-    let client = request.header("x-client").unwrap_or("anonymous").to_owned();
     let triples = match std::str::from_utf8(&request.body)
         .map_err(|e| e.to_string())
         .and_then(parse_ingest_body)
@@ -621,35 +608,67 @@ fn serve_ingest(
             )),
         );
     }
+    let payload = JobPayload::Ingest(triples);
+    match run_job(request, payload, started, handle, config) {
+        Ok(Ok(Response::Count(epoch))) => {
+            let mut text =
+                Json::obj([("ok", Json::Bool(true)), ("epoch", Json::Uint(epoch))]).to_text();
+            text.push('\n');
+            (202, "Accepted", None, text.into_bytes())
+        }
+        Ok(Ok(_)) => (
+            500,
+            "Internal Server Error",
+            None,
+            error_body(&EndpointError::Other(
+                "ingest sink produced a non-count response".to_owned(),
+            )),
+        ),
+        Ok(Err(error)) => {
+            let (status, reason) = completed_error_status(&error, handle, cancel);
+            (status, reason, None, error_body(&error))
+        }
+        Err(routed) => routed,
+    }
+}
+
+/// Submits one scheduler job under the request's `X-Client` id and
+/// effective deadline, and waits for it. `Ok` is what the handler
+/// returned; `Err` is the finished answer for a job that never produced
+/// a result — shed, panicked, or rejected at submission.
+fn run_job(
+    request: &HttpRequest,
+    payload: JobPayload,
+    started: Instant,
+    handle: &Handle<'_>,
+    config: &ServerConfig,
+) -> Result<Result<Response, EndpointError>, Routed> {
+    let client = request.header("x-client").unwrap_or("anonymous");
     let deadline = effective_deadline(request, config, started);
-    let job = WireJob {
-        payload: JobPayload::Ingest(triples),
-        deadline,
-    };
-    match handle.submit_with_deadline(&client, job, deadline) {
-        Ok(ticket) => match ticket.wait() {
-            JobOutcome::Completed(Ok(Response::Count(epoch))) => {
-                let mut text =
-                    Json::obj([("ok", Json::Bool(true)), ("epoch", Json::Uint(epoch))]).to_text();
-                text.push('\n');
-                (202, "Accepted", None, text.into_bytes())
-            }
-            JobOutcome::Completed(Ok(_)) => (
-                500,
-                "Internal Server Error",
-                None,
-                error_body(&EndpointError::Other(
-                    "ingest sink produced a non-count response".to_owned(),
-                )),
-            ),
-            JobOutcome::Completed(Err(error)) => {
-                let (status, reason) = completed_error_status(&error, handle, cancel);
-                (status, reason, None, error_body(&error))
-            }
-            JobOutcome::Shed => shed_routed(started),
-            JobOutcome::Panicked(message) => panicked_routed(&message),
-        },
-        Err(rejected) => rejected_routed(rejected.error, config),
+    let job = WireJob { payload, deadline };
+    let ticket = handle
+        .submit_with_deadline(client, job, deadline)
+        .map_err(|rejected| rejected_routed(rejected.error, config))?;
+    match ticket.wait() {
+        JobOutcome::Completed(result) => Ok(result),
+        // Shed at dequeue: the deadline passed while queued, the worker
+        // never ran it (`queries_shed` is counted there).
+        JobOutcome::Shed => Err((
+            504,
+            "Gateway Timeout",
+            None,
+            error_body(&EndpointError::DeadlineExceeded {
+                elapsed: started.elapsed(),
+            }),
+        )),
+        JobOutcome::Panicked(message) => Err((
+            500,
+            "Internal Server Error",
+            None,
+            error_body(&EndpointError::Other(format!(
+                "query handler panicked: {message}"
+            ))),
+        )),
     }
 }
 
@@ -692,30 +711,6 @@ fn completed_error_status(
         }
         _ => (200, "OK"),
     }
-}
-
-/// Shed at dequeue: the deadline passed while queued, the worker never
-/// ran it (`queries_shed` is counted there).
-fn shed_routed(started: Instant) -> Routed {
-    (
-        504,
-        "Gateway Timeout",
-        None,
-        error_body(&EndpointError::DeadlineExceeded {
-            elapsed: started.elapsed(),
-        }),
-    )
-}
-
-fn panicked_routed(message: &str) -> Routed {
-    (
-        500,
-        "Internal Server Error",
-        None,
-        error_body(&EndpointError::Other(format!(
-            "query handler panicked: {message}"
-        ))),
-    )
 }
 
 /// Maps a scheduler rejection to its HTTP answer.
@@ -780,13 +775,11 @@ pub fn metrics_to_json(report: &MetricsReport) -> Json {
         ("latency_p50_ns", Json::Uint(report.latency_p50_ns)),
         ("latency_p99_ns", Json::Uint(report.latency_p99_ns)),
         ("queue_wait_p99_ns", Json::Uint(report.queue_wait_p99_ns)),
-        ("snapshot_age_ns", Json::Uint(report.snapshot_age_ns)),
         ("wal_fsync_p99_ns", Json::Uint(report.wal_fsync_p99_ns)),
         ("durable_epoch", Json::Uint(report.durable_epoch)),
         ("queries_timed_out", Json::Uint(report.queries_timed_out)),
         ("queries_cancelled", Json::Uint(report.queries_cancelled)),
         ("queries_shed", Json::Uint(report.queries_shed)),
-        ("breaker_state", Json::Uint(report.breaker_state)),
         ("last_publish_epoch", Json::Uint(report.last_publish_epoch)),
         ("dirty_relations", Json::Uint(report.dirty_relations)),
         (

@@ -236,6 +236,34 @@ fn metrics_route_reports_the_durable_epoch() {
             > 0,
         "three commits drained into the fsync histogram"
     );
+    // The exposition is exactly the values something writes.
+    let Json::Obj(pairs) = &report else {
+        panic!("metrics is a JSON object: {report:?}");
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_ref()).collect();
+    assert_eq!(
+        keys,
+        [
+            "submitted",
+            "completed",
+            "rejected_full",
+            "rejected_quota",
+            "panicked",
+            "queue_depth",
+            "latency_mean_ns",
+            "latency_p50_ns",
+            "latency_p99_ns",
+            "queue_wait_p99_ns",
+            "wal_fsync_p99_ns",
+            "durable_epoch",
+            "queries_timed_out",
+            "queries_cancelled",
+            "queries_shed",
+            "last_publish_epoch",
+            "dirty_relations",
+            "alignment_staleness_epochs",
+        ]
+    );
     server.shutdown();
 }
 

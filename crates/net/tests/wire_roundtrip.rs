@@ -6,7 +6,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, RequestBuf, Response};
+use sofya_endpoint::testing::RequestBuf;
+use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, Response};
 use sofya_net::wire::{envelope_from_json, envelope_to_json};
 use sofya_net::{execute_wire_budgeted, Json, WireRequest};
 use sofya_rdf::{Term, TripleStore};

@@ -229,11 +229,6 @@ impl Dict {
         }
     }
 
-    /// Interns an IRI string.
-    pub fn intern_iri(&mut self, iri: &str) -> TermId {
-        self.intern(&Term::iri(iri))
-    }
-
     /// Looks up the id of an already-interned term.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
         self.find(tag_of(term), term)

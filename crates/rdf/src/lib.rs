@@ -22,9 +22,9 @@
 //!   writer has not replaced since (cost model: [`store`] module docs).
 //! * A small N-Triples subset parser/serialiser ([`ntriples`]) provides
 //!   durable text I/O for fixtures and examples.
-//! * [`stats`] computes the per-predicate statistics (fact counts,
-//!   functionality) used by SOFYA's candidate pruning and the SPARQL
-//!   engine's join ordering.
+//! * [`stats`] computes the per-predicate statistics (fact and
+//!   distinct-value counts) used by SOFYA's candidate pruning and the
+//!   SPARQL engine's join ordering.
 //!
 //! ## Quick example
 //!

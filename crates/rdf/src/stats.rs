@@ -1,10 +1,8 @@
 //! Per-predicate and store-level statistics.
 //!
 //! SOFYA's candidate pruning and the SPARQL engine's join ordering both
-//! need cheap cardinality estimates: how many facts a predicate has, how
-//! many distinct subjects/objects, and its *functionality* (the AMIE
-//! measure: #distinct subjects / #facts — 1.0 means the relation maps each
-//! subject to a single object).
+//! need cheap cardinality estimates: how many facts a predicate has and
+//! how many distinct subjects/objects.
 
 use std::collections::BTreeMap;
 
@@ -24,31 +22,6 @@ pub struct PredicateStats {
     pub distinct_objects: usize,
     /// Fraction of facts whose object is a literal.
     pub literal_object_ratio: f64,
-}
-
-impl PredicateStats {
-    /// AMIE functionality: `distinct_subjects / facts` (0 for empty relations).
-    pub fn functionality(&self) -> f64 {
-        if self.facts == 0 {
-            0.0
-        } else {
-            self.distinct_subjects as f64 / self.facts as f64
-        }
-    }
-
-    /// Inverse functionality: `distinct_objects / facts`.
-    pub fn inverse_functionality(&self) -> f64 {
-        if self.facts == 0 {
-            0.0
-        } else {
-            self.distinct_objects as f64 / self.facts as f64
-        }
-    }
-
-    /// Whether the relation is predominantly entity→literal.
-    pub fn is_literal_relation(&self) -> bool {
-        self.literal_object_ratio > 0.5
-    }
 }
 
 /// Statistics for a whole store, keyed by predicate.
@@ -174,35 +147,6 @@ mod tests {
         assert_eq!(ps.distinct_subjects, 2);
         assert_eq!(ps.distinct_objects, 3);
         assert_eq!(ps.literal_object_ratio, 0.0);
-        assert!(!ps.is_literal_relation());
-    }
-
-    #[test]
-    fn functionality_measures() {
-        let store = sample_store();
-        let stats = StoreStats::compute(&store);
-        let p = store.dict().lookup_iri("p").unwrap();
-        let ps = stats.get(p).unwrap();
-        assert!((ps.functionality() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((ps.inverse_functionality() - 1.0).abs() < 1e-12);
-
-        let name = store.dict().lookup_iri("name").unwrap();
-        let ns = stats.get(name).unwrap();
-        assert_eq!(ns.functionality(), 1.0);
-        assert!(ns.is_literal_relation());
-    }
-
-    #[test]
-    fn empty_relation_yields_zero_functionality() {
-        let ps = PredicateStats {
-            predicate: TermId(0),
-            facts: 0,
-            distinct_subjects: 0,
-            distinct_objects: 0,
-            literal_object_ratio: 0.0,
-        };
-        assert_eq!(ps.functionality(), 0.0);
-        assert_eq!(ps.inverse_functionality(), 0.0);
     }
 
     #[test]

@@ -962,11 +962,6 @@ impl TripleStore {
         self.scan_range(TriplePattern::with_s(s))
     }
 
-    /// All triples with object `o`.
-    pub fn triples_with_object(&self, o: TermId) -> impl Iterator<Item = Triple> + '_ {
-        self.scan_range(TriplePattern::with_o(o))
-    }
-
     /// The distinct predicates in the store, ascending by id — a walk over
     /// the page directory, O(#predicates).
     pub fn predicates(&self) -> Vec<TermId> {
@@ -1009,28 +1004,6 @@ impl TripleStore {
             }
         }
         objects
-    }
-
-    /// Objects `y` with `p(x, y)` for the given subject.
-    pub fn objects_for(&self, s: TermId, p: TermId) -> Vec<TermId> {
-        self.scan_range(TriplePattern::with_sp(s, p))
-            .map(|t| t.o)
-            .collect()
-    }
-
-    /// Subjects `x` with `p(x, y)` for the given object.
-    pub fn subjects_for(&self, p: TermId, o: TermId) -> Vec<TermId> {
-        self.scan_range(TriplePattern::with_po(p, o))
-            .map(|t| t.s)
-            .collect()
-    }
-
-    /// Distinct predicates `p` such that `p(s, ·)` exists.
-    pub fn predicates_of_subject(&self, s: TermId) -> Vec<TermId> {
-        let mut preds: Vec<u32> = self.triples_with_subject(s).map(|t| t.p.0).collect();
-        preds.sort_unstable();
-        preds.dedup();
-        preds.into_iter().map(TermId).collect()
     }
 
     /// Resolves a triple back to terms (for display / serialisation).
@@ -1360,11 +1333,8 @@ mod tests {
             ("a", "q", "d"),
         ]);
         let p = s.dict().lookup_iri("p").unwrap();
-        let a = s.dict().lookup_iri("a").unwrap();
         assert_eq!(s.subjects_of(p).len(), 2);
         assert_eq!(s.objects_of(p).len(), 2);
-        assert_eq!(s.objects_for(a, p).len(), 2);
-        assert_eq!(s.predicates_of_subject(a).len(), 2);
     }
 
     #[test]

@@ -1,55 +1,43 @@
 //! # sofya-service
 //!
-//! The concurrent alignment service: the "serves heavy traffic" layer on
-//! top of the single-threaded alignment pipeline.
+//! The job scheduler: a worker pool behind a bounded queue, and nothing
+//! else. The crate knows no RDF, no SPARQL and no endpoint — it is
+//! generic over the job and result types, and its callers decide what a
+//! job is:
 //!
-//! The paper's setting is *online* relation alignment — many clients
-//! firing small probes at live endpoints concurrently. This crate
-//! provides the serving machinery:
+//! * `sofya_net::HttpServer` runs every `POST /query` and `POST /ingest`
+//!   through [`scheduler::serve`] (per-client quotas → `429`, full queue
+//!   → `503` + `Retry-After`, expired deadline → `504`);
+//! * `sofya_eval` fans relations and seeds out through
+//!   [`scheduler::run_batch`].
 //!
-//! * a bounded multi-producer/multi-consumer [`queue::BoundedQueue`]
-//!   whose full-queue rejections are the backpressure signal;
-//! * a generic [`scheduler`]: N scoped worker threads over the queue,
-//!   per-client request quotas, reject-with-retry-after on overload, and
-//!   panic containment (a dying session never takes the pool down);
-//! * a [`metrics::ServiceMetrics`] registry — throughput, approximate
-//!   p50/p99 latency, queue depth, and snapshot staleness — all relaxed
-//!   atomics, shared freely with the workers;
-//! * the alignment-specific [`service::AlignmentService`]: a shared
-//!   [`sofya_core::AlignmentSession`] (first request per relation pays,
-//!   later ones are cache hits) scheduled across the pool;
-//! * the [`query::QueryService`]: raw endpoint traffic, scheduled as
-//!   whole [`sofya_endpoint::Request::Batch`]es — one job, one snapshot
-//!   pin, one response set per client batch.
+//! Three modules:
 //!
-//! Snapshot isolation for the *data* side lives one layer down, in
-//! [`sofya_endpoint::SnapshotStore`] / [`sofya_endpoint::ConcurrentEndpoint`]:
-//! the writer keeps loading while this crate's workers read the published
-//! snapshot lock-free. The two compose into the full service stack:
+//! * [`queue::BoundedQueue`] — bounded multi-producer/multi-consumer
+//!   queue whose full-queue rejections are the backpressure signal;
+//! * [`scheduler`] — N scoped worker threads over the queue, per-client
+//!   request quotas, reject-with-retry-after on overload, deadline
+//!   shedding at dequeue, and panic containment (a dying job never takes
+//!   the pool down);
+//! * [`metrics::ServiceMetrics`] — counters, approximate p50/p99 latency
+//!   and queue depth, plus the gauges the HTTP tier's write path records
+//!   (durable epoch, WAL fsync, alignment freshness) — all relaxed
+//!   atomics, shared freely with the workers.
 //!
 //! ```text
-//! writer thread          SnapshotStore::publish()      (epoch swap)
-//!      │                          │
-//!      ▼                          ▼
-//! TripleStore ──snapshot──▶ Arc<PublishedSnapshot> ◀── ConcurrentEndpoint (N readers)
-//!                                                            ▲
-//! clients ──▶ BoundedQueue ──▶ worker pool ── AlignmentSession┘
-//!   (quotas, retry-after)     (panic containment, metrics)
+//! clients ──▶ BoundedQueue ──▶ worker pool ──▶ handler(job)
+//!   (quotas, retry-after)     (shedding, panic containment, metrics)
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod metrics;
-pub mod query;
 pub mod queue;
 pub mod scheduler;
-pub mod service;
 
 pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics};
-pub use query::{QueryBatch, QueryBatchOutcome, QueryFailure, QueryService};
 pub use queue::{BoundedQueue, PushError};
 pub use scheduler::{
     run_batch, serve, JobOutcome, JobTicket, RejectedJob, SchedulerConfig, SchedulerHandle,
     ServiceError, SubmitError,
 };
-pub use service::{AlignmentBatchOutcome, AlignmentRequest, AlignmentService, ServiceFailure};

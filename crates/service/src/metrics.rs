@@ -1,5 +1,5 @@
 //! Lock-free service metrics: counters, a log-bucketed latency histogram
-//! (p50/p99), queue depth, and snapshot age.
+//! (p50/p99), queue depth, and the write-path gauges.
 //!
 //! Every value is an atomic updated with relaxed ordering — metrics are
 //! observability, not synchronisation — so recording from N workers never
@@ -98,9 +98,6 @@ pub struct ServiceMetrics {
     latency: LatencyHistogram,
     /// Queue-wait component of the latency (submit → handler start).
     queue_wait: LatencyHistogram,
-    /// Age of the store snapshot observed by the most recent request, in
-    /// nanoseconds — how stale reads are allowed to get.
-    snapshot_age_ns: AtomicU64,
     /// WAL group-commit fsync latency (the durable-publish ack path).
     wal_fsync: LatencyHistogram,
     /// Highest epoch whose WAL commit has been fsynced — everything up
@@ -113,11 +110,8 @@ pub struct ServiceMetrics {
     /// Queued jobs dropped unexecuted because their deadline had already
     /// passed at dequeue time (no worker time wasted on them).
     queries_shed: AtomicU64,
-    /// Upstream circuit-breaker state gauge (0 closed / 1 open / 2
-    /// half-open); 0 when no breaker reports in.
-    breaker_state: AtomicU64,
     /// Epoch of the most recent snapshot publish — staleness expressible
-    /// in epochs, alongside the wall-clock `snapshot_age_ns`.
+    /// in epochs.
     last_publish_epoch: AtomicU64,
     /// Cached relation alignments currently dirtied by deltas.
     dirty_relations: AtomicU64,
@@ -160,13 +154,6 @@ impl ServiceMetrics {
         self.panicked.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the snapshot age a request observed (last write wins —
-    /// it's a gauge, not a histogram).
-    pub fn record_snapshot_age(&self, age: Duration) {
-        let ns = age.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.snapshot_age_ns.store(ns, Ordering::Relaxed);
-    }
-
     /// Records one WAL fsync latency observation (a durable publish).
     pub fn record_wal_fsync(&self, latency: Duration) {
         self.wal_fsync.record(latency);
@@ -190,11 +177,6 @@ impl ServiceMetrics {
     /// Counts one queued job shed unexecuted (deadline already passed).
     pub fn on_query_shed(&self) {
         self.queries_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the upstream breaker-state gauge (last write wins).
-    pub fn record_breaker_state(&self, state: u64) {
-        self.breaker_state.store(state, Ordering::Relaxed);
     }
 
     /// Records the epoch of the newest published snapshot (a gauge).
@@ -230,13 +212,11 @@ impl ServiceMetrics {
             latency_p50_ns: self.latency.quantile_ns(0.50),
             latency_p99_ns: self.latency.quantile_ns(0.99),
             queue_wait_p99_ns: self.queue_wait.quantile_ns(0.99),
-            snapshot_age_ns: self.snapshot_age_ns.load(Ordering::Relaxed),
             wal_fsync_p99_ns: self.wal_fsync.quantile_ns(0.99),
             durable_epoch: self.durable_epoch.load(Ordering::Relaxed),
             queries_timed_out: self.queries_timed_out.load(Ordering::Relaxed),
             queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
-            breaker_state: self.breaker_state.load(Ordering::Relaxed),
             last_publish_epoch: self.last_publish_epoch.load(Ordering::Relaxed),
             dirty_relations: self.dirty_relations.load(Ordering::Relaxed),
             alignment_staleness_epochs: self.alignment_staleness_epochs.load(Ordering::Relaxed),
@@ -267,8 +247,6 @@ pub struct MetricsReport {
     pub latency_p99_ns: u64,
     /// Approximate 99th-percentile queue wait (ns).
     pub queue_wait_p99_ns: u64,
-    /// Snapshot age observed by the most recent request (ns).
-    pub snapshot_age_ns: u64,
     /// Approximate 99th-percentile WAL fsync latency (ns); 0 when the
     /// store runs without durability.
     pub wal_fsync_p99_ns: u64,
@@ -280,26 +258,12 @@ pub struct MetricsReport {
     pub queries_cancelled: u64,
     /// Queued jobs shed unexecuted because their deadline had passed.
     pub queries_shed: u64,
-    /// Upstream circuit-breaker state (0 closed / 1 open / 2 half-open).
-    pub breaker_state: u64,
     /// Epoch of the most recent snapshot publish (0 when unreported).
     pub last_publish_epoch: u64,
     /// Cached relation alignments currently dirty (streaming path).
     pub dirty_relations: u64,
     /// Epoch lag of the stalest dirty alignment (0 when clean).
     pub alignment_staleness_epochs: u64,
-}
-
-impl MetricsReport {
-    /// Completed requests per second over `elapsed`.
-    pub fn throughput_per_sec(&self, elapsed: Duration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
-    }
 }
 
 #[cfg(test)]
@@ -338,13 +302,11 @@ mod tests {
         m.on_rejected_full();
         m.on_rejected_quota();
         m.on_panicked();
-        m.record_snapshot_age(Duration::from_millis(3));
         m.record_wal_fsync(Duration::from_micros(120));
         m.record_durable_epoch(7);
         m.on_query_timed_out();
         m.on_query_cancelled();
         m.on_query_shed();
-        m.record_breaker_state(2);
         m.record_last_publish_epoch(11);
         m.record_dirty_relations(4);
         m.record_alignment_staleness_epochs(2);
@@ -355,7 +317,6 @@ mod tests {
         assert_eq!(r.queries_timed_out, 1);
         assert_eq!(r.queries_cancelled, 1);
         assert_eq!(r.queries_shed, 1);
-        assert_eq!(r.breaker_state, 2);
         assert_eq!(r.submitted, 2);
         assert_eq!(r.completed, 1);
         assert_eq!(r.rejected_full, 1);
@@ -363,14 +324,11 @@ mod tests {
         assert_eq!(r.panicked, 1);
         assert_eq!(r.queue_depth, 1);
         assert!(r.latency_p50_ns > 0);
-        assert!(r.snapshot_age_ns >= 3_000_000);
         assert!(
             r.wal_fsync_p99_ns >= 120_000 / 2,
             "p99 {}",
             r.wal_fsync_p99_ns
         );
         assert_eq!(r.durable_epoch, 7);
-        assert!(r.throughput_per_sec(Duration::from_secs(1)) >= 1.0);
-        assert_eq!(r.throughput_per_sec(Duration::ZERO), 0.0);
     }
 }

@@ -2,9 +2,9 @@
 //! with per-client quotas, reject-with-retry-after backpressure, and
 //! panic containment.
 //!
-//! The scheduler is generic over the job type; the alignment-specific
-//! layer lives in [`crate::service`], and the evaluation harness drives
-//! its relation- and seed-level fan-out through the same `serve` loop.
+//! The scheduler is generic over the job type: the HTTP tier schedules
+//! wire requests through [`serve`], and the evaluation harness drives its
+//! relation- and seed-level fan-out through [`run_batch`].
 //!
 //! Shape: [`serve`] owns the queue and the worker pool inside a
 //! `std::thread::scope`, and hands the caller a [`SchedulerHandle`] in a
@@ -238,30 +238,6 @@ impl<J, R> SchedulerHandle<'_, J, R> {
         }
     }
 
-    /// Submits with the standard client-side backpressure loop: on
-    /// [`SubmitError::QueueFull`], waits the hinted delay and retries
-    /// with the returned job. Quota and shutdown rejections surface
-    /// immediately.
-    pub fn submit_with_backpressure(
-        &self,
-        client: &str,
-        job: J,
-    ) -> Result<JobTicket<R>, SubmitError> {
-        let mut job = job;
-        loop {
-            match self.submit(client, job) {
-                Ok(ticket) => return Ok(ticket),
-                Err(rejected) => match rejected.error {
-                    SubmitError::QueueFull { retry_after } => {
-                        job = rejected.job;
-                        std::thread::sleep(retry_after);
-                    }
-                    error => return Err(error),
-                },
-            }
-        }
-    }
-
     /// The live metrics registry (shared with the workers).
     pub fn metrics(&self) -> &ServiceMetrics {
         self.metrics
@@ -396,8 +372,7 @@ where
 /// relation, per seed, …). The queue is sized to the batch and quotas are
 /// off, so no submission is ever rejected; a worker panic is re-raised on
 /// the caller's thread, because a batch harness has no partial-result
-/// story (services that do should drive [`serve`] directly, as
-/// [`crate::AlignmentService`] does).
+/// story (callers that have one drive [`serve`] directly).
 pub fn run_batch<J, R, F>(workers: usize, jobs: Vec<J>, handler: F) -> Result<Vec<R>, ServiceError>
 where
     J: Send,
@@ -521,13 +496,13 @@ mod tests {
                 );
                 assert_eq!(handle.metrics().report().rejected_full, 1);
                 gate_tx.send(()).unwrap(); // release the worker
-                                           // The backpressure loop now gets the job through.
+                assert!(matches!(t1.wait(), JobOutcome::Completed(())));
+                assert!(matches!(t2.wait(), JobOutcome::Completed(())));
+                // The queue has drained, so the rejected job now fits.
                 let t3 = handle
-                    .submit_with_backpressure("c", false)
+                    .submit("c", rejected.job)
                     .expect("retry succeeds once the queue drains");
-                for t in [t1, t2, t3] {
-                    assert!(matches!(t.wait(), JobOutcome::Completed(())));
-                }
+                assert!(matches!(t3.wait(), JobOutcome::Completed(())));
             },
         )
         .unwrap();
@@ -753,11 +728,11 @@ mod tests {
                 ));
                 assert_eq!(handle.remaining_quota("c"), Some(1));
                 gate_tx.send(()).unwrap();
-                let t3 = handle.submit_with_backpressure("c", false).unwrap();
+                assert!(matches!(t1.wait(), JobOutcome::Completed(())));
+                assert!(matches!(t2.wait(), JobOutcome::Completed(())));
+                let t3 = handle.submit("c", false).unwrap();
                 assert_eq!(handle.remaining_quota("c"), Some(0));
-                for t in [t1, t2, t3] {
-                    assert!(matches!(t.wait(), JobOutcome::Completed(())));
-                }
+                assert!(matches!(t3.wait(), JobOutcome::Completed(())));
             },
         )
         .unwrap();

@@ -101,11 +101,6 @@ impl Prepared {
         })
     }
 
-    /// Number of declared parameters.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
     /// A process-unique identity for this template (clones share it).
     /// Endpoint plan caches combine it with the rendered arguments to key
     /// compiled bound plans.

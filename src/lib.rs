@@ -19,4 +19,5 @@ pub use sofya_net as net;
 pub use sofya_rdf as rdf;
 pub use sofya_service as service;
 pub use sofya_sparql as sparql;
+pub use sofya_stream as stream;
 pub use sofya_textsim as textsim;
