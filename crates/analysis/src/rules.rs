@@ -84,8 +84,7 @@ pub struct Config {
     /// are exempt: measuring wall time is their job.
     pub determinism_crates: &'static [&'static str],
     /// Crates whose non-test code serves requests: a panic there costs
-    /// a contained-but-wasted scheduler worker instead of a typed
-    /// error.
+    /// the client a contained `500` instead of a typed error.
     pub panic_path_crates: &'static [&'static str],
     /// Path suffixes of files that parse attacker-controlled lengths.
     pub wire_files: &'static [&'static str],
@@ -131,8 +130,7 @@ impl Config {
                 ("plans", 50),   // local plan cache
                 ("shard", 55),   // sharded plan cache shard
                 ("shards", 55),  // (iterated form)
-                ("quotas", 60),  // scheduler per-client quotas
-                ("state", 70),   // bounded queue internals
+                ("gate", 60),    // scheduler admission gate (quotas, slots, line)
                 ("files", 80),   // MemIo file map
                 ("metrics", 90), // server metrics report cell
                 ("hits", 95),    // cache hit counter
@@ -284,7 +282,7 @@ pub fn panic_path(ctx: &FileCtx<'_>) -> Vec<Violation> {
                         Rule::PanicPath,
                         t.line,
                         format!(
-                            "`{}` on a request path panics a scheduler worker; return a typed error",
+                            "`{}` on a request path panics the request; return a typed error",
                             t.text
                         ),
                     ));
@@ -668,7 +666,7 @@ mod tests {
     #[test]
     fn lock_discipline_orders_and_io() {
         let cfg = Config::workspace();
-        let src = "fn f(&self) { let q = self.quotas.lock(); let c = self.cache.lock(); }";
+        let src = "fn f(&self) { let g = self.gate.lock(); let c = self.cache.lock(); }";
         let toks: Vec<_> = lex(src).into_iter().filter(|t| !t.is_comment()).collect();
         let r = regions(&toks);
         let lines: Vec<&str> = src.lines().collect();
@@ -678,13 +676,13 @@ mod tests {
             regions: &r,
             lines: &lines,
         };
-        // quotas (60) then cache (20): out of declared order.
+        // gate (60) then cache (20): out of declared order.
         let v = lock_discipline(&ctx, &cfg);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("cache"));
 
         // The declared order is fine.
-        let src = "fn f(&self) { let c = self.cache.lock(); let q = self.quotas.lock(); }";
+        let src = "fn f(&self) { let c = self.cache.lock(); let g = self.gate.lock(); }";
         let toks: Vec<_> = lex(src).into_iter().filter(|t| !t.is_comment()).collect();
         let r = regions(&toks);
         let lines: Vec<&str> = src.lines().collect();

@@ -74,8 +74,8 @@ impl<'a> AlignmentSession<'a> {
         }
     }
 
-    /// A panic in the computing thread must not poison the pool (the
-    /// service scheduler contains it); recover the guard.
+    /// A panic in the computing thread must not poison the session for
+    /// the others (the service scheduler contains it); recover the guard.
     fn lock(&self) -> MutexGuard<'_, HashMap<String, Slot>> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }

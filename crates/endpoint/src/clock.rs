@@ -1,21 +1,21 @@
 //! Injected time for the resilience wrappers.
 //!
-//! Nothing in this crate reads wall time: wrappers that model waiting
-//! (retry backoff) or ageing (cache TTLs) take a [`Clock`] and *charge*
-//! simulated time to it, the same philosophy as
-//! [`crate::latency::LatencyEndpoint`]. Tests drive a [`ManualClock`] by
-//! hand, so timing behaviour is fully deterministic.
+//! Wrappers that wait (retry backoff) or age things (cache TTLs) take a
+//! [`Clock`] and spend their time on it. Tests drive a [`ManualClock`]
+//! by hand, where a wait is only accounted, so timing behaviour is fully
+//! deterministic; a client of a real server hands them a [`WallClock`],
+//! where a wait is a wait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A monotonic simulated time source.
+/// A monotonic time source.
 pub trait Clock: Send + Sync {
     /// Time elapsed since the clock's epoch.
     fn now(&self) -> Duration;
 
-    /// Moves the clock forward. Wrappers call this to model time they
-    /// would have spent waiting (e.g. a backoff delay).
+    /// Lets `by` go past. Wrappers call this to wait (e.g. a backoff
+    /// delay): a simulated clock jumps, the wall clock sleeps.
     fn advance(&self, by: Duration);
 }
 
@@ -78,8 +78,10 @@ impl Clock for WallClock {
         self.epoch.elapsed()
     }
 
-    /// Real time cannot be advanced by fiat; waiting happens for real.
-    fn advance(&self, _by: Duration) {}
+    /// Real time cannot be advanced by fiat: this sleeps for `by`.
+    fn advance(&self, by: Duration) {
+        std::thread::sleep(by);
+    }
 }
 
 #[cfg(test)]

@@ -204,8 +204,8 @@ impl Response {
     }
 
     /// Rows transferred by this response, counting booleans and counts
-    /// as one row each and recursing through batches (the transfer-cost
-    /// proxy used by the latency model).
+    /// as one row each and recursing through batches (a transfer-cost
+    /// proxy).
     pub fn row_count(&self) -> u64 {
         match self {
             Response::Rows(rs) => rs.len() as u64,

@@ -39,9 +39,10 @@
 //! per candidate. At `LatencyModel::wan()` (20 ms per request) the
 //! request column reads 0.94 s → 0.31 s of latency per relation.
 //!
-//! A batch is cut at **16 leaves**. A server worker answers a whole
-//! batch before it takes the next job, so an uncut 40–80-leaf discovery
-//! batch delays every other client of that server: on the
+//! A batch is cut at **16 leaves**. A whole batch is one job at the
+//! server's gate and holds its running slot until the last leaf is
+//! answered, so an uncut 40–80-leaf discovery batch delays every other
+//! client of that server: on the
 //! `federated_align` benchmark the side reader's `open_p95_us` read
 //! 608–644 µs with uncut batches (1.24× the ≈499 µs of one request per
 //! probe, at the benchmark's 0.25 bound) and 519–573 µs (1.11×) with

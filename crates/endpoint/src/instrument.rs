@@ -1,10 +1,12 @@
-//! Query/transfer accounting for the "few queries" claim.
+//! Query/transfer accounting for the "few queries" claim, and what the
+//! counts would cost in network time.
 
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
 use sofya_sparql::QueryBudget;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Counters accumulated by an [`InstrumentedEndpoint`].
 ///
@@ -154,6 +156,43 @@ impl EndpointCounters {
     }
 }
 
+/// Latency model: fixed round-trip cost per request plus a per-row
+/// transfer cost. Actually sleeping would make experiments slow and
+/// flaky; [`LatencyModel::cost`] turns what an [`InstrumentedEndpoint`]
+/// counted into simulated time instead, so an experiment can report
+/// "aligning this relation would take ≈0.4 s against a 20 ms-RTT
+/// endpoint" deterministically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyModel {
+    /// Round-trip time charged per request.
+    pub round_trip: Duration,
+    /// Transfer time charged per returned row.
+    pub per_row: Duration,
+}
+
+impl LatencyModel {
+    /// A same-continent public endpoint: 20 ms RTT, 50 µs/row.
+    pub fn wan() -> Self {
+        Self {
+            round_trip: Duration::from_millis(20),
+            per_row: Duration::from_micros(50),
+        }
+    }
+
+    /// The network time of everything `counters` has seen: one round
+    /// trip per request — a whole batch being one, which is exactly why
+    /// [`Request::Batch`] exists — plus transfer per row, a boolean
+    /// answer weighing one row like a count. A request that failed still
+    /// paid its round trip.
+    pub fn cost(&self, counters: &EndpointCounters) -> Duration {
+        let rows = counters.rows_returned() + counters.ask_queries();
+        Duration::from_nanos(
+            self.round_trip.as_nanos() as u64 * counters.requests()
+                + self.per_row.as_nanos() as u64 * rows,
+        )
+    }
+}
+
 /// An endpoint wrapper that counts queries and transferred rows.
 pub struct InstrumentedEndpoint<E> {
     inner: E,
@@ -282,6 +321,26 @@ mod tests {
         assert_eq!(counters.requests(), 1); // …all in one round trip
         assert_eq!(counters.largest_request(), 4);
         assert_eq!(counters.rows_returned(), 2 + 1); // select rows + count row
+    }
+
+    #[test]
+    fn latency_model_charges_round_trips_plus_rows() {
+        let model = LatencyModel {
+            round_trip: Duration::from_millis(10),
+            per_row: Duration::from_millis(1),
+        };
+        let ep = wrapped();
+        let counters = ep.counters();
+        ep.select("SELECT ?o { <a> <p> ?o }").unwrap();
+        // 10 ms + 2 rows × 1 ms.
+        assert_eq!(model.cost(&counters), Duration::from_millis(12));
+        let ask = Request::Ask {
+            query: "ASK { <a> <p> <b> }",
+        };
+        ep.execute_batch(vec![ask.clone(), ask.clone(), ask])
+            .unwrap();
+        // One more RTT + 3 boolean rows — not 3 RTTs.
+        assert_eq!(model.cost(&counters), Duration::from_millis(12 + 13));
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   publishes.
 //! * [`InstrumentedEndpoint`] — counts queries and transferred rows/cells,
 //!   so experiments can report the paper's "works with few queries" claim
-//!   quantitatively (experiment S3, `sofya-eval query-cost`).
+//!   quantitatively (experiment S3, `sofya-eval query-cost`);
+//!   [`LatencyModel::cost`] prices those counts in simulated network time.
 //! * [`QuotaEndpoint`] — enforces a hard query budget and a per-query row
 //!   cap, turning "you may not download the whole KB" into an actual
 //!   runtime error.
@@ -40,7 +41,7 @@
 //! * [`RetryEndpoint`] — re-issues transient failures with accounted
 //!   backoff behind an optional circuit breaker.
 //! * [`CachingEndpoint`] — memoises identical query strings, as a client
-//!   library would; [`LatencyEndpoint`] accounts simulated network time.
+//!   library would.
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
@@ -62,7 +63,6 @@ pub mod endpoint;
 pub mod error;
 pub mod helpers;
 pub mod instrument;
-pub mod latency;
 pub mod local;
 pub(crate) mod outcome;
 pub(crate) mod plan_cache;
@@ -78,8 +78,7 @@ pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta}
 pub use durable::{DurabilityGauge, DurableStore};
 pub use endpoint::{Endpoint, EndpointExt, Request, Response};
 pub use error::EndpointError;
-pub use instrument::{EndpointCounters, InstrumentedEndpoint};
-pub use latency::{LatencyEndpoint, LatencyModel};
+pub use instrument::{EndpointCounters, InstrumentedEndpoint, LatencyModel};
 pub use local::LocalEndpoint;
 pub use quota::{QuotaConfig, QuotaEndpoint};
 pub use retry::{BackoffPolicy, BreakerConfig, BreakerState, RetryEndpoint};

@@ -185,7 +185,7 @@ impl LruPlanCache {
 
 /// Number of shards in a [`ShardedPlanCache`]. A power of two so the
 /// hash-to-shard map is a mask; 8 keeps per-shard contention negligible
-/// for the worker counts the scheduler runs (≤ dozens).
+/// for the number of queries a server lets run at once (≤ dozens).
 pub(crate) const PLAN_CACHE_SHARDS: usize = 8;
 
 /// A sharded [`LruPlanCache`]: the query string's FNV hash picks the

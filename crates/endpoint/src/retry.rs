@@ -226,10 +226,11 @@ impl BackoffPolicy {
 /// knows when it will have capacity, the client's exponential guess
 /// does not.
 ///
-/// With [`RetryEndpoint::with_backoff`] each retry also charges its
-/// delay to an injected [`Clock`] — the crate never sleeps, it
-/// *accounts* the time a production client would have waited, so the
-/// schedule is testable deterministically.
+/// With [`RetryEndpoint::with_backoff`] each retry first spends its
+/// delay on an injected [`Clock`]: over [`crate::WallClock`] that is a
+/// real wait, which is what backing off from a busy server means; over
+/// [`crate::ManualClock`] the time is only accounted, so the schedule is
+/// testable deterministically.
 pub struct RetryEndpoint<E> {
     inner: E,
     max_retries: u32,
@@ -254,7 +255,7 @@ impl<E: Endpoint> RetryEndpoint<E> {
     }
 
     /// Wraps `inner` with a retry budget and an exponential backoff
-    /// schedule charged to `clock` before every retry.
+    /// schedule spent on `clock` before every retry.
     pub fn with_backoff(
         inner: E,
         max_retries: u32,
@@ -287,7 +288,7 @@ impl<E: Endpoint> RetryEndpoint<E> {
         self.retries_used.load(Ordering::Relaxed)
     }
 
-    /// Total simulated time spent backing off across all queries.
+    /// Total time spent backing off across all queries.
     pub fn backoff_time(&self) -> Duration {
         Duration::from_nanos(self.backoff_nanos.load(Ordering::Relaxed))
     }
@@ -446,6 +447,23 @@ mod tests {
         let err = ep.ask("ASK { <a> <p> <b> }").unwrap_err();
         assert!(matches!(err, EndpointError::Other(_)));
         assert_eq!(ep.retries_used(), 2);
+    }
+
+    /// Over the wall clock a backoff is a real wait: a client told to
+    /// come back later does not re-send back to back.
+    #[test]
+    fn backoff_over_the_wall_clock_really_waits() {
+        let flat = BackoffPolicy {
+            base: Duration::from_millis(5),
+            factor: 1,
+            max_delay: Duration::from_millis(5),
+        };
+        let clock = Arc::new(crate::clock::WallClock::new());
+        let ep = RetryEndpoint::with_backoff(FlakyEndpoint::new(base(), 1), 2, flat, clock);
+        let started = std::time::Instant::now();
+        ep.ask("ASK { <a> <p> <b> }").unwrap_err();
+        assert!(started.elapsed() >= Duration::from_millis(10));
+        assert_eq!(ep.backoff_time(), Duration::from_millis(10));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`metrics`] — precision / recall / F1 of predicted subsumption rules
 //!   against the generator's world-level gold;
 //! * [`runner`] — an "align every relation" driver fanned out over
-//!   `sofya_service::run_batch`, with both stores behind instrumented
-//!   endpoints so each run reports its query costs alongside its rules;
+//!   scoped threads, with both stores behind instrumented endpoints so
+//!   each run reports its query costs alongside its rules;
 //! * [`table1`] — the Table 1 experiment: three method rows
 //!   (pcaconf-SSE τ>0.3, cwaconf-SSE τ>0.1, UBS-pcaconf) × two directions
 //!   (`yago ⊂ dbpd`, `dbpd ⊂ yago`);

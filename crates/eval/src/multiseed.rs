@@ -3,10 +3,10 @@
 //! seed luck.
 
 use crate::metrics::PrecisionRecall;
+use crate::runner::parallel_map;
 use crate::table1::run_table1;
 use sofya_core::AlignError;
 use sofya_kbgen::{generate, PairConfig};
-use sofya_service::run_batch;
 
 /// Mean and sample standard deviation of a series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +63,10 @@ pub struct AggregatedRow {
 /// aggregates per method row. `make_config` maps a seed to the generator
 /// configuration (e.g. `PairConfig::small`).
 ///
-/// Seeds are scheduled as independent sessions on the `sofya-service`
-/// worker pool (generation + the full Table 1 run per job); aggregation
-/// order follows the input seed order, so results are identical to the
-/// old sequential loop. The thread budget is split between the two
+/// Seeds run as independent `parallel_map` jobs (generation + the
+/// full Table 1 run per job); aggregation order follows the input seed
+/// order, so results are identical to a sequential loop. The thread
+/// budget is split between the two
 /// levels — `outer` concurrent seeds × `inner` alignment workers per
 /// seed stays ≈ `threads` — so parallelising seeds neither oversubscribes
 /// the host nor multiplies peak memory (at most `outer` generated pairs
@@ -82,11 +82,10 @@ pub fn table1_over_seeds(
     // is uneven beats stranding threads (e.g. 6 threads / 4 seeds gives
     // 4×2, not 4×1).
     let inner = threads.max(1).div_ceil(outer);
-    let tables = run_batch(outer, seeds.to_vec(), |seed: u64| {
+    let tables = parallel_map(outer, seeds.to_vec(), |seed: u64| {
         let pair = generate(&make_config(seed));
         run_table1(&pair, seed, sample_size, inner)
-    })
-    .map_err(|e| AlignError::Config(e.to_string()))?;
+    });
 
     let mut per_method: Vec<(String, Vec<[f64; 4]>)> = Vec::new();
     for table in tables {

@@ -1,17 +1,16 @@
 //! Parallel alignment of every relation in one direction, with endpoint
 //! cost accounting.
 //!
-//! Fan-out goes through the `sofya-service` scheduler: one job per
-//! target relation, `threads` pool workers, a queue sized to the batch
-//! (this harness has nowhere to shed load to). Worker panics are
-//! contained by the scheduler and re-raised here, preserving the old
-//! hand-rolled-scope semantics for the test suite.
+//! Fan-out is `parallel_map`: one job per target relation, `threads`
+//! scoped threads pulling from a shared cursor, results in job order. A
+//! panicking job re-raises on the caller — an offline harness has no
+//! partial-result story and nowhere to shed load to.
 
 use sofya_core::{AlignError, Aligner, AlignerConfig, SubsumptionRule};
 use sofya_endpoint::{Endpoint, InstrumentedEndpoint, LocalEndpoint};
 use sofya_kbgen::GeneratedPair;
 use sofya_rdf::TripleStore;
-use sofya_service::run_batch;
+use std::sync::Mutex;
 
 /// The outcome of aligning one direction (`premises ⊂ conclusions`).
 #[derive(Debug, Clone)]
@@ -99,12 +98,54 @@ pub fn align_pair(
     Ok((fwd, bwd))
 }
 
-/// Aligns all target relations across `threads` scheduler workers and
-/// returns the rules with the number of relations aligned, so a caller
-/// counting endpoint costs need not list the relations a second time.
+/// Runs `work` over `jobs` on `threads` scoped threads (at least one)
+/// and returns the results in job order. The threads share one cursor
+/// into the jobs, so a slow job holds up only its own thread. A job that
+/// panics re-raises its own payload here once the other threads have
+/// run out of jobs.
+pub(crate) fn parallel_map<J, R, F>(threads: usize, jobs: Vec<J>, work: F) -> Vec<R>
+where
+    J: Send,
+    R: Send,
+    F: Fn(J) -> R + Sync,
+{
+    let cursor = Mutex::new(jobs.into_iter().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // The lock is released before the job runs, so a
+                        // panicking job cannot poison it.
+                        let next = cursor.lock().expect("no job runs under the lock").next();
+                        match next {
+                            Some((index, job)) => mine.push((index, work(job))),
+                            None => break mine,
+                        }
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    done.sort_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Aligns all target relations across `threads` threads and returns the
+/// rules with the number of relations aligned, so a caller counting
+/// endpoint costs need not list the relations a second time.
 ///
-/// Each relation is one job on the service scheduler's bounded queue;
-/// the pool shares a single [`Aligner`] over the shared endpoints.
+/// Each relation is one `parallel_map` job; the threads share a single
+/// [`Aligner`] over the shared endpoints.
 /// Results are deterministic regardless of thread count because
 /// per-relation RNGs are seeded from the relation IRI.
 pub fn align_all_parallel(
@@ -116,13 +157,11 @@ pub fn align_all_parallel(
     let aligner = Aligner::new(source, target, config.clone());
     let relations = aligner.target_relations()?;
     let relations_aligned = relations.len();
-    let threads = threads.max(1).min(relations_aligned.max(1));
+    let threads = threads.min(relations_aligned);
 
-    let results: Vec<Result<Vec<SubsumptionRule>, AlignError>> =
-        run_batch(threads, relations, |relation: String| {
-            aligner.align_relation(&relation)
-        })
-        .map_err(|e| AlignError::Config(e.to_string()))?;
+    let results = parallel_map(threads, relations, |relation: String| {
+        aligner.align_relation(&relation)
+    });
 
     let mut rules = Vec::new();
     for r in results {
@@ -142,6 +181,28 @@ mod tests {
     use super::*;
     use crate::metrics::evaluate_rules;
     use sofya_kbgen::{generate, PairConfig};
+
+    #[test]
+    fn parallel_map_keeps_job_order_at_any_width() {
+        let jobs: Vec<u64> = (0..50).collect();
+        for threads in [1, 2, 8] {
+            let out = parallel_map(threads, jobs.clone(), |n| n * n);
+            assert_eq!(out, jobs.iter().map(|n| n * n).collect::<Vec<_>>());
+        }
+        assert_eq!(parallel_map(4, Vec::<u64>::new(), |n| n), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn parallel_map_re_raises_a_job_panic_with_its_own_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map(2, (0..10).collect(), |n: u64| {
+                assert!(n != 7, "job {n} dies");
+                n
+            })
+        });
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "job 7 dies");
+    }
 
     #[test]
     fn parallel_equals_sequential() {

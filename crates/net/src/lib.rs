@@ -2,10 +2,11 @@
 //!
 //! This crate takes the [`sofya_endpoint::Endpoint`] abstraction across
 //! process boundaries. The server side ([`HttpServer`]) fronts any local
-//! endpoint with a minimal HTTP/1.1 listener whose every request flows
-//! through the [`sofya_service::scheduler`] — so remote clients get
-//! per-client quotas, bounded-queue backpressure, deadline shedding,
-//! panic containment, and latency metrics. The client
+//! endpoint with a minimal HTTP/1.1 listener whose every request passes
+//! the [`sofya_service::scheduler`] gate on the connection thread that
+//! read it — so remote clients get per-client quotas, bounded-backlog
+//! backpressure, deadline shedding, panic containment, and latency
+//! metrics. The client
 //! side ([`RemoteEndpoint`]) implements `Endpoint` over that wire, so a
 //! remote store composes with the existing middleware stack (retry,
 //! caching, instrumentation) and the alignment pipeline unchanged: two
@@ -34,5 +35,5 @@ pub mod wire;
 pub use client::{RemoteConfig, RemoteEndpoint};
 pub use ingest::{parse_ingest_body, IngestSink};
 pub use json::Json;
-pub use server::{metrics_to_json, HttpServer, ServerConfig};
+pub use server::{HttpServer, ServerConfig};
 pub use wire::{execute_wire_budgeted, term_from_json, term_to_json, WireError, WireRequest};

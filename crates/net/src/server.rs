@@ -1,13 +1,16 @@
-//! The HTTP front-end: a `TcpListener` accept loop in front of the
-//! [`sofya_service::scheduler`].
+//! The HTTP front-end: a `TcpListener` accept loop, one thread per open
+//! connection, and the [`sofya_service::scheduler`] gate every request
+//! passes on the thread that read it.
 //!
 //! Every wire request — a single query or a whole batch — is **one
 //! scheduler job**, submitted under the client id from the `X-Client`
-//! header. That puts remote traffic behind the scheduler's admission
-//! machinery: per-client quotas (`429 Too Many Requests`), bounded-queue
-//! backpressure (`503` with `Retry-After`), deadline shedding (`504`),
-//! panic containment (`500`, pool keeps serving), and p50/p99 latency
-//! metrics (exposed at `GET /metrics` and via [`HttpServer::metrics`]).
+//! header and run by the connection thread itself once the gate lets it
+//! start. That puts remote traffic behind the gate's admission rules:
+//! per-client quotas (`429 Too Many Requests`), a bounded backlog
+//! (`503` with `Retry-After`), a cap on queries running at once,
+//! deadline shedding (`504`), panic containment (`500`, the server keeps
+//! serving), and p50/p99 latency metrics (exposed at `GET /metrics` and
+//! via [`HttpServer::metrics`]).
 //!
 //! Routes:
 //!
@@ -19,7 +22,10 @@
 //!   [`IngestSink`] as **one scheduler job** and answered with `202`
 //!   and `{"ok":true,"epoch":…}`. Routed only when
 //!   [`ServerConfig::ingest`] is set.
-//! * `GET /metrics` — current [`MetricsReport`] as JSON.
+//! * `GET /metrics` — the current [`MetricsReport`] as JSON, followed
+//!   in the same object by the write-side gauges the server was
+//!   configured with ([`ServerConfig::durability`],
+//!   [`ServerConfig::freshness`]; zeros without them).
 
 use crate::http::{read_request, write_response, HttpRequest};
 use crate::ingest::{parse_ingest_body, IngestSink};
@@ -27,11 +33,11 @@ use crate::json::Json;
 use crate::wire::{envelope_to_json, execute_wire_budgeted, WireRequest};
 use parking_lot::Mutex;
 use sofya_endpoint::{
-    map_budget_error, BudgetConfig, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge,
+    BudgetConfig, DeadlineEndpoint, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge,
     Response,
 };
 use sofya_service::scheduler::{serve, JobOutcome, SchedulerConfig, SchedulerHandle, SubmitError};
-use sofya_service::{MetricsReport, ServiceMetrics};
+use sofya_service::{LatencyHistogram, MetricsReport, ServiceMetrics};
 use sofya_sparql::{CancelToken, QueryBudget};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,8 +48,9 @@ use std::time::{Duration, Instant};
 /// Server knobs.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Scheduler configuration: workers, queue bound, per-client quotas,
-    /// retry-after hint. Applies to remote traffic unchanged.
+    /// Scheduler configuration: jobs running at once, backlog bound,
+    /// per-client quotas, retry-after hint. Applies to remote traffic
+    /// unchanged.
     pub scheduler: SchedulerConfig,
     /// How often an idle connection wakes to check for shutdown; also
     /// the read timeout granularity. Keep-alive connections poll at this
@@ -64,8 +71,8 @@ pub struct ServerConfig {
     /// Per-query execution limits (the runaway-query kill switch). The
     /// effective deadline of a request is the *tighter* of
     /// `budget.time_limit` and the client's `X-Deadline-Ms` header;
-    /// queued requests whose deadline passes before a worker picks them
-    /// up are shed without executing.
+    /// requests whose deadline passes while they wait for their turn at
+    /// the gate are shed without executing.
     pub budget: BudgetConfig,
     /// Durability observables from the store's writer (see
     /// [`sofya_endpoint::DurableStore::gauge`]). When set, `GET /metrics`
@@ -134,6 +141,17 @@ impl Lifecycle {
     }
 }
 
+/// What the server can say about itself from outside the scheduler's
+/// registry (which lives and dies inside `serve`).
+#[derive(Debug)]
+struct Observed {
+    /// The scheduler's report as of the last served request.
+    metrics: Mutex<MetricsReport>,
+    /// WAL fsync latency, fed by `GET /metrics` from the samples the
+    /// durability gauge has collected since the last probe.
+    wal_fsync: LatencyHistogram,
+}
+
 /// A running HTTP server. Shut down explicitly with
 /// [`HttpServer::shutdown`] or implicitly on drop.
 #[derive(Debug)]
@@ -142,7 +160,7 @@ pub struct HttpServer {
     lifecycle: Arc<Lifecycle>,
     drain_deadline: Duration,
     thread: Option<std::thread::JoinHandle<()>>,
-    metrics: Arc<Mutex<MetricsReport>>,
+    observed: Arc<Observed>,
     cancel: Arc<CancelToken>,
 }
 
@@ -160,48 +178,48 @@ impl HttpServer {
         let addr = listener.local_addr()?;
         let lifecycle = Arc::new(Lifecycle::new());
         let drain_deadline = config.drain_deadline;
-        let metrics = Arc::new(Mutex::new(ServiceMetrics::default().report()));
+        let observed = Arc::new(Observed {
+            metrics: Mutex::new(ServiceMetrics::default().report()),
+            wal_fsync: LatencyHistogram::default(),
+        });
         let cancel = Arc::new(CancelToken::new());
         let thread = {
             let lifecycle = Arc::clone(&lifecycle);
-            let metrics = Arc::clone(&metrics);
+            let observed = Arc::clone(&observed);
             let cancel = Arc::clone(&cancel);
             std::thread::spawn(move || {
-                let budget_config = config.budget;
-                let handler_cancel = Arc::clone(&cancel);
-                // Every job runs under the configured caps plus the
-                // server's kill switch; the absolute deadline rides in
-                // with the job (computed when the request was read, so
-                // queue wait spends the budget too).
+                // Every query runs under the configured caps plus the
+                // server's kill switch. The time limit is left out here:
+                // it rides in with the job as an absolute deadline
+                // (computed when the request was read, so the wait at
+                // the gate spends the budget too).
+                let limits = BudgetConfig {
+                    time_limit: None,
+                    ..config.budget
+                };
+                let endpoint = DeadlineEndpoint::with_cancel(endpoint, limits, Arc::clone(&cancel));
                 let ingest_sink = config.ingest.clone();
-                let handler = move |job: WireJob| {
-                    let budget = QueryBudget {
-                        deadline: job.deadline,
-                        max_rows_scanned: budget_config.max_rows_scanned,
-                        max_bindings: budget_config.max_bindings,
-                        cancel: Some(Arc::clone(&handler_cancel)),
-                    };
-                    // sofya: allow(determinism) — per-job latency metric, never alignment state
-                    let started = Instant::now();
-                    match job.payload {
-                        JobPayload::Query(wire) => {
-                            execute_wire_budgeted(endpoint.as_ref(), &wire, &budget)
-                                .map_err(|e| map_budget_error(e, started.elapsed()))
-                        }
-                        // The ingest sink owns publishing; the epoch it
-                        // returns rides back as a count response.
-                        JobPayload::Ingest(triples) => match &ingest_sink {
-                            Some(sink) => sink.ingest(triples).map(Response::Count),
-                            None => Err(EndpointError::Other(
-                                "ingestion is not enabled on this server".to_owned(),
-                            )),
-                        },
+                let handler = move |job: WireJob| match job.payload {
+                    JobPayload::Query(wire) => {
+                        let budget = QueryBudget {
+                            deadline: job.deadline,
+                            ..QueryBudget::unlimited()
+                        };
+                        execute_wire_budgeted(&endpoint, &wire, &budget)
                     }
+                    // The ingest sink owns publishing; the epoch it
+                    // returns rides back as a count response.
+                    JobPayload::Ingest(triples) => match &ingest_sink {
+                        Some(sink) => sink.ingest(triples).map(Response::Count),
+                        None => Err(EndpointError::Other(
+                            "ingestion is not enabled on this server".to_owned(),
+                        )),
+                    },
                 };
                 let scheduler = config.scheduler.clone();
                 let _ = serve(&scheduler, handler, |handle| {
-                    accept_loop(&listener, handle, &config, &lifecycle, &metrics, &cancel);
-                    *metrics.lock() = handle.metrics().report();
+                    accept_loop(&listener, handle, &config, &lifecycle, &observed, &cancel);
+                    *observed.metrics.lock() = handle.metrics().report();
                 });
             })
         };
@@ -210,7 +228,7 @@ impl HttpServer {
             lifecycle,
             drain_deadline,
             thread: Some(thread),
-            metrics,
+            observed,
             cancel,
         })
     }
@@ -223,7 +241,7 @@ impl HttpServer {
     /// The latest server-side metrics snapshot (refreshed after every
     /// served request and at shutdown).
     pub fn metrics(&self) -> MetricsReport {
-        *self.metrics.lock()
+        *self.observed.metrics.lock()
     }
 
     /// Gracefully stops the server: new requests are refused with `503`
@@ -250,7 +268,7 @@ impl HttpServer {
             // In-flight queries outlived the drain deadline: trip the
             // kill switch so budgeted evaluation unwinds cooperatively,
             // and give that bounded grace instead of abandoning the
-            // worker threads mid-query.
+            // connection threads mid-query.
             self.cancel.cancel();
             let grace = Instant::now() + self.drain_deadline; // sofya: allow(determinism) — cancellation grace is wall-clock bounded
             while self.lifecycle.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < grace {
@@ -297,7 +315,7 @@ fn accept_loop(
     handle: &Handle<'_>,
     config: &ServerConfig,
     lifecycle: &Lifecycle,
-    metrics: &Mutex<MetricsReport>,
+    observed: &Observed,
     cancel: &Arc<CancelToken>,
 ) {
     std::thread::scope(|scope| loop {
@@ -320,7 +338,7 @@ fn accept_loop(
             }
             _ => {
                 scope.spawn(move || {
-                    serve_connection(stream, handle, config, lifecycle, metrics, cancel)
+                    serve_connection(stream, handle, config, lifecycle, observed, cancel)
                 });
             }
         }
@@ -415,7 +433,7 @@ fn serve_connection(
     handle: &Handle<'_>,
     config: &ServerConfig,
     lifecycle: &Lifecycle,
-    metrics: &Mutex<MetricsReport>,
+    observed: &Observed,
     cancel: &Arc<CancelToken>,
 ) {
     let Some(mut reader) = ConnReader::over(&stream, config) else {
@@ -434,7 +452,7 @@ fn serve_connection(
         // The request has started: from here to its last byte a read
         // timeout is a pause in the peer's writing, not an idle poll.
         reader.get_mut().patience = message_patience;
-        let outcome = serve_one_request(&mut stream, &mut reader, handle, config, metrics, cancel);
+        let outcome = serve_one_request(&mut stream, &mut reader, handle, config, observed, cancel);
         reader.get_mut().patience = 0;
         lifecycle.in_flight.fetch_sub(1, Ordering::SeqCst);
         if outcome.is_err() {
@@ -450,7 +468,7 @@ fn serve_one_request(
     reader: &mut BufReader<ConnReader>,
     handle: &Handle<'_>,
     config: &ServerConfig,
-    metrics: &Mutex<MetricsReport>,
+    observed: &Observed,
     cancel: &Arc<CancelToken>,
 ) -> Result<(), ()> {
     let request = match read_request(reader) {
@@ -462,8 +480,8 @@ fn serve_one_request(
             return Err(());
         }
     };
-    let (status, reason, extra, body) = route(&request, handle, config, cancel);
-    *metrics.lock() = handle.metrics().report();
+    let (status, reason, extra, body) = route(&request, handle, config, cancel, observed);
+    *observed.metrics.lock() = handle.metrics().report();
     let written = match &extra {
         Some((name, value)) => {
             let headers = [JSON_CONTENT_TYPE, (*name, value.as_str())];
@@ -487,29 +505,14 @@ fn route(
     handle: &Handle<'_>,
     config: &ServerConfig,
     cancel: &Arc<CancelToken>,
+    observed: &Observed,
 ) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/query") => serve_query(request, handle, config, cancel),
         ("POST", "/ingest") => serve_ingest(request, handle, config, cancel),
         ("GET", "/metrics") => {
-            // Fold the writer-side durability observables in lazily, at
-            // probe time — commits never touch the service registry.
-            if let Some(gauge) = &config.durability {
-                let service = handle.metrics();
-                service.record_durable_epoch(gauge.durable_epoch());
-                for ns in gauge.drain_fsync_ns() {
-                    service.record_wal_fsync(Duration::from_nanos(ns));
-                }
-            }
-            // Same lazy fold for the streaming-side freshness gauges —
-            // publishes and refreshes never touch the service registry.
-            if let Some(gauge) = &config.freshness {
-                let service = handle.metrics();
-                service.record_last_publish_epoch(gauge.last_publish_epoch());
-                service.record_dirty_relations(gauge.dirty_relations());
-                service.record_alignment_staleness_epochs(gauge.staleness_epochs());
-            }
-            let mut text = metrics_to_json(&handle.metrics().report()).to_text();
+            let report = handle.metrics().report();
+            let mut text = metrics_to_json(&report, config, &observed.wal_fsync).to_text();
             text.push('\n');
             (200, "OK", None, text.into_bytes())
         }
@@ -651,8 +654,8 @@ fn run_job(
         .map_err(|rejected| rejected_routed(rejected.error, config))?;
     match ticket.wait() {
         JobOutcome::Completed(result) => Ok(result),
-        // Shed at dequeue: the deadline passed while queued, the worker
-        // never ran it (`queries_shed` is counted there).
+        // Shed at the gate: the deadline passed before its turn came, the
+        // handler never ran (`queries_shed` is counted there).
         JobOutcome::Shed => Err((
             504,
             "Gateway Timeout",
@@ -740,15 +743,6 @@ fn rejected_routed(error: SubmitError, config: &ServerConfig) -> Routed {
                 }),
             )
         }
-        SubmitError::ShuttingDown => (
-            503,
-            "Service Unavailable",
-            None,
-            error_body(&EndpointError::Unavailable {
-                message: "server shutting down".into(),
-                retry_after: None,
-            }),
-        ),
     }
 }
 
@@ -762,8 +756,26 @@ fn configured_quota(scheduler: &SchedulerConfig, client: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Serializes a [`MetricsReport`] for `GET /metrics`.
-pub fn metrics_to_json(report: &MetricsReport) -> Json {
+/// Serializes `GET /metrics`: the scheduler's report with the
+/// write-side gauges read in place, here and now — commits, publishes
+/// and refreshes never touch a registry, and the fsync samples the
+/// durability gauge has collected since the last probe are drained into
+/// `wal_fsync` on the way.
+fn metrics_to_json(
+    report: &MetricsReport,
+    config: &ServerConfig,
+    wal_fsync: &LatencyHistogram,
+) -> Json {
+    let durable_epoch = config.durability.as_ref().map_or(0, |gauge| {
+        for ns in gauge.drain_fsync_ns() {
+            wal_fsync.record(Duration::from_nanos(ns));
+        }
+        gauge.durable_epoch()
+    });
+    let fresh = config.freshness.as_deref();
+    let last_publish_epoch = fresh.map_or(0, FreshnessGauge::last_publish_epoch);
+    let dirty_relations = fresh.map_or(0, FreshnessGauge::dirty_relations);
+    let staleness_epochs = fresh.map_or(0, FreshnessGauge::staleness_epochs);
     Json::obj([
         ("submitted", Json::Uint(report.submitted)),
         ("completed", Json::Uint(report.completed)),
@@ -775,16 +787,13 @@ pub fn metrics_to_json(report: &MetricsReport) -> Json {
         ("latency_p50_ns", Json::Uint(report.latency_p50_ns)),
         ("latency_p99_ns", Json::Uint(report.latency_p99_ns)),
         ("queue_wait_p99_ns", Json::Uint(report.queue_wait_p99_ns)),
-        ("wal_fsync_p99_ns", Json::Uint(report.wal_fsync_p99_ns)),
-        ("durable_epoch", Json::Uint(report.durable_epoch)),
+        ("wal_fsync_p99_ns", Json::Uint(wal_fsync.quantile_ns(0.99))),
+        ("durable_epoch", Json::Uint(durable_epoch)),
         ("queries_timed_out", Json::Uint(report.queries_timed_out)),
         ("queries_cancelled", Json::Uint(report.queries_cancelled)),
         ("queries_shed", Json::Uint(report.queries_shed)),
-        ("last_publish_epoch", Json::Uint(report.last_publish_epoch)),
-        ("dirty_relations", Json::Uint(report.dirty_relations)),
-        (
-            "alignment_staleness_epochs",
-            Json::Uint(report.alignment_staleness_epochs),
-        ),
+        ("last_publish_epoch", Json::Uint(last_publish_epoch)),
+        ("dirty_relations", Json::Uint(dirty_relations)),
+        ("alignment_staleness_epochs", Json::Uint(staleness_epochs)),
     ])
 }

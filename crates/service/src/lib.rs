@@ -1,43 +1,36 @@
 //! # sofya-service
 //!
-//! The job scheduler: a worker pool behind a bounded queue, and nothing
-//! else. The crate knows no RDF, no SPARQL and no endpoint — it is
-//! generic over the job and result types, and its callers decide what a
-//! job is:
+//! The admission gate in front of a request handler, and nothing else.
+//! The crate knows no RDF, no SPARQL and no endpoint — it is generic
+//! over the job and result types — and it owns no threads: a job runs on
+//! the thread that waits for it. `sofya_net::HttpServer` passes every
+//! `POST /query` and `POST /ingest` through [`scheduler::serve`] on the
+//! connection thread that read the request.
 //!
-//! * `sofya_net::HttpServer` runs every `POST /query` and `POST /ingest`
-//!   through [`scheduler::serve`] (per-client quotas → `429`, full queue
-//!   → `503` + `Retry-After`, expired deadline → `504`);
-//! * `sofya_eval` fans relations and seeds out through
-//!   [`scheduler::run_batch`].
+//! Two modules:
 //!
-//! Three modules:
-//!
-//! * [`queue::BoundedQueue`] — bounded multi-producer/multi-consumer
-//!   queue whose full-queue rejections are the backpressure signal;
-//! * [`scheduler`] — N scoped worker threads over the queue, per-client
-//!   request quotas, reject-with-retry-after on overload, deadline
-//!   shedding at dequeue, and panic containment (a dying job never takes
-//!   the pool down);
+//! * [`scheduler`] — one mutex-guarded gate behind one condvar:
+//!   per-client quotas, a bounded backlog, a cap on handlers running at
+//!   once, arrival order among waiters, deadline shedding and panic
+//!   containment;
 //! * [`metrics::ServiceMetrics`] — counters, approximate p50/p99 latency
-//!   and queue depth, plus the gauges the HTTP tier's write path records
-//!   (durable epoch, WAL fsync, alignment freshness) — all relaxed
-//!   atomics, shared freely with the workers.
+//!   and queue wait, and queue depth — all relaxed atomics, recorded
+//!   from whichever thread runs the job.
 //!
 //! ```text
-//! clients ──▶ BoundedQueue ──▶ worker pool ──▶ handler(job)
-//!   (quotas, retry-after)     (shedding, panic containment, metrics)
+//!          submit                       wait
+//! thread ──▶ quota? capacity? ──ticket──▶ first in line, slot free? ──▶ handler(job)
+//!            (no: 429 / 503,             (blocks; 504 if the deadline    on this thread
+//!             job handed back)            has passed by then)            (panic: 500)
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod metrics;
-pub mod queue;
 pub mod scheduler;
 
 pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics};
-pub use queue::{BoundedQueue, PushError};
 pub use scheduler::{
-    run_batch, serve, JobOutcome, JobTicket, RejectedJob, SchedulerConfig, SchedulerHandle,
-    ServiceError, SubmitError,
+    serve, JobOutcome, JobTicket, RejectedJob, SchedulerConfig, SchedulerHandle, ServiceError,
+    SubmitError,
 };

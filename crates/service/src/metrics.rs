@@ -1,8 +1,8 @@
 //! Lock-free service metrics: counters, a log-bucketed latency histogram
-//! (p50/p99), queue depth, and the write-path gauges.
+//! (p50/p99) and queue depth.
 //!
 //! Every value is an atomic updated with relaxed ordering — metrics are
-//! observability, not synchronisation — so recording from N workers never
+//! observability, not synchronisation — so recording from N threads never
 //! contends. Reading produces a consistent-enough [`MetricsReport`]
 //! (individual values may be a few events apart, which is fine for a
 //! dashboard line).
@@ -78,58 +78,41 @@ impl LatencyHistogram {
     }
 }
 
-/// Shared registry of everything the service reports. Cheap to hand to
-/// every worker by reference; snapshot with [`ServiceMetrics::report`].
+/// Shared registry of everything the service reports. Every thread that
+/// waits for a job records into it; snapshot with
+/// [`ServiceMetrics::report`].
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
-    /// Requests accepted into the queue.
+    /// Requests admitted by the gate.
     submitted: AtomicU64,
     /// Requests whose handler ran to completion.
     completed: AtomicU64,
-    /// Requests rejected because the queue was full (backpressure).
+    /// Requests rejected because `queue_capacity` jobs were already
+    /// waiting to start (backpressure).
     rejected_full: AtomicU64,
     /// Requests rejected because the client's quota was exhausted.
     rejected_quota: AtomicU64,
-    /// Requests whose handler panicked (contained; the worker survived).
+    /// Requests whose handler panicked (contained to the job).
     panicked: AtomicU64,
-    /// Pending items in the work queue right now.
+    /// Jobs admitted and not yet started right now.
     queue_depth: AtomicU64,
     /// End-to-end latency (submit → handler done), including queue wait.
     latency: LatencyHistogram,
     /// Queue-wait component of the latency (submit → handler start).
     queue_wait: LatencyHistogram,
-    /// WAL group-commit fsync latency (the durable-publish ack path).
-    wal_fsync: LatencyHistogram,
-    /// Highest epoch whose WAL commit has been fsynced — everything up
-    /// to here survives a crash.
-    durable_epoch: AtomicU64,
     /// Queries killed because their execution deadline passed.
     queries_timed_out: AtomicU64,
     /// Queries aborted by an external cancel (drain, client disconnect).
     queries_cancelled: AtomicU64,
-    /// Queued jobs dropped unexecuted because their deadline had already
-    /// passed at dequeue time (no worker time wasted on them).
+    /// Admitted jobs dropped unexecuted because their deadline had
+    /// already passed when their turn came (no slot wasted on them).
     queries_shed: AtomicU64,
-    /// Epoch of the most recent snapshot publish — staleness expressible
-    /// in epochs.
-    last_publish_epoch: AtomicU64,
-    /// Cached relation alignments currently dirtied by deltas.
-    dirty_relations: AtomicU64,
-    /// Epoch lag of the stalest dirty alignment (0 when clean).
-    alignment_staleness_epochs: AtomicU64,
 }
 
 impl ServiceMetrics {
     pub(crate) fn on_submitted(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rolls back [`ServiceMetrics::on_submitted`] when the queue push was
-    /// rejected (the envelope never became visible to a worker).
-    pub(crate) fn on_submission_rejected(&self) {
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn on_dequeued(&self, waited: Duration) {
@@ -154,16 +137,6 @@ impl ServiceMetrics {
         self.panicked.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one WAL fsync latency observation (a durable publish).
-    pub fn record_wal_fsync(&self, latency: Duration) {
-        self.wal_fsync.record(latency);
-    }
-
-    /// Records the durable epoch gauge (last write wins).
-    pub fn record_durable_epoch(&self, epoch: u64) {
-        self.durable_epoch.store(epoch, Ordering::Relaxed);
-    }
-
     /// Counts one query killed by its deadline.
     pub fn on_query_timed_out(&self) {
         self.queries_timed_out.fetch_add(1, Ordering::Relaxed);
@@ -174,24 +147,9 @@ impl ServiceMetrics {
         self.queries_cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one queued job shed unexecuted (deadline already passed).
+    /// Counts one admitted job shed unexecuted (deadline already passed).
     pub fn on_query_shed(&self) {
         self.queries_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the epoch of the newest published snapshot (a gauge).
-    pub fn record_last_publish_epoch(&self, epoch: u64) {
-        self.last_publish_epoch.store(epoch, Ordering::Relaxed);
-    }
-
-    /// Records how many cached alignments are currently dirty (a gauge).
-    pub fn record_dirty_relations(&self, n: u64) {
-        self.dirty_relations.store(n, Ordering::Relaxed);
-    }
-
-    /// Records the epoch lag of the stalest dirty alignment (a gauge).
-    pub fn record_alignment_staleness_epochs(&self, n: u64) {
-        self.alignment_staleness_epochs.store(n, Ordering::Relaxed);
     }
 
     /// Current queue depth.
@@ -212,14 +170,9 @@ impl ServiceMetrics {
             latency_p50_ns: self.latency.quantile_ns(0.50),
             latency_p99_ns: self.latency.quantile_ns(0.99),
             queue_wait_p99_ns: self.queue_wait.quantile_ns(0.99),
-            wal_fsync_p99_ns: self.wal_fsync.quantile_ns(0.99),
-            durable_epoch: self.durable_epoch.load(Ordering::Relaxed),
             queries_timed_out: self.queries_timed_out.load(Ordering::Relaxed),
             queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
-            last_publish_epoch: self.last_publish_epoch.load(Ordering::Relaxed),
-            dirty_relations: self.dirty_relations.load(Ordering::Relaxed),
-            alignment_staleness_epochs: self.alignment_staleness_epochs.load(Ordering::Relaxed),
         }
     }
 }
@@ -227,9 +180,9 @@ impl ServiceMetrics {
 /// A point-in-time metrics snapshot (plain data, cheap to copy around).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// Requests accepted into the queue.
+    /// Requests admitted by the gate.
     pub submitted: u64,
-    /// Requests completed by a worker.
+    /// Requests whose handler ran to completion.
     pub completed: u64,
     /// Rejections due to a full queue.
     pub rejected_full: u64,
@@ -247,23 +200,12 @@ pub struct MetricsReport {
     pub latency_p99_ns: u64,
     /// Approximate 99th-percentile queue wait (ns).
     pub queue_wait_p99_ns: u64,
-    /// Approximate 99th-percentile WAL fsync latency (ns); 0 when the
-    /// store runs without durability.
-    pub wal_fsync_p99_ns: u64,
-    /// Highest crash-durable epoch; 0 without durability.
-    pub durable_epoch: u64,
     /// Queries killed by their execution deadline.
     pub queries_timed_out: u64,
     /// Queries aborted by an external cancel (drain, disconnect).
     pub queries_cancelled: u64,
-    /// Queued jobs shed unexecuted because their deadline had passed.
+    /// Admitted jobs shed unexecuted because their deadline had passed.
     pub queries_shed: u64,
-    /// Epoch of the most recent snapshot publish (0 when unreported).
-    pub last_publish_epoch: u64,
-    /// Cached relation alignments currently dirty (streaming path).
-    pub dirty_relations: u64,
-    /// Epoch lag of the stalest dirty alignment (0 when clean).
-    pub alignment_staleness_epochs: u64,
 }
 
 #[cfg(test)]
@@ -302,18 +244,10 @@ mod tests {
         m.on_rejected_full();
         m.on_rejected_quota();
         m.on_panicked();
-        m.record_wal_fsync(Duration::from_micros(120));
-        m.record_durable_epoch(7);
         m.on_query_timed_out();
         m.on_query_cancelled();
         m.on_query_shed();
-        m.record_last_publish_epoch(11);
-        m.record_dirty_relations(4);
-        m.record_alignment_staleness_epochs(2);
         let r = m.report();
-        assert_eq!(r.last_publish_epoch, 11);
-        assert_eq!(r.dirty_relations, 4);
-        assert_eq!(r.alignment_staleness_epochs, 2);
         assert_eq!(r.queries_timed_out, 1);
         assert_eq!(r.queries_cancelled, 1);
         assert_eq!(r.queries_shed, 1);
@@ -324,11 +258,5 @@ mod tests {
         assert_eq!(r.panicked, 1);
         assert_eq!(r.queue_depth, 1);
         assert!(r.latency_p50_ns > 0);
-        assert!(
-            r.wal_fsync_p99_ns >= 120_000 / 2,
-            "p99 {}",
-            r.wal_fsync_p99_ns
-        );
-        assert_eq!(r.durable_epoch, 7);
     }
 }

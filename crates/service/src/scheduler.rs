@@ -1,35 +1,36 @@
-//! The session scheduler: N worker threads over a bounded work queue,
-//! with per-client quotas, reject-with-retry-after backpressure, and
-//! panic containment.
+//! The admission gate: per-client quotas, reject-with-retry-after
+//! backpressure, a cap on jobs running at once, deadline shedding and
+//! panic containment — and no threads of its own.
 //!
-//! The scheduler is generic over the job type: the HTTP tier schedules
-//! wire requests through [`serve`], and the evaluation harness drives its
-//! relation- and seed-level fan-out through [`run_batch`].
+//! A job runs on the thread that waits for it. [`serve`] builds the gate
+//! and hands the caller a [`SchedulerHandle`] in a driver closure (a
+//! closure only because the benchmark of record calls it by that shape;
+//! nothing is scoped). [`SchedulerHandle::submit`] admits or rejects
+//! without blocking; [`JobTicket::wait`] blocks until its ticket is first
+//! in the line of tickets being waited on and a slot is free, then calls
+//! the handler right there. A ticket nobody waits on holds a unit of
+//! `queue_capacity` but no place in the line, so waiting on tickets in
+//! any order cannot deadlock.
 //!
-//! Shape: [`serve`] owns the queue and the worker pool inside a
-//! `std::thread::scope`, and hands the caller a [`SchedulerHandle`] in a
-//! driver closure. The driver submits jobs (getting a [`JobTicket`] per
-//! accepted job) and waits for results; when it returns, the queue is
-//! closed, the workers drain what is left and exit, and `serve` returns
-//! the driver's value. Nothing leaks: a panicking driver still closes the
-//! queue (so the scope can join), and a panicking *handler* is contained
-//! to its job — the worker reports [`JobOutcome::Panicked`] and moves on.
+//! All of it is one mutex-guarded `Gate` behind one condvar: plain
+//! `&mut self` transitions over a few counters, small enough that the
+//! tests below replay every short sequence of them against a naive
+//! model. The shell around it only locks, calls one, and waits; the lock
+//! is never held while a handler runs.
 
 use crate::metrics::ServiceMetrics;
-use crate::queue::{BoundedQueue, PushError};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Worker threads. Zero is a configuration error ([`ServiceError::NoWorkers`]).
+    /// Jobs running at once. Zero is an error ([`ServiceError::NoWorkers`]).
     pub workers: usize,
-    /// Bound on queued (not yet running) jobs; submissions beyond it are
-    /// rejected with [`SubmitError::QueueFull`].
+    /// Bound on jobs admitted and not yet started (minimum 1);
+    /// submissions beyond it are rejected with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
     /// Per-client request budget for clients without an explicit entry in
     /// `client_quotas`; `None` = unlimited.
@@ -52,22 +53,10 @@ impl Default for SchedulerConfig {
     }
 }
 
-impl SchedulerConfig {
-    /// A config sized for an in-process batch: `workers` threads and a
-    /// queue large enough that the batch never trips backpressure.
-    pub fn for_batch(workers: usize, batch_len: usize) -> Self {
-        Self {
-            workers,
-            queue_capacity: batch_len.max(1),
-            ..Self::default()
-        }
-    }
-}
-
 /// Service-level configuration errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// `workers == 0`: the pool could never make progress.
+    /// `workers == 0`: no job could ever start.
     NoWorkers,
 }
 
@@ -84,7 +73,7 @@ impl std::error::Error for ServiceError {}
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Backpressure: the queue is full. Retry after the hinted delay.
+    /// Backpressure: the backlog is full. Retry after the hinted delay.
     QueueFull {
         /// Suggested client-side wait before retrying.
         retry_after: Duration,
@@ -94,25 +83,7 @@ pub enum SubmitError {
         /// The over-budget client.
         client: String,
     },
-    /// The scheduler is shutting down (driver already returned).
-    ShuttingDown,
 }
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull { retry_after } => {
-                write!(f, "queue full; retry after {retry_after:?}")
-            }
-            SubmitError::QuotaExhausted { client } => {
-                write!(f, "quota exhausted for client {client:?}")
-            }
-            SubmitError::ShuttingDown => write!(f, "scheduler is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
 
 /// A rejected submission: the error plus the job handed back, so callers
 /// can retry without cloning.
@@ -129,278 +100,283 @@ pub struct RejectedJob<J> {
 pub enum JobOutcome<R> {
     /// The handler ran to completion.
     Completed(R),
-    /// The handler panicked (contained; the worker kept serving). The
+    /// The handler panicked (contained; the gate kept serving). The
     /// payload is the panic message.
     Panicked(String),
     /// The job was dropped unexecuted: its deadline had already passed
-    /// when a worker dequeued it, so running it would only waste worker
-    /// time on an answer nobody is waiting for.
+    /// when its turn came, so running it would only hold a slot for an
+    /// answer nobody is waiting for.
     Shed,
 }
 
-/// A claim on one accepted job's eventual outcome.
-#[derive(Debug)]
-pub struct JobTicket<R> {
-    rx: mpsc::Receiver<JobOutcome<R>>,
+/// The gate's whole state. Transitions neither block nor read a clock;
+/// the shell ([`SchedulerHandle`], [`JobTicket`]) calls them under the
+/// lock and does the waiting.
+#[derive(Debug, Default)]
+struct Gate {
+    /// Handlers running now; never more than `workers`.
+    running: usize,
+    /// Jobs admitted and not yet started, waited on or not; never more
+    /// than `queue_capacity`.
+    admitted: usize,
+    /// The line of tickets being waited on, in the order their waits
+    /// began: the places from `now_serving` up to `next_place`.
+    now_serving: u64,
+    next_place: u64,
+    /// Requests left per client; a client absent here still has
+    /// `default_client_quota`.
+    quotas: HashMap<String, u64>,
 }
 
-impl<R> JobTicket<R> {
-    /// Blocks until the job finishes. Workers always report an outcome
-    /// for every accepted job (even a panicking one), so this only falls
-    /// back to a synthetic panic report if a worker was killed externally.
-    pub fn wait(self) -> JobOutcome<R> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| JobOutcome::Panicked("worker dropped the reply channel".into()))
+impl Gate {
+    fn remaining_quota(&self, config: &SchedulerConfig, client: &str) -> Option<u64> {
+        self.quotas
+            .get(client)
+            .copied()
+            .or(config.default_client_quota)
     }
-}
 
-struct Envelope<J, R> {
-    job: J,
-    reply: mpsc::Sender<JobOutcome<R>>,
-    submitted_at: Instant,
-    /// Absolute deadline; a worker dequeuing the envelope after this
-    /// instant sheds it instead of running the handler.
-    deadline: Option<Instant>,
+    /// Admits one job for `client` or says why not, quota before
+    /// capacity. A rejection changes nothing: quota is spent only once
+    /// both checks have passed, so there is nothing to refund.
+    fn admit(&mut self, config: &SchedulerConfig, client: &str) -> Result<(), SubmitError> {
+        let left = self.remaining_quota(config, client);
+        if left == Some(0) {
+            return Err(SubmitError::QuotaExhausted {
+                client: client.to_owned(),
+            });
+        }
+        if self.admitted >= config.queue_capacity.max(1) {
+            return Err(SubmitError::QueueFull {
+                retry_after: config.retry_after,
+            });
+        }
+        if let Some(left) = left {
+            self.quotas.insert(client.to_owned(), left - 1);
+        }
+        self.admitted += 1;
+        Ok(())
+    }
+
+    /// An admitted ticket starts being waited on: it takes the place at
+    /// the end of the line.
+    fn begin_wait(&mut self) -> u64 {
+        let place = self.next_place;
+        self.next_place += 1;
+        place
+    }
+
+    /// Whether the ticket first in line could start.
+    fn head_may_start(&self, config: &SchedulerConfig) -> bool {
+        self.running < config.workers && self.now_serving < self.next_place
+    }
+
+    /// Starts the ticket at `place` if it is first in line and a slot is
+    /// free: its unit of `queue_capacity` becomes a running slot.
+    fn try_start(&mut self, config: &SchedulerConfig, place: u64) -> bool {
+        let starts = self.head_may_start(config) && place == self.now_serving;
+        if starts {
+            self.now_serving += 1;
+            self.admitted -= 1;
+            self.running += 1;
+        }
+        starts
+    }
+
+    /// A started job is over (completed, panicked or shed).
+    fn finish(&mut self) {
+        self.running -= 1;
+    }
+
+    /// A ticket nobody waited on is dropped: its unit comes back.
+    fn abandon(&mut self) {
+        self.admitted -= 1;
+    }
 }
 
 /// The driver's interface to a running scheduler.
 pub struct SchedulerHandle<'s, J, R> {
-    queue: &'s BoundedQueue<Envelope<J, R>>,
-    metrics: &'s ServiceMetrics,
-    quotas: &'s Mutex<HashMap<String, u64>>,
     config: &'s SchedulerConfig,
+    handler: &'s (dyn Fn(J) -> R + Sync),
+    gate: Mutex<Gate>,
+    /// Notified when a start or a finish lets the head of the line go.
+    turn: Condvar,
+    metrics: ServiceMetrics,
 }
 
 impl<J, R> SchedulerHandle<'_, J, R> {
     /// Submits a job for `client`. Rejects immediately (without
-    /// blocking) when the client's quota is spent or the queue is full —
-    /// the caller decides whether to retry, shed, or surface the error,
-    /// and gets the job back to do so.
-    pub fn submit(&self, client: &str, job: J) -> Result<JobTicket<R>, RejectedJob<J>> {
+    /// blocking) when the client's quota is spent or `queue_capacity`
+    /// jobs are already waiting to start — the caller decides whether to
+    /// retry, shed, or surface the error, and gets the job back to do so.
+    pub fn submit(&self, client: &str, job: J) -> Result<JobTicket<'_, J, R>, RejectedJob<J>> {
         self.submit_with_deadline(client, job, None)
     }
 
     /// [`SchedulerHandle::submit`] with an absolute deadline attached:
-    /// if the job is still queued when the deadline passes, the worker
-    /// that dequeues it **sheds** it (reports [`JobOutcome::Shed`],
-    /// counts `queries_shed`) instead of running the handler — under
-    /// overload, worker time goes to jobs whose callers are still
-    /// waiting.
+    /// if it has passed by the time the job's turn comes,
+    /// [`JobTicket::wait`] **sheds** the job (reports
+    /// [`JobOutcome::Shed`], counts `queries_shed`) instead of running
+    /// the handler — under overload, running slots go to jobs whose
+    /// callers are still waiting.
     pub fn submit_with_deadline(
         &self,
         client: &str,
         job: J,
         deadline: Option<Instant>,
-    ) -> Result<JobTicket<R>, RejectedJob<J>> {
-        if !self.try_charge(client) {
-            self.metrics.on_rejected_quota();
-            return Err(RejectedJob {
-                job,
-                error: SubmitError::QuotaExhausted {
-                    client: client.to_owned(),
-                },
-            });
+    ) -> Result<JobTicket<'_, J, R>, RejectedJob<J>> {
+        let admitted = self.lock().admit(self.config, client);
+        if let Err(error) = admitted {
+            match error {
+                SubmitError::QueueFull { .. } => self.metrics.on_rejected_full(),
+                SubmitError::QuotaExhausted { .. } => self.metrics.on_rejected_quota(),
+            }
+            return Err(RejectedJob { job, error });
         }
-        let (tx, rx) = mpsc::channel();
-        let envelope = Envelope {
-            job,
-            reply: tx,
+        self.metrics.on_submitted();
+        Ok(JobTicket {
+            handle: self,
+            job: Some(job),
             // sofya: allow(determinism) — queue-wait latency gauge, never alignment state
             submitted_at: Instant::now(),
             deadline,
-        };
-        // Count the submission *before* the push: the moment the envelope
-        // is in the queue a worker may dequeue it, and its depth decrement
-        // must never observe a gauge this thread has not incremented yet.
-        self.metrics.on_submitted();
-        match self.queue.try_push(envelope) {
-            Ok(()) => Ok(JobTicket { rx }),
-            Err(PushError::Full(envelope)) => {
-                self.metrics.on_submission_rejected();
-                self.refund(client);
-                self.metrics.on_rejected_full();
-                Err(RejectedJob {
-                    job: envelope.job,
-                    error: SubmitError::QueueFull {
-                        retry_after: self.config.retry_after,
-                    },
-                })
-            }
-            Err(PushError::Closed(envelope)) => {
-                self.metrics.on_submission_rejected();
-                self.refund(client);
-                Err(RejectedJob {
-                    job: envelope.job,
-                    error: SubmitError::ShuttingDown,
-                })
-            }
-        }
+        })
     }
 
-    /// The live metrics registry (shared with the workers).
+    /// The live metrics registry.
     pub fn metrics(&self) -> &ServiceMetrics {
-        self.metrics
+        &self.metrics
     }
 
     /// Remaining quota for `client` (`None` = unlimited).
     pub fn remaining_quota(&self, client: &str) -> Option<u64> {
-        let map = self.quotas.lock();
-        map.get(client)
-            .copied()
-            .or(self.config.default_client_quota)
+        self.lock().remaining_quota(self.config, client)
     }
 
-    fn try_charge(&self, client: &str) -> bool {
-        let mut map = self.quotas.lock();
-        if !map.contains_key(client) {
-            match self.config.default_client_quota {
-                Some(quota) => {
-                    map.insert(client.to_owned(), quota);
-                }
-                None => return true, // unlimited
-            }
-        }
-        let Some(remaining) = map.get_mut(client) else {
-            // Unreachable in practice (the entry was ensured above), but
-            // a missing entry must not panic the submission path; treat
-            // it as unlimited rather than killing the request.
-            return true;
-        };
-        if *remaining == 0 {
-            false
-        } else {
-            *remaining -= 1;
-            true
-        }
+    /// No transition panics and no handler runs under the lock, so a
+    /// poisoned gate is still a consistent one.
+    fn lock(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn refund(&self, client: &str) {
-        if let Some(remaining) = self.quotas.lock().get_mut(client) {
-            *remaining += 1;
+    /// Releases the lock and, if the head of the line may now start,
+    /// wakes the line — all of it: a single wake-up might not pick the
+    /// head.
+    fn unlock(&self, gate: MutexGuard<'_, Gate>) {
+        let wake = gate.head_may_start(self.config);
+        drop(gate);
+        if wake {
+            self.turn.notify_all();
         }
     }
 }
 
-/// Closes the queue when dropped, so workers always see shutdown even if
-/// the driver panics (otherwise the scope would join forever).
-struct CloseOnDrop<'q, T>(&'q BoundedQueue<T>);
+/// A claim on one accepted job: the job itself, and the right to run it
+/// when its turn comes.
+pub struct JobTicket<'s, J, R> {
+    handle: &'s SchedulerHandle<'s, J, R>,
+    /// Taken by [`JobTicket::wait`]; still here when a ticket is dropped
+    /// unwaited.
+    job: Option<J>,
+    submitted_at: Instant,
+    /// Absolute deadline; a job whose turn comes after it is shed.
+    deadline: Option<Instant>,
+}
 
-impl<T> Drop for CloseOnDrop<'_, T> {
+impl<J, R> std::fmt::Debug for JobTicket<'_, J, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobTicket")
+            .field("deadline", &self.deadline)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<J, R> Drop for JobTicket<'_, J, R> {
+    /// A ticket dropped unwaited gives its unit of `queue_capacity`
+    /// back. It left the backlog all the same, after waiting this long.
     fn drop(&mut self) {
-        self.0.close();
+        if self.job.is_some() {
+            self.handle.lock().abandon();
+            self.handle.metrics.on_dequeued(self.submitted_at.elapsed());
+        }
     }
 }
 
-/// Runs a scheduler: spawns `config.workers` threads executing `handler`
-/// over submitted jobs, calls `driver` with the submission handle, and
-/// returns the driver's value once all accepted jobs have drained.
+impl<J, R> JobTicket<'_, J, R> {
+    /// Blocks until every ticket that began waiting earlier has started
+    /// and fewer than `workers` jobs run, then runs the job **on the
+    /// calling thread** and reports what happened. A handler panic is
+    /// contained to its job.
+    pub fn wait(mut self) -> JobOutcome<R> {
+        let (handle, metrics, deadline) = (self.handle, &self.handle.metrics, self.deadline);
+        let mut gate = handle.lock();
+        let place = gate.begin_wait();
+        let gate = handle
+            .turn
+            .wait_while(gate, |gate| !gate.try_start(handle.config, place))
+            .unwrap_or_else(PoisonError::into_inner);
+        // With two or more slots the ticket behind may start as well.
+        handle.unlock(gate);
+        metrics.on_dequeued(self.submitted_at.elapsed());
+        // sofya: allow(determinism) — deadline shedding is wall-clock by contract
+        let expired = deadline.is_some_and(|deadline| Instant::now() >= deadline);
+        // The unit of capacity is a running slot now: `Drop` finds no job
+        // (`wait` consumes the ticket, so until here there always is one).
+        let outcome = match self.job.take() {
+            Some(job) if !expired => {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| (handle.handler)(job))) {
+                    Ok(result) => {
+                        metrics.on_completed(self.submitted_at.elapsed());
+                        JobOutcome::Completed(result)
+                    }
+                    Err(payload) => {
+                        metrics.on_panicked();
+                        JobOutcome::Panicked(panic_message(payload.as_ref()))
+                    }
+                }
+            }
+            // Deadline-aware admission: work whose caller has already
+            // given up is dropped here, before it can occupy the slot.
+            _ => {
+                metrics.on_query_shed();
+                JobOutcome::Shed
+            }
+        };
+        let mut gate = handle.lock();
+        gate.finish();
+        handle.unlock(gate);
+        outcome
+    }
+}
+
+/// Runs a scheduler: builds the gate, calls `driver` with the submission
+/// handle, and returns the driver's value. `handler` runs once per
+/// accepted job, on whichever thread calls that job's
+/// [`JobTicket::wait`] — from as many threads at once as the driver
+/// waits from, up to `config.workers`.
 pub fn serve<J, R, T, F, D>(
     config: &SchedulerConfig,
     handler: F,
     driver: D,
 ) -> Result<T, ServiceError>
 where
-    J: Send,
-    R: Send,
     F: Fn(J) -> R + Sync,
     D: FnOnce(&SchedulerHandle<'_, J, R>) -> T,
 {
     if config.workers == 0 {
         return Err(ServiceError::NoWorkers);
     }
-    let queue: BoundedQueue<Envelope<J, R>> = BoundedQueue::new(config.queue_capacity);
-    let metrics = ServiceMetrics::default();
-    let quotas: Mutex<HashMap<String, u64>> =
-        Mutex::new(config.client_quotas.iter().cloned().collect());
-
-    let out = std::thread::scope(|scope| {
-        let close_guard = CloseOnDrop(&queue);
-        for _ in 0..config.workers {
-            scope.spawn(|| worker_loop(&queue, &metrics, &handler));
-        }
-        let handle = SchedulerHandle {
-            queue: &queue,
-            metrics: &metrics,
-            quotas: &quotas,
-            config,
-        };
-        let out = driver(&handle);
-        drop(close_guard); // close now so workers drain and the scope joins
-        out
-    });
-    Ok(out)
-}
-
-fn worker_loop<J, R, F>(queue: &BoundedQueue<Envelope<J, R>>, metrics: &ServiceMetrics, handler: &F)
-where
-    F: Fn(J) -> R,
-{
-    while let Some(envelope) = queue.pop() {
-        let Envelope {
-            job,
-            reply,
-            submitted_at,
-            deadline,
-        } = envelope;
-        metrics.on_dequeued(submitted_at.elapsed());
-        // Deadline-aware admission: work whose caller has already given
-        // up is dropped here, before it can occupy the worker.
-        if let Some(deadline) = deadline {
-            // sofya: allow(determinism) — deadline shedding is wall-clock by contract
-            if Instant::now() >= deadline {
-                metrics.on_query_shed();
-                let _ = reply.send(JobOutcome::Shed);
-                continue;
-            }
-        }
-        match std::panic::catch_unwind(AssertUnwindSafe(|| handler(job))) {
-            Ok(result) => {
-                metrics.on_completed(submitted_at.elapsed());
-                let _ = reply.send(JobOutcome::Completed(result));
-            }
-            Err(payload) => {
-                metrics.on_panicked();
-                let _ = reply.send(JobOutcome::Panicked(panic_message(payload.as_ref())));
-            }
-        }
-    }
-}
-
-/// Runs a fixed batch through a pool of `workers` threads and returns the
-/// results in submission order — the common harness shape (one job per
-/// relation, per seed, …). The queue is sized to the batch and quotas are
-/// off, so no submission is ever rejected; a worker panic is re-raised on
-/// the caller's thread, because a batch harness has no partial-result
-/// story (callers that have one drive [`serve`] directly).
-pub fn run_batch<J, R, F>(workers: usize, jobs: Vec<J>, handler: F) -> Result<Vec<R>, ServiceError>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    let config = SchedulerConfig::for_batch(workers, jobs.len());
-    serve(&config, handler, |handle| {
-        let tickets: Vec<_> = jobs
-            .into_iter()
-            .map(|job| {
-                handle
-                    .submit("batch", job)
-                    // sofya: allow(panic_path) — offline batch harness; queue is sized to the batch and quotas are off
-                    .unwrap_or_else(|_| unreachable!("queue sized to the batch, quotas off"))
-            })
-            .collect();
-        tickets
-            .into_iter()
-            .map(|ticket| match ticket.wait() {
-                JobOutcome::Completed(result) => result,
-                // sofya: allow(panic_path) — the batch harness re-raises contained worker panics by documented contract
-                JobOutcome::Panicked(msg) => panic!("scheduler worker panicked: {msg}"),
-                // sofya: allow(panic_path) — batch jobs carry no deadline, Shed cannot occur
-                JobOutcome::Shed => unreachable!("batch jobs carry no deadline"),
-            })
-            .collect()
-    })
+    let gate = Gate {
+        quotas: config.client_quotas.iter().cloned().collect(),
+        ..Gate::default()
+    };
+    Ok(driver(&SchedulerHandle {
+        config,
+        handler: &handler,
+        gate: Mutex::new(gate),
+        turn: Condvar::new(),
+        metrics: ServiceMetrics::default(),
+    }))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -418,24 +394,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    fn config(workers: usize, queue_capacity: usize) -> SchedulerConfig {
+        SchedulerConfig {
+            workers,
+            queue_capacity,
+            ..SchedulerConfig::default()
+        }
+    }
 
     #[test]
     fn zero_workers_is_a_config_error() {
-        let config = SchedulerConfig {
-            workers: 0,
-            ..SchedulerConfig::default()
-        };
-        let err = serve(&config, |x: u64| x, |_| ()).unwrap_err();
+        let err = serve(&config(0, 64), |x: u64| x, |_| ()).unwrap_err();
         assert_eq!(err, ServiceError::NoWorkers);
         assert!(err.to_string().contains("zero workers"));
     }
 
     #[test]
     fn jobs_complete_and_metrics_count() {
-        let config = SchedulerConfig::for_batch(2, 8);
         let sum = serve(
-            &config,
+            &config(2, 8),
             |x: u64| x * 2,
             |handle| {
                 let tickets: Vec<_> = (0..8)
@@ -457,35 +436,39 @@ mod tests {
         assert_eq!(sum, 2 * (0..8).sum::<u64>());
     }
 
-    /// Queue-full rejection: one worker is parked on a gate, the queue
-    /// holds one pending job, so a third submission must be rejected with
-    /// the retry hint — and succeed after the gate opens.
+    /// A handler whose `true` jobs say they have started and then park
+    /// until released, the way a slow query holds its slot. Whoever
+    /// parks one waits for it from a thread of its own, as the HTTP
+    /// tier's connection threads do.
+    fn parking_handler() -> (impl Fn(bool) + Sync, Receiver<()>, Sender<()>) {
+        let (release_tx, release_rx) = channel::<()>();
+        let (started_tx, started_rx) = channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let handler = move |park: bool| {
+            if park {
+                started_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+        };
+        (handler, started_rx, release_tx)
+    }
+
+    /// Queue-full rejection: the one slot is held by a parked job, one
+    /// more job is admitted and waiting to start, so a third submission
+    /// must be rejected with the retry hint — and succeed after the
+    /// parked job is released.
     #[test]
     fn full_queue_rejects_with_retry_after() {
         let config = SchedulerConfig {
-            workers: 1,
-            queue_capacity: 1,
             retry_after: Duration::from_micros(100),
-            ..SchedulerConfig::default()
+            ..config(1, 1)
         };
-        let (gate_tx, gate_rx) = channel::<()>();
-        let (started_tx, started_rx) = channel::<()>();
-        let gate = Mutex::new((Some(gate_rx), started_tx));
-        serve(
-            &config,
-            |block: bool| {
-                if block {
-                    let (rx, started) = {
-                        let mut g = gate.lock();
-                        (g.0.take().unwrap(), g.1.clone())
-                    };
-                    started.send(()).unwrap();
-                    rx.recv().unwrap();
-                }
-            },
-            |handle| {
+        let (handler, started, release) = parking_handler();
+        serve(&config, handler, |handle| {
+            std::thread::scope(|scope| {
                 let t1 = handle.submit("c", true).expect("accepted");
-                started_rx.recv().unwrap(); // worker is now parked on job 1
+                let t1 = scope.spawn(move || t1.wait());
+                started.recv().unwrap(); // job 1 now holds the only slot
                 let t2 = handle.submit("c", false).expect("fits the queue");
                 let rejected = handle.submit("c", false).expect_err("queue is full");
                 assert_eq!(
@@ -495,16 +478,16 @@ mod tests {
                     }
                 );
                 assert_eq!(handle.metrics().report().rejected_full, 1);
-                gate_tx.send(()).unwrap(); // release the worker
-                assert!(matches!(t1.wait(), JobOutcome::Completed(())));
+                release.send(()).unwrap();
+                assert!(matches!(t1.join().unwrap(), JobOutcome::Completed(())));
                 assert!(matches!(t2.wait(), JobOutcome::Completed(())));
                 // The queue has drained, so the rejected job now fits.
                 let t3 = handle
                     .submit("c", rejected.job)
                     .expect("retry succeeds once the queue drains");
                 assert!(matches!(t3.wait(), JobOutcome::Completed(())));
-            },
-        )
+            });
+        })
         .unwrap();
     }
 
@@ -514,10 +497,8 @@ mod tests {
     #[test]
     fn quota_exhausts_mid_session_per_client() {
         let config = SchedulerConfig {
-            workers: 2,
-            queue_capacity: 16,
             client_quotas: vec![("bounded".into(), 2)],
-            ..SchedulerConfig::default()
+            ..config(2, 16)
         };
         serve(
             &config,
@@ -548,10 +529,8 @@ mod tests {
     #[test]
     fn default_quota_applies_to_unknown_clients() {
         let config = SchedulerConfig {
-            workers: 1,
-            queue_capacity: 8,
             default_client_quota: Some(1),
-            ..SchedulerConfig::default()
+            ..config(1, 8)
         };
         serve(
             &config,
@@ -568,15 +547,14 @@ mod tests {
         .unwrap();
     }
 
-    /// Worker panic containment: a panicking session reports
-    /// `Panicked` to its submitter, the pool keeps serving later jobs,
-    /// and no lock is poisoned.
+    /// Panic containment: a panicking job reports `Panicked` to its
+    /// waiter, the gate keeps serving later jobs, and no lock is
+    /// poisoned.
     #[test]
     fn panicking_job_does_not_poison_the_pool() {
-        let config = SchedulerConfig::for_batch(2, 8);
         let completed = AtomicU64::new(0);
         serve(
-            &config,
+            &config(2, 8),
             |x: u64| {
                 if x == 13 {
                     panic!("boom on {x}");
@@ -590,7 +568,7 @@ mod tests {
                     JobOutcome::Panicked(msg) => assert!(msg.contains("boom"), "{msg}"),
                     other => panic!("expected a contained panic, got {other:?}"),
                 }
-                // The pool is still fully operational afterwards.
+                // The gate is still fully operational afterwards.
                 let tickets: Vec<_> = (0..6).map(|i| handle.submit("c", i).unwrap()).collect();
                 for t in tickets {
                     assert!(matches!(t.wait(), JobOutcome::Completed(_)));
@@ -603,13 +581,12 @@ mod tests {
         .unwrap();
     }
 
-    /// Even with every worker panicking once, the scope still joins and
-    /// `serve` returns (regression guard for shutdown deadlocks).
+    /// Even with every job panicking, each slot comes back and `serve`
+    /// returns (regression guard for shutdown deadlocks).
     #[test]
     fn all_workers_panicking_still_drains_and_returns() {
-        let config = SchedulerConfig::for_batch(4, 16);
         let out = serve(
-            &config,
+            &config(4, 16),
             |_: u64| panic!("every job dies"),
             |handle| {
                 let tickets: Vec<_> = (0..8).map(|i| handle.submit("c", i).unwrap()).collect();
@@ -624,63 +601,47 @@ mod tests {
         assert_eq!(out, 8);
     }
 
-    /// Deadline-aware admission: a job whose deadline passes while it is
-    /// queued behind a slow one is shed at dequeue — the handler never
-    /// runs for it — while an undeadlined job behind it completes.
+    /// Deadline-aware admission: a job whose deadline passes while it
+    /// waits behind a slow one is shed when its turn comes — the handler
+    /// never runs for it — while an undeadlined job behind it completes.
     #[test]
     fn expired_queued_jobs_are_shed_not_executed() {
-        let config = SchedulerConfig {
-            workers: 1,
-            queue_capacity: 8,
-            ..SchedulerConfig::default()
-        };
-        let (gate_tx, gate_rx) = channel::<()>();
-        let (started_tx, started_rx) = channel::<()>();
-        let gate = Mutex::new((Some(gate_rx), started_tx));
+        let (park, started, release) = parking_handler();
         let ran = AtomicU64::new(0);
-        serve(
-            &config,
-            |block: bool| {
-                if block {
-                    let (rx, started) = {
-                        let mut g = gate.lock();
-                        (g.0.take().unwrap(), g.1.clone())
-                    };
-                    started.send(()).unwrap();
-                    rx.recv().unwrap();
-                } else {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            |handle| {
+        let handler = |block: bool| {
+            if !block {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }
+            park(block)
+        };
+        serve(&config(1, 8), handler, |handle| {
+            std::thread::scope(|scope| {
                 let t1 = handle.submit("c", true).unwrap();
-                started_rx.recv().unwrap(); // worker parked on job 1
-                                            // Queued behind it: one already-expired job, one without
-                                            // a deadline.
+                let t1 = scope.spawn(move || t1.wait());
+                started.recv().unwrap(); // job 1 holds the only slot
                 let expired = handle
                     .submit_with_deadline("c", false, Some(Instant::now()))
                     .unwrap();
                 let healthy = handle.submit("c", false).unwrap();
-                gate_tx.send(()).unwrap();
+                release.send(()).unwrap();
                 assert!(matches!(expired.wait(), JobOutcome::Shed));
                 assert!(matches!(healthy.wait(), JobOutcome::Completed(())));
-                assert!(matches!(t1.wait(), JobOutcome::Completed(())));
+                assert!(matches!(t1.join().unwrap(), JobOutcome::Completed(())));
                 assert_eq!(ran.load(Ordering::Relaxed), 1, "shed job never ran");
                 let report = handle.metrics().report();
                 assert_eq!(report.queries_shed, 1);
                 // A shed job still counts as dequeued, not completed.
                 assert_eq!(report.completed, 2);
-            },
-        )
+            });
+        })
         .unwrap();
     }
 
     /// A future deadline that has not passed does not shed.
     #[test]
     fn unexpired_deadlines_execute_normally() {
-        let config = SchedulerConfig::for_batch(1, 4);
         serve(
-            &config,
+            &config(1, 4),
             |x: u64| x + 1,
             |handle| {
                 let t = handle
@@ -696,45 +657,277 @@ mod tests {
     #[test]
     fn queue_full_refunds_quota() {
         let config = SchedulerConfig {
-            workers: 1,
-            queue_capacity: 1,
             client_quotas: vec![("c".into(), 3)],
             retry_after: Duration::from_micros(50),
-            ..SchedulerConfig::default()
+            ..config(1, 1)
         };
-        let (gate_tx, gate_rx) = channel::<()>();
-        let (started_tx, started_rx) = channel::<()>();
-        let gate = Mutex::new((Some(gate_rx), started_tx));
-        serve(
-            &config,
-            |block: bool| {
-                if block {
-                    let (rx, started) = {
-                        let mut g = gate.lock();
-                        (g.0.take().unwrap(), g.1.clone())
-                    };
-                    started.send(()).unwrap();
-                    rx.recv().unwrap();
-                }
-            },
-            |handle| {
+        let (handler, started, release) = parking_handler();
+        serve(&config, handler, |handle| {
+            std::thread::scope(|scope| {
                 let t1 = handle.submit("c", true).unwrap();
-                started_rx.recv().unwrap();
+                let t1 = scope.spawn(move || t1.wait());
+                started.recv().unwrap();
                 let t2 = handle.submit("c", false).unwrap();
-                // Quota now 1; a queue-full rejection must refund it.
+                // Quota now 1; a queue-full rejection must not cost it.
                 assert!(matches!(
                     handle.submit("c", false).unwrap_err().error,
                     SubmitError::QueueFull { .. }
                 ));
                 assert_eq!(handle.remaining_quota("c"), Some(1));
-                gate_tx.send(()).unwrap();
-                assert!(matches!(t1.wait(), JobOutcome::Completed(())));
+                release.send(()).unwrap();
+                assert!(matches!(t1.join().unwrap(), JobOutcome::Completed(())));
                 assert!(matches!(t2.wait(), JobOutcome::Completed(())));
                 let t3 = handle.submit("c", false).unwrap();
                 assert_eq!(handle.remaining_quota("c"), Some(0));
                 assert!(matches!(t3.wait(), JobOutcome::Completed(())));
+            });
+        })
+        .unwrap();
+    }
+
+    /// A ticket nobody waits on has no place in the line, so the order
+    /// of waits is free: last submitted first, all on one thread, with
+    /// one slot, and nothing deadlocks.
+    #[test]
+    fn tickets_waited_in_reverse_order_all_complete() {
+        serve(
+            &config(1, 4),
+            |x: u64| x,
+            |handle| {
+                let tickets: Vec<_> = (0..4).map(|i| handle.submit("c", i).unwrap()).collect();
+                for (i, ticket) in tickets.into_iter().enumerate().rev() {
+                    assert!(matches!(ticket.wait(), JobOutcome::Completed(v) if v == i as u64));
+                }
+                assert_eq!(handle.metrics().queue_depth(), 0);
             },
         )
         .unwrap();
+    }
+
+    /// Capacity zero is floored to one unit — and that one unit is what
+    /// a ticket dropped unwaited gives back.
+    #[test]
+    fn dropped_ticket_frees_its_capacity_unit() {
+        serve(
+            &config(1, 0),
+            |x: u64| x,
+            |handle| {
+                let ticket = handle.submit("c", 1).unwrap();
+                assert!(handle.submit("c", 2).is_err(), "the only unit is held");
+                drop(ticket);
+                assert_eq!(handle.metrics().queue_depth(), 0);
+                let again = handle.submit("c", 3).expect("the unit came back");
+                assert!(matches!(again.wait(), JobOutcome::Completed(3)));
+            },
+        )
+        .unwrap();
+    }
+
+    /// The shell's wake-ups, raced: eight threads push jobs through two
+    /// slots. A lost wake-up hangs the test; a leaked slot shows as more
+    /// than two handlers inside at once.
+    #[test]
+    fn contended_gate_never_exceeds_its_slots_or_strands_a_waiter() {
+        let inside = AtomicU64::new(0);
+        let most = AtomicU64::new(0);
+        let handler = |_: u64| {
+            most.fetch_max(inside.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            std::thread::yield_now();
+            inside.fetch_sub(1, Ordering::SeqCst);
+        };
+        serve(&config(2, 8), handler, |handle| {
+            std::thread::scope(|scope| {
+                for _ in 0..8 {
+                    scope.spawn(|| {
+                        for i in 0..200 {
+                            // Eight threads, eight units: never rejected.
+                            let ticket = handle.submit("c", i).unwrap();
+                            assert!(matches!(ticket.wait(), JobOutcome::Completed(())));
+                        }
+                    });
+                }
+            });
+            assert_eq!(handle.metrics().report().completed, 8 * 200);
+        })
+        .unwrap();
+        assert!(most.load(Ordering::SeqCst) <= 2);
+    }
+
+    /// What one enumerated step does to the gate and to the model.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Admit(&'static str),
+        BeginWait,
+        StartIfAllowed,
+        Finish,
+        Drop,
+    }
+
+    const STEPS: [Step; 6] = [
+        Step::Admit("a"),
+        Step::Admit("b"),
+        Step::BeginWait,
+        Step::StartIfAllowed,
+        Step::Finish,
+        Step::Drop,
+    ];
+
+    /// What a ticket of the reference model is doing.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Doing {
+        Held,
+        Waiting { place: u64 },
+        Running,
+        Gone,
+    }
+
+    /// Handlers running, and jobs admitted and not yet started.
+    fn tally(tickets: &[(&str, Doing)]) -> (usize, usize) {
+        let count = |want: fn(&Doing) -> bool| tickets.iter().filter(|(_, d)| want(d)).count();
+        (
+            count(|d| *d == Doing::Running),
+            count(|d| matches!(d, Doing::Held | Doing::Waiting { .. })),
+        )
+    }
+
+    /// Replays `steps` on a fresh gate and on a naive model — a list of
+    /// every ticket ever admitted, with its client and what it is doing,
+    /// and the order in which waits began — and compares the two after
+    /// every step. Steps that do not apply (finish with nothing running)
+    /// are no-ops on both sides.
+    fn replay(config: &SchedulerConfig, steps: &[Step]) -> Result<(), String> {
+        let (workers, capacity) = (config.workers, config.queue_capacity);
+        let quota = config.default_client_quota;
+        let spent = |tickets: &[(&str, Doing)], client: &str| {
+            tickets.iter().filter(|(c, _)| *c == client).count() as u64
+        };
+        let mut gate = Gate::default();
+        let mut tickets: Vec<(&str, Doing)> = Vec::new();
+        let mut waits: Vec<usize> = Vec::new();
+        for (i, step) in steps.iter().enumerate() {
+            let fail = |why: String| Err(format!("step {i}, {step:?}: {why}"));
+            let (running, backlog) = tally(&tickets);
+            let oldest = |want: Doing| tickets.iter().position(|(_, d)| *d == want);
+            match *step {
+                Step::Admit(client) => {
+                    let expected = if quota.is_some_and(|quota| spent(&tickets, client) >= quota) {
+                        Err(SubmitError::QuotaExhausted {
+                            client: client.to_owned(),
+                        })
+                    } else if backlog >= capacity {
+                        Err(SubmitError::QueueFull {
+                            retry_after: config.retry_after,
+                        })
+                    } else {
+                        Ok(())
+                    };
+                    let got = gate.admit(config, client);
+                    if got != expected {
+                        return fail(format!("{got:?}, expected {expected:?}"));
+                    }
+                    if got.is_ok() {
+                        tickets.push((client, Doing::Held));
+                    }
+                }
+                Step::BeginWait => {
+                    if let Some(t) = oldest(Doing::Held) {
+                        let place = gate.begin_wait();
+                        tickets[t].1 = Doing::Waiting { place };
+                        waits.push(t);
+                    }
+                }
+                Step::StartIfAllowed => {
+                    // Only the earliest wait still going may start, and
+                    // only into a free slot; everyone else is refused
+                    // first, which the comparison below shows changed
+                    // nothing.
+                    let head = waits
+                        .iter()
+                        .copied()
+                        .find(|&t| matches!(tickets[t].1, Doing::Waiting { .. }));
+                    let mut order: Vec<usize> = (0..tickets.len()).collect();
+                    order.sort_by_key(|&t| Some(t) == head);
+                    for t in order {
+                        let Doing::Waiting { place } = tickets[t].1 else {
+                            continue;
+                        };
+                        let may = Some(t) == head && running < workers;
+                        if gate.try_start(config, place) != may {
+                            return fail(format!("ticket {t} started: {}, expected {may}", !may));
+                        }
+                        if may {
+                            tickets[t].1 = Doing::Running;
+                        }
+                    }
+                }
+                Step::Finish => {
+                    if let Some(t) = oldest(Doing::Running) {
+                        gate.finish();
+                        tickets[t].1 = Doing::Gone;
+                    }
+                }
+                Step::Drop => {
+                    if let Some(t) = oldest(Doing::Held) {
+                        gate.abandon();
+                        tickets[t].1 = Doing::Gone;
+                    }
+                }
+            }
+            // The gate is the model, counted: so every ticket left once,
+            // a refusal changed nothing and spent nothing, quota never
+            // underflowed, and with no ticket left only the quotas
+            // differ from a fresh gate.
+            let (running, backlog) = tally(&tickets);
+            let line: Vec<u64> = waits
+                .iter()
+                .filter_map(|&t| match tickets[t].1 {
+                    Doing::Waiting { place } => Some(place),
+                    _ => None,
+                })
+                .collect();
+            let left = |client| quota.map(|quota| quota.checked_sub(spent(&tickets, client)));
+            let model = (running, backlog, line, left("a"), left("b"));
+            let actual = (
+                gate.running,
+                gate.admitted,
+                (gate.now_serving..gate.next_place).collect(),
+                gate.remaining_quota(config, "a").map(Some),
+                gate.remaining_quota(config, "b").map(Some),
+            );
+            if actual != model {
+                return fail(format!("gate {actual:?}, model {model:?}"));
+            }
+            if running > workers || backlog > capacity {
+                return fail(format!("{running} running, {backlog} not started"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Small scope, every case: all sequences of five transitions (six
+    /// when optimised; shorter ones are their prefixes) for every
+    /// combination of one or two slots, one or two units of capacity,
+    /// and no quota or a quota of two.
+    #[test]
+    fn gate_agrees_with_the_reference_model_on_every_short_sequence() {
+        let depth = if cfg!(debug_assertions) { 5 } else { 6 };
+        for (workers, capacity, quota) in [1, 2]
+            .into_iter()
+            .flat_map(|w| [1, 2].map(|c| (w, c)))
+            .flat_map(|(w, c)| [None, Some(2)].map(|q| (w, c, q)))
+        {
+            let config = SchedulerConfig {
+                default_client_quota: quota,
+                ..config(workers, capacity)
+            };
+            for code in 0..STEPS.len().pow(depth) {
+                let steps: Vec<Step> = (0..depth)
+                    .map(|i| STEPS[code / STEPS.len().pow(i) % STEPS.len()])
+                    .collect();
+                if let Err(why) = replay(&config, &steps) {
+                    panic!("{why}\n  after {steps:?}\n  with {workers} slots, capacity {capacity}, quota {quota:?}");
+                }
+            }
+        }
     }
 }

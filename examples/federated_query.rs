@@ -16,29 +16,23 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use sofya::align::{AlignerConfig, AlignmentSession, QueryRewriter};
-use sofya::endpoint::{
-    Endpoint, EndpointExt, InstrumentedEndpoint, LatencyEndpoint, LatencyModel, LocalEndpoint,
-};
+use sofya::endpoint::{Endpoint, EndpointExt, InstrumentedEndpoint, LatencyModel, LocalEndpoint};
 use sofya::kbgen::{generate, PairConfig};
 
 fn main() {
     let pair = generate(&PairConfig::small(42));
 
-    // Both KBs sit behind simulated WAN endpoints (20 ms per request,
-    // a whole batch being one request), each counting what it is sent.
-    let yago = LatencyEndpoint::new(
-        InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb1_name(), pair.kb1.clone())),
-        LatencyModel::wan(),
-    );
-    let dbp = LatencyEndpoint::new(
-        InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb2_name(), pair.kb2.clone())),
-        LatencyModel::wan(),
-    );
+    // Both KBs count what they are sent; the WAN model prices the
+    // counts (20 ms per request, a whole batch being one request).
+    let yago = InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb1_name(), pair.kb1.clone()));
+    let dbp = InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb2_name(), pair.kb2.clone()));
+    let wan = LatencyModel::wan();
     let sent = || {
-        let (dbp, yago) = (dbp.inner().counters(), yago.inner().counters());
+        let (dbp, yago) = (dbp.counters(), yago.counters());
         (
             dbp.requests() + yago.requests(),
             dbp.total_queries() + yago.total_queries(),
+            wan.cost(&dbp) + wan.cost(&yago),
         )
     };
 
@@ -63,11 +57,10 @@ fn main() {
     // 2. Align on the fly and rewrite for the other KB.
     let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(42));
     let rewriter = QueryRewriter::new(&session, &yago);
-    let align_clock = dbp.simulated_time() + yago.simulated_time();
-    let (requests_before, queries_before) = sent();
+    let (requests_before, queries_before, clock_before) = sent();
     let rewrite = rewriter.rewrite(&user_query).expect("rewrite failed");
-    let align_cost = dbp.simulated_time() + yago.simulated_time() - align_clock;
-    let (requests, queries) = sent();
+    let (requests, queries, clock) = sent();
+    let align_cost = clock - clock_before;
     println!(
         "\nrewritten for {} (aligning the relation cost ≈ {:?} of simulated WAN time: \
          {} queries in {} round trips):",
@@ -124,11 +117,11 @@ fn main() {
     );
 
     // A second query over the same relation reuses the session cache.
-    let clock = dbp.simulated_time() + yago.simulated_time();
+    let (_, _, clock) = sent();
     let _ = rewriter
         .rewrite(&format!("SELECT ?x WHERE {{ ?x <{relation}> ?y }}"))
         .expect("rewrite failed");
-    let second_cost = dbp.simulated_time() + yago.simulated_time() - clock - Duration::ZERO;
+    let second_cost = sent().2 - clock;
     println!(
         "second query over the same relation: alignment cost {:?} (cached)",
         round(second_cost)
