@@ -138,8 +138,7 @@ impl SideFootprint {
             },
             Request::PreparedSelect { prepared, args }
             | Request::PreparedAsk { prepared, args }
-            | Request::PreparedSelectPaged { prepared, args, .. }
-            | Request::Count { prepared, args } => match prepared.bind(args) {
+            | Request::PreparedSelectPaged { prepared, args, .. } => match prepared.bind(args) {
                 Ok(ast) => self.record_query(&ast),
                 Err(_) => self.wildcard = true,
             },

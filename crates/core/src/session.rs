@@ -61,6 +61,11 @@ pub struct AlignmentSession<'a> {
     cache: Mutex<HashMap<String, Slot>>,
     done: Condvar,
     epochs: AtomicU64,
+    /// How many deltas and resyncs this session has been told of. A
+    /// delta marks `Done` slots only, so an alignment that finds this
+    /// moved between its claim and its result lands dirty. Read and
+    /// bumped only under the `cache` lock, which orders it.
+    deltas_seen: AtomicU64,
 }
 
 impl<'a> AlignmentSession<'a> {
@@ -71,6 +76,7 @@ impl<'a> AlignmentSession<'a> {
             cache: Mutex::new(HashMap::new()),
             done: Condvar::new(),
             epochs: AtomicU64::new(0),
+            deltas_seen: AtomicU64::new(0),
         }
     }
 
@@ -85,7 +91,7 @@ impl<'a> AlignmentSession<'a> {
         // Claim the slot or wait for whoever holds it.
         let my_epoch = self.epochs.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.lock();
-        loop {
+        let deltas_at_claim = loop {
             match cache.get(relation) {
                 Some(Slot::Done { rules, dirty, .. }) => {
                     if !dirty {
@@ -114,10 +120,10 @@ impl<'a> AlignmentSession<'a> {
                 }
                 None => {
                     cache.insert(relation.to_owned(), Slot::InProgress { epoch: my_epoch });
-                    break;
+                    break self.deltas_seen.load(Ordering::Relaxed);
                 }
             }
-        }
+        };
         drop(cache);
 
         // The claim must be released on *every* exit — including a panic
@@ -150,12 +156,17 @@ impl<'a> AlignmentSession<'a> {
         let result = self.aligner.align_relation_traced(relation);
         match &result {
             Ok((rules, footprint)) => {
-                self.lock().insert(
+                let mut cache = self.lock();
+                // A delta that arrived while this ran found no `Done`
+                // slot to mark; whether it touched what was read is not
+                // known, so the result lands dirty and is mined again.
+                let dirty = self.deltas_seen.load(Ordering::Relaxed) != deltas_at_claim;
+                cache.insert(
                     relation.to_owned(),
                     Slot::Done {
                         rules: rules.clone(),
                         footprint: footprint.clone(),
-                        dirty: false,
+                        dirty,
                     },
                 );
             }
@@ -210,15 +221,18 @@ impl<'a> AlignmentSession<'a> {
 
     /// Drops every cached alignment (the resync path: the delta ring
     /// evicted a gap this session missed, so footprint-based dirtiness
-    /// can no longer be decided).
+    /// can no longer be decided). An alignment in flight lands dirty.
     pub fn invalidate_all(&self) {
-        self.lock()
-            .retain(|_, slot| matches!(slot, Slot::InProgress { .. }));
+        let mut cache = self.lock();
+        self.deltas_seen.fetch_add(1, Ordering::Relaxed);
+        cache.retain(|_, slot| matches!(slot, Slot::InProgress { .. }));
     }
 
     /// Applies a delta published by the **source** KB's store: marks
     /// dirty every cached relation whose source-side evidence footprint
-    /// intersects it. Returns the number of newly dirtied relations.
+    /// intersects it. Returns the number of newly dirtied relations. A
+    /// relation being aligned right now has no footprint yet; it lands
+    /// dirty when it finishes.
     pub fn apply_source_delta(&self, delta: &PublishDelta) -> usize {
         self.apply_delta(DeltaSide::Source, delta)
     }
@@ -234,7 +248,9 @@ impl<'a> AlignmentSession<'a> {
             return 0;
         }
         let mut newly_dirty = 0;
-        for slot in self.lock().values_mut() {
+        let mut cache = self.lock();
+        self.deltas_seen.fetch_add(1, Ordering::Relaxed);
+        for slot in cache.values_mut() {
             if let Slot::Done {
                 footprint, dirty, ..
             } = slot
@@ -453,6 +469,67 @@ mod tests {
         // footprint still covers the predicate — it does here.)
         assert_eq!(session.apply_target_delta(&touching), 1);
         assert_eq!(session.refresh_dirty().unwrap(), 1);
+        assert!(session.dirty_relations().is_empty());
+    }
+
+    /// The delta race, forced: the target endpoint parks the first
+    /// request of the alignment until the main thread has applied an
+    /// intersecting delta — what `FreshnessTracker::sync` does from the
+    /// refresher's thread. The relation has no `Done` slot for the delta
+    /// to mark, so it must land dirty instead of clean-but-stale.
+    #[test]
+    fn a_delta_applied_mid_alignment_leaves_the_relation_dirty() {
+        use sofya_endpoint::{EndpointError, PredicateDelta, Request, Response};
+        use sofya_sparql::QueryBudget;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        struct ParksFirstRequest<E> {
+            inner: E,
+            parked: AtomicBool,
+            gate: Barrier,
+        }
+        impl<E: Endpoint> Endpoint for ParksFirstRequest<E> {
+            fn execute_with_budget(
+                &self,
+                req: Request<'_>,
+                budget: &QueryBudget,
+            ) -> Result<Response, EndpointError> {
+                if !self.parked.swap(true, Ordering::SeqCst) {
+                    self.gate.wait(); // the claim is taken, nothing read yet
+                    self.gate.wait(); // the delta has been applied
+                }
+                self.inner.execute_with_budget(req, budget)
+            }
+        }
+
+        let (dbp, yago) = endpoints();
+        let yago = ParksFirstRequest {
+            inner: yago,
+            parked: AtomicBool::new(false),
+            gate: Barrier::new(2),
+        };
+        let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(1));
+        let touching = PublishDelta {
+            prev_epoch: 1,
+            epoch: 2,
+            predicates: vec![PredicateDelta {
+                predicate: Term::iri("y:born"),
+                inserts: 1,
+                removes: 0,
+            }],
+            terms: vec![Term::iri("y:p0")],
+        };
+        std::thread::scope(|scope| {
+            let aligning = scope.spawn(|| session.rules_for("y:born"));
+            yago.gate.wait();
+            assert_eq!(session.apply_target_delta(&touching), 0, "no slot to mark");
+            yago.gate.wait();
+            aligning.join().unwrap().unwrap();
+        });
+        assert_eq!(session.dirty_relations(), vec!["y:born"]);
+        // The next lookup mines it again, undisturbed, and it lands clean.
+        session.rules_for("y:born").unwrap();
         assert!(session.dirty_relations().is_empty());
     }
 

@@ -6,6 +6,7 @@ use crate::error::EndpointError;
 use parking_lot::Mutex;
 use sofya_sparql::QueryBudget;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,8 +18,7 @@ use std::time::Duration;
 /// retried, and quota errors must keep failing).
 ///
 /// Every request kind shares one cache: the key is the request's SPARQL
-/// rendering prefixed with its response shape, so a `SELECT` and a
-/// `COUNT` over the same pattern never collide. A [`Request::Batch`] is
+/// rendering prefixed with its response shape. A [`Request::Batch`] is
 /// looked up **leaf by leaf** — a batch re-issuing known probes is
 /// answered from the cache without touching the inner endpoint at all —
 /// and the leaves it misses are forwarded together, as **one** inner
@@ -34,8 +34,8 @@ use std::time::Duration;
 pub struct CachingEndpoint<E> {
     inner: E,
     cache: Mutex<HashMap<String, (Response, Duration)>>,
-    hits: Mutex<u64>,
-    expirations: Mutex<u64>,
+    hits: AtomicU64,
+    expirations: AtomicU64,
     ttl: Option<(Duration, Arc<dyn Clock>)>,
 }
 
@@ -45,8 +45,8 @@ impl<E: Endpoint> CachingEndpoint<E> {
         Self {
             inner,
             cache: Mutex::new(HashMap::new()),
-            hits: Mutex::new(0),
-            expirations: Mutex::new(0),
+            hits: AtomicU64::new(0),
+            expirations: AtomicU64::new(0),
             ttl: None,
         }
     }
@@ -62,12 +62,12 @@ impl<E: Endpoint> CachingEndpoint<E> {
 
     /// Number of cache hits so far (all request kinds).
     pub fn hits(&self) -> u64 {
-        *self.hits.lock()
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Number of entries evicted because their TTL lapsed.
     pub fn expirations(&self) -> u64 {
-        *self.expirations.lock()
+        self.expirations.load(Ordering::Relaxed)
     }
 
     /// Number of cached entries (all request kinds; expired entries that
@@ -108,13 +108,12 @@ impl<E: Endpoint> CachingEndpoint<E> {
         let mut cache = self.cache.lock();
         match cache.get(key) {
             Some((value, stamp)) if self.fresh(*stamp) => {
-                let value = value.clone();
-                *self.hits.lock() += 1;
-                Some(value)
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(value.clone())
             }
             Some(_) => {
                 cache.remove(key);
-                *self.expirations.lock() += 1;
+                self.expirations.fetch_add(1, Ordering::Relaxed);
                 None
             }
             None => None,
@@ -122,17 +121,15 @@ impl<E: Endpoint> CachingEndpoint<E> {
     }
 }
 
-/// The cache key of a leaf: its response shape (so one pattern rendered
-/// as `SELECT` and as `COUNT` never collide) plus its SPARQL rendering
+/// The cache key of a leaf: its response shape plus its SPARQL rendering
 /// (each page of a paged shape renders to a distinct string, so pages
-/// never collide either). A batch has no key.
+/// never collide). A batch has no key.
 fn leaf_key(req: &Request<'_>) -> Result<String, EndpointError> {
     let shape = match req {
         Request::Select { .. }
         | Request::PreparedSelect { .. }
         | Request::PreparedSelectPaged { .. } => 'S',
         Request::Ask { .. } | Request::PreparedAsk { .. } => 'A',
-        Request::Count { .. } => 'C',
         // No single rendering: `to_sparql` below says so.
         Request::Batch(_) => 'B',
     };
@@ -301,13 +298,15 @@ mod tests {
     fn counts_and_selects_of_one_pattern_do_not_collide() {
         let ep = stack();
         let pattern = Prepared::new("SELECT ?o WHERE { ?s <p> ?o }", &["s"]).unwrap();
+        let count = Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o }", &["s"]).unwrap();
         let args = [Term::iri("a")];
-        assert_eq!(ep.count_prepared(&pattern, &args).unwrap(), 1);
+        let counted = ep.select_prepared(&count, &args).unwrap();
+        assert_eq!(counted.single_integer(), Some(1));
         let rows = ep.select_prepared(&pattern, &args).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(ep.entries(), 2, "count and select cached separately");
-        // Both kinds hit on re-issue.
-        assert_eq!(ep.count_prepared(&pattern, &args).unwrap(), 1);
+        // Both hit on re-issue.
+        assert_eq!(ep.select_prepared(&count, &args).unwrap(), counted);
         assert_eq!(ep.select_prepared(&pattern, &args).unwrap(), rows);
         assert_eq!(ep.hits(), 2);
     }
@@ -452,11 +451,12 @@ mod tests {
             published: AtomicU64::new(0),
         });
         let pattern = Prepared::new("SELECT ?o WHERE { ?s <p> ?o }", &["s"]).unwrap();
+        let count = Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o }", &["s"]).unwrap();
         let args = [Term::iri("a")];
         let responses = ep
             .execute_batch(vec![
-                Request::Count {
-                    prepared: &pattern,
+                Request::PreparedSelect {
+                    prepared: &count,
                     args: &args,
                 },
                 Request::PreparedSelect {
@@ -467,8 +467,8 @@ mod tests {
             .unwrap();
         let [count, page] = responses.try_into().expect("two sub-responses");
         assert_eq!(
-            count.into_count().unwrap(),
-            page.into_rows().unwrap().len() as u64
+            count.into_rows().unwrap().single_integer().unwrap(),
+            page.into_rows().unwrap().len() as i64
         );
     }
 

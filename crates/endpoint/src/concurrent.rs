@@ -32,13 +32,12 @@ use crate::delta::{DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
 use crate::local::LocalEndpoint;
-use crate::outcome::{execute_count, response_of};
 use crate::plan_cache::{prepared_cache_key, ShardedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use parking_lot::Mutex;
 use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TripleStore};
 use sofya_sparql::{
     compile_ast_with_options, compile_with_options, execute_ast_budgeted,
-    execute_compiled_paged_budgeted, PlanOptions, QueryBudget,
+    execute_compiled_paged_budgeted, PlanOptions, QueryBudget, QueryOutcome,
 };
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -375,10 +374,6 @@ pub(crate) fn run(
             })?;
             execute_compiled_paged_budgeted(store, &compiled, limit, offset, budget)?
         }
-        Request::Count { prepared, args } => {
-            let n = execute_count(store, prepared, args, snap.plan_options(), budget)?;
-            return Ok(Response::Count(n));
-        }
         Request::Batch(requests) => {
             return Ok(Response::Batch(
                 requests
@@ -388,7 +383,10 @@ pub(crate) fn run(
             ));
         }
     };
-    Ok(response_of(outcome))
+    Ok(match outcome {
+        QueryOutcome::Solutions(rs) => Response::Rows(rs),
+        QueryOutcome::Boolean(b) => Response::Boolean(b),
+    })
 }
 
 impl Endpoint for ConcurrentEndpoint {
@@ -568,7 +566,7 @@ mod tests {
         let objects =
             Prepared::new("SELECT ?o WHERE { ?s ?r ?o } ORDER BY ?o", &["s", "r"]).unwrap();
         let probe = Prepared::new("ASK { ?s ?r ?o }", &["s", "r", "o"]).unwrap();
-        let pattern = Prepared::new("SELECT ?s ?o WHERE { ?s ?r ?o }", &["r"]).unwrap();
+        let count = Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["r"]).unwrap();
         let args = [Term::iri("e:s1"), Term::iri("r:p1")];
         let probe_args = [Term::iri("e:s1"), Term::iri("r:p1"), Term::iri("e:o1")];
         let count_args = [Term::iri("r:p1")];
@@ -594,8 +592,8 @@ mod tests {
                     limit: Some(2),
                     offset: Some(1),
                 },
-                Request::Count {
-                    prepared: &pattern,
+                Request::PreparedSelect {
+                    prepared: &count,
                     args: &count_args,
                 },
             ]
@@ -620,25 +618,21 @@ mod tests {
     fn batch_is_pinned_to_one_snapshot() {
         let mut writer = seeded();
         let ep = writer.reader("kb");
-        let pattern = Prepared::new("SELECT ?o WHERE { ?s ?r ?o }", &["s", "r"]).unwrap();
+        let count =
+            Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["s", "r"]).unwrap();
         let args = [Term::iri("e:a"), Term::iri("r:p")];
         let batch_count = || {
-            let responses = ep
-                .execute_batch(vec![
-                    Request::Count {
-                        prepared: &pattern,
-                        args: &args,
-                    },
-                    Request::Count {
-                        prepared: &pattern,
-                        args: &args,
-                    },
-                ])
-                .unwrap();
-            (
-                responses[0].clone().into_count().unwrap(),
-                responses[1].clone().into_count().unwrap(),
-            )
+            let request = Request::PreparedSelect {
+                prepared: &count,
+                args: &args,
+            };
+            let counts: Vec<i64> = ep
+                .execute_batch(vec![request.clone(), request])
+                .unwrap()
+                .into_iter()
+                .map(|r| r.into_rows().unwrap().single_integer().unwrap())
+                .collect();
+            (counts[0], counts[1])
         };
         assert_eq!(batch_count(), (2, 2));
         writer
@@ -653,16 +647,24 @@ mod tests {
     fn count_requests_match_count_star_queries() {
         let mut writer = seeded();
         let ep = writer.reader("kb");
-        let pattern = Prepared::new("SELECT ?o WHERE { ?s ?r ?o }", &["s", "r"]).unwrap();
+        let count =
+            Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["s", "r"]).unwrap();
         let args = [Term::iri("e:a"), Term::iri("r:p")];
+        let prepared = || {
+            ep.select_prepared(&count, &args)
+                .unwrap()
+                .single_integer()
+                .unwrap()
+        };
         let oracle = ep
             .select("SELECT (COUNT(*) AS ?n) { <e:a> <r:p> ?o }")
             .unwrap()
             .single_integer()
             .unwrap();
-        assert_eq!(ep.count_prepared(&pattern, &args).unwrap(), oracle as u64);
+        assert_eq!(oracle, 2);
+        assert_eq!(prepared(), oracle);
         writer.publish();
-        assert_eq!(ep.count_prepared(&pattern, &args).unwrap(), oracle as u64);
+        assert_eq!(prepared(), oracle);
     }
 
     #[test]

@@ -2,24 +2,28 @@
 //!
 //! [`DeadlineEndpoint`] derives a fresh [`QueryBudget`] for every
 //! request from its [`BudgetConfig`] (relative time limit → absolute
-//! deadline at request start) plus a shared [`CancelToken`], runs the
-//! inner endpoint's budgeted path, and maps the engine-level budget
-//! breaches to the typed endpoint error classes:
+//! deadline at request start) plus a shared [`CancelToken`] and runs the
+//! inner endpoint's budgeted path. It does not classify the kills it
+//! causes — a breach is typed where the evaluator's error enters the
+//! endpoint layer (`From<SparqlError> for EndpointError`), with or
+//! without this wrapper above it:
 //!
 //! * deadline passed / token cancelled →
-//!   [`EndpointError::DeadlineExceeded`] carrying the measured elapsed
-//!   time (the HTTP 504 class, counted by the circuit breaker);
+//!   [`EndpointError::DeadlineExceeded`] (the HTTP 504 class, counted by
+//!   the circuit breaker), which this wrapper stamps with the elapsed
+//!   time it measured;
 //! * scan or binding cap breached → [`EndpointError::BudgetExceeded`]
 //!   (deterministic for the query, never retried).
 //!
 //! The wrapper composes with the rest of the middleware stack like any
 //! other: put it *outside* caching (a cache hit should not spend
-//! budget) and *inside* retry (a deadline error must not be retried —
-//! and isn't, see [`crate::RetryEndpoint`]).
+//! budget). Either side of retry is fine — a deadline error is never
+//! retried and always counts toward the breaker, see
+//! [`crate::RetryEndpoint`].
 
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
-use sofya_sparql::{BudgetBreach, CancelToken, QueryBudget, SparqlError};
+use sofya_sparql::{CancelToken, QueryBudget};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,21 +60,11 @@ impl BudgetConfig {
     }
 }
 
-/// Maps an engine-level budget breach to the typed endpoint error class,
-/// stamping deadline/cancellation failures with the measured elapsed
-/// time. Non-budget errors pass through unchanged.
-pub fn map_budget_error(error: EndpointError, elapsed: Duration) -> EndpointError {
+/// Stamps a deadline or cancellation failure with the measured elapsed
+/// time. Every other error passes through unchanged.
+fn map_budget_error(error: EndpointError, elapsed: Duration) -> EndpointError {
     match error {
-        EndpointError::Sparql(SparqlError::Budget { breach }) => match breach {
-            BudgetBreach::Deadline | BudgetBreach::Cancelled => {
-                EndpointError::DeadlineExceeded { elapsed }
-            }
-            caps @ (BudgetBreach::RowsScanned { .. } | BudgetBreach::Bindings { .. }) => {
-                EndpointError::BudgetExceeded {
-                    message: caps.to_string(),
-                }
-            }
-        },
+        EndpointError::DeadlineExceeded { .. } => EndpointError::DeadlineExceeded { elapsed },
         other => other,
     }
 }
@@ -269,7 +263,9 @@ mod tests {
             EndpointError::Other("boom".into())
         );
         let deadline = map_budget_error(
-            EndpointError::Sparql(SparqlError::budget(BudgetBreach::Deadline)),
+            EndpointError::DeadlineExceeded {
+                elapsed: Duration::ZERO,
+            },
             Duration::from_millis(7),
         );
         assert_eq!(

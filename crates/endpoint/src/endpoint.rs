@@ -6,18 +6,20 @@
 //! method an endpoint implements ([`Endpoint::execute`] is the same call
 //! under the unlimited budget), so wrappers (caching, quota, retry,
 //! instrumentation, latency, …) intercept **every** query kind — string,
-//! prepared, paged, count, batch, and ones added later — budgeted or
-//! not, with a single body, instead of forwarding parallel entry points
-//! and silently missing one.
+//! prepared, paged, batch, and ones added later — budgeted or not, with
+//! a single body, instead of forwarding parallel entry points and
+//! silently missing one. A count is not a kind of its own: it is a
+//! `SELECT (COUNT(*) AS ?n)` like any other select, read with
+//! [`ResultSet::single_integer`].
 //!
 //! Callers never build requests by hand: [`EndpointExt`] provides the
 //! ergonomic methods ([`EndpointExt::select`], [`EndpointExt::ask`],
-//! [`EndpointExt::count_prepared`], …) that construct the request and
+//! [`EndpointExt::select_prepared`], …) that construct the request and
 //! destructure the response.
 
 use crate::error::EndpointError;
 use sofya_rdf::Term;
-use sofya_sparql::{unparse, Prepared, Query, QueryBudget, ResultSet, SparqlError};
+use sofya_sparql::{Prepared, QueryBudget, ResultSet, SparqlError};
 use std::sync::Arc;
 
 /// One typed endpoint request. Borrowed: a request is built on the stack
@@ -79,17 +81,6 @@ pub enum Request<'a> {
         /// Page start (`None` keeps the template's own `OFFSET`).
         offset: Option<usize>,
     },
-    /// `COUNT(*)` over the graph pattern of a bound `SELECT` template,
-    /// ignoring the template's projection and solution modifiers;
-    /// answered with [`Response::Count`]. In-process endpoints resolve
-    /// single-pattern counts straight off the index bounds without
-    /// materializing a single row — the aligner's hottest probe.
-    Count {
-        /// The parse-once pattern template (must be a `SELECT`).
-        prepared: &'a Prepared,
-        /// One constant per template parameter, in declaration order.
-        args: &'a [Term],
-    },
     /// A request set executed as one unit; answered with
     /// [`Response::Batch`] (one response per sub-request, in order; the
     /// first failing sub-request fails the whole batch).
@@ -111,19 +102,6 @@ pub enum Request<'a> {
 }
 
 impl<'a> Request<'a> {
-    /// A short label for error messages and accounting.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Select { .. } => "select",
-            Request::Ask { .. } => "ask",
-            Request::PreparedSelect { .. } => "prepared-select",
-            Request::PreparedAsk { .. } => "prepared-ask",
-            Request::PreparedSelectPaged { .. } => "prepared-select-paged",
-            Request::Count { .. } => "count",
-            Request::Batch(_) => "batch",
-        }
-    }
-
     /// Number of leaf (non-batch) requests: 1 for every plain request,
     /// the recursive sum for a batch. This is the unit quota charging
     /// and query accounting use, so batching never hides queries from
@@ -137,9 +115,8 @@ impl<'a> Request<'a> {
 
     /// The SPARQL text a string-only backend (an HTTP endpoint, a
     /// string-keyed cache) would send for this request. Prepared
-    /// requests render their bound template; [`Request::Count`] renders
-    /// a `SELECT (COUNT(*) AS ?n)` rewrite of its pattern. A batch has
-    /// no single rendering and errors — decompose it first.
+    /// requests render their bound template. A batch has no single
+    /// rendering and errors — decompose it first.
     pub fn to_sparql(&self) -> Result<String, EndpointError> {
         match self {
             Request::Select { query } | Request::Ask { query } => Ok((*query).to_owned()),
@@ -151,9 +128,6 @@ impl<'a> Request<'a> {
                 limit,
                 offset,
             } => Ok(prepared.render_paged(args, *limit, *offset)?),
-            Request::Count { prepared, args } => Ok(unparse(&Query::Select(
-                crate::outcome::count_rewrite(prepared, args)?,
-            ))),
             Request::Batch(_) => Err(EndpointError::Other(
                 "a batch request has no single SPARQL rendering".to_owned(),
             )),
@@ -161,21 +135,13 @@ impl<'a> Request<'a> {
     }
 }
 
-/// The error for a [`Request::Count`] whose template is an `ASK`.
-pub(crate) fn count_of_ask_error() -> EndpointError {
-    EndpointError::Sparql(SparqlError::eval(
-        "COUNT requires a SELECT template, found ASK",
-    ))
-}
-
 /// One typed endpoint response, mirroring the [`Request`] variants.
 ///
 /// ```
 /// use sofya_endpoint::Response;
-/// use sofya_sparql::ResultSet;
 ///
-/// let resp = Response::Count(7);
-/// assert_eq!(resp.clone().into_count().unwrap(), 7);
+/// let resp = Response::Boolean(true);
+/// assert!(resp.clone().into_boolean().unwrap());
 /// // Destructuring into the wrong shape is a caller bug, surfaced as an
 /// // error instead of a panic.
 /// assert!(resp.into_rows().is_err());
@@ -186,7 +152,9 @@ pub enum Response {
     Rows(ResultSet),
     /// An `ASK` answer.
     Boolean(bool),
-    /// A `COUNT(*)` value.
+    /// A bare number: the epoch `POST /ingest` answers with, and what
+    /// the wire's `count` op (kept for foreign clients) is reshaped to.
+    /// No [`Request`] is answered with it.
     Count(u64),
     /// One response per sub-request of a [`Request::Batch`], in order.
     Batch(Vec<Response>),
@@ -236,14 +204,6 @@ impl Response {
         }
     }
 
-    /// The count value, or a shape-mismatch error.
-    pub fn into_count(self) -> Result<u64, EndpointError> {
-        match self {
-            Response::Count(n) => Ok(n),
-            other => Err(Self::mismatch("count", other.kind())),
-        }
-    }
-
     /// The per-sub-request responses, or a shape-mismatch error.
     pub fn into_batch(self) -> Result<Vec<Response>, EndpointError> {
         match self {
@@ -282,7 +242,7 @@ impl Response {
 ///         req: Request<'_>,
 ///         budget: &QueryBudget,
 ///     ) -> Result<Response, EndpointError> {
-///         println!("{} <- {}", self.0.name(), req.kind());
+///         println!("{} <- {} leaves", self.0.name(), req.leaf_count());
 ///         self.0.execute_with_budget(req, budget)
 ///     }
 /// }
@@ -300,11 +260,11 @@ pub trait Endpoint: Send + Sync {
     /// a breached query unwinds in bounded time; wrappers hand it to
     /// their inner endpoint so it survives the whole middleware stack.
     ///
-    /// Budget breaches surface as [`sofya_sparql::SparqlError::Budget`]
-    /// wrapped in [`EndpointError::Sparql`]; the deadline middleware
-    /// ([`crate::DeadlineEndpoint`]) and the server map those to the
-    /// typed [`EndpointError::DeadlineExceeded`] /
-    /// [`EndpointError::BudgetExceeded`] classes.
+    /// A killed query is one error class wherever it is killed: an
+    /// expired deadline or a tripped cancel token fails as
+    /// [`EndpointError::DeadlineExceeded`], a breached scan or binding
+    /// cap as [`EndpointError::BudgetExceeded`] — from a bare backend as
+    /// from under any wrapper stack.
     fn execute_with_budget(
         &self,
         req: Request<'_>,
@@ -377,13 +337,6 @@ pub trait EndpointExt: Endpoint {
         .into_rows()
     }
 
-    /// `COUNT(*)` over the graph pattern of a bound `SELECT` template
-    /// (see [`Request::Count`]).
-    fn count_prepared(&self, prepared: &Prepared, args: &[Term]) -> Result<u64, EndpointError> {
-        self.execute(Request::Count { prepared, args })?
-            .into_count()
-    }
-
     /// Executes a request set as one unit (see [`Request::Batch`]) and
     /// returns the per-sub-request responses in order.
     fn execute_batch(&self, requests: Vec<Request<'_>>) -> Result<Vec<Response>, EndpointError> {
@@ -427,7 +380,6 @@ mod tests {
                 | Request::PreparedSelect { .. }
                 | Request::PreparedSelectPaged { .. } => Response::Rows(ResultSet::default()),
                 Request::Ask { .. } | Request::PreparedAsk { .. } => Response::Boolean(true),
-                Request::Count { .. } => Response::Count(3),
                 Request::Batch(reqs) => Response::Batch(
                     reqs.into_iter()
                         .map(|r| self.execute(r))
@@ -455,7 +407,10 @@ mod tests {
         let probe = Prepared::new("ASK { ?s ?r ?o }", &["s"]).unwrap();
         assert!(ep.ask_prepared(&probe, &[Term::iri("a")]).unwrap());
         let pattern = Prepared::new("SELECT ?y WHERE { ?s ?r ?y }", &["s"]).unwrap();
-        assert_eq!(ep.count_prepared(&pattern, &[Term::iri("a")]).unwrap(), 3);
+        assert!(ep
+            .select_prepared(&pattern, &[Term::iri("a")])
+            .unwrap()
+            .is_empty());
         // Shape mismatch is an error, not a panic: a boolean response
         // refuses to be destructured as rows.
         let boolean = ep.execute(Request::Ask { query: "ASK { }" }).unwrap();
@@ -487,20 +442,8 @@ mod tests {
         ]);
         assert_eq!(batch.leaf_count(), 3);
         assert_eq!(Request::Ask { query: q }.leaf_count(), 1);
-    }
-
-    #[test]
-    fn count_renders_as_count_star() {
-        let pattern = Prepared::new("SELECT ?x ?y WHERE { ?x ?r ?y } ORDER BY ?x", &["r"]).unwrap();
-        let req = Request::Count {
-            prepared: &pattern,
-            args: &[Term::iri("r:p")],
-        };
-        let text = req.to_sparql().unwrap();
-        assert!(text.contains("COUNT(*)"), "got: {text}");
-        assert!(!text.contains("ORDER BY"), "modifiers stripped: {text}");
-        // Batches have no single rendering.
-        assert!(Request::Batch(vec![]).to_sparql().is_err());
+        // A batch has leaves but no single rendering.
+        assert!(batch.to_sparql().is_err());
     }
 
     #[test]
@@ -516,7 +459,6 @@ mod tests {
             },
         ]);
         let req = buf.as_request();
-        assert_eq!(req.kind(), "batch");
         assert_eq!(req.leaf_count(), 2);
         let ep = Fake;
         let resp = ep.execute(req).unwrap();

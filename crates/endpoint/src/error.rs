@@ -1,13 +1,14 @@
 //! Endpoint error type.
 
-use sofya_sparql::SparqlError;
+use sofya_sparql::{BudgetBreach, SparqlError};
 use std::fmt;
 use std::time::Duration;
 
 /// Errors surfaced by endpoint implementations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EndpointError {
-    /// The query failed to parse or evaluate.
+    /// The query failed to parse or evaluate. Never a budget kill:
+    /// `From<SparqlError>` turns those into the two classes below.
     Sparql(SparqlError),
     /// The caller exhausted its query budget (see
     /// [`crate::QuotaEndpoint`]).
@@ -97,9 +98,24 @@ impl std::error::Error for EndpointError {
     }
 }
 
+/// Where the evaluator's error enters the endpoint layer, at every `?`.
+/// A budget kill gets its class here, so every layer above — wrappers
+/// in any order, the breaker, the server's 504 mapping, the wire — sees
+/// the one typed form. Nothing has timed the query yet: `elapsed` is
+/// zero until a [`crate::DeadlineEndpoint`] stamps what it measured.
 impl From<SparqlError> for EndpointError {
     fn from(e: SparqlError) -> Self {
-        EndpointError::Sparql(e)
+        match e {
+            SparqlError::Budget {
+                breach: BudgetBreach::Deadline | BudgetBreach::Cancelled,
+            } => EndpointError::DeadlineExceeded {
+                elapsed: Duration::ZERO,
+            },
+            SparqlError::Budget { breach } => EndpointError::BudgetExceeded {
+                message: breach.to_string(),
+            },
+            other => EndpointError::Sparql(other),
+        }
     }
 }
 
@@ -140,5 +156,28 @@ mod tests {
         assert!(other.to_string().contains("boom"));
         let sparql: EndpointError = SparqlError::parse("x").into();
         assert!(sparql.to_string().contains("syntax"));
+    }
+
+    #[test]
+    fn a_budget_kill_enters_the_layer_typed() {
+        for breach in [BudgetBreach::Deadline, BudgetBreach::Cancelled] {
+            assert_eq!(
+                EndpointError::from(SparqlError::budget(breach)),
+                EndpointError::DeadlineExceeded {
+                    elapsed: Duration::ZERO
+                }
+            );
+        }
+        for breach in [
+            BudgetBreach::RowsScanned { limit: 10 },
+            BudgetBreach::Bindings { limit: 7 },
+        ] {
+            assert_eq!(
+                EndpointError::from(SparqlError::budget(breach)),
+                EndpointError::BudgetExceeded {
+                    message: breach.to_string()
+                }
+            );
+        }
     }
 }

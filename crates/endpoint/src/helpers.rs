@@ -52,7 +52,6 @@
 
 use crate::endpoint::{Endpoint, EndpointExt, Request, Response};
 use crate::error::EndpointError;
-use sofya_rdf::term::escape_literal;
 use sofya_rdf::Term;
 use sofya_sparql::Prepared;
 use std::sync::OnceLock;
@@ -67,30 +66,6 @@ fn prepared(
 ) -> &'static Prepared {
     // sofya: allow(panic_path) — init-time parse of a compiled-in template; exercised by every test run
     cell.get_or_init(|| Prepared::new(template, params).expect("static template parses"))
-}
-
-/// Renders a term as a SPARQL constant.
-pub fn term_ref(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => format!("<{iri}>"),
-        Term::Literal {
-            lexical,
-            lang,
-            datatype,
-        } => {
-            let mut s = format!("\"{}\"", escape_literal(lexical));
-            if let Some(lang) = lang {
-                s.push('@');
-                s.push_str(lang);
-            } else if let Some(dt) = datatype {
-                s.push_str("^^<");
-                s.push_str(dt);
-                s.push('>');
-            }
-            s
-        }
-        Term::BNode(label) => format!("_:{label}"),
-    }
 }
 
 /// All distinct relation IRIs of the KB.
@@ -199,6 +174,20 @@ pub fn linked_literal_facts_page<E: Endpoint + ?Sized>(
         .collect())
 }
 
+/// Runs a `SELECT (COUNT(*) AS ?n)` template over `(relation, sameAs)`.
+/// A count is an ordinary select of one integer cell; a single-pattern
+/// one is read off the index bounds, a join is counted at the id level
+/// without resolving a term.
+fn count_linked<E: Endpoint + ?Sized>(
+    ep: &E,
+    count: &Prepared,
+    relation: &str,
+    same_as: &str,
+) -> Result<usize, EndpointError> {
+    let rs = ep.select_prepared(count, &[Term::iri(relation), Term::iri(same_as)])?;
+    Ok(rs.single_integer().unwrap_or(0).max(0) as usize)
+}
+
 /// Count of `sameAs`-linked facts of `relation` (the denominator for
 /// paging through [`linked_entity_facts_page`]).
 pub fn linked_entity_fact_count<E: Endpoint + ?Sized>(
@@ -209,13 +198,14 @@ pub fn linked_entity_fact_count<E: Endpoint + ?Sized>(
     static Q: OnceLock<Prepared> = OnceLock::new();
     let q = prepared(
         &Q,
-        "SELECT ?x ?y ?x2 ?y2 WHERE { ?x ?r ?y . ?x ?sa ?x2 . ?y ?sa ?y2 }",
+        "SELECT (COUNT(*) AS ?n) WHERE { ?x ?r ?y . ?x ?sa ?x2 . ?y ?sa ?y2 }",
         &["r", "sa"],
     );
-    Ok(ep.count_prepared(q, &[Term::iri(relation), Term::iri(same_as)])? as usize)
+    count_linked(ep, q, relation, same_as)
 }
 
-/// Count of subject-linked literal facts of `relation`.
+/// Count of subject-linked literal facts of `relation` (the denominator
+/// for paging through [`linked_literal_facts_page`]).
 pub fn linked_literal_fact_count<E: Endpoint + ?Sized>(
     ep: &E,
     relation: &str,
@@ -224,10 +214,10 @@ pub fn linked_literal_fact_count<E: Endpoint + ?Sized>(
     static Q: OnceLock<Prepared> = OnceLock::new();
     let q = prepared(
         &Q,
-        "SELECT ?x ?v ?x2 WHERE { ?x ?r ?v . ?x ?sa ?x2 . FILTER(ISLITERAL(?v)) }",
+        "SELECT (COUNT(*) AS ?n) WHERE { ?x ?r ?v . ?x ?sa ?x2 . FILTER(ISLITERAL(?v)) }",
         &["r", "sa"],
     );
-    Ok(ep.count_prepared(q, &[Term::iri(relation), Term::iri(same_as)])? as usize)
+    count_linked(ep, q, relation, same_as)
 }
 
 /// The most leaves one [`Request::Batch`] of [`probe_batch`] carries;
@@ -471,19 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn term_ref_rendering() {
-        assert_eq!(term_ref(&Term::iri("http://x/a")), "<http://x/a>");
-        assert_eq!(term_ref(&Term::literal("v")), "\"v\"");
-        assert_eq!(term_ref(&Term::lang_literal("v", "en")), "\"v\"@en");
-        assert_eq!(
-            term_ref(&Term::integer(3)),
-            "\"3\"^^<http://www.w3.org/2001/XMLSchema#integer>"
-        );
-        assert_eq!(term_ref(&Term::bnode("b")), "_:b");
-        assert_eq!(term_ref(&Term::literal("say \"hi\"")), "\"say \\\"hi\\\"\"");
-    }
-
-    #[test]
     fn all_relations_lists_predicates() {
         let ep = movie_endpoint();
         let rels = all_relations(&ep).unwrap();
@@ -527,6 +504,10 @@ mod tests {
         let labels = linked_literal_facts_page(&ep, "r:label", "owl:sameAs", 10, 0).unwrap();
         assert_eq!(labels.len(), 1);
         assert_eq!(labels[0].1.as_literal(), Some("Inception"));
+        assert_eq!(
+            linked_literal_fact_count(&ep, "r:label", "owl:sameAs").unwrap(),
+            1
+        );
     }
 
     #[test]

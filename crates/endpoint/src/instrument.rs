@@ -15,7 +15,7 @@ use std::time::Duration;
 ///
 /// Counting is **per leaf request**: a [`Request::Batch`] contributes
 /// one increment per contained non-batch request to the matching
-/// variant counter (select/ask/count), plus the same number to
+/// variant counter (select/ask), plus the same number to
 /// [`EndpointCounters::batch_expanded`] — so the paper's "few queries"
 /// accounting stays exact no matter how requests are grouped, and the
 /// batch share is visible separately.
@@ -31,7 +31,6 @@ pub struct EndpointCounters {
     largest_request: Arc<AtomicU64>,
     select_queries: Arc<AtomicU64>,
     ask_queries: Arc<AtomicU64>,
-    count_queries: Arc<AtomicU64>,
     batches: Arc<AtomicU64>,
     batch_expanded: Arc<AtomicU64>,
     rows_returned: Arc<AtomicU64>,
@@ -51,7 +50,7 @@ impl EndpointCounters {
     }
 
     /// Number of `SELECT`-shaped leaf requests issued (string, prepared,
-    /// and paged-prepared).
+    /// and paged-prepared; a `COUNT(*)` is one of them).
     pub fn select_queries(&self) -> u64 {
         self.select_queries.load(Ordering::Relaxed)
     }
@@ -59,11 +58,6 @@ impl EndpointCounters {
     /// Number of `ASK`-shaped leaf requests issued.
     pub fn ask_queries(&self) -> u64 {
         self.ask_queries.load(Ordering::Relaxed)
-    }
-
-    /// Number of `COUNT` leaf requests issued.
-    pub fn count_queries(&self) -> u64 {
-        self.count_queries.load(Ordering::Relaxed)
     }
 
     /// Number of batch requests received (nested batches count once
@@ -78,13 +72,12 @@ impl EndpointCounters {
         self.batch_expanded.load(Ordering::Relaxed)
     }
 
-    /// Total leaf queries of all variants.
+    /// Total leaf queries of both variants.
     pub fn total_queries(&self) -> u64 {
-        self.select_queries() + self.ask_queries() + self.count_queries()
+        self.select_queries() + self.ask_queries()
     }
 
-    /// Total solution rows transferred (a count response transfers one
-    /// row).
+    /// Total solution rows transferred (a count transfers one row).
     pub fn rows_returned(&self) -> u64 {
         self.rows_returned.load(Ordering::Relaxed)
     }
@@ -100,7 +93,6 @@ impl EndpointCounters {
         self.largest_request.store(0, Ordering::Relaxed);
         self.select_queries.store(0, Ordering::Relaxed);
         self.ask_queries.store(0, Ordering::Relaxed);
-        self.count_queries.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
         self.batch_expanded.store(0, Ordering::Relaxed);
         self.rows_returned.store(0, Ordering::Relaxed);
@@ -116,7 +108,6 @@ impl EndpointCounters {
             | Request::PreparedSelect { .. }
             | Request::PreparedSelectPaged { .. } => &self.select_queries,
             Request::Ask { .. } | Request::PreparedAsk { .. } => &self.ask_queries,
-            Request::Count { .. } => &self.count_queries,
             Request::Batch(subs) => {
                 self.batches.fetch_add(1, Ordering::Relaxed);
                 for sub in subs {
@@ -277,13 +268,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_count_requests_in_their_own_variant() {
+    fn a_count_is_tallied_as_a_select_of_one_row() {
         let ep = wrapped();
         let counters = ep.counters();
-        let pattern = Prepared::new("SELECT ?o WHERE { ?s <p> ?o }", &["s"]).unwrap();
-        assert_eq!(ep.count_prepared(&pattern, &[Term::iri("a")]).unwrap(), 2);
-        assert_eq!(counters.count_queries(), 1);
-        assert_eq!(counters.select_queries(), 0);
+        let count = Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o }", &["s"]).unwrap();
+        let rs = ep.select_prepared(&count, &[Term::iri("a")]).unwrap();
+        assert_eq!(rs.single_integer(), Some(2));
+        assert_eq!(counters.select_queries(), 1);
         assert_eq!(counters.total_queries(), 1);
         // A count transfers one row of one cell.
         assert_eq!(counters.rows_returned(), 1);
@@ -294,7 +285,7 @@ mod tests {
     fn batches_expand_into_exact_per_variant_counts() {
         let ep = wrapped();
         let counters = ep.counters();
-        let pattern = Prepared::new("SELECT ?o WHERE { ?s <p> ?o }", &["s"]).unwrap();
+        let count = Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o }", &["s"]).unwrap();
         let args = [Term::iri("a")];
         ep.execute_batch(vec![
             Request::Select {
@@ -303,8 +294,8 @@ mod tests {
             Request::Ask {
                 query: "ASK { <a> <p> <b> }",
             },
-            Request::Count {
-                prepared: &pattern,
+            Request::PreparedSelect {
+                prepared: &count,
                 args: &args,
             },
             Request::Batch(vec![Request::Ask {
@@ -312,9 +303,8 @@ mod tests {
             }]),
         ])
         .unwrap();
-        assert_eq!(counters.select_queries(), 1);
+        assert_eq!(counters.select_queries(), 2);
         assert_eq!(counters.ask_queries(), 2);
-        assert_eq!(counters.count_queries(), 1);
         assert_eq!(counters.total_queries(), 4);
         assert_eq!(counters.batch_expanded(), 4);
         assert_eq!(counters.batches(), 2); // outer + nested

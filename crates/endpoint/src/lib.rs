@@ -12,12 +12,16 @@
 //!   method: `execute_with_budget(Request, &QueryBudget) -> Response`, a
 //!   **typed request/response pipeline** (`execute` is provided: the same
 //!   call under the unlimited budget). The [`Request`] enum covers every
-//!   query shape (string `SELECT`/`ASK`, prepared, paged-prepared,
-//!   `COUNT`, and `Batch`); wrappers intercept all of them with that
-//!   single method, so neither a query shape nor a caller's budget can
-//!   bypass a middleware layer. Algorithms call the ergonomic
-//!   [`EndpointExt`] methods, which build the request and destructure the
-//!   [`Response`].
+//!   query shape in six arms (string `SELECT`/`ASK`, prepared
+//!   `SELECT`/`ASK`, paged-prepared, and `Batch`; a count is a
+//!   `SELECT (COUNT(*) AS ?n)`, not a shape of its own); wrappers
+//!   intercept all of them with that single method, so neither a query
+//!   shape nor a caller's budget can bypass a middleware layer. A query
+//!   killed by its budget fails as one class from every backend and
+//!   under every stack: [`EndpointError::DeadlineExceeded`] for time or
+//!   cancellation, [`EndpointError::BudgetExceeded`] for a cap.
+//!   Algorithms call the ergonomic [`EndpointExt`] methods, which build
+//!   the request and destructure the [`Response`].
 //! * [`SnapshotStore`] / [`ConcurrentEndpoint`] / [`LocalEndpoint`] — the
 //!   one in-process backend, evaluated by `sofya-sparql`; plays the role
 //!   of the remote server in this reproduction. The writer keeps loading
@@ -37,7 +41,8 @@
 //!   cap, turning "you may not download the whole KB" into an actual
 //!   runtime error.
 //! * [`DeadlineEndpoint`] — gives every request a deadline, scan and
-//!   binding caps and a cancel switch, and maps breaches to typed errors.
+//!   binding caps and a cancel switch, and stamps a deadline kill with
+//!   the time it measured.
 //! * [`RetryEndpoint`] — re-issues transient failures with accounted
 //!   backoff behind an optional circuit breaker.
 //! * [`CachingEndpoint`] — memoises identical query strings, as a client
@@ -64,7 +69,6 @@ pub mod error;
 pub mod helpers;
 pub mod instrument;
 pub mod local;
-pub(crate) mod outcome;
 pub(crate) mod plan_cache;
 pub mod quota;
 pub mod retry;
@@ -73,7 +77,7 @@ pub mod testing;
 pub use cache::CachingEndpoint;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
-pub use deadline::{map_budget_error, BudgetConfig, DeadlineEndpoint};
+pub use deadline::{BudgetConfig, DeadlineEndpoint};
 pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};
 pub use endpoint::{Endpoint, EndpointExt, Request, Response};

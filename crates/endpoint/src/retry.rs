@@ -678,6 +678,19 @@ mod tests {
         assert_eq!(ep.retries_used(), 0);
         ep.ask("ASK { <a> <p> <b> }").unwrap_err();
         assert_eq!(ep.breaker_state(), Some(BreakerState::Open));
+
+        // No `DeadlineEndpoint` has to sit below to name the class: a
+        // bare backend killed by the caller's spent budget counts too.
+        let clock: Arc<ManualClock> = Arc::new(ManualClock::new());
+        let bare = RetryEndpoint::new(base(), 0).with_breaker(config, clock);
+        let spent = QueryBudget::unlimited().with_time_limit(Duration::ZERO);
+        for _ in 0..2 {
+            let ask = Request::Ask {
+                query: "ASK { <a> <p> <b> }",
+            };
+            bare.execute_with_budget(ask, &spent).unwrap_err();
+        }
+        assert_eq!(bare.breaker_state(), Some(BreakerState::Open));
     }
 
     #[test]

@@ -107,13 +107,6 @@ pub enum RequestBuf {
         /// Page start.
         offset: Option<usize>,
     },
-    /// Owned form of [`Request::Count`].
-    Count {
-        /// The shared pattern template.
-        prepared: Arc<Prepared>,
-        /// One constant per template parameter.
-        args: Vec<Term>,
-    },
     /// Owned form of [`Request::Batch`].
     Batch(Vec<RequestBuf>),
 }
@@ -139,7 +132,6 @@ impl RequestBuf {
                 limit: *limit,
                 offset: *offset,
             },
-            RequestBuf::Count { prepared, args } => Request::Count { prepared, args },
             RequestBuf::Batch(reqs) => Request::Batch(reqs.iter().map(Self::as_request).collect()),
         }
     }

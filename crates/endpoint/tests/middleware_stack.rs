@@ -11,7 +11,8 @@
 //! and under a generous finite budget: the responses must be identical
 //! to the bare endpoint's, and the instrumentation counters must stay
 //! consistent with the issued traffic. A second, exhaustive test holds
-//! the other half of the claim: no stack can drop a caller's budget.
+//! the other half of the claim: no stack can drop a caller's budget, or
+//! change the class a kill by it comes back as.
 
 use proptest::prelude::*;
 use sofya_endpoint::testing::{FlakyEndpoint, RequestBuf};
@@ -21,7 +22,7 @@ use sofya_endpoint::{
     RetryEndpoint, SnapshotStore,
 };
 use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::{Prepared, QueryBudget};
+use sofya_sparql::{CancelToken, Prepared, QueryBudget};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -54,10 +55,10 @@ fn probe_template() -> Arc<Prepared> {
     )
 }
 
-fn pattern_template() -> Arc<Prepared> {
+fn count_template() -> Arc<Prepared> {
     static Q: OnceLock<Arc<Prepared>> = OnceLock::new();
     Arc::clone(Q.get_or_init(|| {
-        Arc::new(Prepared::new("SELECT ?s ?o WHERE { ?s ?r ?o }", &["r"]).unwrap())
+        Arc::new(Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["r"]).unwrap())
     }))
 }
 
@@ -119,8 +120,8 @@ impl Spec {
                 limit: Some(*limit as usize),
                 offset: Some(*offset as usize),
             },
-            Spec::Count(p) => RequestBuf::Count {
-                prepared: pattern_template(),
+            Spec::Count(p) => RequestBuf::PreparedSelect {
+                prepared: count_template(),
                 args: vec![Term::iri(format!("r:p{p}"))],
             },
             Spec::Batch(subs) => RequestBuf::Batch(subs.iter().map(Spec::to_buf).collect()),
@@ -339,6 +340,12 @@ impl Endpoint for OneMethod {
 /// `execute` was the required method, `OneMethod` could only have
 /// implemented that, and the provided budgeted method ran the query to
 /// completion.)
+///
+/// Nor does the class of a kill depend on a `DeadlineEndpoint` being
+/// there to name it: with none on top and the budget passed by the
+/// caller, the bare backends and all 24 orders fail a scan past the cap
+/// as `BudgetExceeded` and an expired or cancelled query as
+/// `DeadlineExceeded`.
 #[test]
 fn no_wrapper_order_drops_the_callers_budget() {
     let store = store();
@@ -346,17 +353,47 @@ fn no_wrapper_order_drops_the_callers_budget() {
         max_rows_scanned: Some(1),
         ..BudgetConfig::default()
     };
+    let tripped = Arc::new(CancelToken::new());
+    tripped.cancel();
+    // (the caller's budget, whether its kill is of the deadline class)
+    let by_hand = [
+        (QueryBudget::unlimited().with_max_rows_scanned(1), false),
+        (
+            QueryBudget::unlimited().with_time_limit(Duration::ZERO),
+            true,
+        ),
+        (QueryBudget::unlimited().with_cancel(tripped), true),
+    ];
+    // Five subjects carry `r:p0`: the scan passes one row.
+    let scan = Request::Select {
+        query: "SELECT ?s ?o { ?s <r:p0> ?o }",
+    };
     let [fixed, _, live] = backends(&store);
     for (b, backend) in [("fixed", fixed), ("live", live)] {
-        for perm in 0..24 {
+        let bare = (Vec::new(), backend.clone());
+        let stacked = (0..24).map(|perm| {
             let order = permutation(perm);
             let (stack, _) = build_stack(backend.clone(), &order);
+            (order, stack)
+        });
+        for (order, stack) in std::iter::once(bare).chain(stacked) {
+            for (budget, deadline_class) in &by_hand {
+                let err = stack
+                    .execute_with_budget(scan.clone(), budget)
+                    .expect_err("a query over its budget must be killed");
+                let typed = match &err {
+                    EndpointError::DeadlineExceeded { .. } => *deadline_class,
+                    EndpointError::BudgetExceeded { .. } => !*deadline_class,
+                    _ => false,
+                };
+                assert!(
+                    typed,
+                    "order {order:?} over the {b} backend, {budget:?}: {err:?}"
+                );
+            }
             let ep = DeadlineEndpoint::new(OneMethod(stack), cap);
-            // Five subjects carry `r:p0`: the scan passes one row.
             let err = ep
-                .execute(Request::Select {
-                    query: "SELECT ?s ?o { ?s <r:p0> ?o }",
-                })
+                .execute(scan.clone())
                 .expect_err("a scan past the cap must be killed");
             assert!(
                 matches!(err, EndpointError::BudgetExceeded { .. }),

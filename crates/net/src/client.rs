@@ -28,7 +28,7 @@ use crate::http::{read_response, write_request, HttpResponse};
 use crate::json::Json;
 use crate::wire::{envelope_from_json, WireRequest};
 use parking_lot::Mutex;
-use sofya_endpoint::{map_budget_error, Endpoint, EndpointError, Request, Response};
+use sofya_endpoint::{Endpoint, EndpointError, Request, Response};
 use sofya_sparql::QueryBudget;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -207,9 +207,7 @@ impl Endpoint for RemoteEndpoint {
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         // Refused before anything is sent: no time has been spent on it.
-        budget
-            .check_expired()
-            .map_err(|e| map_budget_error(EndpointError::Sparql(e), Duration::ZERO))?;
+        budget.check_expired()?;
         let deadline_ms = budget.remaining_time().map(|left| {
             // Round down, but never announce 0 for a still-live budget
             // (0 means "already expired" server-side).

@@ -11,15 +11,19 @@
 //! Two body formats are auto-detected per request:
 //!
 //! * **N-Triples** — the standard line syntax, parsed with
-//!   [`sofya_rdf::parse_ntriples`] (comments and blank lines allowed).
+//!   [`sofya_rdf::parse_ntriples_terms`] (comments and blank lines
+//!   allowed).
 //! * **line-JSON** — one `{"s":…,"p":…,"o":…}` object per line, each
 //!   term in the wire term encoding (see [`crate::wire::term_to_json`]).
 //!   Detected by a leading `{`.
+//!
+//! Either way the sink gets the client's batch as sent: one triple per
+//! line, in order, repeats included. Deduplication is the store's job.
 
 use crate::json::Json;
 use crate::wire::term_from_json;
 use sofya_endpoint::EndpointError;
-use sofya_rdf::{parse_ntriples, Term};
+use sofya_rdf::{parse_ntriples_terms, Term};
 
 /// Where `POST /ingest` delivers parsed triples. Implemented by the
 /// streaming layer (`sofya_stream::SharedIngestor`); one call covers one
@@ -39,14 +43,7 @@ pub fn parse_ingest_body(body: &str) -> Result<Vec<(Term, Term, Term)>, String> 
     if body.trim_start().starts_with('{') {
         parse_line_json(body)
     } else {
-        let store = parse_ntriples(body).map_err(|e| e.to_string())?;
-        Ok(store
-            .iter()
-            .map(|t| {
-                let (s, p, o) = store.resolve(t);
-                (s.clone(), p.clone(), o.clone())
-            })
-            .collect())
+        parse_ntriples_terms(body).map_err(|e| e.to_string())
     }
 }
 
@@ -102,6 +99,35 @@ mod tests {
         assert_eq!(triples.len(), 2);
         assert_eq!(triples[0].0, Term::iri("e:a"));
         assert_eq!(triples[0].2, Term::literal("x"));
+    }
+
+    /// The sink gets the batch the client sent, in either format: a
+    /// repeated line arrives twice, and nothing is reordered.
+    #[test]
+    fn a_repeated_line_reaches_the_sink_twice_and_in_order() {
+        let (a, p) = (Term::iri("e:a"), Term::iri("r:p"));
+        let sent = [
+            (a.clone(), p.clone(), Term::literal("z")),
+            (a.clone(), p.clone(), Term::iri("e:b")),
+            (a.clone(), p.clone(), Term::literal("z")),
+        ];
+        let ntriples: String = sent
+            .iter()
+            .map(|(s, p, o)| format!("{s} {p} {o} .\n"))
+            .collect();
+        let line_json: String = sent
+            .iter()
+            .map(|(s, p, o)| {
+                let line = Json::obj(vec![
+                    ("s", term_to_json(s)),
+                    ("p", term_to_json(p)),
+                    ("o", term_to_json(o)),
+                ]);
+                line.to_text() + "\n"
+            })
+            .collect();
+        assert_eq!(parse_ingest_body(&ntriples).unwrap(), sent);
+        assert_eq!(parse_ingest_body(&line_json).unwrap(), sent);
     }
 
     #[test]

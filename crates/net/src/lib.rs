@@ -14,11 +14,11 @@
 //! target store remote.
 //!
 //! The wire format is line-delimited JSON ([`wire`]): each request is
-//! one `{"op": …}` object (select / ask / count / batch, with batches
-//! nesting), each response one `{"ok": …}` envelope. Prepared queries
-//! are rendered to SPARQL text client-side, and `count` responses are
-//! reshaped server-side from the aggregate row — so a remote endpoint
-//! returns bit-identical [`sofya_endpoint::Response`] values to local
+//! one `{"op": …}` object (select / ask / batch, with batches nesting;
+//! plus `count`, served for foreign clients and never sent by ours),
+//! each response one `{"ok": …}` envelope. Prepared queries are
+//! rendered to SPARQL text client-side — so a remote endpoint returns
+//! bit-identical [`sofya_endpoint::Response`] values to local
 //! execution. A whole batch is a single HTTP round trip and a single
 //! server-side snapshot pin, which is what makes batched evidence
 //! probes pay one RTT per relation instead of one per subject.

@@ -3,11 +3,13 @@
 //! A [`sofya_endpoint::Request`] crosses the wire as a [`WireRequest`]:
 //! every non-batch shape is rendered to its SPARQL text client-side (via
 //! [`Request::to_sparql`]), tagged with its response shape (`select` /
-//! `ask` / `count`), and batches nest structurally. Prepared templates
-//! therefore never travel — the server sees plain SPARQL, and the typed
-//! `count` tag lets it hand back a [`Response::Count`] so the response
-//! tree a remote client observes is **bit-identical** to local
-//! execution.
+//! `ask`), and batches nest structurally. Prepared templates therefore
+//! never travel — the server sees plain SPARQL, and the response tree a
+//! remote client observes is **bit-identical** to local execution.
+//!
+//! `count` is one more wire op, for foreign clients: a single-cell
+//! aggregate `SELECT` answered as a bare [`Response::Count`]. Our client
+//! never sends it — a count is a `select` whose one cell it reads.
 //!
 //! Encoding is one JSON document per message, terminated by `\n` (the
 //! HTTP body of one request/response is exactly one line). All encoders
@@ -16,7 +18,7 @@
 use crate::json::Json;
 use sofya_endpoint::{EndpointError, Request, Response};
 use sofya_rdf::Term;
-use sofya_sparql::{BudgetBreach, QueryBudget, ResultSet, SparqlError};
+use sofya_sparql::{QueryBudget, ResultSet, SparqlError};
 
 /// A request as it travels: SPARQL text plus the expected response
 /// shape. Batches nest, mirroring [`Request::Batch`].
@@ -26,7 +28,8 @@ pub enum WireRequest {
     Select(String),
     /// An `ASK`, answered with a boolean.
     Ask(String),
-    /// A `SELECT (COUNT(*) AS ?n)` rendering, answered with a count.
+    /// A single-cell aggregate `SELECT`, answered with a bare count.
+    /// Decoded and served, never produced by [`WireRequest::from_request`].
     Count(String),
     /// A request set executed as one unit (one scheduler job, one
     /// snapshot pin server-side).
@@ -61,17 +64,16 @@ impl WireRequest {
                     .map(WireRequest::from_request)
                     .collect::<Result<_, _>>()?,
             ),
-            Request::Count { .. } => WireRequest::Count(req.to_sparql()?),
             Request::Ask { .. } | Request::PreparedAsk { .. } => WireRequest::Ask(req.to_sparql()?),
             _ => WireRequest::Select(req.to_sparql()?),
         })
     }
 
     /// The request the server executes, borrowing this one's text:
-    /// `count` runs as the rendered `SELECT (COUNT(*) AS ?n)` string (one
-    /// execution for the whole tree — a batch stays a single
-    /// [`Request::Batch`], so one snapshot pin); [`reshape`] converts the
-    /// aggregate row back to a [`Response::Count`] afterwards.
+    /// `count` runs as the `SELECT` it carries (one execution for the
+    /// whole tree — a batch stays a single [`Request::Batch`], so one
+    /// snapshot pin); [`reshape`] converts the aggregate row to a
+    /// [`Response::Count`] afterwards.
     pub fn as_request(&self) -> Request<'_> {
         match self {
             WireRequest::Select(query) | WireRequest::Count(query) => Request::Select { query },
@@ -79,15 +81,6 @@ impl WireRequest {
             WireRequest::Batch(subs) => {
                 Request::Batch(subs.iter().map(WireRequest::as_request).collect())
             }
-        }
-    }
-
-    /// Number of leaf (non-batch) requests, mirroring
-    /// [`Request::leaf_count`].
-    pub fn leaf_count(&self) -> u64 {
-        match self {
-            WireRequest::Batch(subs) => subs.iter().map(WireRequest::leaf_count).sum(),
-            _ => 1,
         }
     }
 
@@ -365,25 +358,11 @@ pub fn error_to_json(error: &EndpointError) -> Json {
         EndpointError::Sparql(SparqlError::Eval { message }) => {
             Json::obj([("kind", Json::str("eval")), ("message", Json::str(message))])
         }
-        // Raw engine-level breaches normally get mapped to the typed
-        // deadline/budget classes before reaching the wire (see
-        // `sofya_endpoint::map_budget_error`), but the encoding is
-        // lossless either way.
-        EndpointError::Sparql(SparqlError::Budget { breach }) => {
-            let mut fields = vec![("kind", Json::str("sparql_budget"))];
-            match breach {
-                BudgetBreach::Deadline => fields.push(("breach", Json::str("deadline"))),
-                BudgetBreach::Cancelled => fields.push(("breach", Json::str("cancelled"))),
-                BudgetBreach::RowsScanned { limit } => {
-                    fields.push(("breach", Json::str("rows_scanned")));
-                    fields.push(("limit", Json::Uint(*limit)));
-                }
-                BudgetBreach::Bindings { limit } => {
-                    fields.push(("breach", Json::str("bindings")));
-                    fields.push(("limit", Json::Uint(*limit as u64)));
-                }
-            }
-            Json::obj(fields)
+        // Not a form the endpoint layer produces (`From<SparqlError>`
+        // types a kill where it enters); one built by hand travels as
+        // the class it would have entered as.
+        EndpointError::Sparql(e @ SparqlError::Budget { .. }) => {
+            error_to_json(&EndpointError::from(e.clone()))
         }
         EndpointError::DeadlineExceeded { elapsed } => Json::obj([
             ("kind", Json::str("deadline")),
@@ -487,27 +466,6 @@ pub fn error_from_json(json: &Json) -> Result<EndpointError, WireError> {
             message: message()?,
             retry_after: retry_after_from_json(json),
         }),
-        "sparql_budget" => {
-            let breach = json
-                .get("breach")
-                .and_then(Json::as_str)
-                .ok_or_else(|| WireError("sparql_budget error missing \"breach\"".to_owned()))?;
-            let limit = || {
-                json.get("limit")
-                    .and_then(Json::as_uint)
-                    .ok_or_else(|| WireError(format!("{breach} breach missing \"limit\"")))
-            };
-            let breach = match breach {
-                "deadline" => BudgetBreach::Deadline,
-                "cancelled" => BudgetBreach::Cancelled,
-                "rows_scanned" => BudgetBreach::RowsScanned { limit: limit()? },
-                "bindings" => BudgetBreach::Bindings {
-                    limit: limit()? as usize,
-                },
-                other => return Err(WireError(format!("unknown budget breach {other:?}"))),
-            };
-            Ok(EndpointError::Sparql(SparqlError::budget(breach)))
-        }
         "deadline" => Ok(EndpointError::DeadlineExceeded {
             elapsed: std::time::Duration::from_nanos(
                 json.get("elapsed_ns")
@@ -556,7 +514,7 @@ pub fn envelope_from_json(json: &Json) -> Result<Result<Response, EndpointError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofya_endpoint::{Endpoint, EndpointExt, LocalEndpoint};
+    use sofya_endpoint::{EndpointExt, LocalEndpoint};
     use sofya_rdf::TripleStore;
     use sofya_sparql::Prepared;
 
@@ -578,7 +536,6 @@ mod tests {
         ]);
         let json = wire.to_json();
         assert_eq!(WireRequest::from_json(&json).unwrap(), wire);
-        assert_eq!(wire.leaf_count(), 3);
     }
 
     /// The exact bytes of two representative messages: a codec change
@@ -680,22 +637,23 @@ mod tests {
     #[test]
     fn execute_wire_reshapes_counts_and_matches_local() {
         let ep = endpoint();
-        let prepared = Prepared::new("SELECT ?s ?o WHERE { ?s ?r ?o }", &["r"]).unwrap();
+        let count = Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["r"]).unwrap();
         let args = [Term::iri("r:p")];
-        let local = ep
-            .execute(Request::Count {
-                prepared: &prepared,
-                args: &args,
-            })
-            .unwrap();
-        let wire = WireRequest::from_request(&Request::Count {
-            prepared: &prepared,
+        let local = ep.select_prepared(&count, &args).unwrap();
+        // Our client sends a count as the `select` it is …
+        let req = Request::PreparedSelect {
+            prepared: &count,
             args: &args,
-        })
-        .unwrap();
+        };
+        let WireRequest::Select(text) = WireRequest::from_request(&req).unwrap() else {
+            panic!("a prepared count lowers to select");
+        };
+        // … and a foreign client's `count` op over the same text is
+        // reshaped to the bare number in that select's one cell.
+        let wire = WireRequest::Count(text);
         let remote_shaped = execute_wire_budgeted(&ep, &wire, &QueryBudget::unlimited()).unwrap();
-        assert_eq!(remote_shaped, local);
         assert_eq!(remote_shaped, Response::Count(2));
+        assert_eq!(local.single_integer(), Some(2));
     }
 
     #[test]
@@ -736,18 +694,6 @@ mod tests {
             Err(EndpointError::BudgetExceeded {
                 message: "scanned more than 10 rows".to_owned(),
             }),
-            Err(EndpointError::Sparql(SparqlError::budget(
-                BudgetBreach::Deadline,
-            ))),
-            Err(EndpointError::Sparql(SparqlError::budget(
-                BudgetBreach::Cancelled,
-            ))),
-            Err(EndpointError::Sparql(SparqlError::budget(
-                BudgetBreach::RowsScanned { limit: 42 },
-            ))),
-            Err(EndpointError::Sparql(SparqlError::budget(
-                BudgetBreach::Bindings { limit: 7 },
-            ))),
         ] {
             let json = envelope_to_json(&result);
             let text = json.to_text();

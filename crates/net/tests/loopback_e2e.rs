@@ -129,6 +129,50 @@ fn federated_alignment_batches_probes_over_the_wire() {
     server.shutdown();
 }
 
+/// The remote half of `endpoint/tests/count_differential.rs`: over the
+/// wire a count is a `select` like any other, and for every relation of
+/// both KBs of a seeded kbgen pair each count helper still equals its
+/// page template read in full — and what the same helper answers in
+/// process.
+#[test]
+fn remote_count_helpers_equal_their_page_template_read_in_full() {
+    use sofya_endpoint::helpers::{
+        linked_entity_fact_count, linked_entity_facts_page, linked_literal_fact_count,
+        linked_literal_facts_page,
+    };
+    /// A page no relation of the pair fills (asserted below).
+    const ALL: usize = 100_000;
+
+    let pair = sofya_kbgen::generate(&sofya_kbgen::PairConfig::small(42));
+    let sa = pair.same_as();
+    for (store, relations) in [
+        (&pair.kb1, &pair.kb1_relations),
+        (&pair.kb2, &pair.kb2_relations),
+    ] {
+        let local = LocalEndpoint::new("kb", store.clone());
+        let server = start_server(store.clone(), ServerConfig::default());
+        let remote = RemoteEndpoint::new("kb", server.addr());
+        for r in relations
+            .iter()
+            .map(String::as_str)
+            .chain([sa, "kb:absent"])
+        {
+            let entities = linked_entity_fact_count(&remote, r, sa).expect("count");
+            let literals = linked_literal_fact_count(&remote, r, sa).expect("count");
+            assert_eq!(entities, linked_entity_fact_count(&local, r, sa).unwrap());
+            assert_eq!(literals, linked_literal_fact_count(&local, r, sa).unwrap());
+            let entity_rows = linked_entity_facts_page(&remote, r, sa, ALL, 0).expect("page");
+            let literal_rows = linked_literal_facts_page(&remote, r, sa, ALL, 0).expect("page");
+            assert!(entity_rows.len() < ALL && literal_rows.len() < ALL);
+            assert_eq!(entities, entity_rows.len(), "linked entity facts of {r}");
+            assert_eq!(literals, literal_rows.len(), "linked literal facts of {r}");
+        }
+        let metrics = server.metrics();
+        assert_eq!(metrics.panicked, 0, "{metrics:?}");
+        server.shutdown();
+    }
+}
+
 #[test]
 fn server_quota_rejection_surfaces_as_typed_error() {
     let mut store = TripleStore::new();

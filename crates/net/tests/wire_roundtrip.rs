@@ -11,7 +11,7 @@ use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, Response};
 use sofya_net::wire::{envelope_from_json, envelope_to_json};
 use sofya_net::{execute_wire_budgeted, Json, WireRequest};
 use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::{Prepared, QueryBudget, ResultSet, SparqlError};
+use sofya_sparql::{BudgetBreach, Prepared, QueryBudget, ResultSet, SparqlError};
 use std::sync::{Arc, OnceLock};
 
 // --------------------------------------------------------------- fixtures
@@ -40,6 +40,13 @@ fn objects_template() -> Arc<Prepared> {
     static T: OnceLock<Arc<Prepared>> = OnceLock::new();
     Arc::clone(T.get_or_init(|| {
         Arc::new(Prepared::new("SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o", &["s", "p"]).unwrap())
+    }))
+}
+
+fn count_template() -> Arc<Prepared> {
+    static T: OnceLock<Arc<Prepared>> = OnceLock::new();
+    Arc::clone(T.get_or_init(|| {
+        Arc::new(Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", &["s", "p"]).unwrap())
     }))
 }
 
@@ -74,8 +81,8 @@ fn leaf_request() -> BoxedStrategy<RequestBuf> {
             offset: (offset > 0).then_some(offset),
         }
     });
-    let count = (0usize..12).prop_map(|i| RequestBuf::Count {
-        prepared: objects_template(),
+    let count = (0usize..12).prop_map(|i| RequestBuf::PreparedSelect {
+        prepared: count_template(),
         args: vec![Term::iri(format!("e:s{i}")), Term::iri("e:p")],
     });
     let text_select = Just(RequestBuf::Select {
@@ -179,6 +186,10 @@ fn arb_error() -> BoxedStrategy<EndpointError> {
             retry_after: (ms % 2 == 0).then(|| std::time::Duration::from_millis(ms)),
         }),
         ".{0,30}".prop_map(EndpointError::Other),
+        (0u64..u64::MAX).prop_map(|ns| EndpointError::DeadlineExceeded {
+            elapsed: std::time::Duration::from_nanos(ns),
+        }),
+        ".{0,20}".prop_map(|message| EndpointError::BudgetExceeded { message }),
     ]
     .boxed()
 }
@@ -188,7 +199,7 @@ fn arb_error() -> BoxedStrategy<EndpointError> {
 proptest! {
     /// Lowering any request to the wire and executing the lowered form
     /// yields exactly what direct local execution yields — including
-    /// count reshaping and arbitrarily nested batches.
+    /// counts (plain selects on the wire) and arbitrarily nested batches.
     #[test]
     fn lowered_execution_matches_local(req in any_request()) {
         let ep = store_endpoint();
@@ -262,10 +273,37 @@ fn a_count_op_over_a_negative_cell_is_refused_not_wrapped() {
             "{query}"
         );
     }
-    // A real aggregate still reshapes.
-    let wire = WireRequest::Count("SELECT (COUNT(*) AS ?n) { <e:acct> ?p ?o }".to_owned());
+    // A real aggregate still reshapes — also positionally inside a
+    // batch, beside a `select` of the same text that stays rows.
+    let aggregate = "SELECT (COUNT(*) AS ?n) { <e:acct> ?p ?o }".to_owned();
+    let wire = WireRequest::Count(aggregate.clone());
     assert_eq!(
         execute_wire_budgeted(&ep, &wire, &QueryBudget::unlimited()),
         Ok(Response::Count(2))
     );
+    let batch = WireRequest::Batch(vec![WireRequest::Select(aggregate), wire]);
+    let Ok(Response::Batch(parts)) = execute_wire_budgeted(&ep, &batch, &QueryBudget::unlimited())
+    else {
+        panic!("a batch answers as a batch");
+    };
+    assert!(matches!(&parts[0], Response::Rows(rows) if rows.single_integer() == Some(2)));
+    assert_eq!(parts[1], Response::Count(2));
+}
+
+/// The endpoint layer never produces `Sparql(Budget)` — `From<SparqlError>`
+/// types a kill where it enters — and the wire has no kind for it: one
+/// built by hand travels as the class it would have entered as.
+#[test]
+fn a_hand_built_raw_kill_travels_as_its_class() {
+    for breach in [
+        BudgetBreach::Cancelled,
+        BudgetBreach::RowsScanned { limit: 42 },
+    ] {
+        let raw = Err(EndpointError::Sparql(SparqlError::budget(breach)));
+        let text = envelope_to_json(&raw).to_text();
+        assert_eq!(
+            envelope_from_json(&Json::parse(&text).expect("parse")).expect("decode"),
+            Err(EndpointError::from(SparqlError::budget(breach)))
+        );
+    }
 }

@@ -59,7 +59,7 @@ pub use error::RdfError;
 pub use inverse::{
     inverse_iri, is_inverse_iri, materialize_inverses, materialize_inverses_filtered,
 };
-pub use ntriples::{parse_ntriples, write_ntriples};
+pub use ntriples::{parse_ntriples, parse_ntriples_terms, write_ntriples};
 pub use segment::CodecError;
 pub use snapshot::{fingerprint_of, StoreSnapshot};
 pub use stats::{PredicateStats, StoreStats};

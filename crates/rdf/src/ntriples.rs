@@ -19,11 +19,20 @@ pub fn parse_ntriples(input: &str) -> Result<TripleStore, RdfError> {
 
 /// Parses N-Triples text, inserting into an existing store.
 ///
-/// The whole document is staged and bulk-loaded through
-/// [`TripleStore::load_batch`] (one sort + dedup + merge per index), so
-/// nothing is inserted when any line fails to parse.
+/// The whole document is parsed first and bulk-loaded through
+/// [`TripleStore::load_batch_terms`] (one sort + dedup + merge per
+/// index), so nothing is inserted when any line fails to parse.
 pub fn parse_ntriples_into(input: &str, store: &mut TripleStore) -> Result<(), RdfError> {
-    let mut batch = Vec::new();
+    let triples = parse_ntriples_terms(input)?;
+    store.load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)));
+    Ok(())
+}
+
+/// Parses N-Triples text into term triples: one per statement line, in
+/// document order, repeats kept. No store, no interning — for a caller
+/// that hands the batch on (the ingest door) instead of querying it.
+pub fn parse_ntriples_terms(input: &str) -> Result<Vec<(Term, Term, Term)>, RdfError> {
+    let mut triples = Vec::new();
     for (idx, raw_line) in input.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw_line.trim();
@@ -52,10 +61,9 @@ pub fn parse_ntriples_into(input: &str, store: &mut TripleStore) -> Result<(), R
         if s.is_literal() {
             return Err(RdfError::parse(lineno, "subject must not be a literal"));
         }
-        batch.push((store.intern(&s), store.intern(&p), store.intern(&o)));
+        triples.push((s, p, o));
     }
-    store.load_batch(batch);
-    Ok(())
+    Ok(triples)
 }
 
 /// Serialises every triple of `store` as N-Triples, in SPO id order.

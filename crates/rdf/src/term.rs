@@ -225,6 +225,10 @@ mod tests {
     #[test]
     fn display_plain_literal() {
         assert_eq!(Term::literal("hello").to_string(), "\"hello\"");
+        assert_eq!(
+            Term::literal("say \"hi\"").to_string(),
+            "\"say \\\"hi\\\"\""
+        );
     }
 
     #[test]

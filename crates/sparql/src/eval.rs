@@ -272,20 +272,6 @@ fn aggregate_row(
     ResultSet::new(vec![alias.to_owned()], rows)
 }
 
-/// Executes a parsed `SELECT` under a [`QueryBudget`] (see
-/// [`execute_ast_budgeted`]).
-pub fn execute_select_budgeted(
-    store: &TripleStore,
-    query: &SelectQuery,
-    opts: PlanOptions<'_>,
-    budget: &QueryBudget,
-) -> Result<ResultSet, SparqlError> {
-    let mut tracker = BudgetTracker::new(budget);
-    tracker.preflight()?;
-    let plan = GroupPlan::build_with(store, &query.pattern, &[], opts);
-    execute_select_planned_paged(store, query, &plan, None, None, &mut tracker)
-}
-
 /// Executes a planned `SELECT` with optional `LIMIT`/`OFFSET` overrides
 /// (`None` falls back to the query's own modifiers).
 fn execute_select_planned_paged(

@@ -56,7 +56,7 @@ pub use error::SparqlError;
 pub use eval::{
     compile_ast_with_options, compile_with_options, execute, execute_ask, execute_ast,
     execute_ast_budgeted, execute_compiled, execute_compiled_paged_budgeted, execute_query,
-    execute_select_budgeted, execute_with_options, CompiledQuery, QueryOutcome,
+    execute_with_options, CompiledQuery, QueryOutcome,
 };
 pub use parser::parse_query;
 pub use plan::PlanOptions;

@@ -247,11 +247,6 @@ impl StreamIngestor {
     pub fn tracker(&self, side: KbSide) -> FreshnessTracker {
         FreshnessTracker::new(&self.store, side)
     }
-
-    /// The underlying snapshot store.
-    pub fn snapshot_store(&self) -> &SnapshotStore {
-        &self.store
-    }
 }
 
 /// A thread-safe [`StreamIngestor`] wrapper implementing the network
