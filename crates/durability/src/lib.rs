@@ -44,5 +44,5 @@ pub use crc::crc32;
 pub use error::DurabilityError;
 pub use io::{FaultKind, FaultyIo, MemIo, StdIo, StorageIo};
 pub use log::{CommitReceipt, DurabilityConfig, DurableLog};
-pub use segment::{Manifest, SegmentKind, MANIFEST_FILE, WAL_FILE};
+pub use segment::{Manifest, RunsSegment, SegmentKind, MANIFEST_FILE, WAL_FILE};
 pub use wal::{WalEntry, WalOp, WalRecord};

@@ -16,18 +16,37 @@
 //!   a commit record (epoch, snapshot fingerprint) in one write, fsync
 //!   the WAL. The fsync returning is the ack.
 //! * **Checkpoint** (every [`DurabilityConfig::checkpoint_every`]
-//!   commits): write the dictionary delta and the full flushed runs as
-//!   checksummed segments (fsynced), stage the new manifest at
-//!   `MANIFEST.tmp` (fsynced), atomically rename it over `MANIFEST`,
-//!   then truncate the WAL. A crash on either side of the rename leaves
-//!   a valid manifest — old or new — and the WAL's epoch tags make
-//!   replay idempotent across the boundary.
-//! * **Recover**: load the manifest (missing ⇒ fresh store), rebuild
-//!   dictionary and runs from the segments, cut the WAL at the last
-//!   valid record, replay fully committed epochs newer than the
-//!   checkpoint, and verify the final fingerprint against the last
-//!   commit record (or the manifest). The WAL is truncated to the cut so
-//!   post-recovery appends never land after a torn tail.
+//!   commits): write what changed since the previous one — the terms
+//!   interned since, and the SPO keys added and removed
+//!   ([`StoreSnapshot::diff_since`] against the snapshot retained from
+//!   it) — as checksummed segments (fsynced), stage at `MANIFEST.tmp` a
+//!   manifest listing them after the segments already listed (fsynced),
+//!   atomically rename it over `MANIFEST`, then truncate the WAL. A crash
+//!   on either side of the rename leaves a valid manifest — old (the new
+//!   segment an orphan nothing names) or new — and the WAL's epoch tags
+//!   make replay idempotent across the boundary. The cost follows the
+//!   change, not the store.
+//! * **Fold**: the checkpoint instead writes the whole snapshot as a
+//!   fresh base — the same segment, its predecessor the empty store —
+//!   listed alone, when nothing is retained to diff against (`create`,
+//!   the first checkpoint after `recover`), when the deltas with the new
+//!   one would hold `FOLD_AT_BASE_SHARE` × the base's triples, or when
+//!   there would be more than `MAX_DELTA_SEGMENTS` of them (of dictionary
+//!   segments: those are rewritten as one in the same swap). Run segments
+//!   on disk stay under twice the base and the manifest bounded.
+//!   Superseded files are removed, best-effort, after the rename.
+//! * **Recover**: load the manifest (missing ⇒ fresh store), rebuild the
+//!   dictionary from its segments and the triples by applying the run
+//!   segments in order (removing an absent key or adding a present one is
+//!   corruption), cut the WAL at the last valid record, replay fully
+//!   committed epochs newer than the checkpoint, and verify the final
+//!   fingerprint against the last commit record (or the manifest). The
+//!   WAL is rewritten to the records applied so post-recovery appends
+//!   never land after a torn tail.
+//!
+//! The WAL truncation needs no fsync of its own: once the manifest is
+//! renamed, replay skips every record the WAL can still hold, and the
+//! next commit's fsync of the same file covers the truncation.
 //!
 //! Any I/O failure during commit poisons the log: the in-memory store
 //! may be ahead of disk and the WAL tail may be torn, so further
@@ -37,15 +56,23 @@
 use crate::error::DurabilityError;
 use crate::io::StorageIo;
 use crate::segment::{
-    read_segment, write_segment, DictSegment, Manifest, SegmentKind, MANIFEST_FILE,
+    read_segment, write_segment, DictSegment, Manifest, RunsSegment, SegmentKind, MANIFEST_FILE,
     MANIFEST_TMP_FILE, WAL_FILE,
 };
-use crate::wal::{append_record, scan, WalEntry, WalOp, WalRecord};
+use crate::wal::{append_op, append_record, scan, WalEntry, WalOp, WalRecord};
 use sofya_rdf::segment as codec;
 use sofya_rdf::segment::ByteReader;
 use sofya_rdf::{Dict, StoreSnapshot, Term, TermId, TripleStore};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+type Key = (u32, u32, u32);
+
+/// The fold rule (module docs): delta segments a manifest may list, and
+/// the share of the base's triples they may reach.
+const MAX_DELTA_SEGMENTS: usize = 16;
+const FOLD_AT_BASE_SHARE: u64 = 1;
 
 /// Durability knobs.
 #[derive(Debug, Clone)]
@@ -75,7 +102,7 @@ pub struct CommitReceipt {
     pub wal_bytes: u64,
     /// Wall-clock cost of the WAL fsync (the ack's latency floor).
     pub fsync_latency: Duration,
-    /// Whether this commit also wrote a checkpoint.
+    /// Whether this commit also wrote a checkpoint (a delta or a fold).
     pub checkpointed: bool,
 }
 
@@ -86,20 +113,13 @@ pub struct DurableLog {
     config: DurabilityConfig,
     pending: Vec<WalOp>,
     epoch: u64,
-    checkpoint_epoch: u64,
     wal_bytes: u64,
-    dict_persisted: u32,
-    dict_segments: Vec<DictSegment>,
-    runs_segment: Option<String>,
+    /// The manifest on disk (empty before the first checkpoint).
+    manifest: Manifest,
+    /// The snapshot it describes (a handful of `Arc`s) for the next
+    /// checkpoint to diff against; `None` after `create` and `recover`.
+    checkpointed: Option<StoreSnapshot>,
     poisoned: bool,
-}
-
-fn dict_segment_name(start: u32) -> String {
-    format!("dict-{start:010}.seg")
-}
-
-fn runs_segment_name(epoch: u64) -> String {
-    format!("runs-{epoch:016}.seg")
 }
 
 impl DurableLog {
@@ -124,11 +144,9 @@ impl DurableLog {
             config,
             pending: Vec::new(),
             epoch: 0,
-            checkpoint_epoch: 0,
             wal_bytes: 0,
-            dict_persisted: 0,
-            dict_segments: Vec::new(),
-            runs_segment: None,
+            manifest: Manifest::default(),
+            checkpointed: None,
             poisoned: false,
         };
         let fingerprint = initial.fingerprint();
@@ -144,7 +162,7 @@ impl DurableLog {
 
     /// The epoch captured by the newest on-disk checkpoint.
     pub fn checkpoint_epoch(&self) -> u64 {
-        self.checkpoint_epoch
+        self.manifest.epoch
     }
 
     /// Bytes currently in the WAL (since the last checkpoint).
@@ -198,7 +216,7 @@ impl DurableLog {
         let next = self.epoch + 1;
         let mut buf = Vec::new();
         for op in &self.pending {
-            append_record(&mut buf, next, &WalEntry::Op(op.clone()))?;
+            append_op(&mut buf, next, op)?;
         }
         append_record(&mut buf, next, &WalEntry::Commit { fingerprint })?;
 
@@ -215,7 +233,7 @@ impl DurableLog {
         self.wal_bytes += buf.len() as u64;
 
         let mut checkpointed = false;
-        if self.epoch - self.checkpoint_epoch >= self.config.checkpoint_every {
+        if self.epoch - self.manifest.epoch >= self.config.checkpoint_every {
             self.checkpoint(snapshot, fingerprint)
                 .map_err(|e| self.poison(e))?;
             checkpointed = true;
@@ -229,78 +247,103 @@ impl DurableLog {
         })
     }
 
+    /// What `snapshot` adds to and removes from the retained one, or
+    /// `None` when the checkpoint has to fold.
+    fn delta_since_checkpoint(&self, snapshot: &StoreSnapshot) -> Option<(Vec<Key>, Vec<Key>)> {
+        let (older, base) = (self.checkpointed.as_ref()?, self.manifest.runs.first()?);
+        if self.manifest.runs.len() > MAX_DELTA_SEGMENTS {
+            return None; // known without walking the runs
+        }
+        let delta = snapshot.diff_since(older);
+        let deltas = self.manifest.runs.iter().skip(1);
+        let delta_triples = deltas.map(|seg| seg.adds + seg.removes).sum::<u64>()
+            + (delta.0.len() + delta.1.len()) as u64;
+        (delta_triples < FOLD_AT_BASE_SHARE * base.adds).then_some(delta)
+    }
+
     /// Writes segments + manifest for `snapshot` and truncates the WAL.
     fn checkpoint(
         &mut self,
         snapshot: &StoreSnapshot,
         fingerprint: u64,
     ) -> Result<(), DurabilityError> {
+        let io = self.io.as_ref();
         let dict = snapshot.store().dict();
         let term_count = u32::try_from(dict.len())
             .map_err(|_| DurabilityError::Corrupt("dictionary exceeds u32 term ids".into()))?;
 
-        // Dictionary delta: terms interned since the last checkpoint.
-        // Ids are append-only, so old segments stay valid forever.
-        if term_count > self.dict_persisted {
-            let name = dict_segment_name(self.dict_persisted);
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&self.dict_persisted.to_le_bytes());
-            let delta: Vec<&Term> = dict
-                .iter()
-                .skip(self.dict_persisted as usize)
-                .map(|(_, t)| t)
-                .collect();
-            codec::encode_terms(&mut payload, delta.into_iter());
-            write_segment(self.io.as_ref(), &name, SegmentKind::Dict, &payload)?;
-            self.dict_segments.push(DictSegment {
-                name,
-                start: self.dict_persisted,
-                count: term_count - self.dict_persisted,
-            });
-            self.dict_persisted = term_count;
+        // Runs: the change since the previous checkpoint after the
+        // segments listed, or — a fold — since the empty store, alone.
+        let delta = self.delta_since_checkpoint(snapshot);
+        let fold = delta.is_none();
+        let mut runs = Vec::new();
+        if !fold {
+            runs.clone_from(&self.manifest.runs);
         }
+        let (adds, removes) =
+            delta.unwrap_or_else(|| snapshot.diff_since(&TripleStore::new().snapshot()));
+        let name = format!("runs-{:016}.seg", self.epoch);
+        let mut payload = Vec::with_capacity(16 + 12 * (adds.len() + removes.len()));
+        codec::encode_triples(&mut payload, &adds);
+        codec::encode_triples(&mut payload, &removes);
+        write_segment(io, &name, SegmentKind::Runs, &payload)?;
+        runs.push(RunsSegment {
+            name,
+            adds: adds.len() as u64,
+            removes: removes.len() as u64,
+        });
 
-        // Full flushed runs of the snapshot (SPO order).
-        let triples: Vec<(u32, u32, u32)> = snapshot
-            .store()
-            .iter()
-            .map(|t| (t.s.0, t.p.0, t.o.0))
-            .collect();
-        let runs = runs_segment_name(self.epoch);
-        let mut payload = Vec::new();
-        codec::encode_triples(&mut payload, &triples);
-        write_segment(self.io.as_ref(), &runs, SegmentKind::Runs, &payload)?;
+        // Dictionary: the terms interned since the last checkpoint (ids
+        // are append-only, so older segments stay valid) — or, at a fold
+        // that finds too many segments, all of them as one.
+        let (mut start, mut dict_segments) = (self.manifest.term_count, Vec::new());
+        if fold && self.manifest.dict_segments.len() > MAX_DELTA_SEGMENTS {
+            start = 0;
+        } else {
+            dict_segments.clone_from(&self.manifest.dict_segments);
+        }
+        if term_count > start {
+            // Named by both ends: a merged segment starts at 0 as the first
+            // delta did, and that file must survive until the rename.
+            let name = format!("dict-{start:010}-{term_count:010}.seg");
+            let mut payload = Vec::new();
+            payload.extend_from_slice(&start.to_le_bytes());
+            let terms: Vec<&Term> = dict.iter().skip(start as usize).map(|(_, t)| t).collect();
+            codec::encode_terms(&mut payload, terms.into_iter());
+            write_segment(io, &name, SegmentKind::Dict, &payload)?;
+            dict_segments.push(DictSegment {
+                name,
+                start,
+                count: term_count - start,
+            });
+        }
 
         // Stage + atomically publish the manifest: the commit point.
         let manifest = Manifest {
             epoch: self.epoch,
             fingerprint,
             term_count,
-            triple_count: triples.len() as u64,
-            runs: runs.clone(),
-            dict_segments: self.dict_segments.clone(),
+            triple_count: snapshot.len() as u64,
+            runs,
+            dict_segments,
         };
-        write_segment(
-            self.io.as_ref(),
-            MANIFEST_TMP_FILE,
-            SegmentKind::Manifest,
-            &manifest.encode()?,
-        )?;
-        self.io.rename(MANIFEST_TMP_FILE, MANIFEST_FILE)?;
+        let staged = manifest.encode()?;
+        write_segment(io, MANIFEST_TMP_FILE, SegmentKind::Manifest, &staged)?;
+        io.rename(MANIFEST_TMP_FILE, MANIFEST_FILE)?;
 
-        // The WAL's epochs are all ≤ the manifest's now; reset it.
-        self.io.write(WAL_FILE, &[])?;
-        self.io.fsync(WAL_FILE)?;
+        // The WAL's epochs are all ≤ the manifest's now; reset it. The
+        // next commit's fsync covers the truncation (see the module docs).
+        io.write(WAL_FILE, &[])?;
 
-        // Drop the superseded runs segment (best-effort; an orphan left
-        // by a crash here is ignored by recovery).
-        if let Some(old) = self.runs_segment.take() {
-            if old != runs {
-                let _ = self.io.remove(&old);
+        // Drop the files the new manifest no longer lists (best-effort;
+        // an orphan left by a crash here is never opened by recovery).
+        let superseded = std::mem::replace(&mut self.manifest, manifest);
+        for name in superseded.files() {
+            if !self.manifest.files().any(|live| live == name) {
+                let _ = io.remove(name);
             }
         }
-        self.runs_segment = Some(runs);
-        self.checkpoint_epoch = self.epoch;
+        self.checkpointed = Some(snapshot.clone());
         self.wal_bytes = 0;
         Ok(())
     }
@@ -356,30 +399,44 @@ impl DurableLog {
             )));
         }
 
-        // Runs: the flushed SPO index of the checkpointed snapshot.
-        let payload = read_segment(io.as_ref(), &manifest.runs, SegmentKind::Runs)?;
-        let mut reader = ByteReader::new(&payload);
-        let triples = codec::decode_triples(&mut reader)?;
-        if triples.len() as u64 != manifest.triple_count {
-            return Err(DurabilityError::Corrupt(format!(
-                "runs segment has {} triples, manifest says {}",
-                triples.len(),
-                manifest.triple_count
-            )));
+        // Runs: the triples of the checkpointed snapshot, the base changed
+        // by each delta in turn.
+        let mut keys: HashSet<Key> = HashSet::new();
+        for seg in &manifest.runs {
+            let corrupt =
+                |what: &str| DurabilityError::Corrupt(format!("runs segment {}: {what}", seg.name));
+            let payload = read_segment(io.as_ref(), &seg.name, SegmentKind::Runs)?;
+            let mut reader = ByteReader::new(&payload);
+            let adds = codec::decode_triples(&mut reader)?;
+            let removes = codec::decode_triples(&mut reader)?;
+            let known = |&(s, p, o): &Key| s.max(p).max(o) < manifest.term_count;
+            if (adds.len() as u64, removes.len() as u64) != (seg.adds, seg.removes)
+                || reader.remaining() != 0
+                || !adds.iter().chain(&removes).all(known)
+            {
+                return Err(corrupt(
+                    "not the triples, or not the term ids, the manifest lists",
+                ));
+            }
+            // A delta is exactly the difference of two snapshots.
+            if !(removes.iter().all(|key| keys.remove(key))
+                && adds.iter().all(|key| keys.insert(*key)))
+            {
+                return Err(corrupt("removes an absent key or adds a present one"));
+            }
         }
-        if let Some(&(s, p, o)) = triples.iter().find(|&&(s, p, o)| {
-            s >= manifest.term_count || p >= manifest.term_count || o >= manifest.term_count
-        }) {
+        if keys.len() as u64 != manifest.triple_count {
             return Err(DurabilityError::Corrupt(format!(
-                "runs segment references unknown term id in ({s}, {p}, {o})"
+                "run segments hold {} triples, manifest says {}",
+                keys.len(),
+                manifest.triple_count
             )));
         }
 
         let mut store = TripleStore::new();
         *store.dict_mut() = dict;
         store.load_batch(
-            triples
-                .iter()
+            keys.iter()
                 .map(|&(s, p, o)| (TermId(s), TermId(p), TermId(o))),
         );
         store.flush();
@@ -456,11 +513,9 @@ impl DurableLog {
             config,
             pending: Vec::new(),
             epoch,
-            checkpoint_epoch: manifest.epoch,
             wal_bytes: kept.len() as u64,
-            dict_persisted: manifest.term_count,
-            dict_segments: manifest.dict_segments,
-            runs_segment: Some(manifest.runs),
+            manifest,
+            checkpointed: None,
             poisoned: false,
         };
         Ok((log, store))
@@ -494,6 +549,7 @@ fn replay_op(store: &mut TripleStore, op: &WalOp) {
 mod tests {
     use super::*;
     use crate::io::MemIo;
+    use std::collections::BTreeSet;
 
     fn mem() -> Arc<MemIo> {
         Arc::new(MemIo::new())
@@ -538,9 +594,26 @@ mod tests {
             }
         }
 
+        fn batch(&mut self, triples: &[(Term, Term, Term)]) {
+            let loaded = self
+                .store
+                .load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)));
+            if loaded > 0 {
+                self.log.record_batch(triples);
+            }
+        }
+
         fn publish(&mut self) -> CommitReceipt {
             let snapshot = self.store.snapshot();
             self.log.commit(&snapshot).unwrap()
+        }
+
+        /// The store's contents in terms, as a set.
+        fn triples(&self) -> BTreeSet<(Term, Term, Term)> {
+            let resolved = self.store.iter().map(|t| self.store.resolve(t));
+            resolved
+                .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()))
+                .collect()
         }
 
         /// The published fingerprint, held equal to the full walk.
@@ -712,5 +785,441 @@ mod tests {
         // The directory itself recovers cleanly.
         let (recovered, _) = DurableLog::recover(mem, DurabilityConfig::default()).unwrap();
         assert!(recovered.epoch() <= 20);
+    }
+
+    // ------------------------------------------- delta checkpoints and folds
+
+    const EVERY_PUBLISH: DurabilityConfig = DurabilityConfig {
+        checkpoint_every: 1,
+    };
+
+    /// The directory as a power cut would leave it, on a disk of its own.
+    fn crashed_copy(io: &MemIo) -> Arc<MemIo> {
+        io.crash();
+        let copy = mem();
+        for name in io.file_names() {
+            copy.write(&name, &io.read(&name).unwrap()).unwrap();
+            copy.fsync(&name).unwrap();
+        }
+        copy
+    }
+
+    fn manifest_of(io: &MemIo) -> Manifest {
+        Manifest::decode(&read_segment(io, MANIFEST_FILE, SegmentKind::Manifest).unwrap()).unwrap()
+    }
+
+    /// `(adds, removes)` of each listed run segment.
+    fn run_counts(io: &MemIo) -> Vec<(u64, u64)> {
+        let runs = manifest_of(io).runs;
+        runs.iter().map(|seg| (seg.adds, seg.removes)).collect()
+    }
+
+    fn delta_triples(manifest: &Manifest) -> u64 {
+        let deltas = manifest.runs.iter().skip(1);
+        deltas.map(|seg| seg.adds + seg.removes).sum()
+    }
+
+    /// What must hold after any publish at `checkpoint_every: 1`: a
+    /// recovery from the crashed directory is the writer, the directory
+    /// holds the files the manifest lists and no others, and the deltas
+    /// stay smaller than their base.
+    fn check_checkpointed_state(io: &MemIo, writer: &mut Writer, context: &str) {
+        let copy = crashed_copy(io);
+        let manifest = manifest_of(&copy);
+        let mut listed: Vec<String> = manifest.files().map(str::to_owned).collect();
+        listed.extend([MANIFEST_FILE.to_owned(), WAL_FILE.to_owned()]);
+        listed.sort();
+        assert_eq!(copy.file_names(), listed, "{context}: files present");
+        assert!(
+            manifest.runs.len() == 1 || delta_triples(&manifest) < manifest.runs[0].adds,
+            "{context}: deltas outgrew their base: {:?}",
+            manifest.runs
+        );
+        assert!(manifest.runs.len() <= 1 + MAX_DELTA_SEGMENTS, "{context}");
+        assert_eq!(manifest.epoch, writer.log.epoch(), "{context}");
+
+        let mut recovered = Writer::recover(copy, EVERY_PUBLISH);
+        assert_eq!(recovered.log.epoch(), writer.log.epoch(), "{context}");
+        assert_eq!(recovered.fingerprint(), writer.fingerprint(), "{context}");
+        assert_eq!(recovered.triples(), writer.triples(), "{context}");
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        Insert(usize),
+        Remove(usize),
+        /// Keys `i` and `i + 1` (mod 8) in one batch.
+        Batch(usize),
+        Publish,
+    }
+
+    /// Key `i` of the 2 × 2 × 2 universe.
+    fn tiny(i: usize) -> (Term, Term, Term) {
+        (
+            Term::iri(format!("e:s{}", i & 1)),
+            Term::iri(format!("e:p{}", (i >> 1) & 1)),
+            Term::literal(format!("v{}", (i >> 2) & 1)),
+        )
+    }
+
+    fn apply_step(writer: &mut Writer, step: Step) {
+        match step {
+            Step::Insert(i) => {
+                let (s, p, o) = tiny(i);
+                writer.insert(&s, &p, &o);
+            }
+            Step::Remove(i) => {
+                let (s, p, o) = tiny(i);
+                writer.remove(&s, &p, &o);
+            }
+            Step::Batch(i) => writer.batch(&[tiny(i), tiny((i + 1) % 8)]),
+            Step::Publish => {
+                writer.publish();
+            }
+        }
+    }
+
+    /// Small scope, every case (Collavizza et al.): every sequence of at
+    /// most four steps over the eight keys, from a fresh directory and
+    /// from one that already holds a base and a delta, checked after its
+    /// last publish (an earlier publish is the last one of a prefix, and
+    /// a sequence that ends otherwise adds nothing durable to check).
+    #[test]
+    fn every_short_sequence_checkpoints_and_recovers_exactly() {
+        let mut steps = vec![Step::Publish];
+        for i in 0..8 {
+            steps.extend([Step::Insert(i), Step::Remove(i), Step::Batch(i)]);
+        }
+        let starts: [&[Step]; 2] = [
+            &[],
+            &[
+                Step::Batch(0),
+                Step::Insert(2),
+                Step::Publish, // a base of three …
+                Step::Insert(3),
+                Step::Publish, // … and a delta of one
+            ],
+        ];
+        let mut checked = 0usize;
+        for start in starts {
+            for len in 0..4 {
+                // Sequences of `len` free steps, then a publish.
+                for code in 0..steps.len().pow(len) {
+                    let mut sequence = start.to_vec();
+                    let mut code = code;
+                    for _ in 0..len {
+                        sequence.push(steps[code % steps.len()]);
+                        code /= steps.len();
+                    }
+                    sequence.push(Step::Publish);
+                    let io = mem();
+                    let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+                    for &step in &sequence {
+                        apply_step(&mut writer, step);
+                    }
+                    check_checkpointed_state(&io, &mut writer, &format!("{sequence:?}"));
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 2 * (1 + 25 + 25 * 25 + 25 * 25 * 25));
+        // The second start really is a base and a delta.
+        let io = mem();
+        let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+        for &step in starts[1] {
+            apply_step(&mut writer, step);
+        }
+        assert_eq!(run_counts(&io), [(3, 0), (1, 0)]);
+        // One more change than the base can carry folds both away.
+        apply_step(&mut writer, Step::Remove(0));
+        apply_step(&mut writer, Step::Insert(4));
+        apply_step(&mut writer, Step::Publish);
+        assert_eq!(run_counts(&io), [(4, 0)]);
+    }
+
+    fn numbered(i: usize) -> (Term, Term, Term) {
+        (
+            Term::iri(format!("e:s{i}")),
+            Term::iri(format!("e:p{}", i % 5)),
+            Term::iri(format!("e:o{}", i % 97)),
+        )
+    }
+
+    /// Bytes of the run segment files the manifest lists.
+    fn run_bytes_on_disk(io: &MemIo) -> u64 {
+        let runs = manifest_of(io).runs;
+        runs.iter()
+            .map(|seg| io.read(&seg.name).unwrap().len() as u64)
+            .sum()
+    }
+
+    /// A checkpoint's cost follows the change, as a count: each delta
+    /// segment of 32 inserts + 32 removes is the same few hundred bytes
+    /// over a 20,000-triple store, and the only fold in 32 of them is the
+    /// one the segment-count constant asks for.
+    #[test]
+    fn small_changes_write_small_segments_and_fold_only_by_count() {
+        const BASE: usize = 20_000;
+        let io = mem();
+        let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+        writer.batch(&(0..BASE).map(numbered).collect::<Vec<_>>());
+        writer.publish();
+        assert_eq!(manifest_of(&io).runs.len(), 1, "the preload is a fold");
+
+        let mut deltas = 0usize; // the model of the rule
+        for round in 0..32 {
+            for i in 0..32 {
+                let (s, p, o) = numbered(BASE + round * 32 + i);
+                writer.insert(&s, &p, &o);
+                let (s, p, o) = numbered(round * 32 + i);
+                writer.remove(&s, &p, &o);
+            }
+            assert!(writer.publish().checkpointed);
+            let manifest = manifest_of(&io);
+            // 64 × 32 stays far below the base, so only the count folds.
+            deltas = if deltas == MAX_DELTA_SEGMENTS {
+                0
+            } else {
+                deltas + 1
+            };
+            assert_eq!(manifest.runs.len(), 1 + deltas, "round {round}");
+            let newest = manifest.runs.last().unwrap();
+            let written = io.read(&newest.name).unwrap().len();
+            if deltas == 0 {
+                assert_eq!(round, MAX_DELTA_SEGMENTS, "the one fold");
+                assert_eq!((newest.adds, newest.removes), (BASE as u64, 0));
+                assert_eq!(written, 21 + 16 + 12 * BASE);
+            } else {
+                assert_eq!((newest.adds, newest.removes), (32, 32));
+                assert_eq!(written, 21 + 16 + 12 * 64, "frame + two counts + 64 keys");
+            }
+            let manifest_bytes = io.read(MANIFEST_FILE).unwrap().len();
+            assert!(manifest_bytes < 4 * 12 * 64, "manifest {manifest_bytes} B");
+        }
+        check_checkpointed_state(&io, &mut writer, "after 32 small checkpoints");
+    }
+
+    /// Larger changes fold by size, when the deltas would reach the base,
+    /// before they fold by count. The run segments on disk never exceed
+    /// twice the live store.
+    #[test]
+    fn large_changes_fold_by_size_and_bound_the_disk() {
+        const BASE: usize = 20_000;
+        let io = mem();
+        let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+        writer.batch(&(0..BASE).map(numbered).collect::<Vec<_>>());
+        writer.publish();
+        // The model of the rule: the base, and the deltas' triples each.
+        let (mut base, mut deltas, mut folds) = (BASE as u64, Vec::new(), Vec::new());
+        for round in 0..32 {
+            let from = BASE + round * 2_000;
+            writer.batch(&(from..from + 2_000).map(numbered).collect::<Vec<_>>());
+            writer.publish();
+            deltas.push(2_000u64);
+            let by_size = deltas.iter().sum::<u64>() >= base;
+            if by_size || deltas.len() > MAX_DELTA_SEGMENTS {
+                base = writer.store.len() as u64;
+                deltas.clear();
+                folds.push((round, by_size));
+            }
+            let manifest = manifest_of(&io);
+            assert_eq!(manifest.runs[0].adds, base, "round {round}");
+            assert_eq!(manifest.runs.len(), 1 + deltas.len(), "round {round}");
+            assert_eq!(
+                delta_triples(&manifest),
+                deltas.iter().sum(),
+                "round {round}"
+            );
+            let id_bytes = 12 * writer.store.len() as u64;
+            let framing = 37 * manifest.runs.len() as u64;
+            assert!(
+                run_bytes_on_disk(&io) <= 2 * id_bytes + framing,
+                "round {round}"
+            );
+        }
+        // Ten deltas reach the 20,000 of the first base; the 40,000 of
+        // the second are still 6,000 away at its seventeenth delta.
+        assert_eq!(folds, [(9, true), (26, false)]);
+        check_checkpointed_state(&io, &mut writer, "after 32 large checkpoints");
+    }
+
+    /// A crash after a delta segment's fsync and before the manifest
+    /// rename leaves a file no manifest names. Recovery never opens it —
+    /// this one would fail its frame check — and returns what it returns
+    /// without it.
+    #[test]
+    fn an_orphan_run_segment_is_never_read() {
+        let io = mem();
+        let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+        writer.batch(&(0..10).map(numbered).collect::<Vec<_>>());
+        writer.publish();
+        let (s, p, o) = numbered(10);
+        writer.insert(&s, &p, &o);
+        writer.publish();
+        assert_eq!(manifest_of(&io).runs.len(), 2);
+
+        let copy = crashed_copy(&io);
+        let orphan = format!("runs-{:016}.seg", writer.log.epoch() + 1);
+        copy.write(&orphan, b"not a segment").unwrap();
+        copy.fsync(&orphan).unwrap();
+        let mut recovered = Writer::recover(copy.clone(), EVERY_PUBLISH);
+        assert_eq!(recovered.log.epoch(), writer.log.epoch());
+        assert_eq!(recovered.fingerprint(), writer.fingerprint());
+        // The next checkpoint takes the orphan's name and replaces it.
+        let (s, p, o) = numbered(11);
+        recovered.insert(&s, &p, &o);
+        recovered.publish();
+        check_checkpointed_state(&copy, &mut recovered, "after the orphan");
+    }
+
+    /// The dictionary's segments are bounded like the runs': a fold that
+    /// finds more than `MAX_DELTA_SEGMENTS` of them writes one.
+    #[test]
+    fn dictionary_segments_are_merged_at_a_fold() {
+        let io = mem();
+        let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+        let (p, o) = (Term::iri("e:p"), Term::iri("e:o"));
+        let mut most = 0;
+        for i in 0..40 {
+            // One new term (three the first time) per checkpoint.
+            writer.insert(&Term::iri(format!("e:s{i}")), &p, &o);
+            assert!(writer.publish().checkpointed);
+            most = most.max(manifest_of(&io).dict_segments.len());
+        }
+        // Merged at the fold of checkpoint 32, nine more since; and never
+        // more than a fold's worth beyond the bound in between.
+        let dict_files = |io: &MemIo| {
+            let names = io.file_names();
+            names.iter().filter(|n| n.starts_with("dict-")).count()
+        };
+        assert_eq!(manifest_of(&io).dict_segments.len(), 9);
+        assert_eq!(dict_files(&io), 9);
+        assert!(most > MAX_DELTA_SEGMENTS && most <= 2 * MAX_DELTA_SEGMENTS);
+        check_checkpointed_state(&io, &mut writer, "after 40 interning checkpoints");
+    }
+
+    /// The merge rewrites terms a live manifest still reaches through
+    /// older files, so every fault at every I/O operation of the merging
+    /// checkpoint must leave a directory that recovers to the publish
+    /// before it or to the one it sealed — and to the latter once acked.
+    #[test]
+    fn a_fault_anywhere_in_the_dictionary_merge_recovers() {
+        use crate::io::{FaultKind, FaultyIo};
+        // 32 publishes of one new term each; the last one merges. Returns
+        // the `(epoch, fingerprint)` of every acknowledged publish.
+        let run = |io: Arc<dyn StorageIo>, publishes: usize| {
+            let mut store = TripleStore::new();
+            let mut acked = vec![(0, store.snapshot().fingerprint())];
+            let Ok(mut log) = DurableLog::create(io, EVERY_PUBLISH, &store.snapshot()) else {
+                return acked;
+            };
+            let (p, o) = (Term::iri("e:p"), Term::iri("e:o"));
+            for i in 0..publishes {
+                let s = Term::iri(format!("e:s{i}"));
+                store.insert_terms(&s, &p, &o);
+                log.record_insert(&s, &p, &o);
+                match log.commit(&store.snapshot()) {
+                    Ok(receipt) => acked.push((receipt.epoch, receipt.fingerprint)),
+                    Err(_) => break,
+                }
+            }
+            acked
+        };
+        let ops_of = |publishes| {
+            let counter = Arc::new(FaultyIo::new(mem(), u64::MAX, FaultKind::Kill));
+            run(counter.clone(), publishes);
+            counter.ops_seen()
+        };
+        let clean = mem();
+        let history = run(clean.clone(), 32);
+        assert_eq!(manifest_of(&clean).dict_segments.len(), 1, "32 merges");
+        let (before, after) = (ops_of(31), ops_of(32));
+        assert!(
+            after - before >= 9,
+            "WAL, two segments, manifest, swap, removes"
+        );
+        for fault_at in before + 1..=after {
+            for kind in FaultKind::ALL {
+                let disk = mem();
+                let acked = run(Arc::new(FaultyIo::new(disk.clone(), fault_at, kind)), 32);
+                disk.crash();
+                let (log, store) = match DurableLog::recover(disk, EVERY_PUBLISH) {
+                    Ok(recovered) => recovered,
+                    Err(DurabilityError::Corrupt(_)) if kind == FaultKind::BitFlip => continue,
+                    Err(e) => panic!("{kind:?} at op {fault_at}: {e}"),
+                };
+                let recovered = (log.epoch(), store.fingerprint());
+                assert!(history.contains(&recovered), "{kind:?} at op {fault_at}");
+                if kind != FaultKind::BitFlip {
+                    let last = acked.last().expect("epoch 0 is always there");
+                    assert!(
+                        recovered.0 >= last.0,
+                        "{kind:?} at op {fault_at}: lost an ack"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A delta is the difference of two snapshots. A segment that frames
+    /// and counts correctly but removes a key that is not there, or adds
+    /// one that is, is refused — not merged into something plausible.
+    #[test]
+    fn a_delta_that_is_no_difference_is_refused() {
+        let io = mem();
+        let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
+        writer.batch(&(0..10).map(numbered).collect::<Vec<_>>());
+        writer.publish();
+        let ((s, p, o), (s2, p2, o2)) = (numbered(10), numbered(0));
+        writer.insert(&s, &p, &o);
+        writer.remove(&s2, &p2, &o2);
+        writer.publish();
+        let manifest = manifest_of(&io);
+        assert_eq!(run_counts(&io), [(10, 0), (1, 1)]);
+        let triples_of = |name: &str| {
+            let payload = read_segment(io.as_ref(), name, SegmentKind::Runs).unwrap();
+            let mut reader = ByteReader::new(&payload);
+            let adds = codec::decode_triples(&mut reader).unwrap();
+            (adds, codec::decode_triples(&mut reader).unwrap())
+        };
+        let (base, _) = triples_of(&manifest.runs[0].name);
+        let (added, removed) = triples_of(&manifest.runs[1].name);
+        let kept = *base.iter().find(|key| !removed.contains(key)).unwrap();
+        let absent = (kept.0, kept.1, added[0].2);
+        assert!(!base.contains(&absent) && !added.contains(&absent));
+        let forge = |adds: &[Key], removes: &[Key]| {
+            let mut payload = Vec::new();
+            codec::encode_triples(&mut payload, adds);
+            codec::encode_triples(&mut payload, removes);
+            let name = &manifest.runs[1].name;
+            write_segment(io.as_ref(), name, SegmentKind::Runs, &payload).unwrap();
+            DurableLog::recover(crashed_copy(&io), EVERY_PUBLISH).map(|(log, _)| log.epoch())
+        };
+        for (adds, removes) in [(vec![kept], removed.clone()), (added.clone(), vec![absent])] {
+            match forge(&adds, &removes) {
+                Err(DurabilityError::Corrupt(what)) => assert!(what.contains("absent"), "{what}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            forge(&added, &removed).unwrap(),
+            2,
+            "the honest delta recovers"
+        );
+    }
+
+    /// A directory written before the manifest listed run segments has
+    /// the old frame magic on every file and is refused, not mis-read.
+    #[test]
+    fn a_directory_in_the_previous_format_is_refused() {
+        let io = mem();
+        let _writer = Writer::create(io.clone(), DurabilityConfig::default());
+        let mut manifest = io.read(MANIFEST_FILE).unwrap();
+        manifest[..8].copy_from_slice(b"SOFYASEG");
+        io.write(MANIFEST_FILE, &manifest).unwrap();
+        match DurableLog::recover(io, DurabilityConfig::default()) {
+            Err(DurabilityError::Corrupt(what)) => assert!(what.contains("bad magic"), "{what}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -3,26 +3,39 @@
 //! Every durable file except the WAL uses one self-validating frame:
 //!
 //! ```text
-//! magic: 8 bytes  "SOFYASEG"
+//! magic: 8 bytes  "SOFYASG2"
 //! kind:  u8       1 = dict delta, 2 = triple runs, 3 = manifest
 //! len:   u64 LE   payload length
 //! crc:   u32 LE   CRC-32 of the payload
 //! payload
 //! ```
 //!
-//! Payloads reuse the `sofya_rdf::segment` codecs. The manifest lists
-//! the durable epoch, its snapshot fingerprint, the dictionary delta
-//! segments (append-only term ranges), and the single runs segment
-//! holding the flushed SPO index of the checkpointed snapshot. It is
-//! written to `MANIFEST.tmp`, fsynced, then atomically renamed over
-//! `MANIFEST` — the rename is the checkpoint's commit point.
+//! Payloads reuse the `sofya_rdf::segment` codecs. A dictionary segment
+//! is its first term id and a run of terms. A run segment is two id
+//! triple runs in SPO order: the keys it adds to what the run segments
+//! listed before it build, then the keys it removes. The first one
+//! starts from the empty store, so a base and a delta are one format.
+//!
+//! The manifest lists the durable epoch, its snapshot fingerprint, the
+//! run segments in the order recovery applies them and the dictionary
+//! segments (append-only term ranges):
+//!
+//! ```text
+//! epoch: u64, fingerprint: u64, term_count: u32, triple_count: u64
+//! runs:  u32 count × (name: string, adds: u64, removes: u64)
+//! dicts: u32 count × (name: string, start: u32, count: u32)
+//! ```
+//!
+//! It is written to `MANIFEST.tmp`, fsynced, then atomically renamed over
+//! `MANIFEST` — the rename is the checkpoint's commit point. A directory
+//! with the earlier magic, `SOFYASEG`, names one runs file and is refused.
 
 use crate::crc::crc32;
 use crate::error::DurabilityError;
 use crate::io::StorageIo;
 use sofya_rdf::segment::ByteReader;
 
-const MAGIC: &[u8; 8] = b"SOFYASEG";
+const MAGIC: &[u8; 8] = b"SOFYASG2";
 
 /// The WAL file name.
 pub const WAL_FILE: &str = "wal.log";
@@ -36,7 +49,7 @@ pub const MANIFEST_TMP_FILE: &str = "MANIFEST.tmp";
 pub enum SegmentKind {
     /// A dictionary delta: a contiguous range of terms in id order.
     Dict,
-    /// The flushed SPO index of a checkpointed snapshot.
+    /// SPO keys added to and removed from the run segments before it.
     Runs,
     /// The manifest.
     Manifest,
@@ -109,7 +122,7 @@ pub fn read_segment(
 /// One dictionary delta segment: terms `[start, start + count)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DictSegment {
-    /// File name (`dict-<start>.seg`).
+    /// File name (`dict-<start>-<end>.seg`).
     pub name: String,
     /// First term id covered.
     pub start: u32,
@@ -117,9 +130,21 @@ pub struct DictSegment {
     pub count: u32,
 }
 
+/// One run segment: what it adds to and removes from what the run
+/// segments listed before it build.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunsSegment {
+    /// File name (`runs-<epoch>.seg`).
+    pub name: String,
+    /// Number of added triples.
+    pub adds: u64,
+    /// Number of removed triples.
+    pub removes: u64,
+}
+
 /// The decoded manifest: everything recovery needs to rebuild the
 /// checkpointed snapshot before replaying the WAL.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// The durable epoch this checkpoint captured.
     pub epoch: u64,
@@ -129,9 +154,9 @@ pub struct Manifest {
     pub term_count: u32,
     /// Total triples at the checkpoint.
     pub triple_count: u64,
-    /// The runs segment file name.
-    pub runs: String,
-    /// Dictionary delta segments in id order.
+    /// Run segments in the order they apply: a base, then its deltas.
+    pub runs: Vec<RunsSegment>,
+    /// Dictionary segments in id order.
     pub dict_segments: Vec<DictSegment>,
 }
 
@@ -140,6 +165,13 @@ fn push_string(buf: &mut Vec<u8>, s: &str) -> Result<(), DurabilityError> {
         .map_err(|_| DurabilityError::Corrupt("manifest string exceeds u32 frame".into()))?;
     buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn push_count(buf: &mut Vec<u8>, n: usize) -> Result<(), DurabilityError> {
+    let n = u32::try_from(n)
+        .map_err(|_| DurabilityError::Corrupt("manifest segment count exceeds u32".into()))?;
+    buf.extend_from_slice(&n.to_le_bytes());
     Ok(())
 }
 
@@ -153,17 +185,25 @@ impl Manifest {
         buf.extend_from_slice(&self.fingerprint.to_le_bytes());
         buf.extend_from_slice(&self.term_count.to_le_bytes());
         buf.extend_from_slice(&self.triple_count.to_le_bytes());
-        push_string(&mut buf, &self.runs)?;
-        let seg_count = u32::try_from(self.dict_segments.len()).map_err(|_| {
-            DurabilityError::Corrupt("manifest dict-segment count exceeds u32".into())
-        })?;
-        buf.extend_from_slice(&seg_count.to_le_bytes());
+        push_count(&mut buf, self.runs.len())?;
+        for seg in &self.runs {
+            push_string(&mut buf, &seg.name)?;
+            buf.extend_from_slice(&seg.adds.to_le_bytes());
+            buf.extend_from_slice(&seg.removes.to_le_bytes());
+        }
+        push_count(&mut buf, self.dict_segments.len())?;
         for seg in &self.dict_segments {
             push_string(&mut buf, &seg.name)?;
             buf.extend_from_slice(&seg.start.to_le_bytes());
             buf.extend_from_slice(&seg.count.to_le_bytes());
         }
         Ok(buf)
+    }
+
+    /// The segment files this manifest lists.
+    pub(crate) fn files(&self) -> impl Iterator<Item = &str> {
+        let runs = self.runs.iter().map(|seg| seg.name.as_str());
+        runs.chain(self.dict_segments.iter().map(|seg| seg.name.as_str()))
     }
 
     /// Decodes a manifest payload.
@@ -174,16 +214,19 @@ impl Manifest {
             let fingerprint = reader.u64()?;
             let term_count = reader.u32()?;
             let triple_count = reader.u64()?;
-            let runs = reader.string()?;
-            let n = reader.u32()? as usize;
-            if n > reader.remaining() {
-                return Err(sofya_rdf::CodecError("dict segment count overflow".into()));
+            // A count sizes no allocation: a wrong one runs out of input.
+            let mut runs = Vec::new();
+            for _ in 0..reader.u32()? {
+                let (name, adds, removes) = (reader.string()?, reader.u64()?, reader.u64()?);
+                runs.push(RunsSegment {
+                    name,
+                    adds,
+                    removes,
+                });
             }
-            let mut dict_segments = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = reader.string()?;
-                let start = reader.u32()?;
-                let count = reader.u32()?;
+            let mut dict_segments = Vec::new();
+            for _ in 0..reader.u32()? {
+                let (name, start, count) = (reader.string()?, reader.u32()?, reader.u32()?);
                 dict_segments.push(DictSegment { name, start, count });
             }
             Ok(Manifest {
@@ -210,7 +253,18 @@ mod tests {
             fingerprint: 0xDEAD_BEEF,
             term_count: 9,
             triple_count: 5,
-            runs: "runs-0000000000000012.seg".into(),
+            runs: vec![
+                RunsSegment {
+                    name: "runs-0000000000000009.seg".into(),
+                    adds: 6,
+                    removes: 0,
+                },
+                RunsSegment {
+                    name: "runs-0000000000000012.seg".into(),
+                    adds: 1,
+                    removes: 2,
+                },
+            ],
             dict_segments: vec![
                 DictSegment {
                     name: "dict-00000000.seg".into(),
@@ -267,10 +321,12 @@ mod tests {
         let mut truncated = sample().encode().expect("encode");
         truncated.truncate(10);
         assert!(Manifest::decode(&truncated).is_err());
-        // A huge segment count must not allocate.
-        let mut bad = sample().encode().expect("encode");
-        let pos = 28 + 4 + sample().runs.len();
-        bad[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Manifest::decode(&bad).is_err());
+        // A huge segment count — of either list — must not allocate.
+        let runs_bytes: usize = sample().runs.iter().map(|r| 4 + r.name.len() + 16).sum();
+        for pos in [28, 28 + 4 + runs_bytes] {
+            let mut bad = sample().encode().expect("encode");
+            bad[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(Manifest::decode(&bad).is_err());
+        }
     }
 }

@@ -92,6 +92,58 @@ fn read_u32_le(bytes: &[u8], pos: usize) -> Option<u32> {
     Some(u32::from_le_bytes(arr))
 }
 
+/// Appends one record to `buf`: `body` writes what follows the kind,
+/// then length and checksum are patched into the header reserved before
+/// the payload. After an error `buf` must be discarded.
+fn frame(
+    buf: &mut Vec<u8>,
+    epoch: u64,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), DurabilityError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    push_u64(buf, epoch);
+    buf.push(kind);
+    body(buf);
+    let (head, payload) = buf.split_at_mut(start + 8);
+    let len = u32::try_from(payload.len())
+        .map_err(|_| DurabilityError::Corrupt("wal record payload exceeds u32 frame".into()))?;
+    let (len_slot, crc_slot) = head.split_at_mut(start).1.split_at_mut(4);
+    len_slot.copy_from_slice(&len.to_le_bytes());
+    crc_slot.copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
+fn encode_triple(buf: &mut Vec<u8>, (s, p, o): (&Term, &Term, &Term)) {
+    encode_term(buf, s);
+    encode_term(buf, p);
+    encode_term(buf, o);
+}
+
+/// [`append_record`] of an op held by reference.
+pub(crate) fn append_op(buf: &mut Vec<u8>, epoch: u64, op: &WalOp) -> Result<(), DurabilityError> {
+    match op {
+        WalOp::Insert(s, p, o) => {
+            frame(buf, epoch, KIND_INSERT, |buf| encode_triple(buf, (s, p, o)))
+        }
+        WalOp::Remove(s, p, o) => {
+            frame(buf, epoch, KIND_REMOVE, |buf| encode_triple(buf, (s, p, o)))
+        }
+        WalOp::Batch(triples) => {
+            let count = u32::try_from(triples.len()).map_err(|_| {
+                DurabilityError::Corrupt("wal batch exceeds u32::MAX triples".into())
+            })?;
+            frame(buf, epoch, KIND_BATCH, |buf| {
+                push_u32(buf, count);
+                triples
+                    .iter()
+                    .for_each(|(s, p, o)| encode_triple(buf, (s, p, o)));
+            })
+        }
+    }
+}
+
 /// Appends one framed record to `buf`.
 ///
 /// Errors with [`DurabilityError::Corrupt`] if a length field overflows
@@ -102,44 +154,12 @@ pub fn append_record(
     epoch: u64,
     entry: &WalEntry,
 ) -> Result<(), DurabilityError> {
-    let mut payload = Vec::new();
-    push_u64(&mut payload, epoch);
     match entry {
-        WalEntry::Op(WalOp::Insert(s, p, o)) => {
-            payload.push(KIND_INSERT);
-            encode_term(&mut payload, s);
-            encode_term(&mut payload, p);
-            encode_term(&mut payload, o);
-        }
-        WalEntry::Op(WalOp::Remove(s, p, o)) => {
-            payload.push(KIND_REMOVE);
-            encode_term(&mut payload, s);
-            encode_term(&mut payload, p);
-            encode_term(&mut payload, o);
-        }
-        WalEntry::Op(WalOp::Batch(triples)) => {
-            payload.push(KIND_BATCH);
-            let count = u32::try_from(triples.len()).map_err(|_| {
-                DurabilityError::Corrupt("wal batch exceeds u32::MAX triples".into())
-            })?;
-            push_u32(&mut payload, count);
-            for (s, p, o) in triples {
-                encode_term(&mut payload, s);
-                encode_term(&mut payload, p);
-                encode_term(&mut payload, o);
-            }
-        }
+        WalEntry::Op(op) => append_op(buf, epoch, op),
         WalEntry::Commit { fingerprint } => {
-            payload.push(KIND_COMMIT);
-            push_u64(&mut payload, *fingerprint);
+            frame(buf, epoch, KIND_COMMIT, |buf| push_u64(buf, *fingerprint))
         }
     }
-    let len = u32::try_from(payload.len())
-        .map_err(|_| DurabilityError::Corrupt("wal record payload exceeds u32 frame".into()))?;
-    push_u32(buf, len);
-    push_u32(buf, crc32(&payload));
-    buf.extend_from_slice(&payload);
-    Ok(())
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
@@ -255,6 +275,54 @@ mod tests {
             append_record(&mut buf, epoch, &entry).expect("encode");
         }
         buf
+    }
+
+    /// The bytes the encoder wrote before it borrowed its ops and patched
+    /// the header in place (computed outside this crate: `zlib.crc32` over
+    /// the documented layout, and equal to the previous commit's output).
+    /// `scan` and replay read what is on disk, so these must not move.
+    #[test]
+    fn a_mixed_epoch_encodes_to_the_golden_bytes() {
+        const GOLDEN: &str = "\
+            1f00000021c187ae0700000000000000010003000000653a730003000000653a70020100000076\
+            4b0000007d4ce31d070000000000000003020000000003000000653a610003000000653a700301\
+            0000007802000000656e0003000000653a620003000000653a7104020000003432070000007873\
+            643a696e74\
+            1f0000001cf862d80700000000000000020003000000653a730003000000653a70020100000076\
+            11000000d4e18895070000000000000004efcdab8967452301";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let (s, p, v) = (Term::iri("e:s"), Term::iri("e:p"), Term::literal("v"));
+        let ops = [
+            WalOp::Insert(s.clone(), p.clone(), v.clone()),
+            WalOp::Batch(vec![
+                (Term::iri("e:a"), p.clone(), Term::lang_literal("x", "en")),
+                (
+                    Term::iri("e:b"),
+                    Term::iri("e:q"),
+                    Term::typed_literal("42", "xsd:int"),
+                ),
+            ]),
+            WalOp::Remove(s, p, v),
+        ];
+        let fingerprint = 0x0123_4567_89ab_cdef;
+        // The way `commit` encodes: ops by reference, then the marker.
+        let mut borrowed = Vec::new();
+        for op in &ops {
+            append_op(&mut borrowed, 7, op).expect("encode");
+        }
+        append_record(&mut borrowed, 7, &WalEntry::Commit { fingerprint }).expect("encode");
+        assert_eq!(borrowed, golden);
+        // The way recovery re-encodes the records it keeps.
+        let mut owned = Vec::new();
+        for op in ops {
+            append_record(&mut owned, 7, &WalEntry::Op(op)).expect("encode");
+        }
+        append_record(&mut owned, 7, &WalEntry::Commit { fingerprint }).expect("encode");
+        assert_eq!(owned, golden);
+        assert_eq!(scan(&golden).1, golden.len());
     }
 
     #[test]

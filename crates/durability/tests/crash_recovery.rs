@@ -370,3 +370,59 @@ proptest! {
         crash_at(&steps, &config, &history, fault_at, kind);
     }
 }
+
+// ------------------------------------------------- delta checkpoints, folds
+
+/// A base and then changes much smaller than it, each published at
+/// `checkpoint_every: 1` (`term_triple` repeats itself, so the counts are
+/// a little under what the indices say): the first four are delta
+/// checkpoints, the fifth brings the deltas up to the base and folds them
+/// away (removing their files), the last two are deltas on the new base.
+fn delta_script() -> Vec<Step> {
+    let mut steps = vec![Step::Batch((0..60).collect()), Step::Publish];
+    for round in 0..7 {
+        let from = 60 + round * 12;
+        steps.push(Step::Batch((from..from + 10).collect()));
+        steps.push(Step::Insert(from + 10));
+        steps.push(Step::Remove(round));
+        steps.push(Step::Publish);
+    }
+    steps
+}
+
+/// The exhaustive sweep over a script whose checkpoints take the delta
+/// path (the script above it is too small to: each of its checkpoints
+/// changes more than the base holds). Faults land in every delta segment
+/// write, in the manifest swap between two deltas, in the un-fsynced WAL
+/// reset, and in the fold with its file removals.
+#[test]
+fn every_fault_point_of_delta_checkpoints_and_a_fold_recovers() {
+    let config = DurabilityConfig {
+        checkpoint_every: 1,
+    };
+    let steps = delta_script();
+    let history = reference_history(&steps, &config);
+    assert_eq!(history.len(), 9, "epoch 0 and eight publishes");
+
+    // The clean run really is: base, four deltas, a fold, two deltas.
+    let mem = Arc::new(MemIo::new());
+    let mut writer = Writer::create(Arc::clone(&mem) as Arc<dyn StorageIo>, config.clone())
+        .expect("clean create");
+    let mut run_files = Vec::new();
+    for step in &steps {
+        let (_, failed) = run_script(&mut writer, std::slice::from_ref(step));
+        assert!(!failed);
+        if matches!(step, Step::Publish) {
+            let names = mem.file_names();
+            run_files.push(names.iter().filter(|n| n.starts_with("runs-")).count());
+        }
+    }
+    assert_eq!(run_files, [1, 2, 3, 4, 5, 1, 2, 3]);
+
+    let ops = count_clean_ops(&steps, &config);
+    for fault_at in 1..=ops {
+        for kind in FaultKind::ALL {
+            crash_at(&steps, &config, &history, fault_at, kind);
+        }
+    }
+}

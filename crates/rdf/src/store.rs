@@ -55,6 +55,7 @@ use crate::dict::{Dict, TermId};
 use crate::snapshot::StoreSnapshot;
 use crate::term::Term;
 use crate::triple::{Triple, TriplePattern};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -1018,6 +1019,45 @@ impl TripleStore {
     /// Iterates over all triples in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.scan_range(TriplePattern::any())
+    }
+}
+
+impl StoreSnapshot {
+    /// What a checkpoint has to write to bring a disk that holds `older`
+    /// up to this snapshot: the `(s, p, o)` id keys this snapshot holds
+    /// and `older` does not, and those `older` holds and this one does
+    /// not, each ascending. Both must be snapshots of one writer, whose
+    /// ids only grow. A snapshot is flushed, so this is one two-pointer
+    /// walk over the two SPO main runs, skipped when they are the same
+    /// allocation.
+    pub fn diff_since(&self, older: &StoreSnapshot) -> (Vec<Key>, Vec<Key>) {
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        let (new, old) = (&self.store().spo.main, &older.store().spo.main);
+        if Arc::ptr_eq(new, old) {
+            return (added, removed);
+        }
+        let (mut new, mut old) = (new.as_slice(), old.as_slice());
+        while let (Some((n, new_rest)), Some((o, old_rest))) =
+            (new.split_first(), old.split_first())
+        {
+            match n.cmp(o) {
+                Ordering::Less => {
+                    added.push(*n);
+                    new = new_rest;
+                }
+                Ordering::Greater => {
+                    removed.push(*o);
+                    old = old_rest;
+                }
+                Ordering::Equal => {
+                    new = new_rest;
+                    old = old_rest;
+                }
+            }
+        }
+        added.extend_from_slice(new);
+        removed.extend_from_slice(old);
+        (added, removed)
     }
 }
 
