@@ -3,8 +3,9 @@
 //! Incremental re-alignment needs a *sound* answer to "did this publish
 //! invalidate relation `r`'s cached rules?". The footprint is that
 //! answer's data: while [`crate::Aligner::align_relation_traced`] runs,
-//! a `RecordingEndpoint` wraps each endpoint and inspects every
-//! request's (bound) AST:
+//! a `RecordingEndpoint` wraps each endpoint and walks every request's
+//! patterns — a prepared template's as written, its parameters read
+//! through to the arguments, nothing bound or cloned:
 //!
 //! * a pattern with a **constant predicate** contributes that predicate;
 //! * a pattern with a **variable predicate** but a constant subject or
@@ -14,7 +15,10 @@
 //!
 //! A [`PublishDelta`] carries the predicates touched and the
 //! subject/object terms of every mutated triple, so
-//! [`SideFootprint::is_dirty`] is a pair of set intersections. The test
+//! [`SideFootprint::is_dirty`] is a pair of set intersections. A delta
+//! is asked about every cached relation, so it is hashed once, into a
+//! [`DeltaView`], and each intersection walks its smaller side: marking
+//! costs the delta plus the footprints, not their product. The test
 //! is conservative: it may re-mine a relation whose results did not
 //! change, but a relation whose results *could* have changed is always
 //! flagged — query answers depend only on the triples the patterns
@@ -25,12 +29,39 @@
 use sofya_endpoint::{Endpoint, EndpointError, PublishDelta, Request, Response};
 use sofya_rdf::Term;
 use sofya_sparql::ast::GroupGraphPattern;
-use sofya_sparql::{parse_query, Expr, NodePattern, Query, QueryBudget};
+use sofya_sparql::{parse_query, Expr, NodePattern, QueryBudget};
 use std::collections::HashSet;
 use std::sync::Mutex;
 
+/// A [`PublishDelta`] hashed once, borrowed, to be asked about many
+/// footprints.
+#[derive(Debug)]
+pub struct DeltaView<'a> {
+    predicates: HashSet<&'a Term>,
+    terms: HashSet<&'a Term>,
+}
+
+impl<'a> DeltaView<'a> {
+    /// Indexes the delta's predicates and subject/object terms.
+    pub fn new(delta: &'a PublishDelta) -> Self {
+        Self {
+            predicates: delta.predicates.iter().map(|pd| &pd.predicate).collect(),
+            terms: delta.terms.iter().collect(),
+        }
+    }
+}
+
+/// Whether the two sets share a term, probing from the smaller one.
+fn intersects(ours: &HashSet<Term>, theirs: &HashSet<&Term>) -> bool {
+    if ours.len() <= theirs.len() {
+        ours.iter().any(|t| theirs.contains(t))
+    } else {
+        theirs.iter().any(|t| ours.contains(*t))
+    }
+}
+
 /// What one side (source or target endpoint) of an alignment read.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SideFootprint {
     /// Constant predicates of the evidence queries.
     predicates: HashSet<Term>,
@@ -44,18 +75,13 @@ pub struct SideFootprint {
 impl SideFootprint {
     /// Whether a published delta could change any query this footprint
     /// covers. Sound over-approximation; see the module docs.
-    pub fn is_dirty(&self, delta: &PublishDelta) -> bool {
-        if delta.is_empty() {
+    pub fn is_dirty(&self, delta: &DeltaView<'_>) -> bool {
+        if delta.predicates.is_empty() && delta.terms.is_empty() {
             return false;
         }
-        if self.wildcard {
-            return true;
-        }
-        delta
-            .predicates
-            .iter()
-            .any(|pd| self.predicates.contains(&pd.predicate))
-            || delta.terms.iter().any(|t| self.entities.contains(t))
+        self.wildcard
+            || intersects(&self.predicates, &delta.predicates)
+            || intersects(&self.entities, &delta.terms)
     }
 
     /// Number of predicates recorded (introspection / tests).
@@ -73,56 +99,54 @@ impl SideFootprint {
         self.wildcard || self.predicates.contains(predicate)
     }
 
-    fn record_query(&mut self, query: &Query) {
-        match query {
-            Query::Select(select) => self.record_group(&select.pattern),
-            Query::Ask(pattern) => self.record_group(pattern),
-        }
-    }
-
-    fn record_group(&mut self, group: &GroupGraphPattern) {
+    /// Records the patterns of `group`, nested bodies included; `arg`
+    /// answers what a variable name is bound to, if it is a parameter.
+    fn record_group<'t>(
+        &mut self,
+        group: &'t GroupGraphPattern,
+        arg: &impl Fn(&str) -> Option<&'t Term>,
+    ) {
+        let constant = |node: &'t NodePattern| match node {
+            NodePattern::Term(term) => Some(term),
+            NodePattern::Var(name) => arg(name),
+        };
         for tp in &group.triples {
-            match &tp.p {
-                NodePattern::Term(p) => {
+            match (constant(&tp.p), constant(&tp.s), constant(&tp.o)) {
+                (Some(p), _, _) => {
                     self.predicates.insert(p.clone());
                 }
-                NodePattern::Var(_) => match (&tp.s, &tp.o) {
-                    (NodePattern::Term(s), _) => {
-                        self.entities.insert(s.clone());
-                    }
-                    (_, NodePattern::Term(o)) => {
-                        self.entities.insert(o.clone());
-                    }
-                    _ => self.wildcard = true,
-                },
+                (None, Some(entity), _) | (None, None, Some(entity)) => {
+                    self.entities.insert(entity.clone());
+                }
+                (None, None, None) => self.wildcard = true,
             }
         }
         for branches in &group.unions {
             for branch in branches {
-                self.record_group(branch);
+                self.record_group(branch, arg);
             }
         }
         for optional in &group.optionals {
-            self.record_group(optional);
+            self.record_group(optional, arg);
         }
         // EXISTS bodies match triples too; walk them even though their
         // variables are scoped locally.
         for filter in &group.filters {
-            self.record_expr(filter);
+            self.record_expr(filter, arg);
         }
     }
 
-    fn record_expr(&mut self, expr: &Expr) {
+    fn record_expr<'t>(&mut self, expr: &'t Expr, arg: &impl Fn(&str) -> Option<&'t Term>) {
         match expr {
-            Expr::Exists { pattern, .. } => self.record_group(pattern),
+            Expr::Exists { pattern, .. } => self.record_group(pattern, arg),
             Expr::Compare(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                self.record_expr(a);
-                self.record_expr(b);
+                self.record_expr(a, arg);
+                self.record_expr(b, arg);
             }
-            Expr::Not(inner) => self.record_expr(inner),
+            Expr::Not(inner) => self.record_expr(inner, arg),
             Expr::Call(_, args) => {
                 for a in args {
-                    self.record_expr(a);
+                    self.record_expr(a, arg);
                 }
             }
             Expr::Var(_) | Expr::Const(_) => {}
@@ -132,16 +156,19 @@ impl SideFootprint {
     fn record_request(&mut self, req: &Request<'_>) {
         match req {
             Request::Select { query } | Request::Ask { query } => match parse_query(query) {
-                Ok(ast) => self.record_query(&ast),
+                Ok(ast) => self.record_group(ast.pattern(), &|_| None),
                 // Unparseable queries fail downstream anyway; stay sound.
                 Err(_) => self.wildcard = true,
             },
             Request::PreparedSelect { prepared, args }
             | Request::PreparedAsk { prepared, args }
-            | Request::PreparedSelectPaged { prepared, args, .. } => match prepared.bind(args) {
-                Ok(ast) => self.record_query(&ast),
-                Err(_) => self.wildcard = true,
-            },
+            | Request::PreparedSelectPaged { prepared, args, .. } => {
+                match prepared.pattern_with(args) {
+                    Ok((pattern, arg)) => self.record_group(pattern, &arg),
+                    // An arity mismatch fails downstream too.
+                    Err(_) => self.wildcard = true,
+                }
+            }
             Request::Batch(requests) => {
                 for sub in requests {
                     self.record_request(sub);
@@ -240,8 +267,8 @@ mod tests {
         let fp = footprint_of(&["SELECT ?x ?y { ?x <r:born> ?y . ?y <r:in> ?z }"]);
         assert_eq!(fp.predicate_count(), 2);
         assert!(fp.covers_predicate(&Term::iri("r:born")));
-        assert!(fp.is_dirty(&delta(&["r:born"], &[])));
-        assert!(!fp.is_dirty(&delta(&["r:other"], &["e:unrelated"])));
+        assert!(fp.is_dirty(&DeltaView::new(&delta(&["r:born"], &[]))));
+        assert!(!fp.is_dirty(&DeltaView::new(&delta(&["r:other"], &["e:unrelated"]))));
     }
 
     #[test]
@@ -249,17 +276,17 @@ mod tests {
         // The "relations of an entity" discovery probe shape.
         let fp = footprint_of(&["SELECT ?p ?o { <e:alice> ?p ?o }"]);
         assert!(!fp.is_wildcard());
-        assert!(fp.is_dirty(&delta(&["r:any"], &["e:alice"])));
-        assert!(!fp.is_dirty(&delta(&["r:any"], &["e:bob"])));
+        assert!(fp.is_dirty(&DeltaView::new(&delta(&["r:any"], &["e:alice"]))));
+        assert!(!fp.is_dirty(&DeltaView::new(&delta(&["r:any"], &["e:bob"]))));
     }
 
     #[test]
     fn fully_unbound_pattern_is_a_wildcard() {
         let fp = footprint_of(&["SELECT ?s ?p ?o { ?s ?p ?o }"]);
         assert!(fp.is_wildcard());
-        assert!(fp.is_dirty(&delta(&["r:any"], &[])));
+        assert!(fp.is_dirty(&DeltaView::new(&delta(&["r:any"], &[]))));
         // …but an empty delta dirties nothing, wildcard or not.
-        assert!(!fp.is_dirty(&PublishDelta::noop(3)));
+        assert!(!fp.is_dirty(&DeltaView::new(&PublishDelta::noop(3))));
     }
 
     #[test]
@@ -271,6 +298,149 @@ mod tests {
             assert!(fp.covers_predicate(&Term::iri(p)), "missing {p}");
         }
         assert!(!fp.is_wildcard());
+    }
+
+    /// What `record_request` recorded before it stopped binding: the
+    /// bound AST's patterns. Kept as the reference for the walk.
+    fn recorded_from_bind(req: &Request<'_>, fp: &mut SideFootprint) {
+        match req {
+            Request::PreparedSelect { prepared, args }
+            | Request::PreparedAsk { prepared, args }
+            | Request::PreparedSelectPaged { prepared, args, .. } => match prepared.bind(args) {
+                Ok(bound) => fp.record_group(bound.pattern(), &|_| None),
+                Err(_) => fp.wildcard = true,
+            },
+            Request::Batch(requests) => requests.iter().for_each(|r| recorded_from_bind(r, fp)),
+            text => fp.record_request(text),
+        }
+    }
+
+    /// Forwards to a store and holds every request's walked footprint
+    /// equal to the one read off its bound AST.
+    struct WalkEqualsBind {
+        inner: sofya_endpoint::LocalEndpoint,
+        leaves: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Endpoint for WalkEqualsBind {
+        fn execute_with_budget(
+            &self,
+            req: Request<'_>,
+            budget: &QueryBudget,
+        ) -> Result<Response, EndpointError> {
+            let (mut walked, mut bound) = (SideFootprint::default(), SideFootprint::default());
+            walked.record_request(&req);
+            recorded_from_bind(&req, &mut bound);
+            assert_eq!(walked, bound, "for {req:?}");
+            assert!(
+                !walked.predicates.is_empty() || !walked.entities.is_empty() || walked.wildcard
+            );
+            self.leaves
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.execute_with_budget(req, budget)
+        }
+    }
+
+    #[test]
+    fn every_helper_template_records_what_its_bound_form_records() {
+        use sofya_endpoint::helpers::*;
+        let ep = WalkEqualsBind {
+            inner: sofya_endpoint::LocalEndpoint::new("kb", sofya_rdf::TripleStore::new()),
+            leaves: Default::default(),
+        };
+        let mut x: u32 = 42;
+        let mut iri = |kind: &str| {
+            x = x.wrapping_mul(1103515245).wrapping_add(12345);
+            format!("{kind}:{}", (x >> 16) % 5)
+        };
+        for _ in 0..8 {
+            let (r1, r2, sa) = (iri("r"), iri("r"), iri("sa"));
+            let (a, b, c) = (iri("e"), iri("e"), iri("e"));
+            all_relations(&ep).unwrap();
+            relation_facts_page(&ep, &r1, 10, 0).unwrap();
+            linked_entity_facts_page(&ep, &r1, &sa, 10, 5).unwrap();
+            linked_literal_facts_page(&ep, &r2, &sa, 10, 0).unwrap();
+            linked_entity_fact_count(&ep, &r1, &sa).unwrap();
+            linked_literal_fact_count(&ep, &r2, &sa).unwrap();
+            relations_of_entity_batch(&ep, &[&a, &b, &c]).unwrap();
+            relations_between_batch(&ep, &[(&a, &b), (&b, &c)]).unwrap();
+            objects_of_batch(&ep, &[(&a, &r1), (&c, &r2)]).unwrap();
+            has_fact_batch(&ep, &r1, &[(&a, &b), (&a, &c), (&b, &b)]).unwrap();
+            same_as_of(&ep, &a, &sa).unwrap();
+            linked_contrastive_subjects_page(&ep, &r1, &r2, &sa, 10, 0).unwrap();
+        }
+        assert_eq!(
+            ep.leaves.into_inner(),
+            8 * 12,
+            "one request per helper call"
+        );
+    }
+
+    #[test]
+    fn parameters_inside_nested_bodies_and_arity_mismatches() {
+        use sofya_sparql::Prepared;
+        let nested = Prepared::new(
+            "SELECT ?x { { ?x ?a ?y } UNION { ?s ?q ?x } OPTIONAL { ?x ?b ?z } \
+             FILTER(?z != ?s) FILTER NOT EXISTS { ?x ?c ?o } FILTER EXISTS { ?w ?v ?o } }",
+            &["a", "b", "c", "s", "o"],
+        )
+        .unwrap();
+        let args: Vec<Term> = ["r:a", "r:b", "r:c", "e:s", "e:o"].map(Term::iri).into();
+        for args in [&args[..], &args[..3]] {
+            let req = Request::PreparedSelect {
+                prepared: &nested,
+                args,
+            };
+            let (mut walked, mut bound) = (SideFootprint::default(), SideFootprint::default());
+            walked.record_request(&req);
+            recorded_from_bind(&req, &mut bound);
+            assert_eq!(walked, bound);
+            // Short of arguments, nothing can be read off: wildcard.
+            assert_eq!(walked.is_wildcard(), args.len() < 5);
+        }
+        let fp = {
+            let mut fp = SideFootprint::default();
+            fp.record_request(&Request::PreparedSelect {
+                prepared: &nested,
+                args: &args,
+            });
+            fp
+        };
+        assert_eq!(fp.predicate_count(), 3);
+        assert_eq!(fp.entities, [Term::iri("e:s"), Term::iri("e:o")].into());
+    }
+
+    proptest::proptest! {
+        /// The view-based test against its definition, over a universe
+        /// small enough to intersect often, with either side the larger.
+        #[test]
+        fn dirtiness_equals_its_definition(
+            wildcard in 0u8..4,
+            fp_preds in proptest::collection::vec(0u8..12, 0..8),
+            fp_ents in proptest::collection::vec(0u8..40, 0..24),
+            delta_preds in proptest::collection::vec(0u8..12, 0..8),
+            delta_terms in proptest::collection::vec(0u8..40, 0..24),
+        ) {
+            let terms = |ids: &[u8]| -> Vec<Term> {
+                ids.iter().map(|i| Term::iri(format!("t:{i}"))).collect()
+            };
+            let fp = SideFootprint {
+                predicates: terms(&fp_preds).into_iter().collect(),
+                entities: terms(&fp_ents).into_iter().collect(),
+                wildcard: wildcard == 0,
+            };
+            let mut delta = delta(&[], &[]);
+            delta.terms = terms(&delta_terms);
+            delta.predicates = terms(&delta_preds)
+                .into_iter()
+                .map(|predicate| PredicateDelta { predicate, inserts: 0, removes: 1 })
+                .collect();
+            let defined = !delta.is_empty()
+                && (fp.wildcard
+                    || delta.predicates.iter().any(|pd| fp.predicates.contains(&pd.predicate))
+                    || delta.terms.iter().any(|t| fp.entities.contains(t)));
+            proptest::prop_assert_eq!(fp.is_dirty(&DeltaView::new(&delta)), defined);
+        }
     }
 
     #[test]

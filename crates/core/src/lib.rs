@@ -61,7 +61,7 @@ pub use aligner::Aligner;
 pub use confidence::{cwaconf, pcaconf, PairEvidence, SampleEvidence};
 pub use config::{AlignerConfig, ConfidenceMeasure, SamplingStrategy};
 pub use error::AlignError;
-pub use footprint::{EvidenceFootprint, SideFootprint};
+pub use footprint::{DeltaView, EvidenceFootprint, SideFootprint};
 pub use rewrite::{QueryRewriter, Rewrite, RewriteError};
 pub use rule::{equivalences, EquivalenceRule, SubsumptionRule};
 pub use session::AlignmentSession;

@@ -9,7 +9,7 @@
 use crate::aligner::Aligner;
 use crate::config::AlignerConfig;
 use crate::error::AlignError;
-use crate::footprint::EvidenceFootprint;
+use crate::footprint::{DeltaView, EvidenceFootprint};
 use crate::rule::SubsumptionRule;
 use sofya_endpoint::{Endpoint, PublishDelta};
 use std::collections::HashMap;
@@ -247,6 +247,8 @@ impl<'a> AlignmentSession<'a> {
         if delta.is_empty() {
             return 0;
         }
+        // Hashed once, outside the lock, for every cached relation to probe.
+        let delta = DeltaView::new(delta);
         let mut newly_dirty = 0;
         let mut cache = self.lock();
         self.deltas_seen.fetch_add(1, Ordering::Relaxed);
@@ -259,8 +261,8 @@ impl<'a> AlignmentSession<'a> {
                     continue;
                 }
                 let hit = match side {
-                    DeltaSide::Source => footprint.source.is_dirty(delta),
-                    DeltaSide::Target => footprint.target.is_dirty(delta),
+                    DeltaSide::Source => footprint.source.is_dirty(&delta),
+                    DeltaSide::Target => footprint.target.is_dirty(&delta),
                 };
                 if hit {
                     *dirty = true;
@@ -269,6 +271,14 @@ impl<'a> AlignmentSession<'a> {
             }
         }
         newly_dirty
+    }
+
+    /// How many relations are currently marked dirty.
+    pub fn dirty_count(&self) -> usize {
+        self.lock()
+            .values()
+            .filter(|slot| matches!(slot, Slot::Done { dirty: true, .. }))
+            .count()
     }
 
     /// Relations currently marked dirty (cached but stale), sorted.

@@ -34,12 +34,13 @@ use crate::error::EndpointError;
 use crate::local::LocalEndpoint;
 use crate::plan_cache::{prepared_cache_key, ShardedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use parking_lot::Mutex;
-use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TripleStore};
+use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TermId, TripleStore};
 use sofya_sparql::{
     compile_ast_with_options, compile_with_options, execute_ast_budgeted,
     execute_compiled_paged_budgeted, PlanOptions, QueryBudget, QueryOutcome,
 };
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 /// One published store state: the immutable snapshot plus the planner
@@ -48,7 +49,11 @@ use std::sync::{Arc, OnceLock};
 pub struct PublishedSnapshot {
     snapshot: StoreSnapshot,
     /// Planner statistics, computed once per snapshot on first use.
-    stats: OnceLock<StoreStats>,
+    stats: OnceLock<Arc<StoreStats>>,
+    /// What they are derived from: the statistics of an earlier state and
+    /// every predicate written since. Fixed at publish time; `None` for
+    /// a store's first snapshot and for successors of one nobody read.
+    base: Option<(Arc<StoreStats>, BTreeSet<TermId>)>,
 }
 
 impl PublishedSnapshot {
@@ -56,6 +61,26 @@ impl PublishedSnapshot {
         Self {
             snapshot,
             stats: OnceLock::new(),
+            base: None,
+        }
+    }
+
+    /// The state a publish that wrote the pages of `written` puts in place
+    /// of `self`: it inherits these statistics if a reader computed them,
+    /// or else whatever `self` would have derived its own from.
+    fn succeeded_by(&self, snapshot: StoreSnapshot, written: &[(TermId, u64, u64)]) -> Self {
+        let written = written.iter().map(|&(p, ..)| p);
+        let base = match (self.stats.get(), &self.base) {
+            (Some(stats), _) => Some((Arc::clone(stats), written.collect())),
+            (None, Some((stats, touched))) => Some((
+                Arc::clone(stats),
+                touched.iter().copied().chain(written).collect(),
+            )),
+            (None, None) => None,
+        };
+        Self {
+            base,
+            ..Self::new(snapshot)
         }
     }
 
@@ -70,10 +95,18 @@ impl PublishedSnapshot {
     }
 
     /// Cardinality statistics for the planner, computed lazily once and
-    /// then shared by every query against this snapshot.
+    /// then shared by every query against this snapshot — and inherited
+    /// by its successors: their first reader recomputes only the
+    /// predicates written in between, so it pays for the publishes, not
+    /// for the store. Equal to [`StoreStats::compute`] either way.
     pub fn stats(&self) -> &StoreStats {
-        self.stats
-            .get_or_init(|| StoreStats::compute(self.snapshot.store()))
+        self.stats.get_or_init(|| {
+            let store = self.snapshot.store();
+            Arc::new(match &self.base {
+                Some((stats, touched)) => stats.inherit(touched.iter().copied(), store),
+                None => StoreStats::compute(store),
+            })
+        })
     }
 
     fn plan_options(&self) -> PlanOptions<'_> {
@@ -195,7 +228,9 @@ impl SnapshotStore {
     /// plus O(#predicates) `Arc` clones — it follows the mutations, not
     /// the size of the store or of its dictionary, and retiring the
     /// previous snapshot frees only what those passes replaced. The
-    /// [`sofya_rdf::store`] module docs state the whole cost model.
+    /// [`sofya_rdf::store`] module docs state the whole cost model; the
+    /// first reader of the new state pays on the same terms (see
+    /// [`PublishedSnapshot::stats`]).
     ///
     /// Returns the [`PublishDelta`] describing exactly what changed
     /// since the previous epoch — O(mutations since the last publish),
@@ -222,17 +257,16 @@ impl SnapshotStore {
     /// first, so readers never observe state that a crash could lose.
     ///
     /// Drains the writer's pending mutation log into the returned
-    /// [`PublishDelta`] and appends it to the delta ring.
+    /// [`PublishDelta`] and appends it to the delta ring. Subscribers and
+    /// inherited statistics take that log to be what `snapshot` changed:
+    /// write nothing between taking the snapshot and installing it.
     pub fn install(&mut self, snapshot: StoreSnapshot) -> Arc<PublishDelta> {
-        let prev_epoch = self.current().version();
+        debug_assert_eq!(snapshot.version(), self.store.generation());
+        let outgoing = self.current();
         let raw = self.store.take_pending_delta();
-        let delta = Arc::new(resolve_delta(
-            prev_epoch,
-            snapshot.version(),
-            raw,
-            &snapshot,
-        ));
-        let published = Arc::new(PublishedSnapshot::new(snapshot));
+        let published = Arc::new(outgoing.succeeded_by(snapshot, &raw.predicates));
+        let (from, to) = (outgoing.version(), published.version());
+        let delta = Arc::new(resolve_delta(from, to, raw, published.snapshot()));
         self.cell.swap(published);
         self.deltas.push(Arc::clone(&delta));
         self.freshness.set_last_publish_epoch(delta.epoch);

@@ -3,8 +3,18 @@
 //! SOFYA's candidate pruning and the SPARQL engine's join ordering both
 //! need cheap cardinality estimates: how many facts a predicate has and
 //! how many distinct subjects/objects.
+//!
+//! The per-predicate table is the expensive part, and it is local: a
+//! predicate's row depends on that predicate's page alone. So a store
+//! that differs from one whose statistics are known only in a few pages
+//! gets its own by [`StoreStats::inherit`] — the table copied, the
+//! touched rows recomputed by the routine [`StoreStats::compute`] runs
+//! for every row. The two store-level distinct counts are not local;
+//! they are counted when first asked for, from the store the caller
+//! holds, and most queries never ask.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::dict::TermId;
 use crate::store::TripleStore;
@@ -29,60 +39,36 @@ pub struct PredicateStats {
 pub struct StoreStats {
     by_predicate: BTreeMap<TermId, PredicateStats>,
     total_triples: usize,
-    distinct_subjects: usize,
-    distinct_objects: usize,
+    distinct_subjects: OnceLock<usize>,
+    distinct_objects: OnceLock<usize>,
 }
 
 impl StoreStats {
-    /// Computes statistics for every predicate in one linear pass over its
-    /// POS page: the page is sorted by `(o, s)`, so distinct objects fall
-    /// out of a dedup walk (each object term resolved once per distinct
-    /// value), and distinct subjects need one scratch sort per predicate.
-    /// Store-level distincts come from the flat SPO/OSP runs.
+    /// Computes statistics for every predicate of `store`, each in one
+    /// linear pass over its POS page.
     pub fn compute(store: &TripleStore) -> Self {
-        let mut by_predicate = BTreeMap::new();
+        Self::default().inherit(store.predicates(), store)
+    }
+
+    /// The statistics of `store`, given that `self` describes a store
+    /// differing from it in the pages of `touched` at most: those rows
+    /// are recomputed (a page gone empty leaves the table, a new
+    /// predicate enters it), every other row is copied. Equal to
+    /// [`StoreStats::compute`] of `store`.
+    pub fn inherit(&self, touched: impl IntoIterator<Item = TermId>, store: &TripleStore) -> Self {
+        let mut by_predicate = self.by_predicate.clone();
         let mut subjects_scratch: Vec<u32> = Vec::new();
-        for p in store.predicates() {
-            let mut facts = 0usize;
-            let mut literal_objects = 0usize;
-            let mut distinct_objects = 0usize;
-            let mut last_object = None;
-            let mut last_is_literal = false;
-            subjects_scratch.clear();
-            for (o, s) in store.predicate_pairs(p) {
-                facts += 1;
-                subjects_scratch.push(s.0);
-                if last_object != Some(o) {
-                    distinct_objects += 1;
-                    last_object = Some(o);
-                    last_is_literal = store.dict().resolve(o).is_literal();
-                }
-                if last_is_literal {
-                    literal_objects += 1;
-                }
-            }
-            subjects_scratch.sort_unstable();
-            subjects_scratch.dedup();
-            by_predicate.insert(
-                p,
-                PredicateStats {
-                    predicate: p,
-                    facts,
-                    distinct_subjects: subjects_scratch.len(),
-                    distinct_objects,
-                    literal_object_ratio: if facts == 0 {
-                        0.0
-                    } else {
-                        literal_objects as f64 / facts as f64
-                    },
-                },
-            );
+        for p in touched {
+            match predicate_stats(store, p, &mut subjects_scratch) {
+                Some(row) => by_predicate.insert(p, row),
+                None => by_predicate.remove(&p),
+            };
         }
         Self {
             by_predicate,
             total_triples: store.len(),
-            distinct_subjects: store.distinct_subject_count(),
-            distinct_objects: store.distinct_object_count(),
+            distinct_subjects: OnceLock::new(),
+            distinct_objects: OnceLock::new(),
         }
     }
 
@@ -106,15 +92,60 @@ impl StoreStats {
         self.total_triples
     }
 
-    /// Distinct subjects across the whole store (any predicate).
-    pub fn distinct_subjects(&self) -> usize {
-        self.distinct_subjects
+    /// Distinct subjects across the whole store (any predicate): one
+    /// pass over the SPO order of `store` — the store these statistics
+    /// describe — on first use, remembered afterwards.
+    pub fn distinct_subjects(&self, store: &TripleStore) -> usize {
+        *self
+            .distinct_subjects
+            .get_or_init(|| store.distinct_subject_count())
     }
 
-    /// Distinct objects across the whole store (any predicate).
-    pub fn distinct_objects(&self) -> usize {
-        self.distinct_objects
+    /// Distinct objects across the whole store (any predicate), counted
+    /// over the OSP order like [`StoreStats::distinct_subjects`].
+    pub fn distinct_objects(&self, store: &TripleStore) -> usize {
+        *self
+            .distinct_objects
+            .get_or_init(|| store.distinct_object_count())
     }
+}
+
+/// One predicate's row, or `None` if its page is empty. The page is
+/// sorted by `(o, s)`, so distinct objects fall out of a dedup walk (each
+/// object term resolved once per distinct value), and distinct subjects
+/// need one scratch sort.
+fn predicate_stats(
+    store: &TripleStore,
+    p: TermId,
+    subjects_scratch: &mut Vec<u32>,
+) -> Option<PredicateStats> {
+    let mut facts = 0usize;
+    let mut literal_objects = 0usize;
+    let mut distinct_objects = 0usize;
+    let mut last_object = None;
+    let mut last_is_literal = false;
+    subjects_scratch.clear();
+    for (o, s) in store.predicate_pairs(p) {
+        facts += 1;
+        subjects_scratch.push(s.0);
+        if last_object != Some(o) {
+            distinct_objects += 1;
+            last_object = Some(o);
+            last_is_literal = store.dict().resolve(o).is_literal();
+        }
+        if last_is_literal {
+            literal_objects += 1;
+        }
+    }
+    subjects_scratch.sort_unstable();
+    subjects_scratch.dedup();
+    (facts > 0).then(|| PredicateStats {
+        predicate: p,
+        facts,
+        distinct_subjects: subjects_scratch.len(),
+        distinct_objects,
+        literal_object_ratio: literal_objects as f64 / facts as f64,
+    })
 }
 
 #[cfg(test)]
@@ -151,10 +182,11 @@ mod tests {
 
     #[test]
     fn store_level_distinct_counts() {
-        let stats = StoreStats::compute(&sample_store());
+        let store = sample_store();
+        let stats = StoreStats::compute(&store);
         // Subjects a, b; objects x, y, z plus the two name literals.
-        assert_eq!(stats.distinct_subjects(), 2);
-        assert_eq!(stats.distinct_objects(), 5);
+        assert_eq!(stats.distinct_subjects(&store), 2);
+        assert_eq!(stats.distinct_objects(&store), 5);
     }
 
     #[test]

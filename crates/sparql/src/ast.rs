@@ -11,6 +11,16 @@ pub enum Query {
     Ask(GroupGraphPattern),
 }
 
+impl Query {
+    /// The query's graph pattern, whichever form it has.
+    pub fn pattern(&self) -> &GroupGraphPattern {
+        match self {
+            Query::Select(select) => &select.pattern,
+            Query::Ask(pattern) => pattern,
+        }
+    }
+}
+
 /// A `SELECT` query with its solution modifiers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectQuery {

@@ -21,9 +21,9 @@ pub struct PlanOptions<'a> {
     /// Keep the written pattern order (disables reordering; used by the
     /// planner-differential tests and as an escape hatch).
     pub preserve_order: bool,
-    /// Precomputed store statistics. When present, bound-variable
-    /// positions are discounted by per-predicate distinct-value counts
-    /// instead of a square-root fallback.
+    /// Precomputed statistics of the store planned against. When
+    /// present, bound-variable positions are discounted by per-predicate
+    /// distinct-value counts instead of a square-root fallback.
     pub stats: Option<&'a StoreStats>,
 }
 
@@ -352,14 +352,14 @@ fn estimated_cardinality(
     if bound_var(p.s) {
         let d = match pred_stats {
             Some(ps) => ps.map(|ps| ps.distinct_subjects).or(Some(1)),
-            None => stats.map(|st| st.distinct_subjects()),
+            None => stats.map(|st| st.distinct_subjects(store)),
         };
         card_after = discount(card_after, d);
     }
     if bound_var(p.o) {
         let d = match pred_stats {
             Some(ps) => ps.map(|ps| ps.distinct_objects).or(Some(1)),
-            None => stats.map(|st| st.distinct_objects()),
+            None => stats.map(|st| st.distinct_objects(store)),
         };
         card_after = discount(card_after, d);
     }

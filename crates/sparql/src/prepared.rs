@@ -63,12 +63,8 @@ impl Prepared {
                 )));
             }
         }
-        let pattern = match &query {
-            Query::Select(s) => &s.pattern,
-            Query::Ask(p) => p,
-        };
         let mut pattern_vars = Vec::new();
-        template_vars(pattern, &mut pattern_vars);
+        template_vars(query.pattern(), &mut pattern_vars);
         for param in &params {
             if !pattern_vars.contains(param) {
                 return Err(SparqlError::parse(format!(
@@ -111,19 +107,38 @@ impl Prepared {
     /// Binds `args` (one term per parameter, in declaration order) into a
     /// clone of the template AST.
     pub fn bind(&self, args: &[Term]) -> Result<Query, SparqlError> {
-        if args.len() != self.params.len() {
-            return Err(SparqlError::eval(format!(
-                "prepared query expects {} argument(s), got {}",
-                self.params.len(),
-                args.len()
-            )));
-        }
+        self.check_arity(args)?;
         let mut query = self.query.clone();
         match &mut query {
             Query::Select(s) => bind_group(&mut s.pattern, &self.params, args),
             Query::Ask(p) => bind_group(p, &self.params, args),
         }
         Ok(query)
+    }
+
+    fn check_arity(&self, args: &[Term]) -> Result<(), SparqlError> {
+        if args.len() == self.params.len() {
+            return Ok(());
+        }
+        Err(SparqlError::eval(format!(
+            "prepared query expects {} argument(s), got {}",
+            self.params.len(),
+            args.len()
+        )))
+    }
+
+    /// What [`Prepared::bind`] would substitute, read through instead of
+    /// cloned in, for callers that only inspect the bound query: the
+    /// template's graph pattern as written, and the argument a variable
+    /// name stands for (`None` for a variable that is not a parameter).
+    pub fn pattern_with<'a>(
+        &'a self,
+        args: &'a [Term],
+    ) -> Result<(&'a GroupGraphPattern, impl Fn(&str) -> Option<&'a Term>), SparqlError> {
+        self.check_arity(args)?;
+        Ok((self.query.pattern(), move |name: &str| {
+            lookup(&self.params, args, name)
+        }))
     }
 
     /// Binds `args` and serialises the result to SPARQL text (the slow

@@ -186,12 +186,9 @@ impl StreamIngestor {
             // Expire before flushing, so a triple always survives the
             // publish that makes it visible (even with a zero window).
             if let Some(window) = self.config.window {
-                while let Some((at, triple)) = self.live.front() {
-                    if now.saturating_sub(*at) < window {
-                        break;
-                    }
-                    let (s, p, o) = triple.clone();
-                    self.live.pop_front();
+                let in_window = |(at, _): &(_, _)| now.saturating_sub(*at) < window;
+                let expired = self.live.iter().position(in_window);
+                for (_, (s, p, o)) in self.live.drain(..expired.unwrap_or(self.live.len())) {
                     let dict = store.dict();
                     if let (Some(s), Some(p), Some(o)) =
                         (dict.lookup(&s), dict.lookup(&p), dict.lookup(&o))

@@ -110,7 +110,7 @@ impl FreshnessTracker {
                 outcome.resynced = true;
             }
         }
-        let dirty = session.dirty_relations().len() as u64;
+        let dirty = session.dirty_count() as u64;
         if dirty == 0 {
             self.clean_epoch = self.last_applied;
         }

@@ -1,4 +1,4 @@
-//! Three costs held as ratios, not times: each test measures two things
+//! Four costs held as ratios, not times: each test measures two things
 //! in one process and asserts how far apart they may lie, so it means
 //! the same on any machine and needs no committed baseline.
 //!
@@ -7,18 +7,25 @@
 //!   twice a byte of an `ask` envelope;
 //! * a publish pays for what was written, not for what the dictionary
 //!   holds: the same 256-triple cycle on a store with four times the
-//!   terms costs at most 1.5x.
+//!   terms costs at most 1.5x;
+//! * a publish costs its readers what it wrote: the first `stats()` after
+//!   256 triples of one predicate among a thousand costs at most 0.2x a
+//!   full `StoreStats::compute`, and asking 64 cached relations about a
+//!   512-term delta at most 8x asking one.
 //!
 //! Timing-sensitive, so the assertions only run in release builds
 //! (`cargo test --release --test cost_ratios`). Absolute times are the
 //! business of `benchmark/`.
 
-use sofya::align::{Aligner, AlignerConfig};
-use sofya::endpoint::{BudgetConfig, DeadlineEndpoint, LocalEndpoint, Request};
+use sofya::align::{Aligner, AlignerConfig, AlignmentSession};
+use sofya::endpoint::{
+    BudgetConfig, DeadlineEndpoint, LocalEndpoint, PredicateDelta, PublishDelta, Request,
+    SnapshotStore,
+};
 use sofya::kbgen::{generate, GeneratedPair, PairConfig};
 use sofya::net::wire::envelope_to_json;
 use sofya::net::{execute_wire_budgeted, Json, WireRequest};
-use sofya::rdf::{StoreSnapshot, Term, TermId, TripleStore};
+use sofya::rdf::{StoreSnapshot, StoreStats, Term, TermId, TripleStore};
 use sofya::sparql::QueryBudget;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -38,22 +45,30 @@ fn small_pair() -> GeneratedPair {
 
 /// Measures `f` repeatedly and returns the median ns per call.
 fn median_ns(mut f: impl FnMut() -> u64) -> u64 {
-    // Warm-up (also keeps the result observable).
+    // The sum keeps the results observable.
     let mut sink = 0u64;
-    sink = sink.wrapping_add(f());
+    let median = median_sample(|| {
+        let t0 = Instant::now();
+        sink = sink.wrapping_add(f());
+        t0.elapsed().as_nanos() as u64
+    });
+    std::hint::black_box(sink);
+    median
+}
 
+/// The median of what `sample` returns — the ns of whatever part of
+/// itself it timed — over one warm-up and then repeated calls.
+fn median_sample(mut sample: impl FnMut() -> u64) -> u64 {
+    sample();
     let mut samples: Vec<u64> = Vec::new();
     let budget_start = Instant::now();
     // At least 9 samples; stop early once we have them and ~1.5s elapsed.
     while samples.len() < 9 || (budget_start.elapsed().as_millis() < 1500 && samples.len() < 301) {
-        let t0 = Instant::now();
-        sink = sink.wrapping_add(f());
-        samples.push(t0.elapsed().as_nanos() as u64);
+        samples.push(sample());
         if budget_start.elapsed().as_millis() >= 1500 && samples.len() >= 9 {
             break;
         }
     }
-    std::hint::black_box(sink);
     samples.sort_unstable();
     samples[samples.len() / 2]
 }
@@ -150,6 +165,14 @@ fn json_parse_cost_per_byte_is_flat_in_the_body_size() {
     );
 }
 
+/// Removes one triple by its terms, if the store holds it.
+fn remove_terms(store: &mut TripleStore, (s, p, o): &(Term, Term, Term)) {
+    let dict = store.dict();
+    if let (Some(s), Some(p), Some(o)) = (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
+        store.remove(s, p, o);
+    }
+}
+
 /// The write cycle of a durable ingest sink, on the store alone: load a
 /// 256-triple batch of terms, remove the previous batch one triple at a
 /// time, take a snapshot, drop the one it replaces. Two batches take
@@ -209,12 +232,7 @@ impl PublishCycle {
         let [load, retire] = &self.batches;
         self.store
             .load_batch_terms(load.iter().map(|(s, p, o)| (s, p, o)));
-        for (s, p, o) in retire {
-            let dict = self.store.dict();
-            if let (Some(s), Some(p), Some(o)) = (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
-                self.store.remove(s, p, o);
-            }
-        }
+        retire.iter().for_each(|t| remove_terms(&mut self.store, t));
         // The previous snapshot is live until the new one replaces it.
         self.live = self.store.snapshot();
         self.batches.swap(0, 1);
@@ -236,5 +254,88 @@ fn publish_cycle_does_not_pay_for_the_dictionary() {
         ratio <= 1.5,
         "the cycle costs {inflated_ns} ns on a store with four times the dictionary terms, none \
          of them used, against {plain_ns} ns ({ratio:.2}x) — a publish pays for the dictionary"
+    );
+}
+
+/// What a publish costs those who read after it, on the paper-scale pair
+/// (92 relations against 1313): the first query's planner statistics,
+/// and the subscriber's question "which cached relations did this dirty".
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn a_publish_costs_its_readers_what_it_wrote() {
+    let _alone = alone();
+    let pair = generate(&PairConfig::yago_dbpedia(SEED));
+    assert!(pair.kb2.predicates().len() >= 100);
+
+    // One batch of 256 triples of one predicate, loaded by one publish
+    // and removed by the next; the outgoing state's statistics are warm.
+    let relation = Term::iri(&pair.kb2_relations[0]);
+    let batch: Vec<(Term, Term, Term)> = (0..256)
+        .map(|i| {
+            let (s, o) = (format!("perf:s{}", i % 97), format!("perf:o{i}"));
+            (Term::iri(s), relation.clone(), Term::iri(o))
+        })
+        .collect();
+    let mut writer = SnapshotStore::new(pair.kb2.clone());
+    let mut loaded = false;
+    let inherited_ns = median_sample(|| {
+        writer.current().stats();
+        let store = writer.store_mut();
+        if loaded {
+            batch.iter().for_each(|t| remove_terms(store, t));
+        } else {
+            store.load_batch_terms(batch.iter().map(|(s, p, o)| (s, p, o)));
+        }
+        loaded = !loaded;
+        assert_eq!(writer.publish().predicates.len(), 1);
+        let published = writer.current();
+        let t0 = Instant::now();
+        std::hint::black_box(published.stats());
+        t0.elapsed().as_nanos() as u64
+    });
+    let published = writer.current();
+    let full_ns =
+        median_ns(|| StoreStats::compute(published.snapshot().store()).total_triples() as u64);
+    let ratio = inherited_ns as f64 / full_ns.max(1) as f64;
+    assert!(
+        ratio <= 0.2,
+        "the first stats() after a one-predicate publish costs {inherited_ns} ns against \
+         {full_ns} ns for StoreStats::compute ({ratio:.3}x) — a reader pays for the store"
+    );
+
+    // A delta of 512 terms no footprint holds: every cached relation is
+    // asked, none is marked, so each call does the same work.
+    let delta = PublishDelta {
+        prev_epoch: 1,
+        epoch: 2,
+        predicates: vec![PredicateDelta {
+            predicate: Term::iri("perf:unread"),
+            inserts: 256,
+            removes: 0,
+        }],
+        terms: (0..512)
+            .map(|i| Term::iri(format!("http://perf.example/resource/entity{i}")))
+            .collect(),
+    };
+    let source = LocalEndpoint::new("kb2", pair.kb2.clone());
+    let target = LocalEndpoint::new("kb1", pair.kb1.clone());
+    let asking = |cached: usize| {
+        let session = AlignmentSession::new(&source, &target, AlignerConfig::paper_defaults(SEED));
+        for relation in &pair.kb1_relations[..cached] {
+            session.rules_for(relation).unwrap();
+        }
+        // Many calls per sample, so the timer does not dominate.
+        median_ns(|| {
+            (0..16)
+                .map(|_| session.apply_target_delta(&delta) as u64)
+                .sum()
+        })
+    };
+    let (one_ns, many_ns) = (asking(1), asking(64));
+    let ratio = many_ns as f64 / one_ns.max(1) as f64;
+    assert!(
+        ratio <= 8.0,
+        "asking 64 cached relations about a 512-term delta costs {many_ns} ns against \
+         {one_ns} ns for one ({ratio:.1}x) — the delta is hashed per relation"
     );
 }
