@@ -382,19 +382,13 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached_and_do_not_wedge_the_slot() {
-        use sofya_endpoint::{QuotaConfig, QuotaEndpoint};
         let (dbp, yago) = endpoints();
-        let broke = QuotaEndpoint::new(
-            dbp,
-            QuotaConfig {
-                max_queries: Some(0),
-                max_rows_per_query: None,
-            },
-        );
+        // Every query fails.
+        let broke = sofya_endpoint::testing::FlakyEndpoint::new(dbp, 1);
         let session = AlignmentSession::new(&broke, &yago, AlignerConfig::paper_defaults(1));
         assert!(session.rules_for("y:born").is_err());
         // The failure marker must not wedge or satisfy later requests:
-        // a fresh call retries (and fails again against the dead quota).
+        // a fresh call retries (and fails again against the dead source).
         assert!(session.rules_for("y:born").is_err());
         assert!(session.cached_relations().is_empty());
         session.invalidate("y:born"); // clears any lingering marker

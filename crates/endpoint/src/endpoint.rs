@@ -4,8 +4,8 @@
 //! [`QueryBudget`] it runs under, to [`Endpoint::execute_with_budget`],
 //! which answers with the matching [`Response`] shape. That is the one
 //! method an endpoint implements ([`Endpoint::execute`] is the same call
-//! under the unlimited budget), so wrappers (caching, quota, retry,
-//! instrumentation, latency, …) intercept **every** query kind — string,
+//! under the unlimited budget), so wrappers (caching, retry,
+//! instrumentation, …) intercept **every** query kind — string,
 //! prepared, paged, batch, and ones added later — budgeted or not, with
 //! a single body, instead of forwarding parallel entry points and
 //! silently missing one. A count is not a kind of its own: it is a
@@ -91,21 +91,21 @@ pub enum Request<'a> {
     /// Batches may nest: a sub-request may itself be a `Batch`, and the
     /// response mirrors the nesting shape. Accounting recurses rather
     /// than rejecting — [`Request::leaf_count`] counts only non-batch
-    /// leaves at any depth, quota charging ([`crate::QuotaEndpoint`])
-    /// charges leaves, cache decomposition ([`crate::CachingEndpoint`])
-    /// recurses into inner batches, and instrumentation
-    /// ([`crate::EndpointCounters`]) counts each nesting level as a
-    /// batch while attributing leaves once. A nested batch still pins a
-    /// single snapshot for the whole tree on
-    /// [`crate::ConcurrentEndpoint`].
+    /// leaves at any depth, cache decomposition
+    /// ([`crate::CachingEndpoint`]) recurses into inner batches, and
+    /// instrumentation ([`crate::EndpointCounters`]) counts each nesting
+    /// level as a batch while attributing leaves once. A nested batch
+    /// still pins a single snapshot for the whole tree on
+    /// [`crate::ConcurrentEndpoint`], and a server's admission gate
+    /// charges the whole tree one quota unit: it is one HTTP request.
     Batch(Vec<Request<'a>>),
 }
 
 impl<'a> Request<'a> {
     /// Number of leaf (non-batch) requests: 1 for every plain request,
-    /// the recursive sum for a batch. This is the unit quota charging
-    /// and query accounting use, so batching never hides queries from
-    /// the paper's "few queries" bookkeeping.
+    /// the recursive sum for a batch. This is the unit query accounting
+    /// uses, so batching never hides queries from the paper's "few
+    /// queries" bookkeeping.
     pub fn leaf_count(&self) -> u64 {
         match self {
             Request::Batch(reqs) => reqs.iter().map(Request::leaf_count).sum(),

@@ -10,10 +10,10 @@ pub enum EndpointError {
     /// The query failed to parse or evaluate. Never a budget kill:
     /// `From<SparqlError>` turns those into the two classes below.
     Sparql(SparqlError),
-    /// The caller exhausted its query budget (see
-    /// [`crate::QuotaEndpoint`]).
+    /// The caller exhausted its query budget: a server's admission gate
+    /// answered HTTP 429 (per-client quotas, `sofya_service::scheduler`).
     QuotaExceeded {
-        /// Endpoint name.
+        /// Who ran out: the client id the server keyed the quota by.
         endpoint: String,
         /// The configured maximum number of queries.
         max_queries: u64,
@@ -102,7 +102,8 @@ impl std::error::Error for EndpointError {
 /// A budget kill gets its class here, so every layer above — wrappers
 /// in any order, the breaker, the server's 504 mapping, the wire — sees
 /// the one typed form. Nothing has timed the query yet: `elapsed` is
-/// zero until a [`crate::DeadlineEndpoint`] stamps what it measured.
+/// zero until whoever timed the request stamps it (the HTTP server, with
+/// the time since it read the request).
 impl From<SparqlError> for EndpointError {
     fn from(e: SparqlError) -> Self {
         match e {

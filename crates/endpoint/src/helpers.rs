@@ -3,7 +3,7 @@
 //! Keeping the SPARQL strings in one place makes the algorithms in
 //! `sofya-core` read like the paper's pseudo-code and guarantees every
 //! data access goes through the [`Endpoint`] trait (and therefore through
-//! the quota/instrumentation wrappers).
+//! the caching/instrumentation wrappers).
 //!
 //! # What a relation costs
 //!

@@ -4,9 +4,12 @@
 //!
 //! The paper's setting is that each knowledge base is reachable **only**
 //! through a SPARQL endpoint: no dump download, a bounded number of
-//! queries, and per-query result caps (real public endpoints such as
-//! DBpedia's truncate results at a server-side limit). This crate models
-//! that contract:
+//! queries, and expensive queries killed. This crate models that
+//! contract — the query bound itself is the server's admission gate
+//! (`sofya_net::HttpServer`, HTTP 429), and a kill is a [`QueryBudget`]
+//! the caller passes:
+//!
+//! [`QueryBudget`]: sofya_sparql::QueryBudget
 //!
 //! * [`Endpoint`] — the trait every KB access goes through. One required
 //!   method: `execute_with_budget(Request, &QueryBudget) -> Response`, a
@@ -37,12 +40,8 @@
 //!   so experiments can report the paper's "works with few queries" claim
 //!   quantitatively (experiment S3, `sofya-eval query-cost`);
 //!   [`LatencyModel::cost`] prices those counts in simulated network time.
-//! * [`QuotaEndpoint`] — enforces a hard query budget and a per-query row
-//!   cap, turning "you may not download the whole KB" into an actual
-//!   runtime error.
-//! * [`DeadlineEndpoint`] — gives every request a deadline, scan and
-//!   binding caps and a cancel switch, and stamps a deadline kill with
-//!   the time it measured.
+//! * [`BudgetConfig`] — the per-request limits a server is configured
+//!   with, from which it builds each request's budget.
 //! * [`RetryEndpoint`] — re-issues transient failures with accounted
 //!   backoff behind an optional circuit breaker.
 //! * [`CachingEndpoint`] — memoises identical query strings, as a client
@@ -53,8 +52,8 @@
 //! * [`testing`] — an endpoint that misbehaves on purpose and the owning
 //!   request form proptest strategies generate, for tests.
 //!
-//! Wrappers compose: `Quota(Instrumented(Local))` is the standard
-//! experiment stack.
+//! Wrappers compose in any order; `sofya-eval` and the benchmark run
+//! `Instrumented(Local)`.
 
 #![forbid(unsafe_code)]
 
@@ -70,19 +69,17 @@ pub mod helpers;
 pub mod instrument;
 pub mod local;
 pub(crate) mod plan_cache;
-pub mod quota;
 pub mod retry;
 pub mod testing;
 
 pub use cache::CachingEndpoint;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
-pub use deadline::{BudgetConfig, DeadlineEndpoint};
+pub use deadline::BudgetConfig;
 pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};
 pub use endpoint::{Endpoint, EndpointExt, Request, Response};
 pub use error::EndpointError;
 pub use instrument::{EndpointCounters, InstrumentedEndpoint, LatencyModel};
 pub use local::LocalEndpoint;
-pub use quota::{QuotaConfig, QuotaEndpoint};
 pub use retry::{BackoffPolicy, BreakerConfig, BreakerState, RetryEndpoint};

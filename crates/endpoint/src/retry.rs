@@ -402,7 +402,6 @@ mod tests {
     use super::*;
     use crate::endpoint::EndpointExt;
     use crate::local::LocalEndpoint;
-    use crate::quota::{QuotaConfig, QuotaEndpoint};
     use crate::testing::FlakyEndpoint;
     use sofya_rdf::{Term, TripleStore};
 
@@ -679,8 +678,8 @@ mod tests {
         ep.ask("ASK { <a> <p> <b> }").unwrap_err();
         assert_eq!(ep.breaker_state(), Some(BreakerState::Open));
 
-        // No `DeadlineEndpoint` has to sit below to name the class: a
-        // bare backend killed by the caller's spent budget counts too.
+        // No wrapper has to sit below to name the class: a bare backend
+        // killed by the caller's spent budget counts too.
         let clock: Arc<ManualClock> = Arc::new(ManualClock::new());
         let bare = RetryEndpoint::new(base(), 0).with_breaker(config, clock);
         let spent = QueryBudget::unlimited().with_time_limit(Duration::ZERO);
@@ -695,15 +694,13 @@ mod tests {
 
     #[test]
     fn quota_errors_are_not_retried() {
-        let quota = QuotaEndpoint::new(
-            base(),
-            QuotaConfig {
-                max_queries: Some(1),
-                max_rows_per_query: None,
-            },
-        );
-        let ep = RetryEndpoint::new(quota, 5);
-        ep.ask("ASK { <a> <p> <b> }").unwrap();
+        // Without a hint the quota is permanent: retrying cannot help.
+        let scripted = Scripted::new(vec![EndpointError::QuotaExceeded {
+            endpoint: "remote".into(),
+            max_queries: 1,
+            retry_after: None,
+        }]);
+        let ep = RetryEndpoint::new(scripted, 5);
         let err = ep.ask("ASK { <a> <p> <b> }").unwrap_err();
         assert!(matches!(err, EndpointError::QuotaExceeded { .. }));
         assert_eq!(ep.retries_used(), 0);

@@ -13,9 +13,11 @@
 
 use proptest::prelude::*;
 use sofya_endpoint::{
-    BudgetConfig, DeadlineEndpoint, EndpointError, EndpointExt, LocalEndpoint, SnapshotStore,
+    Endpoint, EndpointError, EndpointExt, LocalEndpoint, Request, Response, SnapshotStore,
 };
 use sofya_rdf::{Term, TripleStore};
+use sofya_sparql::{CancelToken, QueryBudget};
+use std::sync::Arc;
 
 const ENTITIES: u32 = 6;
 const PREDICATES: u32 = 3;
@@ -78,12 +80,17 @@ proptest! {
             .select(&query)
             .expect("unbudgeted evaluation succeeds");
 
-        let budgeted = DeadlineEndpoint::new(reader, BudgetConfig {
+        let select = |budget: &QueryBudget| {
+            reader
+                .execute_with_budget(Request::Select { query: &query }, budget)
+                .and_then(Response::into_rows)
+        };
+        let caps = QueryBudget {
             max_rows_scanned: Some(max_rows),
             max_bindings,
-            ..BudgetConfig::default()
-        });
-        match budgeted.select(&query) {
+            ..QueryBudget::unlimited()
+        };
+        match select(&caps) {
             // Within budget: the answer must be the whole answer.
             Ok(rows) => prop_assert_eq!(&rows, &expected),
             // Killed: typed, never a truncated Ok.
@@ -93,19 +100,15 @@ proptest! {
         // The kill (if any) left nothing behind: the same endpoint —
         // same snapshot, same plan cache the failed run warmed — gives
         // the full answer on the next, unbudgeted query.
-        let after = budgeted.inner().select(&query).expect("endpoint survives the kill");
+        let after = reader.select(&query).expect("endpoint survives the kill");
         prop_assert_eq!(&after, &expected);
 
-        // A cancelled endpoint refuses everything, then a reset restores
-        // full service with the identical answer.
-        let mut cancelled = DeadlineEndpoint::new(
-            snapshot.reader("kb2"),
-            BudgetConfig::default(),
-        );
-        cancelled.cancel_token().cancel();
-        let err = cancelled.select(&query).expect_err("cancelled");
+        // A tripped token kills the query, and the next unbudgeted run on
+        // the same reader gives the identical answer.
+        let token = Arc::new(CancelToken::new());
+        token.cancel();
+        let err = select(&QueryBudget::unlimited().with_cancel(token)).expect_err("cancelled");
         prop_assert!(is_budget_kill(&err), "untyped cancel: {err:?}");
-        cancelled.reset_cancel();
-        prop_assert_eq!(&cancelled.select(&query).unwrap(), &expected);
+        prop_assert_eq!(&reader.select(&query).unwrap(), &expected);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The typed request pipeline's core claim is that every wrapper
 //! intercepts one method and therefore covers every query shape, with
-//! or without a budget. This test stacks the caching / quota /
-//! resilience (retry-over-flaky) / instrumentation wrappers in **every**
-//! order over each in-process backend — a `LocalEndpoint` of its own,
+//! or without a budget. This test stacks the caching / resilience
+//! (retry-over-flaky) / instrumentation wrappers in **every** order over each in-process backend — a `LocalEndpoint` of its own,
 //! the live `SnapshotStore::reader`, and a view pinned from it — and
 //! fires a random request sequence (string, prepared, paged, count, and
 //! batch shapes — including batches nested inside batches), unbudgeted
@@ -17,9 +16,8 @@
 use proptest::prelude::*;
 use sofya_endpoint::testing::{FlakyEndpoint, RequestBuf};
 use sofya_endpoint::{
-    BudgetConfig, CachingEndpoint, DeadlineEndpoint, Endpoint, EndpointCounters, EndpointError,
-    InstrumentedEndpoint, LocalEndpoint, QuotaConfig, QuotaEndpoint, Request, Response,
-    RetryEndpoint, SnapshotStore,
+    CachingEndpoint, Endpoint, EndpointCounters, EndpointError, InstrumentedEndpoint,
+    LocalEndpoint, Request, Response, RetryEndpoint, SnapshotStore,
 };
 use sofya_rdf::{Term, TripleStore};
 use sofya_sparql::{CancelToken, Prepared, QueryBudget};
@@ -196,28 +194,22 @@ fn spec() -> impl Strategy<Value = Spec> {
     ]
 }
 
-/// The four middleware units whose stacking order is permuted.
+/// The three middleware units whose stacking order is permuted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Layer {
     Caching,
-    Quota,
     Resilience,
     Instrument,
 }
 
-const LAYERS: [Layer; 4] = [
-    Layer::Caching,
-    Layer::Quota,
-    Layer::Resilience,
-    Layer::Instrument,
-];
+const LAYERS: [Layer; 3] = [Layer::Caching, Layer::Resilience, Layer::Instrument];
 
-/// The `k`-th permutation of the four layers (Lehmer decoding).
+/// The `k`-th permutation of the three layers (Lehmer decoding).
 fn permutation(k: usize) -> Vec<Layer> {
     let mut pool: Vec<Layer> = LAYERS.to_vec();
-    let mut order = Vec::with_capacity(4);
-    let mut k = k % 24;
-    for radix in (1..=4).rev() {
+    let mut order = Vec::with_capacity(3);
+    let mut k = k % 6;
+    for radix in (1..=3).rev() {
         let fact: usize = (1..radix).product();
         order.push(pool.remove(k / fact));
         k %= fact;
@@ -233,13 +225,6 @@ fn build_stack(base: Arc<dyn Endpoint>, order: &[Layer]) -> (Arc<dyn Endpoint>, 
     for layer in order {
         ep = match layer {
             Layer::Caching => Arc::new(CachingEndpoint::new(ep)),
-            Layer::Quota => Arc::new(QuotaEndpoint::new(
-                ep,
-                QuotaConfig {
-                    max_queries: None,
-                    max_rows_per_query: None,
-                },
-            )),
             // Every 5th request reaching the flaky layer fails; one
             // retry always recovers (failures are never adjacent).
             Layer::Resilience => Arc::new(RetryEndpoint::new(FlakyEndpoint::new(ep, 5), 1)),
@@ -260,7 +245,7 @@ proptest! {
     /// responses, budgeted or not, and the counters never lose a query.
     #[test]
     fn stacked_wrappers_match_bare_endpoint(
-        perm in 0usize..24,
+        perm in 0usize..6,
         backend in 0usize..3,
         specs in proptest::collection::vec(spec(), 1..24),
     ) {
@@ -333,31 +318,25 @@ impl Endpoint for OneMethod {
     }
 }
 
-/// No stack can drop a budget: a one-row scan cap set by the outermost
-/// `DeadlineEndpoint` reaches the evaluator through a one-method wrapper
-/// and every order of the four stock wrappers, over the fixed and the
-/// live backend alike — all 24 × 2 combinations, not a sample. (When
-/// `execute` was the required method, `OneMethod` could only have
-/// implemented that, and the provided budgeted method ran the query to
-/// completion.)
+/// No stack can drop a budget: a one-row scan cap passed by the caller
+/// reaches the evaluator through a one-method wrapper and every order of
+/// the three stock wrappers, over the fixed and the live backend alike —
+/// all 6 × 2 combinations, not a sample. (When `execute` was the
+/// required method, `OneMethod` could only have implemented that, and
+/// the provided budgeted method ran the query to completion.)
 ///
-/// Nor does the class of a kill depend on a `DeadlineEndpoint` being
-/// there to name it: with none on top and the budget passed by the
-/// caller, the bare backends and all 24 orders fail a scan past the cap
-/// as `BudgetExceeded` and an expired or cancelled query as
-/// `DeadlineExceeded`.
+/// Nor does the class of a kill depend on the stack: the bare backends
+/// and all 6 orders fail a scan past the cap as `BudgetExceeded` and an
+/// expired or cancelled query as `DeadlineExceeded`.
 #[test]
 fn no_wrapper_order_drops_the_callers_budget() {
     let store = store();
-    let cap = BudgetConfig {
-        max_rows_scanned: Some(1),
-        ..BudgetConfig::default()
-    };
+    let cap = QueryBudget::unlimited().with_max_rows_scanned(1);
     let tripped = Arc::new(CancelToken::new());
     tripped.cancel();
     // (the caller's budget, whether its kill is of the deadline class)
     let by_hand = [
-        (QueryBudget::unlimited().with_max_rows_scanned(1), false),
+        (cap.clone(), false),
         (
             QueryBudget::unlimited().with_time_limit(Duration::ZERO),
             true,
@@ -371,7 +350,7 @@ fn no_wrapper_order_drops_the_callers_budget() {
     let [fixed, _, live] = backends(&store);
     for (b, backend) in [("fixed", fixed), ("live", live)] {
         let bare = (Vec::new(), backend.clone());
-        let stacked = (0..24).map(|perm| {
+        let stacked = (0..6).map(|perm| {
             let order = permutation(perm);
             let (stack, _) = build_stack(backend.clone(), &order);
             (order, stack)
@@ -391,9 +370,9 @@ fn no_wrapper_order_drops_the_callers_budget() {
                     "order {order:?} over the {b} backend, {budget:?}: {err:?}"
                 );
             }
-            let ep = DeadlineEndpoint::new(OneMethod(stack), cap);
+            let ep = OneMethod(stack);
             let err = ep
-                .execute(scan.clone())
+                .execute_with_budget(scan.clone(), &cap)
                 .expect_err("a scan past the cap must be killed");
             assert!(
                 matches!(err, EndpointError::BudgetExceeded { .. }),
@@ -401,9 +380,10 @@ fn no_wrapper_order_drops_the_callers_budget() {
             );
             // The stack itself is healthy: an index-resolved probe
             // scans nothing and answers.
-            let probe = ep.execute(Request::Ask {
+            let ask = Request::Ask {
                 query: "ASK { <e:s0> <r:p0> <e:o0> }",
-            });
+            };
+            let probe = ep.execute_with_budget(ask, &cap);
             assert_eq!(probe, Ok(Response::Boolean(true)), "order {order:?}");
         }
     }

@@ -1,13 +1,14 @@
-//! Deterministic tests for the endpoint resilience layer: retry backoff,
-//! quota accounting, and cache hit/expiry — all driven by injected
-//! clocks and counters, never wall time, so every assertion is exact.
+//! Deterministic tests for the endpoint resilience layer: retry backoff
+//! and cache hit/expiry — all driven by injected clocks and counters,
+//! never wall time, so every assertion is exact.
 
 use sofya_endpoint::testing::FlakyEndpoint;
 use sofya_endpoint::{
-    BackoffPolicy, CachingEndpoint, Clock, EndpointError, EndpointExt, InstrumentedEndpoint,
-    LocalEndpoint, ManualClock, QuotaConfig, QuotaEndpoint, RetryEndpoint,
+    BackoffPolicy, CachingEndpoint, Clock, Endpoint, EndpointError, EndpointExt,
+    InstrumentedEndpoint, LocalEndpoint, ManualClock, Request, RetryEndpoint,
 };
 use sofya_rdf::{Term, TripleStore};
+use sofya_sparql::QueryBudget;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,65 +98,20 @@ fn successful_queries_charge_no_backoff() {
 fn fatal_errors_skip_backoff_entirely() {
     let clock = Arc::new(ManualClock::new());
     let ep = RetryEndpoint::with_backoff(
-        QuotaEndpoint::new(
-            base(),
-            QuotaConfig {
-                max_queries: Some(1),
-                max_rows_per_query: None,
-            },
-        ),
+        base(),
         5,
         BackoffPolicy::exponential(Duration::from_millis(100)),
         clock.clone() as Arc<dyn Clock>,
     );
-    ep.ask(ASK).unwrap();
-    let err = ep.ask(ASK).unwrap_err();
-    assert!(matches!(err, EndpointError::QuotaExceeded { .. }));
-    // Quota exhaustion is not transient: no retries, no waiting.
+    // Two rows scanned against a cap of one.
+    let cap = QueryBudget::unlimited().with_max_rows_scanned(1);
+    let err = ep
+        .execute_with_budget(Request::Select { query: SELECT }, &cap)
+        .unwrap_err();
+    assert!(matches!(err, EndpointError::BudgetExceeded { .. }));
+    // A cap kill is deterministic, not transient: no retries, no waiting.
     assert_eq!(ep.retries_used(), 0);
     assert_eq!(clock.now(), Duration::ZERO);
-}
-
-// -------------------------------------------------------- quota accounting
-
-#[test]
-fn quota_counters_are_exact_across_query_kinds() {
-    let ep = QuotaEndpoint::new(
-        InstrumentedEndpoint::new(base()),
-        QuotaConfig {
-            max_queries: Some(5),
-            max_rows_per_query: Some(1),
-        },
-    );
-    ep.select(SELECT).unwrap();
-    ep.ask(ASK).unwrap();
-    ep.select(SELECT).unwrap();
-    assert_eq!(ep.used_queries(), 3);
-    assert_eq!(ep.remaining_queries(), 2);
-    ep.ask(ASK).unwrap();
-    ep.ask(ASK).unwrap();
-    assert_eq!(ep.remaining_queries(), 0);
-    // The over-budget attempt errors AND is charged, like a real server
-    // counting rejected requests against the client.
-    assert!(ep.ask(ASK).is_err());
-    assert_eq!(ep.used_queries(), 6);
-    assert_eq!(ep.remaining_queries(), 0);
-}
-
-#[test]
-fn row_cap_truncates_but_inner_sees_full_result() {
-    let ep = QuotaEndpoint::new(
-        InstrumentedEndpoint::new(base()),
-        QuotaConfig {
-            max_queries: None,
-            max_rows_per_query: Some(1),
-        },
-    );
-    let rs = ep.select(SELECT).unwrap();
-    assert_eq!(rs.len(), 1);
-    // The instrumented layer below the quota saw both rows — truncation
-    // is the quota wrapper's doing, not the store's.
-    assert_eq!(ep.inner().counters().rows_returned(), 2);
 }
 
 // -------------------------------------------------------- cache hit/expiry
@@ -227,18 +183,13 @@ fn without_ttl_entries_never_expire() {
 
 #[test]
 fn cached_hits_do_not_spend_quota_or_backoff() {
-    // Cache(Retry(Quota(Local))) — the order a client would deploy:
-    // repeated identical queries must cost one quota unit total.
+    // Cache(Retry(Instrumented(Local))) — the order a client would
+    // deploy: repeated identical queries must reach the server once.
     let clock = Arc::new(ManualClock::new());
-    let quota = QuotaEndpoint::new(
-        base(),
-        QuotaConfig {
-            max_queries: Some(2),
-            max_rows_per_query: None,
-        },
-    );
+    let instrumented = InstrumentedEndpoint::new(base());
+    let counters = instrumented.counters();
     let retry = RetryEndpoint::with_backoff(
-        quota,
+        instrumented,
         2,
         BackoffPolicy::exponential(Duration::from_millis(10)),
         clock.clone() as Arc<dyn Clock>,
@@ -252,6 +203,6 @@ fn cached_hits_do_not_spend_quota_or_backoff() {
         ep.ask(ASK).unwrap();
     }
     assert_eq!(ep.hits(), 49);
-    assert_eq!(ep.inner().inner().used_queries(), 1);
+    assert_eq!(counters.total_queries(), 1);
     assert_eq!(clock.now(), Duration::ZERO);
 }

@@ -5,7 +5,7 @@
 //! POSTs it to a [`crate::HttpServer`] (or anything speaking the same
 //! protocol), and decodes the envelope back into the exact
 //! [`Response`] / [`EndpointError`] local execution would produce — so
-//! the whole middleware stack (quota, caching, instrumentation, retry)
+//! the whole middleware stack (caching, instrumentation, retry)
 //! and the alignment pipeline compose over it unchanged.
 //!
 //! Connections are reused across requests (HTTP/1.1 keep-alive, one

@@ -6,11 +6,16 @@
 //! scheduler job**, submitted under the client id from the `X-Client`
 //! header and run by the connection thread itself once the gate lets it
 //! start. That puts remote traffic behind the gate's admission rules:
-//! per-client quotas (`429 Too Many Requests`), a bounded backlog
-//! (`503` with `Retry-After`), a cap on queries running at once,
-//! deadline shedding (`504`), panic containment (`500`, the server keeps
-//! serving), and p50/p99 latency metrics (exposed at `GET /metrics` and
-//! via [`HttpServer::metrics`]).
+//! per-client quotas (`429 Too Many Requests`, carrying the limit the
+//! gate enforced), a bounded backlog (`503` with `Retry-After`), a cap on
+//! queries running at once, deadline shedding (`504`), panic containment
+//! (`500`, the server keeps serving), and p50/p99 latency metrics
+//! (exposed at `GET /metrics` and via [`HttpServer::metrics`]).
+//!
+//! A query that starts runs under one [`QueryBudget`] the server builds
+//! for it: the request's deadline (see [`ServerConfig::budget`]), the
+//! configured scan and binding caps, and the server's cancel token. A
+//! deadline kill answers `504` with the time since the request was read.
 //!
 //! Routes:
 //!
@@ -33,8 +38,7 @@ use crate::json::Json;
 use crate::wire::{envelope_to_json, execute_wire_budgeted, WireRequest};
 use parking_lot::Mutex;
 use sofya_endpoint::{
-    BudgetConfig, DeadlineEndpoint, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge,
-    Response,
+    BudgetConfig, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge, Response,
 };
 use sofya_service::scheduler::{serve, JobOutcome, SchedulerConfig, SchedulerHandle, SubmitError};
 use sofya_service::{LatencyHistogram, MetricsReport, ServiceMetrics};
@@ -68,11 +72,13 @@ pub struct ServerConfig {
     /// total, a request that has started arriving may stall before the
     /// connection is given up as malformed.
     pub drain_deadline: Duration,
-    /// Per-query execution limits (the runaway-query kill switch). The
-    /// effective deadline of a request is the *tighter* of
-    /// `budget.time_limit` and the client's `X-Deadline-Ms` header;
+    /// Per-query execution limits (the runaway-query kill switch), from
+    /// which each request's budget is built. The effective deadline of a
+    /// request is the *tighter* of `budget.time_limit` and the client's
+    /// `X-Deadline-Ms` header, counted from when the request was read;
     /// requests whose deadline passes while they wait for their turn at
-    /// the gate are shed without executing.
+    /// the gate are shed without executing. The two caps apply to every
+    /// query as configured.
     pub budget: BudgetConfig,
     /// Durability observables from the store's writer (see
     /// [`sofya_endpoint::DurableStore::gauge`]). When set, `GET /metrics`
@@ -188,24 +194,21 @@ impl HttpServer {
             let observed = Arc::clone(&observed);
             let cancel = Arc::clone(&cancel);
             std::thread::spawn(move || {
-                // Every query runs under the configured caps plus the
-                // server's kill switch. The time limit is left out here:
-                // it rides in with the job as an absolute deadline
-                // (computed when the request was read, so the wait at
-                // the gate spends the budget too).
-                let limits = BudgetConfig {
-                    time_limit: None,
-                    ..config.budget
-                };
-                let endpoint = DeadlineEndpoint::with_cancel(endpoint, limits, Arc::clone(&cancel));
+                let (caps, kill) = (config.budget, Arc::clone(&cancel));
                 let ingest_sink = config.ingest.clone();
                 let handler = move |job: WireJob| match job.payload {
+                    // The deadline rides in with the job (computed when
+                    // the request was read, so the wait at the gate
+                    // spends it too); the caps and the kill switch are
+                    // the server's.
                     JobPayload::Query(wire) => {
                         let budget = QueryBudget {
                             deadline: job.deadline,
-                            ..QueryBudget::unlimited()
+                            max_rows_scanned: caps.max_rows_scanned,
+                            max_bindings: caps.max_bindings,
+                            cancel: Some(Arc::clone(&kill)),
                         };
-                        execute_wire_budgeted(&endpoint, &wire, &budget)
+                        execute_wire_budgeted(&*endpoint, &wire, &budget)
                     }
                     // The ingest sink owns publishing; the epoch it
                     // returns rides back as a count response.
@@ -651,8 +654,15 @@ fn run_job(
     let job = WireJob { payload, deadline };
     let ticket = handle
         .submit_with_deadline(client, job, deadline)
-        .map_err(|rejected| rejected_routed(rejected.error, config))?;
+        .map_err(|rejected| rejected_routed(rejected.error))?;
     match ticket.wait() {
+        // The evaluator timed nothing: a kill gets the time since the
+        // request was read, the same clock its deadline runs on.
+        JobOutcome::Completed(Err(EndpointError::DeadlineExceeded { .. })) => {
+            Ok(Err(EndpointError::DeadlineExceeded {
+                elapsed: started.elapsed(),
+            }))
+        }
         JobOutcome::Completed(result) => Ok(result),
         // Shed at the gate: the deadline passed before its turn came, the
         // handler never ran (`queries_shed` is counted there).
@@ -717,7 +727,7 @@ fn completed_error_status(
 }
 
 /// Maps a scheduler rejection to its HTTP answer.
-fn rejected_routed(error: SubmitError, config: &ServerConfig) -> Routed {
+fn rejected_routed(error: SubmitError) -> Routed {
     match error {
         SubmitError::QueueFull { retry_after } => (
             503,
@@ -730,30 +740,20 @@ fn rejected_routed(error: SubmitError, config: &ServerConfig) -> Routed {
                 retry_after: Some(retry_after),
             }),
         ),
-        SubmitError::QuotaExhausted { client } => {
-            let max_queries = configured_quota(&config.scheduler, &client);
-            (
-                429,
-                "Too Many Requests",
-                None,
-                error_body(&EndpointError::QuotaExceeded {
-                    endpoint: client,
-                    max_queries,
-                    retry_after: None,
-                }),
-            )
-        }
+        SubmitError::QuotaExhausted {
+            client,
+            max_queries,
+        } => (
+            429,
+            "Too Many Requests",
+            None,
+            error_body(&EndpointError::QuotaExceeded {
+                endpoint: client,
+                max_queries,
+                retry_after: None,
+            }),
+        ),
     }
-}
-
-fn configured_quota(scheduler: &SchedulerConfig, client: &str) -> u64 {
-    scheduler
-        .client_quotas
-        .iter()
-        .find(|(name, _)| name == client)
-        .map(|(_, quota)| *quota)
-        .or(scheduler.default_client_quota)
-        .unwrap_or(0)
 }
 
 /// Serializes `GET /metrics`: the scheduler's report with the

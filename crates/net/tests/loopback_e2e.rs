@@ -212,6 +212,44 @@ fn server_quota_rejection_surfaces_as_typed_error() {
     server.shutdown();
 }
 
+/// A client listed twice is held to one limit, and its 429 reports that
+/// same limit: the gate reads the rule once, first entry first.
+#[test]
+fn duplicate_client_quota_is_enforced_as_reported() {
+    let mut store = TripleStore::new();
+    store.insert_terms(&Term::iri("e:s"), &Term::iri("e:p"), &Term::iri("e:o"));
+    let server = start_server(
+        store,
+        ServerConfig {
+            scheduler: SchedulerConfig {
+                client_quotas: vec![("c".to_owned(), 1), ("c".to_owned(), 3)],
+                ..SchedulerConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    );
+    let remote = RemoteEndpoint::with_config(
+        "kb",
+        server.addr(),
+        RemoteConfig {
+            client_id: "c".to_owned(),
+            ..RemoteConfig::default()
+        },
+    );
+    let mut admitted = 0u64;
+    let reported = loop {
+        match remote.ask("ASK { <e:s> <e:p> <e:o> }") {
+            Ok(true) if admitted < 10 => admitted += 1,
+            Err(sofya_endpoint::EndpointError::QuotaExceeded { max_queries, .. }) => {
+                break max_queries
+            }
+            other => panic!("after {admitted} admitted: {other:?}"),
+        }
+    };
+    assert_eq!(admitted, reported);
+    server.shutdown();
+}
+
 #[test]
 fn remote_errors_decode_to_the_local_error_types() {
     let mut store = TripleStore::new();

@@ -35,7 +35,8 @@ pub struct SchedulerConfig {
     /// Per-client request budget for clients without an explicit entry in
     /// `client_quotas`; `None` = unlimited.
     pub default_client_quota: Option<u64>,
-    /// Explicit per-client request budgets.
+    /// Explicit per-client request budgets; a client listed twice is
+    /// held to its first entry.
     pub client_quotas: Vec<(String, u64)>,
     /// The retry hint returned with [`SubmitError::QueueFull`].
     pub retry_after: Duration,
@@ -82,6 +83,8 @@ pub enum SubmitError {
     QuotaExhausted {
         /// The over-budget client.
         client: String,
+        /// The budget it was held to.
+        max_queries: u64,
     },
 }
 
@@ -123,17 +126,29 @@ struct Gate {
     /// began: the places from `now_serving` up to `next_place`.
     now_serving: u64,
     next_place: u64,
-    /// Requests left per client; a client absent here still has
-    /// `default_client_quota`.
+    /// Requests left per client that has been admitted once; a client
+    /// absent here still has its whole `Gate::quota`.
     quotas: HashMap<String, u64>,
 }
 
 impl Gate {
+    /// The request budget `config` gives `client`: its first entry in
+    /// `client_quotas`, else `default_client_quota`. The one place the
+    /// quota rule is read.
+    fn quota(config: &SchedulerConfig, client: &str) -> Option<u64> {
+        config
+            .client_quotas
+            .iter()
+            .find(|(name, _)| name == client)
+            .map(|(_, quota)| *quota)
+            .or(config.default_client_quota)
+    }
+
     fn remaining_quota(&self, config: &SchedulerConfig, client: &str) -> Option<u64> {
         self.quotas
             .get(client)
             .copied()
-            .or(config.default_client_quota)
+            .or_else(|| Self::quota(config, client))
     }
 
     /// Admits one job for `client` or says why not, quota before
@@ -141,9 +156,10 @@ impl Gate {
     /// both checks have passed, so there is nothing to refund.
     fn admit(&mut self, config: &SchedulerConfig, client: &str) -> Result<(), SubmitError> {
         let left = self.remaining_quota(config, client);
-        if left == Some(0) {
+        if let (Some(0), Some(max_queries)) = (left, Self::quota(config, client)) {
             return Err(SubmitError::QuotaExhausted {
                 client: client.to_owned(),
+                max_queries,
             });
         }
         if self.admitted >= config.queue_capacity.max(1) {
@@ -366,14 +382,10 @@ where
     if config.workers == 0 {
         return Err(ServiceError::NoWorkers);
     }
-    let gate = Gate {
-        quotas: config.client_quotas.iter().cloned().collect(),
-        ..Gate::default()
-    };
     Ok(driver(&SchedulerHandle {
         config,
         handler: &handler,
-        gate: Mutex::new(gate),
+        gate: Mutex::new(Gate::default()),
         turn: Condvar::new(),
         metrics: ServiceMetrics::default(),
     }))
@@ -510,7 +522,8 @@ mod tests {
                 assert_eq!(
                     rejected.error,
                     SubmitError::QuotaExhausted {
-                        client: "bounded".into()
+                        client: "bounded".into(),
+                        max_queries: 2,
                     }
                 );
                 assert_eq!(handle.remaining_quota("bounded"), Some(0));
@@ -810,9 +823,12 @@ mod tests {
             let oldest = |want: Doing| tickets.iter().position(|(_, d)| *d == want);
             match *step {
                 Step::Admit(client) => {
-                    let expected = if quota.is_some_and(|quota| spent(&tickets, client) >= quota) {
+                    let expected = if let Some(quota) =
+                        quota.filter(|&quota| spent(&tickets, client) >= quota)
+                    {
                         Err(SubmitError::QuotaExhausted {
                             client: client.to_owned(),
+                            max_queries: quota,
                         })
                     } else if backlog >= capacity {
                         Err(SubmitError::QueueFull {

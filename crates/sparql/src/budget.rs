@@ -170,25 +170,6 @@ impl QueryBudget {
         }
         Ok(())
     }
-
-    /// The tighter of two budgets: earlier deadline, smaller caps. When
-    /// both carry a cancel token, `self`'s wins (a budget polls one
-    /// token; compose layers so the outermost token is the one that
-    /// matters — the server's drain token is folded in last).
-    pub fn merge(&self, other: &QueryBudget) -> QueryBudget {
-        fn min_opt<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        }
-        QueryBudget {
-            deadline: min_opt(self.deadline, other.deadline),
-            max_rows_scanned: min_opt(self.max_rows_scanned, other.max_rows_scanned),
-            max_bindings: min_opt(self.max_bindings, other.max_bindings),
-            cancel: self.cancel.clone().or_else(|| other.cancel.clone()),
-        }
-    }
 }
 
 /// Per-execution budget state threaded through the evaluator. Created
@@ -332,22 +313,6 @@ mod tests {
             }
         ));
         assert_eq!(budget.remaining_time(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn merge_takes_the_tighter_limits() {
-        let now = Instant::now();
-        let a = QueryBudget::unlimited()
-            .with_deadline(now + Duration::from_secs(10))
-            .with_max_rows_scanned(100);
-        let b = QueryBudget::unlimited()
-            .with_deadline(now + Duration::from_secs(5))
-            .with_max_rows_scanned(500)
-            .with_max_bindings(7);
-        let merged = a.merge(&b);
-        assert_eq!(merged.deadline, Some(now + Duration::from_secs(5)));
-        assert_eq!(merged.max_rows_scanned, Some(100));
-        assert_eq!(merged.max_bindings, Some(7));
     }
 
     #[test]

@@ -1,47 +1,65 @@
-//! Aligning under real endpoint constraints: row caps, query budgets,
-//! client-side caching.
+//! Aligning through a real front door: a per-client query quota at the
+//! server, client-side caching, and the cost of one relation counted.
 //!
 //! The whole point of on-the-fly alignment is that you *cannot* download
-//! the KBs. This example wraps the endpoints with the same limits a
-//! public SPARQL service enforces, shows how many queries one relation
-//! costs, and what happens when the budget runs out.
+//! the KBs. This example serves each KB from a loopback `HttpServer` —
+//! the admission gate a public SPARQL service puts in front of its store
+//! — and aligns through `RemoteEndpoint`s: first without a quota, to show
+//! how many queries one relation costs, then with five requests per
+//! client, to show what happens when the budget runs out (HTTP 429, a
+//! typed `QuotaExceeded` at the client). Any other outcome exits 1.
 //!
 //! ```text
 //! cargo run --release --example endpoint_budget
 //! ```
 
 use sofya::align::{AlignError, Aligner, AlignerConfig};
-use sofya::endpoint::{
-    CachingEndpoint, EndpointError, InstrumentedEndpoint, LocalEndpoint, QuotaConfig, QuotaEndpoint,
-};
+use sofya::endpoint::{CachingEndpoint, EndpointError, InstrumentedEndpoint, LocalEndpoint};
 use sofya::kbgen::{generate, PairConfig};
+use sofya::net::{HttpServer, RemoteEndpoint, ServerConfig};
+use sofya::rdf::TripleStore;
+use sofya::service::SchedulerConfig;
+use std::sync::Arc;
+
+/// Serves `store` on an ephemeral loopback port, `quota` requests per
+/// client (`None` = unlimited).
+fn serve(name: &str, store: &TripleStore, quota: Option<u64>) -> HttpServer {
+    let config = ServerConfig {
+        scheduler: SchedulerConfig {
+            default_client_quota: quota,
+            ..SchedulerConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let endpoint = Arc::new(LocalEndpoint::new(name, store.clone()));
+    HttpServer::start(endpoint, config, "127.0.0.1:0").expect("bind loopback")
+}
+
+/// The client stack: cache over instrumentation over the wire.
+fn client(
+    name: &str,
+    server: &HttpServer,
+) -> CachingEndpoint<InstrumentedEndpoint<RemoteEndpoint>> {
+    CachingEndpoint::new(InstrumentedEndpoint::new(RemoteEndpoint::new(
+        name,
+        server.addr(),
+    )))
+}
 
 fn main() {
     let pair = generate(&PairConfig::small(42));
     let relation = pair.kb1_relations[0].clone();
 
-    // The standard stack: quota over cache over instrumentation over the
-    // "remote" store.
-    let stack = |store: &sofya::rdf::TripleStore, name: &str, budget: Option<u64>| {
-        QuotaEndpoint::new(
-            CachingEndpoint::new(InstrumentedEndpoint::new(LocalEndpoint::new(
-                name,
-                store.clone(),
-            ))),
-            QuotaConfig {
-                max_queries: budget,
-                max_rows_per_query: Some(10_000),
-            },
-        )
-    };
-
-    // 1. Generous budget: measure the true cost of one alignment.
-    let source = stack(&pair.kb2, "dbp", None);
-    let target = stack(&pair.kb1, "yago", None);
+    // 1. No quota: measure the true cost of one alignment.
+    let (dbp, yago) = (
+        serve("dbp", &pair.kb2, None),
+        serve("yago", &pair.kb1, None),
+    );
+    let (source, target) = (client("dbp", &dbp), client("yago", &yago));
     let aligner = Aligner::new(&source, &target, AlignerConfig::paper_defaults(1));
     let rules = aligner.align_relation(&relation).expect("alignment failed");
-    let source_counters = source.inner().inner().counters();
-    let target_counters = target.inner().inner().counters();
+    let source_counters = source.inner().counters();
+    let target_counters = target.inner().counters();
     println!("aligning <{relation}> produced {} rule(s)", rules.len());
     println!(
         "  cost: {} source queries + {} target queries, {} rows transferred",
@@ -51,25 +69,33 @@ fn main() {
     );
     println!(
         "  cache saved {} repeat queries",
-        source.inner().hits() + target.inner().hits()
+        source.hits() + target.hits()
     );
     println!(
         "  (downloading both KBs instead would move {} triples)",
         pair.kb1.len() + pair.kb2.len()
     );
+    dbp.shutdown();
+    yago.shutdown();
 
-    // 2. A starvation budget: the aligner fails loudly, not wrongly.
-    let source = stack(&pair.kb2, "dbp", Some(5));
-    let target = stack(&pair.kb1, "yago", Some(5));
+    // 2. Five requests per client: the aligner fails loudly, not wrongly.
+    let (dbp, yago) = (
+        serve("dbp", &pair.kb2, Some(5)),
+        serve("yago", &pair.kb1, Some(5)),
+    );
+    let (source, target) = (client("dbp", &dbp), client("yago", &yago));
     let aligner = Aligner::new(&source, &target, AlignerConfig::paper_defaults(1));
     match aligner.align_relation(&relation) {
         Err(AlignError::Endpoint(EndpointError::QuotaExceeded {
             endpoint,
-            max_queries,
+            max_queries: 5,
             ..
         })) => {
-            println!("\nwith a 5-query budget: endpoint '{endpoint}' cut us off after {max_queries} queries — as a real service would");
+            println!("\nwith a 5-query quota: the server cut client '{endpoint}' off after 5 requests (HTTP 429) — as a real service would");
         }
-        other => println!("\nunexpected outcome under starvation budget: {other:?}"),
+        other => {
+            eprintln!("\nunexpected outcome under a 5-query quota: {other:?}");
+            std::process::exit(1);
+        }
     }
 }
