@@ -382,10 +382,23 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached_and_do_not_wedge_the_slot() {
-        let (dbp, yago) = endpoints();
-        // Every query fails.
-        let broke = sofya_endpoint::testing::FlakyEndpoint::new(dbp, 1);
-        let session = AlignmentSession::new(&broke, &yago, AlignerConfig::paper_defaults(1));
+        use sofya_endpoint::{EndpointError, Request, Response};
+        use sofya_sparql::QueryBudget;
+
+        /// A source whose every query fails.
+        struct Dead;
+        impl Endpoint for Dead {
+            fn execute_with_budget(
+                &self,
+                _: Request<'_>,
+                _: &QueryBudget,
+            ) -> Result<Response, EndpointError> {
+                Err(EndpointError::Other("dead source".into()))
+            }
+        }
+
+        let (_, yago) = endpoints();
+        let session = AlignmentSession::new(&Dead, &yago, AlignerConfig::paper_defaults(1));
         assert!(session.rules_for("y:born").is_err());
         // The failure marker must not wedge or satisfy later requests:
         // a fresh call retries (and fails again against the dead source).

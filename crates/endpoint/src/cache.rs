@@ -14,8 +14,8 @@ use std::time::Duration;
 ///
 /// SOFYA re-issues identical `sameAs` lookups and existence probes for
 /// entities shared between samples; a client-side cache keeps those free.
-/// Only successful responses are cached (a transient failure should be
-/// retried, and quota errors must keep failing).
+/// Only successful responses are cached (a failed request asks the
+/// server again next time, and quota errors must keep failing).
 ///
 /// Every request kind shares one cache: the key is the request's SPARQL
 /// rendering prefixed with its response shape. A [`Request::Batch`] is

@@ -1,10 +1,9 @@
-//! Injected time for the resilience wrappers.
+//! Injected time for whatever ages things.
 //!
-//! Wrappers that wait (retry backoff) or age things (cache TTLs) take a
-//! [`Clock`] and spend their time on it. Tests drive a [`ManualClock`]
-//! by hand, where a wait is only accounted, so timing behaviour is fully
-//! deterministic; a client of a real server hands them a [`WallClock`],
-//! where a wait is a wait.
+//! Code that ages entries (cache TTLs, the stream tier's windows) takes
+//! a [`Clock`] and reads its time from it. Tests drive a [`ManualClock`]
+//! by hand, so timing behaviour is fully deterministic; production hands
+//! it a [`WallClock`]. A clock is only read: nothing waits on one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -13,14 +12,9 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync {
     /// Time elapsed since the clock's epoch.
     fn now(&self) -> Duration;
-
-    /// Lets `by` go past. Wrappers call this to wait (e.g. a backoff
-    /// delay): a simulated clock jumps, the wall clock sleeps.
-    fn advance(&self, by: Duration);
 }
 
-/// A [`Clock`] advanced explicitly — by tests or by wrappers charging
-/// simulated waits. Starts at zero.
+/// A [`Clock`] advanced explicitly by whoever holds it. Starts at zero.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     nanos: AtomicU64,
@@ -36,16 +30,17 @@ impl ManualClock {
     pub fn set(&self, to: Duration) {
         self.nanos.store(to.as_nanos() as u64, Ordering::Relaxed);
     }
+
+    /// Lets `by` go past.
+    pub fn advance(&self, by: Duration) {
+        self.nanos
+            .fetch_add(by.as_nanos() as u64, Ordering::Relaxed);
+    }
 }
 
 impl Clock for ManualClock {
     fn now(&self) -> Duration {
         Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
-    }
-
-    fn advance(&self, by: Duration) {
-        self.nanos
-            .fetch_add(by.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -76,11 +71,6 @@ impl Default for WallClock {
 impl Clock for WallClock {
     fn now(&self) -> Duration {
         self.epoch.elapsed()
-    }
-
-    /// Real time cannot be advanced by fiat: this sleeps for `by`.
-    fn advance(&self, by: Duration) {
-        std::thread::sleep(by);
     }
 }
 

@@ -7,10 +7,10 @@
 //! order ran the query:
 //!
 //! * deadline passed / token cancelled →
-//!   [`EndpointError::DeadlineExceeded`] (the HTTP 504 class, counted by
-//!   the circuit breaker, never retried — see [`crate::RetryEndpoint`]);
+//!   [`EndpointError::DeadlineExceeded`] (the HTTP 504 class; the
+//!   deadline is the caller's, so nothing sends the request again);
 //! * scan or binding cap breached → [`EndpointError::BudgetExceeded`]
-//!   (deterministic for the query, never retried).
+//!   (deterministic for the query, so nothing sends it again either).
 //!
 //! [`BudgetConfig`] is what a server is configured with. The HTTP tier
 //! builds one `QueryBudget` per request from it: the time limit becomes
@@ -121,14 +121,5 @@ mod tests {
         let spent = QueryBudget::unlimited().with_time_limit(Duration::ZERO);
         let err = select(&base(5), "SELECT ?s { ?s <r:p> ?o }", &spent).unwrap_err();
         assert!(matches!(err, EndpointError::DeadlineExceeded { .. }));
-    }
-
-    #[test]
-    fn composes_under_retry_without_retrying_deadline_errors() {
-        use crate::retry::RetryEndpoint;
-        let ep = RetryEndpoint::new(base(5), 5);
-        let err = select(&ep, "SELECT ?s { ?s <r:p> ?o }", &tripped()).unwrap_err();
-        assert!(matches!(err, EndpointError::DeadlineExceeded { .. }));
-        assert_eq!(ep.retries_used(), 0, "deadline errors must not be retried");
     }
 }

@@ -4,7 +4,7 @@
 //! [`QueryBudget`] it runs under, to [`Endpoint::execute_with_budget`],
 //! which answers with the matching [`Response`] shape. That is the one
 //! method an endpoint implements ([`Endpoint::execute`] is the same call
-//! under the unlimited budget), so wrappers (caching, retry,
+//! under the unlimited budget), so wrappers (caching,
 //! instrumentation, …) intercept **every** query kind — string,
 //! prepared, paged, batch, and ones added later — budgeted or not, with
 //! a single body, instead of forwarding parallel entry points and

@@ -17,13 +17,12 @@ pub enum EndpointError {
         endpoint: String,
         /// The configured maximum number of queries.
         max_queries: u64,
-        /// Server hint: when the budget refills. `None` means the quota
-        /// is permanent — retrying can never succeed.
-        retry_after: Option<Duration>,
     },
-    /// The endpoint is temporarily refusing work (overloaded or shutting
-    /// down) — the HTTP 503 class. Transient by definition; `retry_after`
-    /// carries the server's `Retry-After` hint when it sent one.
+    /// The endpoint is refusing work (busy or shutting down) or could not
+    /// be reached — the HTTP 503 class. `retry_after` carries the server's
+    /// `Retry-After` hint when it sent one: a busy server's admission
+    /// refused the job before it ran, so the request is safe to send again
+    /// after the hint.
     Unavailable {
         /// Human-readable reason.
         message: String,
@@ -31,16 +30,14 @@ pub enum EndpointError {
         retry_after: Option<Duration>,
     },
     /// The query's wall-clock deadline passed (or its cancel token was
-    /// tripped) before it finished — the HTTP 504 class. Counted by the
-    /// circuit breaker but **not** retried: the deadline belongs to the
-    /// caller, and retrying an expired request cannot help.
+    /// tripped) before it finished — the HTTP 504 class. The deadline
+    /// belongs to the caller, so sending the request again cannot help.
     DeadlineExceeded {
         /// How long the query ran before it was killed.
         elapsed: Duration,
     },
     /// A non-time budget limit (rows scanned, intermediate bindings) was
-    /// breached. Deterministic for a given query and dataset, so never
-    /// retried and not counted by the breaker.
+    /// breached. Deterministic for a given query and dataset.
     BudgetExceeded {
         /// Which limit was breached, in words.
         message: String,
@@ -57,17 +54,10 @@ impl fmt::Display for EndpointError {
             EndpointError::QuotaExceeded {
                 endpoint,
                 max_queries,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "endpoint '{endpoint}': query quota of {max_queries} exhausted"
-                )?;
-                if let Some(after) = retry_after {
-                    write!(f, " (retry after {:?})", after)?;
-                }
-                Ok(())
-            }
+            } => write!(
+                f,
+                "endpoint '{endpoint}': query quota of {max_queries} exhausted"
+            ),
             EndpointError::Unavailable {
                 message,
                 retry_after,
@@ -100,7 +90,7 @@ impl std::error::Error for EndpointError {
 
 /// Where the evaluator's error enters the endpoint layer, at every `?`.
 /// A budget kill gets its class here, so every layer above — wrappers
-/// in any order, the breaker, the server's 504 mapping, the wire — sees
+/// in either order, the server's 504 mapping, the wire — sees
 /// the one typed form. Nothing has timed the query yet: `elapsed` is
 /// zero until whoever timed the request stamps it (the HTTP server, with
 /// the time since it read the request).
@@ -129,16 +119,9 @@ mod tests {
         let quota = EndpointError::QuotaExceeded {
             endpoint: "dbpedia".into(),
             max_queries: 100,
-            retry_after: None,
         };
         assert!(quota.to_string().contains("dbpedia"));
         assert!(quota.to_string().contains("100"));
-        let hinted = EndpointError::QuotaExceeded {
-            endpoint: "dbpedia".into(),
-            max_queries: 100,
-            retry_after: Some(Duration::from_secs(7)),
-        };
-        assert!(hinted.to_string().contains("retry after"));
         let unavailable = EndpointError::Unavailable {
             message: "draining".into(),
             retry_after: Some(Duration::from_secs(1)),

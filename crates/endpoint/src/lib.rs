@@ -42,18 +42,19 @@
 //!   [`LatencyModel::cost`] prices those counts in simulated network time.
 //! * [`BudgetConfig`] — the per-request limits a server is configured
 //!   with, from which it builds each request's budget.
-//! * [`RetryEndpoint`] — re-issues transient failures with accounted
-//!   backoff behind an optional circuit breaker.
 //! * [`CachingEndpoint`] — memoises identical query strings, as a client
 //!   library would.
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
-//! * [`testing`] — an endpoint that misbehaves on purpose and the owning
-//!   request form proptest strategies generate, for tests.
+//! * [`testing`] — the owning request form proptest strategies generate,
+//!   for tests.
 //!
-//! Wrappers compose in any order; `sofya-eval` and the benchmark run
-//! `Instrumented(Local)`.
+//! The two wrappers compose in either order; `sofya-eval` and the
+//! benchmark run `Instrumented(Local)`. Waiting out a busy server is not a
+//! wrapper: the one client on the wire, `sofya_net::RemoteEndpoint`,
+//! honours the server's `Retry-After` itself, within the caller's
+//! deadline.
 
 #![forbid(unsafe_code)]
 
@@ -69,7 +70,6 @@ pub mod helpers;
 pub mod instrument;
 pub mod local;
 pub(crate) mod plan_cache;
-pub mod retry;
 pub mod testing;
 
 pub use cache::CachingEndpoint;
@@ -82,4 +82,3 @@ pub use endpoint::{Endpoint, EndpointExt, Request, Response};
 pub use error::EndpointError;
 pub use instrument::{EndpointCounters, InstrumentedEndpoint, LatencyModel};
 pub use local::LocalEndpoint;
-pub use retry::{BackoffPolicy, BreakerConfig, BreakerState, RetryEndpoint};

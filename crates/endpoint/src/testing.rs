@@ -1,70 +1,13 @@
-//! Test scaffolding: an endpoint that misbehaves on purpose, and the
-//! owning request form the proptest suites generate.
+//! Test scaffolding: the owning request form the proptest suites
+//! generate.
 //!
 //! Not re-exported at the crate root — nothing here belongs in a
 //! production stack.
 
-use crate::endpoint::{Endpoint, Request, Response};
-use crate::error::EndpointError;
+use crate::endpoint::Request;
 use sofya_rdf::Term;
-use sofya_sparql::{Prepared, QueryBudget};
-use std::sync::atomic::{AtomicU64, Ordering};
+use sofya_sparql::Prepared;
 use std::sync::Arc;
-
-/// Injects a deterministic transient failure every `period`-th query.
-pub struct FlakyEndpoint<E> {
-    inner: E,
-    period: u64,
-    counter: AtomicU64,
-}
-
-impl<E: Endpoint> FlakyEndpoint<E> {
-    /// Wraps `inner`; every `period`-th query (1-based) fails with a
-    /// transient error. `period == 0` never fails.
-    pub fn new(inner: E, period: u64) -> Self {
-        Self {
-            inner,
-            period,
-            counter: AtomicU64::new(0),
-        }
-    }
-
-    fn maybe_fail(&self) -> Result<(), EndpointError> {
-        if self.period == 0 {
-            return Ok(());
-        }
-        let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % self.period == 0 {
-            Err(EndpointError::Other(format!(
-                "simulated transient failure (query #{n})"
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Queries attempted so far (including failed ones).
-    pub fn attempts(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
-    }
-}
-
-impl<E: Endpoint> Endpoint for FlakyEndpoint<E> {
-    /// One failure opportunity per request — a whole batch is one
-    /// transport exchange, so it fails (and is retried) as a unit.
-    fn execute_with_budget(
-        &self,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        self.maybe_fail()?;
-        self.inner.execute_with_budget(req, budget)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
 
 /// An owning [`Request`]: the same variants with owned strings,
 /// `Arc`-shared templates, and owned argument vectors, so a proptest

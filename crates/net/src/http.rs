@@ -70,7 +70,7 @@ fn bad_data(message: impl Into<String>) -> io::Error {
 
 /// A connection torn down mid-message: `UnexpectedEof`, not
 /// `InvalidData` — the peer vanished, the bytes were not malformed.
-/// Clients classify this as a retryable transport failure.
+/// Clients classify this as a transport failure.
 fn torn_down(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, message.into())
 }

@@ -750,7 +750,6 @@ fn rejected_routed(error: SubmitError) -> Routed {
             error_body(&EndpointError::QuotaExceeded {
                 endpoint: client,
                 max_queries,
-                retry_after: None,
             }),
         ),
     }

@@ -378,21 +378,11 @@ pub fn error_to_json(error: &EndpointError) -> Json {
         EndpointError::QuotaExceeded {
             endpoint,
             max_queries,
-            retry_after,
-        } => {
-            let mut fields = vec![
-                ("kind", Json::str("quota")),
-                ("endpoint", Json::str(endpoint)),
-                ("max_queries", Json::Uint(*max_queries)),
-            ];
-            if let Some(after) = retry_after {
-                fields.push((
-                    "retry_after_ms",
-                    Json::Uint(u64::try_from(after.as_millis()).unwrap_or(u64::MAX)),
-                ));
-            }
-            Json::obj(fields)
-        }
+        } => Json::obj([
+            ("kind", Json::str("quota")),
+            ("endpoint", Json::str(endpoint)),
+            ("max_queries", Json::Uint(*max_queries)),
+        ]),
         EndpointError::Unavailable {
             message,
             retry_after,
@@ -414,13 +404,6 @@ pub fn error_to_json(error: &EndpointError) -> Json {
             ("message", Json::str(message)),
         ]),
     }
-}
-
-/// The optional `retry_after_ms` hint on quota/unavailable errors.
-fn retry_after_from_json(json: &Json) -> Option<std::time::Duration> {
-    json.get("retry_after_ms")
-        .and_then(Json::as_uint)
-        .map(std::time::Duration::from_millis)
 }
 
 /// Decodes an endpoint error from a JSON value.
@@ -460,11 +443,14 @@ pub fn error_from_json(json: &Json) -> Result<EndpointError, WireError> {
                 .get("max_queries")
                 .and_then(Json::as_uint)
                 .ok_or_else(|| WireError("quota error missing \"max_queries\"".to_owned()))?,
-            retry_after: retry_after_from_json(json),
         }),
         "unavailable" => Ok(EndpointError::Unavailable {
             message: message()?,
-            retry_after: retry_after_from_json(json),
+            // The server's optional `Retry-After` hint.
+            retry_after: json
+                .get("retry_after_ms")
+                .and_then(Json::as_uint)
+                .map(std::time::Duration::from_millis),
         }),
         "deadline" => Ok(EndpointError::DeadlineExceeded {
             elapsed: std::time::Duration::from_nanos(
@@ -672,12 +658,6 @@ mod tests {
             Err(EndpointError::QuotaExceeded {
                 endpoint: "kb".to_owned(),
                 max_queries: 9,
-                retry_after: None,
-            }),
-            Err(EndpointError::QuotaExceeded {
-                endpoint: "kb".to_owned(),
-                max_queries: 9,
-                retry_after: Some(std::time::Duration::from_millis(1500)),
             }),
             Err(EndpointError::Unavailable {
                 message: "draining".to_owned(),

@@ -10,16 +10,19 @@
 //!   without ever executing;
 //! * a drain whose in-flight query outlives `drain_deadline` trips the
 //!   kill switch instead of hanging shutdown;
-//! * a chaos proxy injecting mid-response disconnects drives the
-//!   client-side circuit breaker open, fail-fast, and back closed
-//!   through a half-open probe — all on a deterministic manual clock.
+//! * a busy server's hinted `503` is waited out and the request sent
+//!   again, within the caller's deadline and a bounded number of times,
+//!   while every other failure — a torn response, an unhinted `503`, a
+//!   `429`, a `504`, a cap kill, a SPARQL error — costs one exchange and
+//!   reaches the caller typed (a chaos server scripts each case);
+//! * a re-send after a stale pooled connection carries only what is
+//!   left of the deadline, and a hung peer costs a budgeted call its
+//!   deadline, not the client's I/O timeout.
 
-use sofya_endpoint::{
-    BreakerConfig, BreakerState, Clock, Endpoint, EndpointError, EndpointExt, LocalEndpoint,
-    ManualClock, Request, Response, RetryEndpoint,
-};
+use sofya_endpoint::{Endpoint, EndpointError, EndpointExt, LocalEndpoint, Request, Response};
 use sofya_net::http::{read_request, write_response};
-use sofya_net::{HttpServer, Json, RemoteConfig, RemoteEndpoint, ServerConfig};
+use sofya_net::wire::envelope_to_json;
+use sofya_net::{HttpServer, Json, RemoteEndpoint, ServerConfig};
 use sofya_rdf::{Term, TripleStore};
 use sofya_service::scheduler::SchedulerConfig;
 use sofya_sparql::QueryBudget;
@@ -263,32 +266,42 @@ fn drain_cancels_in_flight_queries_that_outlive_the_deadline() {
     );
 }
 
-/// A fault-injecting stand-in for a flaky server: each scripted fault
-/// consumes one connection; once the script runs dry it answers every
-/// request with a healthy `ASK → true` envelope.
+/// What a [`ChaosServer`] does with one request instead of answering it.
 enum Fault {
-    /// Read the request, start writing the response head, then sever
-    /// the connection mid-line.
+    /// Start writing the response head, then sever the connection
+    /// mid-line.
     DisconnectMidResponse,
+    /// Wait, then close the connection without answering.
+    HangUpAfter(Duration),
+    /// Refuse the request as a busy server does: `503` with a
+    /// `Retry-After` hint of this many milliseconds.
+    Busy(u64),
+    /// Answer with this status and error envelope.
+    Refuse(u16, EndpointError),
 }
 
+/// A fault-injecting stand-in for a flaky server. It serves one
+/// keep-alive connection at a time; each request it reads takes the next
+/// step of the script (`None` answers it), and once the script runs dry
+/// every request is answered with a healthy `ASK → true` envelope. It
+/// records the `X-Deadline-Ms` header of every request it reads.
 struct ChaosServer {
     addr: SocketAddr,
-    connections: Arc<AtomicUsize>,
+    deadlines: Arc<Mutex<Vec<Option<u64>>>>,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ChaosServer {
-    fn start(faults: Vec<Fault>) -> ChaosServer {
+    fn start(script: Vec<Option<Fault>>) -> ChaosServer {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind chaos proxy");
         let addr = listener.local_addr().unwrap();
-        let connections = Arc::new(AtomicUsize::new(0));
+        let deadlines = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
-            let connections = Arc::clone(&connections);
+            let deadlines = Arc::clone(&deadlines);
             let stop = Arc::clone(&stop);
-            let mut faults = VecDeque::from(faults);
+            let mut script = VecDeque::from(script);
             std::thread::spawn(move || loop {
                 let Ok((mut stream, _)) = listener.accept() else {
                     break;
@@ -296,46 +309,63 @@ impl ChaosServer {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
-                connections.fetch_add(1, Ordering::SeqCst);
+                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
                 let Ok(clone) = stream.try_clone() else {
                     continue;
                 };
                 let mut reader = BufReader::new(clone);
-                let Ok(Some(_request)) = read_request(&mut reader) else {
-                    continue;
-                };
-                match faults.pop_front() {
-                    Some(Fault::DisconnectMidResponse) => {
-                        // A torn response head: the client sees EOF
-                        // mid-line, a transport failure.
-                        let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-");
-                        let _ = stream.flush();
-                        // Connection drops here.
+                // Serve the connection until the client or a fault closes it.
+                while let Ok(Some(request)) = read_request(&mut reader) {
+                    let deadline = request
+                        .header("X-Deadline-Ms")
+                        .map(|ms| ms.parse().unwrap());
+                    deadlines.lock().unwrap().push(deadline);
+                    let (status, hint_ms, result) = match script.pop_front().flatten() {
+                        None => (200, None, Ok(Response::Boolean(true))),
+                        Some(Fault::DisconnectMidResponse) => {
+                            // A torn response head: the client sees EOF
+                            // mid-line, a transport failure.
+                            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-");
+                            break;
+                        }
+                        Some(Fault::HangUpAfter(wait)) => {
+                            std::thread::sleep(wait);
+                            break;
+                        }
+                        Some(Fault::Busy(ms)) => {
+                            let busy = EndpointError::Unavailable {
+                                message: "server busy".into(),
+                                retry_after: Some(Duration::from_millis(ms)),
+                            };
+                            (503, Some(ms.to_string()), Err(busy))
+                        }
+                        Some(Fault::Refuse(status, error)) => (status, None, Err(error)),
+                    };
+                    let body = format!("{}\n", envelope_to_json(&result).to_text());
+                    let mut headers = vec![("Content-Type", "application/json")];
+                    if let Some(ms) = &hint_ms {
+                        headers.push(("Retry-After", ms));
                     }
-                    None => {
-                        let body =
-                            b"{\"ok\":true,\"response\":{\"type\":\"boolean\",\"value\":true}}\n";
-                        let _ = write_response(
-                            &mut stream,
-                            200,
-                            "OK",
-                            &[("Content-Type", "application/json")],
-                            body,
-                        );
-                    }
+                    let _ = write_response(&mut stream, status, "Chaos", &headers, body.as_bytes());
                 }
             })
         };
         ChaosServer {
             addr,
-            connections,
+            deadlines,
             stop,
             thread: Some(thread),
         }
     }
 
-    fn connections(&self) -> usize {
-        self.connections.load(Ordering::SeqCst)
+    /// The `X-Deadline-Ms` of every request read so far, in order.
+    fn deadlines(&self) -> Vec<Option<u64>> {
+        self.deadlines.lock().unwrap().clone()
+    }
+
+    /// Requests read so far: the exchanges the client spent.
+    fn exchanges(&self) -> usize {
+        self.deadlines.lock().unwrap().len()
     }
 }
 
@@ -349,64 +379,217 @@ impl Drop for ChaosServer {
     }
 }
 
-#[test]
-fn injected_disconnects_open_the_breaker_and_a_probe_recloses_it() {
-    let chaos = ChaosServer::start(vec![
-        Fault::DisconnectMidResponse,
-        Fault::DisconnectMidResponse,
-    ]);
-    let remote = RemoteEndpoint::with_config(
-        "chaotic",
-        chaos.addr,
-        RemoteConfig {
-            io_timeout: Duration::from_secs(5),
-            ..RemoteConfig::default()
-        },
-    );
-    let clock = Arc::new(ManualClock::new());
-    let ep = RetryEndpoint::new(remote, 0).with_breaker(
-        BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(30),
-        },
-        Arc::clone(&clock) as Arc<dyn Clock>,
-    );
-    let query = "ASK { <e:s> <r:p> <e:o> }";
+const ASK: &str = "ASK { <e:s> <r:p> <e:o> }";
 
-    // Two injected disconnects: typed transport failures, breaker opens.
-    for _ in 0..2 {
-        let err = ep.ask(query).expect_err("fault injected");
-        assert!(
-            matches!(err, EndpointError::Unavailable { .. }),
-            "mid-response disconnect classifies as Unavailable, got {err:?}"
-        );
-    }
-    assert_eq!(ep.breaker_state(), Some(BreakerState::Open));
-    assert_eq!(chaos.connections(), 2);
+/// How many times `RemoteEndpoint` sends a request again on a busy
+/// server's hint (its private `MAX_HINTED_RESENDS`).
+const HINTED_RESENDS: usize = 3;
 
-    // Open breaker fails fast: no new connection reaches the wire.
-    let err = ep.ask(query).expect_err("breaker is open");
-    assert!(
-        matches!(&err, EndpointError::Unavailable { message, retry_after }
-            if message.contains("circuit breaker open") && retry_after.is_some()),
-        "fail-fast carries the breaker message and a retry hint, got {err:?}"
-    );
-    assert_eq!(chaos.connections(), 2, "no wire traffic while open");
-
-    // After the cooldown a single probe goes through; the fault script
-    // is dry, the probe succeeds, and the breaker closes again.
-    clock.advance(Duration::from_secs(31));
-    assert!(ep.ask(query).expect("half-open probe succeeds"));
-    assert_eq!(ep.breaker_state(), Some(BreakerState::Closed));
-    assert_eq!(ep.breaker_trips(), 1);
-    assert_eq!(chaos.connections(), 3);
-
-    // Healthy steady state persists.
-    assert!(ep.ask(query).unwrap());
+fn ask_within(remote: &RemoteEndpoint, limit: Duration) -> Result<Response, EndpointError> {
+    let budget = QueryBudget::unlimited().with_time_limit(limit);
+    remote.execute_with_budget(Request::Ask { query: ASK }, &budget)
 }
 
-/// Satellite: a refused connection (nothing listening) is the typed,
-/// retryable class — it must feed the breaker, not vanish into `Other`.
+/// The front door end to end: the only running slot is taken, the only
+/// place in line too, so the gate refuses a third request with a
+/// 100 ms hint. The client waits the hint out and sends again; the
+/// caller sees only the answer.
+#[test]
+fn a_busy_servers_503_is_waited_out_on_its_hint() {
+    let mut store = TripleStore::new();
+    store.insert_terms(&Term::iri("e:s"), &Term::iri("r:p"), &Term::iri("e:o"));
+    let gated = Arc::new(GatedEndpoint::new(store));
+    let config = ServerConfig {
+        scheduler: SchedulerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            retry_after: Duration::from_millis(100),
+            ..SchedulerConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = HttpServer::start(
+        Arc::clone(&gated) as Arc<dyn Endpoint>,
+        config,
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let addr = server.addr();
+    let probe = RemoteEndpoint::new("probe", addr);
+    let timed_ask = move |client: &'static str| {
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            let result = RemoteEndpoint::new(client, addr).ask(ASK);
+            (result, started.elapsed())
+        })
+    };
+
+    let parked = timed_ask("parked");
+    while gated.entered.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = timed_ask("queued");
+    while metrics_field(&probe, "queue_depth") == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let rejected = timed_ask("rejected");
+    while metrics_field(&probe, "rejected_full") == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gated.open();
+
+    for (client, waiter) in [("parked", parked), ("queued", queued)] {
+        let (result, _) = waiter.join().unwrap();
+        assert_eq!(result, Ok(true), "{client}");
+    }
+    let (result, elapsed) = rejected.join().unwrap();
+    assert_eq!(result, Ok(true), "the refusal never reaches the caller");
+    assert!(
+        elapsed >= Duration::from_millis(100),
+        "sent again after {elapsed:?}, before the hint passed"
+    );
+    assert_eq!(
+        gated.entered.load(Ordering::SeqCst),
+        3,
+        "every request ran once"
+    );
+    server.shutdown();
+}
+
+/// A hint that outlives the caller's deadline is not waited out: the
+/// refusal comes back at once, hint intact, after one exchange.
+#[test]
+fn a_hint_past_the_deadline_surfaces_at_once() {
+    let chaos = ChaosServer::start(vec![Some(Fault::Busy(500))]);
+    let remote = RemoteEndpoint::new("hurried", chaos.addr);
+    let started = Instant::now();
+    let err = ask_within(&remote, Duration::from_millis(200)).expect_err("busy");
+    assert_eq!(
+        err,
+        EndpointError::Unavailable {
+            message: "server busy".into(),
+            retry_after: Some(Duration::from_millis(500)),
+        }
+    );
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "the hint was waited out"
+    );
+    assert_eq!(chaos.exchanges(), 1);
+}
+
+/// A server that is always busy costs one exchange plus the bounded
+/// number of re-sends; then its refusal reaches the caller.
+#[test]
+fn an_always_busy_server_costs_a_bounded_number_of_exchanges() {
+    let script = (0..2 * HINTED_RESENDS)
+        .map(|_| Some(Fault::Busy(5)))
+        .collect();
+    let chaos = ChaosServer::start(script);
+    let remote = RemoteEndpoint::new("patient", chaos.addr);
+    let err = remote.ask(ASK).expect_err("busy every time");
+    assert!(
+        matches!(
+            err,
+            EndpointError::Unavailable {
+                retry_after: Some(_),
+                ..
+            }
+        ),
+        "got {err:?}"
+    );
+    assert_eq!(chaos.exchanges(), 1 + HINTED_RESENDS);
+}
+
+/// Every failure other than a hinted 503 is the caller's at once, typed:
+/// one exchange each, whatever budget the call carries.
+#[test]
+fn every_other_failure_costs_one_exchange() {
+    let quota = EndpointError::QuotaExceeded {
+        endpoint: "c".into(),
+        max_queries: 5,
+    };
+    let draining = EndpointError::Unavailable {
+        message: "server shutting down".into(),
+        retry_after: None,
+    };
+    let killed = EndpointError::DeadlineExceeded {
+        elapsed: Duration::from_millis(150),
+    };
+    let capped = EndpointError::BudgetExceeded {
+        message: "scanned more than 10 rows".into(),
+    };
+    let sparql = EndpointError::Sparql(sofya_sparql::SparqlError::parse("bad query"));
+    let cases = [
+        (Fault::DisconnectMidResponse, None),
+        (Fault::Refuse(503, draining.clone()), Some(draining)),
+        (Fault::Refuse(429, quota.clone()), Some(quota)),
+        (Fault::Refuse(504, killed.clone()), Some(killed)),
+        (Fault::Refuse(200, capped.clone()), Some(capped)),
+        (Fault::Refuse(200, sparql.clone()), Some(sparql)),
+    ];
+    for (fault, want) in cases {
+        let chaos = ChaosServer::start(vec![Some(fault)]);
+        let remote = RemoteEndpoint::new("once", chaos.addr);
+        let err = ask_within(&remote, Duration::from_secs(30)).expect_err("fault injected");
+        match want {
+            Some(want) => assert_eq!(err, want),
+            None => assert!(
+                matches!(
+                    err,
+                    EndpointError::Unavailable {
+                        retry_after: None,
+                        ..
+                    }
+                ),
+                "a torn response is an unhinted transport failure, got {err:?}"
+            ),
+        }
+        assert_eq!(chaos.exchanges(), 1, "{err:?} was sent again");
+    }
+}
+
+/// A pooled connection the server drops mid-request is sent once more on
+/// a fresh dial, and that send carries only what the first one left of
+/// the deadline.
+#[test]
+fn resend_after_a_stale_connection_carries_what_is_left_of_the_deadline() {
+    let hang_up = Fault::HangUpAfter(Duration::from_millis(100));
+    let chaos = ChaosServer::start(vec![None, Some(hang_up)]);
+    let remote = RemoteEndpoint::new("stale", chaos.addr);
+    assert!(remote.ask(ASK).expect("pools a connection"));
+    let ok = ask_within(&remote, Duration::from_secs(2)).expect("the re-send is answered");
+    assert_eq!(ok, Response::Boolean(true));
+    let sent = chaos.deadlines();
+    let [None, Some(first), Some(second)] = sent[..] else {
+        panic!("expected an unbudgeted send, then two budgeted ones: {sent:?}");
+    };
+    assert!(
+        second + 100 <= first,
+        "the re-send announced {second} ms after the first announced {first} ms"
+    );
+}
+
+/// A peer that takes the connection and never answers costs a budgeted
+/// call its deadline plus the client's grace, not the 30 s I/O timeout.
+#[test]
+fn a_hung_peer_costs_at_most_the_deadline() {
+    // Bound, never accepted: the kernel completes the handshake and
+    // takes the request, and nothing ever reads it.
+    let hung = TcpListener::bind("127.0.0.1:0").unwrap();
+    let remote = RemoteEndpoint::new("hung", hung.local_addr().unwrap());
+    let started = Instant::now();
+    let err = ask_within(&remote, Duration::from_millis(200)).expect_err("nothing answers");
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "waited {elapsed:?}");
+    assert!(
+        matches!(err, EndpointError::DeadlineExceeded { .. }),
+        "a timeout past the deadline is the deadline's kill, got {err:?}"
+    );
+}
+
+/// Satellite: a refused connection (nothing listening) is the typed
+/// transport class, not `Other`.
 #[test]
 fn connection_refused_is_typed_unavailable() {
     let addr = {

@@ -173,13 +173,7 @@ fn arb_error() -> BoxedStrategy<EndpointError> {
             EndpointError::QuotaExceeded {
                 endpoint,
                 max_queries,
-                retry_after: None,
             }
-        }),
-        (".{1,12}", (1u64..100_000)).prop_map(|(endpoint, ms)| EndpointError::QuotaExceeded {
-            endpoint,
-            max_queries: ms % 997,
-            retry_after: Some(std::time::Duration::from_millis(ms)),
         }),
         (".{0,20}", (0u64..100_000)).prop_map(|(message, ms)| EndpointError::Unavailable {
             message,
