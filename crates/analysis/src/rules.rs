@@ -123,17 +123,16 @@ impl Config {
             ],
             lock_order: &[
                 // Outer (acquire first) → inner (acquire last).
-                ("conn", 10),     // net client: pooled connection slot
-                ("cache", 20),    // session rule cache / response cache
-                ("current", 30),  // snapshot epoch cell
-                ("ring", 40),     // delta log ring
-                ("plans", 50),    // local plan cache
-                ("shard", 55),    // sharded plan cache shard
-                ("shards", 55),   // (iterated form)
-                ("gate", 60),     // scheduler admission gate (quotas, slots, line)
-                ("files", 80),    // MemIo file map
-                ("metrics", 90),  // server metrics report cell
-                ("fsync_ns", 97), // durability gauge samples
+                ("conn", 10),    // net client: pooled connection slot
+                ("cache", 20),   // session rule cache
+                ("current", 30), // snapshot epoch cell
+                ("ring", 40),    // delta log ring
+                ("plans", 50),   // local plan cache
+                ("shard", 55),   // sharded plan cache shard
+                ("shards", 55),  // (iterated form)
+                ("gate", 60),    // scheduler admission gate (quotas, slots, line)
+                ("files", 80),   // MemIo file map
+                ("metrics", 90), // server metrics report cell
             ],
             io_markers: &[
                 "fsync",

@@ -1,6 +1,6 @@
 //! Injected time for whatever ages things.
 //!
-//! Code that ages entries (cache TTLs, the stream tier's windows) takes
+//! Code that ages entries (the stream tier's windows) takes
 //! a [`Clock`] and reads its time from it. Tests drive a [`ManualClock`]
 //! by hand, so timing behaviour is fully deterministic; production hands
 //! it a [`WallClock`]. A clock is only read: nothing waits on one.

@@ -4,8 +4,8 @@
 //! [`QueryBudget`] it runs under, to [`Endpoint::execute_with_budget`],
 //! which answers with the matching [`Response`] shape. That is the one
 //! method an endpoint implements ([`Endpoint::execute`] is the same call
-//! under the unlimited budget), so wrappers (caching,
-//! instrumentation, …) intercept **every** query kind — string,
+//! under the unlimited budget), so a wrapper (instrumentation, a test's
+//! fault injector, …) intercepts **every** query kind — string,
 //! prepared, paged, batch, and ones added later — budgeted or not, with
 //! a single body, instead of forwarding parallel entry points and
 //! silently missing one. A count is not a kind of its own: it is a
@@ -91,10 +91,9 @@ pub enum Request<'a> {
     /// Batches may nest: a sub-request may itself be a `Batch`, and the
     /// response mirrors the nesting shape. Accounting recurses rather
     /// than rejecting — [`Request::leaf_count`] counts only non-batch
-    /// leaves at any depth, cache decomposition
-    /// ([`crate::CachingEndpoint`]) recurses into inner batches, and
-    /// instrumentation ([`crate::EndpointCounters`]) counts each nesting
-    /// level as a batch while attributing leaves once. A nested batch
+    /// leaves at any depth, and instrumentation
+    /// ([`crate::EndpointCounters`]) counts each nesting level as a
+    /// batch while attributing leaves once. A nested batch
     /// still pins a single snapshot for the whole tree on
     /// [`crate::ConcurrentEndpoint`], and a server's admission gate
     /// charges the whole tree one quota unit: it is one HTTP request.
@@ -113,8 +112,8 @@ impl<'a> Request<'a> {
         }
     }
 
-    /// The SPARQL text a string-only backend (an HTTP endpoint, a
-    /// string-keyed cache) would send for this request. Prepared
+    /// The SPARQL text a string-only backend (an HTTP endpoint) would
+    /// send for this request. Prepared
     /// requests render their bound template. A batch has no single
     /// rendering and errors — decompose it first.
     pub fn to_sparql(&self) -> Result<String, EndpointError> {

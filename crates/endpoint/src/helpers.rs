@@ -3,7 +3,7 @@
 //! Keeping the SPARQL strings in one place makes the algorithms in
 //! `sofya-core` read like the paper's pseudo-code and guarantees every
 //! data access goes through the [`Endpoint`] trait (and therefore through
-//! the caching/instrumentation wrappers).
+//! the instrumentation wrapper).
 //!
 //! # What a relation costs
 //!

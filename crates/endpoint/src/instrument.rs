@@ -34,7 +34,6 @@ pub struct EndpointCounters {
     batches: Arc<AtomicU64>,
     batch_expanded: Arc<AtomicU64>,
     rows_returned: Arc<AtomicU64>,
-    cells_returned: Arc<AtomicU64>,
 }
 
 impl EndpointCounters {
@@ -82,11 +81,6 @@ impl EndpointCounters {
         self.rows_returned.load(Ordering::Relaxed)
     }
 
-    /// Total cells (rows × columns) transferred — a proxy for bytes.
-    pub fn cells_returned(&self) -> u64 {
-        self.cells_returned.load(Ordering::Relaxed)
-    }
-
     /// Resets all counters to zero.
     pub fn reset(&self) {
         self.requests.store(0, Ordering::Relaxed);
@@ -96,7 +90,6 @@ impl EndpointCounters {
         self.batches.store(0, Ordering::Relaxed);
         self.batch_expanded.store(0, Ordering::Relaxed);
         self.rows_returned.store(0, Ordering::Relaxed);
-        self.cells_returned.store(0, Ordering::Relaxed);
     }
 
     /// Charges one request (recursively, for batches) to the per-variant
@@ -123,20 +116,16 @@ impl EndpointCounters {
     }
 
     /// Accumulates the transfer cost of one response (recursively, for
-    /// batches). Booleans transfer no rows (as before); counts transfer
-    /// one row of one cell.
+    /// batches). Booleans transfer no rows; counts transfer one row.
     fn record_response(&self, resp: &Response) {
         match resp {
             Response::Rows(rs) => {
                 self.rows_returned
                     .fetch_add(rs.len() as u64, Ordering::Relaxed);
-                self.cells_returned
-                    .fetch_add(rs.cell_count() as u64, Ordering::Relaxed);
             }
             Response::Boolean(_) => {}
             Response::Count(_) => {
                 self.rows_returned.fetch_add(1, Ordering::Relaxed);
-                self.cells_returned.fetch_add(1, Ordering::Relaxed);
             }
             Response::Batch(subs) => {
                 for sub in subs {
@@ -253,8 +242,7 @@ mod tests {
         ep.select("SELECT ?s ?o { ?s <p> ?o }").unwrap();
         ep.select("SELECT ?o { <a> <p> ?o }").unwrap();
         assert_eq!(counters.select_queries(), 2);
-        assert_eq!(counters.rows_returned(), 4);
-        assert_eq!(counters.cells_returned(), 2 * 2 + 2); // 2 rows × 2 cols + 2 rows × 1 col
+        assert_eq!(counters.rows_returned(), 2 + 2);
     }
 
     #[test]
@@ -276,9 +264,8 @@ mod tests {
         assert_eq!(rs.single_integer(), Some(2));
         assert_eq!(counters.select_queries(), 1);
         assert_eq!(counters.total_queries(), 1);
-        // A count transfers one row of one cell.
+        // A count transfers one row.
         assert_eq!(counters.rows_returned(), 1);
-        assert_eq!(counters.cells_returned(), 1);
     }
 
     #[test]

@@ -36,29 +36,27 @@
 //!   snapshot-versioned LRU plan cache. [`DurableStore`] is the
 //!   `SnapshotStore` that commits to a write-ahead log before it
 //!   publishes.
-//! * [`InstrumentedEndpoint`] — counts queries and transferred rows/cells,
-//!   so experiments can report the paper's "works with few queries" claim
-//!   quantitatively (experiment S3, `sofya-eval query-cost`);
-//!   [`LatencyModel::cost`] prices those counts in simulated network time.
+//! * [`InstrumentedEndpoint`] — counts requests, leaf queries and
+//!   transferred rows, so experiments can report the paper's "works with
+//!   few queries" claim quantitatively (experiment S3, `sofya-eval
+//!   query-cost`); [`LatencyModel::cost`] prices those counts in
+//!   simulated network time.
 //! * [`BudgetConfig`] — the per-request limits a server is configured
 //!   with, from which it builds each request's budget.
-//! * [`CachingEndpoint`] — memoises identical query strings, as a client
-//!   library would.
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
 //! * [`testing`] — the owning request form proptest strategies generate,
 //!   for tests.
 //!
-//! The two wrappers compose in either order; `sofya-eval` and the
-//! benchmark run `Instrumented(Local)`. Waiting out a busy server is not a
-//! wrapper: the one client on the wire, `sofya_net::RemoteEndpoint`,
-//! honours the server's `Retry-After` itself, within the caller's
-//! deadline.
+//! `InstrumentedEndpoint` is the one wrapper: `sofya-eval` and the
+//! benchmark run `Instrumented(Local)`, a federated client
+//! `Instrumented(Remote)`. Waiting out a busy server is not a wrapper:
+//! the one client on the wire, `sofya_net::RemoteEndpoint`, honours the
+//! server's `Retry-After` itself, within the caller's deadline.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod clock;
 pub mod concurrent;
 pub mod deadline;
@@ -72,7 +70,6 @@ pub mod local;
 pub(crate) mod plan_cache;
 pub mod testing;
 
-pub use cache::CachingEndpoint;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
 pub use deadline::BudgetConfig;

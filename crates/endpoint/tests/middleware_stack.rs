@@ -1,24 +1,22 @@
-//! Property test: the middleware wrappers must be order-independent.
+//! Property test: the instrumentation wrapper is transparent and exact.
 //!
-//! The typed request pipeline's core claim is that every wrapper
-//! intercepts one method and therefore covers every query shape, with
-//! or without a budget. This test stacks the caching and instrumentation
-//! wrappers in **both** orders over each in-process backend — a
-//! `LocalEndpoint` of its own, the live `SnapshotStore::reader`, and a
-//! view pinned from it — and
-//! fires a random request sequence (string, prepared, paged, count, and
-//! batch shapes — including batches nested inside batches), unbudgeted
-//! and under a generous finite budget: the responses must be identical
-//! to the bare endpoint's, and the instrumentation counters must stay
-//! consistent with the issued traffic. A second, exhaustive test holds
-//! the other half of the claim: no stack can drop a caller's budget, or
-//! change the class a kill by it comes back as.
+//! The typed request pipeline's core claim is that a wrapper intercepts
+//! one method and therefore covers every query shape, with or without a
+//! budget. This test puts `InstrumentedEndpoint`, the one wrapper, over
+//! each in-process backend — a `LocalEndpoint` of its own, the live
+//! `SnapshotStore::reader`, and a view pinned from it — and fires a
+//! random request sequence (string, prepared, paged, count, and batch
+//! shapes — including batches nested inside batches), unbudgeted and
+//! under a generous finite budget: the responses must be identical to
+//! the bare endpoint's, and the counters must equal the issued traffic
+//! exactly. A second, exhaustive test holds the other half of the claim:
+//! no wrapper can drop a caller's budget, or change the class a kill by
+//! it comes back as.
 
 use proptest::prelude::*;
 use sofya_endpoint::testing::RequestBuf;
 use sofya_endpoint::{
-    CachingEndpoint, Endpoint, EndpointCounters, EndpointError, InstrumentedEndpoint,
-    LocalEndpoint, Request, Response, SnapshotStore,
+    Endpoint, EndpointError, InstrumentedEndpoint, LocalEndpoint, Request, Response, SnapshotStore,
 };
 use sofya_rdf::{Term, TripleStore};
 use sofya_sparql::{CancelToken, Prepared, QueryBudget};
@@ -195,45 +193,13 @@ fn spec() -> impl Strategy<Value = Spec> {
     ]
 }
 
-/// The two middleware units whose stacking order is permuted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Layer {
-    Caching,
-    Instrument,
-}
-
-/// Both stacking orders, inner to outer.
-const ORDERS: [[Layer; 2]; 2] = [
-    [Layer::Caching, Layer::Instrument],
-    [Layer::Instrument, Layer::Caching],
-];
-
-/// Builds the stack inner-to-outer in `order`, returning the outermost
-/// endpoint and the instrumentation counter handle.
-fn build_stack(base: Arc<dyn Endpoint>, order: &[Layer]) -> (Arc<dyn Endpoint>, EndpointCounters) {
-    let mut ep = base;
-    let mut counters = EndpointCounters::default();
-    for layer in order {
-        ep = match layer {
-            Layer::Caching => Arc::new(CachingEndpoint::new(ep)),
-            Layer::Instrument => {
-                let wrapped = InstrumentedEndpoint::new(ep);
-                counters = wrapped.counters();
-                Arc::new(wrapped)
-            }
-        };
-    }
-    (ep, counters)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any stacking order over any backend yields bare-endpoint
-    /// responses, budgeted or not, and the counters never lose a query.
+    /// Instrumentation over any backend yields bare-endpoint responses,
+    /// budgeted or not, and its counters are exactly the issued traffic.
     #[test]
     fn stacked_wrappers_match_bare_endpoint(
-        perm in 0usize..2,
         backend in 0usize..3,
         specs in proptest::collection::vec(spec(), 1..24),
     ) {
@@ -241,8 +207,8 @@ proptest! {
         let bare = LocalEndpoint::new("kb", store.clone());
         let backends = backends(&store);
         let budget = generous_budget();
-        let order = ORDERS[perm];
-        let (stacked, counters) = build_stack(Arc::clone(&backends[backend]), &order);
+        let instrumented = InstrumentedEndpoint::new(Arc::clone(&backends[backend]));
+        let counters = instrumented.counters();
 
         let mut issued_leaves = 0u64;
         for (i, spec) in specs.iter().enumerate() {
@@ -255,38 +221,31 @@ proptest! {
                 let budgeted = spec.run_budgeted(&**ep, &budget).expect("budget is generous");
                 prop_assert_eq!(&budgeted, &want, "budgeted backend {}, spec {:?}", b, spec);
             }
-            // The stack sees each spec once (the counters below depend
+            // The wrapper sees each spec once (the counters below depend
             // on it), alternately unbudgeted and budgeted.
             let got = if i % 2 == 0 {
-                spec.run(&*stacked)
+                spec.run(&instrumented)
             } else {
-                spec.run_budgeted(&*stacked, &budget)
+                spec.run_budgeted(&instrumented, &budget)
             }
-            .expect("stacked endpoint answers");
-            prop_assert_eq!(&got, &want, "order {:?} over backend {}, spec {:?}", &order, backend, spec);
+            .expect("instrumented endpoint answers");
+            prop_assert_eq!(&got, &want, "instrumented backend {}, spec {:?}", backend, spec);
             issued_leaves += spec.leaves();
         }
 
-        // Counter consistency. The instrument layer sees *at most* the
-        // issued traffic; when it is outermost it sees exactly the issued
-        // traffic (caching absorbs repeats only below it).
-        let instrument_outermost = order.last() == Some(&Layer::Instrument);
-        if instrument_outermost {
-            prop_assert_eq!(counters.total_queries(), issued_leaves);
-            // Nested batches count once per nesting level.
-            let expected_batches: u64 = specs.iter().map(Spec::batches).sum();
-            prop_assert_eq!(counters.batches(), expected_batches);
-            let expected_expanded: u64 = specs
-                .iter()
-                .filter(|s| matches!(s, Spec::Batch(_)))
-                .map(Spec::leaves)
-                .sum();
-            prop_assert_eq!(counters.batch_expanded(), expected_expanded);
-        } else {
-            // Caching above it can only shrink what it sees.
-            prop_assert!(counters.total_queries() <= issued_leaves);
-            prop_assert!(counters.batch_expanded() <= counters.total_queries());
-        }
+        prop_assert_eq!(counters.requests(), specs.len() as u64);
+        let largest = specs.iter().map(Spec::leaves).max().unwrap_or(0);
+        prop_assert_eq!(counters.largest_request(), largest);
+        prop_assert_eq!(counters.total_queries(), issued_leaves);
+        // Nested batches count once per nesting level.
+        let expected_batches: u64 = specs.iter().map(Spec::batches).sum();
+        prop_assert_eq!(counters.batches(), expected_batches);
+        let expected_expanded: u64 = specs
+            .iter()
+            .filter(|s| matches!(s, Spec::Batch(_)))
+            .map(Spec::leaves)
+            .sum();
+        prop_assert_eq!(counters.batch_expanded(), expected_expanded);
     }
 }
 
@@ -303,16 +262,16 @@ impl Endpoint for OneMethod {
     }
 }
 
-/// No stack can drop a budget: a one-row scan cap passed by the caller
-/// reaches the evaluator through a one-method wrapper and both orders of
-/// the two stock wrappers, over the fixed and the live backend alike —
-/// all 2 × 2 combinations, not a sample. (When `execute` was the
-/// required method, `OneMethod` could only have implemented that, and
-/// the provided budgeted method ran the query to completion.)
+/// No wrapper can drop a budget: a one-row scan cap passed by the
+/// caller reaches the evaluator bare, through `InstrumentedEndpoint`, and
+/// through a one-method wrapper over it, over the fixed and the live
+/// backend alike — all 3 × 2 combinations, not a sample. (When `execute`
+/// was the required method, `OneMethod` could only have implemented that,
+/// and the provided budgeted method ran the query to completion.)
 ///
-/// Nor does the class of a kill depend on the stack: the bare backends
-/// and both orders fail a scan past the cap as `BudgetExceeded` and an
-/// expired or cancelled query as `DeadlineExceeded`.
+/// Nor does the class of a kill depend on the wrapping: every one fails a
+/// scan past the cap as `BudgetExceeded` and an expired or cancelled
+/// query as `DeadlineExceeded`.
 #[test]
 fn no_wrapper_order_drops_the_callers_budget() {
     let store = store();
@@ -334,12 +293,13 @@ fn no_wrapper_order_drops_the_callers_budget() {
     };
     let [fixed, _, live] = backends(&store);
     for (b, backend) in [("fixed", fixed), ("live", live)] {
-        let bare = (Vec::new(), backend.clone());
-        let stacked = ORDERS.iter().map(|order| {
-            let (stack, _) = build_stack(backend.clone(), order);
-            (order.to_vec(), stack)
-        });
-        for (order, stack) in std::iter::once(bare).chain(stacked) {
+        let instrumented: Arc<dyn Endpoint> = Arc::new(InstrumentedEndpoint::new(backend.clone()));
+        let stacks: [(&str, Arc<dyn Endpoint>); 3] = [
+            ("bare", backend),
+            ("Instrumented", Arc::clone(&instrumented)),
+            ("OneMethod(Instrumented)", Arc::new(OneMethod(instrumented))),
+        ];
+        for (name, stack) in stacks {
             for (budget, deadline_class) in &by_hand {
                 let err = stack
                     .execute_with_budget(scan.clone(), budget)
@@ -349,26 +309,19 @@ fn no_wrapper_order_drops_the_callers_budget() {
                     EndpointError::BudgetExceeded { .. } => !*deadline_class,
                     _ => false,
                 };
-                assert!(
-                    typed,
-                    "order {order:?} over the {b} backend, {budget:?}: {err:?}"
-                );
+                assert!(typed, "{name} over the {b} backend, {budget:?}: {err:?}");
             }
-            let ep = OneMethod(stack);
-            let err = ep
-                .execute_with_budget(scan.clone(), &cap)
-                .expect_err("a scan past the cap must be killed");
-            assert!(
-                matches!(err, EndpointError::BudgetExceeded { .. }),
-                "order {order:?} over the {b} backend: {err:?}"
-            );
             // The stack itself is healthy: an index-resolved probe
             // scans nothing and answers.
             let ask = Request::Ask {
                 query: "ASK { <e:s0> <r:p0> <e:o0> }",
             };
-            let probe = ep.execute_with_budget(ask, &cap);
-            assert_eq!(probe, Ok(Response::Boolean(true)), "order {order:?}");
+            let probe = stack.execute_with_budget(ask, &cap);
+            assert_eq!(
+                probe,
+                Ok(Response::Boolean(true)),
+                "{name} over the {b} backend"
+            );
         }
     }
 }

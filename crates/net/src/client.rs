@@ -5,8 +5,8 @@
 //! POSTs it to a [`crate::HttpServer`] (or anything speaking the same
 //! protocol), and decodes the envelope back into the exact
 //! [`Response`] / [`EndpointError`] local execution would produce — so
-//! the middleware stack (caching, instrumentation) and the alignment
-//! pipeline compose over it unchanged.
+//! [`sofya_endpoint::InstrumentedEndpoint`] and the alignment pipeline
+//! compose over it unchanged.
 //!
 //! Connections are reused across requests (HTTP/1.1 keep-alive, one
 //! pooled connection guarded by a mutex, kept together with its read
@@ -18,11 +18,13 @@
 //! only non-transport decode failures fall back to
 //! [`EndpointError::Other`].
 //!
-//! A busy server's admission refuses a job with a `503` and a
-//! `Retry-After` hint before the job runs, so the client waits the hint
-//! out, with the connection lock released, and sends again — a bounded
-//! number of times, and only while the caller's deadline leaves more
-//! than the hint. Every other failure reaches the caller at once.
+//! A busy server's admission refuses a job with a `503` and a hint
+//! before the job runs; the client reads the hint from the envelope's
+//! exact `retry_after_ms` (its `Retry-After` header rounds it up to
+//! whole seconds for foreign clients), waits the hint out, with the
+//! connection lock released, and sends again — a bounded number of
+//! times, and only while the caller's deadline leaves more than the
+//! hint. Every other failure reaches the caller at once.
 //!
 //! Deadlines propagate: each send carries the budget's *remaining* time
 //! as `X-Deadline-Ms`, so the server enforces what is left of the

@@ -8,8 +8,8 @@
 //! backpressure, deadline shedding, panic containment, and latency
 //! metrics. The client
 //! side ([`RemoteEndpoint`]) implements `Endpoint` over that wire, so a
-//! remote store composes with the existing middleware stack (caching,
-//! instrumentation) and the alignment pipeline unchanged: two sofya
+//! remote store composes with `InstrumentedEndpoint` and the alignment
+//! pipeline unchanged: two sofya
 //! instances can federate with the source store local and the target
 //! store remote. The client waits out a busy server's `Retry-After`
 //! itself, within the caller's deadline.

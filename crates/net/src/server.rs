@@ -41,7 +41,7 @@ use sofya_endpoint::{
     BudgetConfig, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge, Response,
 };
 use sofya_service::scheduler::{serve, JobOutcome, SchedulerConfig, SchedulerHandle, SubmitError};
-use sofya_service::{LatencyHistogram, MetricsReport, ServiceMetrics};
+use sofya_service::{MetricsReport, ServiceMetrics};
 use sofya_sparql::{CancelToken, QueryBudget};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -153,9 +153,6 @@ impl Lifecycle {
 struct Observed {
     /// The scheduler's report as of the last served request.
     metrics: Mutex<MetricsReport>,
-    /// WAL fsync latency, fed by `GET /metrics` from the samples the
-    /// durability gauge has collected since the last probe.
-    wal_fsync: LatencyHistogram,
 }
 
 /// A running HTTP server. Shut down explicitly with
@@ -186,7 +183,6 @@ impl HttpServer {
         let drain_deadline = config.drain_deadline;
         let observed = Arc::new(Observed {
             metrics: Mutex::new(ServiceMetrics::default().report()),
-            wal_fsync: LatencyHistogram::default(),
         });
         let cancel = Arc::new(CancelToken::new());
         let thread = {
@@ -483,7 +479,7 @@ fn serve_one_request(
             return Err(());
         }
     };
-    let (status, reason, extra, body) = route(&request, handle, config, cancel, observed);
+    let (status, reason, extra, body) = route(&request, handle, config, cancel);
     *observed.metrics.lock() = handle.metrics().report();
     let written = match &extra {
         Some((name, value)) => {
@@ -508,14 +504,13 @@ fn route(
     handle: &Handle<'_>,
     config: &ServerConfig,
     cancel: &Arc<CancelToken>,
-    observed: &Observed,
 ) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/query") => serve_query(request, handle, config, cancel),
         ("POST", "/ingest") => serve_ingest(request, handle, config, cancel),
         ("GET", "/metrics") => {
             let report = handle.metrics().report();
-            let mut text = metrics_to_json(&report, config, &observed.wal_fsync).to_text();
+            let mut text = metrics_to_json(&report, config).to_text();
             text.push('\n');
             (200, "OK", None, text.into_bytes())
         }
@@ -732,11 +727,16 @@ fn rejected_routed(error: SubmitError) -> Routed {
         SubmitError::QueueFull { retry_after } => (
             503,
             "Service Unavailable",
-            Some(("Retry-After", format!("{}", retry_after.as_millis().max(1)))),
+            // RFC 9110 counts `Retry-After` in whole seconds: round up,
+            // so no client comes back before the hint has passed.
+            Some((
+                "Retry-After",
+                retry_after.as_millis().div_ceil(1000).max(1).to_string(),
+            )),
             error_body(&EndpointError::Unavailable {
                 message: "server busy".into(),
-                // The same hint rides both the header and the wire
-                // envelope, so typed clients see it too.
+                // The envelope keeps the exact hint, which is what a
+                // typed client waits out.
                 retry_after: Some(retry_after),
             }),
         ),
@@ -757,20 +757,11 @@ fn rejected_routed(error: SubmitError) -> Routed {
 
 /// Serializes `GET /metrics`: the scheduler's report with the
 /// write-side gauges read in place, here and now — commits, publishes
-/// and refreshes never touch a registry, and the fsync samples the
-/// durability gauge has collected since the last probe are drained into
-/// `wal_fsync` on the way.
-fn metrics_to_json(
-    report: &MetricsReport,
-    config: &ServerConfig,
-    wal_fsync: &LatencyHistogram,
-) -> Json {
-    let durable_epoch = config.durability.as_ref().map_or(0, |gauge| {
-        for ns in gauge.drain_fsync_ns() {
-            wal_fsync.record(Duration::from_nanos(ns));
-        }
-        gauge.durable_epoch()
-    });
+/// and refreshes never touch a registry, and reading changes nothing.
+fn metrics_to_json(report: &MetricsReport, config: &ServerConfig) -> Json {
+    let durable = config.durability.as_deref();
+    let durable_epoch = durable.map_or(0, DurabilityGauge::durable_epoch);
+    let wal_fsync_p99_ns = durable.map_or(0, DurabilityGauge::fsync_p99_ns);
     let fresh = config.freshness.as_deref();
     let last_publish_epoch = fresh.map_or(0, FreshnessGauge::last_publish_epoch);
     let dirty_relations = fresh.map_or(0, FreshnessGauge::dirty_relations);
@@ -786,7 +777,7 @@ fn metrics_to_json(
         ("latency_p50_ns", Json::Uint(report.latency_p50_ns)),
         ("latency_p99_ns", Json::Uint(report.latency_p99_ns)),
         ("queue_wait_p99_ns", Json::Uint(report.queue_wait_p99_ns)),
-        ("wal_fsync_p99_ns", Json::Uint(wal_fsync.quantile_ns(0.99))),
+        ("wal_fsync_p99_ns", Json::Uint(wal_fsync_p99_ns)),
         ("durable_epoch", Json::Uint(durable_epoch)),
         ("queries_timed_out", Json::Uint(report.queries_timed_out)),
         ("queries_cancelled", Json::Uint(report.queries_cancelled)),

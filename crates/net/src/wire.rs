@@ -446,7 +446,8 @@ pub fn error_from_json(json: &Json) -> Result<EndpointError, WireError> {
         }),
         "unavailable" => Ok(EndpointError::Unavailable {
             message: message()?,
-            // The server's optional `Retry-After` hint.
+            // The server's optional busy hint, exact to the millisecond
+            // (its `Retry-After` header rounds it up to whole seconds).
             retry_after: json
                 .get("retry_after_ms")
                 .and_then(Json::as_uint)

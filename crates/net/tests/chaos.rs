@@ -10,8 +10,9 @@
 //!   without ever executing;
 //! * a drain whose in-flight query outlives `drain_deadline` trips the
 //!   kill switch instead of hanging shutdown;
-//! * a busy server's hinted `503` is waited out and the request sent
-//!   again, within the caller's deadline and a bounded number of times,
+//! * a busy server's hinted `503` counts its `Retry-After` in seconds,
+//!   and is waited out and the request sent again, within the caller's
+//!   deadline and a bounded number of times,
 //!   while every other failure — a torn response, an unhinted `503`, a
 //!   `429`, a `504`, a cap kill, a SPARQL error — costs one exchange and
 //!   reaches the caller typed (a chaos server scripts each case);
@@ -20,8 +21,8 @@
 //!   deadline, not the client's I/O timeout.
 
 use sofya_endpoint::{Endpoint, EndpointError, EndpointExt, LocalEndpoint, Request, Response};
-use sofya_net::http::{read_request, write_response};
-use sofya_net::wire::envelope_to_json;
+use sofya_net::http::{read_request, read_response, write_request, write_response};
+use sofya_net::wire::{envelope_to_json, WireRequest};
 use sofya_net::{HttpServer, Json, RemoteEndpoint, ServerConfig};
 use sofya_rdf::{Term, TripleStore};
 use sofya_service::scheduler::SchedulerConfig;
@@ -273,8 +274,9 @@ enum Fault {
     DisconnectMidResponse,
     /// Wait, then close the connection without answering.
     HangUpAfter(Duration),
-    /// Refuse the request as a busy server does: `503` with a
-    /// `Retry-After` hint of this many milliseconds.
+    /// Refuse the request as a busy server does: `503` with a hint of
+    /// this many milliseconds in the envelope (and in whole seconds,
+    /// rounded up, in `Retry-After`).
     Busy(u64),
     /// Answer with this status and error envelope.
     Refuse(u16, EndpointError),
@@ -337,7 +339,7 @@ impl ChaosServer {
                                 message: "server busy".into(),
                                 retry_after: Some(Duration::from_millis(ms)),
                             };
-                            (503, Some(ms.to_string()), Err(busy))
+                            (503, Some(ms.div_ceil(1000).max(1).to_string()), Err(busy))
                         }
                         Some(Fault::Refuse(status, error)) => (status, None, Err(error)),
                     };
@@ -390,12 +392,10 @@ fn ask_within(remote: &RemoteEndpoint, limit: Duration) -> Result<Response, Endp
     remote.execute_with_budget(Request::Ask { query: ASK }, &budget)
 }
 
-/// The front door end to end: the only running slot is taken, the only
-/// place in line too, so the gate refuses a third request with a
-/// 100 ms hint. The client waits the hint out and sends again; the
-/// caller sees only the answer.
-#[test]
-fn a_busy_servers_503_is_waited_out_on_its_hint() {
+/// A server whose only running slot and only place in line are both
+/// taken by callers parked on its gate, so it refuses whatever comes next
+/// with `hint`. Open the gate and join the two callers to finish.
+fn a_full_server(hint: Duration) -> (HttpServer, Arc<GatedEndpoint>, [Waiter; 2]) {
     let mut store = TripleStore::new();
     store.insert_terms(&Term::iri("e:s"), &Term::iri("r:p"), &Term::iri("e:o"));
     let gated = Arc::new(GatedEndpoint::new(store));
@@ -403,7 +403,7 @@ fn a_busy_servers_503_is_waited_out_on_its_hint() {
         scheduler: SchedulerConfig {
             workers: 1,
             queue_capacity: 1,
-            retry_after: Duration::from_millis(100),
+            retry_after: hint,
             ..SchedulerConfig::default()
         },
         ..ServerConfig::default()
@@ -416,29 +416,42 @@ fn a_busy_servers_503_is_waited_out_on_its_hint() {
     .expect("bind loopback");
     let addr = server.addr();
     let probe = RemoteEndpoint::new("probe", addr);
-    let timed_ask = move |client: &'static str| {
-        std::thread::spawn(move || {
-            let started = Instant::now();
-            let result = RemoteEndpoint::new(client, addr).ask(ASK);
-            (result, started.elapsed())
-        })
-    };
-
-    let parked = timed_ask("parked");
+    let parked = timed_ask(addr, "parked");
     while gated.entered.load(Ordering::SeqCst) == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let queued = timed_ask("queued");
+    let queued = timed_ask(addr, "queued");
     while metrics_field(&probe, "queue_depth") == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let rejected = timed_ask("rejected");
+    (server, gated, [parked, queued])
+}
+
+/// A caller on its own thread: what it was answered, and after how long.
+type Waiter = std::thread::JoinHandle<(Result<bool, EndpointError>, Duration)>;
+
+fn timed_ask(addr: SocketAddr, client: &'static str) -> Waiter {
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let result = RemoteEndpoint::new(client, addr).ask(ASK);
+        (result, started.elapsed())
+    })
+}
+
+/// The front door end to end: the gate refuses a third request with a
+/// 100 ms hint. The client waits the hint out and sends again; the
+/// caller sees only the answer.
+#[test]
+fn a_busy_servers_503_is_waited_out_on_its_hint() {
+    let (server, gated, waiting) = a_full_server(Duration::from_millis(100));
+    let probe = RemoteEndpoint::new("probe", server.addr());
+    let rejected = timed_ask(server.addr(), "rejected");
     while metrics_field(&probe, "rejected_full") == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
     gated.open();
 
-    for (client, waiter) in [("parked", parked), ("queued", queued)] {
+    for (client, waiter) in ["parked", "queued"].into_iter().zip(waiting) {
         let (result, _) = waiter.join().unwrap();
         assert_eq!(result, Ok(true), "{client}");
     }
@@ -453,6 +466,36 @@ fn a_busy_servers_503_is_waited_out_on_its_hint() {
         3,
         "every request ran once"
     );
+    server.shutdown();
+}
+
+/// `Retry-After` counts whole seconds (RFC 9110 §10.2.3), rounded up so
+/// that a client reading only the header never comes back early; the
+/// envelope keeps the exact hint for typed clients. The refused request
+/// is sent raw, as a foreign client would send it.
+#[test]
+fn a_busy_servers_retry_after_header_counts_seconds() {
+    let (server, gated, waiting) = a_full_server(Duration::from_millis(1500));
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let body = format!("{}\n", WireRequest::Ask(ASK.to_owned()).to_json().to_text());
+    let headers = [("Content-Type", "application/json")];
+    write_request(&mut stream, "POST", "/query", &headers, body.as_bytes()).expect("send");
+    let response = read_response(&mut BufReader::new(&stream));
+    gated.open();
+    for waiter in waiting {
+        assert_eq!(waiter.join().unwrap().0, Ok(true));
+    }
+
+    let response = response.expect("the refusal is a whole response");
+    assert_eq!(response.status, 503);
+    assert_eq!(response.header("Retry-After"), Some("2"));
+    let text = std::str::from_utf8(&response.body).expect("UTF-8 body");
+    let envelope = Json::parse(text.trim_end()).expect("JSON envelope");
+    let hint = envelope
+        .get("error")
+        .and_then(|error| error.get("retry_after_ms"))
+        .and_then(Json::as_uint);
+    assert_eq!(hint, Some(1500), "{text}");
     server.shutdown();
 }
 

@@ -6,7 +6,7 @@
 //! reject over-budget clients with a typed error.
 
 use sofya_core::{Aligner, AlignerConfig};
-use sofya_endpoint::{EndpointExt, InstrumentedEndpoint, LocalEndpoint};
+use sofya_endpoint::{EndpointCounters, EndpointExt, InstrumentedEndpoint, LocalEndpoint};
 use sofya_net::{HttpServer, Json, RemoteConfig, RemoteEndpoint, ServerConfig};
 use sofya_rdf::{Term, TripleStore};
 use sofya_service::SchedulerConfig;
@@ -101,30 +101,53 @@ fn federated_alignment_is_bit_identical_to_local() {
     server.shutdown();
 }
 
-/// Evidence probes batch into one wire request per relation: the number
-/// of HTTP round trips the server completes stays an order of magnitude
-/// below the leaf-query count a per-subject client would have issued.
+/// The paper's cost number does not depend on where the KB lives: the
+/// same relation aligned through `Instrumented(Local)` and
+/// `Instrumented(Remote)` counts the same leaf queries, requests, batches
+/// and rows; the server completes exactly the requests the client
+/// counted; and evidence probes batch, so those requests stay well below
+/// the leaf-query count a per-subject client would have issued.
 #[test]
 fn federated_alignment_batches_probes_over_the_wire() {
     let (dbp_store, yago_store) = movie_stores();
     let source = LocalEndpoint::new("dbp", dbp_store);
+    let config = AlignerConfig::paper_defaults(5);
+    let local = InstrumentedEndpoint::new(LocalEndpoint::new("yago", yago_store.clone()));
+    let local_rules = Aligner::new(&source, &local, config.clone())
+        .align_relation("y:directedBy")
+        .expect("local alignment");
+
     let server = start_server(yago_store, ServerConfig::default());
-    // Client-side instrumentation counts leaf queries; the server's
-    // `completed` counts scheduler jobs = HTTP round trips.
-    let remote =
-        InstrumentedEndpoint::new(Arc::new(RemoteEndpoint::new("yago", server.addr()))
-            as Arc<dyn sofya_endpoint::Endpoint>);
-    let rules = Aligner::new(&source, &remote, AlignerConfig::paper_defaults(5))
+    let remote = InstrumentedEndpoint::new(RemoteEndpoint::new("yago", server.addr()));
+    let rules = Aligner::new(&source, &remote, config)
         .align_relation("y:directedBy")
         .expect("federated alignment");
     assert!(!rules.is_empty());
+    assert_eq!(rules, local_rules);
 
-    let leaves = remote.counters().total_queries();
-    let round_trips = server.metrics().completed;
-    assert!(remote.counters().batches() > 0, "probes must batch");
+    let (here, there) = (local.counters(), remote.counters());
+    let cost = |c: &EndpointCounters| {
+        [
+            c.total_queries(),
+            c.requests(),
+            c.batches(),
+            c.largest_request(),
+            c.rows_returned(),
+        ]
+    };
+    assert_eq!(
+        cost(&there),
+        cost(&here),
+        "queries, requests, batches, largest, rows"
+    );
+    // The server's `completed` counts scheduler jobs = HTTP round trips.
+    assert_eq!(server.metrics().completed, there.requests());
+    assert!(there.batches() > 0, "probes must batch");
     assert!(
-        round_trips < leaves,
-        "batching must compress round trips: {round_trips} trips for {leaves} leaves"
+        there.requests() < there.total_queries(),
+        "batching must compress round trips: {} trips for {} leaves",
+        there.requests(),
+        there.total_queries()
     );
     server.shutdown();
 }
@@ -316,7 +339,7 @@ fn metrics_route_reports_the_durable_epoch() {
             .and_then(Json::as_uint)
             .unwrap()
             > 0,
-        "three commits drained into the fsync histogram"
+        "three commits recorded in the fsync histogram"
     );
     // The exposition is exactly the values something writes.
     let Json::Obj(pairs) = &report else {
@@ -346,6 +369,51 @@ fn metrics_route_reports_the_durable_epoch() {
             "alignment_staleness_epochs",
         ]
     );
+    server.shutdown();
+}
+
+/// The fsync p99 counts every commit, however many fall between two
+/// polls, and a poll reads it without consuming it: 4,096 commits of
+/// 1 µs and then 100 of 10 ms put the p99 in the 10 ms bucket, on the
+/// first `GET /metrics` and on the second.
+#[test]
+fn wal_fsync_p99_counts_every_commit() {
+    use sofya_durability::CommitReceipt;
+    use sofya_endpoint::DurabilityGauge;
+
+    let gauge = Arc::new(DurabilityGauge::new());
+    let commit = |epoch: u64, fsync_latency: Duration| {
+        gauge.on_commit(&CommitReceipt {
+            epoch,
+            fingerprint: 0,
+            wal_bytes: 0,
+            fsync_latency,
+            checkpointed: false,
+        })
+    };
+    let slow = (0..4096).map(|_| Duration::from_micros(1));
+    let fast = (0..100).map(|_| Duration::from_millis(10));
+    for (epoch, latency) in (1..).zip(slow.chain(fast)) {
+        commit(epoch, latency);
+    }
+    let config = ServerConfig {
+        durability: Some(Arc::clone(&gauge)),
+        ..ServerConfig::default()
+    };
+    let server = start_server(TripleStore::new(), config);
+    let remote = RemoteEndpoint::new("kb", server.addr());
+    for poll in ["first", "second"] {
+        let report = Json::parse(remote.fetch_metrics().unwrap().trim_end()).unwrap();
+        let p99 = report.get("wal_fsync_p99_ns").and_then(Json::as_uint);
+        assert!(
+            p99.is_some_and(|ns| ns >= 8_000_000),
+            "{poll} poll: p99 {p99:?} ns, not the 10 ms tail"
+        );
+        assert_eq!(
+            report.get("durable_epoch").and_then(Json::as_uint),
+            Some(4196)
+        );
+    }
     server.shutdown();
 }
 

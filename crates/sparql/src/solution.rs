@@ -83,12 +83,6 @@ impl ResultSet {
         }
         self.rows[0][0].as_ref()?.integer_value()
     }
-
-    /// Estimated number of cells transferred (for endpoint accounting):
-    /// rows × columns.
-    pub fn cell_count(&self) -> usize {
-        self.rows.len() * self.vars.len()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +105,6 @@ mod tests {
         assert_eq!(rs.len(), 2);
         assert!(!rs.is_empty());
         assert_eq!(rs.vars(), &["x".to_string(), "y".to_string()]);
-        assert_eq!(rs.cell_count(), 4);
     }
 
     #[test]

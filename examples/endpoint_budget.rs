@@ -1,20 +1,24 @@
 //! Aligning through a real front door: a per-client query quota at the
-//! server, client-side caching, and the cost of one relation counted.
+//! server, and the cost of one relation counted at the client.
 //!
 //! The whole point of on-the-fly alignment is that you *cannot* download
 //! the KBs. This example serves each KB from a loopback `HttpServer` —
 //! the admission gate a public SPARQL service puts in front of its store
-//! — and aligns through `RemoteEndpoint`s: first without a quota, to show
-//! how many queries one relation costs, then with five requests per
-//! client, to show what happens when the budget runs out (HTTP 429, a
-//! typed `QuotaExceeded` at the client). Any other outcome exits 1.
+//! — and aligns through `InstrumentedEndpoint<RemoteEndpoint>`s, the
+//! client stack a federated deployment runs: first without a quota, to
+//! show what one relation costs in queries, round trips and rows, then
+//! with five requests per client, to show what happens when the budget
+//! runs out (HTTP 429, a typed `QuotaExceeded` at the client). Any other
+//! outcome exits 1.
 //!
 //! ```text
 //! cargo run --release --example endpoint_budget
 //! ```
 
 use sofya::align::{AlignError, Aligner, AlignerConfig};
-use sofya::endpoint::{CachingEndpoint, EndpointError, InstrumentedEndpoint, LocalEndpoint};
+use sofya::endpoint::{
+    EndpointCounters, EndpointError, InstrumentedEndpoint, LatencyModel, LocalEndpoint,
+};
 use sofya::kbgen::{generate, PairConfig};
 use sofya::net::{HttpServer, RemoteEndpoint, ServerConfig};
 use sofya::rdf::TripleStore;
@@ -35,15 +39,22 @@ fn serve(name: &str, store: &TripleStore, quota: Option<u64>) -> HttpServer {
     HttpServer::start(endpoint, config, "127.0.0.1:0").expect("bind loopback")
 }
 
-/// The client stack: cache over instrumentation over the wire.
-fn client(
-    name: &str,
-    server: &HttpServer,
-) -> CachingEndpoint<InstrumentedEndpoint<RemoteEndpoint>> {
-    CachingEndpoint::new(InstrumentedEndpoint::new(RemoteEndpoint::new(
-        name,
-        server.addr(),
-    )))
+/// The client stack: instrumentation over the wire.
+fn client(name: &str, server: &HttpServer) -> InstrumentedEndpoint<RemoteEndpoint> {
+    InstrumentedEndpoint::new(RemoteEndpoint::new(name, server.addr()))
+}
+
+/// One side's cost line: leaf queries, the requests (round trips) that
+/// carried them, and the rows they brought back.
+fn cost_line(side: &str, counters: &EndpointCounters) -> String {
+    format!(
+        "{side}: {} queries in {} requests ({} batched, at most {} in one), {} rows",
+        counters.total_queries(),
+        counters.requests(),
+        counters.batches(),
+        counters.largest_request(),
+        counters.rows_returned(),
+    )
 }
 
 fn main() {
@@ -58,18 +69,14 @@ fn main() {
     let (source, target) = (client("dbp", &dbp), client("yago", &yago));
     let aligner = Aligner::new(&source, &target, AlignerConfig::paper_defaults(1));
     let rules = aligner.align_relation(&relation).expect("alignment failed");
-    let source_counters = source.inner().counters();
-    let target_counters = target.inner().counters();
+    let (source_counters, target_counters) = (source.counters(), target.counters());
     println!("aligning <{relation}> produced {} rule(s)", rules.len());
+    println!("  {}", cost_line("source", &source_counters));
+    println!("  {}", cost_line("target", &target_counters));
+    let wan = LatencyModel::wan();
     println!(
-        "  cost: {} source queries + {} target queries, {} rows transferred",
-        source_counters.total_queries(),
-        target_counters.total_queries(),
-        source_counters.rows_returned() + target_counters.rows_returned(),
-    );
-    println!(
-        "  cache saved {} repeat queries",
-        source.hits() + target.hits()
+        "  against a 20 ms-RTT endpoint that is {:.2} s of network time",
+        (wan.cost(&source_counters) + wan.cost(&target_counters)).as_secs_f64()
     );
     println!(
         "  (downloading both KBs instead would move {} triples)",
