@@ -3,7 +3,8 @@
 //! scans.
 //!
 //! SPO and OSP are flat sorted `Vec<(u32, u32, u32)>` runs: a prefix lookup
-//! is two binary searches yielding a contiguous slice, iteration is a
+//! is a binary search to the range's start and a gallop to its end,
+//! yielding a contiguous slice; iteration is a
 //! linear walk over dense memory, and exact pattern cardinalities come
 //! from the same bounds in O(log n) ([`TripleStore::count_pattern`]).
 //!
@@ -202,17 +203,23 @@ fn merge_run<T: Copy + Ord + Default>(main: &mut Vec<T>, buf: &mut Vec<T>) {
     buf.clear();
 }
 
-/// `run.partition_point(|k| k < key)`, found by doubling steps from the
-/// front: O(log answer), so a pass that looks up ascending keys in the
-/// rest of a run costs O(run) however many keys there are.
+/// `run.partition_point(pred)`, found by doubling steps from the front:
+/// O(log answer), so a pass that looks up ascending keys in the rest of a
+/// run costs O(run) however many keys there are.
 #[inline]
-fn gallop<T: Ord>(run: &[T], key: &T) -> usize {
+fn gallop_by<T>(run: &[T], pred: impl Fn(&T) -> bool) -> usize {
     let mut hi = 1;
-    while hi < run.len() && run[hi] < *key {
+    while hi < run.len() && pred(&run[hi]) {
         hi *= 2;
     }
     let lo = hi / 2;
-    lo + run[lo..hi.min(run.len())].partition_point(|k| k < key)
+    lo + run[lo..hi.min(run.len())].partition_point(pred)
+}
+
+/// `run.partition_point(|k| k < key)` by [`gallop_by`].
+#[inline]
+fn gallop<T: Ord>(run: &[T], key: &T) -> usize {
+    gallop_by(run, |k| k < key)
 }
 
 /// Drops the sorted keys `dead`, each of them present, from the sorted
@@ -447,31 +454,30 @@ struct PredPage {
     pairs: Run<Pair>,
 }
 
+/// The stretch of a sorted run on which `cmp` is `Equal` (`cmp` runs
+/// `Less`, then `Equal`, then `Greater` along the run): a binary search to
+/// its start, then a gallop to its end. The gallop costs O(log range)
+/// and starts where the search stopped, so the short ranges of index
+/// probes cost a comparison or two instead of a second full search.
+#[inline]
+fn equal_range<T>(run: &[T], cmp: impl Fn(&T) -> Ordering) -> &[T] {
+    let rest = &run[run.partition_point(|k| cmp(k) == Ordering::Less)..];
+    &rest[..gallop_by(rest, |k| cmp(k) == Ordering::Equal)]
+}
+
 /// The sub-slice of a sorted run whose keys start with the given prefix.
 ///
 /// Bound positions must form a prefix of the permutation order (`a`, then
-/// `a,b`, then `a,b,c`). Implemented with `partition_point`, so there is
-/// no successor arithmetic and no `u32::MAX` edge case (the old
-/// `prefix_range` computed `a + 1` exclusive bounds and had to special-case
-/// every saturated id).
+/// `a,b`, then `a,b,c`). Comparisons only, so there is no successor
+/// arithmetic and no `u32::MAX` edge case.
 #[inline]
 fn prefix_slice(run: &[Key], a: Option<u32>, b: Option<u32>, c: Option<u32>) -> &[Key] {
-    let (lo, hi) = match (a, b, c) {
-        (None, _, _) => (0, run.len()),
-        (Some(a), None, _) => (
-            run.partition_point(|&(x, _, _)| x < a),
-            run.partition_point(|&(x, _, _)| x <= a),
-        ),
-        (Some(a), Some(b), None) => (
-            run.partition_point(|&(x, y, _)| (x, y) < (a, b)),
-            run.partition_point(|&(x, y, _)| (x, y) <= (a, b)),
-        ),
-        (Some(a), Some(b), Some(c)) => (
-            run.partition_point(|&k| k < (a, b, c)),
-            run.partition_point(|&k| k <= (a, b, c)),
-        ),
-    };
-    &run[lo..hi]
+    match (a, b, c) {
+        (None, _, _) => run,
+        (Some(a), None, _) => equal_range(run, |&(x, _, _)| x.cmp(&a)),
+        (Some(a), Some(b), None) => equal_range(run, |&(x, y, _)| (x, y).cmp(&(a, b))),
+        (Some(a), Some(b), Some(c)) => equal_range(run, |k| k.cmp(&(a, b, c))),
+    }
 }
 
 /// The sub-slice of a sorted pair run with first component `a` (or all).
@@ -479,11 +485,7 @@ fn prefix_slice(run: &[Key], a: Option<u32>, b: Option<u32>, c: Option<u32>) -> 
 fn pair_prefix_slice(run: &[Pair], a: Option<u32>) -> &[Pair] {
     match a {
         None => run,
-        Some(a) => {
-            let lo = run.partition_point(|&(x, _)| x < a);
-            let hi = run.partition_point(|&(x, _)| x <= a);
-            &run[lo..hi]
-        }
+        Some(a) => equal_range(run, |&(x, _)| x.cmp(&a)),
     }
 }
 
@@ -1077,6 +1079,7 @@ fn distinct_firsts(keys: LiveKeys<'_, Key>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn store_with(facts: &[(&str, &str, &str)]) -> TripleStore {
@@ -1445,6 +1448,98 @@ mod tests {
         assert_eq!(s.scan(TriplePattern::with_p(max)).count(), 0);
         assert_eq!(s.count_pattern(TriplePattern::with_po(max, max)), 0);
         assert!(!s.contains(max, max, max));
+    }
+
+    /// The ids the galloped-bounds property draws from: both ends of the
+    /// id space and a few neighbours of each.
+    fn edge_id(i: u32) -> u32 {
+        match i % 8 {
+            low @ 0..4 => low,
+            high => u32::MAX - (7 - high),
+        }
+    }
+
+    /// `prefix_slice` as two full binary searches, the definition the
+    /// galloped bounds must reproduce.
+    fn searched_prefix(run: &[Key], a: Option<u32>, b: Option<u32>, c: Option<u32>) -> &[Key] {
+        let (lo, hi) = match (a, b, c) {
+            (None, _, _) => (0, run.len()),
+            (Some(a), None, _) => (
+                run.partition_point(|&(x, _, _)| x < a),
+                run.partition_point(|&(x, _, _)| x <= a),
+            ),
+            (Some(a), Some(b), None) => (
+                run.partition_point(|&(x, y, _)| (x, y) < (a, b)),
+                run.partition_point(|&(x, y, _)| (x, y) <= (a, b)),
+            ),
+            (Some(a), Some(b), Some(c)) => (
+                run.partition_point(|&k| k < (a, b, c)),
+                run.partition_point(|&k| k <= (a, b, c)),
+            ),
+        };
+        &run[lo..hi]
+    }
+
+    fn same_range<T>(x: &[T], y: &[T]) -> bool {
+        (x.as_ptr(), x.len()) == (y.as_ptr(), y.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Galloping to the end of a range finds the bounds two binary
+        /// searches find, on runs where one subject (and one subject-
+        /// predicate pair) owns thousands of keys, with ids at 0 and
+        /// `u32::MAX`: every SPO/OSP prefix depth, and the POS pages.
+        #[test]
+        fn galloped_bounds_equal_two_binary_searches(
+            heavy in (0u32..8, 0u32..8, 0usize..3000),
+            noise in proptest::collection::vec((0u32..8, 0u32..8, 0u32..8), 0..40),
+        ) {
+            let (ha, hb, len) = heavy;
+            let mut run: Vec<Key> = noise
+                .iter()
+                .map(|&(a, b, c)| (edge_id(a), edge_id(b), edge_id(c)))
+                .collect();
+            run.push((edge_id(ha), edge_id(hb), u32::MAX));
+            for i in 0..len as u32 {
+                let b = if i % 3 == 0 { edge_id(i) } else { edge_id(hb) };
+                // A bijection on u32: distinct keys spread over the id space.
+                run.push((edge_id(ha), b, i.wrapping_mul(2_654_435_761)));
+            }
+            run.sort_unstable();
+            run.dedup();
+            let mut pairs: Vec<Pair> = run.iter().map(|&(a, _, c)| (a, c)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+
+            let step = (run.len() / 64).max(1);
+            let probes: Vec<Key> = (0..8)
+                .flat_map(|a| (0..8).flat_map(move |b| (0..8).map(move |c| (a, b, c))))
+                .map(|(a, b, c)| (edge_id(a), edge_id(b), edge_id(c)))
+                .chain(run.iter().step_by(step).copied())
+                .collect();
+            prop_assert!(same_range(
+                prefix_slice(&run, None, None, None),
+                searched_prefix(&run, None, None, None),
+            ));
+            for &(a, b, c) in &probes {
+                for (pb, pc) in [(None, None), (Some(b), None), (Some(b), Some(c))] {
+                    prop_assert!(
+                        same_range(
+                            prefix_slice(&run, Some(a), pb, pc),
+                            searched_prefix(&run, Some(a), pb, pc),
+                        ),
+                        "prefix ({a}, {pb:?}, {pc:?})"
+                    );
+                }
+                let page = pair_prefix_slice(&pairs, Some(a));
+                let lo = pairs.partition_point(|&(x, _)| x < a);
+                let hi = pairs.partition_point(|&(x, _)| x <= a);
+                prop_assert!(same_range(page, &pairs[lo..hi]), "page {a}");
+            }
+            prop_assert!(same_range(pair_prefix_slice(&pairs, None), &pairs));
+        }
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! Query evaluation: index nested-loop joins over the planned BGP.
+//!
+//! Solutions are fixed-width rows of interned ids. The join hands each
+//! complete binding to a sink — a flat table, a page that counts
+//! the rows before its OFFSET without storing them, a counter, or an
+//! existence probe — so a solution costs at most one `extend_from_slice`
+//! and never an allocation of its own. Terms are resolved, and cloned,
+//! only for the rows a result set returns.
 
 use crate::ast::{Builtin, Projection, Query, SelectQuery};
 use crate::budget::{BudgetTracker, QueryBudget};
@@ -8,6 +15,9 @@ use crate::plan::{GroupPlan, PExpr, PlanOptions, Slot};
 use crate::solution::ResultSet;
 use crate::value::Value;
 use sofya_rdf::{Term, TermId, TriplePattern, TripleStore};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 
 /// The outcome of executing an arbitrary query.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,27 +64,17 @@ pub fn execute_ast_budgeted(
     opts: PlanOptions<'_>,
     budget: &QueryBudget,
 ) -> Result<QueryOutcome, SparqlError> {
-    let mut tracker = BudgetTracker::new(budget);
-    tracker.preflight()?;
+    let mut ex = Exec::new(store, budget)?;
     match query {
         Query::Select(select) => {
             let plan = GroupPlan::build_with(store, &select.pattern, &[], opts);
             Ok(QueryOutcome::Solutions(execute_select_planned_paged(
-                store,
-                select,
-                &plan,
-                None,
-                None,
-                &mut tracker,
+                &mut ex, select, &plan, None, None,
             )?))
         }
         Query::Ask(pattern) => {
             let plan = GroupPlan::build_with(store, pattern, &[], opts);
-            Ok(QueryOutcome::Boolean(execute_ask_planned(
-                store,
-                &plan,
-                &mut tracker,
-            )?))
+            Ok(QueryOutcome::Boolean(execute_ask_planned(&mut ex, &plan)?))
         }
     }
 }
@@ -163,11 +163,10 @@ pub fn execute_compiled_paged_budgeted(
     offset: Option<usize>,
     budget: &QueryBudget,
 ) -> Result<QueryOutcome, SparqlError> {
-    let mut tracker = BudgetTracker::new(budget);
-    tracker.preflight()?;
+    let mut ex = Exec::new(store, budget)?;
     match &compiled.inner {
         CompiledInner::Select { query, plan } => Ok(QueryOutcome::Solutions(
-            execute_select_planned_paged(store, query, plan, limit, offset, &mut tracker)?,
+            execute_select_planned_paged(&mut ex, query, plan, limit, offset)?,
         )),
         CompiledInner::Ask { plan } => {
             if limit.is_some() || offset.is_some() {
@@ -175,11 +174,7 @@ pub fn execute_compiled_paged_budgeted(
                     "LIMIT/OFFSET cannot be applied to an ASK query",
                 ));
             }
-            Ok(QueryOutcome::Boolean(execute_ask_planned(
-                store,
-                plan,
-                &mut tracker,
-            )?))
+            Ok(QueryOutcome::Boolean(execute_ask_planned(&mut ex, plan)?))
         }
     }
 }
@@ -187,15 +182,11 @@ pub fn execute_compiled_paged_budgeted(
 /// Executes a planned ASK: a bare pattern set resolves through the flat
 /// indexes without running the join at all (non-emptiness of the prefix
 /// range).
-fn execute_ask_planned(
-    store: &TripleStore,
-    plan: &GroupPlan,
-    t: &mut BudgetTracker<'_>,
-) -> Result<bool, SparqlError> {
-    if let Some(n) = exact_pattern_count(store, plan) {
+fn execute_ask_planned(ex: &mut Exec<'_, '_>, plan: &GroupPlan) -> Result<bool, SparqlError> {
+    if let Some(n) = exact_pattern_count(ex.store, plan) {
         return Ok(n > 0);
     }
-    any_solution(store, plan, None, t)
+    any_solution(ex, plan, &[])
 }
 
 /// Parses and executes a `SELECT` query.
@@ -211,6 +202,177 @@ pub fn execute_ask(store: &TripleStore, query: &str) -> Result<bool, SparqlError
     match execute_query(store, query)? {
         QueryOutcome::Boolean(b) => Ok(b),
         QueryOutcome::Solutions(_) => Err(SparqlError::eval("expected an ASK query, found SELECT")),
+    }
+}
+
+/// One execution's state: the store, the budget, and a spare binding
+/// buffer that `EXISTS` probes reuse, so probing once per outer solution
+/// does not allocate once per outer solution.
+struct Exec<'s, 'b> {
+    store: &'s TripleStore,
+    budget: BudgetTracker<'b>,
+    spare: Vec<Option<TermId>>,
+}
+
+impl<'s, 'b> Exec<'s, 'b> {
+    /// Starts an execution. An already-expired or already-cancelled
+    /// budget fails here, even on paths that never scan (index-shortcut
+    /// counts, provably-empty plans).
+    fn new(store: &'s TripleStore, budget: &'b QueryBudget) -> Result<Self, SparqlError> {
+        let budget = BudgetTracker::new(budget);
+        budget.preflight()?;
+        Ok(Self {
+            store,
+            budget,
+            spare: Vec::new(),
+        })
+    }
+
+    /// Hands `row` to `sink`, charging the binding cap every solution the
+    /// sink has taken.
+    fn deliver(&self, sink: &mut impl Sink, row: &[Option<TermId>]) -> Result<(), SparqlError> {
+        self.budget.check_bindings(sink.accept(row))
+    }
+}
+
+/// A solution set: rows of `width` optional ids, back to back in one
+/// vector.
+struct Table {
+    width: usize,
+    len: usize,
+    cells: Vec<Option<TermId>>,
+}
+
+impl Table {
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            len: 0,
+            cells: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn row(&self, i: usize) -> &[Option<TermId>] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Option<TermId>]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Appends the first `width` cells of `row`; the rest are variables
+    /// local to a sub-plan.
+    fn push(&mut self, row: &[Option<TermId>]) {
+        self.cells.extend_from_slice(&row[..self.width]);
+        self.len += 1;
+    }
+
+    /// Appends `row`'s cells at `cols` (`None` for a variable the
+    /// solutions never bind).
+    fn push_projected(&mut self, row: &[Option<TermId>], cols: &[Option<usize>]) {
+        self.cells
+            .extend(cols.iter().map(|col| col.and_then(|i| row[i])));
+        self.len += 1;
+    }
+}
+
+/// Where evaluation delivers solutions, one at a time and in solution
+/// order.
+trait Sink {
+    /// Takes the next solution and returns how many the sink has taken,
+    /// stored or not: the count the binding cap is charged. `row` may be
+    /// wider than the sink's rows; the excess columns are variables local
+    /// to a sub-plan.
+    fn accept(&mut self, row: &[Option<TermId>]) -> usize;
+
+    /// Whether the sink wants no more solutions; evaluation stops then.
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+/// Appends every solution to a table. It charges the table's whole
+/// length, so rows earlier branches stored there count too.
+struct Append<'t> {
+    table: &'t mut Table,
+}
+
+impl Sink for Append<'_> {
+    fn accept(&mut self, row: &[Option<TermId>]) -> usize {
+        self.table.push(row);
+        self.table.len()
+    }
+}
+
+/// The page `[skip, skip + take)` of the solution sequence, projected
+/// onto `cols`: solutions before it are counted and dropped, and
+/// evaluation stops once it is full.
+struct Page<'c> {
+    skip: usize,
+    take: usize,
+    seen: usize,
+    cols: &'c [Option<usize>],
+    rows: Table,
+}
+
+impl Sink for Page<'_> {
+    fn accept(&mut self, row: &[Option<TermId>]) -> usize {
+        if self.skip > 0 {
+            self.skip -= 1;
+        } else if self.take > 0 {
+            self.rows.push_projected(row, self.cols);
+            self.take -= 1;
+        }
+        self.seen += 1;
+        self.seen
+    }
+
+    fn done(&self) -> bool {
+        self.skip == 0 && self.take == 0
+    }
+}
+
+/// `COUNT(*)` counts solutions; `COUNT([DISTINCT] ?v)` counts the bound
+/// cells of column `col` (each value once under `DISTINCT`). No solution
+/// is stored.
+struct Count {
+    col: Option<usize>,
+    distinct: Option<HashSet<TermId>>,
+    seen: usize,
+    counted: usize,
+}
+
+impl Sink for Count {
+    fn accept(&mut self, row: &[Option<TermId>]) -> usize {
+        let counts = match self.col.map(|col| row[col]) {
+            None => true,
+            Some(None) => false,
+            Some(Some(id)) => self.distinct.as_mut().is_none_or(|set| set.insert(id)),
+        };
+        self.counted += usize::from(counts);
+        self.seen += 1;
+        self.seen
+    }
+}
+
+/// Whether any solution exists: stops at the first.
+#[derive(Default)]
+struct Any {
+    found: bool,
+}
+
+impl Sink for Any {
+    fn accept(&mut self, _row: &[Option<TermId>]) -> usize {
+        self.found = true;
+        1
+    }
+
+    fn done(&self) -> bool {
+        self.found
     }
 }
 
@@ -275,263 +437,267 @@ fn aggregate_row(
 /// Executes a planned `SELECT` with optional `LIMIT`/`OFFSET` overrides
 /// (`None` falls back to the query's own modifiers).
 fn execute_select_planned_paged(
-    store: &TripleStore,
+    ex: &mut Exec<'_, '_>,
     query: &SelectQuery,
     plan: &GroupPlan,
     limit_override: Option<usize>,
     offset_override: Option<usize>,
-    t: &mut BudgetTracker<'_>,
 ) -> Result<ResultSet, SparqlError> {
     let limit = limit_override.or(query.limit);
     let offset = offset_override.or(query.offset);
-    // COUNT over a bare pattern short-circuits through the index bounds:
-    // no join, no binding materialisation.
-    if let Projection::Count {
-        var,
-        distinct: false,
-        alias,
-    } = &query.projection
-    {
-        let var_always_bound = match var {
-            None => true,
-            Some(v) => plan
-                .var_names
-                .iter()
-                .position(|name| name == v)
-                .is_some_and(|idx| {
-                    plan.patterns.iter().any(|p| {
-                        [p.s, p.p, p.o]
-                            .iter()
-                            .any(|slot| matches!(slot, Slot::Var(i) if *i == idx))
-                    })
-                }),
-        };
-        if var_always_bound {
-            if let Some(n) = exact_pattern_count(store, plan) {
-                return Ok(aggregate_row(limit, offset, alias, n));
-            }
-        }
-    }
+    let width = plan.var_names.len();
+    let column = |var: &str| plan.var_names.iter().position(|name| name == var);
 
-    // Early-stop hint: when no DISTINCT / ORDER BY / aggregation /
-    // subgroup is in play, we only ever need offset+limit raw rows.
-    let early_stop = if !query.distinct
-        && query.order_by.is_empty()
-        && !plan.has_subgroups()
-        && !matches!(query.projection, Projection::Count { .. })
-    {
-        limit.map(|l| l.saturating_add(offset.unwrap_or(0)))
-    } else {
-        None
-    };
-
-    let binding = vec![None; plan.var_names.len()];
-    let bindings = eval_group(store, plan, binding, early_stop, t)?;
-
-    // Aggregation short-circuits projection.
     if let Projection::Count {
         var,
         distinct,
         alias,
     } = &query.projection
     {
-        let count = match var {
-            None => bindings.len(),
-            Some(v) => {
-                let idx = plan
-                    .var_names
-                    .iter()
-                    .position(|name| name == v)
-                    .ok_or_else(|| SparqlError::eval(format!("COUNT of unknown variable ?{v}")))?;
-                let values = bindings.iter().filter_map(|b| b[idx]);
-                if *distinct {
-                    let set: std::collections::BTreeSet<TermId> = values.collect();
-                    set.len()
-                } else {
-                    values.count()
-                }
-            }
+        let col = match var {
+            None => None,
+            Some(v) => Some(
+                column(v)
+                    .ok_or_else(|| SparqlError::eval(format!("COUNT of unknown variable ?{v}")))?,
+            ),
         };
-        return Ok(aggregate_row(limit, offset, alias, count));
+        // COUNT over a bare pattern short-circuits through the index
+        // bounds: no join at all.
+        let always_bound = col.is_none_or(|i| {
+            plan.patterns.iter().any(|p| {
+                [p.s, p.p, p.o]
+                    .iter()
+                    .any(|slot| matches!(slot, Slot::Var(v) if *v == i))
+            })
+        });
+        if !distinct && always_bound {
+            if let Some(n) = exact_pattern_count(ex.store, plan) {
+                return Ok(aggregate_row(limit, offset, alias, n));
+            }
+        }
+        let mut count = Count {
+            col,
+            distinct: distinct.then(HashSet::new),
+            seen: 0,
+            counted: 0,
+        };
+        eval_group(ex, plan, &mut vec![None; width], &mut count)?;
+        return Ok(aggregate_row(limit, offset, alias, count.counted));
     }
 
-    // Projection stays at the interned-id level for deduplication,
-    // ordering, and pagination; terms are resolved (and cloned) only for
-    // the rows that actually survive OFFSET/LIMIT.
-    let projected_vars: Vec<String> = match &query.projection {
+    let vars: Vec<String> = match &query.projection {
         Projection::Star => plan.var_names.clone(),
         Projection::Vars(vars) => vars.clone(),
         Projection::Count { .. } => unreachable!("handled above"),
     };
-    let col_indices: Vec<Option<usize>> = projected_vars
-        .iter()
-        .map(|v| plan.var_names.iter().position(|name| name == v))
-        .collect();
+    let cols: Vec<Option<usize>> = vars.iter().map(|v| column(v)).collect();
+    let skip = offset.unwrap_or(0);
+    let take = limit.unwrap_or(usize::MAX);
+    let mut binding = vec![None; width];
 
-    let mut id_rows: Vec<Vec<Option<TermId>>> = bindings
-        .iter()
-        .map(|b| col_indices.iter().map(|ci| ci.and_then(|i| b[i])).collect())
-        .collect();
-
-    if query.distinct {
-        // The dictionary is injective (one id per distinct term), so id
-        // equality is term equality — no string keys needed.
-        let mut seen = std::collections::BTreeSet::new();
-        id_rows.retain(|row| seen.insert(row.clone()));
+    // Nothing reorders or merges the rows: the page is cut while the
+    // solutions are produced.
+    if query.order_by.is_empty() && !query.distinct {
+        let mut page = Page {
+            skip,
+            take,
+            seen: 0,
+            cols: &cols,
+            rows: Table::new(cols.len()),
+        };
+        eval_group(ex, plan, &mut binding, &mut page)?;
+        return Ok(resolve_rows(ex.store, vars, page.rows.iter()));
     }
 
-    if !query.order_by.is_empty() {
-        let key_indices: Vec<(usize, bool)> = query
-            .order_by
-            .iter()
-            .filter_map(|k| {
-                projected_vars
-                    .iter()
-                    .position(|v| v == &k.var)
-                    .map(|i| (i, k.descending))
-            })
-            .collect();
-        let term_of = |cell: Option<TermId>| cell.map(|id| store.dict().resolve(id));
-        id_rows.sort_by(|a, b| {
-            for &(i, desc) in &key_indices {
-                let ord = term_of(a[i]).cmp(&term_of(b[i]));
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+    let mut table = Table::new(width);
+    eval_group(ex, plan, &mut binding, &mut Append { table: &mut table })?;
+    // Rows are ordered before they are projected, so a key need not be
+    // projected; a variable no solution binds orders nothing. Ties break
+    // on solution index: the order is total, so any page equals that page
+    // of a stable sort of all the rows.
+    let keys: Vec<(usize, bool)> = query
+        .order_by
+        .iter()
+        .filter_map(|k| column(&k.var).map(|i| (i, k.descending)))
+        .collect();
+    let store = ex.store;
+    let cmp =
+        |a: usize, b: usize| compare_keys(store, &keys, table.row(a), table.row(b)).then(a.cmp(&b));
+    let mut order: Vec<usize> = if query.distinct {
+        // One solution per projected row, the one that sorts first, so
+        // only the distinct rows are sorted. The dictionary is injective,
+        // so id equality is term equality.
+        let mut projected = Table::new(cols.len());
+        for row in table.iter() {
+            projected.push_projected(row, &cols);
+        }
+        let mut kept: HashMap<&[Option<TermId>], usize> = HashMap::new();
+        for i in 0..projected.len() {
+            kept.entry(projected.row(i))
+                .and_modify(|k| {
+                    if cmp(i, *k).is_lt() {
+                        *k = i;
+                    }
+                })
+                .or_insert(i);
+        }
+        kept.into_values().collect()
+    } else {
+        (0..table.len()).collect()
+    };
+    sort_prefix(&mut order, skip.saturating_add(take), |&a, &b| cmp(a, b));
+    let mut page = Table::new(cols.len());
+    for &i in order.iter().skip(skip) {
+        page.push_projected(table.row(i), &cols);
     }
+    Ok(resolve_rows(ex.store, vars, page.iter()))
+}
 
-    let rows: Vec<Vec<Option<Term>>> = id_rows
-        .into_iter()
-        .skip(offset.unwrap_or(0))
-        .take(limit.unwrap_or(usize::MAX))
+/// Puts the `wanted` least elements of `order` under `cmp`, a total
+/// order, in sorted order and drops the rest: a selection first when not
+/// all are wanted, then a sort of only those.
+fn sort_prefix<T>(order: &mut Vec<T>, wanted: usize, mut cmp: impl FnMut(&T, &T) -> Ordering) {
+    if wanted < order.len() {
+        if let Some(last) = wanted.checked_sub(1) {
+            order.select_nth_unstable_by(last, &mut cmp);
+        }
+        order.truncate(wanted);
+    }
+    order.sort_unstable_by(cmp);
+}
+
+/// Compares two solutions by the `ORDER BY` keys `(column, descending)`:
+/// by term, an unbound cell first.
+fn compare_keys(
+    store: &TripleStore,
+    keys: &[(usize, bool)],
+    a: &[Option<TermId>],
+    b: &[Option<TermId>],
+) -> Ordering {
+    let term = |cell: Option<TermId>| cell.map(|id| store.dict().resolve(id));
+    for &(col, descending) in keys {
+        // Distinct ids are distinct terms; only they need resolving.
+        if a[col] != b[col] {
+            let ord = term(a[col]).cmp(&term(b[col]));
+            return if descending { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
+}
+
+/// The result set of projected `rows`, resolved to terms: the one place
+/// the evaluator clones a term.
+fn resolve_rows<'r>(
+    store: &TripleStore,
+    vars: Vec<String>,
+    rows: impl Iterator<Item = &'r [Option<TermId>]>,
+) -> ResultSet {
+    let rows = rows
         .map(|row| {
-            row.into_iter()
+            row.iter()
                 .map(|cell| cell.map(|id| store.dict().resolve(id).clone()))
                 .collect()
         })
         .collect();
-
-    Ok(ResultSet::new(projected_vars, rows))
+    ResultSet::new(vars, rows)
 }
 
-/// Whether the plan admits at least one solution (used by ASK and EXISTS).
+/// Whether `plan` has a solution extending `seed` (ASK and EXISTS).
 fn any_solution(
-    store: &TripleStore,
+    ex: &mut Exec<'_, '_>,
     plan: &GroupPlan,
-    seed: Option<&[Option<TermId>]>,
-    t: &mut BudgetTracker<'_>,
+    seed: &[Option<TermId>],
 ) -> Result<bool, SparqlError> {
-    let mut binding = vec![None; plan.var_names.len()];
-    if let Some(seed) = seed {
-        binding[..seed.len()].copy_from_slice(seed);
-    }
-    let early_stop = if plan.has_subgroups() { None } else { Some(1) };
-    let out = eval_group(store, plan, binding, early_stop, t)?;
-    Ok(!out.is_empty())
+    let mut binding = std::mem::take(&mut ex.spare);
+    reseed(&mut binding, seed, plan);
+    let mut any = Any::default();
+    let outcome = eval_group(ex, plan, &mut binding, &mut any);
+    ex.spare = binding;
+    outcome.map(|()| any.found)
 }
 
-/// Evaluates a full group: basic pattern join, then `UNION` blocks, then
-/// `OPTIONAL` left-joins, then the group's post-filters.
-fn eval_group(
-    store: &TripleStore,
-    plan: &GroupPlan,
-    seed: Vec<Option<TermId>>,
-    early_stop: Option<usize>,
-    t: &mut BudgetTracker<'_>,
-) -> Result<Vec<Vec<Option<TermId>>>, SparqlError> {
-    let mut solutions = Vec::new();
-    let mut binding = seed;
-    collect_solutions(store, plan, 0, &mut binding, early_stop, &mut solutions, t)?;
+/// Makes `binding` the seed for `plan`: `row`, then `plan`'s own
+/// variables unbound. A sub-plan's variable table extends its parent's.
+fn reseed(binding: &mut Vec<Option<TermId>>, row: &[Option<TermId>], plan: &GroupPlan) {
+    binding.clear();
+    binding.extend_from_slice(row);
+    binding.resize(plan.var_names.len(), None);
+}
 
+/// Evaluates a full group from the seed `binding`: basic pattern join,
+/// then `UNION` blocks, then `OPTIONAL` left-joins, then the group's
+/// post-filters, handing the solutions to `sink`. A group with none of
+/// the last three streams its join into the sink; otherwise each stage
+/// fills a table of its own.
+fn eval_group<S: Sink>(
+    ex: &mut Exec<'_, '_>,
+    plan: &GroupPlan,
+    binding: &mut [Option<TermId>],
+    sink: &mut S,
+) -> Result<(), SparqlError> {
+    if sink.done() {
+        return Ok(());
+    }
+    if !plan.has_subgroups() {
+        return join(ex, plan, 0, binding, sink);
+    }
+    let width = plan.var_names.len();
+    let mut rows = Table::new(width);
+    join(ex, plan, 0, binding, &mut Append { table: &mut rows })?;
+
+    let mut seed = Vec::new();
     for block in &plan.unions {
-        let mut next = Vec::new();
-        for solution in &solutions {
+        let mut next = Table::new(width);
+        for row in rows.iter() {
             for branch in block {
-                // Branch plans share the parent's variable table as a
-                // prefix; the branch may bind additional variables.
-                let mut seed = solution.clone();
-                seed.resize(branch.var_names.len(), None);
-                next.extend(eval_group(store, branch, seed, None, t)?);
-                t.check_bindings(next.len())?;
+                reseed(&mut seed, row, branch);
+                eval_group(ex, branch, &mut seed, &mut Append { table: &mut next })?;
             }
         }
-        solutions = next;
+        rows = next;
     }
 
     for optional in &plan.optionals {
-        let mut next = Vec::new();
-        for solution in &solutions {
-            let mut seed = solution.clone();
-            seed.resize(optional.var_names.len(), None);
-            let extended = eval_group(store, optional, seed, None, t)?;
-            if extended.is_empty() {
-                next.push(solution.clone());
-            } else {
-                next.extend(extended);
+        let mut next = Table::new(width);
+        for row in rows.iter() {
+            reseed(&mut seed, row, optional);
+            let before = next.len();
+            eval_group(ex, optional, &mut seed, &mut Append { table: &mut next })?;
+            if next.len() == before {
+                next.push(row);
             }
-            t.check_bindings(next.len())?;
+            ex.budget.check_bindings(next.len())?;
         }
-        solutions = next;
+        rows = next;
     }
 
-    if !plan.post_filters.is_empty() {
-        let mut kept = Vec::with_capacity(solutions.len());
-        for solution in solutions {
-            let mut pass = true;
-            for filter in &plan.post_filters {
-                if !filter_passes(store, filter, &solution, t)? {
-                    pass = false;
-                    break;
-                }
-            }
-            if pass {
-                kept.push(solution);
-            }
+    for row in rows.iter() {
+        if sink.done() {
+            break;
         }
-        solutions = kept;
+        if filters_pass(ex, &plan.post_filters, row)? {
+            ex.deliver(sink, row)?;
+        }
     }
-
-    // Sub-group bindings may be longer than the parent's table when
-    // branches introduced EXISTS-local variables; truncate to the
-    // parent's width so all rows agree.
-    for solution in &mut solutions {
-        solution.truncate(plan.var_names.len());
-        solution.resize(plan.var_names.len(), None);
-    }
-    Ok(solutions)
+    Ok(())
 }
 
-/// Recursive index nested-loop join.
-#[allow(clippy::too_many_arguments)]
-fn collect_solutions(
-    store: &TripleStore,
+/// Recursive index nested-loop join: extends `binding` through the
+/// patterns from `level` on and hands every complete binding to `sink`.
+fn join<S: Sink>(
+    ex: &mut Exec<'_, '_>,
     plan: &GroupPlan,
     level: usize,
-    binding: &mut Vec<Option<TermId>>,
-    early_stop: Option<usize>,
-    out: &mut Vec<Vec<Option<TermId>>>,
-    t: &mut BudgetTracker<'_>,
+    binding: &mut [Option<TermId>],
+    sink: &mut S,
 ) -> Result<(), SparqlError> {
-    if early_stop.is_some_and(|lim| out.len() >= lim) {
-        return Ok(());
-    }
     // Filters scheduled at this level.
-    for filter in &plan.filters_at[level] {
-        if !filter_passes(store, filter, binding, t)? {
-            return Ok(());
-        }
-    }
-    if level == plan.patterns.len() {
-        t.check_bindings(out.len() + 1)?;
-        out.push(binding.clone());
+    if !filters_pass(ex, &plan.filters_at[level], binding)? {
         return Ok(());
     }
-
-    let pattern = &plan.patterns[level];
+    let Some(pattern) = plan.patterns.get(level) else {
+        return ex.deliver(sink, binding);
+    };
     if pattern.is_unsatisfiable() {
         return Ok(());
     }
@@ -549,13 +715,14 @@ fn collect_solutions(
     };
 
     // Zero-allocation: the scan is a borrowed slice walk over the store's
-    // flat indexes (it borrows only `store`, so mutating the binding
-    // vector and recursing are both fine inside the loop). The budget
-    // tick here is the cooperative kill switch: every scanned row is
-    // charged, and the deadline/cancel token is polled every
+    // flat indexes (it borrows only the store, so mutating the binding
+    // and recursing are both fine inside the loop). The budget tick here
+    // is the cooperative kill switch: every scanned row is charged, and
+    // the deadline/cancel token is polled every
     // [`crate::budget::POLL_INTERVAL`] rows.
+    let store = ex.store;
     for triple in store.scan_range(scan_pattern) {
-        t.tick_scan()?;
+        ex.budget.tick_scan()?;
         let mut touched: [Option<usize>; 3] = [None; 3];
         if !bind_slot(pattern.s, triple.s, binding, &mut touched[0])
             || !bind_slot(pattern.p, triple.p, binding, &mut touched[1])
@@ -564,9 +731,9 @@ fn collect_solutions(
             undo(binding, &touched);
             continue;
         }
-        collect_solutions(store, plan, level + 1, binding, early_stop, out, t)?;
+        join(ex, plan, level + 1, binding, sink)?;
         undo(binding, &touched);
-        if early_stop.is_some_and(|lim| out.len() >= lim) {
+        if sink.done() {
             return Ok(());
         }
     }
@@ -601,85 +768,98 @@ fn undo(binding: &mut [Option<TermId>], touched: &[Option<usize>; 3]) {
     }
 }
 
+/// Whether `binding` passes every filter of `filters`.
+fn filters_pass(
+    ex: &mut Exec<'_, '_>,
+    filters: &[PExpr],
+    binding: &[Option<TermId>],
+) -> Result<bool, SparqlError> {
+    for filter in filters {
+        if !filter_passes(ex, filter, binding)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// Evaluates a filter; evaluation errors count as `false` per SPARQL.
 /// Budget breaches are the one exception: absorbing a cancellation
 /// raised inside an EXISTS sub-query would silently turn a killed query
 /// into a partial result set, so they propagate.
 fn filter_passes(
-    store: &TripleStore,
+    ex: &mut Exec<'_, '_>,
     filter: &PExpr,
     binding: &[Option<TermId>],
-    t: &mut BudgetTracker<'_>,
 ) -> Result<bool, SparqlError> {
-    match eval_expr(store, filter, binding, t) {
+    match eval_expr(ex, filter, binding) {
         Ok(v) => Ok(v.effective_boolean().unwrap_or(false)),
         Err(e) if e.is_budget() => Err(e),
         Err(_) => Ok(false),
     }
 }
 
-fn var_value(
-    store: &TripleStore,
+fn var_value<'s>(
+    store: &'s TripleStore,
     idx: usize,
     binding: &[Option<TermId>],
-) -> Result<Value, SparqlError> {
+) -> Result<Value<'s>, SparqlError> {
     let id = binding
         .get(idx)
         .copied()
         .flatten()
         .ok_or_else(|| SparqlError::eval("unbound variable in expression"))?;
-    Ok(Value::Term(store.dict().resolve(id).clone()))
+    Ok(Value::Term(Cow::Borrowed(store.dict().resolve(id))))
 }
 
-fn eval_expr(
-    store: &TripleStore,
-    expr: &PExpr,
+/// Evaluates `expr` over `binding`. The value borrows its terms from the
+/// dictionary (`'s`) or the plan, whichever lives shorter (`'a`).
+fn eval_expr<'a, 's: 'a>(
+    ex: &mut Exec<'s, '_>,
+    expr: &'a PExpr,
     binding: &[Option<TermId>],
-    t: &mut BudgetTracker<'_>,
-) -> Result<Value, SparqlError> {
+) -> Result<Value<'a>, SparqlError> {
     match expr {
-        PExpr::Var(i) => var_value(store, *i, binding),
-        PExpr::Const(term) => Ok(Value::Term(term.clone())),
+        PExpr::Var(i) => var_value(ex.store, *i, binding),
+        PExpr::Const(term) => Ok(Value::Term(Cow::Borrowed(term))),
         PExpr::Compare(op, a, b) => {
-            let va = eval_expr(store, a, binding, t)?;
-            let vb = eval_expr(store, b, binding, t)?;
+            let va = eval_expr(ex, a, binding)?;
+            let vb = eval_expr(ex, b, binding)?;
             Ok(Value::Bool(va.compare(*op, &vb)?))
         }
         PExpr::And(a, b) => {
-            let va = eval_expr(store, a, binding, t)?.effective_boolean()?;
+            let va = eval_expr(ex, a, binding)?.effective_boolean()?;
             if !va {
                 return Ok(Value::Bool(false));
             }
-            let vb = eval_expr(store, b, binding, t)?.effective_boolean()?;
+            let vb = eval_expr(ex, b, binding)?.effective_boolean()?;
             Ok(Value::Bool(vb))
         }
         PExpr::Or(a, b) => {
-            let va = eval_expr(store, a, binding, t)?.effective_boolean()?;
+            let va = eval_expr(ex, a, binding)?.effective_boolean()?;
             if va {
                 return Ok(Value::Bool(true));
             }
-            let vb = eval_expr(store, b, binding, t)?.effective_boolean()?;
+            let vb = eval_expr(ex, b, binding)?.effective_boolean()?;
             Ok(Value::Bool(vb))
         }
         PExpr::Not(inner) => {
-            let v = eval_expr(store, inner, binding, t)?.effective_boolean()?;
+            let v = eval_expr(ex, inner, binding)?.effective_boolean()?;
             Ok(Value::Bool(!v))
         }
-        PExpr::Call(builtin, args) => eval_builtin(store, *builtin, args, binding, t),
+        PExpr::Call(builtin, args) => eval_builtin(ex, *builtin, args, binding),
         PExpr::Exists { plan, negated } => {
-            let found = any_solution(store, plan, Some(binding), t)?;
+            let found = any_solution(ex, plan, binding)?;
             Ok(Value::Bool(found != *negated))
         }
     }
 }
 
-fn eval_builtin(
-    store: &TripleStore,
+fn eval_builtin<'a, 's: 'a>(
+    ex: &mut Exec<'s, '_>,
     builtin: Builtin,
-    args: &[PExpr],
+    args: &'a [PExpr],
     binding: &[Option<TermId>],
-    t: &mut BudgetTracker<'_>,
-) -> Result<Value, SparqlError> {
+) -> Result<Value<'a>, SparqlError> {
     match builtin {
         Builtin::Bound => {
             let bound = match &args[0] {
@@ -689,35 +869,36 @@ fn eval_builtin(
             Ok(Value::Bool(bound))
         }
         Builtin::Str => {
-            let v = eval_expr(store, &args[0], binding, t)?;
-            Ok(Value::Str(v.string_form()?))
+            let v = eval_expr(ex, &args[0], binding)?;
+            Ok(Value::Str(Cow::Owned(v.string_form()?.into_owned())))
         }
         Builtin::Lang => {
-            let v = eval_expr(store, &args[0], binding, t)?;
-            match v {
-                Value::Term(Term::Literal { lang, .. }) => Ok(Value::Str(lang.unwrap_or_default())),
-                _ => Err(SparqlError::eval("LANG expects a literal")),
-            }
+            let v = eval_expr(ex, &args[0], binding)?;
+            let Value::Term(term) = &v else {
+                return Err(SparqlError::eval("LANG expects a literal"));
+            };
+            let Term::Literal { lang, .. } = term.as_ref() else {
+                return Err(SparqlError::eval("LANG expects a literal"));
+            };
+            Ok(Value::Str(Cow::Owned(lang.clone().unwrap_or_default())))
         }
         Builtin::Datatype => {
-            let v = eval_expr(store, &args[0], binding, t)?;
-            match v {
-                Value::Term(Term::Literal { datatype, lang, .. }) => {
-                    let dt = match (datatype, lang) {
-                        (Some(dt), _) => dt,
-                        (None, Some(_)) => {
-                            "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString".to_owned()
-                        }
-                        (None, None) => "http://www.w3.org/2001/XMLSchema#string".to_owned(),
-                    };
-                    Ok(Value::Term(Term::iri(dt)))
-                }
-                _ => Err(SparqlError::eval("DATATYPE expects a literal")),
-            }
+            let v = eval_expr(ex, &args[0], binding)?;
+            let Value::Term(term) = &v else {
+                return Err(SparqlError::eval("DATATYPE expects a literal"));
+            };
+            let Term::Literal { datatype, lang, .. } = term.as_ref() else {
+                return Err(SparqlError::eval("DATATYPE expects a literal"));
+            };
+            let dt = match (datatype, lang) {
+                (Some(dt), _) => dt.as_str(),
+                (None, Some(_)) => "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString",
+                (None, None) => "http://www.w3.org/2001/XMLSchema#string",
+            };
+            Ok(Value::Term(Cow::Owned(Term::iri(dt))))
         }
         Builtin::IsIri | Builtin::IsLiteral | Builtin::IsBlank => {
-            let v = eval_expr(store, &args[0], binding, t)?;
-            let Value::Term(term) = v else {
+            let Value::Term(term) = eval_expr(ex, &args[0], binding)? else {
                 return Ok(Value::Bool(false));
             };
             Ok(Value::Bool(match builtin {
@@ -727,18 +908,22 @@ fn eval_builtin(
             }))
         }
         Builtin::StrStarts | Builtin::StrEnds | Builtin::Contains => {
-            let a = eval_expr(store, &args[0], binding, t)?.string_form()?;
-            let b = eval_expr(store, &args[1], binding, t)?.string_form()?;
+            let va = eval_expr(ex, &args[0], binding)?;
+            let vb = eval_expr(ex, &args[1], binding)?;
+            let (a, b) = (va.string_form()?, vb.string_form()?);
             Ok(Value::Bool(match builtin {
-                Builtin::StrStarts => a.starts_with(&b),
-                Builtin::StrEnds => a.ends_with(&b),
-                _ => a.contains(&b),
+                Builtin::StrStarts => a.starts_with(&*b),
+                Builtin::StrEnds => a.ends_with(&*b),
+                _ => a.contains(&*b),
             }))
         }
         Builtin::Regex => {
-            let text = eval_expr(store, &args[0], binding, t)?.string_form()?;
-            let pattern = eval_expr(store, &args[1], binding, t)?.string_form()?;
-            Ok(Value::Bool(regex_lite(&text, &pattern)))
+            let vtext = eval_expr(ex, &args[0], binding)?;
+            let vpattern = eval_expr(ex, &args[1], binding)?;
+            Ok(Value::Bool(regex_lite(
+                &vtext.string_form()?,
+                &vpattern.string_form()?,
+            )))
         }
     }
 }
@@ -910,6 +1095,39 @@ mod tests {
         let s = demo_store();
         let rs = execute(&s, "SELECT ?x ?a { ?x <r:age> ?a } ORDER BY DESC(?a)").unwrap();
         assert_eq!(rs.cell(0, "x"), Some(&Term::iri("e:s1")));
+    }
+
+    #[test]
+    fn order_by_a_variable_the_select_does_not_project() {
+        let mut s = TripleStore::new();
+        for (x, y) in [("e:a", "z"), ("e:b", "a"), ("e:c", "m"), ("e:d", "m")] {
+            s.insert_terms(&Term::iri(x), &Term::iri("r:p"), &Term::iri(y));
+        }
+        let xs = |q: &str| -> Vec<String> {
+            execute(&s, q)
+                .unwrap()
+                .column("x")
+                .iter()
+                .map(|t| t.as_iri().unwrap().to_owned())
+                .collect()
+        };
+        // e:c and e:d tie on ?y and keep their solution order both ways.
+        assert_eq!(
+            xs("SELECT ?x WHERE { ?x <r:p> ?y } ORDER BY ?y"),
+            ["e:b", "e:c", "e:d", "e:a"]
+        );
+        assert_eq!(
+            xs("SELECT ?x WHERE { ?x <r:p> ?y } ORDER BY DESC(?y)"),
+            ["e:a", "e:c", "e:d", "e:b"]
+        );
+        assert_eq!(
+            xs("SELECT ?x WHERE { ?x <r:p> ?y } ORDER BY ?y LIMIT 2 OFFSET 1"),
+            ["e:c", "e:d"]
+        );
+        assert_eq!(
+            xs("SELECT DISTINCT ?x WHERE { ?x <r:p> ?y } ORDER BY DESC(?y) LIMIT 3"),
+            ["e:a", "e:c", "e:d"]
+        );
     }
 
     #[test]

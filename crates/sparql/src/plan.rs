@@ -307,8 +307,8 @@ fn encode(
 /// Estimated result cardinality of running `p` next. Lower runs earlier.
 ///
 /// The estimate starts from the *exact* prefix count of the pattern's
-/// constant positions (an O(log n) binary-search pair on the store's flat
-/// indexes — [`TripleStore::count_pattern`]); an unsatisfiable pattern is
+/// constant positions (an O(log n) binary search and gallop on the store's
+/// flat indexes — [`TripleStore::count_pattern`]); an unsatisfiable pattern is
 /// free (it empties the result immediately). Each position held by an
 /// already-bound variable narrows the scan further at runtime, so the
 /// count is discounted by the number of distinct values that position can

@@ -1,8 +1,8 @@
 //! Query solutions: the tabular results a SELECT query produces.
 //!
-//! Rows hold owned [`Term`]s, but the evaluator keeps solutions at the
-//! interned-id level through DISTINCT / ORDER BY / OFFSET / LIMIT and only
-//! materialises the rows that survive pagination, so a `ResultSet` never
+//! Rows hold owned [`Term`]s, but the evaluator keeps solutions as flat
+//! rows of interned ids through DISTINCT / ORDER BY / OFFSET / LIMIT and
+//! only resolves the rows the page returns, so a `ResultSet` never
 //! carries more `String` clones than its final size. Consumers that want
 //! the terms themselves should use [`ResultSet::into_parts`] instead of
 //! cloning out of [`ResultSet::rows`].

@@ -5,27 +5,31 @@
 //! RDF terms, booleans, integers, and strings. Coercions are documented on
 //! each function; unsupported combinations evaluate to an error, which a
 //! `FILTER` treats as *false* (SPARQL's error-as-unbound semantics).
+//!
+//! A value borrows its term or string from the store's dictionary or the
+//! plan wherever it can, so a filter over a solution clones no term.
 
 use crate::ast::CompareOp;
 use crate::error::SparqlError;
 use crate::parser::{XSD_BOOLEAN, XSD_INTEGER};
 use sofya_rdf::Term;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// An RDF term (IRI, literal, or blank node).
-    Term(Term),
+    Term(Cow<'a, Term>),
     /// A boolean (result of comparisons and logical operators).
     Bool(bool),
     /// An integer (decoded from `xsd:integer` literals).
     Int(i64),
     /// A plain string (result of `STR`, `LANG`, …).
-    Str(String),
+    Str(Cow<'a, str>),
 }
 
-impl Value {
+impl Value<'_> {
     /// SPARQL effective boolean value.
     ///
     /// Booleans are themselves; integers are true iff non-zero; strings are
@@ -36,32 +40,37 @@ impl Value {
             Value::Bool(b) => Ok(*b),
             Value::Int(i) => Ok(*i != 0),
             Value::Str(s) => Ok(!s.is_empty()),
-            Value::Term(Term::Literal {
-                lexical, datatype, ..
-            }) => match datatype.as_deref() {
-                Some(XSD_BOOLEAN) => match lexical.as_str() {
-                    "true" | "1" => Ok(true),
-                    "false" | "0" => Ok(false),
-                    other => Err(SparqlError::eval(format!("invalid xsd:boolean '{other}'"))),
+            Value::Term(term) => match term.as_ref() {
+                Term::Literal {
+                    lexical, datatype, ..
+                } => match datatype.as_deref() {
+                    Some(XSD_BOOLEAN) => match lexical.as_str() {
+                        "true" | "1" => Ok(true),
+                        "false" | "0" => Ok(false),
+                        other => Err(SparqlError::eval(format!("invalid xsd:boolean '{other}'"))),
+                    },
+                    Some(XSD_INTEGER) => {
+                        Ok(lexical.parse::<i64>().map(|v| v != 0).unwrap_or(false))
+                    }
+                    _ => Ok(!lexical.is_empty()),
                 },
-                Some(XSD_INTEGER) => Ok(lexical.parse::<i64>().map(|v| v != 0).unwrap_or(false)),
-                _ => Ok(!lexical.is_empty()),
+                other => Err(SparqlError::eval(format!("no boolean value for {other}"))),
             },
-            Value::Term(other) => Err(SparqlError::eval(format!("no boolean value for {other}"))),
         }
     }
 
-    /// String form used by `STR` and the string builtins.
-    pub fn string_form(&self) -> Result<String, SparqlError> {
+    /// String form used by `STR` and the string builtins, borrowed from
+    /// the value where it holds one.
+    pub fn string_form(&self) -> Result<Cow<'_, str>, SparqlError> {
         match self {
-            Value::Str(s) => Ok(s.clone()),
-            Value::Int(i) => Ok(i.to_string()),
-            Value::Bool(b) => Ok(b.to_string()),
-            Value::Term(Term::Iri(iri)) => Ok(iri.clone()),
-            Value::Term(Term::Literal { lexical, .. }) => Ok(lexical.clone()),
-            Value::Term(Term::BNode(_)) => {
-                Err(SparqlError::eval("STR of a blank node is undefined"))
-            }
+            Value::Str(s) => Ok(Cow::Borrowed(s)),
+            Value::Int(i) => Ok(Cow::Owned(i.to_string())),
+            Value::Bool(b) => Ok(Cow::Owned(b.to_string())),
+            Value::Term(term) => match term.as_ref() {
+                Term::Iri(iri) => Ok(Cow::Borrowed(iri)),
+                Term::Literal { lexical, .. } => Ok(Cow::Borrowed(lexical)),
+                Term::BNode(_) => Err(SparqlError::eval("STR of a blank node is undefined")),
+            },
         }
     }
 
@@ -71,10 +80,13 @@ impl Value {
         match self {
             Value::Int(i) => Some(*i),
             Value::Str(s) => s.parse().ok(),
-            Value::Term(Term::Literal {
-                lexical, datatype, ..
-            }) if datatype.as_deref() == Some(XSD_INTEGER) => lexical.parse().ok(),
-            _ => None,
+            Value::Term(term) => match term.as_ref() {
+                Term::Literal {
+                    lexical, datatype, ..
+                } if datatype.as_deref() == Some(XSD_INTEGER) => lexical.parse().ok(),
+                _ => None,
+            },
+            Value::Bool(_) => None,
         }
     }
 
@@ -83,7 +95,7 @@ impl Value {
     /// Rules, in order: if both sides are numeric, compare numerically; for
     /// `=`/`!=` on two terms, compare term identity; otherwise compare
     /// string forms lexicographically.
-    pub fn compare(&self, op: CompareOp, other: &Value) -> Result<bool, SparqlError> {
+    pub fn compare(&self, op: CompareOp, other: &Value<'_>) -> Result<bool, SparqlError> {
         if let (Some(a), Some(b)) = (self.integer_form(), other.integer_form()) {
             return Ok(apply_ordering(op, a.cmp(&b)));
         }
@@ -116,6 +128,10 @@ fn apply_ordering(op: CompareOp, ord: Ordering) -> bool {
 mod tests {
     use super::*;
 
+    fn term(t: Term) -> Value<'static> {
+        Value::Term(Cow::Owned(t))
+    }
+
     #[test]
     fn effective_boolean_of_scalars() {
         assert!(Value::Bool(true).effective_boolean().unwrap());
@@ -123,39 +139,39 @@ mod tests {
         assert!(Value::Int(3).effective_boolean().unwrap());
         assert!(!Value::Int(0).effective_boolean().unwrap());
         assert!(Value::Str("x".into()).effective_boolean().unwrap());
-        assert!(!Value::Str(String::new()).effective_boolean().unwrap());
+        assert!(!Value::Str("".into()).effective_boolean().unwrap());
     }
 
     #[test]
     fn effective_boolean_of_literals() {
-        let t = Value::Term(Term::typed_literal("true", XSD_BOOLEAN));
+        let t = term(Term::typed_literal("true", XSD_BOOLEAN));
         assert!(t.effective_boolean().unwrap());
-        let f = Value::Term(Term::typed_literal("false", XSD_BOOLEAN));
+        let f = term(Term::typed_literal("false", XSD_BOOLEAN));
         assert!(!f.effective_boolean().unwrap());
-        let n = Value::Term(Term::integer(0));
+        let n = term(Term::integer(0));
         assert!(!n.effective_boolean().unwrap());
-        let s = Value::Term(Term::literal("non-empty"));
+        let s = term(Term::literal("non-empty"));
         assert!(s.effective_boolean().unwrap());
     }
 
     #[test]
     fn effective_boolean_of_iri_is_error() {
-        assert!(Value::Term(Term::iri("x")).effective_boolean().is_err());
+        assert!(term(Term::iri("x")).effective_boolean().is_err());
     }
 
     #[test]
     fn numeric_comparison_beats_string_comparison() {
         // "10" < "9" as strings but 10 > 9 numerically.
-        let a = Value::Term(Term::integer(10));
-        let b = Value::Term(Term::integer(9));
+        let a = term(Term::integer(10));
+        let b = term(Term::integer(9));
         assert!(a.compare(CompareOp::Gt, &b).unwrap());
     }
 
     #[test]
     fn term_equality() {
-        let a = Value::Term(Term::iri("x"));
-        let b = Value::Term(Term::iri("x"));
-        let c = Value::Term(Term::literal("x"));
+        let a = term(Term::iri("x"));
+        let b = term(Term::iri("x"));
+        let c = term(Term::literal("x"));
         assert!(a.compare(CompareOp::Eq, &b).unwrap());
         assert!(a.compare(CompareOp::Neq, &c).unwrap());
         // IRI and literal with same text are different terms.
@@ -172,12 +188,12 @@ mod tests {
 
     #[test]
     fn str_of_bnode_is_error() {
-        assert!(Value::Term(Term::bnode("b")).string_form().is_err());
+        assert!(term(Term::bnode("b")).string_form().is_err());
     }
 
     #[test]
     fn integer_form_decodes_typed_literal() {
-        assert_eq!(Value::Term(Term::integer(-5)).integer_form(), Some(-5));
-        assert_eq!(Value::Term(Term::literal("5")).integer_form(), None);
+        assert_eq!(term(Term::integer(-5)).integer_form(), Some(-5));
+        assert_eq!(term(Term::literal("5")).integer_form(), None);
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sofya_rdf::{Term, TripleStore};
-use sofya_sparql::execute;
+use sofya_sparql::{execute, execute_with_options, PlanOptions, QueryOutcome};
 use std::collections::BTreeSet;
 
 const ENTITIES: u32 = 8;
@@ -147,6 +147,11 @@ struct GroupSpec {
 }
 
 fn group_query_text(spec: &GroupSpec) -> String {
+    format!("SELECT ?a ?b ?c WHERE {{ {} }}", group_body(spec))
+}
+
+/// The text inside a group's braces.
+fn group_body(spec: &GroupSpec) -> String {
     let triple =
         |&(s, p, o): &TripleSpec| format!("{} {} {}", node_text(s), node_text(p), node_text(o));
     let mut body = spec.base.iter().map(triple).collect::<Vec<_>>().join(" . ");
@@ -167,7 +172,7 @@ fn group_query_text(spec: &GroupSpec) -> String {
         let op = if f.negated { "!=" } else { "=" };
         body.push_str(&format!(" FILTER(?{} {op} {rhs})", VARS[f.lhs]));
     }
-    format!("SELECT ?a ?b ?c WHERE {{ {body} }}")
+    body
 }
 
 /// Extends `binding` so `node` matches `value`; `false` on conflict.
@@ -216,6 +221,22 @@ fn oracle_bgp(
 /// unbound variable is an evaluation error, which SPARQL (and the engine)
 /// treats as `false`.
 fn oracle_eval(facts: &[(u32, u32, u32)], spec: &GroupSpec) -> BTreeSet<Vec<String>> {
+    oracle_solutions(facts, spec)
+        .into_iter()
+        .map(|sol| sol.iter().map(|v| v.clone().unwrap_or_default()).collect())
+        .collect()
+}
+
+/// The group's solutions as a multiset, in no particular order. The store
+/// holds each fact once, so the facts are deduplicated first.
+fn oracle_solutions(facts: &[(u32, u32, u32)], spec: &GroupSpec) -> Vec<OBinding> {
+    let facts: Vec<(u32, u32, u32)> = facts
+        .iter()
+        .copied()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let facts = &facts[..];
     let mut sols = oracle_bgp(facts, &spec.base, &[None, None, None]);
     if let Some((b1, b2)) = &spec.union {
         let mut next = Vec::new();
@@ -255,9 +276,7 @@ fn oracle_eval(facts: &[(u32, u32, u32)], spec: &GroupSpec) -> BTreeSet<Vec<Stri
             }
         });
     }
-    sols.into_iter()
-        .map(|sol| sol.iter().map(|v| v.clone().unwrap_or_default()).collect())
-        .collect()
+    sols
 }
 
 fn engine_rows(store: &TripleStore, query: &str) -> BTreeSet<Vec<String>> {
@@ -417,5 +436,247 @@ proptest! {
             "query: {}",
             query
         );
+    }
+}
+
+// --------------------------------------------------------------------------
+// Solution modifiers: DISTINCT, ORDER BY, LIMIT/OFFSET and COUNT over the
+// random groups above, against the oracle's solution multiset.
+// --------------------------------------------------------------------------
+
+/// How an `ORDER BY` key is written: `?v`, `ASC(?v)` or `DESC(?v)`.
+#[derive(Debug, Clone, Copy)]
+struct OrderSpec {
+    var: usize,
+    form: u32,
+}
+
+impl OrderSpec {
+    fn descending(self) -> bool {
+        self.form == 2
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Modifiers {
+    /// Projected variables, by index.
+    select: Vec<usize>,
+    distinct: bool,
+    order: Vec<OrderSpec>,
+    limit: Option<usize>,
+    offset: Option<usize>,
+}
+
+fn modifiers() -> impl Strategy<Value = Modifiers> {
+    (
+        1u32..8,
+        prop_oneof![Just(false), Just(true)],
+        proptest::collection::vec(
+            (0..VARS.len(), 0u32..3).prop_map(|(var, form)| OrderSpec { var, form }),
+            0..3,
+        ),
+        maybe(0usize..6),
+        maybe(0usize..6),
+    )
+        .prop_map(|(mask, distinct, order, limit, offset)| Modifiers {
+            select: (0..VARS.len()).filter(|v| mask & (1 << v) != 0).collect(),
+            distinct,
+            order,
+            limit,
+            offset,
+        })
+}
+
+fn modified_query_text(spec: &GroupSpec, m: &Modifiers) -> String {
+    let select: Vec<String> = m.select.iter().map(|&v| format!("?{}", VARS[v])).collect();
+    let mut q = format!(
+        "SELECT {}{} WHERE {{ {} }}",
+        if m.distinct { "DISTINCT " } else { "" },
+        select.join(" "),
+        group_body(spec)
+    );
+    if !m.order.is_empty() {
+        q.push_str(" ORDER BY");
+        for key in &m.order {
+            let var = VARS[key.var];
+            q.push_str(&match key.form {
+                0 => format!(" ?{var}"),
+                1 => format!(" ASC(?{var})"),
+                _ => format!(" DESC(?{var})"),
+            });
+        }
+    }
+    if let Some(limit) = m.limit {
+        q.push_str(&format!(" LIMIT {limit}"));
+    }
+    if let Some(offset) = m.offset {
+        q.push_str(&format!(" OFFSET {offset}"));
+    }
+    q
+}
+
+type Cells = Vec<Option<String>>;
+
+/// What the query returns before paging, as `(ORDER BY key values,
+/// projected cells)` in key order. Unbound sorts first, and DISTINCT
+/// keeps each projected row's first occurrence in that order. Rows whose
+/// keys tie may come in any order.
+fn oracle_modified(
+    facts: &[(u32, u32, u32)],
+    spec: &GroupSpec,
+    m: &Modifiers,
+) -> Vec<(Cells, Cells)> {
+    let mut rows: Vec<(Cells, Cells)> = oracle_solutions(facts, spec)
+        .iter()
+        .map(|sol| {
+            (
+                m.order.iter().map(|k| sol[k.var].clone()).collect(),
+                m.select.iter().map(|&v| sol[v].clone()).collect(),
+            )
+        })
+        .collect();
+    rows.sort_by(|(a, _), (b, _)| {
+        for (i, key) in m.order.iter().enumerate() {
+            let ord = a[i].cmp(&b[i]);
+            let ord = if key.descending() { ord.reverse() } else { ord };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    if m.distinct {
+        let mut seen = BTreeSet::new();
+        rows.retain(|(_, cells)| seen.insert(cells.clone()));
+    }
+    rows
+}
+
+fn engine_cells(store: &TripleStore, query: &str, opts: PlanOptions<'_>) -> Vec<Cells> {
+    match execute_with_options(store, query, opts).unwrap() {
+        QueryOutcome::Solutions(rs) => rs
+            .rows()
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|cell| cell.as_ref().map(|t| t.as_iri().unwrap().to_owned()))
+                    .collect()
+            })
+            .collect(),
+        QueryOutcome::Boolean(_) => panic!("not a SELECT: {query}"),
+    }
+}
+
+fn engine_count(store: &TripleStore, query: &str, opts: PlanOptions<'_>) -> i64 {
+    match execute_with_options(store, query, opts).unwrap() {
+        QueryOutcome::Solutions(rs) => rs.single_integer().unwrap(),
+        QueryOutcome::Boolean(_) => panic!("not a SELECT: {query}"),
+    }
+}
+
+/// Both plan choices: greedy reordering and written order.
+fn plan_choices() -> [PlanOptions<'static>; 2] {
+    [
+        PlanOptions::default(),
+        PlanOptions {
+            preserve_order: true,
+            stats: None,
+        },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// DISTINCT, ORDER BY (`?v`, `ASC`, `DESC`; projected or not) and
+    /// LIMIT/OFFSET over random groups. The unpaged answer matches the
+    /// oracle run by run of tied keys; a page is exactly rows
+    /// `[offset, offset + limit)` of the unpaged answer under the same
+    /// plan, whatever the plan.
+    #[test]
+    fn modifiers_match_oracle_and_pages_slice_the_unpaged_answer(
+        facts in proptest::collection::vec(
+            (0..ENTITIES, 0..PREDICATES, 0..ENTITIES), 1..20),
+        // An all-variable base gives many rows, so orders show.
+        base in prop_oneof![
+            proptest::collection::vec(triple_spec(), 0..3),
+            Just(vec![(Node::Var(0), Node::Var(1), Node::Var(2))]),
+        ],
+        union in maybe((triple_spec(), triple_spec())),
+        optional in maybe(triple_spec()),
+        filter in maybe(filter_spec()),
+        m in modifiers(),
+    ) {
+        let spec = GroupSpec { base, union, optional, filter };
+        let store = build_store(&facts);
+        let unpaged = Modifiers { limit: None, offset: None, ..m.clone() };
+        let expected = oracle_modified(&facts, &spec, &unpaged);
+        let query = modified_query_text(&spec, &m);
+        for opts in plan_choices() {
+            let all = engine_cells(&store, &modified_query_text(&spec, &unpaged), opts);
+            prop_assert_eq!(all.len(), expected.len(), "query: {}", query);
+            let mut start = 0;
+            while start < expected.len() {
+                let keys = &expected[start].0;
+                let end = start + expected[start..].iter().take_while(|(k, _)| k == keys).count();
+                let mut got = all[start..end].to_vec();
+                let mut want: Vec<Cells> =
+                    expected[start..end].iter().map(|(_, cells)| cells.clone()).collect();
+                got.sort();
+                want.sort();
+                prop_assert_eq!(got, want, "query: {} (keys {:?})", query, keys);
+                start = end;
+            }
+
+            let page = engine_cells(&store, &query, opts);
+            let from = m.offset.unwrap_or(0).min(all.len());
+            let to = from.saturating_add(m.limit.unwrap_or(usize::MAX)).min(all.len());
+            prop_assert_eq!(&page[..], &all[from..to], "query: {}", query);
+        }
+    }
+
+    /// `COUNT(*)` counts the oracle's solutions and equals the row count
+    /// of `SELECT *`; `COUNT(?v)` and `COUNT(DISTINCT ?v)` count the bound
+    /// values of `?v`, all of them or each once.
+    #[test]
+    fn counts_match_oracle_and_select_star(
+        facts in proptest::collection::vec(
+            (0..ENTITIES, 0..PREDICATES, 0..ENTITIES), 1..20),
+        base in proptest::collection::vec(triple_spec(), 0..3),
+        union in maybe((triple_spec(), triple_spec())),
+        optional in maybe(triple_spec()),
+        filter in maybe(filter_spec()),
+        counted in 0..VARS.len(),
+    ) {
+        let spec = GroupSpec { base, union, optional, filter };
+        let store = build_store(&facts);
+        let body = group_body(&spec);
+        let sols = oracle_solutions(&facts, &spec);
+        let bound: Vec<&String> = sols.iter().filter_map(|sol| sol[counted].as_ref()).collect();
+        let distinct: BTreeSet<&String> = bound.iter().copied().collect();
+        let var = VARS[counted];
+        // Counting a variable no triple pattern mentions is an error.
+        let mut triples = spec.base.clone();
+        triples.extend(spec.union.iter().flat_map(|&(b1, b2)| [b1, b2]));
+        triples.extend(spec.optional);
+        let mentioned = triples
+            .iter()
+            .any(|&(s, p, o)| [s, p, o].iter().any(|n| matches!(n, Node::Var(v) if *v == counted)));
+        for opts in plan_choices() {
+            let star = engine_count(&store, &format!("SELECT (COUNT(*) AS ?n) WHERE {{ {body} }}"), opts);
+            prop_assert_eq!(star, sols.len() as i64, "body: {}", body);
+            let rows = engine_cells(&store, &format!("SELECT * WHERE {{ {body} }}"), opts);
+            prop_assert_eq!(star, rows.len() as i64, "body: {}", body);
+            if mentioned {
+                let n = engine_count(&store, &format!("SELECT (COUNT(?{var}) AS ?n) WHERE {{ {body} }}"), opts);
+                prop_assert_eq!(n, bound.len() as i64, "body: {}", body);
+                let n = engine_count(
+                    &store,
+                    &format!("SELECT (COUNT(DISTINCT ?{var}) AS ?n) WHERE {{ {body} }}"),
+                    opts,
+                );
+                prop_assert_eq!(n, distinct.len() as i64, "body: {}", body);
+            }
+        }
     }
 }

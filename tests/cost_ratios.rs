@@ -1,4 +1,4 @@
-//! Four costs held as ratios, not times: each test measures two things
+//! Five costs held as ratios, not times: each test measures two things
 //! in one process and asserts how far apart they may lie, so it means
 //! the same on any machine and needs no committed baseline.
 //!
@@ -11,16 +11,19 @@
 //! * a publish costs its readers what it wrote: the first `stats()` after
 //!   256 triples of one predicate among a thousand costs at most 0.2x a
 //!   full `StoreStats::compute`, and asking 64 cached relations about a
-//!   512-term delta at most 8x asking one.
+//!   512-term delta at most 8x asking one;
+//! * `SELECT DISTINCT ?p … ORDER BY ?p` over a whole KB costs at most
+//!   1.5x the same query unordered: only the distinct rows are sorted.
 //!
 //! Timing-sensitive, so the assertions only run in release builds
 //! (`cargo test --release --test cost_ratios`). Absolute times are the
 //! business of `benchmark/`.
 
 use sofya::align::{Aligner, AlignerConfig, AlignmentSession};
+use sofya::endpoint::helpers::all_relations;
 use sofya::endpoint::{
-    Endpoint, EndpointError, LocalEndpoint, PredicateDelta, PublishDelta, Request, Response,
-    SnapshotStore,
+    Endpoint, EndpointError, EndpointExt, LocalEndpoint, PredicateDelta, PublishDelta, Request,
+    Response, SnapshotStore,
 };
 use sofya::kbgen::{generate, GeneratedPair, PairConfig};
 use sofya::net::wire::envelope_to_json;
@@ -348,5 +351,28 @@ fn a_publish_costs_its_readers_what_it_wrote() {
         ratio <= 8.0,
         "asking 64 cached relations about a 512-term delta costs {many_ns} ns against \
          {one_ns} ns for one ({ratio:.1}x) — the delta is hashed per relation"
+    );
+}
+
+/// `all_relations`, the aligner's first query, on the paper-scale KB:
+/// DISTINCT merges the triples into a few hundred predicates before
+/// ORDER BY sorts them, so the sort is lost in the scan.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn ordering_distinct_rows_sorts_only_the_distinct_rows() {
+    let _alone = alone();
+    let kb = generate(&PairConfig::yago_dbpedia(SEED)).kb2;
+    let triples = kb.len();
+    let local = LocalEndpoint::new("kb2", kb);
+    let unordered_ns = median_ns(|| {
+        let rs = local.select("SELECT DISTINCT ?p WHERE { ?s ?p ?o }");
+        rs.unwrap().len() as u64
+    });
+    let ordered_ns = median_ns(|| all_relations(&local).unwrap().len() as u64);
+    let ratio = ordered_ns as f64 / unordered_ns.max(1) as f64;
+    assert!(
+        ratio <= 1.5,
+        "all_relations over {triples} triples costs {ordered_ns} ns against {unordered_ns} ns \
+         without ORDER BY ({ratio:.2}x) — every solution is sorted, not every distinct row"
     );
 }
