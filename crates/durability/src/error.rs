@@ -10,8 +10,9 @@ pub enum DurabilityError {
     /// log poisons itself so the torn tail is never appended after).
     Io(io::Error),
     /// On-disk state failed validation during recovery: bad checksum,
-    /// truncated frame, or inconsistent manifest. Recovery refuses to
-    /// produce a store from it.
+    /// truncated segment, inconsistent manifest, a change that does not
+    /// apply, or a checksummed WAL record that is not a frame. Recovery
+    /// refuses to produce a store from it.
     Corrupt(String),
     /// A previous commit failed; this log must be dropped and the
     /// directory re-opened through recovery.

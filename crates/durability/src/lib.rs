@@ -1,7 +1,7 @@
 //! # sofya-durability
 //!
 //! Crash-safe persistence for the SOFYA triple store: a write-ahead log
-//! with group commit at publish, checksummed on-disk segments written at
+//! of one frame per publish, checksummed on-disk segments written at
 //! checkpoints, and a recovery path proven under injected faults.
 //!
 //! The robustness bar is not "writes files" but "survives being killed
@@ -14,8 +14,10 @@
 //!
 //! ## Layering
 //!
-//! This crate depends only on `sofya-rdf`: it journals term-level
-//! mutations and rebuilds a [`sofya_rdf::TripleStore`]. The concurrent
+//! This crate depends only on `sofya-rdf`: it logs what each committed
+//! [`sofya_rdf::StoreSnapshot`] changed, in ids — the terms interned and
+//! the keys added and removed — and rebuilds a [`sofya_rdf::TripleStore`]
+//! by applying checkpoint segments and WAL frames alike. The concurrent
 //! publish/subscribe wiring (`SnapshotStore`, readers) lives in
 //! `sofya-endpoint`'s `DurableStore`, which pairs a store with a
 //! [`DurableLog`] and commits the WAL *before* swapping the published
@@ -38,11 +40,10 @@ pub mod error;
 pub mod io;
 pub mod log;
 pub mod segment;
-pub mod wal;
+mod wal;
 
 pub use crc::crc32;
 pub use error::DurabilityError;
 pub use io::{FaultKind, FaultyIo, MemIo, StdIo, StorageIo};
 pub use log::{CommitReceipt, DurabilityConfig, DurableLog};
 pub use segment::{Manifest, RunsSegment, SegmentKind, MANIFEST_FILE, WAL_FILE};
-pub use wal::{WalEntry, WalOp, WalRecord};

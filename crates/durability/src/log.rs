@@ -1,31 +1,31 @@
-//! The durable log engine: group-commit WAL + checkpoint segments.
+//! The durable log engine: one WAL frame per commit, and checkpoint
+//! segments.
 //!
-//! [`DurableLog`] does not own the store — it records the store's
-//! term-level mutations ([`DurableLog::record_insert`] & friends) and
-//! makes them durable at publish time ([`DurableLog::commit`]). The
-//! owner (e.g. `sofya_endpoint::DurableStore`) applies each mutation to
-//! its in-memory [`TripleStore`] *and* records it here, then commits
-//! against the snapshot it is about to publish. Keeping the log the
-//! only mutation journal, replayed through the same term-level calls in
-//! the original order, makes recovered `TermId`s — and therefore the
-//! snapshot fingerprint — bit-identical to the original run.
+//! [`DurableLog`] does not own the store and sees none of the calls that
+//! change it. The owner (e.g. `sofya_endpoint::DurableStore`) mutates its
+//! [`TripleStore`] and, at publish, commits the snapshot it is about to
+//! publish ([`DurableLog::commit`]). The log keeps the snapshot of its
+//! last commit and writes what the new one changed since, in ids: the
+//! terms interned since, the first id explicit, and the SPO keys added
+//! and removed ([`StoreSnapshot::diff_since`]). Recovery assigns every
+//! term the id the writer gave it, so the recovered dictionary is the
+//! writer's term for term and the snapshot fingerprint is bit-identical.
 //!
 //! ## Protocol
 //!
-//! * **Commit** (per publish): append every pending mutation record plus
-//!   a commit record (epoch, snapshot fingerprint) in one write, fsync
-//!   the WAL. The fsync returning is the ack.
+//! * **Commit** (per publish): append one frame — epoch, snapshot
+//!   fingerprint, the change — in one write and fsync the WAL. The fsync
+//!   returning is the ack. A commit that changed nothing writes nothing.
 //! * **Checkpoint** (every [`DurabilityConfig::checkpoint_every`]
 //!   commits): write what changed since the previous one — the terms
-//!   interned since, and the SPO keys added and removed
-//!   ([`StoreSnapshot::diff_since`] against the snapshot retained from
-//!   it) — as checksummed segments (fsynced), stage at `MANIFEST.tmp` a
-//!   manifest listing them after the segments already listed (fsynced),
-//!   atomically rename it over `MANIFEST`, then truncate the WAL. A crash
-//!   on either side of the rename leaves a valid manifest — old (the new
-//!   segment an orphan nothing names) or new — and the WAL's epoch tags
-//!   make replay idempotent across the boundary. The cost follows the
-//!   change, not the store.
+//!   interned since, and the SPO keys added and removed (`diff_since`
+//!   against the snapshot retained from it) — as checksummed segments
+//!   (fsynced), stage at `MANIFEST.tmp` a manifest listing them after the
+//!   segments already listed (fsynced), atomically rename it over
+//!   `MANIFEST`, then truncate the WAL. A crash on either side of the
+//!   rename leaves a valid manifest — old (the new segment an orphan
+//!   nothing names) or new — and recovery skips every frame the manifest
+//!   already covers. The cost follows the change, not the store.
 //! * **Fold**: the checkpoint instead writes the whole snapshot as a
 //!   fresh base — the same segment, its predecessor the empty store —
 //!   listed alone, when nothing is retained to diff against (`create`,
@@ -35,17 +35,17 @@
 //!   segments: those are rewritten as one in the same swap). Run segments
 //!   on disk stay under twice the base and the manifest bounded.
 //!   Superseded files are removed, best-effort, after the rename.
-//! * **Recover**: load the manifest (missing ⇒ fresh store), rebuild the
-//!   dictionary from its segments and the triples by applying the run
-//!   segments in order (removing an absent key or adding a present one is
-//!   corruption), cut the WAL at the last valid record, replay fully
-//!   committed epochs newer than the checkpoint, and verify the final
-//!   fingerprint against the last commit record (or the manifest). The
-//!   WAL is rewritten to the records applied so post-recovery appends
-//!   never land after a torn tail.
+//! * **Recover**: load the manifest (missing ⇒ fresh store), then apply
+//!   the dictionary segments, the run segments in order and the WAL
+//!   frames newer than the checkpoint through one routine: intern a term
+//!   slice that starts at the dictionary's length, remove keys that must
+//!   be present, add keys that must be absent, and check the fingerprint
+//!   a frame sealed (the manifest's, after the segments). The WAL is cut
+//!   at its torn tail and rewritten to the cut, so post-recovery appends
+//!   never land after it.
 //!
 //! The WAL truncation needs no fsync of its own: once the manifest is
-//! renamed, replay skips every record the WAL can still hold, and the
+//! renamed, recovery skips every frame the WAL can still hold, and the
 //! next commit's fsync of the same file covers the truncation.
 //!
 //! Any I/O failure during commit poisons the log: the in-memory store
@@ -59,15 +59,12 @@ use crate::segment::{
     read_segment, write_segment, DictSegment, Manifest, RunsSegment, SegmentKind, MANIFEST_FILE,
     MANIFEST_TMP_FILE, WAL_FILE,
 };
-use crate::wal::{append_op, append_record, scan, WalEntry, WalOp, WalRecord};
+use crate::wal::{scan, Frame, Key};
 use sofya_rdf::segment as codec;
 use sofya_rdf::segment::ByteReader;
 use sofya_rdf::{Dict, StoreSnapshot, Term, TermId, TripleStore};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-type Key = (u32, u32, u32);
 
 /// The fold rule (module docs): delta segments a manifest may list, and
 /// the share of the base's triples they may reach.
@@ -94,11 +91,11 @@ impl Default for DurabilityConfig {
 /// What a successful [`DurableLog::commit`] made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitReceipt {
-    /// The epoch this commit sealed (unchanged if nothing was pending).
+    /// The epoch this commit sealed (unchanged if nothing changed).
     pub epoch: u64,
     /// The committed snapshot's fingerprint.
     pub fingerprint: u64,
-    /// WAL bytes appended by this commit.
+    /// WAL bytes appended by this commit: its frame, or 0.
     pub wal_bytes: u64,
     /// Wall-clock cost of the WAL fsync (the ack's latency floor).
     pub fsync_latency: Duration,
@@ -111,15 +108,24 @@ pub struct CommitReceipt {
 pub struct DurableLog {
     io: Arc<dyn StorageIo>,
     config: DurabilityConfig,
-    pending: Vec<WalOp>,
     epoch: u64,
     wal_bytes: u64,
     /// The manifest on disk (empty before the first checkpoint).
     manifest: Manifest,
-    /// The snapshot it describes (a handful of `Arc`s) for the next
-    /// checkpoint to diff against; `None` after `create` and `recover`.
+    /// The snapshot of the last commit, which the next frame is the
+    /// change from.
+    committed: StoreSnapshot,
+    /// The snapshot the manifest describes (a handful of `Arc`s) for the
+    /// next checkpoint to diff against; `None` after `create` and
+    /// `recover`.
     checkpointed: Option<StoreSnapshot>,
     poisoned: bool,
+}
+
+/// The number of terms in `dict`, as the next id.
+fn term_count(dict: &Dict) -> Result<u32, DurabilityError> {
+    u32::try_from(dict.len())
+        .map_err(|_| DurabilityError::Corrupt("dictionary exceeds u32 term ids".into()))
 }
 
 impl DurableLog {
@@ -142,10 +148,10 @@ impl DurableLog {
         let mut log = Self {
             io,
             config,
-            pending: Vec::new(),
             epoch: 0,
             wal_bytes: 0,
             manifest: Manifest::default(),
+            committed: initial.clone(),
             checkpointed: None,
             poisoned: false,
         };
@@ -170,41 +176,29 @@ impl DurableLog {
         self.wal_bytes
     }
 
-    /// Records a fresh insert (call only when the store reported the
-    /// triple as new).
-    pub fn record_insert(&mut self, s: &Term, p: &Term, o: &Term) {
-        self.pending
-            .push(WalOp::Insert(s.clone(), p.clone(), o.clone()));
-    }
-
-    /// Records a remove of a present triple.
-    pub fn record_remove(&mut self, s: &Term, p: &Term, o: &Term) {
-        self.pending
-            .push(WalOp::Remove(s.clone(), p.clone(), o.clone()));
-    }
-
-    /// Records a `load_batch_terms` call verbatim (pre-dedup), so replay
-    /// interns terms in the exact original order.
-    pub fn record_batch(&mut self, triples: &[(Term, Term, Term)]) {
-        self.pending.push(WalOp::Batch(triples.to_vec()));
-    }
-
     fn poison(&mut self, error: DurabilityError) -> DurabilityError {
         self.poisoned = true;
         error
     }
 
-    /// Makes every pending mutation durable as the next epoch and
-    /// returns the receipt. With nothing pending this is a no-op ack of
-    /// the current epoch. The caller passes the snapshot it is about to
-    /// publish; its fingerprint is sealed into the commit record and
-    /// verified at recovery.
+    /// Makes what `snapshot` changed since the last commit durable as the
+    /// next epoch — one frame, one fsync — and returns the receipt. If it
+    /// interned no term and added or removed no key, nothing is written
+    /// and the receipt acks the current epoch. The caller passes the
+    /// snapshot it is about to publish, taken from the store this log was
+    /// created or recovered with; its fingerprint is sealed into the frame
+    /// and verified at recovery.
     pub fn commit(&mut self, snapshot: &StoreSnapshot) -> Result<CommitReceipt, DurabilityError> {
         if self.poisoned {
             return Err(DurabilityError::Poisoned);
         }
         let fingerprint = snapshot.fingerprint();
-        if self.pending.is_empty() {
+        let (start, end) = (
+            term_count(self.committed.dict())?,
+            term_count(snapshot.dict())?,
+        );
+        let (adds, removes) = snapshot.diff_since(&self.committed);
+        if start == end && adds.is_empty() && removes.is_empty() {
             return Ok(CommitReceipt {
                 epoch: self.epoch,
                 fingerprint,
@@ -213,12 +207,19 @@ impl DurableLog {
                 checkpointed: false,
             });
         }
-        let next = self.epoch + 1;
+        let dict = snapshot.dict();
+        let frame = Frame {
+            epoch: self.epoch + 1,
+            fingerprint,
+            start,
+            terms: (start..end)
+                .map(|id| dict.resolve(TermId(id)).clone())
+                .collect(),
+            adds,
+            removes,
+        };
         let mut buf = Vec::new();
-        for op in &self.pending {
-            append_op(&mut buf, next, op)?;
-        }
-        append_record(&mut buf, next, &WalEntry::Commit { fingerprint })?;
+        frame.encode(&mut buf)?;
 
         self.io
             .append(WAL_FILE, &buf)
@@ -228,8 +229,8 @@ impl DurableLog {
         self.io.fsync(WAL_FILE).map_err(|e| self.poison(e.into()))?;
         let fsync_latency = fsync_start.elapsed();
 
-        self.epoch = next;
-        self.pending.clear();
+        self.epoch = frame.epoch;
+        self.committed = snapshot.clone();
         self.wal_bytes += buf.len() as u64;
 
         let mut checkpointed = false;
@@ -239,7 +240,7 @@ impl DurableLog {
             checkpointed = true;
         }
         Ok(CommitReceipt {
-            epoch: next,
+            epoch: self.epoch,
             fingerprint,
             wal_bytes: buf.len() as u64,
             fsync_latency,
@@ -268,9 +269,8 @@ impl DurableLog {
         fingerprint: u64,
     ) -> Result<(), DurabilityError> {
         let io = self.io.as_ref();
-        let dict = snapshot.store().dict();
-        let term_count = u32::try_from(dict.len())
-            .map_err(|_| DurabilityError::Corrupt("dictionary exceeds u32 term ids".into()))?;
+        let dict = snapshot.dict();
+        let term_count = term_count(dict)?;
 
         // Runs: the change since the previous checkpoint after the
         // segments listed, or — a fold — since the empty store, alone.
@@ -308,8 +308,8 @@ impl DurableLog {
             let name = format!("dict-{start:010}-{term_count:010}.seg");
             let mut payload = Vec::new();
             payload.extend_from_slice(&start.to_le_bytes());
-            let terms: Vec<&Term> = dict.iter().skip(start as usize).map(|(_, t)| t).collect();
-            codec::encode_terms(&mut payload, terms.into_iter());
+            let terms = (start..term_count).map(|id| dict.resolve(TermId(id)));
+            codec::encode_terms(&mut payload, terms);
             write_segment(io, &name, SegmentKind::Dict, &payload)?;
             dict_segments.push(DictSegment {
                 name,
@@ -348,9 +348,9 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Rebuilds the store from the manifest + segments, replays the
-    /// WAL's fully committed epochs, and returns the log ready for new
-    /// commits alongside the recovered store.
+    /// Rebuilds the store from the manifest, its segments and the WAL's
+    /// frames, and returns the log ready for new commits alongside the
+    /// recovered store.
     ///
     /// A directory without a manifest recovers as an empty store (a
     /// crash before [`DurableLog::create`] finished can't have acked
@@ -370,140 +370,93 @@ impl DurableLog {
             MANIFEST_FILE,
             SegmentKind::Manifest,
         )?)?;
+        use DurabilityError::Corrupt;
 
-        // Dictionary: concatenate the delta segments in id order.
-        let mut dict = Dict::new();
+        // The checkpoint: the dictionary segments in id order, then the
+        // run segments, a base and its deltas, in the order they apply.
+        let mut store = TripleStore::new();
         for seg in &manifest.dict_segments {
             let payload = read_segment(io.as_ref(), &seg.name, SegmentKind::Dict)?;
             let mut reader = ByteReader::new(&payload);
-            let start = reader.u32().map_err(DurabilityError::from)?;
-            let terms = codec::decode_terms(&mut reader)?;
-            if start != seg.start
-                || start as usize != dict.len()
-                || terms.len() != seg.count as usize
-            {
-                return Err(DurabilityError::Corrupt(format!(
-                    "dict segment {} does not cover [{}, {}+{})",
-                    seg.name, seg.start, seg.start, seg.count
-                )));
-            }
-            for term in &terms {
-                dict.intern(term);
-            }
+            let (start, terms) = (reader.u32()?, codec::decode_terms(&mut reader)?);
+            let applied = if (start, terms.len()) != (seg.start, seg.count as usize) {
+                Err("not the terms the manifest lists".into())
+            } else {
+                apply(&mut store, start, &terms, &[], &[], None)
+            };
+            applied.map_err(|what| Corrupt(format!("dict segment {}: {what}", seg.name)))?;
         }
-        if dict.len() != manifest.term_count as usize {
-            return Err(DurabilityError::Corrupt(format!(
+        if store.dict().len() != manifest.term_count as usize {
+            return Err(Corrupt(format!(
                 "dictionary has {} terms, manifest says {}",
-                dict.len(),
+                store.dict().len(),
                 manifest.term_count
             )));
         }
-
-        // Runs: the triples of the checkpointed snapshot, the base changed
-        // by each delta in turn.
-        let mut keys: HashSet<Key> = HashSet::new();
         for seg in &manifest.runs {
-            let corrupt =
-                |what: &str| DurabilityError::Corrupt(format!("runs segment {}: {what}", seg.name));
             let payload = read_segment(io.as_ref(), &seg.name, SegmentKind::Runs)?;
             let mut reader = ByteReader::new(&payload);
             let adds = codec::decode_triples(&mut reader)?;
             let removes = codec::decode_triples(&mut reader)?;
-            let known = |&(s, p, o): &Key| s.max(p).max(o) < manifest.term_count;
-            if (adds.len() as u64, removes.len() as u64) != (seg.adds, seg.removes)
-                || reader.remaining() != 0
-                || !adds.iter().chain(&removes).all(known)
-            {
-                return Err(corrupt(
-                    "not the triples, or not the term ids, the manifest lists",
-                ));
-            }
-            // A delta is exactly the difference of two snapshots.
-            if !(removes.iter().all(|key| keys.remove(key))
-                && adds.iter().all(|key| keys.insert(*key)))
-            {
-                return Err(corrupt("removes an absent key or adds a present one"));
-            }
+            let counts = (adds.len() as u64, removes.len() as u64);
+            let applied = if counts != (seg.adds, seg.removes) || reader.remaining() != 0 {
+                Err("not the triples the manifest lists".into())
+            } else {
+                apply(&mut store, manifest.term_count, &[], &removes, &adds, None)
+            };
+            applied.map_err(|what| Corrupt(format!("runs segment {}: {what}", seg.name)))?;
         }
-        if keys.len() as u64 != manifest.triple_count {
-            return Err(DurabilityError::Corrupt(format!(
-                "run segments hold {} triples, manifest says {}",
-                keys.len(),
-                manifest.triple_count
+        let sealed = (manifest.triple_count, manifest.fingerprint);
+        if (store.len() as u64, store.fingerprint()) != sealed {
+            return Err(Corrupt(format!(
+                "run segments hold {} triples of fingerprint {:#x}, manifest says {} of {:#x}",
+                store.len(),
+                store.fingerprint(),
+                sealed.0,
+                sealed.1
             )));
         }
 
-        let mut store = TripleStore::new();
-        *store.dict_mut() = dict;
-        store.load_batch(
-            keys.iter()
-                .map(|&(s, p, o)| (TermId(s), TermId(p), TermId(o))),
-        );
-        store.flush();
-
-        // Replay the WAL: cut the tail at the last valid record, then
-        // apply each epoch newer than the checkpoint only if its commit
-        // record survived.
-        let wal = match io.read(WAL_FILE) {
+        // The WAL: every frame newer than the checkpoint, each one epoch
+        // after the last. Older ones are left by a checkpoint that crashed
+        // before resetting the file.
+        let mut wal = match io.read(WAL_FILE) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        let (records, _cut) = scan(&wal);
+        let (frames, cut) = scan(&wal)?;
         let mut epoch = manifest.epoch;
-        let mut verify_fingerprint = manifest.fingerprint;
-        let mut staged: Vec<&WalRecord> = Vec::new();
-        for record in &records {
-            if record.epoch <= manifest.epoch {
-                continue; // pre-checkpoint epoch still in a not-yet-reset WAL
-            }
-            match &record.entry {
-                WalEntry::Op(_) => staged.push(record),
-                WalEntry::Commit { fingerprint } => {
-                    for staged_record in staged.drain(..) {
-                        if staged_record.epoch != record.epoch {
-                            return Err(DurabilityError::Corrupt(format!(
-                                "WAL record of epoch {} inside committed epoch {}",
-                                staged_record.epoch, record.epoch
-                            )));
-                        }
-                        if let WalEntry::Op(op) = &staged_record.entry {
-                            replay_op(&mut store, op);
-                        }
-                    }
-                    epoch = record.epoch;
-                    verify_fingerprint = *fingerprint;
-                }
-            }
+        for frame in frames.iter().filter(|frame| frame.epoch > manifest.epoch) {
+            let applied = if frame.epoch != epoch + 1 {
+                Err(format!("follows epoch {epoch}"))
+            } else {
+                apply(
+                    &mut store,
+                    frame.start,
+                    &frame.terms,
+                    &frame.removes,
+                    &frame.adds,
+                    Some(frame.fingerprint),
+                )
+            };
+            applied
+                .map_err(|what| Corrupt(format!("wal frame of epoch {}: {what}", frame.epoch)))?;
+            epoch = frame.epoch;
         }
-        // Records after the last commit belong to an epoch whose fsync
-        // never acked; they are dropped with the torn tail.
-
-        let recovered = store.fingerprint();
+        store.flush();
         // The store reads its fingerprint from a fold it keeps current;
         // debug builds (and so every recovery the test suites drive) hold
         // that equal to the defining walk over the triples.
-        debug_assert_eq!(recovered, sofya_rdf::fingerprint_of(store.iter()));
-        if recovered != verify_fingerprint {
-            return Err(DurabilityError::Corrupt(format!(
-                "recovered fingerprint {recovered:#x} != committed {verify_fingerprint:#x} at epoch {epoch}"
-            )));
-        }
+        debug_assert_eq!(store.fingerprint(), sofya_rdf::fingerprint_of(store.iter()));
 
-        // Rewrite the WAL to exactly the applied records: this drops the
-        // torn tail, stale pre-checkpoint epochs, and valid-but-
-        // uncommitted orphan records whose epoch a future commit will
-        // reuse. Staged via a temp file + atomic rename so a crash mid-
-        // rewrite never loses committed records.
-        let mut kept = Vec::new();
-        for record in &records {
-            if record.epoch > manifest.epoch && record.epoch <= epoch {
-                append_record(&mut kept, record.epoch, &record.entry)?;
-            }
-        }
-        if kept != wal {
+        // Cut the torn tail, so post-recovery appends never land after
+        // it. Staged via a temp file + atomic rename so a crash mid-
+        // rewrite never loses a frame.
+        if wal.len() > cut {
             const WAL_TMP_FILE: &str = "wal.log.tmp";
-            io.write(WAL_TMP_FILE, &kept)?;
+            wal.truncate(cut);
+            io.write(WAL_TMP_FILE, &wal)?;
             io.fsync(WAL_TMP_FILE)?;
             io.rename(WAL_TMP_FILE, WAL_FILE)?;
         }
@@ -511,10 +464,10 @@ impl DurableLog {
         let log = Self {
             io,
             config,
-            pending: Vec::new(),
             epoch,
-            wal_bytes: kept.len() as u64,
+            wal_bytes: cut as u64,
             manifest,
+            committed: store.snapshot(),
             checkpointed: None,
             poisoned: false,
         };
@@ -522,26 +475,56 @@ impl DurableLog {
     }
 }
 
-/// Applies one replayed mutation through the same term-level calls the
-/// original writer used, preserving intern order and therefore ids.
-fn replay_op(store: &mut TripleStore, op: &WalOp) {
-    match op {
-        WalOp::Insert(s, p, o) => {
-            store.insert_terms(s, p, o);
-        }
-        WalOp::Remove(s, p, o) => {
-            let (Some(s), Some(p), Some(o)) = (
-                store.dict().lookup(s),
-                store.dict().lookup(p),
-                store.dict().lookup(o),
-            ) else {
-                return;
-            };
-            store.remove(s, p, o);
-        }
-        WalOp::Batch(triples) => {
-            store.load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)));
-        }
+/// The one routine recovery changes the store by, for checkpoint segments
+/// and WAL frames alike: intern `terms` as the ids from `start`, which
+/// must be the dictionary's length; remove `removes`, each of which must
+/// be present; add `adds`, each of which must be absent; and check the
+/// `fingerprint` the change sealed, if it sealed one. The error names the
+/// promise the change broke.
+fn apply(
+    store: &mut TripleStore,
+    start: u32,
+    terms: &[Term],
+    removes: &[Key],
+    adds: &[Key],
+    fingerprint: Option<u64>,
+) -> Result<(), String> {
+    let dict = store.dict_mut();
+    if start as usize != dict.len() {
+        return Err(format!(
+            "starts at term {start}, after {} terms",
+            dict.len()
+        ));
+    }
+    for term in terms {
+        dict.intern(term);
+    }
+    let known = dict.len();
+    if known != start as usize + terms.len() {
+        return Err("interns a term twice".into());
+    }
+    if !removes
+        .iter()
+        .chain(adds)
+        .all(|&(s, p, o)| (s.max(p).max(o) as usize) < known)
+    {
+        return Err("names a term id the dictionary does not hold".into());
+    }
+    let ids = |&(s, p, o): &Key| (TermId(s), TermId(p), TermId(o));
+    if !removes
+        .iter()
+        .map(ids)
+        .all(|(s, p, o)| store.remove(s, p, o))
+        || store.load_batch(adds.iter().map(ids)) != adds.len()
+    {
+        return Err("removes an absent key or adds a present one".into());
+    }
+    match fingerprint {
+        Some(sealed) if sealed != store.fingerprint() => Err(format!(
+            "leaves fingerprint {:#x}, the commit sealed {sealed:#x}",
+            store.fingerprint()
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -556,7 +539,7 @@ mod tests {
     }
 
     /// A writer pairing an in-memory store with the log, the wiring the
-    /// endpoint-level `DurableStore` uses.
+    /// endpoint-level `DurableStore` uses: writes touch the store only.
     struct Writer {
         store: TripleStore,
         log: DurableLog,
@@ -576,31 +559,19 @@ mod tests {
         }
 
         fn insert(&mut self, s: &Term, p: &Term, o: &Term) {
-            if self.store.insert_terms(s, p, o) {
-                self.log.record_insert(s, p, o);
-            }
+            self.store.insert_terms(s, p, o);
         }
 
         fn remove(&mut self, s: &Term, p: &Term, o: &Term) {
-            let (Some(si), Some(pi), Some(oi)) = (
-                self.store.dict().lookup(s),
-                self.store.dict().lookup(p),
-                self.store.dict().lookup(o),
-            ) else {
-                return;
-            };
-            if self.store.remove(si, pi, oi) {
-                self.log.record_remove(s, p, o);
+            let dict = self.store.dict();
+            if let (Some(s), Some(p), Some(o)) = (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
+                self.store.remove(s, p, o);
             }
         }
 
         fn batch(&mut self, triples: &[(Term, Term, Term)]) {
-            let loaded = self
-                .store
+            self.store
                 .load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)));
-            if loaded > 0 {
-                self.log.record_batch(triples);
-            }
         }
 
         fn publish(&mut self) -> CommitReceipt {
@@ -614,6 +585,11 @@ mod tests {
             resolved
                 .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()))
                 .collect()
+        }
+
+        /// The dictionary, in id order.
+        fn terms(&self) -> Vec<&Term> {
+            self.store.dict().iter().map(|(_, term)| term).collect()
         }
 
         /// The published fingerprint, held equal to the full walk.
@@ -687,12 +663,7 @@ mod tests {
         writer.publish();
         let (s, p, o) = t(3);
         writer.remove(&s, &p, &o);
-        let batch: Vec<(Term, Term, Term)> = (20..30).map(t).collect();
-        let n = writer
-            .store
-            .load_batch_terms(batch.iter().map(|(s, p, o)| (s, p, o)));
-        assert!(n > 0);
-        writer.log.record_batch(&batch);
+        writer.batch(&(20..30).map(t).collect::<Vec<_>>());
         writer.publish();
         let want = writer.fingerprint();
 
@@ -700,6 +671,7 @@ mod tests {
         let mut recovered = Writer::recover(io, DurabilityConfig::default());
         assert_eq!(recovered.log.epoch(), 2);
         assert_eq!(recovered.fingerprint(), want);
+        assert_eq!(recovered.terms(), writer.terms());
     }
 
     #[test]
@@ -710,34 +682,33 @@ mod tests {
         writer.insert(&s, &p, &o);
         writer.publish();
         let want = writer.fingerprint();
-        // An epoch whose commit record never made it: append mutation
-        // records by hand without a commit.
-        let mut tail = Vec::new();
-        append_record(
-            &mut tail,
-            2,
-            &WalEntry::Op(WalOp::Insert(t(1).0, t(1).1, t(1).2)),
-        )
-        .expect("encode");
-        io.append(WAL_FILE, &tail).unwrap();
+        // An epoch whose append tore: all of a frame but its last byte.
+        let mut torn = Vec::new();
+        let (s1, p1, o1) = t(1);
+        let frame = Frame {
+            epoch: 2,
+            start: 3,
+            terms: vec![s1, p1, o1],
+            adds: vec![(3, 4, 5)],
+            ..Frame::default()
+        };
+        frame.encode(&mut torn).expect("encode");
+        torn.pop();
+        io.append(WAL_FILE, &torn).unwrap();
         io.fsync(WAL_FILE).unwrap();
         io.crash();
         let mut recovered = Writer::recover(io.clone(), DurabilityConfig::default());
         assert_eq!(recovered.log.epoch(), 1);
         assert_eq!(recovered.fingerprint(), want);
-        // The orphan records are valid but uncommitted; recovery must
-        // scrub them from the file, because the next commit reuses
-        // epoch 2 and replay would otherwise resurrect them:
+        // Recovery must cut the torn bytes from the file: the next commit
+        // appends after them otherwise, and a scan stops at them.
         let (s2, p2, o2) = (Term::iri("e:x"), Term::iri("e:y"), Term::iri("e:z"));
         recovered.insert(&s2, &p2, &o2);
-        let receipt = {
-            let snapshot = recovered.store.snapshot();
-            recovered.log.commit(&snapshot).unwrap()
-        };
-        assert_eq!(receipt.epoch, 2);
+        assert_eq!(recovered.publish().epoch, 2);
         let want2 = recovered.fingerprint();
         io.crash();
         let mut again = Writer::recover(io, DurabilityConfig::default());
+        assert_eq!(again.log.epoch(), 2);
         assert_eq!(again.fingerprint(), want2);
     }
 
@@ -767,9 +738,7 @@ mod tests {
         for i in 0.. {
             let s = Term::iri(format!("e:s{i}"));
             let (_, p, o) = t(i);
-            if store.insert_terms(&s, &p, &o) {
-                log.record_insert(&s, &p, &o);
-            }
+            store.insert_terms(&s, &p, &o);
             let snapshot = store.snapshot();
             match log.commit(&snapshot) {
                 Ok(_) => continue,
@@ -787,10 +756,44 @@ mod tests {
         assert!(recovered.epoch() <= 20);
     }
 
+    /// The log of a directory written in the previous, term-level format
+    /// (the bytes its encoder produced for one epoch of an insert, a batch,
+    /// a remove and the commit record) passes every checksum but holds no
+    /// frame. Recovery refuses it, and leaves it as it was.
+    #[test]
+    fn a_previous_format_wal_is_refused_and_kept() {
+        const PREVIOUS: &str = "\
+            1f00000021c187ae0700000000000000010003000000653a730003000000653a70020100000076\
+            4b0000007d4ce31d070000000000000003020000000003000000653a610003000000653a700301\
+            0000007802000000656e0003000000653a620003000000653a7104020000003432070000007873\
+            643a696e74\
+            1f0000001cf862d80700000000000000020003000000653a730003000000653a70020100000076\
+            11000000d4e18895070000000000000004efcdab8967452301";
+        let previous: Vec<u8> = (0..PREVIOUS.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PREVIOUS[i..i + 2], 16).unwrap())
+            .collect();
+        let io = mem();
+        let _writer = Writer::create(io.clone(), DurabilityConfig::default());
+        io.write(WAL_FILE, &previous).unwrap();
+        io.fsync(WAL_FILE).unwrap();
+        match DurableLog::recover(io.clone(), DurabilityConfig::default()) {
+            Err(DurabilityError::Corrupt(what)) => {
+                assert!(what.contains("at byte 0 passes its checksum"), "{what}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(io.read(WAL_FILE).unwrap(), previous);
+    }
+
     // ------------------------------------------- delta checkpoints and folds
 
     const EVERY_PUBLISH: DurabilityConfig = DurabilityConfig {
         checkpoint_every: 1,
+    };
+
+    const NEVER: DurabilityConfig = DurabilityConfig {
+        checkpoint_every: u64::MAX,
     };
 
     /// The directory as a power cut would leave it, on a disk of its own.
@@ -819,11 +822,17 @@ mod tests {
         deltas.map(|seg| seg.adds + seg.removes).sum()
     }
 
-    /// What must hold after any publish at `checkpoint_every: 1`: a
-    /// recovery from the crashed directory is the writer, the directory
-    /// holds the files the manifest lists and no others, and the deltas
-    /// stay smaller than their base.
-    fn check_checkpointed_state(io: &MemIo, writer: &mut Writer, context: &str) {
+    /// What must hold after any publish: a recovery from the crashed
+    /// directory is the writer, dictionary included term for term; the
+    /// directory holds the files the manifest lists and no others; the
+    /// deltas stay smaller than their base; and the manifest is the last
+    /// commit's at `checkpoint_every: 1`, `create`'s when it never comes.
+    fn check_checkpointed_state(
+        io: &MemIo,
+        writer: &mut Writer,
+        config: &DurabilityConfig,
+        context: &str,
+    ) {
         let copy = crashed_copy(io);
         let manifest = manifest_of(&copy);
         let mut listed: Vec<String> = manifest.files().map(str::to_owned).collect();
@@ -836,12 +845,17 @@ mod tests {
             manifest.runs
         );
         assert!(manifest.runs.len() <= 1 + MAX_DELTA_SEGMENTS, "{context}");
-        assert_eq!(manifest.epoch, writer.log.epoch(), "{context}");
+        let checkpointed = match config.checkpoint_every {
+            1 => writer.log.epoch(),
+            _ => 0,
+        };
+        assert_eq!(manifest.epoch, checkpointed, "{context}");
 
-        let mut recovered = Writer::recover(copy, EVERY_PUBLISH);
+        let mut recovered = Writer::recover(copy, config.clone());
         assert_eq!(recovered.log.epoch(), writer.log.epoch(), "{context}");
         assert_eq!(recovered.fingerprint(), writer.fingerprint(), "{context}");
         assert_eq!(recovered.triples(), writer.triples(), "{context}");
+        assert_eq!(recovered.terms(), writer.terms(), "{context}");
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -883,7 +897,9 @@ mod tests {
     /// most four steps over the eight keys, from a fresh directory and
     /// from one that already holds a base and a delta, checked after its
     /// last publish (an earlier publish is the last one of a prefix, and
-    /// a sequence that ends otherwise adds nothing durable to check).
+    /// a sequence that ends otherwise adds nothing durable to check). Run
+    /// checkpointing every publish, and never, so that the WAL's frames
+    /// carry the whole history.
     #[test]
     fn every_short_sequence_checkpoints_and_recovers_exactly() {
         let mut steps = vec![Step::Publish];
@@ -901,28 +917,31 @@ mod tests {
             ],
         ];
         let mut checked = 0usize;
-        for start in starts {
-            for len in 0..4 {
-                // Sequences of `len` free steps, then a publish.
-                for code in 0..steps.len().pow(len) {
-                    let mut sequence = start.to_vec();
-                    let mut code = code;
-                    for _ in 0..len {
-                        sequence.push(steps[code % steps.len()]);
-                        code /= steps.len();
+        for config in [EVERY_PUBLISH, NEVER] {
+            for start in starts {
+                for len in 0..4 {
+                    // Sequences of `len` free steps, then a publish.
+                    for code in 0..steps.len().pow(len) {
+                        let mut sequence = start.to_vec();
+                        let mut code = code;
+                        for _ in 0..len {
+                            sequence.push(steps[code % steps.len()]);
+                            code /= steps.len();
+                        }
+                        sequence.push(Step::Publish);
+                        let io = mem();
+                        let mut writer = Writer::create(io.clone(), config.clone());
+                        for &step in &sequence {
+                            apply_step(&mut writer, step);
+                        }
+                        let context = format!("{config:?} {sequence:?}");
+                        check_checkpointed_state(&io, &mut writer, &config, &context);
+                        checked += 1;
                     }
-                    sequence.push(Step::Publish);
-                    let io = mem();
-                    let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
-                    for &step in &sequence {
-                        apply_step(&mut writer, step);
-                    }
-                    check_checkpointed_state(&io, &mut writer, &format!("{sequence:?}"));
-                    checked += 1;
                 }
             }
         }
-        assert_eq!(checked, 2 * (1 + 25 + 25 * 25 + 25 * 25 * 25));
+        assert_eq!(checked, 2 * 2 * (1 + 25 + 25 * 25 + 25 * 25 * 25));
         // The second start really is a base and a delta.
         let io = mem();
         let mut writer = Writer::create(io.clone(), EVERY_PUBLISH);
@@ -996,7 +1015,12 @@ mod tests {
             let manifest_bytes = io.read(MANIFEST_FILE).unwrap().len();
             assert!(manifest_bytes < 4 * 12 * 64, "manifest {manifest_bytes} B");
         }
-        check_checkpointed_state(&io, &mut writer, "after 32 small checkpoints");
+        check_checkpointed_state(
+            &io,
+            &mut writer,
+            &EVERY_PUBLISH,
+            "after 32 small checkpoints",
+        );
     }
 
     /// Larger changes fold by size, when the deltas would reach the base,
@@ -1040,7 +1064,12 @@ mod tests {
         // Ten deltas reach the 20,000 of the first base; the 40,000 of
         // the second are still 6,000 away at its seventeenth delta.
         assert_eq!(folds, [(9, true), (26, false)]);
-        check_checkpointed_state(&io, &mut writer, "after 32 large checkpoints");
+        check_checkpointed_state(
+            &io,
+            &mut writer,
+            &EVERY_PUBLISH,
+            "after 32 large checkpoints",
+        );
     }
 
     /// A crash after a delta segment's fsync and before the manifest
@@ -1069,7 +1098,7 @@ mod tests {
         let (s, p, o) = numbered(11);
         recovered.insert(&s, &p, &o);
         recovered.publish();
-        check_checkpointed_state(&copy, &mut recovered, "after the orphan");
+        check_checkpointed_state(&copy, &mut recovered, &EVERY_PUBLISH, "after the orphan");
     }
 
     /// The dictionary's segments are bounded like the runs': a fold that
@@ -1095,7 +1124,12 @@ mod tests {
         assert_eq!(manifest_of(&io).dict_segments.len(), 9);
         assert_eq!(dict_files(&io), 9);
         assert!(most > MAX_DELTA_SEGMENTS && most <= 2 * MAX_DELTA_SEGMENTS);
-        check_checkpointed_state(&io, &mut writer, "after 40 interning checkpoints");
+        check_checkpointed_state(
+            &io,
+            &mut writer,
+            &EVERY_PUBLISH,
+            "after 40 interning checkpoints",
+        );
     }
 
     /// The merge rewrites terms a live manifest still reaches through
@@ -1115,9 +1149,7 @@ mod tests {
             };
             let (p, o) = (Term::iri("e:p"), Term::iri("e:o"));
             for i in 0..publishes {
-                let s = Term::iri(format!("e:s{i}"));
-                store.insert_terms(&s, &p, &o);
-                log.record_insert(&s, &p, &o);
+                store.insert_terms(&Term::iri(format!("e:s{i}")), &p, &o);
                 match log.commit(&store.snapshot()) {
                     Ok(receipt) => acked.push((receipt.epoch, receipt.fingerprint)),
                     Err(_) => break,

@@ -52,31 +52,19 @@ impl Writer {
     }
 
     fn insert(&mut self, s: &Term, p: &Term, o: &Term) {
-        if self.store.insert_terms(s, p, o) {
-            self.log.record_insert(s, p, o);
-        }
+        self.store.insert_terms(s, p, o);
     }
 
     fn remove(&mut self, s: &Term, p: &Term, o: &Term) {
-        let (Some(si), Some(pi), Some(oi)) = (
-            self.store.dict().lookup(s),
-            self.store.dict().lookup(p),
-            self.store.dict().lookup(o),
-        ) else {
-            return;
-        };
-        if self.store.remove(si, pi, oi) {
-            self.log.record_remove(s, p, o);
+        let dict = self.store.dict();
+        if let (Some(s), Some(p), Some(o)) = (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
+            self.store.remove(s, p, o);
         }
     }
 
     fn batch(&mut self, triples: &[(Term, Term, Term)]) {
-        let n = self
-            .store
+        self.store
             .load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)));
-        if n > 0 {
-            self.log.record_batch(triples);
-        }
     }
 
     fn publish(&mut self) -> Result<CommitReceipt, DurabilityError> {
@@ -318,8 +306,8 @@ fn every_fault_point_recovers_to_a_published_prefix() {
     }
 }
 
-/// The same game with checkpointing effectively disabled, so the WAL
-/// carries the whole history.
+/// The same game with checkpointing effectively disabled, so the WAL's
+/// frames carry the whole history.
 #[test]
 fn wal_only_history_recovers_at_every_fault_point() {
     let config = DurabilityConfig {

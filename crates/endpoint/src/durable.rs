@@ -2,12 +2,12 @@
 //! [`sofya_durability::DurableLog`].
 //!
 //! [`DurableStore`] is the single mutation path for a store that must
-//! survive crashes. Every insert/remove/bulk-load goes through it so the
-//! matching WAL record is journaled, and [`DurableStore::publish`]
-//! orders the two halves of visibility correctly: the snapshot is taken,
-//! the write-ahead log **commits (fsyncs) first**, and only then is the
-//! snapshot swapped into the readers' cell. Readers therefore never
-//! observe state that a crash could take back.
+//! survive crashes. Inserts, removes and bulk loads only change the
+//! writer's store; [`DurableStore::publish`] takes the snapshot, the
+//! write-ahead log **commits (fsyncs) first** one frame of what it changed
+//! since the last commit, and only then is the snapshot swapped into the
+//! readers' cell. Readers therefore never observe state that a crash could
+//! take back.
 //!
 //! The [`DurabilityGauge`] is the cheap observable surface: the service
 //! metrics route reads the durable epoch and the WAL fsync latency
@@ -41,7 +41,9 @@ impl DurabilityGauge {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Records a successful commit.
+    /// Records a commit that wrote a frame ([`DurableStore::publish`]
+    /// passes no other, so a publish with nothing to commit is no 0 ns
+    /// sample).
     pub fn on_commit(&self, receipt: &CommitReceipt) {
         self.epoch.store(receipt.epoch, Ordering::Release);
         self.fsync.record(receipt.fsync_latency);
@@ -60,8 +62,8 @@ impl DurabilityGauge {
     }
 }
 
-/// A [`SnapshotStore`] whose mutations are journaled to a write-ahead
-/// log and whose publishes are durable before they are visible.
+/// A [`SnapshotStore`] whose publishes are logged to a write-ahead log,
+/// one frame each, and durable before they are visible.
 #[derive(Debug)]
 pub struct DurableStore {
     store: SnapshotStore,
@@ -106,56 +108,42 @@ impl DurableStore {
         })
     }
 
-    /// Inserts one triple; returns whether it was new. New triples are
-    /// journaled (durable at the next [`DurableStore::publish`]).
+    /// Inserts one triple; returns whether it was new. It is durable at
+    /// the next [`DurableStore::publish`].
     pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
-        let fresh = self.store.store_mut().insert_terms(s, p, o);
-        if fresh {
-            self.log.record_insert(s, p, o);
-        }
-        fresh
+        self.store.store_mut().insert_terms(s, p, o)
     }
 
     /// Removes one triple by its terms; returns whether it was present.
     pub fn remove(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
         let store = self.store.store_mut();
-        let (Some(si), Some(pi), Some(oi)) = (
-            store.dict().lookup(s),
-            store.dict().lookup(p),
-            store.dict().lookup(o),
-        ) else {
-            return false;
-        };
-        let removed = store.remove(si, pi, oi);
-        if removed {
-            self.log.record_remove(s, p, o);
+        let dict = store.dict();
+        match (dict.lookup(s), dict.lookup(p), dict.lookup(o)) {
+            (Some(s), Some(p), Some(o)) => store.remove(s, p, o),
+            _ => false,
         }
-        removed
     }
 
-    /// Bulk-loads triples; returns how many were new. The batch is
-    /// journaled verbatim (pre-dedup) so replay re-interns terms in the
-    /// same order and recovered term ids match exactly.
+    /// Bulk-loads triples; returns how many were new.
     pub fn load_batch(&mut self, triples: &[(Term, Term, Term)]) -> usize {
-        let loaded = self
-            .store
+        self.store
             .store_mut()
-            .load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)));
-        if loaded > 0 {
-            self.log.record_batch(triples);
-        }
-        loaded
+            .load_batch_terms(triples.iter().map(|(s, p, o)| (s, p, o)))
     }
 
-    /// Durably publishes the writer's state: snapshot, WAL group commit
-    /// (the fsync is the ack), then the visibility swap. On a commit
-    /// error nothing is swapped — readers keep the previous epoch and
-    /// the log is poisoned until [`DurableStore::recover`].
+    /// Durably publishes the writer's state: snapshot, WAL commit of what
+    /// it changed (the fsync is the ack), then the visibility swap. A
+    /// commit that wrote nothing swaps nothing and records no fsync:
+    /// readers keep the same snapshot `Arc`, statistics and epoch. On a
+    /// commit error nothing is swapped — readers keep the previous epoch
+    /// and the log is poisoned until [`DurableStore::recover`].
     pub fn publish(&mut self) -> Result<CommitReceipt, DurabilityError> {
         let snapshot = self.store.store_mut().snapshot();
         let receipt = self.log.commit(&snapshot)?;
-        self.store.install(snapshot);
-        self.gauge.on_commit(&receipt);
+        if receipt.wal_bytes > 0 {
+            self.store.install(snapshot);
+            self.gauge.on_commit(&receipt);
+        }
         Ok(receipt)
     }
 
@@ -293,5 +281,62 @@ mod tests {
         assert!(p99 >= 8_000_000, "the 10 ms commit is the p99 of 4: {p99}");
         assert_eq!(gauge.fsync_p99_ns(), p99, "reading changes nothing");
         assert_eq!(gauge.durable_epoch(), 4);
+    }
+
+    /// A publish with nothing to commit — here, an ingest whose triples
+    /// are all present already — is no fsync sample: one real commit and
+    /// a hundred such publishes read the real commit's p99, not 0.
+    #[test]
+    fn noop_publishes_leave_the_fsync_p99_alone() {
+        let io: Arc<dyn StorageIo> = Arc::new(MemIo::new());
+        let mut durable = DurableStore::create(io, DurabilityConfig::default()).unwrap();
+        let batch: Vec<_> = (0..4).map(t).collect();
+        durable.load_batch(&batch);
+        let receipt = durable.publish().unwrap();
+        let p99 = durable.gauge().fsync_p99_ns();
+        assert!(
+            p99 > 0,
+            "the commit fsynced for {:?}",
+            receipt.fsync_latency
+        );
+        for _ in 0..100 {
+            assert_eq!(durable.load_batch(&batch), 0);
+            assert_eq!(durable.publish().unwrap().wal_bytes, 0);
+        }
+        assert_eq!(durable.gauge().fsync_p99_ns(), p99);
+        assert_eq!(durable.gauge().durable_epoch(), 1);
+    }
+
+    /// Modelled on `concurrent.rs::noop_publish_keeps_snapshot_epoch_and_plans`:
+    /// a durable publish with nothing to commit leaves the readers'
+    /// snapshot in place — the same `Arc`, so its statistics stay
+    /// computed — and the same epoch and cached plans.
+    #[test]
+    fn noop_durable_publish_keeps_the_readers_snapshot() {
+        let io: Arc<dyn StorageIo> = Arc::new(MemIo::new());
+        let mut durable = DurableStore::create(io, DurabilityConfig::default()).unwrap();
+        let batch: Vec<_> = (0..4).map(t).collect();
+        durable.load_batch(&batch);
+        durable.publish().unwrap();
+        let reader = durable.reader("r");
+        assert!(reader.ask("ASK { <e:s0> <e:p> 0 }").unwrap());
+        assert_eq!(reader.plan_cache_len(), 1);
+
+        let before = durable.current();
+        assert_eq!(durable.load_batch(&batch), 0);
+        let receipt = durable.publish().unwrap();
+        assert_eq!(receipt.epoch, 1);
+        assert!(
+            Arc::ptr_eq(&before, &durable.current()),
+            "a no-op durable publish must leave the published Arc in place"
+        );
+        assert!(reader.ask("ASK { <e:s0> <e:p> 0 }").unwrap());
+        assert_eq!(reader.plan_cache_len(), 1);
+
+        // A real change still publishes.
+        let (s, p, o) = t(9);
+        assert!(durable.insert(&s, &p, &o));
+        assert_eq!(durable.publish().unwrap().epoch, 2);
+        assert!(!Arc::ptr_eq(&before, &durable.current()));
     }
 }

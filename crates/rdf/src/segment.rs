@@ -1,8 +1,8 @@
 //! Byte-level codecs for on-disk segments.
 //!
-//! The durability layer persists two kinds of payloads: dictionary
-//! deltas (runs of [`Term`]s in id order) and triple runs (the store's
-//! flushed SPO index as raw `u32` ids). This module owns their binary
+//! The durability layer's segments and WAL frames hold two kinds of
+//! payload: dictionary deltas (runs of [`Term`]s in id order) and triple
+//! runs (SPO keys as raw `u32` ids). This module owns their binary
 //! encoding so the file-format knowledge lives next to the data model;
 //! framing, checksums, and recovery policy live in `sofya-durability`.
 //!
