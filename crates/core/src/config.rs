@@ -1,7 +1,5 @@
 //! Aligner configuration.
 
-use sofya_textsim::MatcherConfig;
-
 /// Which confidence measure validates candidate rules (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConfidenceMeasure {
@@ -54,8 +52,6 @@ pub struct AlignerConfig {
     /// trap filter, e.g. `creatorOf ⇒ composerOf`). Ablation knob; on by
     /// default.
     pub ubs_conclusion_side: bool,
-    /// Literal matcher for entity–literal relations.
-    pub matcher: MatcherConfig,
     /// `sameAs` predicate IRI.
     pub same_as: String,
     /// Seed for pseudo-random sample offsets.
@@ -77,7 +73,6 @@ impl AlignerConfig {
             max_siblings: 4,
             ubs_premise_side: true,
             ubs_conclusion_side: true,
-            matcher: MatcherConfig::default(),
             same_as: "http://www.w3.org/2002/07/owl#sameAs".to_owned(),
             seed,
         }

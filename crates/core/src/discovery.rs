@@ -9,11 +9,11 @@
 
 use crate::config::AlignerConfig;
 use crate::error::AlignError;
+use crate::evidence::random_offset;
 use rand::rngs::StdRng;
-use rand::Rng;
 use sofya_endpoint::helpers;
 use sofya_endpoint::Endpoint;
-use sofya_textsim::LiteralMatcher;
+use sofya_textsim::literals_match;
 
 /// Whether a relation is predominantly entity→literal, probed from a
 /// small facts page.
@@ -52,15 +52,6 @@ pub fn discover(
         discover_literal(source, target, config, relation, rng)
     } else {
         discover_entity(source, target, config, relation, rng)
-    }
-}
-
-fn random_offset(rng: &mut StdRng, count: usize, window: usize) -> usize {
-    let max_offset = count.saturating_sub(window);
-    if max_offset == 0 {
-        0
-    } else {
-        rng.gen_range(0..=max_offset)
     }
 }
 
@@ -124,7 +115,6 @@ fn discover_literal(
     relation: &str,
     rng: &mut StdRng,
 ) -> Result<Discovery, AlignError> {
-    let matcher = LiteralMatcher::new(config.matcher);
     let window = config.discovery_facts;
     // Literal facts only need the subject linked.
     let count = helpers::linked_literal_fact_count(target, relation, &config.same_as)?;
@@ -175,7 +165,7 @@ fn discover_literal(
             objects
                 .iter()
                 .filter_map(|o| o.as_literal())
-                .any(|lex| matcher.matches(lex, v))
+                .any(|lex| literals_match(lex, v))
         })
         .map(|(((_, rel), _), _)| (*rel).to_owned());
     Ok(Discovery {

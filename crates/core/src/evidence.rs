@@ -17,10 +17,12 @@ use rand::Rng;
 use sofya_endpoint::helpers;
 use sofya_endpoint::Endpoint;
 use sofya_rdf::Term;
-use sofya_textsim::LiteralMatcher;
+use sofya_textsim::literals_match;
 use std::collections::BTreeMap;
 
-fn random_offset(rng: &mut StdRng, count: usize, window: usize) -> usize {
+/// A uniform page offset that keeps a `window`-sized page inside
+/// `count` facts.
+pub(crate) fn random_offset(rng: &mut StdRng, count: usize, window: usize) -> usize {
     let max_offset = count.saturating_sub(window);
     if max_offset == 0 {
         0
@@ -146,9 +148,8 @@ pub fn entity_evidence(
 }
 
 /// Builds evidence for an entity–literal rule `premise ⇒ conclusion`,
-/// matching literal objects with the configured string-similarity
-/// matcher (§2.2: "apply string similarity functions to align the
-/// literals").
+/// matching literal objects with [`literals_match`] (§2.2: "apply string
+/// similarity functions to align the literals").
 pub fn literal_evidence(
     source: &dyn Endpoint,
     target: &dyn Endpoint,
@@ -157,7 +158,6 @@ pub fn literal_evidence(
     conclusion: &str,
     rng: &mut StdRng,
 ) -> Result<SampleEvidence, AlignError> {
-    let matcher = LiteralMatcher::new(config.matcher);
     let count = helpers::linked_literal_fact_count(source, premise, &config.same_as)?;
     if count == 0 {
         return Ok(SampleEvidence::default());
@@ -220,7 +220,7 @@ pub fn literal_evidence(
                 evidence.pairs.push(PairEvidence::unknown());
                 continue;
             }
-            let holds = literals.iter().any(|t| matcher.matches(t, lex));
+            let holds = literals.iter().any(|t| literals_match(t, lex));
             evidence.pairs.push(if holds {
                 PairEvidence::positive()
             } else {

@@ -23,7 +23,7 @@
 //!    contradict a wrong rule. One contradiction prunes the rule.
 //!
 //! Entity–literal relations are aligned through
-//! [`sofya_textsim::LiteralMatcher`] instead of `sameAs` joins.
+//! [`sofya_textsim::literals_match`] instead of `sameAs` joins.
 //! Equivalence `r' ⇔ r` is double subsumption
 //! ([`rule::equivalences`]).
 //!

@@ -29,7 +29,7 @@ mod reference {
     use rand::Rng;
     use sofya_core::AlignError;
     use sofya_endpoint::{helpers, EndpointExt};
-    use sofya_textsim::LiteralMatcher;
+    use sofya_textsim::literals_match;
     use std::collections::BTreeMap;
 
     fn iris(ep: &dyn Endpoint, query: &str, var: &str) -> Result<Vec<String>, AlignError> {
@@ -86,7 +86,6 @@ mod reference {
         let mut freq: BTreeMap<String, usize> = BTreeMap::new();
         let mut subjects: Vec<String> = Vec::new();
         if literal {
-            let matcher = LiteralMatcher::new(config.matcher);
             let count = helpers::linked_literal_fact_count(target, relation, same_as)?;
             if count == 0 {
                 return Ok(Discovery::default());
@@ -112,7 +111,7 @@ mod reference {
                     let matches = objects_of(source, x2, &rel)?
                         .iter()
                         .filter_map(|o| o.as_literal())
-                        .any(|lex| matcher.matches(lex, v));
+                        .any(|lex| literals_match(lex, v));
                     if matches {
                         *freq.entry(rel).or_insert(0) += 1;
                     }

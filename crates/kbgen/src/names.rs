@@ -166,8 +166,8 @@ mod tests {
 
     #[test]
     fn corrupt_produces_recoverable_variants() {
-        // The corrupted form must stay recognisably the same name for the
-        // default LiteralMatcher pipeline: same alphanumerics modulo case,
+        // The corrupted form must stay recognisably the same name for
+        // `sofya_textsim::literals_match`: same alphanumerics modulo case,
         // separators, accents, one transposition, or token order.
         let mut r = rng(11);
         let name = "Frank Sinatra";

@@ -61,7 +61,15 @@ fn parse_line_json(body: &str) -> Result<Vec<(Term, Term, Term)>, String> {
                 .ok_or_else(|| format!("line {}: triple missing {key:?}", idx + 1))?;
             term_from_json(value).map_err(|e| format!("line {}: {e}", idx + 1))
         };
-        triples.push((term("s")?, term("p")?, term("o")?));
+        let (s, p, o) = (term("s")?, term("p")?, term("o")?);
+        // The two rules `parse_ntriples_terms` enforces on the other format.
+        if !p.is_iri() {
+            return Err(format!("line {}: predicate must be an IRI", idx + 1));
+        }
+        if s.is_literal() {
+            return Err(format!("line {}: subject must not be a literal", idx + 1));
+        }
+        triples.push((s, p, o));
     }
     Ok(triples)
 }
@@ -128,6 +136,36 @@ mod tests {
             .collect();
         assert_eq!(parse_ingest_body(&ntriples).unwrap(), sent);
         assert_eq!(parse_ingest_body(&line_json).unwrap(), sent);
+    }
+
+    /// Line-JSON refuses the triples N-Triples refuses — a predicate that
+    /// is not an IRI, a literal subject — and names the line.
+    #[test]
+    fn line_json_refuses_what_ntriples_refuses() {
+        let (iri, lit, bnode) = (Term::iri("e:x"), Term::literal("x"), Term::bnode("b"));
+        let good = (iri.clone(), iri.clone(), iri.clone());
+        for (bad, rule) in [
+            ((iri.clone(), bnode.clone(), iri.clone()), "predicate"),
+            ((iri.clone(), lit.clone(), iri.clone()), "predicate"),
+            ((lit.clone(), iri.clone(), iri.clone()), "subject"),
+            ((lit.clone(), bnode.clone(), iri.clone()), "predicate"),
+        ] {
+            let line_json: String = [&good, &bad]
+                .iter()
+                .map(|(s, p, o)| {
+                    let line = Json::obj(vec![
+                        ("s", term_to_json(s)),
+                        ("p", term_to_json(p)),
+                        ("o", term_to_json(o)),
+                    ]);
+                    line.to_text() + "\n"
+                })
+                .collect();
+            let err = parse_ingest_body(&line_json).unwrap_err();
+            assert!(err.contains("line 2") && err.contains(rule), "{err}");
+            let (s, p, o) = &bad;
+            assert!(parse_ingest_body(&format!("{s} {p} {o} .\n")).is_err());
+        }
     }
 
     #[test]

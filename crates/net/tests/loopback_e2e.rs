@@ -417,6 +417,49 @@ fn wal_fsync_p99_counts_every_commit() {
     server.shutdown();
 }
 
+/// `POST /ingest` holds line-JSON to the rules of N-Triples: a batch
+/// with a literal subject or a blank-node predicate is a 400 naming the
+/// line, and none of it reaches the sink.
+#[test]
+fn line_json_ingest_refuses_what_ntriples_refuses() {
+    use sofya_endpoint::EndpointError;
+    use sofya_net::http::{read_response, write_request};
+    use sofya_net::IngestSink;
+    use std::sync::Mutex;
+
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(Term, Term, Term)>>);
+    impl IngestSink for Recorder {
+        fn ingest(&self, triples: Vec<(Term, Term, Term)>) -> Result<u64, EndpointError> {
+            self.0.lock().expect("recorder lock").extend(triples);
+            Ok(1)
+        }
+    }
+
+    let sink = Arc::new(Recorder::default());
+    let config = ServerConfig {
+        ingest: Some(Arc::clone(&sink) as Arc<dyn IngestSink>),
+        ..ServerConfig::default()
+    };
+    let server = start_server(TripleStore::new(), config);
+    let post = |body: &str| {
+        let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
+        let headers = [("X-Client", "e2e"), ("Connection", "close")];
+        write_request(&mut conn, "POST", "/ingest", &headers, body.as_bytes()).unwrap();
+        let response = read_response(&mut std::io::BufReader::new(conn)).expect("response");
+        let text = String::from_utf8_lossy(&response.body).into_owned();
+        (response.status, text)
+    };
+    let good = r#"{"s":{"t":"iri","v":"e:s"},"p":{"t":"iri","v":"e:p"},"o":{"t":"iri","v":"e:o"}}"#;
+    let bad = r#"{"s":{"t":"lit","v":"x"},"p":{"t":"bnode","v":"b"},"o":{"t":"iri","v":"e:o"}}"#;
+    assert_eq!(post(good).0, 202);
+    let (status, text) = post(&format!("{good}\n{bad}\n"));
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("line 2"), "{text}");
+    assert_eq!(sink.0.lock().expect("recorder lock").len(), 1);
+    server.shutdown();
+}
+
 /// Connection reuse: one client issuing many sequential requests keeps
 /// working across the whole run (single keep-alive connection), and a
 /// server restart between requests is healed by the one reconnect retry.

@@ -1,41 +1,35 @@
 //! # sofya-textsim
 //!
-//! String-similarity functions for aligning literal values.
+//! The literal matcher the aligner runs.
 //!
 //! SOFYA (§2.2) aligns entity–literal relations by retrieving the sampled
 //! subjects' facts from both knowledge bases and matching the literal
 //! objects with "string similarity functions". The paper does not fix a
-//! particular function; this crate implements the classical family from
-//! scratch (no offline NLP crate covers them):
+//! particular function; this reproduction runs one, with nothing to set:
 //!
-//! * edit distances — [`levenshtein()`], [`damerau_osa`] (optimal string
-//!   alignment), both with bounded early-exit variants;
-//! * [`jaro()`] and [`jaro_winkler`];
-//! * q-gram profiles with Jaccard / Dice / overlap / cosine coefficients;
-//! * token-level measures (token-set Jaccard, Monge–Elkan over a
-//!   character measure);
-//! * a Unicode-lite normalisation pipeline (case folding, punctuation and
-//!   whitespace squashing, ASCII folding for Latin-1 accents);
-//! * a configurable [`LiteralMatcher`] combining the above, which is what
-//!   `sofya-core` uses.
+//! * [`literal_similarity`] — both forms [`normalize`]d (accents folded
+//!   to ASCII, lower-cased, punctuation to spaces, whitespace squashed);
+//!   `1.0` if equal, else the maximum of [`jaro_winkler`],
+//!   [`bigram_dice`] and [`monge_elkan`];
+//! * [`literals_match`] — that similarity is at least 0.85.
 //!
-//! All similarity functions return values in `[0, 1]`, `1.0` meaning
-//! identical under that measure; this invariant is property-tested.
+//! The pieces it combines are public so that tests and examples can show
+//! each measure's share: [`jaro`] and [`jaro_winkler`] (Winkler's prefix
+//! boost, capped at four characters), [`bigram_dice`] over `#`-padded
+//! bigram multisets, and [`monge_elkan`] over Jaro–Winkler per token.
+//! Every similarity lies in `[0, 1]`, `1.0` meaning identical under that
+//! measure.
 
 #![forbid(unsafe_code)]
 
-pub mod jaro;
-pub mod lcs;
-pub mod levenshtein;
-pub mod matcher;
-pub mod normalize;
-pub mod qgram;
-pub mod token;
+mod jaro;
+mod matcher;
+mod normalize;
+mod qgram;
+mod token;
 
 pub use jaro::{jaro, jaro_winkler};
-pub use lcs::{lcs_length, lcs_similarity};
-pub use levenshtein::{damerau_osa, levenshtein, levenshtein_bounded, levenshtein_similarity};
-pub use matcher::{LiteralMatcher, MatcherConfig, SimilarityMeasure};
-pub use normalize::{ascii_fold, normalize, NormalizeOptions};
-pub use qgram::{cosine_qgram, dice_qgram, jaccard_qgram, overlap_qgram, QgramProfile};
-pub use token::{monge_elkan, token_jaccard, tokenize};
+pub use matcher::{literal_similarity, literals_match};
+pub use normalize::normalize;
+pub use qgram::bigram_dice;
+pub use token::monge_elkan;

@@ -1,108 +1,42 @@
-//! The configurable literal matcher used by the aligner.
+//! The literal matcher the aligner runs.
 
 use crate::jaro::jaro_winkler;
-use crate::levenshtein::levenshtein_similarity;
-use crate::normalize::{normalize, NormalizeOptions};
-use crate::qgram::{dice_qgram, jaccard_qgram};
-use crate::token::{monge_elkan, token_jaccard};
+use crate::normalize::normalize;
+use crate::qgram::bigram_dice;
+use crate::token::monge_elkan;
 
-/// Which underlying similarity function the matcher applies after
-/// normalisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimilarityMeasure {
-    /// Levenshtein similarity (1 − normalised edit distance).
-    Levenshtein,
-    /// Jaro–Winkler.
-    #[default]
-    JaroWinkler,
-    /// q-gram Jaccard with the configured gram size.
-    QgramJaccard,
-    /// q-gram Dice with the configured gram size.
-    QgramDice,
-    /// Token-set Jaccard.
-    TokenJaccard,
-    /// Monge–Elkan over Jaro–Winkler.
-    MongeElkan,
-    /// Maximum over Jaro–Winkler, q-gram Dice and Monge–Elkan — the
-    /// forgiving default for cross-KB label matching.
-    Hybrid,
-}
+/// Similarity at or above which two literals count as the same value.
+const THRESHOLD: f64 = 0.85;
 
-/// Configuration for a [`LiteralMatcher`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatcherConfig {
-    /// Similarity function.
-    pub measure: SimilarityMeasure,
-    /// Threshold in `[0,1]` above which two literals count as equal.
-    pub threshold: f64,
-    /// Gram size for the q-gram measures.
-    pub gram_size: usize,
-    /// Normalisation applied to both sides first.
-    pub normalize: NormalizeOptions,
-}
-
-impl Default for MatcherConfig {
-    fn default() -> Self {
-        Self {
-            measure: SimilarityMeasure::Hybrid,
-            threshold: 0.85,
-            gram_size: 2,
-            normalize: NormalizeOptions::default(),
-        }
+/// Similarity of two lexical forms in `[0, 1]`.
+///
+/// Both forms are [`normalize`]d first; equal normalised forms score
+/// `1.0`. Otherwise the score is the maximum of [`jaro_winkler`],
+/// [`bigram_dice`] and [`monge_elkan`] — the forgiving hybrid for
+/// cross-KB label matching: Jaro–Winkler for typos, bigram Dice for
+/// partial overlap, Monge–Elkan for reordered tokens.
+pub fn literal_similarity(a: &str, b: &str) -> f64 {
+    let na = normalize(a);
+    let nb = normalize(b);
+    if na == nb {
+        return 1.0;
     }
+    jaro_winkler(&na, &nb)
+        .max(bigram_dice(&na, &nb))
+        .max(monge_elkan(&na, &nb))
 }
 
-/// Decides whether two literal lexical forms denote the same value.
+/// Whether two lexical forms denote the same value: their
+/// [`literal_similarity`] is at least 0.85.
 ///
 /// ```
-/// use sofya_textsim::LiteralMatcher;
+/// use sofya_textsim::literals_match;
 ///
-/// let m = LiteralMatcher::default();
-/// assert!(m.matches("Frank Sinatra", "frank_SINATRA"));
-/// assert!(!m.matches("Frank Sinatra", "Ella Fitzgerald"));
+/// assert!(literals_match("Frank Sinatra", "frank_SINATRA"));
+/// assert!(!literals_match("Frank Sinatra", "Ella Fitzgerald"));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct LiteralMatcher {
-    config: MatcherConfig,
-}
-
-impl LiteralMatcher {
-    /// Builds a matcher from a config.
-    pub fn new(config: MatcherConfig) -> Self {
-        Self { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MatcherConfig {
-        &self.config
-    }
-
-    /// Similarity of the two lexical forms after normalisation, in `[0,1]`.
-    pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        let na = normalize(a, self.config.normalize);
-        let nb = normalize(b, self.config.normalize);
-        // Exact equality after normalisation short-circuits every measure.
-        if na == nb {
-            return 1.0;
-        }
-        let q = self.config.gram_size;
-        match self.config.measure {
-            SimilarityMeasure::Levenshtein => levenshtein_similarity(&na, &nb),
-            SimilarityMeasure::JaroWinkler => jaro_winkler(&na, &nb),
-            SimilarityMeasure::QgramJaccard => jaccard_qgram(&na, &nb, q),
-            SimilarityMeasure::QgramDice => dice_qgram(&na, &nb, q),
-            SimilarityMeasure::TokenJaccard => token_jaccard(&na, &nb),
-            SimilarityMeasure::MongeElkan => monge_elkan(&na, &nb),
-            SimilarityMeasure::Hybrid => jaro_winkler(&na, &nb)
-                .max(dice_qgram(&na, &nb, q))
-                .max(monge_elkan(&na, &nb)),
-        }
-    }
-
-    /// Whether the two lexical forms match under the configured threshold.
-    pub fn matches(&self, a: &str, b: &str) -> bool {
-        self.similarity(a, b) >= self.config.threshold
-    }
+pub fn literals_match(a: &str, b: &str) -> bool {
+    literal_similarity(a, b) >= THRESHOLD
 }
 
 #[cfg(test)]
@@ -111,86 +45,51 @@ mod tests {
 
     #[test]
     fn default_matcher_handles_surface_variants() {
-        let m = LiteralMatcher::default();
-        assert!(m.matches("Frank Sinatra", "frank_sinatra"));
-        assert!(m.matches("Frank Sinatra", "Sinatra, Frank"));
-        assert!(m.matches("Gödel, Kurt", "Kurt Godel"));
-        assert!(!m.matches("Frank Sinatra", "Dean Martin"));
+        assert!(literals_match("Frank Sinatra", "frank_sinatra"));
+        assert!(literals_match("Frank Sinatra", "Sinatra, Frank"));
+        assert!(literals_match("Gödel, Kurt", "Kurt Godel"));
+        assert!(!literals_match("Frank Sinatra", "Dean Martin"));
     }
 
     #[test]
     fn exact_after_normalisation_is_always_one() {
-        for measure in [
-            SimilarityMeasure::Levenshtein,
-            SimilarityMeasure::JaroWinkler,
-            SimilarityMeasure::QgramJaccard,
-            SimilarityMeasure::QgramDice,
-            SimilarityMeasure::TokenJaccard,
-            SimilarityMeasure::MongeElkan,
-            SimilarityMeasure::Hybrid,
-        ] {
-            let m = LiteralMatcher::new(MatcherConfig {
-                measure,
-                ..MatcherConfig::default()
-            });
-            assert_eq!(m.similarity("A.B.", "a b"), 1.0, "{measure:?}");
-        }
+        assert_eq!(literal_similarity("A.B.", "a b"), 1.0);
+        assert_eq!(literal_similarity("", "..."), 1.0);
     }
 
     #[test]
-    fn each_measure_is_selectable_and_bounded() {
-        for measure in [
-            SimilarityMeasure::Levenshtein,
-            SimilarityMeasure::JaroWinkler,
-            SimilarityMeasure::QgramJaccard,
-            SimilarityMeasure::QgramDice,
-            SimilarityMeasure::TokenJaccard,
-            SimilarityMeasure::MongeElkan,
-            SimilarityMeasure::Hybrid,
+    fn similarity_is_bounded() {
+        for (a, b) in [
+            ("composer of music", "writer of books"),
+            ("", "x"),
+            ("日本語", "日本"),
         ] {
-            let m = LiteralMatcher::new(MatcherConfig {
-                measure,
-                ..MatcherConfig::default()
-            });
-            let v = m.similarity("composer of music", "writer of books");
-            assert!((0.0..=1.0).contains(&v), "{measure:?} → {v}");
+            let v = literal_similarity(a, b);
+            assert!((0.0..=1.0).contains(&v), "{a:?} {b:?} → {v}");
         }
     }
 
     #[test]
     fn hybrid_dominates_its_components() {
-        let base = MatcherConfig::default();
-        let hybrid = LiteralMatcher::new(MatcherConfig {
-            measure: SimilarityMeasure::Hybrid,
-            ..base
-        });
-        for component in [
-            SimilarityMeasure::JaroWinkler,
-            SimilarityMeasure::QgramDice,
-            SimilarityMeasure::MongeElkan,
-        ] {
-            let m = LiteralMatcher::new(MatcherConfig {
-                measure: component,
-                ..base
-            });
-            for (a, b) in [("frank sinatra", "sinatra f."), ("berlin", "berlln")] {
-                assert!(hybrid.similarity(a, b) >= m.similarity(a, b) - 1e-12);
+        for (a, b) in [("frank sinatra", "sinatra f."), ("berlin", "berlln")] {
+            let (na, nb) = (normalize(a), normalize(b));
+            let hybrid = literal_similarity(a, b);
+            for component in [jaro_winkler, bigram_dice, monge_elkan] {
+                assert!(hybrid >= component(&na, &nb));
             }
         }
     }
 
     #[test]
     fn threshold_is_respected() {
-        let strict = LiteralMatcher::new(MatcherConfig {
-            threshold: 0.99,
-            ..Default::default()
-        });
-        let lax = LiteralMatcher::new(MatcherConfig {
-            threshold: 0.5,
-            ..Default::default()
-        });
-        let (a, b) = ("Frank Sinatra", "Frank Sinatre");
-        assert!(!strict.matches(a, b));
-        assert!(lax.matches(a, b));
+        for (a, b) in [
+            ("Frank Sinatra", "Frank Sinatre"),
+            ("Frank Sinatra", "Frank Zappa"),
+            ("Berlin", "Boston"),
+        ] {
+            assert_eq!(literals_match(a, b), literal_similarity(a, b) >= 0.85);
+        }
+        assert!(literals_match("Frank Sinatra", "Frank Sinatre"));
+        assert!(!literals_match("Berlin", "Boston"));
     }
 }

@@ -5,59 +5,23 @@
 //! "frank_SINATRA" vs "Fránk  Sinatra."). Normalising both sides first
 //! makes the character- and gram-level measures meaningful.
 
-/// Options controlling [`normalize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NormalizeOptions {
-    /// Lower-case everything.
-    pub case_fold: bool,
-    /// Replace punctuation and underscores with spaces.
-    pub strip_punctuation: bool,
-    /// Collapse runs of whitespace to a single space and trim the ends.
-    pub squash_whitespace: bool,
-    /// Map common Latin-1/Latin-Extended accented letters to ASCII.
-    pub ascii_fold: bool,
-}
-
-impl Default for NormalizeOptions {
-    /// All transformations enabled — the matcher's default pipeline.
-    fn default() -> Self {
-        Self {
-            case_fold: true,
-            strip_punctuation: true,
-            squash_whitespace: true,
-            ascii_fold: true,
-        }
-    }
-}
-
-/// Normalises `input` according to `options`. Operations are applied in
-/// the order: ASCII folding, case folding, punctuation stripping,
-/// whitespace squashing.
-pub fn normalize(input: &str, options: NormalizeOptions) -> String {
-    let mut s: String = if options.ascii_fold {
-        ascii_fold(input)
-    } else {
-        input.to_owned()
-    };
-    if options.case_fold {
-        s = s.to_lowercase();
-    }
-    if options.strip_punctuation {
-        s = s
-            .chars()
-            .map(|c| {
-                if c.is_alphanumeric() || c.is_whitespace() {
-                    c
-                } else {
-                    ' '
-                }
-            })
-            .collect();
-    }
-    if options.squash_whitespace {
-        s = s.split_whitespace().collect::<Vec<_>>().join(" ");
-    }
-    s
+/// Normalises `input` in four steps: accented Latin letters folded to
+/// ASCII, lower-cased, every character that is neither alphanumeric nor
+/// whitespace replaced by a space, and whitespace runs squashed to one
+/// space with the ends trimmed.
+pub fn normalize(input: &str) -> String {
+    let spaced: String = ascii_fold(input)
+        .to_lowercase()
+        .chars()
+        .map(|c| {
+            if c.is_alphanumeric() || c.is_whitespace() {
+                c
+            } else {
+                ' '
+            }
+        })
+        .collect();
+    spaced.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Maps accented Latin letters to their ASCII base letter; characters
@@ -66,7 +30,7 @@ pub fn normalize(input: &str, options: NormalizeOptions) -> String {
 /// Covers Latin-1 Supplement and the ligatures/strokes that occur in
 /// European names (the dominant case in YAGO/DBpedia labels). This is a
 /// table-driven fold, not full Unicode NFKD (out of scope offline).
-pub fn ascii_fold(input: &str) -> String {
+fn ascii_fold(input: &str) -> String {
     input.chars().map(fold_char).collect()
 }
 
@@ -125,10 +89,9 @@ mod tests {
 
     #[test]
     fn default_pipeline_canonicalises_name_variants() {
-        let opts = NormalizeOptions::default();
-        assert_eq!(normalize("Frank Sinatra", opts), "frank sinatra");
-        assert_eq!(normalize("frank_SINATRA", opts), "frank sinatra");
-        assert_eq!(normalize("  Fránk   Sinatra. ", opts), "frank sinatra");
+        assert_eq!(normalize("Frank Sinatra"), "frank sinatra");
+        assert_eq!(normalize("frank_SINATRA"), "frank sinatra");
+        assert_eq!(normalize("  Fránk   Sinatra. "), "frank sinatra");
     }
 
     #[test]
@@ -145,34 +108,15 @@ mod tests {
     }
 
     #[test]
-    fn options_can_be_disabled_individually() {
-        let opts = NormalizeOptions {
-            case_fold: false,
-            strip_punctuation: false,
-            squash_whitespace: false,
-            ascii_fold: false,
-        };
-        assert_eq!(normalize("A-B  C", opts), "A-B  C");
-
-        let only_case = NormalizeOptions {
-            case_fold: true,
-            ..opts
-        };
-        assert_eq!(normalize("A-B", only_case), "a-b");
-    }
-
-    #[test]
     fn punctuation_becomes_single_space_after_squash() {
-        let opts = NormalizeOptions::default();
-        assert_eq!(normalize("a,b;c", opts), "a b c");
-        assert_eq!(normalize("O'Neil", opts), "o neil");
+        assert_eq!(normalize("a,b;c"), "a b c");
+        assert_eq!(normalize("O'Neil"), "o neil");
     }
 
     #[test]
     fn empty_and_whitespace_only_inputs() {
-        let opts = NormalizeOptions::default();
-        assert_eq!(normalize("", opts), "");
-        assert_eq!(normalize("   \t ", opts), "");
-        assert_eq!(normalize("...", opts), "");
+        assert_eq!(normalize(""), "");
+        assert_eq!(normalize("   \t "), "");
+        assert_eq!(normalize("..."), "");
     }
 }

@@ -1,136 +1,40 @@
-//! q-gram profiles and the set/vector coefficients over them.
+//! The bigram Dice coefficient.
 //!
-//! A q-gram profile is the multiset of all length-`q` character windows of
-//! a string, with the conventional `#`-padding at both ends so short
-//! strings still produce grams.
+//! A string's bigram profile is the multiset of its two-character
+//! windows after padding each end with one `#`, so short strings still
+//! produce grams: "ab" → {#a, ab, b#}.
 
-use std::collections::BTreeMap;
-
-/// Padding character added (q−1 times) to both ends before gram
-/// extraction.
-pub const PAD: char = '#';
-
-/// A multiset of q-grams with counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QgramProfile {
-    q: usize,
-    counts: BTreeMap<String, usize>,
-    total: usize,
+/// The sorted bigram multiset of `s`, `#`-padded at both ends.
+fn bigrams(s: &str) -> Vec<[char; 2]> {
+    let padded: Vec<char> = std::iter::once('#')
+        .chain(s.chars())
+        .chain(std::iter::once('#'))
+        .collect();
+    let mut grams: Vec<[char; 2]> = padded.windows(2).map(|w| [w[0], w[1]]).collect();
+    grams.sort_unstable();
+    grams
 }
 
-impl QgramProfile {
-    /// Builds the profile of `s` for gram size `q` (≥ 1).
-    ///
-    /// # Panics
-    /// Panics if `q == 0`.
-    pub fn new(s: &str, q: usize) -> Self {
-        assert!(q > 0, "gram size must be at least 1");
-        let mut padded: Vec<char> = Vec::with_capacity(s.chars().count() + 2 * (q - 1));
-        padded.extend(std::iter::repeat_n(PAD, q - 1));
-        padded.extend(s.chars());
-        padded.extend(std::iter::repeat_n(PAD, q - 1));
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut total = 0;
-        if padded.len() >= q {
-            for window in padded.windows(q) {
-                *counts.entry(window.iter().collect()).or_insert(0) += 1;
-                total += 1;
+/// Dice (Sørensen) coefficient over bigram multisets:
+/// `2|A ∩ B| / (|A| + |B|)`. Every string has at least one bigram, so
+/// two empty strings score `1.0` and an empty against a non-empty one
+/// `0.0`.
+pub fn bigram_dice(a: &str, b: &str) -> f64 {
+    let (ga, gb) = (bigrams(a), bigrams(b));
+    // Multiset intersection of two sorted lists by merging.
+    let (mut i, mut j, mut shared) = (0, 0, 0usize);
+    while i < ga.len() && j < gb.len() {
+        match ga[i].cmp(&gb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
             }
         }
-        Self { q, counts, total }
     }
-
-    /// The gram size.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// Number of distinct grams.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total gram count (with multiplicity).
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Count of one gram.
-    pub fn count(&self, gram: &str) -> usize {
-        self.counts.get(gram).copied().unwrap_or(0)
-    }
-
-    /// Multiset intersection size with another profile.
-    pub fn intersection(&self, other: &Self) -> usize {
-        self.counts
-            .iter()
-            .map(|(g, &c)| c.min(other.count(g)))
-            .sum()
-    }
-
-    /// Dot product of the two count vectors.
-    pub fn dot(&self, other: &Self) -> u64 {
-        self.counts
-            .iter()
-            .map(|(g, &c)| c as u64 * other.count(g) as u64)
-            .sum()
-    }
-
-    /// Euclidean norm of the count vector.
-    pub fn norm(&self) -> f64 {
-        (self
-            .counts
-            .values()
-            .map(|&c| (c as u64 * c as u64) as f64)
-            .sum::<f64>())
-        .sqrt()
-    }
-}
-
-/// Multiset Jaccard coefficient over q-gram profiles: `|∩| / |∪|`.
-pub fn jaccard_qgram(a: &str, b: &str, q: usize) -> f64 {
-    let pa = QgramProfile::new(a, q);
-    let pb = QgramProfile::new(b, q);
-    let inter = pa.intersection(&pb);
-    let union = pa.total() + pb.total() - inter;
-    if union == 0 {
-        return 1.0;
-    }
-    inter as f64 / union as f64
-}
-
-/// Dice (Sørensen) coefficient: `2|∩| / (|A| + |B|)`.
-pub fn dice_qgram(a: &str, b: &str, q: usize) -> f64 {
-    let pa = QgramProfile::new(a, q);
-    let pb = QgramProfile::new(b, q);
-    let denom = pa.total() + pb.total();
-    if denom == 0 {
-        return 1.0;
-    }
-    2.0 * pa.intersection(&pb) as f64 / denom as f64
-}
-
-/// Overlap coefficient: `|∩| / min(|A|, |B|)`.
-pub fn overlap_qgram(a: &str, b: &str, q: usize) -> f64 {
-    let pa = QgramProfile::new(a, q);
-    let pb = QgramProfile::new(b, q);
-    let denom = pa.total().min(pb.total());
-    if denom == 0 {
-        return 1.0;
-    }
-    pa.intersection(&pb) as f64 / denom as f64
-}
-
-/// Cosine similarity of the gram count vectors.
-pub fn cosine_qgram(a: &str, b: &str, q: usize) -> f64 {
-    let pa = QgramProfile::new(a, q);
-    let pb = QgramProfile::new(b, q);
-    let denom = pa.norm() * pb.norm();
-    if denom == 0.0 {
-        // Both empty → identical; one empty → disjoint.
-        return if pa.total() == pb.total() { 1.0 } else { 0.0 };
-    }
-    pa.dot(&pb) as f64 / denom
+    2.0 * shared as f64 / (ga.len() + gb.len()) as f64
 }
 
 #[cfg(test)]
@@ -139,82 +43,46 @@ mod tests {
 
     #[test]
     fn profile_counts_with_padding() {
-        // "ab" with q=2 → grams: #a, ab, b#.
-        let p = QgramProfile::new("ab", 2);
-        assert_eq!(p.total(), 3);
-        assert_eq!(p.count("#a"), 1);
-        assert_eq!(p.count("ab"), 1);
-        assert_eq!(p.count("b#"), 1);
-        assert_eq!(p.count("zz"), 0);
+        assert_eq!(bigrams("ab"), [['#', 'a'], ['a', 'b'], ['b', '#']]);
     }
 
     #[test]
     fn profile_of_empty_string() {
-        let p = QgramProfile::new("", 2);
         // Padding alone: "##" → one gram.
-        assert_eq!(p.total(), 1);
-        let p1 = QgramProfile::new("", 1);
-        assert_eq!(p1.total(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "gram size")]
-    fn zero_q_panics() {
-        let _ = QgramProfile::new("abc", 0);
+        assert_eq!(bigrams(""), [['#', '#']]);
     }
 
     #[test]
     fn repeated_grams_counted_with_multiplicity() {
-        let p = QgramProfile::new("aaaa", 2);
-        assert_eq!(p.count("aa"), 3);
-        assert_eq!(p.total(), 5);
-        assert_eq!(p.distinct(), 3); // #a, aa, a#
+        // #a, aa ×3, a#
+        let grams = bigrams("aaaa");
+        assert_eq!(grams.len(), 5);
+        assert_eq!(grams.iter().filter(|g| **g == ['a', 'a']).count(), 3);
     }
 
     #[test]
     fn identical_strings_score_one() {
-        for f in [jaccard_qgram, dice_qgram, overlap_qgram, cosine_qgram] {
-            assert!((f("sinatra", "sinatra", 2) - 1.0).abs() < 1e-12);
-        }
+        assert_eq!(bigram_dice("sinatra", "sinatra"), 1.0);
     }
 
     #[test]
     fn disjoint_strings_score_zero() {
-        for f in [jaccard_qgram, dice_qgram, overlap_qgram, cosine_qgram] {
-            assert_eq!(f("aaa", "zzz", 2), 0.0);
-        }
-    }
-
-    #[test]
-    fn coefficient_ordering_jaccard_le_dice() {
-        // Dice ≥ Jaccard always.
-        for (a, b) in [("frank", "franck"), ("night", "nacht"), ("abc", "abd")] {
-            assert!(dice_qgram(a, b, 2) >= jaccard_qgram(a, b, 2) - 1e-12);
-        }
-    }
-
-    #[test]
-    fn overlap_is_one_for_substring_profiles() {
-        // q=1, no padding effect: grams of "ab" ⊂ grams of "xaby"? With q=1
-        // there is no padding (q-1=0). "ab" grams {a,b}; "aabb" grams
-        // {a,a,b,b} — min total is 2, intersection 2.
-        assert_eq!(overlap_qgram("ab", "aabb", 1), 1.0);
+        assert_eq!(bigram_dice("aaa", "zzz"), 0.0);
     }
 
     #[test]
     fn symmetry_of_all_coefficients() {
-        for f in [jaccard_qgram, dice_qgram, overlap_qgram, cosine_qgram] {
-            assert!((f("martha", "marhta", 2) - f("marhta", "martha", 2)).abs() < 1e-12);
-        }
+        assert_eq!(
+            bigram_dice("martha", "marhta"),
+            bigram_dice("marhta", "martha")
+        );
     }
 
     #[test]
     fn bounds_zero_one() {
-        for f in [jaccard_qgram, dice_qgram, overlap_qgram, cosine_qgram] {
-            for (a, b) in [("a", "ab"), ("frank", "sinatra"), ("", "x"), ("", "")] {
-                let v = f(a, b, 2);
-                assert!((0.0..=1.0 + 1e-12).contains(&v), "{a:?} {b:?} → {v}");
-            }
+        for (a, b) in [("a", "ab"), ("frank", "sinatra"), ("", "x"), ("", "")] {
+            let v = bigram_dice(a, b);
+            assert!((0.0..=1.0).contains(&v), "{a:?} {b:?} → {v}");
         }
     }
 }

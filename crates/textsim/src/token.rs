@@ -1,37 +1,16 @@
-//! Token-level similarity: whole-word measures for multi-word literals.
+//! Token-level similarity: whole-word matching for multi-word literals.
 
 use crate::jaro::jaro_winkler;
 
-/// Splits on whitespace. Inputs are expected to be pre-normalised (see
-/// [`crate::normalize()`]), so no further cleanup happens here.
-pub fn tokenize(s: &str) -> Vec<&str> {
-    s.split_whitespace().collect()
-}
-
-/// Jaccard coefficient over the *sets* of tokens.
-///
-/// Word order and duplicates are ignored — the right behaviour for
-/// "Sinatra, Frank" vs "Frank Sinatra".
-pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let sa: std::collections::BTreeSet<&str> = tokenize(a).into_iter().collect();
-    let sb: std::collections::BTreeSet<&str> = tokenize(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.len() + sb.len() - inter;
-    inter as f64 / union as f64
-}
-
-/// Monge–Elkan similarity: for each token of `a`, the best
-/// [`jaro_winkler`] match in `b`, averaged; symmetrised by taking the mean
-/// of both directions.
+/// Monge–Elkan similarity: for each whitespace-separated token of `a`,
+/// the best [`jaro_winkler`] match in `b`, averaged; symmetrised by
+/// taking the mean of both directions.
 ///
 /// Tolerates both token reordering *and* per-token typos, at O(|a|·|b|)
 /// token comparisons.
 pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = tokenize(a);
-    let tb = tokenize(b);
+    let ta: Vec<&str> = a.split_whitespace().collect();
+    let tb: Vec<&str> = b.split_whitespace().collect();
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }
@@ -54,27 +33,6 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tokenize_splits_on_whitespace() {
-        assert_eq!(tokenize("frank  sinatra"), vec!["frank", "sinatra"]);
-        assert!(tokenize("").is_empty());
-        assert!(tokenize("   ").is_empty());
-    }
-
-    #[test]
-    fn token_jaccard_ignores_order_and_duplicates() {
-        assert_eq!(token_jaccard("frank sinatra", "sinatra frank"), 1.0);
-        assert_eq!(token_jaccard("a a b", "a b"), 1.0);
-        assert_eq!(token_jaccard("a b", "b c"), 1.0 / 3.0);
-        assert_eq!(token_jaccard("a", "b"), 0.0);
-    }
-
-    #[test]
-    fn token_jaccard_empty_conventions() {
-        assert_eq!(token_jaccard("", ""), 1.0);
-        assert_eq!(token_jaccard("", "a"), 0.0);
-    }
 
     #[test]
     fn monge_elkan_tolerates_reorder_plus_typo() {

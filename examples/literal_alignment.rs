@@ -13,7 +13,7 @@
 use sofya::align::{Aligner, AlignerConfig};
 use sofya::endpoint::LocalEndpoint;
 use sofya::rdf::{Term, TripleStore};
-use sofya::textsim::{jaro_winkler, levenshtein, LiteralMatcher};
+use sofya::textsim::{jaro_winkler, literal_similarity};
 
 const SAME_AS: &str = "http://www.w3.org/2002/07/owl#sameAs";
 
@@ -48,14 +48,12 @@ fn main() {
 
     // Peek at the similarity layer first.
     println!("surface-form similarity (hybrid matcher after normalisation):");
-    let matcher = LiteralMatcher::default();
     for (y_name, d_name) in &people {
         println!(
-            "  {:<22} vs {:<24} sim {:.3}  (raw lev {}, raw jw {:.2})",
+            "  {:<22} vs {:<24} sim {:.3}  (raw jw {:.2})",
             y_name,
             d_name,
-            matcher.similarity(y_name, d_name),
-            levenshtein(y_name, d_name),
+            literal_similarity(y_name, d_name),
             jaro_winkler(y_name, d_name),
         );
     }

@@ -3,42 +3,11 @@
 use proptest::prelude::*;
 use sofya::align::{cwaconf, pcaconf, PairEvidence, SampleEvidence};
 use sofya::rdf::{parse_ntriples, write_ntriples, Term, TriplePattern, TripleStore};
-use sofya::textsim::{
-    damerau_osa, jaro, jaro_winkler, levenshtein, levenshtein_bounded, normalize, token_jaccard,
-    NormalizeOptions,
-};
+use sofya::textsim::{jaro, jaro_winkler, literal_similarity, literals_match, normalize};
 
 // ---------------------------------------------------------------- textsim
 
 proptest! {
-    #[test]
-    fn levenshtein_is_a_metric(a in ".{0,24}", b in ".{0,24}", c in ".{0,24}") {
-        let ab = levenshtein(&a, &b);
-        let ba = levenshtein(&b, &a);
-        prop_assert_eq!(ab, ba);                        // symmetry
-        prop_assert_eq!(levenshtein(&a, &a), 0);        // identity
-        let ac = levenshtein(&a, &c);
-        let cb = levenshtein(&c, &b);
-        prop_assert!(ab <= ac + cb);                    // triangle inequality
-    }
-
-    #[test]
-    fn levenshtein_bounded_agrees(a in ".{0,16}", b in ".{0,16}", bound in 0usize..20) {
-        let d = levenshtein(&a, &b);
-        match levenshtein_bounded(&a, &b, bound) {
-            Some(found) => {
-                prop_assert_eq!(found, d);
-                prop_assert!(d <= bound);
-            }
-            None => prop_assert!(d > bound),
-        }
-    }
-
-    #[test]
-    fn damerau_never_exceeds_levenshtein(a in ".{0,16}", b in ".{0,16}") {
-        prop_assert!(damerau_osa(&a, &b) <= levenshtein(&a, &b));
-    }
-
     #[test]
     fn jaro_family_is_bounded_and_symmetric(a in ".{0,24}", b in ".{0,24}") {
         for f in [jaro, jaro_winkler] {
@@ -51,17 +20,18 @@ proptest! {
     }
 
     #[test]
-    fn token_jaccard_bounded_and_order_blind(a in "[a-c ]{0,20}", b in "[a-c ]{0,20}") {
-        let v = token_jaccard(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&v));
-        prop_assert!((v - token_jaccard(&b, &a)).abs() < 1e-12);
+    fn literal_similarity_is_bounded_and_symmetric(a in ".{0,24}", b in ".{0,24}") {
+        let ab = literal_similarity(&a, &b);
+        prop_assert!((0.0..=1.0).contains(&ab), "out of bounds: {}", ab);
+        prop_assert!((ab - literal_similarity(&b, &a)).abs() < 1e-9);
+        prop_assert_eq!(literal_similarity(&a, &a), 1.0);
+        prop_assert_eq!(literals_match(&a, &b), ab >= 0.85);
     }
 
     #[test]
     fn normalize_is_idempotent(s in ".{0,40}") {
-        let opts = NormalizeOptions::default();
-        let once = normalize(&s, opts);
-        let twice = normalize(&once, opts);
+        let once = normalize(&s);
+        let twice = normalize(&once);
         prop_assert_eq!(once, twice);
     }
 }
