@@ -13,8 +13,8 @@
 //!   touching that entity changes);
 //! * a fully unbound pattern (`?s ?p ?o`) sets the **wildcard** flag.
 //!
-//! A [`PublishDelta`] carries the predicates touched and the
-//! subject/object terms of every mutated triple, so
+//! A [`PublishDelta`] carries the predicates and the subject/object
+//! terms of every triple a publish added or removed, so
 //! [`SideFootprint::is_dirty`] is a pair of set intersections. A delta
 //! is asked about every cached relation, so it is hashed once, into a
 //! [`DeltaView`], and each intersection walks its smaller side: marking
@@ -22,9 +22,9 @@
 //! is conservative: it may re-mine a relation whose results did not
 //! change, but a relation whose results *could* have changed is always
 //! flagged — query answers depend only on the triples the patterns
-//! match, and every mutated triple is visible in the delta through its
-//! predicate and through both its entities. Filters only restrict
-//! results, so they never widen the footprint.
+//! match, and every added or removed triple is visible in the delta
+//! through its predicate and through both its entities. Filters only
+//! restrict results, so they never widen the footprint.
 
 use sofya_endpoint::{Endpoint, EndpointError, PublishDelta, Request, Response};
 use sofya_rdf::Term;
@@ -45,7 +45,7 @@ impl<'a> DeltaView<'a> {
     /// Indexes the delta's predicates and subject/object terms.
     pub fn new(delta: &'a PublishDelta) -> Self {
         Self {
-            predicates: delta.predicates.iter().map(|pd| &pd.predicate).collect(),
+            predicates: delta.predicates.iter().collect(),
             terms: delta.terms.iter().collect(),
         }
     }
@@ -236,20 +236,11 @@ impl Endpoint for RecordingEndpoint<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofya_endpoint::PredicateDelta;
-
     fn delta(preds: &[&str], terms: &[&str]) -> PublishDelta {
         PublishDelta {
             prev_epoch: 1,
             epoch: 2,
-            predicates: preds
-                .iter()
-                .map(|p| PredicateDelta {
-                    predicate: Term::iri(*p),
-                    inserts: 1,
-                    removes: 0,
-                })
-                .collect(),
+            predicates: preds.iter().map(|p| Term::iri(*p)).collect(),
             terms: terms.iter().map(|t| Term::iri(*t)).collect(),
         }
     }
@@ -431,13 +422,10 @@ mod tests {
             };
             let mut delta = delta(&[], &[]);
             delta.terms = terms(&delta_terms);
-            delta.predicates = terms(&delta_preds)
-                .into_iter()
-                .map(|predicate| PredicateDelta { predicate, inserts: 0, removes: 1 })
-                .collect();
+            delta.predicates = terms(&delta_preds);
             let defined = !delta.is_empty()
                 && (fp.wildcard
-                    || delta.predicates.iter().any(|pd| fp.predicates.contains(&pd.predicate))
+                    || delta.predicates.iter().any(|p| fp.predicates.contains(p))
                     || delta.terms.iter().any(|t| fp.entities.contains(t)));
             proptest::prop_assert_eq!(fp.is_dirty(&DeltaView::new(&delta)), defined);
         }

@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn deltas_dirty_only_intersecting_relations() {
-        use sofya_endpoint::{PredicateDelta, PublishDelta};
+        use sofya_endpoint::PublishDelta;
 
         let (dbp, yago) = endpoints();
         let counters = dbp.counters();
@@ -451,11 +451,7 @@ mod tests {
         let unrelated = PublishDelta {
             prev_epoch: 1,
             epoch: 2,
-            predicates: vec![PredicateDelta {
-                predicate: Term::iri("y:unrelated"),
-                inserts: 1,
-                removes: 0,
-            }],
+            predicates: vec![Term::iri("y:unrelated")],
             terms: vec![Term::iri("y:nobody")],
         };
         assert_eq!(session.apply_target_delta(&unrelated), 0);
@@ -467,11 +463,7 @@ mod tests {
         let touching = PublishDelta {
             prev_epoch: 2,
             epoch: 3,
-            predicates: vec![PredicateDelta {
-                predicate: Term::iri("y:born"),
-                inserts: 1,
-                removes: 0,
-            }],
+            predicates: vec![Term::iri("y:born")],
             terms: vec![Term::iri("y:p0")],
         };
         assert_eq!(session.apply_target_delta(&touching), 1);
@@ -496,7 +488,7 @@ mod tests {
     /// to mark, so it must land dirty instead of clean-but-stale.
     #[test]
     fn a_delta_applied_mid_alignment_leaves_the_relation_dirty() {
-        use sofya_endpoint::{EndpointError, PredicateDelta, Request, Response};
+        use sofya_endpoint::{EndpointError, Request, Response};
         use sofya_sparql::QueryBudget;
         use std::sync::atomic::AtomicBool;
         use std::sync::Barrier;
@@ -530,11 +522,7 @@ mod tests {
         let touching = PublishDelta {
             prev_epoch: 1,
             epoch: 2,
-            predicates: vec![PredicateDelta {
-                predicate: Term::iri("y:born"),
-                inserts: 1,
-                removes: 0,
-            }],
+            predicates: vec![Term::iri("y:born")],
             terms: vec![Term::iri("y:p0")],
         };
         std::thread::scope(|scope| {

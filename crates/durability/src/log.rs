@@ -7,9 +7,9 @@
 //! publish ([`DurableLog::commit`]). The log keeps the snapshot of its
 //! last commit and writes what the new one changed since, in ids: the
 //! terms interned since, the first id explicit, and the SPO keys added
-//! and removed ([`StoreSnapshot::diff_since`]). Recovery assigns every
-//! term the id the writer gave it, so the recovered dictionary is the
-//! writer's term for term and the snapshot fingerprint is bit-identical.
+//! and removed ([`StoreSnapshot::diff_since`], walking the pages written
+//! since). Recovery gives every term the writer's id, so the recovered
+//! dictionary is the writer's term for term and the fingerprint identical.
 //!
 //! ## Protocol
 //!
@@ -26,15 +26,15 @@
 //!   rename leaves a valid manifest — old (the new segment an orphan
 //!   nothing names) or new — and recovery skips every frame the manifest
 //!   already covers. The cost follows the change, not the store.
-//! * **Fold**: the checkpoint instead writes the whole snapshot as a
-//!   fresh base — the same segment, its predecessor the empty store —
-//!   listed alone, when nothing is retained to diff against (`create`,
-//!   the first checkpoint after `recover`), when the deltas with the new
-//!   one would hold `FOLD_AT_BASE_SHARE` × the base's triples, or when
-//!   there would be more than `MAX_DELTA_SEGMENTS` of them (of dictionary
-//!   segments: those are rewritten as one in the same swap). Run segments
-//!   on disk stay under twice the base and the manifest bounded.
-//!   Superseded files are removed, best-effort, after the rename.
+//! * **Fold**: the checkpoint instead writes every key, in SPO order, as
+//!   a fresh base listed alone (its predecessor the empty store) when
+//!   nothing is retained to diff against (`create`, the first checkpoint
+//!   after `recover`), when the deltas with the new one would hold
+//!   `FOLD_AT_BASE_SHARE` × the base's triples, or when there would be
+//!   more than `MAX_DELTA_SEGMENTS` of them (of dictionary segments: those
+//!   are rewritten as one in the same swap). Run segments on disk stay
+//!   under twice the base and the manifest bounded. Superseded files are
+//!   removed, best-effort, after the rename.
 //! * **Recover**: load the manifest (missing ⇒ fresh store), then apply
 //!   the dictionary segments, the run segments in order and the WAL
 //!   frames newer than the checkpoint through one routine: intern a term
@@ -273,15 +273,15 @@ impl DurableLog {
         let term_count = term_count(dict)?;
 
         // Runs: the change since the previous checkpoint after the
-        // segments listed, or — a fold — since the empty store, alone.
+        // segments listed, or — a fold — every key, in SPO order, alone.
         let delta = self.delta_since_checkpoint(snapshot);
         let fold = delta.is_none();
         let mut runs = Vec::new();
         if !fold {
             runs.clone_from(&self.manifest.runs);
         }
-        let (adds, removes) =
-            delta.unwrap_or_else(|| snapshot.diff_since(&TripleStore::new().snapshot()));
+        let keys = || snapshot.iter().map(|t| (t.s.0, t.p.0, t.o.0)).collect();
+        let (adds, removes) = delta.unwrap_or_else(|| (keys(), Vec::new()));
         let name = format!("runs-{:016}.seg", self.epoch);
         let mut payload = Vec::with_capacity(16 + 12 * (adds.len() + removes.len()));
         codec::encode_triples(&mut payload, &adds);

@@ -28,13 +28,13 @@
 //! crate-private `plan_cache` module); a publish therefore invalidates
 //! stale plans lazily, on their next lookup.
 
-use crate::delta::{DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
+use crate::delta::{DeltaLog, FreshnessGauge, PublishDelta};
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
 use crate::local::LocalEndpoint;
 use crate::plan_cache::{prepared_cache_key, ShardedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use parking_lot::Mutex;
-use sofya_rdf::{StoreDelta, StoreSnapshot, StoreStats, TermId, TripleStore};
+use sofya_rdf::{StoreSnapshot, StoreStats, TermId, TripleStore};
 use sofya_sparql::{
     compile_ast_with_options, compile_with_options, execute_ast_budgeted,
     execute_compiled_paged_budgeted, PlanOptions, QueryBudget, QueryOutcome,
@@ -65,11 +65,11 @@ impl PublishedSnapshot {
         }
     }
 
-    /// The state a publish that wrote the pages of `written` puts in place
-    /// of `self`: it inherits these statistics if a reader computed them,
-    /// or else whatever `self` would have derived its own from.
-    fn succeeded_by(&self, snapshot: StoreSnapshot, written: &[(TermId, u64, u64)]) -> Self {
-        let written = written.iter().map(|&(p, ..)| p);
+    /// The state a publish that changed the pages of `written` puts in
+    /// place of `self`: it inherits these statistics if a reader computed
+    /// them, or else whatever `self` would have derived its own from.
+    fn succeeded_by(&self, snapshot: StoreSnapshot, written: &[TermId]) -> Self {
+        let written = written.iter().copied();
         let base = match (self.stats.get(), &self.base) {
             (Some(stats), _) => Some((Arc::clone(stats), written.collect())),
             (None, Some((stats, touched))) => Some((
@@ -135,33 +135,12 @@ impl Cell {
     }
 }
 
-/// Resolves the writer's raw id-level mutation log against the published
-/// snapshot's dictionary (append-only, so every recorded id resolves).
-fn resolve_delta(
-    prev_epoch: u64,
-    epoch: u64,
-    raw: StoreDelta,
-    snapshot: &StoreSnapshot,
-) -> PublishDelta {
-    let dict = snapshot.dict();
-    PublishDelta {
-        prev_epoch,
-        epoch,
-        predicates: raw
-            .predicates
-            .into_iter()
-            .map(|(p, inserts, removes)| PredicateDelta {
-                predicate: dict.resolve(p).clone(),
-                inserts,
-                removes,
-            })
-            .collect(),
-        terms: raw
-            .terms
-            .into_iter()
-            .map(|t| dict.resolve(t).clone())
-            .collect(),
-    }
+/// Ascending, deduplicated ids.
+fn ascending(ids: impl Iterator<Item = u32>) -> Vec<TermId> {
+    let mut ids: Vec<u32> = ids.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter().map(TermId).collect()
 }
 
 /// The writer half: owns the mutable store and the publication cell.
@@ -193,9 +172,6 @@ impl SnapshotStore {
     /// many publishes a lagging subscriber can catch up across before
     /// being told to resync).
     pub fn with_delta_capacity(mut store: TripleStore, delta_capacity: usize) -> Self {
-        // Everything mutated before wrapping is covered by the initial
-        // published snapshot; it is not a delta anyone can have missed.
-        let _ = store.take_pending_delta();
         let first = Arc::new(PublishedSnapshot::new(store.snapshot()));
         let initial_epoch = first.version();
         let freshness = Arc::new(FreshnessGauge::new());
@@ -232,14 +208,15 @@ impl SnapshotStore {
     /// first reader of the new state pays on the same terms (see
     /// [`PublishedSnapshot::stats`]).
     ///
-    /// Returns the [`PublishDelta`] describing exactly what changed
-    /// since the previous epoch — O(mutations since the last publish),
-    /// accumulated in the writer path, never recomputed from the store.
+    /// Returns the [`PublishDelta`] describing what changed since the
+    /// previous epoch, read off the two snapshots (see
+    /// [`SnapshotStore::install`]).
     ///
-    /// **No-op fast path:** with zero pending mutations the currently
-    /// published snapshot is left in place (same `Arc`, same epoch, same
-    /// publication time) and a no-op delta is returned. Version-stamped
-    /// cached plans therefore stay valid across idle publishes.
+    /// **No-op fast path:** with no write since the last publish the
+    /// currently published snapshot is left in place (same `Arc`, same
+    /// epoch, same publication time) and a no-op delta is returned.
+    /// Version-stamped cached plans therefore stay valid across idle
+    /// publishes.
     pub fn publish(&mut self) -> Arc<PublishDelta> {
         let current_epoch = self.current().version();
         if self.store.generation() == current_epoch {
@@ -256,17 +233,30 @@ impl SnapshotStore {
     /// durable store commits its write-ahead log against the snapshot
     /// first, so readers never observe state that a crash could lose.
     ///
-    /// Drains the writer's pending mutation log into the returned
-    /// [`PublishDelta`] and appends it to the delta ring. Subscribers and
-    /// inherited statistics take that log to be what `snapshot` changed:
-    /// write nothing between taking the snapshot and installing it.
+    /// What `snapshot` changed is [`StoreSnapshot::diff_since`] the
+    /// published one, which costs the pages written in between: its
+    /// predicates are the pages the new state's statistics recompute, and
+    /// with the subject/object terms of the changed triples they make the
+    /// returned [`PublishDelta`], which is appended to the delta ring. The
+    /// change is net, so writes that cancel out within one publish show
+    /// nowhere, and a write landing after `snapshot` was taken belongs to
+    /// the next publish.
     pub fn install(&mut self, snapshot: StoreSnapshot) -> Arc<PublishDelta> {
-        debug_assert_eq!(snapshot.version(), self.store.generation());
         let outgoing = self.current();
-        let raw = self.store.take_pending_delta();
-        let published = Arc::new(outgoing.succeeded_by(snapshot, &raw.predicates));
-        let (from, to) = (outgoing.version(), published.version());
-        let delta = Arc::new(resolve_delta(from, to, raw, published.snapshot()));
+        let (adds, removes) = snapshot.diff_since(outgoing.snapshot());
+        let changed = || adds.iter().chain(&removes);
+        let predicates = ascending(changed().map(|&(_, p, _)| p));
+        let terms = ascending(changed().flat_map(|&(s, _, o)| [s, o]));
+        let published = Arc::new(outgoing.succeeded_by(snapshot, &predicates));
+        let dict = published.snapshot().dict();
+        let resolve =
+            |ids: Vec<TermId>| ids.into_iter().map(|id| dict.resolve(id).clone()).collect();
+        let delta = Arc::new(PublishDelta {
+            prev_epoch: outgoing.version(),
+            epoch: published.version(),
+            predicates: resolve(predicates),
+            terms: resolve(terms),
+        });
         self.cell.swap(published);
         self.deltas.push(Arc::clone(&delta));
         self.freshness.set_last_publish_epoch(delta.epoch);
@@ -732,7 +722,7 @@ mod tests {
         );
     }
 
-    /// Satellite regression: a publish with zero pending mutations must
+    /// A publish with no write since the previous one must
     /// not bump the epoch, swap the snapshot `Arc`, or invalidate
     /// version-stamped cached plans.
     #[test]
@@ -782,13 +772,10 @@ mod tests {
             .insert_terms(&Term::iri("e:x"), &Term::iri("r:q"), &Term::iri("e:y"));
         let d1 = writer.publish();
         assert_eq!(d1.prev_epoch, base_epoch);
-        assert_eq!(d1.predicates.len(), 1);
-        assert_eq!(d1.predicates[0].predicate, Term::iri("r:q"));
-        assert_eq!((d1.predicates[0].inserts, d1.predicates[0].removes), (1, 0));
-        let terms: Vec<&Term> = d1.terms.iter().collect();
-        assert!(terms.contains(&&Term::iri("e:x")) && terms.contains(&&Term::iri("e:y")));
+        assert_eq!(d1.predicates, vec![Term::iri("r:q")]);
+        assert_eq!(d1.terms, vec![Term::iri("e:x"), Term::iri("e:y")]);
 
-        // Removal counts land on the removes side of the same predicate.
+        // A removal names the same predicate and terms.
         {
             let store = writer.store_mut();
             let (x, q, y) = (
@@ -799,7 +786,7 @@ mod tests {
             assert!(store.remove(x, q, y));
         }
         let d2 = writer.publish();
-        assert_eq!((d2.predicates[0].inserts, d2.predicates[0].removes), (0, 1));
+        assert_eq!((&d2.predicates, &d2.terms), (&d1.predicates, &d1.terms));
         assert_eq!(d2.prev_epoch, d1.epoch);
 
         // A subscriber at the base epoch replays both deltas in order.
@@ -813,6 +800,44 @@ mod tests {
             other => panic!("expected a replayable gap, got {other:?}"),
         }
         assert_eq!(writer.freshness().last_publish_epoch(), d2.epoch);
+    }
+
+    /// A write that lands after the snapshot was taken is not what the
+    /// installed snapshot changed: it shows up in the next publish.
+    #[test]
+    fn a_write_between_snapshot_and_install_belongs_to_the_next_publish() {
+        let mut writer = seeded();
+        let ep = writer.reader("kb");
+        let store = writer.store_mut();
+        store.insert_terms(&Term::iri("e:x"), &Term::iri("r:q"), &Term::iri("e:y"));
+        let snapshot = store.snapshot();
+        store.insert_terms(&Term::iri("e:z"), &Term::iri("r:z"), &Term::iri("e:w"));
+
+        let installed = writer.install(snapshot);
+        assert_eq!(installed.predicates, vec![Term::iri("r:q")]);
+        assert_eq!(installed.terms, vec![Term::iri("e:x"), Term::iri("e:y")]);
+        assert_eq!(ep.select("SELECT ?s { ?s ?p ?o }").unwrap().len(), 3);
+
+        let next = writer.publish();
+        assert_eq!(next.prev_epoch, installed.epoch);
+        assert_eq!(next.predicates, vec![Term::iri("r:z")]);
+        assert_eq!(next.terms, vec![Term::iri("e:z"), Term::iri("e:w")]);
+        assert_eq!(ep.select("SELECT ?s { ?s ?p ?o }").unwrap().len(), 4);
+    }
+
+    /// A publish reports its net change: an insert and a remove of the
+    /// same triple cancel, and the delta names nothing.
+    #[test]
+    fn writes_that_cancel_within_a_publish_change_nothing() {
+        let mut writer = seeded();
+        let store = writer.store_mut();
+        let (s, p, o) = (Term::iri("e:x"), Term::iri("r:q"), Term::iri("e:y"));
+        assert!(store.insert_terms(&s, &p, &o));
+        let ids = (store.intern(&s), store.intern(&p), store.intern(&o));
+        assert!(store.remove(ids.0, ids.1, ids.2));
+        let delta = writer.publish();
+        assert!(!delta.is_noop());
+        assert!(delta.is_empty(), "{delta:?}");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The publish-time delta feed: what changed between two epochs.
 //!
-//! Every [`crate::SnapshotStore::publish`] drains the writer's O(mutations)
-//! pending log (see [`sofya_rdf::TripleStore::take_pending_delta`]) and
-//! resolves it into a [`PublishDelta`]: the new epoch, the predicates
-//! touched with insert/remove counts, and the subject/object terms of
-//! every mutated triple. Subscribers (the incremental alignment session,
-//! external change consumers) use it to decide *which* cached work a
-//! publish actually invalidated, instead of discarding everything.
+//! Every [`crate::SnapshotStore::publish`] learns what it changed from
+//! the one definition of it, [`sofya_rdf::StoreSnapshot::diff_since`] the
+//! outgoing snapshot, which costs the pages written in between, and
+//! resolves it into a [`PublishDelta`]: the new epoch, the predicates of
+//! the triples added or removed, and their subject/object terms. The
+//! change is net: writes that cancel within one publish show nowhere.
+//! Subscribers (the incremental alignment session, external change
+//! consumers) use it to decide *which* cached work a publish actually
+//! invalidated, instead of discarding everything.
 //!
 //! A [`DeltaLog`] ring retains the last K deltas so a subscriber that
 //! missed some publishes can catch up by replaying the gap; if the gap
@@ -23,17 +25,6 @@ use std::sync::Arc;
 /// Default number of deltas the ring retains.
 pub const DEFAULT_DELTA_LOG_CAPACITY: usize = 64;
 
-/// One predicate's mutation counts within a published delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PredicateDelta {
-    /// The predicate term.
-    pub predicate: Term,
-    /// Triples with this predicate inserted since the previous epoch.
-    pub inserts: u64,
-    /// Triples with this predicate removed since the previous epoch.
-    pub removes: u64,
-}
-
 /// Everything that changed between two published epochs.
 ///
 /// A **no-op** delta (`epoch == prev_epoch`) is returned by a publish
@@ -45,14 +36,16 @@ pub struct PublishDelta {
     pub prev_epoch: u64,
     /// The epoch readers see after this publish.
     pub epoch: u64,
-    /// Per-predicate insert/remove counts, ascending by dictionary id.
-    pub predicates: Vec<PredicateDelta>,
-    /// Distinct subject/object terms of every mutated triple.
+    /// Predicates of the triples added or removed, ascending by
+    /// dictionary id.
+    pub predicates: Vec<Term>,
+    /// Subject/object terms of the triples added or removed, ascending by
+    /// dictionary id.
     pub terms: Vec<Term>,
 }
 
 impl PublishDelta {
-    /// A delta covering no mutations at all (publish fast path).
+    /// A delta covering no change at all (publish fast path).
     pub fn noop(epoch: u64) -> Self {
         Self {
             prev_epoch: epoch,
@@ -62,7 +55,8 @@ impl PublishDelta {
         }
     }
 
-    /// Whether the delta covers no mutations.
+    /// Whether the delta names no triple: a no-op, or a publish whose
+    /// writes cancelled out.
     pub fn is_empty(&self) -> bool {
         self.predicates.is_empty() && self.terms.is_empty()
     }
@@ -228,11 +222,7 @@ mod tests {
         Arc::new(PublishDelta {
             prev_epoch: prev,
             epoch,
-            predicates: vec![PredicateDelta {
-                predicate: Term::iri(format!("p{epoch}")),
-                inserts: 1,
-                removes: 0,
-            }],
+            predicates: vec![Term::iri(format!("p{epoch}"))],
             terms: vec![Term::iri(format!("e{epoch}"))],
         })
     }

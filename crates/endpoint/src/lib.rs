@@ -73,7 +73,7 @@ pub mod testing;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
 pub use deadline::BudgetConfig;
-pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PredicateDelta, PublishDelta};
+pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};
 pub use endpoint::{Endpoint, EndpointExt, Request, Response};
 pub use error::EndpointError;

@@ -93,7 +93,7 @@ fn run_sequence(universe: &[(Term, Term, Term)], full: bool, read_first: bool, s
 /// Every sequence of at most `depth` steps that ends in a publish, from
 /// an empty and from a full store, the first snapshot read or not. A
 /// write that changes nothing (inserting a present triple, removing an
-/// absent one) touches neither the store nor its pending log, so such a
+/// absent one) does not touch the store, so such a
 /// sequence behaves as the shorter one without that step, which is
 /// enumerated too; `present` prunes them.
 fn enumerate(

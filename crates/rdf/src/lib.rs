@@ -63,6 +63,6 @@ pub use ntriples::{parse_ntriples, parse_ntriples_terms, write_ntriples};
 pub use segment::CodecError;
 pub use snapshot::{fingerprint_of, StoreSnapshot};
 pub use stats::{PredicateStats, StoreStats};
-pub use store::{PatternScan, StoreDelta, TripleStore};
+pub use store::{PatternScan, TripleStore};
 pub use term::Term;
 pub use triple::{Triple, TriplePattern};

@@ -46,18 +46,22 @@
 //!   terms interned since the previous snapshot. No triple and no older
 //!   term is copied, and dropping a snapshot frees only the runs and
 //!   dictionary segments that have been replaced since it was taken.
+//! * What one snapshot changed since another is
+//!   [`StoreSnapshot::diff_since`], the one record of it: the writer keeps
+//!   no log of its calls. It walks the POS pages of the two and skips
+//!   every page both share, so it costs the pages written in between.
 //!
 //! A publish therefore costs O(mutations since the last publish)
-//! allocations and at most one pass per run those mutations touched.
-//! Snapshots are always flushed: their buffers are empty and their scans
-//! walk the main runs alone.
+//! allocations and at most one pass per run those mutations touched, and
+//! learning what it changed one pass per page they touched. Snapshots are
+//! always flushed: their buffers are empty and their scans walk the main
+//! runs alone.
 
 use crate::dict::{Dict, TermId};
 use crate::snapshot::StoreSnapshot;
 use crate::term::Term;
 use crate::triple::{Triple, TriplePattern};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 type Key = (u32, u32, u32);
@@ -73,56 +77,6 @@ const DEFAULT_MERGE_THRESHOLD: usize = 1024;
 /// stay much smaller than the global threshold without losing
 /// amortization (the pass it triggers is page-local).
 const PAGE_BUFFER_THRESHOLD: usize = 64;
-
-/// Mutations accumulated in the writer path since the last
-/// [`TripleStore::take_pending_delta`]: per-predicate insert/remove
-/// counts plus the set of subject/object ids touched. Maintained in
-/// O(1) amortized per mutation, so draining it at publish time is
-/// O(mutations since the last publish), never O(store).
-#[derive(Debug, Clone, Default)]
-struct PendingDelta {
-    /// predicate id → (inserts, removes)
-    preds: BTreeMap<u32, (u64, u64)>,
-    /// Subject and object ids of every mutated triple.
-    terms: BTreeSet<u32>,
-}
-
-impl PendingDelta {
-    #[inline]
-    fn record(&mut self, s: u32, p: u32, o: u32, removal: bool) {
-        let counts = self.preds.entry(p).or_default();
-        if removal {
-            counts.1 += 1;
-        } else {
-            counts.0 += 1;
-        }
-        self.terms.insert(s);
-        self.terms.insert(o);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-}
-
-/// The drained form of the writer's pending mutation log (see
-/// [`TripleStore::take_pending_delta`]): raw dictionary ids, resolvable
-/// against any snapshot taken at or after the covered mutations (the
-/// dictionary is append-only).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreDelta {
-    /// `(predicate id, inserts, removes)`, ascending by predicate id.
-    pub predicates: Vec<(TermId, u64, u64)>,
-    /// Distinct subject/object ids of every mutated triple, ascending.
-    pub terms: Vec<TermId>,
-}
-
-impl StoreDelta {
-    /// Whether the delta covers no mutations at all.
-    pub fn is_empty(&self) -> bool {
-        self.predicates.is_empty()
-    }
-}
 
 /// One triple's contribution to [`TripleStore::fingerprint`].
 #[inline]
@@ -592,9 +546,6 @@ pub struct TripleStore {
     /// Bumped on every successful mutation; snapshots record the value
     /// they were taken at, so staleness is a subtraction.
     generation: u64,
-    /// Mutations since the last `take_pending_delta` (the publish-time
-    /// delta feed).
-    pending: PendingDelta,
     /// XOR of [`fingerprint_mix`] over the live triples, kept current by
     /// every mutation.
     fold: u64,
@@ -609,7 +560,6 @@ impl Default for TripleStore {
             pages: Vec::new(),
             merge_threshold: DEFAULT_MERGE_THRESHOLD,
             generation: 0,
-            pending: PendingDelta::default(),
             fold: 0,
         }
     }
@@ -653,34 +603,9 @@ impl TripleStore {
             pages: self.pages.clone(),
             merge_threshold: self.merge_threshold,
             generation: self.generation,
-            // The snapshot is immutable; the writer's mutation log stays
-            // with the writer.
-            pending: PendingDelta::default(),
             fold: self.fold,
         };
         StoreSnapshot::new(published, self.generation)
-    }
-
-    /// Drains the mutation log accumulated since the previous call (or
-    /// store creation): per-predicate insert/remove counts and the
-    /// subject/object ids touched. O(mutations covered). The endpoint
-    /// layer calls this at publish time to build the delta feed.
-    pub fn take_pending_delta(&mut self) -> StoreDelta {
-        let pending = std::mem::take(&mut self.pending);
-        StoreDelta {
-            predicates: pending
-                .preds
-                .into_iter()
-                .map(|(p, (ins, rem))| (TermId(p), ins, rem))
-                .collect(),
-            terms: pending.terms.into_iter().map(TermId).collect(),
-        }
-    }
-
-    /// Whether any mutation has been recorded since the last
-    /// [`TripleStore::take_pending_delta`].
-    pub fn has_pending_delta(&self) -> bool {
-        !self.pending.is_empty()
     }
 
     /// Number of triples.
@@ -745,10 +670,9 @@ impl TripleStore {
     }
 
     /// Records one successful single-triple mutation.
-    fn mutated(&mut self, (s, p, o): Key, removal: bool) {
+    fn mutated(&mut self, (s, p, o): Key) {
         self.fold ^= fingerprint_mix(s, p, o);
         self.generation += 1;
-        self.pending.record(s, p, o, removal);
         self.maybe_merge();
     }
 
@@ -765,7 +689,7 @@ impl TripleStore {
         if page.pairs.is_due(PAGE_BUFFER_THRESHOLD) {
             page.pairs.apply(Vec::new());
         }
-        self.mutated(key, false);
+        self.mutated(key);
         true
     }
 
@@ -800,7 +724,6 @@ impl TripleStore {
         // `batch` now holds exactly the new triples.
         for &(s, p, o) in &batch {
             self.fold ^= fingerprint_mix(s, p, o);
-            self.pending.record(s, p, o, false);
         }
 
         // OSP: re-key and sort once.
@@ -849,7 +772,7 @@ impl TripleStore {
         if page.pairs.is_due(PAGE_BUFFER_THRESHOLD) {
             page.pairs.apply(Vec::new());
         }
-        self.mutated(key, true);
+        self.mutated(key);
         true
     }
 
@@ -1025,42 +948,74 @@ impl TripleStore {
 }
 
 impl StoreSnapshot {
-    /// What a checkpoint has to write to bring a disk that holds `older`
-    /// up to this snapshot: the `(s, p, o)` id keys this snapshot holds
-    /// and `older` does not, and those `older` holds and this one does
-    /// not, each ascending. Both must be snapshots of one writer, whose
-    /// ids only grow. A snapshot is flushed, so this is one two-pointer
-    /// walk over the two SPO main runs, skipped when they are the same
-    /// allocation.
+    /// What changed from `older` to this snapshot: the `(s, p, o)` id keys
+    /// this snapshot holds and `older` does not, and those `older` holds
+    /// and this one does not, each ascending. Both must be snapshots of one
+    /// writer, whose ids only grow and name the same terms in both.
+    ///
+    /// It costs the pages written in between, not the store. A snapshot is
+    /// flushed, so a predicate's POS page is its main run alone: the walk
+    /// goes through the two page directories in predicate order, skips
+    /// every page whose main run is the same `Arc` in both, diffs the rest
+    /// two-pointer and sorts what they yield. The skip holds for any two
+    /// live snapshots: a main run is changed in place only while nothing
+    /// else holds it, and each snapshot holds its own for as long as it
+    /// lives.
     pub fn diff_since(&self, older: &StoreSnapshot) -> (Vec<Key>, Vec<Key>) {
         let (mut added, mut removed) = (Vec::new(), Vec::new());
-        let (new, old) = (&self.store().spo.main, &older.store().spo.main);
-        if Arc::ptr_eq(new, old) {
-            return (added, removed);
-        }
-        let (mut new, mut old) = (new.as_slice(), old.as_slice());
-        while let (Some((n, new_rest)), Some((o, old_rest))) =
-            (new.split_first(), old.split_first())
-        {
-            match n.cmp(o) {
-                Ordering::Less => {
-                    added.push(*n);
-                    new = new_rest;
-                }
-                Ordering::Greater => {
-                    removed.push(*o);
-                    old = old_rest;
-                }
-                Ordering::Equal => {
-                    new = new_rest;
-                    old = old_rest;
-                }
+        let (mut new, mut old) = (&self.store().pages[..], &older.store().pages[..]);
+        loop {
+            let pred = match (new.first(), old.first()) {
+                (None, None) => break,
+                (Some(n), Some(o)) => n.pred.min(o.pred),
+                (Some(page), None) | (None, Some(page)) => page.pred,
+            };
+            let (n, o) = (next_page(&mut new, pred), next_page(&mut old, pred));
+            if n.zip(o).is_some_and(|(n, o)| Arc::ptr_eq(n, o)) {
+                continue;
             }
+            let (n, o) = (n.map_or(&[][..], |run| run), o.map_or(&[][..], |run| run));
+            diff_runs(n, o, |(o, s), in_newer| {
+                let side = if in_newer { &mut added } else { &mut removed };
+                side.push((s, pred, o));
+            });
         }
-        added.extend_from_slice(new);
-        removed.extend_from_slice(old);
+        added.sort_unstable();
+        removed.sort_unstable();
         (added, removed)
     }
+}
+
+/// The main run of `pred`'s page if the directory `pages` starts with it,
+/// which it then moves past.
+fn next_page<'a>(pages: &mut &'a [PredPage], pred: u32) -> Option<&'a Arc<Vec<Pair>>> {
+    let (page, rest) = pages.split_first().filter(|(page, _)| page.pred == pred)?;
+    *pages = rest;
+    Some(&page.pairs.main)
+}
+
+/// Walks two sorted runs in step and hands `found` each key only one of
+/// them holds, with `true` if that is `new`.
+fn diff_runs<T: Copy + Ord>(mut new: &[T], mut old: &[T], mut found: impl FnMut(T, bool)) {
+    while let (Some((&n, new_rest)), Some((&o, old_rest))) = (new.split_first(), old.split_first())
+    {
+        match n.cmp(&o) {
+            Ordering::Less => {
+                found(n, true);
+                new = new_rest;
+            }
+            Ordering::Greater => {
+                found(o, false);
+                old = old_rest;
+            }
+            Ordering::Equal => {
+                new = new_rest;
+                old = old_rest;
+            }
+        }
+    }
+    new.iter().for_each(|&n| found(n, true));
+    old.iter().for_each(|&o| found(o, false));
 }
 
 /// How many distinct first components a run's live keys have.
@@ -1551,45 +1506,6 @@ mod tests {
         let after: Vec<Triple> = s.iter().collect();
         assert_eq!(before, after);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn pending_delta_tracks_mutations_exactly() {
-        let mut s = TripleStore::new();
-        assert!(!s.has_pending_delta());
-        assert!(s.take_pending_delta().is_empty());
-
-        let a = s.intern(&Term::iri("a"));
-        let b = s.intern(&Term::iri("b"));
-        let c = s.intern(&Term::iri("c"));
-        let p = s.intern(&Term::iri("p"));
-        let q = s.intern(&Term::iri("q"));
-
-        assert!(s.insert(a, p, b));
-        assert!(!s.insert(a, p, b)); // duplicate: not recorded
-        assert!(!s.remove(a, q, b)); // miss: not recorded
-        s.load_batch(vec![(a, p, b), (b, q, c)]); // one new triple
-        assert!(s.remove(a, p, b));
-
-        assert!(s.has_pending_delta());
-        let delta = s.take_pending_delta();
-        assert_eq!(
-            delta.predicates,
-            vec![(p, 1, 1), (q, 1, 0)],
-            "per-predicate insert/remove counts"
-        );
-        let terms: BTreeSet<TermId> = delta.terms.iter().copied().collect();
-        assert_eq!(terms, BTreeSet::from([a, b, c]));
-
-        // Drained: the next delta starts empty.
-        assert!(!s.has_pending_delta());
-        assert!(s.take_pending_delta().is_empty());
-
-        // Snapshots never carry the writer's pending log.
-        assert!(s.insert(b, p, c));
-        let snap = s.snapshot();
-        assert!(!snap.store().has_pending_delta());
-        assert!(s.has_pending_delta());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! `StoreSnapshot::diff_since` against set difference: over random
-//! insert / remove / `load_batch` scripts, every pair of snapshots taken
-//! along the way differs by exactly what their models differ by, in
-//! ascending order, in both directions.
+//! insert / remove / `load_batch` / flush scripts that take snapshots and
+//! drop some of them again, every pair of snapshots still live differs
+//! by exactly what their models differ by, in ascending order, in both
+//! directions. Dropping a snapshot lets the writer apply to the runs it
+//! held in place, which is what the diff's page-sharing shortcut must
+//! survive.
 
 use proptest::prelude::*;
 use sofya_rdf::{StoreSnapshot, Term, TermId, TripleStore};
@@ -14,7 +17,10 @@ enum Op {
     Insert(Key),
     Remove(Key),
     LoadBatch(Vec<Key>),
+    Flush,
     Snapshot,
+    /// Drop the `n`-th live snapshot (modulo how many there are).
+    Release(usize),
 }
 
 fn key_strategy() -> impl Strategy<Value = Key> {
@@ -27,7 +33,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key_strategy().prop_map(Op::Insert),
         key_strategy().prop_map(Op::Remove),
         proptest::collection::vec(key_strategy(), 1..20).prop_map(Op::LoadBatch),
+        Just(Op::Flush),
         Just(Op::Snapshot),
+        Just(Op::Snapshot),
+        (0usize..4).prop_map(Op::Release),
     ]
 }
 
@@ -45,7 +54,7 @@ proptest! {
     #[test]
     fn diff_since_is_the_set_difference_both_ways(
         threshold in prop_oneof![Just(1usize), Just(3), Just(1024)],
-        ops in proptest::collection::vec(op_strategy(), 1..60),
+        ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
         let mut store = TripleStore::new();
         for id in 0..15 {
@@ -69,7 +78,13 @@ proptest! {
                     store.load_batch(keys.iter().copied().map(ids));
                     model.extend(keys);
                 }
+                Op::Flush => store.flush(),
                 Op::Snapshot => published.push((store.snapshot(), model.clone())),
+                Op::Release(n) => {
+                    if !published.is_empty() {
+                        published.remove(n % published.len());
+                    }
+                }
             }
         }
         for (newer, new_model) in &published {
@@ -82,8 +97,8 @@ proptest! {
     }
 }
 
-/// Two snapshots with no write between them share their SPO run, and the
-/// walk is skipped: nothing differs, whatever the run holds.
+/// Two snapshots with no write between them share every page, and each
+/// page is skipped: nothing differs, whatever the pages hold.
 #[test]
 fn snapshots_of_one_run_differ_by_nothing() {
     let mut store = TripleStore::new();

@@ -5,7 +5,10 @@
 //! A [`Harness`] drives a [`TripleStore`] and a `BTreeSet` model through
 //! the same operations and compares, after every step, the whole read
 //! surface of the writer — *with its buffers and tombstones live* — and of
-//! every retained snapshot against what the model says it should be.
+//! every retained snapshot against what the model says it should be, and
+//! at every snapshot what it changed since each retained one
+//! (`diff_since`, whose page-sharing shortcut releases and in-place
+//! applies put to the test) against the models' set differences.
 //! Three drivers share it: a proptest over random interleavings, a long
 //! seeded walk that crosses the per-page thresholds, and a small-scope
 //! exhaustive enumeration (Collavizza et al.: exhaustive checking within
@@ -13,10 +16,9 @@
 
 use proptest::prelude::*;
 use sofya_rdf::{
-    fingerprint_of, Dict, StoreDelta, StoreSnapshot, Term, TermId, Triple, TriplePattern,
-    TripleStore,
+    fingerprint_of, Dict, StoreSnapshot, Term, TermId, Triple, TriplePattern, TripleStore,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 type Key = (u32, u32, u32);
 
@@ -102,36 +104,6 @@ struct Published {
     model: BTreeSet<Key>,
 }
 
-/// The mutation log the model expects the store to have accumulated.
-#[derive(Clone, Default)]
-struct PendingModel {
-    preds: BTreeMap<u32, (u64, u64)>,
-    terms: BTreeSet<u32>,
-}
-
-impl PendingModel {
-    fn record(&mut self, (s, p, o): Key, removal: bool) {
-        let counts = self.preds.entry(p).or_default();
-        if removal {
-            counts.1 += 1;
-        } else {
-            counts.0 += 1;
-        }
-        self.terms.extend([s, o]);
-    }
-
-    fn as_delta(&self) -> StoreDelta {
-        StoreDelta {
-            predicates: self
-                .preds
-                .iter()
-                .map(|(&p, &(ins, rem))| (TermId(p), ins, rem))
-                .collect(),
-            terms: self.terms.iter().copied().map(TermId).collect(),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Key),
@@ -142,8 +114,6 @@ enum Op {
     Snapshot,
     /// Drop the `n`-th retained snapshot (modulo how many there are).
     Release(usize),
-    /// Drain the pending delta.
-    TakeDelta,
 }
 
 #[derive(Clone)]
@@ -151,7 +121,6 @@ struct Harness {
     universe: Universe,
     store: TripleStore,
     model: BTreeSet<Key>,
-    pending: PendingModel,
     retained: Vec<Published>,
 }
 
@@ -166,7 +135,6 @@ impl Harness {
             universe,
             store,
             model: BTreeSet::new(),
-            pending: PendingModel::default(),
             retained: Vec::new(),
         }
     }
@@ -179,18 +147,12 @@ impl Harness {
                     .store
                     .insert(TermId(key.0), TermId(key.1), TermId(key.2));
                 assert_eq!(fresh, self.model.insert(*key), "insert {key:?}");
-                if fresh {
-                    self.pending.record(*key, false);
-                }
             }
             Op::Remove(key) => {
                 let was = self
                     .store
                     .remove(TermId(key.0), TermId(key.1), TermId(key.2));
                 assert_eq!(was, self.model.remove(key), "remove {key:?}");
-                if was {
-                    self.pending.record(*key, true);
-                }
             }
             Op::LoadBatch(keys) => {
                 let loaded = self.store.load_batch(
@@ -203,15 +165,20 @@ impl Harness {
                     .filter(|key| !self.model.contains(key))
                     .collect();
                 assert_eq!(loaded, fresh.len(), "load_batch {keys:?}");
-                for key in fresh {
-                    self.model.insert(key);
-                    self.pending.record(key, false);
-                }
+                self.model.extend(fresh);
             }
             Op::Flush => self.store.flush(),
             Op::Snapshot => {
                 let snapshot = self.store.snapshot();
                 assert_eq!(snapshot.version(), self.store.generation());
+                // What changed since each retained snapshot, both ways.
+                for older in &self.retained {
+                    let (new, old) = (&self.model, &older.model);
+                    let (added, removed) = snapshot.diff_since(&older.snapshot);
+                    assert_eq!(added, new.difference(old).copied().collect::<Vec<_>>());
+                    assert_eq!(removed, old.difference(new).copied().collect::<Vec<_>>());
+                    assert_eq!(older.snapshot.diff_since(&snapshot), (removed, added));
+                }
                 self.retained.push(Published {
                     snapshot,
                     model: self.model.clone(),
@@ -221,10 +188,6 @@ impl Harness {
                 if !self.retained.is_empty() {
                     self.retained.remove(n % self.retained.len());
                 }
-            }
-            Op::TakeDelta => {
-                assert_eq!(self.store.take_pending_delta(), self.pending.as_delta());
-                self.pending = PendingModel::default();
             }
         }
     }
@@ -242,19 +205,8 @@ impl Harness {
     /// everything that does not depend on a pattern.
     fn check(&self, patterns: &[TriplePattern]) {
         check_store(&self.store, &self.model, patterns);
-        // A clone drains the same log the writer would.
-        assert_eq!(
-            self.store.clone().take_pending_delta(),
-            self.pending.as_delta(),
-            "pending delta"
-        );
-        assert_eq!(
-            self.store.has_pending_delta(),
-            !self.pending.preds.is_empty()
-        );
         for published in &self.retained {
             check_store(published.snapshot.store(), &published.model, patterns);
-            assert!(!published.snapshot.has_pending_delta());
         }
     }
 
@@ -345,7 +297,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Flush),
         Just(Op::Snapshot),
         (0usize..4).prop_map(Op::Release),
-        Just(Op::TakeDelta),
     ]
 }
 
@@ -433,7 +384,7 @@ fn reinserting_a_tombstoned_key_before_a_flush_clears_the_tombstone() {
             Op::Flush, // k lives in the main runs now
             Op::Snapshot,
             Op::Remove(k), // tombstone
-            Op::Insert(k), // clears it: nothing pending but the log
+            Op::Insert(k), // clears it: nothing pending
             Op::Snapshot,
             Op::Remove(k),
             Op::Insert(k),

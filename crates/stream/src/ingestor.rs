@@ -2,8 +2,8 @@
 //!
 //! The streaming front door buffers offered triples and publishes them
 //! in batches. A publish costs in proportion to what changed — one pass
-//! over each index run the batch wrote to, the snapshot swap, resolving
-//! the delta (the store's module docs in `sofya_rdf::store` have the cost
+//! over each index run the batch wrote to, the snapshot swap, diffing
+//! its pages (the store's module docs in `sofya_rdf::store` have the cost
 //! model) — but that pass, the swap and the re-mining each publish sets
 //! off downstream are per publish, not per triple, so batching spreads
 //! them. Three triggers bound how long a triple can sit invisible in the
@@ -17,13 +17,13 @@
 //! * **capacity** — the buffer never exceeds `max_buffered`: reaching
 //!   the bound publishes immediately instead of growing without limit.
 //!
-//! In **sliding-window** mode every published triple also carries its
-//! arrival time; each publish first expires triples older than the
-//! window by removing them from the store, so the published state
-//! converges to "what arrived in the last `window`" — and expiry flows
-//! through the same [`PublishDelta`] machinery as any other removal, so
-//! cached alignments over expired evidence go dirty like any other
-//! staleness.
+//! In **sliding-window** mode every triple the window inserted carries
+//! the time it last arrived; each publish first expires triples older
+//! than the window by removing them from the store, so the published
+//! state converges to "what arrived in the last `window`" — and expiry
+//! flows through the same [`PublishDelta`] machinery as any other
+//! removal, so cached alignments over expired evidence go dirty like any
+//! other staleness.
 
 use crate::tracker::{FreshnessTracker, KbSide};
 use parking_lot::Mutex;
@@ -32,8 +32,8 @@ use sofya_endpoint::{
     SnapshotStore, WallClock,
 };
 use sofya_net::IngestSink;
-use sofya_rdf::Term;
-use std::collections::VecDeque;
+use sofya_rdf::{Term, TermId};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,10 +81,16 @@ pub struct StreamIngestor {
     /// Arrival stamp of the oldest buffered triple (the time trigger),
     /// measured on the injected clock.
     oldest_buffered: Option<Duration>,
-    /// Arrival-ordered published triples awaiting expiry (window mode
-    /// only; empty otherwise), stamped on the injected clock.
-    live: VecDeque<(Duration, (Term, Term, Term))>,
+    /// The triples the window inserted and has not expired, each with
+    /// its latest arrival on the injected clock (window mode only).
+    stamps: HashMap<Ids, Duration>,
+    /// Arrivals in order, oldest first. One whose triple has arrived
+    /// again since is stale and skipped; the front never is.
+    arrivals: VecDeque<(Duration, Ids)>,
 }
+
+/// A triple's dictionary ids in the writer's store.
+type Ids = (TermId, TermId, TermId);
 
 impl StreamIngestor {
     /// Wraps an already-published snapshot store, stamping arrivals on
@@ -103,7 +109,8 @@ impl StreamIngestor {
             buffer: Vec::new(),
             clock,
             oldest_buffered: None,
-            live: VecDeque::new(),
+            stamps: HashMap::new(),
+            arrivals: VecDeque::new(),
         }
     }
 
@@ -149,7 +156,7 @@ impl StreamIngestor {
         };
         let expiry_due = match self.config.window {
             Some(window) => self
-                .live
+                .arrivals
                 .front()
                 .is_some_and(|(at, _)| now.saturating_sub(*at) >= window),
             None => false,
@@ -180,28 +187,38 @@ impl StreamIngestor {
     /// store's no-op publish fast path (same epoch, no delta logged).
     pub fn publish_now(&mut self) -> Arc<PublishDelta> {
         let now = self.clock.now();
-        let windowed = self.config.window.is_some();
-        {
-            let store = self.store.store_mut();
-            // Expire before flushing, so a triple always survives the
-            // publish that makes it visible (even with a zero window).
-            if let Some(window) = self.config.window {
-                let in_window = |(at, _): &(_, _)| now.saturating_sub(*at) < window;
-                let expired = self.live.iter().position(in_window);
-                for (_, (s, p, o)) in self.live.drain(..expired.unwrap_or(self.live.len())) {
-                    let dict = store.dict();
-                    if let (Some(s), Some(p), Some(o)) =
-                        (dict.lookup(&s), dict.lookup(&p), dict.lookup(&o))
-                    {
-                        store.remove(s, p, o);
-                    }
+        let store = self.store.store_mut();
+        // Expire before flushing, so a triple always survives the
+        // publish that makes it visible (even with a zero window).
+        if let Some(window) = self.config.window {
+            while let Some(&(at, ids)) = self.arrivals.front() {
+                if now.saturating_sub(at) < window {
+                    break;
+                }
+                self.arrivals.pop_front();
+                if self.stamps.get(&ids) == Some(&at) {
+                    self.stamps.remove(&ids);
+                    store.remove(ids.0, ids.1, ids.2);
                 }
             }
-            for (s, p, o) in self.buffer.drain(..) {
-                if store.insert_terms(&s, &p, &o) && windowed {
-                    self.live.push_back((now, (s, p, o)));
-                }
+        }
+        for (s, p, o) in self.buffer.drain(..) {
+            let ids = (store.intern(&s), store.intern(&p), store.intern(&o));
+            let fresh = store.insert(ids.0, ids.1, ids.2);
+            // A base fact the window never inserted stays untracked; one
+            // it did is stamped again at its latest arrival.
+            if self.config.window.is_some()
+                && (fresh || self.stamps.contains_key(&ids))
+                && self.stamps.insert(ids, now) != Some(now)
+            {
+                self.arrivals.push_back((now, ids));
             }
+        }
+        while let Some((at, ids)) = self.arrivals.front() {
+            if self.stamps.get(ids) == Some(at) {
+                break;
+            }
+            self.arrivals.pop_front();
         }
         self.oldest_buffered = None;
         self.store.publish()
@@ -215,7 +232,7 @@ impl StreamIngestor {
     /// Published triples currently inside the sliding window (0 when
     /// windowing is off).
     pub fn live_in_window(&self) -> usize {
-        self.live.len()
+        self.stamps.len()
     }
 
     /// Epoch of the currently published snapshot.
@@ -319,8 +336,8 @@ mod tests {
         assert!(!delta.is_noop());
         assert_eq!(ing.buffered(), 0);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 3);
-        assert_eq!(delta.predicates.len(), 1);
-        assert_eq!(delta.predicates[0].inserts, 3);
+        assert_eq!(delta.predicates, vec![Term::iri("r:p")]);
+        assert_eq!(delta.terms.len(), 6);
     }
 
     #[test]
@@ -366,22 +383,23 @@ mod tests {
         let reader = ing.reader("kb");
         let (s, p, o) = triple(0);
         let d1 = ing.offer(s, p, o).expect("publish_count=1 publishes");
-        assert_eq!(d1.predicates[0].inserts, 1);
+        assert_eq!(d1.predicates, vec![Term::iri("r:p")]);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 1);
         assert_eq!(ing.live_in_window(), 1);
 
         // The next publish expires the first triple while inserting the
-        // second: the delta shows both the insert and the remove.
+        // second: the delta names the terms of both.
         let (s, p, o) = triple(1);
         let d2 = ing.offer(s, p, o).expect("publish");
-        assert_eq!(d2.predicates.len(), 1);
-        assert_eq!((d2.predicates[0].inserts, d2.predicates[0].removes), (1, 1));
+        assert_eq!(d2.predicates, vec![Term::iri("r:p")]);
+        let [s0, o0, s1, o1] = ["e:s0", "e:o0", "e:s1", "e:o1"].map(Term::iri);
+        assert_eq!(d2.terms, vec![s0, o0, s1.clone(), o1.clone()]);
         let rows = reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap();
         assert_eq!(rows.len(), 1, "window holds only the newest triple");
 
         // Draining the window entirely via tick: the last triple expires.
         let d3 = ing.tick().expect("expiry is due");
-        assert_eq!((d3.predicates[0].inserts, d3.predicates[0].removes), (0, 1));
+        assert_eq!(d3.terms, vec![s1, o1]);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 0);
         assert_eq!(ing.live_in_window(), 0);
         assert!(ing.tick().is_none(), "nothing left to expire");
@@ -408,7 +426,7 @@ mod tests {
         assert!(ing.tick().is_none(), "4s < 5s interval: not due");
         clock.advance(Duration::from_secs(1));
         let d = ing.tick().expect("5s elapsed: time trigger fires");
-        assert_eq!(d.predicates[0].inserts, 1);
+        assert_eq!(d.predicates, vec![Term::iri("r:p")]);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 1);
 
         // The published triple was stamped at t=5s; a 60s window expires
@@ -417,8 +435,53 @@ mod tests {
         assert!(ing.tick().is_none(), "59s in window: not expired");
         clock.advance(Duration::from_secs(1));
         let d = ing.tick().expect("window lapsed: expiry publish");
-        assert_eq!((d.predicates[0].inserts, d.predicates[0].removes), (0, 1));
+        assert!(!d.is_empty());
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 0);
+    }
+
+    /// A triple offered again while it is live expires a window after its
+    /// latest arrival, not its first; a base fact the window never
+    /// inserted is never expired.
+    #[test]
+    fn a_re_offered_triple_expires_a_window_after_its_latest_arrival() {
+        use sofya_endpoint::ManualClock;
+        let clock = Arc::new(ManualClock::new());
+        let mut base = TripleStore::new();
+        let (bs, bp, bo) = triple(9);
+        base.insert_terms(&bs, &bp, &bo);
+        let mut ing = StreamIngestor::with_clock(
+            SnapshotStore::new(base),
+            IngestorConfig {
+                max_buffered: 64,
+                publish_count: 1,
+                publish_interval: None,
+                window: Some(Duration::from_secs(60)),
+            },
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        );
+        let reader = ing.reader("kb");
+        let present = |s: &Term| {
+            let query = format!("ASK {{ <{}> <r:p> ?o }}", s.as_iri().unwrap());
+            reader.ask(&query).unwrap()
+        };
+        let (s, p, o) = triple(0);
+        assert!(ing.offer(s.clone(), p.clone(), o.clone()).is_some());
+        clock.advance(Duration::from_secs(50));
+        assert!(ing.offer(s.clone(), p.clone(), o.clone()).is_some());
+        // The base fact arrives too, but the window did not insert it.
+        assert!(ing.offer(bs.clone(), bp, bo).is_some());
+        assert_eq!(ing.live_in_window(), 1);
+
+        clock.advance(Duration::from_secs(11)); // t = 61 s
+        assert!(ing.tick().is_none(), "nothing expires 11 s after t = 50 s");
+        assert!(present(&s));
+        clock.advance(Duration::from_secs(50)); // t = 111 s
+        let expiry = ing.tick().expect("60 s after the latest arrival");
+        assert_eq!(expiry.terms, vec![s.clone(), o]);
+        assert!(!present(&s));
+        assert!(present(&bs));
+        assert_eq!(ing.live_in_window(), 0);
+        assert!(ing.tick().is_none());
     }
 
     #[test]

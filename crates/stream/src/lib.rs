@@ -11,8 +11,8 @@
 //!    micro-batched (count / time / capacity publish triggers) into a
 //!    [`sofya_endpoint::SnapshotStore`], optionally under a sliding
 //!    window that expires old triples on publish. Every publish yields
-//!    a [`sofya_endpoint::PublishDelta`] — O(mutations), accumulated in
-//!    the writer path — retained in a ring for subscribers.
+//!    a [`sofya_endpoint::PublishDelta`] — the diff of two snapshots,
+//!    costing the pages written — retained in a ring for subscribers.
 //!    [`SharedIngestor`] adapts it to the network tier's
 //!    [`sofya_net::IngestSink`], so `POST /ingest` feeds the same
 //!    machinery behind the scheduler's quotas and backpressure.

@@ -196,6 +196,34 @@ mod tests {
         assert_eq!(gauge.staleness_epochs(), 0);
     }
 
+    /// A publish reports its net change: inserting and then removing a
+    /// triple the mined relation reads leaves it clean.
+    #[test]
+    fn writes_that_cancel_within_a_publish_dirty_nothing() {
+        let (dbp, yago) = stores();
+        let source = sofya_endpoint::LocalEndpoint::new("dbp", dbp);
+        let mut target_writer = SnapshotStore::new(yago);
+        let target = target_writer.reader("yago");
+        let session = AlignmentSession::new(
+            &source,
+            &target as &dyn Endpoint,
+            AlignerConfig::paper_defaults(1),
+        );
+        let mut tracker = FreshnessTracker::new(&target_writer, KbSide::Target);
+        session.rules_for("y:born").unwrap();
+
+        let store = target_writer.store_mut();
+        let (s, p, o) = (Term::iri("y:p0"), Term::iri("y:born"), Term::iri("y:c1"));
+        assert!(store.insert_terms(&s, &p, &o));
+        let ids = (store.intern(&s), store.intern(&p), store.intern(&o));
+        assert!(store.remove(ids.0, ids.1, ids.2));
+        assert!(!target_writer.publish().is_noop());
+
+        let outcome = tracker.sync(&session);
+        assert_eq!((outcome.applied, outcome.newly_dirty), (1, 0));
+        assert!(session.dirty_relations().is_empty());
+    }
+
     #[test]
     fn evicted_gap_invalidates_everything() {
         let (dbp, yago) = stores();

@@ -1,4 +1,4 @@
-//! Five costs held as ratios, not times: each test measures two things
+//! Six costs held as ratios, not times: each test measures two things
 //! in one process and asserts how far apart they may lie, so it means
 //! the same on any machine and needs no committed baseline.
 //!
@@ -12,6 +12,9 @@
 //!   256 triples of one predicate among a thousand costs at most 0.2x a
 //!   full `StoreStats::compute`, and asking 64 cached relations about a
 //!   512-term delta at most 8x asking one;
+//! * what a publish changed costs the pages it wrote: `diff_since` after
+//!   a 256-triple batch of one predicate, on a store with four times the
+//!   triples on the other predicates, costs at most 1.5x;
 //! * `SELECT DISTINCT ?p … ORDER BY ?p` over a whole KB costs at most
 //!   1.5x the same query unordered: only the distinct rows are sorted.
 //!
@@ -22,8 +25,8 @@
 use sofya::align::{Aligner, AlignerConfig, AlignmentSession};
 use sofya::endpoint::helpers::all_relations;
 use sofya::endpoint::{
-    Endpoint, EndpointError, EndpointExt, LocalEndpoint, PredicateDelta, PublishDelta, Request,
-    Response, SnapshotStore,
+    Endpoint, EndpointError, EndpointExt, LocalEndpoint, PublishDelta, Request, Response,
+    SnapshotStore,
 };
 use sofya::kbgen::{generate, GeneratedPair, PairConfig};
 use sofya::net::wire::envelope_to_json;
@@ -271,6 +274,70 @@ fn publish_cycle_does_not_pay_for_the_dictionary() {
     );
 }
 
+/// The median ns of `diff_since` between the snapshots before and after
+/// a 256-triple batch of one predicate, which holds 1,000 triples before
+/// it, on a store with `untouched` more triples over 50 other predicates.
+/// The samples load the batch and remove it again in turn.
+fn commit_diff_ns(untouched: usize) -> (usize, u64) {
+    let mut store = TripleStore::new();
+    let entities: Vec<TermId> = (0..2000)
+        .map(|i| store.intern(&Term::iri(format!("perf:e{i}"))))
+        .collect();
+    let others: Vec<TermId> = (0..50)
+        .map(|i| store.intern(&Term::iri(format!("perf:p{i}"))))
+        .collect();
+    let touched = store.intern(&Term::iri("perf:touched"));
+    let e = |i: usize| entities[i % entities.len()];
+    store.load_batch((0..untouched).map(|i| (e(i), others[i % 50], e(i / 2000))));
+    store.load_batch((0..1000).map(|i| (e(i), touched, e(i + 1))));
+    let batch: Vec<_> = (1000..1256)
+        .map(|i| (e(i), touched, e(i * 13 + 7)))
+        .collect();
+    let size = store.len();
+    let mut before = store.snapshot();
+    let mut loaded = false;
+    let ns = median_sample(|| {
+        if loaded {
+            batch
+                .iter()
+                .for_each(|&(s, p, o)| assert!(store.remove(s, p, o)));
+        } else {
+            assert_eq!(store.load_batch(batch.iter().copied()), batch.len());
+        }
+        loaded = !loaded;
+        let after = store.snapshot();
+        // Several diffs per sample, so the cache misses the write left
+        // behind (more, on the larger store) do not dominate.
+        let t0 = Instant::now();
+        let changed: usize = (0..8)
+            .map(|_| {
+                let (added, removed) = after.diff_since(&before);
+                added.len() + removed.len()
+            })
+            .sum();
+        let ns = t0.elapsed().as_nanos() as u64 / 8;
+        assert_eq!(changed, 8 * batch.len());
+        before = after;
+        ns
+    });
+    (size, ns)
+}
+
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn a_commits_diff_costs_the_pages_it_touched() {
+    let _alone = alone();
+    let (small, small_ns) = commit_diff_ns(25_000);
+    let (large, large_ns) = commit_diff_ns(100_000);
+    assert!(large - 1000 >= 4 * (small - 1000));
+    let ratio = large_ns as f64 / small_ns.max(1) as f64;
+    assert!(
+        ratio <= 1.5,
+        "diffing a one-predicate batch costs {large_ns} ns on {large} triples against \
+         {small_ns} ns on {small} ({ratio:.2}x) — the diff walks the store, not the pages"
+    );
+}
+
 /// What a publish costs those who read after it, on the paper-scale pair
 /// (92 relations against 1313): the first query's planner statistics,
 /// and the subscriber's question "which cached relations did this dirty".
@@ -322,11 +389,7 @@ fn a_publish_costs_its_readers_what_it_wrote() {
     let delta = PublishDelta {
         prev_epoch: 1,
         epoch: 2,
-        predicates: vec![PredicateDelta {
-            predicate: Term::iri("perf:unread"),
-            inserts: 256,
-            removes: 0,
-        }],
+        predicates: vec![Term::iri("perf:unread")],
         terms: (0..512)
             .map(|i| Term::iri(format!("http://perf.example/resource/entity{i}")))
             .collect(),
