@@ -5,7 +5,6 @@ use crate::config::{AlignerConfig, ConfidenceMeasure, SamplingStrategy};
 use crate::discovery;
 use crate::error::AlignError;
 use crate::evidence;
-use crate::footprint::{EvidenceFootprint, RecordingEndpoint};
 use crate::rule::SubsumptionRule;
 use crate::unbiased;
 use rand::rngs::StdRng;
@@ -155,30 +154,6 @@ impl<'a> Aligner<'a> {
                 literal: s.literal,
             })
             .collect())
-    }
-
-    /// [`Aligner::align_relation`] plus the [`EvidenceFootprint`] of
-    /// everything the alignment read, for incremental dirty tracking.
-    ///
-    /// Tracing is transparent: the recording wrappers forward every
-    /// request unchanged and sampling uses the same deterministic
-    /// per-relation RNG, so the rules are bit-identical to an untraced
-    /// run at the same KB state.
-    pub fn align_relation_traced(
-        &self,
-        relation: &str,
-    ) -> Result<(Vec<SubsumptionRule>, EvidenceFootprint), AlignError> {
-        let source = RecordingEndpoint::new(self.source);
-        let target = RecordingEndpoint::new(self.target);
-        let traced = Aligner::new(&source, &target, self.config.clone());
-        let rules = traced.align_relation(relation)?;
-        Ok((
-            rules,
-            EvidenceFootprint {
-                source: source.into_footprint(),
-                target: target.into_footprint(),
-            },
-        ))
     }
 
     /// Relations of the target KB eligible for alignment (everything but

@@ -2,10 +2,10 @@
 //!
 //! Incremental re-alignment needs a *sound* answer to "did this publish
 //! invalidate relation `r`'s cached rules?". The footprint is that
-//! answer's data: while [`crate::Aligner::align_relation_traced`] runs,
-//! a `RecordingEndpoint` wraps each endpoint and walks every request's
-//! patterns — a prepared template's as written, its parameters read
-//! through to the arguments, nothing bound or cloned:
+//! answer's data: while an [`crate::AlignmentSession`] aligns, its
+//! endpoint wrappers walk every request's patterns — a prepared
+//! template's as written, its parameters read through to the arguments,
+//! nothing bound or cloned:
 //!
 //! * a pattern with a **constant predicate** contributes that predicate;
 //! * a pattern with a **variable predicate** but a constant subject or
@@ -15,8 +15,9 @@
 //!
 //! A [`PublishDelta`] carries the predicates and the subject/object
 //! terms of every triple a publish added or removed, so
-//! [`SideFootprint::is_dirty`] is a pair of set intersections. A delta
-//! is asked about every cached relation, so it is hashed once, into a
+//! [`SideFootprint::is_dirty`] is a pair of set intersections. Both
+//! sides hold 64-bit fingerprints of terms, and a delta is asked about
+//! every cached relation, so it is fingerprinted once, into a
 //! [`DeltaView`], and each intersection walks its smaller side: marking
 //! costs the delta plus the footprints, not their product. The test
 //! is conservative: it may re-mine a relation whose results did not
@@ -25,48 +26,186 @@
 //! match, and every added or removed triple is visible in the delta
 //! through its predicate and through both its entities. Filters only
 //! restrict results, so they never widen the footprint.
+//!
+//! The same walk, `for_each_pattern`, serves the session's probe
+//! memo, which asks the finer question per answer: a pattern can match
+//! a changed triple only if **every** one of its constants is in the
+//! delta (`may_match`), so an answer survives a delta unless one of
+//! its patterns does.
 
-use sofya_endpoint::{Endpoint, EndpointError, PublishDelta, Request, Response};
+use sofya_endpoint::{PublishDelta, Request};
 use sofya_rdf::Term;
 use sofya_sparql::ast::GroupGraphPattern;
-use sofya_sparql::{parse_query, Expr, NodePattern, QueryBudget};
+use sofya_sparql::{parse_query, Expr, NodePattern};
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
-/// A [`PublishDelta`] hashed once, borrowed, to be asked about many
-/// footprints.
-#[derive(Debug)]
-pub struct DeltaView<'a> {
-    predicates: HashSet<&'a Term>,
-    terms: HashSet<&'a Term>,
+/// A word-at-a-time hasher (FxHash's step, with a final mix so the low
+/// bits a table indexes by are as good as the high ones), for keys that
+/// are already [`fingerprint`]s or built from them: a table need not
+/// hash those again the slow way.
+#[derive(Default)]
+pub(crate) struct Fx(u64);
+
+impl Hasher for Fx {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
 }
 
-impl<'a> DeltaView<'a> {
+pub(crate) type FxBuild = BuildHasherDefault<Fx>;
+
+/// 64 bits standing for a term in the dirtiness tests: its hash under
+/// keys drawn once per process, so terms that arrive from outside cannot
+/// be chosen to collide. Equal terms have equal fingerprints, so a test
+/// that compares fingerprints may flag a change no triple made — when
+/// two terms collide — but never misses one.
+pub(crate) fn fingerprint(term: &Term) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new).hash_one(term)
+}
+
+/// A set of term fingerprints.
+pub(crate) type Fingerprints = HashSet<u64, FxBuild>;
+
+/// A [`PublishDelta`] fingerprinted once, to be asked about every
+/// footprint and every memo answer.
+#[derive(Debug)]
+pub struct DeltaView {
+    predicates: Fingerprints,
+    terms: Fingerprints,
+}
+
+impl DeltaView {
     /// Indexes the delta's predicates and subject/object terms.
-    pub fn new(delta: &'a PublishDelta) -> Self {
+    pub fn new(delta: &PublishDelta) -> Self {
         Self {
-            predicates: delta.predicates.iter().collect(),
-            terms: delta.terms.iter().collect(),
+            predicates: delta.predicates.iter().map(fingerprint).collect(),
+            terms: delta.terms.iter().map(fingerprint).collect(),
         }
+    }
+
+    /// Whether the delta names no triple.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.predicates.is_empty() && self.terms.is_empty()
+    }
+
+    pub(crate) fn has_predicate(&self, fingerprint: u64) -> bool {
+        self.predicates.contains(&fingerprint)
+    }
+
+    pub(crate) fn has_term(&self, fingerprint: u64) -> bool {
+        self.terms.contains(&fingerprint)
+    }
+
+    /// The fingerprints of the delta's predicates.
+    pub(crate) fn predicates(&self) -> impl Iterator<Item = u64> + '_ {
+        self.predicates.iter().copied()
+    }
+
+    /// The fingerprints of the delta's subject/object terms.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = u64> + '_ {
+        self.terms.iter().copied()
     }
 }
 
 /// Whether the two sets share a term, probing from the smaller one.
-fn intersects(ours: &HashSet<Term>, theirs: &HashSet<&Term>) -> bool {
+fn intersects(ours: &Fingerprints, theirs: &Fingerprints) -> bool {
     if ours.len() <= theirs.len() {
         ours.iter().any(|t| theirs.contains(t))
     } else {
-        theirs.iter().any(|t| ours.contains(*t))
+        theirs.iter().any(|t| ours.contains(t))
     }
+}
+
+/// Calls `visit` with every triple pattern of `group` — `UNION`
+/// branches, `OPTIONAL` bodies and `EXISTS` bodies included — as
+/// `[subject, predicate, object]`, each position resolved to its
+/// constant: the term the template writes, or the argument `arg` says a
+/// parameter stands for; `None` for a free variable.
+pub(crate) fn for_each_pattern<'t>(
+    group: &'t GroupGraphPattern,
+    arg: &impl Fn(&str) -> Option<&'t Term>,
+    visit: &mut impl FnMut([Option<&'t Term>; 3]),
+) {
+    let constant = |node: &'t NodePattern| match node {
+        NodePattern::Term(term) => Some(term),
+        NodePattern::Var(name) => arg(name),
+    };
+    for tp in &group.triples {
+        visit([constant(&tp.s), constant(&tp.p), constant(&tp.o)]);
+    }
+    for branches in &group.unions {
+        for branch in branches {
+            for_each_pattern(branch, arg, visit);
+        }
+    }
+    for optional in &group.optionals {
+        for_each_pattern(optional, arg, visit);
+    }
+    for filter in &group.filters {
+        exists_patterns(filter, arg, visit);
+    }
+}
+
+/// [`for_each_pattern`] over the `EXISTS` bodies of a filter: they
+/// match triples too, though their variables are scoped locally.
+fn exists_patterns<'t>(
+    expr: &'t Expr,
+    arg: &impl Fn(&str) -> Option<&'t Term>,
+    visit: &mut impl FnMut([Option<&'t Term>; 3]),
+) {
+    match expr {
+        Expr::Exists { pattern, .. } => for_each_pattern(pattern, arg, visit),
+        Expr::Compare(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+            exists_patterns(a, arg, visit);
+            exists_patterns(b, arg, visit);
+        }
+        Expr::Not(inner) => exists_patterns(inner, arg, visit),
+        Expr::Call(_, args) => args.iter().for_each(|a| exists_patterns(a, arg, visit)),
+        Expr::Var(_) | Expr::Const(_) => {}
+    }
+}
+
+/// Whether a triple pattern `[subject, predicate, object]` may match a
+/// triple a delta added or removed: only if each of its constants is in
+/// the delta — the predicate among the delta's predicates, the subject
+/// and the object among its terms. An all-variable pattern matches any
+/// change.
+pub(crate) fn may_match<T>(
+    [s, p, o]: [Option<T>; 3],
+    predicate: impl Fn(T) -> bool,
+    term: impl Fn(T) -> bool,
+) -> bool {
+    p.is_none_or(predicate) && s.is_none_or(&term) && o.is_none_or(&term)
 }
 
 /// What one side (source or target endpoint) of an alignment read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SideFootprint {
-    /// Constant predicates of the evidence queries.
-    predicates: HashSet<Term>,
-    /// Constant subjects/objects of variable-predicate patterns.
-    entities: HashSet<Term>,
+    /// Constant predicates of the evidence queries, fingerprinted.
+    predicates: Fingerprints,
+    /// Constant subjects/objects of variable-predicate patterns,
+    /// fingerprinted.
+    entities: Fingerprints,
     /// A fully unbound pattern was issued (or a query could not be
     /// analysed): any mutation dirties this side.
     wildcard: bool,
@@ -75,8 +214,8 @@ pub struct SideFootprint {
 impl SideFootprint {
     /// Whether a published delta could change any query this footprint
     /// covers. Sound over-approximation; see the module docs.
-    pub fn is_dirty(&self, delta: &DeltaView<'_>) -> bool {
-        if delta.predicates.is_empty() && delta.terms.is_empty() {
+    pub fn is_dirty(&self, delta: &DeltaView) -> bool {
+        if delta.is_empty() {
             return false;
         }
         self.wildcard
@@ -96,7 +235,7 @@ impl SideFootprint {
 
     /// Whether the footprint covers the given predicate.
     pub fn covers_predicate(&self, predicate: &Term) -> bool {
-        self.wildcard || self.predicates.contains(predicate)
+        self.wildcard || self.predicates.contains(&fingerprint(predicate))
     }
 
     /// Records the patterns of `group`, nested bodies included; `arg`
@@ -106,54 +245,18 @@ impl SideFootprint {
         group: &'t GroupGraphPattern,
         arg: &impl Fn(&str) -> Option<&'t Term>,
     ) {
-        let constant = |node: &'t NodePattern| match node {
-            NodePattern::Term(term) => Some(term),
-            NodePattern::Var(name) => arg(name),
-        };
-        for tp in &group.triples {
-            match (constant(&tp.p), constant(&tp.s), constant(&tp.o)) {
-                (Some(p), _, _) => {
-                    self.predicates.insert(p.clone());
-                }
-                (None, Some(entity), _) | (None, None, Some(entity)) => {
-                    self.entities.insert(entity.clone());
-                }
-                (None, None, None) => self.wildcard = true,
+        for_each_pattern(group, arg, &mut |[s, p, o]| match (p, s, o) {
+            (Some(p), _, _) => {
+                self.predicates.insert(fingerprint(p));
             }
-        }
-        for branches in &group.unions {
-            for branch in branches {
-                self.record_group(branch, arg);
+            (None, Some(entity), _) | (None, None, Some(entity)) => {
+                self.entities.insert(fingerprint(entity));
             }
-        }
-        for optional in &group.optionals {
-            self.record_group(optional, arg);
-        }
-        // EXISTS bodies match triples too; walk them even though their
-        // variables are scoped locally.
-        for filter in &group.filters {
-            self.record_expr(filter, arg);
-        }
+            (None, None, None) => self.wildcard = true,
+        });
     }
 
-    fn record_expr<'t>(&mut self, expr: &'t Expr, arg: &impl Fn(&str) -> Option<&'t Term>) {
-        match expr {
-            Expr::Exists { pattern, .. } => self.record_group(pattern, arg),
-            Expr::Compare(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                self.record_expr(a, arg);
-                self.record_expr(b, arg);
-            }
-            Expr::Not(inner) => self.record_expr(inner, arg),
-            Expr::Call(_, args) => {
-                for a in args {
-                    self.record_expr(a, arg);
-                }
-            }
-            Expr::Var(_) | Expr::Const(_) => {}
-        }
-    }
-
-    fn record_request(&mut self, req: &Request<'_>) {
+    pub(crate) fn record_request(&mut self, req: &Request<'_>) {
         match req {
             Request::Select { query } | Request::Ask { query } => match parse_query(query) {
                 Ok(ast) => self.record_group(ast.pattern(), &|_| None),
@@ -188,54 +291,12 @@ pub struct EvidenceFootprint {
     pub target: SideFootprint,
 }
 
-/// An [`Endpoint`] wrapper that records the footprint of every request
-/// it forwards. Forwarding is transparent (same responses, same budget
-/// handling), so a traced alignment is bit-identical to an untraced one.
-pub(crate) struct RecordingEndpoint<'a> {
-    inner: &'a dyn Endpoint,
-    footprint: Mutex<SideFootprint>,
-}
-
-impl<'a> RecordingEndpoint<'a> {
-    pub(crate) fn new(inner: &'a dyn Endpoint) -> Self {
-        Self {
-            inner,
-            footprint: Mutex::new(SideFootprint::default()),
-        }
-    }
-
-    pub(crate) fn into_footprint(self) -> SideFootprint {
-        self.footprint
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn record(&self, req: &Request<'_>) {
-        self.footprint
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record_request(req);
-    }
-}
-
-impl Endpoint for RecordingEndpoint<'_> {
-    fn execute_with_budget(
-        &self,
-        req: Request<'_>,
-        budget: &QueryBudget,
-    ) -> Result<Response, EndpointError> {
-        self.record(&req);
-        self.inner.execute_with_budget(req, budget)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sofya_endpoint::{Endpoint, EndpointError, Response};
+    use sofya_sparql::QueryBudget;
+
     fn delta(preds: &[&str], terms: &[&str]) -> PublishDelta {
         PublishDelta {
             prev_epoch: 1,
@@ -398,7 +459,13 @@ mod tests {
             fp
         };
         assert_eq!(fp.predicate_count(), 3);
-        assert_eq!(fp.entities, [Term::iri("e:s"), Term::iri("e:o")].into());
+        assert_eq!(
+            fp.entities,
+            [Term::iri("e:s"), Term::iri("e:o")]
+                .iter()
+                .map(fingerprint)
+                .collect()
+        );
     }
 
     proptest::proptest! {
@@ -416,8 +483,8 @@ mod tests {
                 ids.iter().map(|i| Term::iri(format!("t:{i}"))).collect()
             };
             let fp = SideFootprint {
-                predicates: terms(&fp_preds).into_iter().collect(),
-                entities: terms(&fp_ents).into_iter().collect(),
+                predicates: terms(&fp_preds).iter().map(fingerprint).collect(),
+                entities: terms(&fp_ents).iter().map(fingerprint).collect(),
                 wildcard: wildcard == 0,
             };
             let mut delta = delta(&[], &[]);
@@ -425,8 +492,8 @@ mod tests {
             delta.predicates = terms(&delta_preds);
             let defined = !delta.is_empty()
                 && (fp.wildcard
-                    || delta.predicates.iter().any(|p| fp.predicates.contains(p))
-                    || delta.terms.iter().any(|t| fp.entities.contains(t)));
+                    || delta.predicates.iter().any(|p| fp.covers_predicate(p))
+                    || delta.terms.iter().any(|t| fp.entities.contains(&fingerprint(t))));
             proptest::prop_assert_eq!(fp.is_dirty(&DeltaView::new(&delta)), defined);
         }
     }

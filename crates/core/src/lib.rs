@@ -52,6 +52,7 @@ pub mod discovery;
 pub mod error;
 pub mod evidence;
 pub mod footprint;
+mod memo;
 pub mod rewrite;
 pub mod rule;
 pub mod session;

@@ -31,6 +31,14 @@
 //! | UBS: `has_fact` per contrastive sample | 13.34 | 3.92 | 13.34 | 23.02 |
 //! | **total** | **46.76** | **15.48** | **56.77** | **66.03** |
 //!
+//! The table is what a cold alignment sends, and what any alignment
+//! of a session never told of a delta sends. A live session (see
+//! `sofya_core::session`) answers a re-mine from its probe memo
+//! wherever no delta since could have changed the answer, so a re-mine
+//! sends only what the delta could have moved — its relation's pages
+//! and counts, mostly: on the `stream_refresh` benchmark a cycle's
+//! ≈4.6 re-mines ask ≈487 leaf queries and send ≈21.
+//!
 //! UBS asks more leaf queries than it did one probe at a time: a page's
 //! probes travel together, so they no longer stop at the first
 //! contradiction *inside* the page (they still stop between pages and
