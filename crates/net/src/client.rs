@@ -33,8 +33,7 @@
 //! costs a budgeted call its deadline, not the configured I/O timeout.
 
 use crate::http::{read_response, write_request, HttpResponse};
-use crate::json::Json;
-use crate::wire::{envelope_from_json, WireRequest};
+use crate::wire::{parse_envelope, WireRequest};
 use parking_lot::Mutex;
 use sofya_endpoint::{Endpoint, EndpointError, Request, Response};
 use sofya_sparql::QueryBudget;
@@ -209,9 +208,7 @@ impl RemoteEndpoint {
         let response = self.roundtrip("POST", "/query", body, budget)?;
         let text = std::str::from_utf8(&response.body)
             .map_err(|e| EndpointError::Other(format!("non-UTF-8 response body: {e}")))?;
-        let json = Json::parse(text.trim_end_matches('\n'))
-            .map_err(|e| EndpointError::Other(format!("bad response JSON: {e}")))?;
-        match envelope_from_json(&json) {
+        match parse_envelope(text) {
             Ok(result) => result,
             Err(e) => Err(EndpointError::Other(format!(
                 "HTTP {} with undecodable envelope: {e}",
@@ -275,7 +272,8 @@ impl Endpoint for RemoteEndpoint {
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         let wire = WireRequest::from_request(&req)?;
-        let mut body = wire.to_json().to_text();
+        let mut body = String::new();
+        wire.write(&mut body);
         body.push('\n');
         let mut resends = 0;
         loop {

@@ -7,16 +7,23 @@
 //! a sign, fraction, or exponent are rejected on parse, which keeps the
 //! round-trip exact: what the writer emits, the parser reproduces
 //! bit-for-bit.
+//!
+//! The [`Json`] tree serves `/ingest` line-JSON, `/metrics`, the ingest
+//! ack, and the wire's reference codec. `/query` builds no tree: the
+//! wire's one-pass decoders pull members and items through the same
+//! crate-private parser, and its one-pass writers share the string
+//! escaper.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Deepest container nesting [`Json::parse`] accepts. The wire's own
-/// nesting is the envelope (five levels down to a term) plus two per
-/// batch level, so 64 is far beyond any real message — while an
-/// unbounded `[[[[…` body would otherwise recurse the connection
-/// thread's stack away and abort the process.
-const MAX_NESTING: usize = 64;
+/// Deepest container nesting [`Json::parse`] and the one-pass decoders
+/// accept. The wire's own nesting is the envelope (five levels down to a
+/// term) plus two per batch level, which is what bounds
+/// [`crate::wire::MAX_BATCH_DEPTH`] — while an unbounded `[[[[…` body
+/// would otherwise recurse the connection thread's stack away and abort
+/// the process.
+pub(crate) const MAX_NESTING: usize = 64;
 
 /// Every object key the wire format writes. [`Json::parse`] hands these
 /// back borrowed, so decoding a row set allocates no `String` per
@@ -149,12 +156,9 @@ impl Json {
     /// (trailing whitespace allowed). Containers nested deeper than 64
     /// levels are rejected, whatever they hold.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser { text, pos: 0 };
+        let mut parser = Parser::new(text);
         let value = parser.value(0)?;
-        parser.skip_ws();
-        if parser.pos != text.len() {
-            return Err(format!("trailing bytes at offset {}", parser.pos));
-        }
+        parser.end()?;
         Ok(value)
     }
 }
@@ -162,7 +166,7 @@ impl Json {
 /// Writes `s` quoted, copying each run of bytes that need no escape in
 /// one piece. Every byte that does need one is ASCII, so the runs
 /// between them start and end on character boundaries.
-fn write_json_string(s: &str, out: &mut String) {
+pub(crate) fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     let mut rest = s;
     while let Some((run, tail)) = rest
@@ -191,22 +195,101 @@ fn write_json_string(s: &str, out: &mut String) {
 
 /// The key as the tree stores it: one of [`WIRE_KEYS`] borrowed, or the
 /// parsed text owned.
-fn object_key(key: Cow<'_, str>) -> Cow<'static, str> {
+fn object_key(key: &str) -> Cow<'static, str> {
     match WIRE_KEYS.iter().find(|known| **known == key) {
         Some(known) => Cow::Borrowed(known),
-        None => Cow::Owned(key.into_owned()),
+        None => Cow::Owned(key.to_owned()),
+    }
+}
+
+/// A scalar member value as the one-pass decoders read it: what
+/// [`Json::as_str`], [`Json::as_uint`] and [`Json::as_bool`] would find,
+/// with strings borrowed from the input when they hold no escape.
+/// Containers are validated, skipped and kept as [`Scalar::Other`].
+pub(crate) enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Uint(u64),
+    Str(Cow<'a, str>),
+    Other,
+}
+
+impl<'a> Scalar<'a> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn into_string(self) -> Option<String> {
+        match self {
+            Scalar::Str(s) => Some(s.into_owned()),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_uint(&self) -> Option<u64> {
+        match self {
+            Scalar::Uint(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_bool(&self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
     }
 }
 
 /// A cursor over the input. The input is a `&str` and every byte the
 /// grammar stops at is ASCII, so each span taken between two stops is
 /// valid UTF-8 as it stands and is copied without being checked again.
-struct Parser<'a> {
+///
+/// [`Json::parse`] builds a tree with it; the wire's one-pass decoders
+/// pull members and items through it directly. Both accept exactly the
+/// same text: every container, pulled or skipped, is opened by
+/// [`Parser::members`] or [`Parser::items`], which hold the nesting cap,
+/// and `depth` is always the container's distance from the root.
+pub(crate) struct Parser<'a> {
     text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Parser { text, pos: 0 }
+    }
+
+    /// A second cursor over the same input, at `pos`.
+    pub(crate) fn fork(&self, pos: usize) -> Parser<'a> {
+        Parser {
+            text: self.text,
+            pos,
+        }
+    }
+
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether the next byte past any whitespace is `byte`.
+    pub(crate) fn next_is(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        self.peek() == Some(byte)
+    }
+
+    /// Requires that nothing but whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing bytes at offset {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -217,6 +300,121 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Opens the container at `depth`. Anything else in its place is
+    /// skipped before it is reported, so a syntax error inside it is
+    /// what the caller sees, as from [`Json::parse`].
+    fn open(&mut self, open: u8, depth: usize, what: &str) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() != Some(open) {
+            self.skip(depth)?;
+            let shape = if open == b'{' {
+                "an object"
+            } else {
+                "an array"
+            };
+            return Err(format!("{what} is not {shape}"));
+        }
+        if depth >= MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads the object at `depth`, handing each key to `member` with
+    /// the cursor on its value. `member` either reads the value and
+    /// returns `true`, or returns `false` and the value is skipped.
+    pub(crate) fn members(
+        &mut self,
+        depth: usize,
+        what: &str,
+        mut member: impl FnMut(&mut Self, &str) -> Result<bool, String>,
+    ) -> Result<(), String> {
+        self.open(b'{', depth, what)?;
+        if self.next_is(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            if !self.next_is(b':') {
+                return Err(format!("expected ':' after key at offset {}", self.pos));
+            }
+            self.pos += 1;
+            if !member(self, &key)? {
+                self.skip(depth + 1)?;
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+            }
+        }
+    }
+
+    /// Reads the array at `depth`; `item` reads each element.
+    pub(crate) fn items(
+        &mut self,
+        depth: usize,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'[', depth, what)?;
+        if self.next_is(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => return Err(format!("expected ',' or ']', found {other:?}")),
+            }
+        }
+    }
+
+    /// Validates and steps over the value at `depth`, building nothing.
+    pub(crate) fn skip(&mut self, depth: usize) -> Result<(), String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'[') => self.items(depth, "array", |p| p.skip(depth + 1)),
+            Some(b'{') => self.members(depth, "object", |_, _| Ok(false)),
+            Some(b'"') => self.string().map(drop),
+            _ => self.value(depth).map(drop),
+        }
+    }
+
+    /// Reads the value at `depth` as a [`Scalar`].
+    pub(crate) fn scalar(&mut self, depth: usize) -> Result<Scalar<'a>, String> {
+        self.skip_ws();
+        Ok(match self.peek() {
+            Some(b'"') => Scalar::Str(self.string()?),
+            Some(b'[' | b'{') => {
+                self.skip(depth)?;
+                Scalar::Other
+            }
+            _ => match self.value(depth)? {
+                Json::Null => Scalar::Null,
+                Json::Bool(b) => Scalar::Bool(b),
+                Json::Uint(n) => Scalar::Uint(n),
+                _ => Scalar::Other,
+            },
+        })
+    }
+
     fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
@@ -225,59 +423,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
             Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
-            Some(b'[' | b'{') if depth >= MAX_NESTING => Err(format!(
-                "nesting deeper than {MAX_NESTING} levels at offset {}",
-                self.pos
-            )),
             Some(b'[') => {
-                self.pos += 1;
                 let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => return Err(format!("expected ',' or ']', found {other:?}")),
-                    }
-                }
+                self.items(depth, "array", |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
             Some(b'{') => {
-                self.pos += 1;
                 let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = object_key(self.string()?);
-                    self.skip_ws();
-                    if self.peek() != Some(b':') {
-                        return Err(format!("expected ':' after key at offset {}", self.pos));
-                    }
-                    self.pos += 1;
-                    let value = self.value(depth + 1)?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        other => return Err(format!("expected ',' or '}}', found {other:?}")),
-                    }
-                }
+                self.members(depth, "object", |p, key| {
+                    let value = p.value(depth + 1)?;
+                    pairs.push((object_key(key), value));
+                    Ok(true)
+                })?;
+                Ok(Json::Obj(pairs))
             }
             Some(b'0'..=b'9') => {
                 let start = self.pos;

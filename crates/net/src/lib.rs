@@ -17,7 +17,8 @@
 //! The wire format is line-delimited JSON ([`wire`]): each request is
 //! one `{"op": …}` object (select / ask / batch, with batches nesting;
 //! plus `count`, served for foreign clients and never sent by ours),
-//! each response one `{"ok": …}` envelope. Prepared queries are
+//! each response one `{"ok": …}` envelope, both written and read in one
+//! pass over the text, with no [`Json`] tree between. Prepared queries are
 //! rendered to SPARQL text client-side — so a remote endpoint returns
 //! bit-identical [`sofya_endpoint::Response`] values to local
 //! execution. A whole batch is a single HTTP round trip and a single

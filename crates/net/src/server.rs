@@ -35,7 +35,7 @@
 use crate::http::{read_request, write_response, HttpRequest};
 use crate::ingest::{parse_ingest_body, IngestSink};
 use crate::json::Json;
-use crate::wire::{envelope_to_json, execute_wire_budgeted, WireRequest};
+use crate::wire::{execute_wire_budgeted, write_envelope, WireRequest};
 use parking_lot::Mutex;
 use sofya_endpoint::{
     BudgetConfig, DurabilityGauge, Endpoint, EndpointError, FreshnessGauge, Response,
@@ -492,7 +492,13 @@ fn serve_one_request(
 }
 
 fn error_body(error: &EndpointError) -> Vec<u8> {
-    let mut text = envelope_to_json(&Err(error.clone())).to_text();
+    envelope_body(Err(error))
+}
+
+/// The envelope line that answers a query.
+fn envelope_body(result: Result<&Response, &EndpointError>) -> Vec<u8> {
+    let mut text = String::new();
+    write_envelope(result, &mut text);
     text.push('\n');
     text.into_bytes()
 }
@@ -536,8 +542,7 @@ fn serve_query(
     let started = Instant::now();
     let wire = match std::str::from_utf8(&request.body)
         .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(text.trim_end_matches('\n')))
-        .and_then(|json| WireRequest::from_json(&json).map_err(|e| e.to_string()))
+        .and_then(|text| WireRequest::parse(text).map_err(|e| e.0))
     {
         Ok(wire) => wire,
         Err(e) => {
@@ -557,9 +562,7 @@ fn serve_query(
         Err(error) => completed_error_status(error, handle, cancel),
         Ok(_) => (200, "OK"),
     };
-    let mut text = envelope_to_json(&result).to_text();
-    text.push('\n');
-    (status, reason, None, text.into_bytes())
+    (status, reason, None, envelope_body(result.as_ref()))
 }
 
 /// Handles `POST /ingest`: parses the triple batch (N-Triples or

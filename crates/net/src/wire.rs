@@ -14,11 +14,33 @@
 //! Encoding is one JSON document per message, terminated by `\n` (the
 //! HTTP body of one request/response is exactly one line). All encoders
 //! are deterministic: same message, same bytes.
+//!
+//! Two codecs produce and accept those bytes. The **one-pass** codec
+//! serves `/query`: [`WireRequest::write`] and [`write_envelope`] append
+//! a message straight to a `String`, and [`WireRequest::parse`] and
+//! [`parse_envelope`] pull one straight out of the text into
+//! [`WireRequest`] / [`Response`] values — one `String` per term, each
+//! row sized from `vars` — with no [`Json`] tree in between. They take
+//! members in any order and any whitespace, as a foreign peer may send
+//! them. The **tree** codec (`*_to_json` / `*_from_json`, through
+//! [`Json`]) is the reference: the wire tests hold the one-pass text to
+//! its bytes and the one-pass decoders to its verdicts, and the
+//! benchmark's stage replay still times it.
+//!
+//! A batch nests at most [`MAX_BATCH_DEPTH`] levels: both one-pass
+//! decoders refuse deeper ones, so a request the server accepts has an
+//! answer the client (and the tree parser) accepts.
 
-use crate::json::Json;
+use crate::json::{write_json_string, Json, Parser, Scalar, MAX_NESTING};
 use sofya_endpoint::{EndpointError, Request, Response};
 use sofya_rdf::Term;
 use sofya_sparql::{QueryBudget, ResultSet, SparqlError};
+use std::fmt::Write as _;
+
+/// The deepest batch nesting the one-pass decoders accept: the deepest
+/// whose answer — two containers per batch level plus five from the
+/// envelope down to a term — [`Json::parse`]'s nesting cap still reads.
+pub const MAX_BATCH_DEPTH: usize = (MAX_NESTING - 5) / 2;
 
 /// A request as it travels: SPARQL text plus the expected response
 /// shape. Batches nest, mirroring [`Request::Batch`].
@@ -498,6 +520,556 @@ pub fn envelope_from_json(json: &Json) -> Result<Result<Response, EndpointError>
     }
 }
 
+// ------------------------------------------------------- one-pass codec
+
+impl WireRequest {
+    /// Appends this request's wire text to `out`: the bytes of
+    /// `self.to_json().to_text()`, written without building the tree.
+    pub fn write(&self, out: &mut String) {
+        let (op, query) = match self {
+            WireRequest::Select(query) => ("select", query),
+            WireRequest::Ask(query) => ("ask", query),
+            WireRequest::Count(query) => ("count", query),
+            WireRequest::Batch(subs) => {
+                out.push_str(r#"{"op":"batch","requests":"#);
+                write_list(subs, out, WireRequest::write);
+                out.push('}');
+                return;
+            }
+        };
+        let _ = write!(out, r#"{{"op":"{op}","query":"#);
+        write_json_string(query, out);
+        out.push('}');
+    }
+
+    /// Decodes one wire request in a single pass over `text` (trailing
+    /// whitespace allowed): what [`WireRequest::from_json`] makes of the
+    /// tree [`Json::parse`] builds, and an error wherever either fails —
+    /// and for a batch nested deeper than [`MAX_BATCH_DEPTH`].
+    pub fn parse(text: &str) -> Result<WireRequest, WireError> {
+        let mut p = Parser::new(text);
+        let request = request_at(&mut p, 0, 0).and_then(|request| p.end().map(|()| request));
+        request.map_err(WireError)
+    }
+}
+
+/// Appends the result envelope to `out`: the bytes of
+/// `envelope_to_json(..).to_text()`, written without building the tree.
+pub fn write_envelope(result: Result<&Response, &EndpointError>, out: &mut String) {
+    match result {
+        Ok(response) => {
+            out.push_str(r#"{"ok":true,"response":"#);
+            write_response(response, out);
+        }
+        Err(error) => {
+            out.push_str(r#"{"ok":false,"error":"#);
+            write_error(error, out);
+        }
+    }
+    out.push('}');
+}
+
+/// Decodes the result envelope in a single pass over `text` (trailing
+/// whitespace allowed): what [`envelope_from_json`] makes of the tree
+/// [`Json::parse`] builds, and an error wherever either fails — and for
+/// a batch nested deeper than [`MAX_BATCH_DEPTH`].
+pub fn parse_envelope(text: &str) -> Result<Result<Response, EndpointError>, WireError> {
+    let mut p = Parser::new(text);
+    let envelope = envelope_at(&mut p).and_then(|envelope| p.end().map(|()| envelope));
+    envelope.map_err(WireError)
+}
+
+/// Writes `[a,b,…]`, each element by `item`.
+fn write_list<T>(items: &[T], out: &mut String, mut item: impl FnMut(&T, &mut String)) {
+    out.push('[');
+    for (i, element) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(element, out);
+    }
+    out.push(']');
+}
+
+fn write_response(response: &Response, out: &mut String) {
+    match response {
+        Response::Rows(rows) => {
+            out.push_str(r#"{"type":"rows","vars":"#);
+            write_list(rows.vars(), out, |var, out| write_json_string(var, out));
+            out.push_str(r#","rows":"#);
+            write_list(rows.rows(), out, |row, out| {
+                write_list(row, out, |cell, out| match cell {
+                    Some(term) => write_term(term, out),
+                    None => out.push_str("null"),
+                })
+            });
+        }
+        Response::Boolean(b) => {
+            let _ = write!(out, r#"{{"type":"boolean","value":{b}"#);
+        }
+        Response::Count(n) => {
+            let _ = write!(out, r#"{{"type":"count","value":{n}"#);
+        }
+        Response::Batch(responses) => {
+            out.push_str(r#"{"type":"batch","responses":"#);
+            write_list(responses, out, write_response);
+        }
+    }
+    out.push('}');
+}
+
+fn write_term(term: &Term, out: &mut String) {
+    let (tag, value) = match term {
+        Term::Iri(value) => ("iri", value),
+        Term::Literal { lexical, .. } => ("lit", lexical),
+        Term::BNode(label) => ("bnode", label),
+    };
+    let _ = write!(out, r#"{{"t":"{tag}","v":"#);
+    write_json_string(value, out);
+    if let Term::Literal { lang, datatype, .. } = term {
+        if let Some(lang) = lang {
+            write_str_member("lang", lang, out);
+        }
+        if let Some(datatype) = datatype {
+            write_str_member("dt", datatype, out);
+        }
+    }
+    out.push('}');
+}
+
+fn write_error(error: &EndpointError, out: &mut String) {
+    let kind = match error {
+        EndpointError::Sparql(SparqlError::Lex { .. }) => "lex",
+        EndpointError::Sparql(SparqlError::Parse { .. }) => "parse",
+        EndpointError::Sparql(SparqlError::Eval { .. }) => "eval",
+        // Travels as the class it would have entered as (see
+        // `error_to_json`).
+        EndpointError::Sparql(e @ SparqlError::Budget { .. }) => {
+            return write_error(&EndpointError::from(e.clone()), out);
+        }
+        EndpointError::DeadlineExceeded { .. } => "deadline",
+        EndpointError::BudgetExceeded { .. } => "budget",
+        EndpointError::QuotaExceeded { .. } => "quota",
+        EndpointError::Unavailable { .. } => "unavailable",
+        EndpointError::Other(_) => "other",
+    };
+    let _ = write!(out, r#"{{"kind":"{kind}""#);
+    match error {
+        EndpointError::Sparql(SparqlError::Lex { offset, message }) => {
+            let _ = write!(out, r#","offset":{offset}"#);
+            write_str_member("message", message, out);
+        }
+        EndpointError::Sparql(SparqlError::Parse { message } | SparqlError::Eval { message })
+        | EndpointError::BudgetExceeded { message }
+        | EndpointError::Other(message) => write_str_member("message", message, out),
+        EndpointError::DeadlineExceeded { elapsed } => {
+            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            let _ = write!(out, r#","elapsed_ns":{ns}"#);
+        }
+        EndpointError::QuotaExceeded {
+            endpoint,
+            max_queries,
+        } => {
+            write_str_member("endpoint", endpoint, out);
+            let _ = write!(out, r#","max_queries":{max_queries}"#);
+        }
+        EndpointError::Unavailable {
+            message,
+            retry_after,
+        } => {
+            write_str_member("message", message, out);
+            if let Some(after) = retry_after {
+                let ms = u64::try_from(after.as_millis()).unwrap_or(u64::MAX);
+                let _ = write!(out, r#","retry_after_ms":{ms}"#);
+            }
+        }
+        EndpointError::Sparql(SparqlError::Budget { .. }) => {}
+    }
+    out.push('}');
+}
+
+/// Writes `,"key":"value"`.
+fn write_str_member(key: &str, value: &str, out: &mut String) {
+    let _ = write!(out, r#","{key}":"#);
+    write_json_string(value, out);
+}
+
+/// A member whose decoding depends on another one of its object
+/// (`"ok"`, `"type"`, `"op"`, `"vars"`). It is decoded where it stands
+/// when that one came first — the order every encoder here writes —
+/// else its offset is kept, the value skipped, and it is decoded from
+/// there once the whole object has been read. As with [`Json::get`], the
+/// first of duplicate keys counts.
+enum Member<T> {
+    Absent,
+    Decoded(T),
+    At(usize),
+}
+
+impl<T> Member<T> {
+    /// Takes the value under the cursor: decoded now by `decode` if
+    /// there is one, else noted (and `false`: the caller skips it).
+    fn offer<'a, F>(&mut self, p: &mut Parser<'a>, decode: Option<F>) -> Result<bool, String>
+    where
+        F: FnOnce(&mut Parser<'a>) -> Result<T, String>,
+    {
+        match (&*self, decode) {
+            (Member::Absent, Some(decode)) => {
+                *self = Member::Decoded(decode(p)?);
+                Ok(true)
+            }
+            (Member::Absent, None) => {
+                *self = Member::At(p.pos());
+                Ok(false)
+            }
+            _ => Ok(false),
+        }
+    }
+
+    fn resolve<'a>(
+        self,
+        p: &Parser<'a>,
+        missing: &str,
+        decode: impl FnOnce(&mut Parser<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        match self {
+            Member::Decoded(value) => Ok(value),
+            Member::At(pos) => decode(&mut p.fork(pos)),
+            Member::Absent => Err(missing.to_owned()),
+        }
+    }
+}
+
+/// Reads the scalar under the cursor into `slot`, unless an earlier
+/// duplicate key filled it.
+fn first<'a>(
+    slot: &mut Option<Scalar<'a>>,
+    p: &mut Parser<'a>,
+    depth: usize,
+) -> Result<bool, String> {
+    if slot.is_some() {
+        return Ok(false);
+    }
+    *slot = Some(p.scalar(depth)?);
+    Ok(true)
+}
+
+/// Whether `slot` holds the string `tag`.
+fn is(slot: &Option<Scalar<'_>>, tag: &str) -> bool {
+    slot.as_ref().and_then(Scalar::as_str) == Some(tag)
+}
+
+/// The object at `depth` read flat: the first value under each of `keys`.
+fn fields<'a, const N: usize>(
+    p: &mut Parser<'a>,
+    depth: usize,
+    what: &str,
+    keys: [&str; N],
+) -> Result<[Option<Scalar<'a>>; N], String> {
+    let mut found = std::array::from_fn(|_| None);
+    p.members(depth, what, |p, key| {
+        match keys.iter().zip(found.iter_mut()).find(|(k, _)| **k == key) {
+            Some((_, slot)) => first(slot, p, depth + 1),
+            None => Ok(false),
+        }
+    })?;
+    Ok(found)
+}
+
+/// A request object at `depth`, inside `level` batches.
+fn request_at(p: &mut Parser<'_>, depth: usize, level: usize) -> Result<WireRequest, String> {
+    let (mut op, mut query, mut subs) = (None, None, Member::Absent);
+    let inner = depth + 1;
+    p.members(depth, "request", |p, key| match key {
+        "op" => first(&mut op, p, inner),
+        "query" => first(&mut query, p, inner),
+        "requests" => subs.offer(
+            p,
+            is(&op, "batch").then_some(|p: &mut Parser<'_>| sub_requests(p, inner, level + 1)),
+        ),
+        _ => Ok(false),
+    })?;
+    let op = op
+        .as_ref()
+        .and_then(Scalar::as_str)
+        .ok_or("request missing \"op\"")?;
+    let query = || {
+        query
+            .and_then(Scalar::into_string)
+            .ok_or_else(|| format!("{op} request missing \"query\""))
+    };
+    match op {
+        "select" => Ok(WireRequest::Select(query()?)),
+        "ask" => Ok(WireRequest::Ask(query()?)),
+        "count" => Ok(WireRequest::Count(query()?)),
+        "batch" => Ok(WireRequest::Batch(subs.resolve(
+            p,
+            "batch request missing \"requests\"",
+            |p| sub_requests(p, inner, level + 1),
+        )?)),
+        other => Err(format!("unknown request op {other:?}")),
+    }
+}
+
+/// A batch's `"requests"` array at `depth`, its items inside `level`
+/// batches.
+fn sub_requests(
+    p: &mut Parser<'_>,
+    depth: usize,
+    level: usize,
+) -> Result<Vec<WireRequest>, String> {
+    batch_level(level)?;
+    let mut subs = Vec::new();
+    p.items(depth, "requests", |p| {
+        subs.push(request_at(p, depth + 1, level)?);
+        Ok(())
+    })?;
+    Ok(subs)
+}
+
+fn batch_level(level: usize) -> Result<(), String> {
+    if level > MAX_BATCH_DEPTH {
+        return Err(format!(
+            "batches nested deeper than {MAX_BATCH_DEPTH} levels"
+        ));
+    }
+    Ok(())
+}
+
+/// The envelope object at the root.
+fn envelope_at(p: &mut Parser<'_>) -> Result<Result<Response, EndpointError>, String> {
+    let (mut ok, mut response, mut error) = (None, Member::Absent, Member::Absent);
+    p.members(0, "envelope", |p, key| {
+        let flag = ok.as_ref().and_then(Scalar::as_bool);
+        match key {
+            "ok" => first(&mut ok, p, 1),
+            "response" => response.offer(
+                p,
+                (flag == Some(true)).then_some(|p: &mut Parser<'_>| response_at(p, 1, 0)),
+            ),
+            "error" => error.offer(
+                p,
+                (flag == Some(false)).then_some(|p: &mut Parser<'_>| error_at(p, 1)),
+            ),
+            _ => Ok(false),
+        }
+    })?;
+    match ok.as_ref().and_then(Scalar::as_bool) {
+        Some(true) => Ok(Ok(response.resolve(
+            p,
+            "ok envelope missing \"response\"",
+            |p| response_at(p, 1, 0),
+        )?)),
+        Some(false) => Ok(Err(error.resolve(
+            p,
+            "error envelope missing \"error\"",
+            |p| error_at(p, 1),
+        )?)),
+        None => Err("envelope missing \"ok\"".to_owned()),
+    }
+}
+
+/// A response object at `depth`, inside `level` batches.
+fn response_at(p: &mut Parser<'_>, depth: usize, level: usize) -> Result<Response, String> {
+    let (mut kind, mut value) = (None, None);
+    let (mut vars, mut rows, mut responses) = (Member::Absent, Member::Absent, Member::Absent);
+    let inner = depth + 1;
+    p.members(depth, "response", |p, key| match key {
+        "type" => first(&mut kind, p, inner),
+        "value" => first(&mut value, p, inner),
+        "vars" => vars.offer(
+            p,
+            is(&kind, "rows").then_some(|p: &mut Parser<'_>| var_names(p, inner)),
+        ),
+        "rows" => {
+            let width = match &vars {
+                Member::Decoded(names) if is(&kind, "rows") => Some(names.len()),
+                _ => None,
+            };
+            rows.offer(
+                p,
+                width.map(|width| move |p: &mut Parser<'_>| row_table(p, inner, width)),
+            )
+        }
+        "responses" => responses.offer(
+            p,
+            is(&kind, "batch").then_some(|p: &mut Parser<'_>| sub_responses(p, inner, level + 1)),
+        ),
+        _ => Ok(false),
+    })?;
+    match kind.as_ref().and_then(Scalar::as_str) {
+        Some("rows") => {
+            let vars =
+                vars.resolve(p, "rows response missing \"vars\"", |p| var_names(p, inner))?;
+            let width = vars.len();
+            let rows = rows.resolve(p, "rows response missing \"rows\"", |p| {
+                row_table(p, inner, width)
+            })?;
+            Ok(Response::Rows(ResultSet::new(vars, rows)))
+        }
+        Some("boolean") => value
+            .as_ref()
+            .and_then(Scalar::as_bool)
+            .map(Response::Boolean)
+            .ok_or_else(|| "boolean response missing \"value\"".to_owned()),
+        Some("count") => value
+            .as_ref()
+            .and_then(Scalar::as_uint)
+            .map(Response::Count)
+            .ok_or_else(|| "count response missing \"value\"".to_owned()),
+        Some("batch") => Ok(Response::Batch(responses.resolve(
+            p,
+            "batch response missing \"responses\"",
+            |p| sub_responses(p, inner, level + 1),
+        )?)),
+        Some(other) => Err(format!("unknown response type {other:?}")),
+        None => Err("response missing \"type\"".to_owned()),
+    }
+}
+
+/// A batch's `"responses"` array at `depth`, its items inside `level`
+/// batches.
+fn sub_responses(p: &mut Parser<'_>, depth: usize, level: usize) -> Result<Vec<Response>, String> {
+    batch_level(level)?;
+    let mut responses = Vec::new();
+    p.items(depth, "responses", |p| {
+        responses.push(response_at(p, depth + 1, level)?);
+        Ok(())
+    })?;
+    Ok(responses)
+}
+
+fn var_names(p: &mut Parser<'_>, depth: usize) -> Result<Vec<String>, String> {
+    let mut vars = Vec::new();
+    p.items(depth, "vars", |p| {
+        let name = p.scalar(depth + 1)?.into_string();
+        vars.push(name.ok_or("non-string var name")?);
+        Ok(())
+    })?;
+    Ok(vars)
+}
+
+/// The `"rows"` array at `depth`, every row `width` cells.
+fn row_table(
+    p: &mut Parser<'_>,
+    depth: usize,
+    width: usize,
+) -> Result<Vec<Vec<Option<Term>>>, String> {
+    let mut rows = Vec::new();
+    p.items(depth, "rows", |p| {
+        let mut row = Vec::with_capacity(width);
+        p.items(depth + 1, "row", |p| {
+            row.push(cell_at(p, depth + 2)?);
+            Ok(())
+        })?;
+        if row.len() != width {
+            return Err(format!(
+                "row width {} does not match {width} vars",
+                row.len()
+            ));
+        }
+        rows.push(row);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+fn cell_at(p: &mut Parser<'_>, depth: usize) -> Result<Option<Term>, String> {
+    if p.next_is(b'{') {
+        return term_at(p, depth).map(Some);
+    }
+    match p.scalar(depth)? {
+        Scalar::Null => Ok(None),
+        _ => Err("cell is neither a term nor null".to_owned()),
+    }
+}
+
+fn term_at(p: &mut Parser<'_>, depth: usize) -> Result<Term, String> {
+    let [tag, value, lang, datatype] = fields(p, depth, "term", ["t", "v", "lang", "dt"])?;
+    let tag = tag
+        .as_ref()
+        .and_then(Scalar::as_str)
+        .ok_or("term missing \"t\"")?;
+    let value = value
+        .and_then(Scalar::into_string)
+        .ok_or("term missing \"v\"")?;
+    match tag {
+        "iri" => Ok(Term::Iri(value)),
+        "bnode" => Ok(Term::BNode(value)),
+        "lit" => Ok(Term::Literal {
+            lexical: value,
+            lang: lang.and_then(Scalar::into_string),
+            datatype: datatype.and_then(Scalar::into_string),
+        }),
+        other => Err(format!("unknown term tag {other:?}")),
+    }
+}
+
+fn error_at(p: &mut Parser<'_>, depth: usize) -> Result<EndpointError, String> {
+    let [kind, message, offset, endpoint, max_queries, retry_after_ms, elapsed_ns] = fields(
+        p,
+        depth,
+        "error",
+        [
+            "kind",
+            "message",
+            "offset",
+            "endpoint",
+            "max_queries",
+            "retry_after_ms",
+            "elapsed_ns",
+        ],
+    )?;
+    let kind = kind
+        .as_ref()
+        .and_then(Scalar::as_str)
+        .ok_or("error missing \"kind\"")?;
+    let message = || {
+        message
+            .and_then(Scalar::into_string)
+            .ok_or_else(|| format!("{kind} error missing \"message\""))
+    };
+    let uint = |field: Option<Scalar<'_>>, name: &str| {
+        field
+            .as_ref()
+            .and_then(Scalar::as_uint)
+            .ok_or_else(|| format!("{kind} error missing \"{name}\""))
+    };
+    Ok(match kind {
+        "lex" => EndpointError::Sparql(SparqlError::Lex {
+            offset: uint(offset, "offset")? as usize,
+            message: message()?,
+        }),
+        "parse" => EndpointError::Sparql(SparqlError::Parse {
+            message: message()?,
+        }),
+        "eval" => EndpointError::Sparql(SparqlError::Eval {
+            message: message()?,
+        }),
+        "quota" => EndpointError::QuotaExceeded {
+            endpoint: endpoint
+                .and_then(Scalar::into_string)
+                .ok_or("quota error missing \"endpoint\"")?,
+            max_queries: uint(max_queries, "max_queries")?,
+        },
+        "unavailable" => EndpointError::Unavailable {
+            message: message()?,
+            retry_after: retry_after_ms
+                .as_ref()
+                .and_then(Scalar::as_uint)
+                .map(std::time::Duration::from_millis),
+        },
+        "deadline" => EndpointError::DeadlineExceeded {
+            elapsed: std::time::Duration::from_nanos(uint(elapsed_ns, "elapsed_ns")?),
+        },
+        "budget" => EndpointError::BudgetExceeded {
+            message: message()?,
+        },
+        "other" => EndpointError::Other(message()?),
+        other => return Err(format!("unknown error kind {other:?}")),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,13 +1095,27 @@ mod tests {
         ]);
         let json = wire.to_json();
         assert_eq!(WireRequest::from_json(&json).unwrap(), wire);
+        let mut text = String::new();
+        wire.write(&mut text);
+        assert_eq!(text, json.to_text());
+        assert_eq!(WireRequest::parse(&text).unwrap(), wire);
     }
 
-    /// The exact bytes of two representative messages: a codec change
-    /// that alters what travels fails here, not at a peer running the
-    /// previous build.
+    /// The exact bytes of two representative messages, from both codecs:
+    /// a codec change that alters what travels fails here, not at a peer
+    /// running the previous build.
     #[test]
     fn encodings_are_pinned_byte_for_byte() {
+        let one_pass = |wire: &WireRequest| {
+            let mut text = String::new();
+            wire.write(&mut text);
+            text
+        };
+        let one_pass_envelope = |result: &Result<Response, EndpointError>| {
+            let mut text = String::new();
+            write_envelope(result.as_ref(), &mut text);
+            text
+        };
         let batch = WireRequest::Batch(vec![
             WireRequest::Select("SELECT ?o { <e:a> <r:p> ?o }".to_owned()),
             WireRequest::Ask("ASK { <e:a> <r:p> \"x\\y\"@en }".to_owned()),
@@ -537,6 +1123,7 @@ mod tests {
                 "SELECT (COUNT(*) AS ?n) { ?s <r:p> ?o }".to_owned(),
             )]),
         ]);
+        assert_eq!(one_pass(&batch), batch.to_json().to_text());
         assert_eq!(
             batch.to_json().to_text(),
             concat!(
@@ -566,8 +1153,13 @@ mod tests {
                 vec![None, None],
             ],
         );
+        let result = Ok(Response::Rows(rows));
         assert_eq!(
-            envelope_to_json(&Ok(Response::Rows(rows))).to_text(),
+            one_pass_envelope(&result),
+            envelope_to_json(&result).to_text()
+        );
+        assert_eq!(
+            envelope_to_json(&result).to_text(),
             concat!(
                 r#"{"ok":true,"response":{"type":"rows","vars":["s","o"],"rows":["#,
                 r#"[{"t":"iri","v":"e:a"},{"t":"lit","v":"tab\there \u0001 é"}],"#,
@@ -578,7 +1170,8 @@ mod tests {
     }
 
     /// Parsing is linear in the body: a 2 MiB row set, far beyond any
-    /// page the aligner asks for, decodes within a debug-build test run.
+    /// page the aligner asks for, decodes within a debug-build test run,
+    /// through the tree and in one pass.
     /// (The per-character decoder this replaced re-validated the rest of
     /// the input at every character and needed minutes for this body.)
     #[test]
@@ -601,6 +1194,14 @@ mod tests {
         assert!(
             elapsed < std::time::Duration::from_secs(10),
             "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
+        let started = std::time::Instant::now();
+        assert_eq!(parse_envelope(&text).expect("decode"), result);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "decoding {} bytes in one pass took {elapsed:?}",
             text.len()
         );
     }
@@ -680,6 +1281,10 @@ mod tests {
             let text = json.to_text();
             let back = envelope_from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, result);
+            let mut one_pass = String::new();
+            write_envelope(result.as_ref(), &mut one_pass);
+            assert_eq!(one_pass, text);
+            assert_eq!(parse_envelope(&text).unwrap(), result);
         }
     }
 }

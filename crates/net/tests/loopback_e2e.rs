@@ -495,3 +495,72 @@ fn connection_reuse_and_reconnect() {
     assert!(remote.ask("ASK { <e:s> <e:p> <e:o> }").unwrap());
     server.shutdown();
 }
+
+/// `POST /query` with `body`, on a connection of its own: the status and
+/// the body of the answer.
+fn post_query(addr: std::net::SocketAddr, body: &[u8]) -> (u16, String) {
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let headers = [("Host", "sofya"), ("X-Client", "deep")];
+    sofya_net::http::write_request(&mut conn, "POST", "/query", &headers, body).expect("send");
+    let response =
+        sofya_net::http::read_response(&mut std::io::BufReader::new(conn)).expect("answered");
+    let text = String::from_utf8_lossy(&response.body).into_owned();
+    (response.status, text)
+}
+
+/// A request the server accepts has an answer the client accepts: a
+/// `SELECT` wrapped in `MAX_BATCH_DEPTH` batches answers over the wire
+/// as it does locally; one batch more is a 400 before anything runs —
+/// where the server used to run it and the client then failed to read
+/// the answer; and a body of nothing but openers is a 400, not a stack
+/// overflow.
+#[test]
+fn a_batch_the_server_accepts_has_an_answer_the_client_reads() {
+    use sofya_endpoint::{Endpoint, EndpointError, Request};
+    use sofya_net::wire::MAX_BATCH_DEPTH;
+
+    let (_, yago) = movie_stores();
+    let local = LocalEndpoint::new("yago", yago.clone());
+    let server = start_server(yago, ServerConfig::default());
+    let remote = RemoteEndpoint::new("yago", server.addr());
+    let nested = |depth: usize| {
+        let mut request = Request::Select {
+            query: "SELECT ?m ?d WHERE { ?m <y:directedBy> ?d } ORDER BY ?m",
+        };
+        for _ in 0..depth {
+            request = Request::Batch(vec![request]);
+        }
+        request
+    };
+
+    let answer = local
+        .execute(nested(MAX_BATCH_DEPTH))
+        .expect("local answer");
+    assert_eq!(remote.execute(nested(MAX_BATCH_DEPTH)), Ok(answer));
+    let submitted = server.metrics().submitted;
+    assert_eq!(submitted, 1);
+
+    match remote.execute(nested(MAX_BATCH_DEPTH + 1)) {
+        Err(EndpointError::Other(message)) => {
+            assert!(message.contains("batches nested deeper than"), "{message}");
+        }
+        other => panic!("a batch past the limit is refused, got {other:?}"),
+    }
+    let mut body = String::new();
+    sofya_net::WireRequest::from_request(&nested(MAX_BATCH_DEPTH + 1))
+        .expect("lowering")
+        .write(&mut body);
+    let (status, reply) = post_query(server.addr(), body.as_bytes());
+    assert_eq!(status, 400, "{reply}");
+    assert_eq!(server.metrics().submitted, submitted, "nothing ran");
+
+    for opener in ["[", "{\"requests\":"] {
+        let (status, reply) = post_query(server.addr(), opener.repeat(1 << 20).as_bytes());
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("nesting deeper than 64"), "{reply}");
+    }
+    assert_eq!(server.metrics().submitted, submitted, "nothing ran");
+    server.shutdown();
+}

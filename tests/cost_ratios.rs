@@ -1,10 +1,11 @@
-//! Six costs held as ratios, not times: each test measures two things
+//! Seven costs held as ratios, not times: each test measures two things
 //! in one process and asserts how far apart they may lie, so it means
 //! the same on any machine and needs no committed baseline.
 //!
 //! * polling a far-future deadline costs an alignment at most 5%;
 //! * `Json::parse` is linear: a byte of a 400-row page costs at most
 //!   twice a byte of an `ask` envelope;
+//! * so is the client's one-pass decoder, `parse_envelope`;
 //! * a publish pays for what was written, not for what the dictionary
 //!   holds: the same 256-triple cycle on a store with four times the
 //!   terms costs at most 1.5x;
@@ -30,7 +31,7 @@ use sofya::endpoint::{
     SnapshotStore,
 };
 use sofya::kbgen::{generate, GeneratedPair, PairConfig};
-use sofya::net::wire::envelope_to_json;
+use sofya::net::wire::{parse_envelope, write_envelope};
 use sofya::net::{execute_wire_budgeted, Json, WireRequest};
 use sofya::rdf::{StoreSnapshot, StoreStats, Term, TermId, TripleStore};
 use sofya::sparql::QueryBudget;
@@ -138,45 +139,73 @@ fn budget_polling_costs_an_alignment_at_most_5_percent() {
     );
 }
 
-/// The wire parser on its own: answers rendered once and parsed over
-/// and over, cost per byte at both ends of the size range.
-#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
-#[test]
-fn json_parse_cost_per_byte_is_flat_in_the_body_size() {
-    let _alone = alone();
+/// An `ask` envelope and a 400-row page, rendered once by the server's
+/// writer.
+fn rendered_answers() -> (String, String) {
     let local = LocalEndpoint::new("kb2", small_pair().kb2);
     let answer_text = |request: Request<'_>| {
         let wire = WireRequest::from_request(&request).expect("lowering");
-        envelope_to_json(&execute_wire_budgeted(
-            &local,
-            &wire,
-            &QueryBudget::unlimited(),
-        ))
-        .to_text()
+        let result = execute_wire_budgeted(&local, &wire, &QueryBudget::unlimited());
+        let mut text = String::new();
+        write_envelope(result.as_ref(), &mut text);
+        text
     };
-    let parse = |text: &str| match Json::parse(text) {
-        Ok(json) => std::hint::black_box(json).get("ok").map_or(0, |_| 1),
-        Err(e) => panic!("rendered envelope does not parse: {e}"),
-    };
-    // The small envelope is parsed many times per sample so the timer
-    // does not dominate.
-    let ns_per_byte = |text: &str, reps: u64| {
-        let ns = median_ns(|| (0..reps).map(|_| parse(text)).sum());
-        ns as f64 / (reps * text.len() as u64) as f64
-    };
-
     let ask = answer_text(Request::Ask {
         query: "ASK { ?s ?p ?o }",
     });
     let rows_400 = answer_text(Request::Select {
         query: "SELECT ?x ?y WHERE { ?x ?p ?y } LIMIT 400",
     });
-    let small = ns_per_byte(&ask, 256);
-    let large = ns_per_byte(&rows_400, 1);
+    (ask, rows_400)
+}
+
+/// The median ns per byte of `decode` on `text`, run `reps` times per
+/// sample so that on a small envelope the timer does not dominate.
+fn ns_per_byte(text: &str, reps: u64, decode: impl Fn(&str) -> u64) -> f64 {
+    let ns = median_ns(|| (0..reps).map(|_| decode(text)).sum());
+    ns as f64 / (reps * text.len() as u64) as f64
+}
+
+/// The wire parser on its own: answers rendered once and parsed over
+/// and over, cost per byte at both ends of the size range.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn json_parse_cost_per_byte_is_flat_in_the_body_size() {
+    let _alone = alone();
+    let (ask, rows_400) = rendered_answers();
+    let parse = |text: &str| match Json::parse(text) {
+        Ok(json) => std::hint::black_box(json).get("ok").map_or(0, |_| 1),
+        Err(e) => panic!("rendered envelope does not parse: {e}"),
+    };
+    let small = ns_per_byte(&ask, 256, parse);
+    let large = ns_per_byte(&rows_400, 1, parse);
     assert!(
         large <= 2.0 * small,
         "Json::parse costs {small:.2} ns/B at {} B but {large:.2} ns/B at {} B ({:.2}x) — \
          parsing is no longer linear",
+        ask.len(),
+        rows_400.len(),
+        large / small
+    );
+}
+
+/// The client's one-pass decoder, the same way: a byte of a 400-row
+/// page costs at most twice a byte of an `ask` envelope.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn one_pass_decode_cost_per_byte_is_flat_in_the_body_size() {
+    let _alone = alone();
+    let (ask, rows_400) = rendered_answers();
+    let decode = |text: &str| match parse_envelope(text) {
+        Ok(result) => u64::from(std::hint::black_box(result).is_ok()),
+        Err(e) => panic!("rendered envelope does not decode: {e}"),
+    };
+    let small = ns_per_byte(&ask, 256, decode);
+    let large = ns_per_byte(&rows_400, 1, decode);
+    assert!(
+        large <= 2.0 * small,
+        "parse_envelope costs {small:.2} ns/B at {} B but {large:.2} ns/B at {} B ({:.2}x) — \
+         decoding is no longer linear",
         ask.len(),
         rows_400.len(),
         large / small
