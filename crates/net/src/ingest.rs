@@ -23,6 +23,7 @@
 use crate::json::Json;
 use crate::wire::term_from_json;
 use sofya_endpoint::EndpointError;
+use sofya_rdf::term::is_delimitable_iri;
 use sofya_rdf::{parse_ntriples_terms, Term};
 
 /// Where `POST /ingest` delivers parsed triples. Implemented by the
@@ -62,12 +63,25 @@ fn parse_line_json(body: &str) -> Result<Vec<(Term, Term, Term)>, String> {
             term_from_json(value).map_err(|e| format!("line {}: {e}", idx + 1))
         };
         let (s, p, o) = (term("s")?, term("p")?, term("o")?);
-        // The two rules `parse_ntriples_terms` enforces on the other format.
+        // The rules `parse_ntriples_terms` enforces on the other format.
         if !p.is_iri() {
             return Err(format!("line {}: predicate must be an IRI", idx + 1));
         }
         if s.is_literal() {
             return Err(format!("line {}: subject must not be a literal", idx + 1));
+        }
+        for term in [&s, &p, &o] {
+            let iri = match term {
+                Term::Iri(iri) => Some(iri),
+                Term::Literal { datatype, .. } => datatype.as_ref(),
+                Term::BNode(_) => None,
+            };
+            if let Some(iri) = iri.filter(|iri| !is_delimitable_iri(iri)) {
+                return Err(format!(
+                    "line {}: IRI {iri:?} holds whitespace, '<' or '>'",
+                    idx + 1
+                ));
+            }
         }
         triples.push((s, p, o));
     }
@@ -139,7 +153,8 @@ mod tests {
     }
 
     /// Line-JSON refuses the triples N-Triples refuses — a predicate that
-    /// is not an IRI, a literal subject — and names the line.
+    /// is not an IRI, a literal subject, an IRI holding whitespace, `<` or
+    /// `>` — and names the line.
     #[test]
     fn line_json_refuses_what_ntriples_refuses() {
         let (iri, lit, bnode) = (Term::iri("e:x"), Term::literal("x"), Term::bnode("b"));
@@ -149,6 +164,16 @@ mod tests {
             ((iri.clone(), lit.clone(), iri.clone()), "predicate"),
             ((lit.clone(), iri.clone(), iri.clone()), "subject"),
             ((lit.clone(), bnode.clone(), iri.clone()), "predicate"),
+            (
+                (Term::iri("e:a><r:q><e:b"), iri.clone(), iri.clone()),
+                "IRI",
+            ),
+            ((iri.clone(), Term::iri("r:p q"), iri.clone()), "IRI"),
+            ((iri.clone(), iri.clone(), Term::iri("e:<b")), "IRI"),
+            (
+                (iri.clone(), iri.clone(), Term::typed_literal("1", "x:t>")),
+                "IRI",
+            ),
         ] {
             let line_json: String = [&good, &bad]
                 .iter()

@@ -386,6 +386,11 @@ pub fn error_to_json(error: &EndpointError) -> Json {
         EndpointError::Sparql(e @ SparqlError::Budget { .. }) => {
             error_to_json(&EndpointError::from(e.clone()))
         }
+        // A client-side refusal, never a server's answer; one sent anyway
+        // travels as the evaluation error it reads as.
+        EndpointError::Sparql(e @ SparqlError::Unrenderable { .. }) => {
+            error_to_json(&EndpointError::Sparql(SparqlError::eval(e.to_string())))
+        }
         EndpointError::DeadlineExceeded { elapsed } => Json::obj([
             ("kind", Json::str("deadline")),
             (
@@ -642,10 +647,16 @@ fn write_error(error: &EndpointError, out: &mut String) {
         EndpointError::Sparql(SparqlError::Lex { .. }) => "lex",
         EndpointError::Sparql(SparqlError::Parse { .. }) => "parse",
         EndpointError::Sparql(SparqlError::Eval { .. }) => "eval",
-        // Travels as the class it would have entered as (see
+        // Each travels as the class it would have entered as (see
         // `error_to_json`).
         EndpointError::Sparql(e @ SparqlError::Budget { .. }) => {
             return write_error(&EndpointError::from(e.clone()), out);
+        }
+        EndpointError::Sparql(e @ SparqlError::Unrenderable { .. }) => {
+            return write_error(
+                &EndpointError::Sparql(SparqlError::eval(e.to_string())),
+                out,
+            );
         }
         EndpointError::DeadlineExceeded { .. } => "deadline",
         EndpointError::BudgetExceeded { .. } => "budget",
@@ -683,7 +694,7 @@ fn write_error(error: &EndpointError, out: &mut String) {
                 let _ = write!(out, r#","retry_after_ms":{ms}"#);
             }
         }
-        EndpointError::Sparql(SparqlError::Budget { .. }) => {}
+        EndpointError::Sparql(SparqlError::Budget { .. } | SparqlError::Unrenderable { .. }) => {}
     }
     out.push('}');
 }

@@ -8,7 +8,7 @@
 
 use crate::error::RdfError;
 use crate::store::TripleStore;
-use crate::term::{unescape_literal, Term};
+use crate::term::{is_delimitable_iri, unescape_literal, Term};
 
 /// Parses N-Triples text into a fresh [`TripleStore`].
 pub fn parse_ntriples(input: &str) -> Result<TripleStore, RdfError> {
@@ -137,7 +137,7 @@ impl<'a> Cursor<'a> {
         let rest = self.rest();
         let close = rest.find('>').ok_or_else(|| self.err("unterminated IRI"))?;
         let iri = &rest[..close];
-        if iri.chars().any(|c| c.is_whitespace() || c == '<') {
+        if !is_delimitable_iri(iri) {
             return Err(self.err("whitespace or '<' inside IRI"));
         }
         self.pos += close + 1;

@@ -158,6 +158,13 @@ pub fn escape_literal(s: &str) -> String {
     out
 }
 
+/// Whether `iri` reads back as itself between `<` and `>`: the
+/// N-Triples and SPARQL lexers both end an IRI at its first `>` and
+/// refuse whitespace and `<` inside one.
+pub fn is_delimitable_iri(iri: &str) -> bool {
+    !iri.contains(|c: char| c.is_whitespace() || c == '<' || c == '>')
+}
+
 /// Reverses [`escape_literal`].
 pub fn unescape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

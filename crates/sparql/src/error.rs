@@ -1,6 +1,7 @@
 //! Error type for SPARQL parsing and evaluation.
 
 use crate::budget::BudgetBreach;
+use sofya_rdf::Term;
 use std::fmt;
 
 /// Errors raised while lexing, parsing, planning, or evaluating a query.
@@ -30,6 +31,13 @@ pub enum SparqlError {
     Budget {
         /// Which limit was breached.
         breach: BudgetBreach,
+    },
+    /// A prepared query's argument whose text would not parse back as
+    /// that one term where the template puts it (see
+    /// [`crate::Prepared::render`]).
+    Unrenderable {
+        /// The refused argument.
+        term: Term,
     },
 }
 
@@ -77,6 +85,10 @@ impl fmt::Display for SparqlError {
             SparqlError::Parse { message } => write!(f, "SPARQL syntax error: {message}"),
             SparqlError::Eval { message } => write!(f, "SPARQL evaluation error: {message}"),
             SparqlError::Budget { breach } => write!(f, "query budget exceeded: {breach}"),
+            SparqlError::Unrenderable { term } => write!(
+                f,
+                "prepared argument {term:?} does not render as one SPARQL term in its place"
+            ),
         }
     }
 }

@@ -16,7 +16,9 @@ pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
 /// Parses a query string into an AST.
 pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens: tokens.into_iter().peekable(),
+    };
     let query = parser.parse_query()?;
     if !parser.at_end() {
         return Err(SparqlError::parse(format!(
@@ -27,28 +29,30 @@ pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
     Ok(query)
 }
 
+/// Takes each token by move: an IRI, variable or literal token becomes
+/// the AST's string without a copy.
 struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+    tokens: std::iter::Peekable<std::vec::IntoIter<Token>>,
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&mut self) -> Option<&Token> {
+        self.tokens.peek()
     }
 
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
+    fn at_end(&mut self) -> bool {
+        self.tokens.peek().is_none()
     }
 
     fn next(&mut self) -> Result<Token, SparqlError> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| SparqlError::parse("unexpected end of query"))?;
-        self.pos += 1;
-        Ok(t)
+        self.tokens
+            .next()
+            .ok_or_else(|| SparqlError::parse("unexpected end of query"))
+    }
+
+    /// Drops the token [`Parser::peek`] just matched.
+    fn bump(&mut self) {
+        self.tokens.next();
     }
 
     fn expect(&mut self, want: &Token) -> Result<(), SparqlError> {
@@ -63,8 +67,8 @@ impl Parser {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Token::Keyword(k)) if k == kw) {
-            self.pos += 1;
+        if matches!(self.peek(), Some(Token::Keyword(k)) if *k == kw) {
+            self.bump();
             true
         } else {
             false
@@ -108,9 +112,9 @@ impl Parser {
                             descending: false,
                         });
                     }
-                    Some(Token::Keyword(k)) if k == "ASC" || k == "DESC" => {
-                        let descending = k == "DESC";
-                        self.pos += 1;
+                    Some(Token::Keyword(k)) if *k == "ASC" || *k == "DESC" => {
+                        let descending = *k == "DESC";
+                        self.bump();
                         self.expect(&Token::LParen)?;
                         let Token::Var(v) = self.next()? else {
                             return Err(SparqlError::parse("expected variable in ORDER BY"));
@@ -159,17 +163,17 @@ impl Parser {
     fn parse_projection(&mut self) -> Result<Projection, SparqlError> {
         match self.peek() {
             Some(Token::Star) => {
-                self.pos += 1;
+                self.bump();
                 Ok(Projection::Star)
             }
             Some(Token::LParen) => {
                 // ( COUNT ( * | [DISTINCT] ?v ) AS ?alias )
-                self.pos += 1;
+                self.bump();
                 self.expect_keyword("COUNT")?;
                 self.expect(&Token::LParen)?;
                 let (var, distinct) = match self.peek() {
                     Some(Token::Star) => {
-                        self.pos += 1;
+                        self.bump();
                         (None, false)
                     }
                     _ => {
@@ -214,22 +218,22 @@ impl Parser {
         loop {
             match self.peek() {
                 Some(Token::RBrace) => {
-                    self.pos += 1;
+                    self.bump();
                     break;
                 }
-                Some(Token::Keyword(k)) if k == "FILTER" => {
-                    self.pos += 1;
+                Some(Token::Keyword("FILTER")) => {
+                    self.bump();
                     group.filters.push(self.parse_constraint()?);
                     // An optional '.' may separate filters from triples.
                     while matches!(self.peek(), Some(Token::Dot)) {
-                        self.pos += 1;
+                        self.bump();
                     }
                 }
-                Some(Token::Keyword(k)) if k == "OPTIONAL" => {
-                    self.pos += 1;
+                Some(Token::Keyword("OPTIONAL")) => {
+                    self.bump();
                     group.optionals.push(self.parse_group()?);
                     while matches!(self.peek(), Some(Token::Dot)) {
-                        self.pos += 1;
+                        self.bump();
                     }
                 }
                 Some(Token::LBrace) => {
@@ -240,7 +244,7 @@ impl Parser {
                     }
                     group.unions.push(branches);
                     while matches!(self.peek(), Some(Token::Dot)) {
-                        self.pos += 1;
+                        self.bump();
                     }
                 }
                 Some(_) => {
@@ -248,7 +252,7 @@ impl Parser {
                     group.triples.push(triple);
                     // '.' separators are optional before '}' per SPARQL.
                     while matches!(self.peek(), Some(Token::Dot)) {
-                        self.pos += 1;
+                        self.bump();
                     }
                 }
                 None => {
@@ -294,7 +298,7 @@ impl Parser {
                 Ok(Term::lang_literal(lexical, lang))
             }
             Some(Token::DoubleCaret) => {
-                self.pos += 1;
+                self.bump();
                 match self.next()? {
                     Token::Iri(dt) => Ok(Term::typed_literal(lexical, dt)),
                     other => Err(SparqlError::parse(format!(
@@ -311,7 +315,7 @@ impl Parser {
         // builtin / EXISTS call.
         match self.peek() {
             Some(Token::LParen) => {
-                self.pos += 1;
+                self.bump();
                 let e = self.parse_expr()?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
@@ -327,7 +331,7 @@ impl Parser {
     fn parse_or(&mut self) -> Result<Expr, SparqlError> {
         let mut lhs = self.parse_and()?;
         while matches!(self.peek(), Some(Token::OrOr)) {
-            self.pos += 1;
+            self.bump();
             let rhs = self.parse_and()?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
@@ -337,7 +341,7 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr, SparqlError> {
         let mut lhs = self.parse_unary()?;
         while matches!(self.peek(), Some(Token::AndAnd)) {
-            self.pos += 1;
+            self.bump();
             let rhs = self.parse_unary()?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
@@ -346,7 +350,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, SparqlError> {
         if matches!(self.peek(), Some(Token::Bang)) {
-            self.pos += 1;
+            self.bump();
             let inner = self.parse_unary()?;
             return Ok(Expr::Not(Box::new(inner)));
         }
@@ -364,7 +368,7 @@ impl Parser {
             Some(Token::Ge) => CompareOp::Ge,
             _ => return Ok(lhs),
         };
-        self.pos += 1;
+        self.bump();
         let rhs = self.parse_primary()?;
         Ok(Expr::Compare(op, Box::new(lhs), Box::new(rhs)))
     }
@@ -384,7 +388,7 @@ impl Parser {
                 let inner = self.parse_unary()?;
                 Ok(Expr::Not(Box::new(inner)))
             }
-            Token::Keyword(kw) => self.parse_keyword_primary(&kw),
+            Token::Keyword(kw) => self.parse_keyword_primary(kw),
             other => Err(SparqlError::parse(format!(
                 "expected expression, found {other:?}"
             ))),
@@ -437,7 +441,7 @@ impl Parser {
             loop {
                 args.push(self.parse_expr()?);
                 if matches!(self.peek(), Some(Token::Comma)) {
-                    self.pos += 1;
+                    self.bump();
                 } else {
                     break;
                 }

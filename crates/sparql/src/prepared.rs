@@ -20,26 +20,43 @@
 //! let bound = probe.bind(&[Term::iri("a"), Term::iri("p")]).unwrap();
 //! let out = sofya_sparql::execute_ast(&store, &bound).unwrap();
 //! assert_eq!(out, sofya_sparql::QueryOutcome::Boolean(true));
+//! assert_eq!(
+//!     probe.render(&[Term::iri("a"), Term::iri("p")]).unwrap(),
+//!     "ASK { <a> <p> ?y . }"
+//! );
 //! ```
 //!
 //! Binding replaces every occurrence of a parameter variable — in triple
 //! patterns, `FILTER` expressions, and nested `UNION` / `OPTIONAL` /
-//! `EXISTS` groups — with the corresponding constant term. Endpoints that
-//! cannot execute an AST directly (remote HTTP endpoints, wrappers keyed
-//! by query strings) fall back to [`Prepared::render`], which serialises
-//! the bound AST through [`crate::unparse()`].
+//! `EXISTS` groups — with the corresponding constant term.
+//!
+//! Endpoints that cannot execute an AST directly (remote HTTP endpoints)
+//! send [`Prepared::render`]'s text instead. [`Prepared::new`] unparses
+//! the template once, without its `LIMIT`/`OFFSET`, and cuts the text at
+//! every parameter; a render writes the segments with the arguments
+//! between them and then the page, nothing cloned from the AST. The text
+//! is byte for byte [`crate::unparse()`] of the bound query. An argument
+//! that text would not parse back as — an IRI holding `>`, a blank-node
+//! label the lexer would end early, a literal as a predicate — is refused
+//! with [`SparqlError::Unrenderable`], so a term from an untrusted source
+//! cannot add patterns to the query it is spliced into.
 
 use crate::ast::{Expr, GroupGraphPattern, NodePattern, Projection, Query};
 use crate::error::SparqlError;
 use crate::parser::parse_query;
-use crate::unparse::unparse;
+use crate::unparse::{unparse_template, write_page, writes_as_itself, Hole};
 use sofya_rdf::Term;
+use std::fmt::Write;
 
 /// A parse-once query template with named constant parameters.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     query: Query,
     params: Vec<String>,
+    /// The template's text without its `LIMIT`/`OFFSET`, parameters cut
+    /// out; `holes` says where, in text order.
+    text: String,
+    holes: Vec<Hole>,
     /// Process-unique template identity (shared by clones), so endpoint
     /// plan caches can key compiled bound plans by `(template, args)`
     /// without serialising the query.
@@ -90,9 +107,12 @@ impl Prepared {
             }
         }
         static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+        let (text, holes) = unparse_template(&query, &params);
         Ok(Self {
             query,
             params,
+            text,
+            holes,
             token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         })
     }
@@ -141,10 +161,40 @@ impl Prepared {
         }))
     }
 
-    /// Binds `args` and serialises the result to SPARQL text (the slow
-    /// path for endpoints that only speak strings).
+    /// The SPARQL text of the bound query, for endpoints that only speak
+    /// strings: [`crate::unparse()`] of [`Prepared::bind`]'s query, byte
+    /// for byte, spliced from the template's text. Errors with
+    /// [`SparqlError::Unrenderable`] on an argument that text would not
+    /// parse back as.
     pub fn render(&self, args: &[Term]) -> Result<String, SparqlError> {
-        Ok(unparse(&self.bind(args)?))
+        match &self.query {
+            Query::Select(s) => self.splice(args, s.limit, s.offset),
+            Query::Ask(_) => self.splice(args, None, None),
+        }
+    }
+
+    /// The template's text with `args` in its holes, then the page.
+    fn splice(
+        &self,
+        args: &[Term],
+        limit: Option<usize>,
+        offset: Option<usize>,
+    ) -> Result<String, SparqlError> {
+        self.check_arity(args)?;
+        let mut out = String::with_capacity(self.text.len() + 64 * self.holes.len());
+        let mut from = 0;
+        for hole in &self.holes {
+            let arg = &args[hole.param];
+            if !writes_as_itself(arg, hole.place) {
+                return Err(SparqlError::Unrenderable { term: arg.clone() });
+            }
+            out.push_str(&self.text[from..hole.at]);
+            let _ = write!(out, "{arg}");
+            from = hole.at;
+        }
+        out.push_str(&self.text[from..]);
+        write_page(&mut out, limit, offset);
+        Ok(out)
     }
 
     /// Whether the template is a `SELECT` (as opposed to an `ASK`).
@@ -176,26 +226,30 @@ impl Prepared {
                     s.offset = offset;
                 }
             }
-            Query::Ask(_) => {
-                return Err(SparqlError::eval(
-                    "LIMIT/OFFSET cannot be applied to an ASK template",
-                ));
-            }
+            Query::Ask(_) => return Err(ask_paged()),
         }
         Ok(query)
     }
 
-    /// Binds `args` with a `LIMIT`/`OFFSET` override and serialises to
-    /// SPARQL text (for endpoints that only speak strings; each page is a
-    /// distinct string, so string-keyed caches stay correct).
+    /// [`Prepared::render`] with a `LIMIT`/`OFFSET` override: byte for
+    /// byte [`crate::unparse()`] of [`Prepared::bind_paged`]'s query
+    /// (each page is a distinct string, so string-keyed caches stay
+    /// correct).
     pub fn render_paged(
         &self,
         args: &[Term],
         limit: Option<usize>,
         offset: Option<usize>,
     ) -> Result<String, SparqlError> {
-        Ok(unparse(&self.bind_paged(args, limit, offset)?))
+        match &self.query {
+            Query::Select(s) => self.splice(args, limit.or(s.limit), offset.or(s.offset)),
+            Query::Ask(_) => Err(ask_paged()),
+        }
     }
+}
+
+fn ask_paged() -> SparqlError {
+    SparqlError::eval("LIMIT/OFFSET cannot be applied to an ASK template")
 }
 
 fn lookup<'a>(params: &[String], args: &'a [Term], name: &str) -> Option<&'a Term> {
@@ -355,6 +409,38 @@ mod tests {
         // e:a has r:q→e:c, so only e:b survives.
         assert_eq!(rs.len(), 1);
         assert_eq!(rs.cell(0, "x"), Some(&Term::iri("e:b")));
+    }
+
+    /// A term whose text would close its own token and open others is
+    /// refused: spliced as is, this IRI made the probe two patterns,
+    /// true on a store where the bound query is false.
+    #[test]
+    fn render_refuses_an_argument_that_would_add_patterns() {
+        let mut store = TripleStore::new();
+        store.insert_terms(&Term::iri("e:a"), &Term::iri("r:q"), &Term::iri("e:b"));
+        store.insert_terms(&Term::iri("e:c"), &Term::iri("r:p"), &Term::iri("e:d"));
+        let probe = Prepared::new("ASK { ?s <r:p> ?o }", &["s"]).unwrap();
+        let hostile = Term::iri("e:a><r:q><e:b>.<e:c");
+        let bound = probe.bind(std::slice::from_ref(&hostile)).unwrap();
+        assert_eq!(
+            execute_ast(&store, &bound).unwrap(),
+            QueryOutcome::Boolean(false)
+        );
+        let spliced = "ASK { <e:a><r:q><e:b>.<e:c> <r:p> ?o . }";
+        assert!(execute_ask(&store, spliced).unwrap());
+        assert_eq!(
+            probe.render(std::slice::from_ref(&hostile)),
+            Err(SparqlError::Unrenderable { term: hostile })
+        );
+        let label = Term::bnode("x . ?s ?p ?o");
+        assert_eq!(
+            probe.render(std::slice::from_ref(&label)),
+            Err(SparqlError::Unrenderable { term: label })
+        );
+        assert_eq!(
+            probe.render(&[Term::iri("e:a")]).unwrap(),
+            "ASK { <e:a> <r:p> ?o . }"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@ use sofya_rdf::term::unescape_literal;
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
-    /// Case-normalised keyword, e.g. `SELECT`, `WHERE`, `FILTER`.
-    Keyword(String),
+    /// Case-normalised keyword, e.g. `SELECT`, `WHERE`, `FILTER`: the
+    /// entry of the keyword table, so a keyword allocates nothing.
+    Keyword(&'static str),
     /// Variable without the leading `?`/`$`.
     Var(String),
     /// IRI without angle brackets.
@@ -294,15 +295,14 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
                 while end < bytes.len() && (bytes[end] as char).is_ascii_alphanumeric() {
                     end += 1;
                 }
-                let word = input[start..end].to_ascii_uppercase();
-                if KEYWORDS.contains(&word.as_str()) {
-                    tokens.push(Token::Keyword(word));
-                } else {
+                let word = &input[start..end];
+                let Some(keyword) = KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) else {
                     return Err(SparqlError::lex(
                         i,
-                        format!("unknown keyword or bare name '{}'", &input[start..end]),
+                        format!("unknown keyword or bare name '{word}'"),
                     ));
-                }
+                };
+                tokens.push(Token::Keyword(keyword));
                 i = end;
             }
             other => {
@@ -326,9 +326,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Keyword("SELECT".into()),
+                Token::Keyword("SELECT"),
                 Token::Var("x".into()),
-                Token::Keyword("WHERE".into()),
+                Token::Keyword("WHERE"),
                 Token::LBrace,
                 Token::Var("x".into()),
                 Token::Iri("p".into()),
@@ -345,9 +345,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Keyword("SELECT".into()),
-                Token::Keyword("WHERE".into()),
-                Token::Keyword("FILTER".into()),
+                Token::Keyword("SELECT"),
+                Token::Keyword("WHERE"),
+                Token::Keyword("FILTER"),
             ]
         );
     }

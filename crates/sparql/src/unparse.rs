@@ -5,112 +5,251 @@
 //! against KB `K'`). `parse_query(unparse(q))` is the identity on the
 //! AST, which the round-trip tests below and the workspace property tests
 //! enforce.
+//!
+//! The same writer cuts a prepared template's text at its parameters
+//! (`unparse_template`), so [`crate::Prepared::render`] splices
+//! argument terms into the holes instead of binding and unparsing.
 
 use crate::ast::{
     Builtin, CompareOp, Expr, GroupGraphPattern, NodePattern, Projection, Query, SelectQuery,
-    TriplePatternAst,
 };
+use sofya_rdf::term::is_delimitable_iri;
 use sofya_rdf::Term;
 use std::fmt::Write;
 
 /// Serialises a query back to SPARQL text.
 pub fn unparse(query: &Query) -> String {
-    match query {
-        Query::Select(s) => unparse_select(s),
-        Query::Ask(p) => format!("ASK {}", unparse_group(p)),
+    let (mut text, _) = unparse_template(query, &[]);
+    if let Query::Select(s) = query {
+        write_page(&mut text, s.limit, s.offset);
     }
+    text
 }
 
-fn unparse_select(q: &SelectQuery) -> String {
-    let mut out = String::from("SELECT ");
-    if q.distinct {
-        out.push_str("DISTINCT ");
-    }
-    match &q.projection {
-        Projection::Star => out.push('*'),
-        Projection::Vars(vars) => {
-            let names: Vec<String> = vars.iter().map(|v| format!("?{v}")).collect();
-            out.push_str(&names.join(" "));
-        }
-        Projection::Count {
-            var,
-            distinct,
-            alias,
-        } => {
-            out.push_str("(COUNT(");
-            if *distinct {
-                out.push_str("DISTINCT ");
-            }
-            match var {
-                Some(v) => {
-                    let _ = write!(out, "?{v}");
-                }
-                None => out.push('*'),
-            }
-            let _ = write!(out, ") AS ?{alias})");
-        }
-    }
-    out.push_str(" WHERE ");
-    out.push_str(&unparse_group(&q.pattern));
-    if !q.order_by.is_empty() {
-        out.push_str(" ORDER BY");
-        for key in &q.order_by {
-            if key.descending {
-                let _ = write!(out, " DESC(?{})", key.var);
-            } else {
-                let _ = write!(out, " ?{}", key.var);
-            }
-        }
-    }
-    if let Some(limit) = q.limit {
+/// Where a parameter stands, which decides the terms that may fill it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Place {
+    /// Subject or object of a triple pattern: any term.
+    Node,
+    /// Predicate of a triple pattern: an IRI.
+    Predicate,
+    /// An operand of a `FILTER` expression: an IRI or a literal.
+    Expr,
+}
+
+/// One parameter occurrence cut out of a template's text.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hole {
+    /// Byte offset of the hole in the text.
+    pub(crate) at: usize,
+    /// Index of the parameter that fills it.
+    pub(crate) param: usize,
+    /// What may fill it.
+    pub(crate) place: Place,
+}
+
+/// `query`'s text up to, not including, its `LIMIT`/`OFFSET`, with every
+/// occurrence of a variable named in `params` left out and recorded as a
+/// [`Hole`], in text order. Writing each hole's argument (its N-Triples
+/// text) and the page with [`write_page`] gives exactly [`unparse`] of
+/// the bound query.
+pub(crate) fn unparse_template(query: &Query, params: &[String]) -> (String, Vec<Hole>) {
+    let mut w = Writer {
+        out: String::new(),
+        params,
+        holes: Vec::new(),
+    };
+    w.query(query);
+    (w.out, w.holes)
+}
+
+/// Appends a query's ` LIMIT n` / ` OFFSET n`, as [`unparse`] writes them.
+pub(crate) fn write_page(out: &mut String, limit: Option<usize>, offset: Option<usize>) {
+    if let Some(limit) = limit {
         let _ = write!(out, " LIMIT {limit}");
     }
-    if let Some(offset) = q.offset {
+    if let Some(offset) = offset {
         let _ = write!(out, " OFFSET {offset}");
     }
-    out
 }
 
-fn unparse_group(group: &GroupGraphPattern) -> String {
-    let mut out = String::from("{ ");
-    for tp in &group.triples {
-        out.push_str(&unparse_triple(tp));
-        out.push_str(" . ");
-    }
-    for block in &group.unions {
-        let rendered: Vec<String> = block.iter().map(unparse_group).collect();
-        out.push_str(&rendered.join(" UNION "));
-        out.push_str(" . ");
-    }
-    for optional in &group.optionals {
-        let _ = write!(out, "OPTIONAL {} . ", unparse_group(optional));
-    }
-    for filter in &group.filters {
-        let _ = write!(out, "FILTER({}) . ", unparse_expr(filter));
-    }
-    out.push('}');
-    out
-}
-
-fn unparse_triple(tp: &TriplePatternAst) -> String {
-    format!(
-        "{} {} {}",
-        unparse_node(&tp.s),
-        unparse_node(&tp.p),
-        unparse_node(&tp.o)
-    )
-}
-
-fn unparse_node(node: &NodePattern) -> String {
-    match node {
-        NodePattern::Var(v) => format!("?{v}"),
-        NodePattern::Term(t) => unparse_term(t),
+/// Whether `term`'s N-Triples text, which is valid SPARQL for constants,
+/// parses back as `term` in `place`: an IRI the lexer does not end
+/// early, a language tag and a blank-node label of the characters their
+/// tokens take, no literal that carries both a tag and a datatype (only
+/// the tag is written), no literal as a predicate and no blank node in
+/// an expression, which the parser refuses.
+pub(crate) fn writes_as_itself(term: &Term, place: Place) -> bool {
+    match term {
+        Term::Iri(iri) => is_delimitable_iri(iri),
+        Term::Literal { lang, datatype, .. } => {
+            place != Place::Predicate
+                && match (lang, datatype) {
+                    (Some(_), Some(_)) => false,
+                    (Some(lang), None) => {
+                        !lang.is_empty()
+                            && lang.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-')
+                    }
+                    (None, Some(datatype)) => is_delimitable_iri(datatype),
+                    (None, None) => true,
+                }
+        }
+        Term::BNode(label) => {
+            place == Place::Node
+                && !label.is_empty()
+                && label
+                    .bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'_')
+        }
     }
 }
 
-fn unparse_term(term: &Term) -> String {
-    // N-Triples syntax is valid SPARQL for constants.
-    term.to_string()
+/// One output buffer for the whole query; a parameter variable becomes a
+/// hole instead of text.
+struct Writer<'p> {
+    out: String,
+    params: &'p [String],
+    holes: Vec<Hole>,
+}
+
+impl Writer<'_> {
+    fn query(&mut self, query: &Query) {
+        match query {
+            Query::Select(s) => self.select(s),
+            Query::Ask(p) => {
+                self.out.push_str("ASK ");
+                self.group(p);
+            }
+        }
+    }
+
+    /// Everything of a `SELECT` but its `LIMIT`/`OFFSET`.
+    fn select(&mut self, q: &SelectQuery) {
+        self.out.push_str("SELECT ");
+        if q.distinct {
+            self.out.push_str("DISTINCT ");
+        }
+        match &q.projection {
+            Projection::Star => self.out.push('*'),
+            Projection::Vars(vars) => {
+                let names: Vec<String> = vars.iter().map(|v| format!("?{v}")).collect();
+                self.out.push_str(&names.join(" "));
+            }
+            Projection::Count {
+                var,
+                distinct,
+                alias,
+            } => {
+                let distinct = if *distinct { "DISTINCT " } else { "" };
+                let var = var.as_ref().map_or("*".to_owned(), |v| format!("?{v}"));
+                let _ = write!(self.out, "(COUNT({distinct}{var}) AS ?{alias})");
+            }
+        }
+        self.out.push_str(" WHERE ");
+        self.group(&q.pattern);
+        if !q.order_by.is_empty() {
+            self.out.push_str(" ORDER BY");
+            for key in &q.order_by {
+                if key.descending {
+                    let _ = write!(self.out, " DESC(?{})", key.var);
+                } else {
+                    let _ = write!(self.out, " ?{}", key.var);
+                }
+            }
+        }
+    }
+
+    fn group(&mut self, group: &GroupGraphPattern) {
+        self.out.push_str("{ ");
+        for tp in &group.triples {
+            self.node(&tp.s, Place::Node);
+            self.out.push(' ');
+            self.node(&tp.p, Place::Predicate);
+            self.out.push(' ');
+            self.node(&tp.o, Place::Node);
+            self.out.push_str(" . ");
+        }
+        for block in &group.unions {
+            for (i, branch) in block.iter().enumerate() {
+                self.out.push_str(if i > 0 { " UNION " } else { "" });
+                self.group(branch);
+            }
+            self.out.push_str(" . ");
+        }
+        for optional in &group.optionals {
+            self.out.push_str("OPTIONAL ");
+            self.group(optional);
+            self.out.push_str(" . ");
+        }
+        for filter in &group.filters {
+            self.out.push_str("FILTER(");
+            self.expr(filter);
+            self.out.push_str(") . ");
+        }
+        self.out.push('}');
+    }
+
+    fn node(&mut self, node: &NodePattern, place: Place) {
+        match node {
+            NodePattern::Var(v) => self.var(v, place),
+            NodePattern::Term(t) => {
+                let _ = write!(self.out, "{t}");
+            }
+        }
+    }
+
+    fn var(&mut self, name: &str, place: Place) {
+        match self.params.iter().position(|p| p == name) {
+            Some(param) => self.holes.push(Hole {
+                at: self.out.len(),
+                param,
+                place,
+            }),
+            None => {
+                let _ = write!(self.out, "?{name}");
+            }
+        }
+    }
+
+    fn expr(&mut self, expr: &Expr) {
+        match expr {
+            Expr::Var(v) => self.var(v, Place::Expr),
+            Expr::Const(t) => {
+                let _ = write!(self.out, "{t}");
+            }
+            Expr::Compare(op, a, b) => self.infix(a, compare_op(*op), b),
+            Expr::And(a, b) => self.infix(a, "&&", b),
+            Expr::Or(a, b) => self.infix(a, "||", b),
+            Expr::Not(inner) => {
+                self.out.push_str("(!");
+                self.expr(inner);
+                self.out.push(')');
+            }
+            Expr::Call(builtin, args) => {
+                self.out.push_str(builtin_name(*builtin));
+                self.out.push('(');
+                for (i, arg) in args.iter().enumerate() {
+                    self.out.push_str(if i > 0 { ", " } else { "" });
+                    self.expr(arg);
+                }
+                self.out.push(')');
+            }
+            Expr::Exists { pattern, negated } => {
+                self.out
+                    .push_str(if *negated { "NOT EXISTS " } else { "EXISTS " });
+                self.group(pattern);
+            }
+        }
+    }
+
+    /// `(a op b)`.
+    fn infix(&mut self, a: &Expr, op: &str, b: &Expr) {
+        self.out.push('(');
+        self.expr(a);
+        let _ = write!(self.out, " {op} ");
+        self.expr(b);
+        self.out.push(')');
+    }
 }
 
 fn compare_op(op: CompareOp) -> &'static str {
@@ -137,32 +276,6 @@ fn builtin_name(b: Builtin) -> &'static str {
         Builtin::StrEnds => "STRENDS",
         Builtin::Contains => "CONTAINS",
         Builtin::Regex => "REGEX",
-    }
-}
-
-fn unparse_expr(expr: &Expr) -> String {
-    match expr {
-        Expr::Var(v) => format!("?{v}"),
-        Expr::Const(t) => unparse_term(t),
-        Expr::Compare(op, a, b) => {
-            format!(
-                "({} {} {})",
-                unparse_expr(a),
-                compare_op(*op),
-                unparse_expr(b)
-            )
-        }
-        Expr::And(a, b) => format!("({} && {})", unparse_expr(a), unparse_expr(b)),
-        Expr::Or(a, b) => format!("({} || {})", unparse_expr(a), unparse_expr(b)),
-        Expr::Not(inner) => format!("(!{})", unparse_expr(inner)),
-        Expr::Call(builtin, args) => {
-            let rendered: Vec<String> = args.iter().map(unparse_expr).collect();
-            format!("{}({})", builtin_name(*builtin), rendered.join(", "))
-        }
-        Expr::Exists { pattern, negated } => {
-            let keyword = if *negated { "NOT EXISTS" } else { "EXISTS" };
-            format!("{keyword} {}", unparse_group(pattern))
-        }
     }
 }
 

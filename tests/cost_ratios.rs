@@ -1,6 +1,7 @@
-//! Seven costs held as ratios, not times: each test measures two things
-//! in one process and asserts how far apart they may lie, so it means
-//! the same on any machine and needs no committed baseline.
+//! Eight costs held as ratios, not times: each test measures two things
+//! in one process, sampling them in turn so drift of the host lands on
+//! both, and asserts how far apart they may lie, so it means the same on
+//! any machine and needs no committed baseline.
 //!
 //! * polling a far-future deadline costs an alignment at most 5%;
 //! * `Json::parse` is linear: a byte of a 400-row page costs at most
@@ -18,7 +19,9 @@
 //!   a 256-triple batch of one predicate, on a store with four times the
 //!   triples on the other predicates, costs at most 1.5x;
 //! * `SELECT DISTINCT ?p … ORDER BY ?p` over a whole KB costs at most
-//!   1.5x the same query unordered: only the distinct rows are sorted.
+//!   1.5x the same query unordered: only the distinct rows are sorted;
+//! * a query text new to a full 4096-entry plan cache costs at most 1.5x
+//!   one new to a full 64-entry cache: an insert does not scan.
 //!
 //! Timing-sensitive, so the assertions only run in release builds
 //! (`cargo test --release --test cost_ratios`). Absolute times are the
@@ -51,34 +54,34 @@ fn small_pair() -> GeneratedPair {
     generate(&PairConfig::small(SEED))
 }
 
-/// Measures `f` repeatedly and returns the median ns per call.
-fn median_ns(mut f: impl FnMut() -> u64) -> u64 {
-    // The sum keeps the results observable.
-    let mut sink = 0u64;
-    let median = median_sample(|| {
+/// Times one call of `f`: a sampler for [`interleaved_medians`].
+fn timed(mut f: impl FnMut() -> u64) -> impl FnMut() -> u64 {
+    move || {
         let t0 = Instant::now();
-        sink = sink.wrapping_add(f());
+        std::hint::black_box(f());
         t0.elapsed().as_nanos() as u64
-    });
-    std::hint::black_box(sink);
-    median
+    }
 }
 
-/// The median of what `sample` returns — the ns of whatever part of
-/// itself it timed — over one warm-up and then repeated calls.
-fn median_sample(mut sample: impl FnMut() -> u64) -> u64 {
-    sample();
-    let mut samples: Vec<u64> = Vec::new();
-    let budget_start = Instant::now();
-    // At least 9 samples; stop early once we have them and ~1.5s elapsed.
-    while samples.len() < 9 || (budget_start.elapsed().as_millis() < 1500 && samples.len() < 301) {
-        samples.push(sample());
-        if budget_start.elapsed().as_millis() >= 1500 && samples.len() >= 9 {
-            break;
-        }
+/// The medians of what two samplers return — the ns of whatever part
+/// of itself each timed — sampled in turn (a, b, a, b, …) after
+/// one warm-up each, so that drift of the host between the samples
+/// lands on both sides alike and cancels out of their ratio. At least 9
+/// pairs; more, up to 301, while under 3 s.
+fn interleaved_medians(mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> (u64, u64) {
+    a();
+    b();
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let start = Instant::now();
+    while xs.len() < 9 || (start.elapsed() < Duration::from_secs(3) && xs.len() < 301) {
+        xs.push(a());
+        ys.push(b());
     }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    (median(xs), median(ys))
 }
 
 /// Runs every request under a deadline an hour away, the budget a
@@ -109,28 +112,24 @@ fn budget_polling_costs_an_alignment_at_most_5_percent() {
 
     let source = LocalEndpoint::new("kb2", pair.kb2.clone());
     let target = LocalEndpoint::new("kb1", pair.kb1.clone());
-    let unbudgeted = || {
-        median_ns(|| {
-            let aligner = Aligner::new(&source, &target, config.clone());
-            aligner.align_relation(&relation).unwrap().len() as u64
-        })
-    };
+    let mut unbudgeted = timed(|| {
+        let aligner = Aligner::new(&source, &target, config.clone());
+        aligner.align_relation(&relation).unwrap().len() as u64
+    });
     let budgeted_source = FarDeadline(LocalEndpoint::new("kb2", pair.kb2.clone()));
     let budgeted_target = FarDeadline(LocalEndpoint::new("kb1", pair.kb1.clone()));
-    let budgeted = || {
-        median_ns(|| {
-            let aligner = Aligner::new(&budgeted_source, &budgeted_target, config.clone());
-            aligner.align_relation(&relation).unwrap().len() as u64
-        })
-    };
+    let mut budgeted = timed(|| {
+        let aligner = Aligner::new(&budgeted_source, &budgeted_target, config.clone());
+        aligner.align_relation(&relation).unwrap().len() as u64
+    });
 
     // Run-to-run noise on this case is ±5% — the same order as the guard
     // itself — so compare the *best* budgeted median against the *worst*
-    // unbudgeted one, interleaved so drift lands on both: random jitter
-    // cancels out of the ratio, while a systematic polling cost shifts
-    // every budgeted sample and still trips.
-    let (unbudgeted_before, budgeted_first) = (unbudgeted(), budgeted());
-    let (unbudgeted_after, budgeted_retry) = (unbudgeted(), budgeted());
+    // unbudgeted one, both sides sampled in turn so drift lands on both:
+    // random jitter cancels out of the ratio, while a systematic polling
+    // cost shifts every budgeted sample and still trips.
+    let (unbudgeted_before, budgeted_first) = interleaved_medians(&mut unbudgeted, &mut budgeted);
+    let (unbudgeted_after, budgeted_retry) = interleaved_medians(&mut unbudgeted, &mut budgeted);
     let reference = unbudgeted_before.max(unbudgeted_after);
     let ratio = budgeted_first.min(budgeted_retry) as f64 / reference.max(1) as f64;
     assert!(
@@ -159,11 +158,18 @@ fn rendered_answers() -> (String, String) {
     (ask, rows_400)
 }
 
-/// The median ns per byte of `decode` on `text`, run `reps` times per
-/// sample so that on a small envelope the timer does not dominate.
-fn ns_per_byte(text: &str, reps: u64, decode: impl Fn(&str) -> u64) -> f64 {
-    let ns = median_ns(|| (0..reps).map(|_| decode(text)).sum());
-    ns as f64 / (reps * text.len() as u64) as f64
+/// The median ns per byte of `decode` on the `ask` envelope and on the
+/// 400-row page, sampled in turn; the envelope is decoded 256 times per
+/// sample so that the timer does not dominate.
+fn ns_per_byte((ask, rows_400): &(String, String), decode: impl Fn(&str) -> u64) -> (f64, f64) {
+    let (small, large) = interleaved_medians(
+        timed(|| (0..256).map(|_| decode(ask)).sum()),
+        timed(|| decode(rows_400)),
+    );
+    (
+        small as f64 / (256 * ask.len()) as f64,
+        large as f64 / rows_400.len() as f64,
+    )
 }
 
 /// The wire parser on its own: answers rendered once and parsed over
@@ -172,13 +178,13 @@ fn ns_per_byte(text: &str, reps: u64, decode: impl Fn(&str) -> u64) -> f64 {
 #[test]
 fn json_parse_cost_per_byte_is_flat_in_the_body_size() {
     let _alone = alone();
-    let (ask, rows_400) = rendered_answers();
+    let answers = rendered_answers();
     let parse = |text: &str| match Json::parse(text) {
         Ok(json) => std::hint::black_box(json).get("ok").map_or(0, |_| 1),
         Err(e) => panic!("rendered envelope does not parse: {e}"),
     };
-    let small = ns_per_byte(&ask, 256, parse);
-    let large = ns_per_byte(&rows_400, 1, parse);
+    let (small, large) = ns_per_byte(&answers, parse);
+    let (ask, rows_400) = answers;
     assert!(
         large <= 2.0 * small,
         "Json::parse costs {small:.2} ns/B at {} B but {large:.2} ns/B at {} B ({:.2}x) — \
@@ -195,13 +201,13 @@ fn json_parse_cost_per_byte_is_flat_in_the_body_size() {
 #[test]
 fn one_pass_decode_cost_per_byte_is_flat_in_the_body_size() {
     let _alone = alone();
-    let (ask, rows_400) = rendered_answers();
+    let answers = rendered_answers();
     let decode = |text: &str| match parse_envelope(text) {
         Ok(result) => u64::from(std::hint::black_box(result).is_ok()),
         Err(e) => panic!("rendered envelope does not decode: {e}"),
     };
-    let small = ns_per_byte(&ask, 256, decode);
-    let large = ns_per_byte(&rows_400, 1, decode);
+    let (small, large) = ns_per_byte(&answers, decode);
+    let (ask, rows_400) = answers;
     assert!(
         large <= 2.0 * small,
         "parse_envelope costs {small:.2} ns/B at {} B but {large:.2} ns/B at {} B ({:.2}x) — \
@@ -294,8 +300,8 @@ fn publish_cycle_does_not_pay_for_the_dictionary() {
     let pair = small_pair();
     let mut cycle = PublishCycle::new(&pair.kb2, &pair.kb2_relations, 0);
     let mut inflated = PublishCycle::new(&pair.kb2, &pair.kb2_relations, 3 * pair.kb2.dict().len());
-    let plain_ns = median_ns(|| cycle.run());
-    let inflated_ns = median_ns(|| inflated.run());
+    let (plain_ns, inflated_ns) =
+        interleaved_medians(timed(|| cycle.run()), timed(|| inflated.run()));
     let ratio = inflated_ns as f64 / plain_ns.max(1) as f64;
     assert!(
         ratio <= 1.5,
@@ -304,11 +310,12 @@ fn publish_cycle_does_not_pay_for_the_dictionary() {
     );
 }
 
-/// The median ns of `diff_since` between the snapshots before and after
-/// a 256-triple batch of one predicate, which holds 1,000 triples before
-/// it, on a store with `untouched` more triples over 50 other predicates.
-/// The samples load the batch and remove it again in turn.
-fn commit_diff_ns(untouched: usize) -> (usize, u64) {
+/// The store's size and a sampler of the ns of `diff_since` between the
+/// snapshots before and after a 256-triple batch of one predicate, which
+/// holds 1,000 triples before it, on a store with `untouched` more
+/// triples over 50 other predicates. The samples load the batch and
+/// remove it again in turn.
+fn commit_diff(untouched: usize) -> (usize, impl FnMut() -> u64) {
     let mut store = TripleStore::new();
     let entities: Vec<TermId> = (0..2000)
         .map(|i| store.intern(&Term::iri(format!("perf:e{i}"))))
@@ -326,7 +333,7 @@ fn commit_diff_ns(untouched: usize) -> (usize, u64) {
     let size = store.len();
     let mut before = store.snapshot();
     let mut loaded = false;
-    let ns = median_sample(|| {
+    let sample = move || {
         if loaded {
             batch
                 .iter()
@@ -349,16 +356,17 @@ fn commit_diff_ns(untouched: usize) -> (usize, u64) {
         assert_eq!(changed, 8 * batch.len());
         before = after;
         ns
-    });
-    (size, ns)
+    };
+    (size, sample)
 }
 
 #[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
 #[test]
 fn a_commits_diff_costs_the_pages_it_touched() {
     let _alone = alone();
-    let (small, small_ns) = commit_diff_ns(25_000);
-    let (large, large_ns) = commit_diff_ns(100_000);
+    let (small, small_diff) = commit_diff(25_000);
+    let (large, large_diff) = commit_diff(100_000);
+    let (small_ns, large_ns) = interleaved_medians(small_diff, large_diff);
     assert!(large - 1000 >= 4 * (small - 1000));
     let ratio = large_ns as f64 / small_ns.max(1) as f64;
     assert!(
@@ -388,8 +396,10 @@ fn a_publish_costs_its_readers_what_it_wrote() {
         })
         .collect();
     let mut writer = SnapshotStore::new(pair.kb2.clone());
+    let base = writer.current();
+    let full = timed(|| StoreStats::compute(base.snapshot().store()).total_triples() as u64);
     let mut loaded = false;
-    let inherited_ns = median_sample(|| {
+    let inherited = || {
         writer.current().stats();
         let store = writer.store_mut();
         if loaded {
@@ -403,10 +413,8 @@ fn a_publish_costs_its_readers_what_it_wrote() {
         let t0 = Instant::now();
         std::hint::black_box(published.stats());
         t0.elapsed().as_nanos() as u64
-    });
-    let published = writer.current();
-    let full_ns =
-        median_ns(|| StoreStats::compute(published.snapshot().store()).total_triples() as u64);
+    };
+    let (inherited_ns, full_ns) = interleaved_medians(inherited, full);
     let ratio = inherited_ns as f64 / full_ns.max(1) as f64;
     assert!(
         ratio <= 0.2,
@@ -426,19 +434,31 @@ fn a_publish_costs_its_readers_what_it_wrote() {
     };
     let source = LocalEndpoint::new("kb2", pair.kb2.clone());
     let target = LocalEndpoint::new("kb1", pair.kb1.clone());
-    let asking = |cached: usize| {
+    // A session that has aligned `cached` relations, after `first` if
+    // it is told of one.
+    let session = |cached: usize, first: Option<&PublishDelta>| {
         let session = AlignmentSession::new(&source, &target, AlignerConfig::paper_defaults(SEED));
+        if let Some(first) = first {
+            session.apply_target_delta(first);
+        }
         for relation in &pair.kb1_relations[..cached] {
             session.rules_for(relation).unwrap();
         }
-        // Many calls per sample, so the timer does not dominate.
-        median_ns(|| {
+        session
+    };
+    // Many calls per sample, so the timer does not dominate.
+    fn asking<'s>(
+        session: &'s AlignmentSession<'_>,
+        delta: &'s PublishDelta,
+    ) -> impl FnMut() -> u64 + 's {
+        timed(move || {
             (0..16)
-                .map(|_| session.apply_target_delta(&delta) as u64)
+                .map(|_| session.apply_target_delta(delta) as u64)
                 .sum()
         })
-    };
-    let (one_ns, many_ns) = (asking(1), asking(64));
+    }
+    let (one, many) = (session(1, None), session(64, None));
+    let (one_ns, many_ns) = interleaved_medians(asking(&one, &delta), asking(&many, &delta));
     let ratio = many_ns as f64 / one_ns.max(1) as f64;
     assert!(
         ratio <= 8.0,
@@ -455,21 +475,10 @@ fn a_publish_costs_its_readers_what_it_wrote() {
         predicates: vec![Term::iri("perf:warm")],
         terms: Vec::new(),
     };
-    let asking_live = |cached: usize| {
-        let session = AlignmentSession::new(&source, &target, AlignerConfig::paper_defaults(SEED));
-        session.apply_target_delta(&warm);
-        for relation in &pair.kb1_relations[..cached] {
-            session.rules_for(relation).unwrap();
-        }
-        median_ns(|| {
-            (0..16)
-                .map(|_| session.apply_target_delta(&delta) as u64)
-                .sum()
-        })
-    };
     // Hashing the delta is most of either side, so the bound is tight:
     // ≈1.05x here, where a scan of every answer the memo holds read 4–5x.
-    let (one_ns, many_ns) = (asking_live(1), asking_live(64));
+    let (one, many) = (session(1, Some(&warm)), session(64, Some(&warm)));
+    let (one_ns, many_ns) = interleaved_medians(asking(&one, &delta), asking(&many, &delta));
     let ratio = many_ns as f64 / one_ns.max(1) as f64;
     assert!(
         ratio <= 2.0,
@@ -488,15 +497,61 @@ fn ordering_distinct_rows_sorts_only_the_distinct_rows() {
     let kb = generate(&PairConfig::yago_dbpedia(SEED)).kb2;
     let triples = kb.len();
     let local = LocalEndpoint::new("kb2", kb);
-    let unordered_ns = median_ns(|| {
-        let rs = local.select("SELECT DISTINCT ?p WHERE { ?s ?p ?o }");
-        rs.unwrap().len() as u64
-    });
-    let ordered_ns = median_ns(|| all_relations(&local).unwrap().len() as u64);
+    let (unordered_ns, ordered_ns) = interleaved_medians(
+        timed(|| {
+            let rs = local.select("SELECT DISTINCT ?p WHERE { ?s ?p ?o }");
+            rs.unwrap().len() as u64
+        }),
+        timed(|| all_relations(&local).unwrap().len() as u64),
+    );
     let ratio = ordered_ns as f64 / unordered_ns.max(1) as f64;
     assert!(
         ratio <= 1.5,
         "all_relations over {triples} triples costs {ordered_ns} ns against {unordered_ns} ns \
          without ORDER BY ({ratio:.2}x) — every solution is sorted, not every distinct row"
+    );
+}
+
+/// A query text the plan cache has not seen costs the same whatever the
+/// cache holds: into a full 4096-entry cache at most 1.5x into a full
+/// 64-entry one. On top of the compile, an insert pays one hash and at
+/// most two turns of its shard's clock hand, not a scan of the shard.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn a_plan_cache_insert_does_not_scan_the_cache() {
+    let _alone = alone();
+    let full_cache = |capacity: usize| {
+        let mut store = TripleStore::new();
+        store.insert_terms(&Term::iri("e:a"), &Term::iri("r:p"), &Term::iri("e:b"));
+        let local = LocalEndpoint::new("kb", store);
+        local.set_plan_cache_capacity(capacity);
+        (0..2 * capacity).for_each(|i| {
+            local
+                .ask(&format!("ASK {{ <e:fill{i}> <r:p> ?o }}"))
+                .unwrap();
+        });
+        assert!(local.plan_cache_len() >= capacity);
+        local
+    };
+    let (small, large) = (full_cache(64), full_cache(4096));
+    // 64 new texts a sample, so the timer does not dominate.
+    let samples = std::cell::Cell::new(0u64);
+    let asking = |local: &LocalEndpoint| {
+        let sample = samples.replace(samples.get() + 1);
+        let texts: Vec<String> = (0..64)
+            .map(|i| format!("ASK {{ <e:new{sample}_{i}> <r:p> ?o }}"))
+            .collect();
+        let t0 = Instant::now();
+        for text in &texts {
+            std::hint::black_box(local.ask(text).unwrap());
+        }
+        t0.elapsed().as_nanos() as u64
+    };
+    let (small_ns, large_ns) = interleaved_medians(|| asking(&small), || asking(&large));
+    let ratio = large_ns as f64 / small_ns.max(1) as f64;
+    assert!(
+        ratio <= 1.5,
+        "64 new texts cost {large_ns} ns against a full 4096-entry plan cache and {small_ns} ns \
+         against a full 64-entry one ({ratio:.2}x) — an insert scans the cache"
     );
 }
