@@ -271,12 +271,12 @@ mod tests {
         let d = discover(&counted, &yago, &cfg, "y:label", true, &mut rng).unwrap();
         assert_eq!(d.target_subjects, vec!["y:p0", "y:p1", "y:p2"]);
         assert_eq!(d.candidates, vec!["d:name"]);
-        // Three `relations_of_entity` probes in one batch; each entity
+        // Three `relations_of_entity` probes in one table; each entity
         // has d:birthPlace, d:name and sameAs, and the two that are not
-        // sameAs are fetched in a second.
+        // sameAs are fetched, for all three, in a second.
         let counters = counted.counters();
         assert_eq!(counters.requests(), 2);
-        assert_eq!(counters.select_queries(), 3 + 3 * 2);
+        assert_eq!(counters.select_queries(), 2);
     }
 
     #[test]

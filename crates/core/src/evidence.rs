@@ -492,9 +492,9 @@ mod tests {
     }
 
     /// The batching claim, measured: probing one relation's evidence
-    /// against a counting target costs **one** round trip where the
-    /// per-subject protocol paid one per translated subject — at twelve
-    /// subjects, a ≥10x reduction in requests.
+    /// against a counting target costs **one** query in one round trip
+    /// where the per-subject protocol paid one of each per translated
+    /// subject — at twelve subjects, a ≥10x reduction in both.
     #[test]
     fn evidence_probes_cost_one_round_trip_per_relation() {
         use sofya_endpoint::InstrumentedEndpoint;
@@ -521,12 +521,13 @@ mod tests {
         assert_eq!(e.subjects, 12);
 
         let counters = target.counters();
-        // The unbatched protocol would have paid one round trip per
-        // translated subject — that is exactly the leaf-query count.
-        let unbatched_round_trips = counters.total_queries();
+        // The unbatched protocol would have paid one query and one round
+        // trip per translated subject.
+        let unbatched_round_trips = e.subjects as u64;
         assert_eq!(unbatched_round_trips, 12);
-        assert_eq!(counters.batches(), 1);
-        // The batched protocol paid a single round trip.
+        // The table asked them all in one query, one round trip.
+        assert_eq!(counters.total_queries(), 1);
+        assert_eq!(counters.batches(), 0);
         let batched_round_trips = counters.requests();
         assert_eq!(batched_round_trips, 1);
         assert!(

@@ -272,6 +272,11 @@ impl SideFootprint {
                     Err(_) => self.wildcard = true,
                 }
             }
+            Request::Table { prepared, rows } => {
+                for args in *rows {
+                    self.record_request(&Request::leaf(prepared, args));
+                }
+            }
             Request::Batch(requests) => {
                 for sub in requests {
                     self.record_request(sub);
@@ -362,6 +367,9 @@ mod tests {
                 Ok(bound) => fp.record_group(bound.pattern(), &|_| None),
                 Err(_) => fp.wildcard = true,
             },
+            Request::Table { prepared, rows } => rows
+                .iter()
+                .for_each(|args| recorded_from_bind(&Request::leaf(prepared, args), fp)),
             Request::Batch(requests) => requests.iter().for_each(|r| recorded_from_bind(r, fp)),
             text => fp.record_request(text),
         }

@@ -698,6 +698,11 @@ mod tests {
                 Request::Batch(ref requests) => {
                     return requests.iter().for_each(|r| self.record(r))
                 }
+                Request::Table { prepared, rows } => {
+                    return rows
+                        .iter()
+                        .for_each(|args| self.record(&Request::leaf(prepared, args)))
+                }
                 Request::PreparedSelect { prepared, args } => RequestBuf::PreparedSelect {
                     prepared: own(prepared),
                     args: args.to_vec(),

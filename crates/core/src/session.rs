@@ -393,9 +393,10 @@ struct Read {
 /// One alignment's view of one side's endpoint. It records every
 /// request into the alignment's footprint and, once the memo is live,
 /// answers each prepared leaf it can from the memo, sends the rest — a
-/// batch as one batch of its misses, in order — and keeps their answers
-/// unless a change was applied while they were read. The session lock
-/// is never held across the endpoint call.
+/// table row by row, as the leaf each row stands for, and its misses as
+/// one table, in order — and keeps their answers unless a change was
+/// applied while they were read. The session lock is never held across
+/// the endpoint call.
 struct Probes<'s> {
     inner: &'s dyn Endpoint,
     side: Side,
@@ -462,8 +463,15 @@ impl Endpoint for Probes<'_> {
         }
         let changes = state.changes;
         let mut held = Vec::new();
-        let requests = match req {
-            Request::Batch(requests) => requests,
+        let (prepared, rows) = match req {
+            Request::Table { prepared, rows } => (prepared, rows),
+            // The aligner sends no batch (its probes go as tables), and
+            // the memo keeps prepared leaves only: a batch goes through
+            // whole, neither answered from the memo nor kept in it.
+            batch @ Request::Batch(_) => {
+                drop(state);
+                return self.inner.execute_with_budget(batch, budget);
+            }
             leaf => match state.memo.lookup(self.side, &leaf) {
                 Some((hit, answer)) => {
                     drop(state);
@@ -478,17 +486,17 @@ impl Endpoint for Probes<'_> {
                 }
             },
         };
-        let mut answers = Vec::with_capacity(requests.len());
+        let mut answers = Vec::with_capacity(rows.len());
         let mut misses = Vec::new();
-        for request in requests {
-            match state.memo.lookup(self.side, &request) {
+        for &args in rows {
+            match state.memo.lookup(self.side, &Request::leaf(prepared, args)) {
                 Some((hit, answer)) => {
                     held.push(hit);
                     answers.push(Some(answer));
                 }
                 None => {
                     answers.push(None);
-                    misses.push(request);
+                    misses.push(args);
                 }
             }
         }
@@ -496,17 +504,25 @@ impl Endpoint for Probes<'_> {
         self.read().held.extend(held);
         if !misses.is_empty() {
             let sent = misses.len();
+            let table = Request::Table {
+                prepared,
+                rows: &misses,
+            };
             let fetched = self
                 .inner
-                .execute_with_budget(Request::Batch(misses.clone()), budget)?
+                .execute_with_budget(table, budget)?
                 .into_batch()?;
             if fetched.len() != sent {
                 return Err(EndpointError::Other(format!(
-                    "a batch of {sent} requests was answered with {} responses",
+                    "a table of {sent} rows was answered with {} responses",
                     fetched.len()
                 )));
             }
-            self.keep(changes, &misses, &fetched);
+            let leaves: Vec<Request<'_>> = misses
+                .iter()
+                .map(|args| Request::leaf(prepared, args))
+                .collect();
+            self.keep(changes, &leaves, &fetched);
             let mut fetched = fetched.into_iter();
             for answer in answers.iter_mut().filter(|a| a.is_none()) {
                 *answer = fetched.next();
@@ -817,9 +833,9 @@ mod tests {
     /// What a re-mine sends once the memo holds the last mine's reads: a
     /// delta that touches `y:born` only through entities no `sameAs`
     /// links moves the relation's own pages and counts — 3 leaves in 3
-    /// requests, all on the target — against the 29 leaves in 8
-    /// requests of the whole alignment, which is what a re-mine sent
-    /// before the memo.
+    /// requests, all on the target — against the 8 leaves in 8 requests
+    /// of the whole alignment (each batched phase one table), which is
+    /// what a re-mine sent before the memo.
     #[test]
     fn a_re_mine_sends_only_what_the_delta_could_change() {
         let (dbp, mut writer, yago) = live_target();
@@ -833,7 +849,7 @@ mod tests {
                 whole_source.0 + whole_target.0,
                 whole_source.1 + whole_target.1
             ),
-            (29, 8)
+            (8, 8)
         );
 
         let mut unlinked = |i: u32| {
@@ -858,6 +874,50 @@ mod tests {
         assert_eq!(cost(&source), (0, 0), "the source did not change");
         assert_eq!(cost(&target), (3, 3));
         assert_eq!(session.rules_for("y:born").unwrap(), whole);
+    }
+
+    /// Through a live session a table is asked row by row of the memo,
+    /// so its second asking sends nothing; a batch of the same leaves
+    /// goes to the endpoint whole each time, and the memo keeps none of
+    /// it. Both are recorded in the footprint, leaf by leaf.
+    #[test]
+    fn a_live_session_memoizes_a_table_and_passes_a_batch_whole() {
+        let (dbp, mut writer, yago) = live_target();
+        let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(1));
+        writer.store_mut().insert_terms(
+            &Term::iri("y:x"),
+            &Term::iri("y:unrelated"),
+            &Term::iri("y:y"),
+        );
+        session.apply_target_delta(&writer.publish());
+        let probe = sofya_sparql::Prepared::new("ASK { ?s ?r ?o }", &["s", "r", "o"]).unwrap();
+        let (hit, miss) = (
+            [Term::iri("y:p0"), Term::iri("y:born"), Term::iri("y:c0")],
+            [Term::iri("y:p0"), Term::iri("y:born"), Term::iri("y:c1")],
+        );
+        let rows = [&hit[..], &miss[..]];
+        let answers = Response::Batch(vec![Response::Boolean(true), Response::Boolean(false)]);
+        let counters = yago.counters();
+        counters.reset();
+        let probes = Probes::new(&yago, Side::Target, &session.cache);
+        let sent = |request: Request<'_>| {
+            let before = counters.requests();
+            assert_eq!(probes.execute(request).unwrap(), answers);
+            counters.requests() - before
+        };
+        let batch = || Request::Batch(rows.map(|args| Request::leaf(&probe, args)).to_vec());
+        assert_eq!([sent(batch()), sent(batch())], [1, 1]);
+        assert_eq!(session.lock().memo.len(Side::Target), 0);
+        let table = || Request::Table {
+            prepared: &probe,
+            rows: &rows,
+        };
+        assert_eq!([sent(table()), sent(table())], [1, 0]);
+        assert_eq!(session.lock().memo.len(Side::Target), 2);
+        assert!(probes
+            .into_read()
+            .footprint
+            .covers_predicate(&Term::iri("y:born")));
     }
 
     /// The memo holds exactly what the cached relations last read: a

@@ -133,17 +133,8 @@ fn premise_side_contradiction(
             .filter_map(|(xt, y1t, y2t)| Some((xt.as_iri()?, y1t.as_iri()?, y2t.as_iri()?)))
             .collect();
         // r(x,y₁) holds and r(x,y₂) does not: (x,y₂) is a PCA
-        // counter-example to suspect ⇒ r. One batch asks r(x,y₁) of the
-        // whole page, a second r(x,y₂) of the samples that passed.
-        let firsts: Vec<(&str, &str)> = samples.iter().map(|(x, y1, _)| (*x, *y1)).collect();
-        let known = helpers::has_fact_batch(target, relation, &firsts)?;
-        let seconds: Vec<(&str, &str)> = samples
-            .iter()
-            .zip(known)
-            .filter(|(_, known)| *known)
-            .map(|((x, _, y2), _)| (*x, *y2))
-            .collect();
-        if helpers::has_fact_batch(target, relation, &seconds)?.contains(&false) {
+        // counter-example to suspect ⇒ r. One query asks it of the page.
+        if helpers::premise_contradiction_batch(target, relation, &samples)?.contains(&true) {
             return Ok(true);
         }
     }

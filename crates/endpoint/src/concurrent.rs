@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use sofya_rdf::{StoreSnapshot, StoreStats, TermId, TripleStore};
 use sofya_sparql::{
     compile_ast_with_options, compile_with_options, execute_ast_budgeted,
-    execute_compiled_paged_budgeted, PlanOptions, QueryBudget, QueryOutcome,
+    execute_compiled_paged_budgeted, PlanOptions, QueryBudget,
 };
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -349,11 +349,13 @@ impl ConcurrentEndpoint {
 /// and run. [`ConcurrentEndpoint`] calls it with the snapshot current at
 /// the start of the request, [`LocalEndpoint`] with the one it holds.
 ///
-/// A batch recurses with the **same** snapshot, so its sub-requests
-/// observe one consistent state no matter how many publishes land while
-/// it runs, and with the same budget: the deadline is absolute and the
+/// A batch — and a table, row by row — recurses with the **same**
+/// snapshot, so its sub-requests observe one consistent state no matter
+/// how many publishes land while it runs, and with the same budget: the deadline is absolute and the
 /// scan counter is per sub-query, so a batch cannot outlive the deadline
-/// even though each member restarts its row count.
+/// even though each member restarts its row count. (The evaluator
+/// charges each row of a table's text the same way, so a server caps a
+/// table as this caps its rows.)
 ///
 /// The budget is threaded into the evaluator's scan loops, so a breached
 /// query unwinds within one poll interval instead of running to
@@ -398,6 +400,17 @@ pub(crate) fn run(
             })?;
             execute_compiled_paged_budgeted(store, &compiled, limit, offset, budget)?
         }
+        // In process there is no text to save: a table runs as the leaf
+        // each row stands for, all against this one snapshot, so each
+        // keeps its index shortcuts (an `ASK` of one pattern is a range
+        // count).
+        Request::Table { prepared, rows } => {
+            return Ok(Response::Batch(
+                rows.iter()
+                    .map(|args| run(plans, snap, Request::leaf(prepared, args), budget))
+                    .collect::<Result<_, _>>()?,
+            ));
+        }
         Request::Batch(requests) => {
             return Ok(Response::Batch(
                 requests
@@ -407,10 +420,7 @@ pub(crate) fn run(
             ));
         }
     };
-    Ok(match outcome {
-        QueryOutcome::Solutions(rs) => Response::Rows(rs),
-        QueryOutcome::Boolean(b) => Response::Boolean(b),
-    })
+    Ok(Response::from(outcome))
 }
 
 impl Endpoint for ConcurrentEndpoint {

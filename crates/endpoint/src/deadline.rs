@@ -29,7 +29,8 @@ pub struct BudgetConfig {
     /// Wall-clock limit per request, converted to an absolute deadline
     /// when the request is read. `None` = no deadline.
     pub time_limit: Option<Duration>,
-    /// Cap on rows scanned per query.
+    /// Cap on rows scanned per query; a row of a `VALUES` table counts
+    /// as a query of its own, for both caps.
     pub max_rows_scanned: Option<u64>,
     /// Cap on intermediate bindings held per query.
     pub max_bindings: Option<usize>,

@@ -6,7 +6,7 @@
 //! method an endpoint implements ([`Endpoint::execute`] is the same call
 //! under the unlimited budget), so a wrapper (instrumentation, a test's
 //! fault injector, …) intercepts **every** query kind — string,
-//! prepared, paged, batch, and ones added later — budgeted or not, with
+//! prepared, paged, table, batch, and ones added later — budgeted or not, with
 //! a single body, instead of forwarding parallel entry points and
 //! silently missing one. A count is not a kind of its own: it is a
 //! `SELECT (COUNT(*) AS ?n)` like any other select, read with
@@ -19,7 +19,7 @@
 
 use crate::error::EndpointError;
 use sofya_rdf::Term;
-use sofya_sparql::{Prepared, QueryBudget, ResultSet, SparqlError};
+use sofya_sparql::{Prepared, QueryBudget, QueryOutcome, ResultSet, SparqlError};
 use std::sync::Arc;
 
 /// One typed endpoint request. Borrowed: a request is built on the stack
@@ -81,6 +81,21 @@ pub enum Request<'a> {
         /// Page start (`None` keeps the template's own `OFFSET`).
         offset: Option<usize>,
     },
+    /// One prepared template asked of many argument rows at once, as one
+    /// SPARQL query whose rows arrive as inline data (see
+    /// [`Prepared::table`]); answered with [`Response::Batch`], one
+    /// response per row, in row order — each what [`Request::leaf`] of
+    /// that row answers. It is **one** query: one text on the wire, one
+    /// execution on a server, one count in [`crate::EndpointCounters`].
+    /// An in-process endpoint, with no text to save, answers it as its
+    /// rows' leaves against one snapshot. The aligner's per-sample
+    /// probes travel this way (see [`crate::helpers::probe_batch`]).
+    Table {
+        /// The parse-once template.
+        prepared: &'a Prepared,
+        /// One argument row per probe, each one constant per parameter.
+        rows: &'a [&'a [Term]],
+    },
     /// A request set executed as one unit; answered with
     /// [`Response::Batch`] (one response per sub-request, in order; the
     /// first failing sub-request fails the whole batch).
@@ -101,10 +116,21 @@ pub enum Request<'a> {
 }
 
 impl<'a> Request<'a> {
-    /// Number of leaf (non-batch) requests: 1 for every plain request,
-    /// the recursive sum for a batch. This is the unit query accounting
-    /// uses, so batching never hides queries from the paper's "few
-    /// queries" bookkeeping.
+    /// The prepared leaf of `prepared` bound to `args`: a
+    /// [`Request::PreparedSelect`] or a [`Request::PreparedAsk`], by the
+    /// template's form. One row of a [`Request::Table`] stands for it.
+    pub fn leaf(prepared: &'a Prepared, args: &'a [Term]) -> Self {
+        if prepared.is_select() {
+            Request::PreparedSelect { prepared, args }
+        } else {
+            Request::PreparedAsk { prepared, args }
+        }
+    }
+
+    /// Number of leaf (non-batch) requests: 1 for every plain request
+    /// (a table too: it is one query), the recursive sum for a batch.
+    /// This is the unit query accounting uses, so batching never hides
+    /// queries from the paper's "few queries" bookkeeping.
     pub fn leaf_count(&self) -> u64 {
         match self {
             Request::Batch(reqs) => reqs.iter().map(Request::leaf_count).sum(),
@@ -114,8 +140,10 @@ impl<'a> Request<'a> {
 
     /// The SPARQL text a string-only backend (an HTTP endpoint) would
     /// send for this request. Prepared
-    /// requests render their bound template. A batch has no single
-    /// rendering and errors — decompose it first.
+    /// requests render their bound template; a table renders its one
+    /// `SELECT` (whose answer [`sofya_sparql::BoundTable::split`] splits
+    /// into the rows' answers). A batch has no single rendering and
+    /// errors — decompose it first.
     pub fn to_sparql(&self) -> Result<String, EndpointError> {
         match self {
             Request::Select { query } | Request::Ask { query } => Ok((*query).to_owned()),
@@ -127,6 +155,7 @@ impl<'a> Request<'a> {
                 limit,
                 offset,
             } => Ok(prepared.render_paged(args, *limit, *offset)?),
+            Request::Table { prepared, rows } => Ok(prepared.table(rows)?.render()?),
             Request::Batch(_) => Err(EndpointError::Other(
                 "a batch request has no single SPARQL rendering".to_owned(),
             )),
@@ -155,8 +184,18 @@ pub enum Response {
     /// the wire's `count` op (kept for foreign clients) is reshaped to.
     /// No [`Request`] is answered with it.
     Count(u64),
-    /// One response per sub-request of a [`Request::Batch`], in order.
+    /// One response per sub-request of a [`Request::Batch`], or per row
+    /// of a [`Request::Table`], in order.
     Batch(Vec<Response>),
+}
+
+impl From<QueryOutcome> for Response {
+    fn from(outcome: QueryOutcome) -> Self {
+        match outcome {
+            QueryOutcome::Solutions(rs) => Response::Rows(rs),
+            QueryOutcome::Boolean(b) => Response::Boolean(b),
+        }
+    }
 }
 
 impl Response {
@@ -341,6 +380,17 @@ pub trait EndpointExt: Endpoint {
     fn execute_batch(&self, requests: Vec<Request<'_>>) -> Result<Vec<Response>, EndpointError> {
         self.execute(Request::Batch(requests))?.into_batch()
     }
+
+    /// Asks `prepared` of every row of `rows` as one query (see
+    /// [`Request::Table`]) and returns the per-row responses in order.
+    fn execute_table(
+        &self,
+        prepared: &Prepared,
+        rows: &[&[Term]],
+    ) -> Result<Vec<Response>, EndpointError> {
+        self.execute(Request::Table { prepared, rows })?
+            .into_batch()
+    }
 }
 
 impl<E: Endpoint + ?Sized> EndpointExt for E {}
@@ -379,6 +429,11 @@ mod tests {
                 | Request::PreparedSelect { .. }
                 | Request::PreparedSelectPaged { .. } => Response::Rows(ResultSet::default()),
                 Request::Ask { .. } | Request::PreparedAsk { .. } => Response::Boolean(true),
+                Request::Table { prepared, rows } => Response::Batch(
+                    rows.iter()
+                        .map(|args| self.execute(Request::leaf(prepared, args)))
+                        .collect::<Result<_, _>>()?,
+                ),
                 Request::Batch(reqs) => Response::Batch(
                     reqs.into_iter()
                         .map(|r| self.execute(r))
@@ -430,6 +485,27 @@ mod tests {
         assert_eq!(responses.len(), 2);
         assert_eq!(responses[0], Response::Boolean(true));
         assert!(matches!(responses[1], Response::Rows(_)));
+    }
+
+    #[test]
+    fn a_table_is_one_leaf_answered_per_row() {
+        let probe = Prepared::new("ASK { ?s ?r ?o }", &["s", "r"]).unwrap();
+        let (a, b) = (
+            [Term::iri("a"), Term::iri("p")],
+            [Term::iri("b"), Term::iri("p")],
+        );
+        let rows = [&a[..], &b[..]];
+        let table = Request::Table {
+            prepared: &probe,
+            rows: &rows,
+        };
+        assert_eq!(table.leaf_count(), 1);
+        assert_eq!(
+            table.to_sparql().unwrap(),
+            "SELECT DISTINCT ?s WHERE { VALUES (?s) { (<a>) (<b>) } ?s <p> ?o . } ORDER BY ?s"
+        );
+        let answers = Fake.execute_table(&probe, &rows).unwrap();
+        assert_eq!(answers, vec![Response::Boolean(true); 2]);
     }
 
     #[test]

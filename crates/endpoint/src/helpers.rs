@@ -9,56 +9,63 @@
 //!
 //! Sampling pages and counts are one request each. Everything the
 //! aligner asks *per sample* — per discovered fact, per sampled subject,
-//! per contrastive sample — goes through [`probe_batch`], so a phase
-//! costs a request per 16 probes instead of one per probe. Requests and
+//! per contrastive sample — goes through [`probe_batch`], which asks a
+//! chunk of up to 16 probes as **one** query, the probes' arguments as
+//! a `VALUES` table ([`Request::Table`](crate::Request::Table)), so a
+//! phase costs one query and one request per 16 probes. Requests and
 //! leaf queries per aligned relation on the paper-scale pair
 //! (`PairConfig::yago_dbpedia(42)`, 92 relations against 1313, both
 //! endpoints counted; the totals are the `UBS pcaconf`,
 //! `dbpedia ⊂ yago` row of `sofya-eval query-cost --scale=paper`, the
 //! split classifies each request by its template and the side it went
-//! to):
+//! to), sent one request per probe, as batches of up to 16 leaves, and
+//! as tables of up to 16 rows:
 //!
-//! | phase | requests, one per probe | requests, batched | leaf queries, one per probe | leaf queries, batched |
-//! |---|---|---|---|---|
-//! | literal-or-entity probe (a facts page) | 1.00 | 1.00 | 1.00 | 1.00 |
-//! | discovery: count and facts page | 2.00 | 2.00 | 2.00 | 2.00 |
-//! | discovery: `relations_between` per fact | 15.70 | 1.46 | 15.70 | 15.70 |
-//! | discovery, literal: `relations_of_entity`, `objects_of` | 4.00 | 0.30 | 4.00 | 4.00 |
-//! | evidence: count and facts page per candidate | 2.50 | 2.50 | 2.50 | 2.50 |
-//! | evidence: `objects_of` per sampled subject | 1.25 | 1.25 | 11.26 | 11.26 |
-//! | sibling hunting: `relations_of_entity` per subject | 3.91 | 0.41 | 3.91 | 3.91 |
-//! | UBS: contrastive pages | 3.07 | 2.65 | 3.07 | 2.65 |
-//! | UBS: `has_fact` per contrastive sample | 13.34 | 3.92 | 13.34 | 23.02 |
-//! | **total** | **46.76** | **15.48** | **56.77** | **66.03** |
+//! | phase | requests: per probe → batches → tables | leaf queries: per probe → batches → tables |
+//! |---|---|---|
+//! | literal-or-entity probe (a facts page) | 1.00 → 1.00 → 1.00 | 1.00 → 1.00 → 1.00 |
+//! | discovery: count and facts page | 2.00 → 2.00 → 2.00 | 2.00 → 2.00 → 2.00 |
+//! | discovery: `relations_between` per fact | 15.70 → 1.46 → 1.46 | 15.70 → 15.70 → 1.46 |
+//! | discovery, literal: `relations_of_entity`, `objects_of` | 4.00 → 0.30 → 0.30 | 4.00 → 4.00 → 0.30 |
+//! | evidence: count and facts page per candidate | 2.50 → 2.50 → 2.50 | 2.50 → 2.50 → 2.50 |
+//! | evidence: `objects_of` per sampled subject | 1.25 → 1.25 → 1.25 | 11.26 → 11.26 → 1.25 |
+//! | sibling hunting: `relations_of_entity` per subject | 3.91 → 0.41 → 0.41 | 3.91 → 3.91 → 0.41 |
+//! | UBS: contrastive pages | 3.07 → 2.65 → 2.65 | 3.07 → 2.65 → 2.65 |
+//! | UBS: premise and conclusion probes per contrastive sample | 13.34 → 3.92 → 2.69 | 13.34 → 23.02 → 2.69 |
+//! | **total** | **46.76 → 15.48 → 14.26** | **56.77 → 66.03 → 14.26** |
 //!
 //! The table is what a cold alignment sends, and what any alignment
 //! of a session never told of a delta sends. A live session (see
 //! `sofya_core::session`) answers a re-mine from its probe memo
-//! wherever no delta since could have changed the answer, so a re-mine
-//! sends only what the delta could have moved — its relation's pages
-//! and counts, mostly: on the `stream_refresh` benchmark a cycle's
-//! ≈4.6 re-mines ask ≈487 leaf queries and send ≈21.
+//! wherever no delta since could have changed the answer — a table row
+//! by row, each row as the leaf it stands for — so a re-mine sends only
+//! what the delta could have moved: its relation's pages and counts,
+//! mostly. On the `stream_refresh` benchmark a cycle re-mines ≈4.6
+//! relations.
 //!
-//! UBS asks more leaf queries than it did one probe at a time: a page's
-//! probes travel together, so they no longer stop at the first
-//! contradiction *inside* the page (they still stop between pages and
-//! between siblings). Its conclusion-side pages depend on the relation
-//! and the sibling only, and are fetched once per relation, not once
-//! per candidate. At `LatencyModel::wan()` (20 ms per request) the
-//! request column reads 0.94 s → 0.31 s of latency per relation.
+//! UBS asks one query per page of samples on each side. The premise
+//! side asks `r(x, y₁) ∧ ¬r(x, y₂)` of a page in one table
+//! ([`premise_contradiction_batch`]), where two dependent batches asked
+//! `r(x, y₁)` and then `r(x, y₂)` of the samples that passed. A table
+//! answers every row, so a page's probes do not stop at the first
+//! contradiction inside it (they still stop between pages and between
+//! siblings). Conclusion-side pages depend on the relation and the
+//! sibling only, and are fetched once per relation, not once per
+//! candidate. At `LatencyModel::wan()` (20 ms per request) the request
+//! column reads 0.94 s → 0.31 s → 0.29 s of latency per relation.
 //!
-//! A batch is cut at **16 leaves**. A whole batch is one job at the
-//! server's gate and holds its running slot until the last leaf is
-//! answered, so an uncut 40–80-leaf discovery batch delays every other
-//! client of that server: on the
-//! `federated_align` benchmark the side reader's `open_p95_us` read
-//! 608–644 µs with uncut batches (1.24× the ≈499 µs of one request per
-//! probe, at the benchmark's 0.25 bound) and 519–573 µs (1.11×) with
-//! chunks of 16 — the size of the hot batch the benchmark's
-//! `endpoint.batch16_us` measures — for ≈3 % on the aligner's own
-//! `op_p50_us` (≈480 → ≈497 µs, against 729 µs unbatched).
+//! A table is cut at **16 rows**. A whole table is one job at the
+//! server's gate and holds its running slot until it is answered. Batches
+//! were cut at 16 leaves because an uncut 40–80-leaf discovery batch
+//! delayed every other client of the server: on the `federated_align`
+//! benchmark the side reader's `open_p95_us` read 608–644 µs with uncut
+//! batches (1.24× the ≈499 µs of one request per probe, at the
+//! benchmark's 0.25 bound) and 519–573 µs with chunks of 16. Tables of
+//! 16 rows, measured the same way (10 alternating 25 s pairs, seed 42,
+//! a 2-vCPU host): `open_p95_us` 286 µs against 292 µs with batches of
+//! 16 leaves, for an aligner `op_p50_us` of 177 µs against 230 µs.
 
-use crate::endpoint::{Endpoint, EndpointExt, Request, Response};
+use crate::endpoint::{Endpoint, EndpointExt, Response};
 use crate::error::EndpointError;
 use sofya_rdf::Term;
 use sofya_sparql::Prepared;
@@ -228,45 +235,33 @@ pub fn linked_literal_fact_count<E: Endpoint + ?Sized>(
     count_linked(ep, q, relation, same_as)
 }
 
-/// The most leaves one [`Request::Batch`] of [`probe_batch`] carries;
-/// the module docs give the two readings that chose it.
-const MAX_BATCH_LEAVES: usize = 16;
+/// The most rows one [`Request::Table`](crate::Request::Table) of
+/// [`probe_batch`] carries; the module docs give the readings that
+/// chose it.
+const MAX_TABLE_ROWS: usize = 16;
 
-/// Binds `template` to every row of `arg_rows` and sends the probes as
-/// [`Request::Batch`]es of at most 16 leaves each —
-/// one round trip (and, on a [`crate::ConcurrentEndpoint`], one snapshot
-/// pin) per chunk, where one request per probe would pay one each.
-/// Returns one response per row, in row order; no rows, no request.
+/// Asks `template` of every row of `arg_rows`, as
+/// [`Request::Table`](crate::Request::Table)s of at most 16 rows each —
+/// one query and one round trip (and, on a
+/// [`crate::ConcurrentEndpoint`], one snapshot pin) per chunk, where one
+/// request per probe would pay one each. Returns one response per row,
+/// in row order, each what the row's own prepared leaf answers; no rows,
+/// no request.
 ///
 /// This is what makes alignment viable against a remote endpoint at
 /// real round-trip times: every phase of the aligner sends its
-/// independent probes through here, so a relation costs O(phases) round
-/// trips instead of O(samples) (see the module docs for the count).
+/// independent probes through here, so a relation costs O(phases)
+/// queries and round trips instead of O(samples) (see the module docs
+/// for the count).
 pub fn probe_batch<E: Endpoint + ?Sized, A: AsRef<[Term]>>(
     ep: &E,
     template: &Prepared,
     arg_rows: &[A],
 ) -> Result<Vec<Response>, EndpointError> {
     let mut answers = Vec::with_capacity(arg_rows.len());
-    for chunk in arg_rows.chunks(MAX_BATCH_LEAVES) {
-        let requests = chunk
-            .iter()
-            .map(|row| {
-                let args = row.as_ref();
-                if template.is_select() {
-                    Request::PreparedSelect {
-                        prepared: template,
-                        args,
-                    }
-                } else {
-                    Request::PreparedAsk {
-                        prepared: template,
-                        args,
-                    }
-                }
-            })
-            .collect();
-        let responses = ep.execute_batch(requests)?;
+    for chunk in arg_rows.chunks(MAX_TABLE_ROWS) {
+        let rows: Vec<&[Term]> = chunk.iter().map(AsRef::as_ref).collect();
+        let responses = ep.execute_table(template, &rows)?;
         // The callers pair answers with probes by position; an endpoint
         // that answers a different number must not shift that pairing.
         if responses.len() != chunk.len() {
@@ -374,6 +369,39 @@ pub fn has_fact_batch<E: Endpoint + ?Sized>(
         .collect()
 }
 
+/// UBS premise-side probes, one per `(x, y₁, y₂)` sample of IRIs,
+/// positionally aligned with `samples`: whether `relation(x, y₁)` holds
+/// and `relation(x, y₂)` does not — the pair `(x, y₂)` is then a PCA
+/// counter-example. One query per 16 samples, where asking `r(x, y₁)`
+/// and then `r(x, y₂)` of those that passed took two dependent ones.
+pub fn premise_contradiction_batch<E: Endpoint + ?Sized>(
+    ep: &E,
+    relation: &str,
+    samples: &[(&str, &str, &str)],
+) -> Result<Vec<bool>, EndpointError> {
+    static Q: OnceLock<Prepared> = OnceLock::new();
+    let q = prepared(
+        &Q,
+        "ASK { ?x ?r ?y1 FILTER NOT EXISTS { ?x ?r ?y2 } }",
+        &["x", "r", "y1", "y2"],
+    );
+    let args: Vec<[Term; 4]> = samples
+        .iter()
+        .map(|(x, y1, y2)| {
+            [
+                Term::iri(*x),
+                Term::iri(relation),
+                Term::iri(*y1),
+                Term::iri(*y2),
+            ]
+        })
+        .collect();
+    probe_batch(ep, q, &args)?
+        .into_iter()
+        .map(Response::into_boolean)
+        .collect()
+}
+
 /// The `sameAs` images of an entity.
 pub fn same_as_of<E: Endpoint + ?Sized>(
     ep: &E,
@@ -435,6 +463,7 @@ pub fn linked_contrastive_subjects_page<E: Endpoint + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::Request;
     use crate::local::LocalEndpoint;
     use sofya_rdf::{Term, TripleStore};
 
@@ -561,11 +590,32 @@ mod tests {
         );
     }
 
-    /// 40 probes travel as batches of 16, 16 and 8 — never as single
-    /// requests — and the answers keep the probes' order across the cuts.
+    /// 40 probes travel as tables of 16, 16 and 8 rows — one query
+    /// each, never a request per probe — and the answers keep the probes'
+    /// order across the cuts.
     #[test]
     fn probe_batch_cuts_into_chunks_and_keeps_order() {
-        let counted = crate::InstrumentedEndpoint::new(movie_endpoint());
+        /// Notes the row count of every table it passes on.
+        struct Tables {
+            inner: LocalEndpoint,
+            rows: std::sync::Mutex<Vec<usize>>,
+        }
+        impl Endpoint for Tables {
+            fn execute_with_budget(
+                &self,
+                req: Request<'_>,
+                budget: &sofya_sparql::QueryBudget,
+            ) -> Result<Response, EndpointError> {
+                if let Request::Table { rows, .. } = &req {
+                    self.rows.lock().unwrap().push(rows.len());
+                }
+                self.inner.execute_with_budget(req, budget)
+            }
+        }
+        let counted = crate::InstrumentedEndpoint::new(Tables {
+            inner: movie_endpoint(),
+            rows: Default::default(),
+        });
         let subjects = ["m:inception", "m:tenet", "m:missing"];
         let pairs: Vec<(&str, &str)> = (0..40).map(|i| (subjects[i % 3], "p:nolan")).collect();
         let answers = has_fact_batch(&counted, "r:director", &pairs).unwrap();
@@ -573,10 +623,14 @@ mod tests {
         assert_eq!(answers, expected);
         let counters = counted.counters();
         assert_eq!(counters.requests(), 3);
-        assert_eq!(counters.batches(), 3);
-        assert_eq!(counters.largest_request(), MAX_BATCH_LEAVES as u64);
-        assert_eq!(counters.ask_queries(), 40);
-        assert_eq!(counters.batch_expanded(), 40);
+        assert_eq!(counters.total_queries(), 3);
+        assert_eq!(counters.select_queries(), 3);
+        assert_eq!(counters.ask_queries(), 0);
+        assert_eq!(counters.largest_request(), 1);
+        assert_eq!(counters.largest_table(), MAX_TABLE_ROWS as u64);
+        assert_eq!(*counted.inner().rows.lock().unwrap(), [16, 16, 8]);
+        assert_eq!(counters.batches(), 0);
+        assert_eq!(counters.batch_expanded(), 0);
         // No probes, no request.
         assert!(has_fact_batch(&counted, "r:director", &[])
             .unwrap()
@@ -600,6 +654,23 @@ mod tests {
         }
         let err = has_fact_batch(&Short, "r:p", &[("a", "b"), ("c", "d")]).unwrap_err();
         assert!(err.to_string().contains("2 probes"), "{err}");
+    }
+
+    /// A premise probe is `r(x, y₁) ∧ ¬r(x, y₂)`, a `y₂` the store has
+    /// never seen included.
+    #[test]
+    fn premise_contradictions() {
+        let ep = movie_endpoint();
+        let samples = [
+            ("m:inception", "p:nolan", "p:thomas"),
+            ("m:inception", "p:nolan", "p:nobody"),
+            ("m:tenet", "p:nolan", "p:nolan"),
+            ("m:tenet", "p:thomas", "p:nobody"),
+        ];
+        assert_eq!(
+            premise_contradiction_batch(&ep, "r:director", &samples).unwrap(),
+            vec![true, true, false, false]
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@ use std::time::Duration;
 /// variant counter (select/ask), plus the same number to
 /// [`EndpointCounters::batch_expanded`] — so the paper's "few queries"
 /// accounting stays exact no matter how requests are grouped, and the
-/// batch share is visible separately.
+/// batch share is visible separately. A [`Request::Table`] is one
+/// `SELECT` whatever its rows: one text on the wire, one execution;
+/// [`EndpointCounters::largest_table`] keeps the most rows one carried.
 ///
 /// Queries are counted **at issue time**, before execution — the same
 /// rule as for single requests (a failed query still counts as issued).
@@ -29,6 +31,7 @@ use std::time::Duration;
 pub struct EndpointCounters {
     requests: Arc<AtomicU64>,
     largest_request: Arc<AtomicU64>,
+    largest_table: Arc<AtomicU64>,
     select_queries: Arc<AtomicU64>,
     ask_queries: Arc<AtomicU64>,
     batches: Arc<AtomicU64>,
@@ -46,6 +49,12 @@ impl EndpointCounters {
     /// The most leaf requests any one request carried.
     pub fn largest_request(&self) -> u64 {
         self.largest_request.load(Ordering::Relaxed)
+    }
+
+    /// The most argument rows any one [`Request::Table`] carried, at any
+    /// batch depth; 0 when none was sent.
+    pub fn largest_table(&self) -> u64 {
+        self.largest_table.load(Ordering::Relaxed)
     }
 
     /// Number of `SELECT`-shaped leaf requests issued (string, prepared,
@@ -85,6 +94,7 @@ impl EndpointCounters {
     pub fn reset(&self) {
         self.requests.store(0, Ordering::Relaxed);
         self.largest_request.store(0, Ordering::Relaxed);
+        self.largest_table.store(0, Ordering::Relaxed);
         self.select_queries.store(0, Ordering::Relaxed);
         self.ask_queries.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
@@ -100,6 +110,11 @@ impl EndpointCounters {
             Request::Select { .. }
             | Request::PreparedSelect { .. }
             | Request::PreparedSelectPaged { .. } => &self.select_queries,
+            Request::Table { rows, .. } => {
+                self.largest_table
+                    .fetch_max(rows.len() as u64, Ordering::Relaxed);
+                &self.select_queries
+            }
             Request::Ask { .. } | Request::PreparedAsk { .. } => &self.ask_queries,
             Request::Batch(subs) => {
                 self.batches.fetch_add(1, Ordering::Relaxed);
@@ -298,6 +313,37 @@ mod tests {
         assert_eq!(counters.requests(), 1); // …all in one round trip
         assert_eq!(counters.largest_request(), 4);
         assert_eq!(counters.rows_returned(), 2 + 1); // select rows + count row
+    }
+
+    /// A table is one select query in one request, however many rows it
+    /// carries; the rows show in `largest_table` only.
+    #[test]
+    fn a_table_counts_as_one_query_and_keeps_its_row_count() {
+        let ep = wrapped();
+        let counters = ep.counters();
+        let probe = Prepared::new("ASK { ?s <p> ?o }", &["s", "o"]).unwrap();
+        let rows = [
+            [Term::iri("a"), Term::iri("b")],
+            [Term::iri("a"), Term::iri("x")],
+            [Term::iri("a"), Term::iri("c")],
+        ];
+        let rows: Vec<&[Term]> = rows.iter().map(|r| &r[..]).collect();
+        let answers = ep.execute_table(&probe, &rows).unwrap();
+        assert_eq!(answers.len(), 3);
+        assert_eq!(
+            [
+                counters.requests(),
+                counters.select_queries(),
+                counters.ask_queries(),
+                counters.largest_request(),
+                counters.largest_table(),
+            ],
+            [1, 1, 0, 1, 3]
+        );
+        ep.execute_table(&probe, &rows[..2]).unwrap();
+        assert_eq!(counters.largest_table(), 3);
+        counters.reset();
+        assert_eq!(counters.largest_table(), 0);
     }
 
     #[test]

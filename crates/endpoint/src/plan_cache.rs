@@ -310,9 +310,11 @@ impl ShardedPlanCache {
     }
 
     /// The plan cached under `key` at `version`, or `compile`'s result,
-    /// inserted. The key is hashed once for both. Compilation runs
-    /// outside the shard lock; two threads missing on one key both
-    /// compile and the later insert wins.
+    /// inserted — unless the query carries inline data: a `VALUES` text
+    /// is its rows', which no later request repeats, and caching it would
+    /// only evict plans that hit. The key is hashed once for both.
+    /// Compilation runs outside the shard lock; two threads missing on
+    /// one key both compile and the later insert wins.
     pub(crate) fn get_or_compile(
         &self,
         key: Cow<'_, str>,
@@ -325,6 +327,9 @@ impl ShardedPlanCache {
             return Ok(hit);
         }
         let compiled = Arc::new(compile()?);
+        if compiled.carries_inline_data() {
+            return Ok(compiled);
+        }
         // The displaced entry is dropped here, after the lock is gone.
         let _displaced =
             shard

@@ -6,7 +6,9 @@
 //! protocol), and decodes the envelope back into the exact
 //! [`Response`] / [`EndpointError`] local execution would produce — so
 //! [`sofya_endpoint::InstrumentedEndpoint`] and the alignment pipeline
-//! compose over it unchanged.
+//! compose over it unchanged. A [`Request::Table`] travels as the one
+//! `SELECT` it renders to, and its rows are split back into one response
+//! per table row here.
 //!
 //! Connections are reused across requests (HTTP/1.1 keep-alive, one
 //! pooled connection guarded by a mutex, kept together with its read
@@ -203,6 +205,34 @@ impl RemoteEndpoint {
         read_response(&mut conn.stream)
     }
 
+    /// Sends one wire request and decodes its answer. A busy server's
+    /// hinted `503` is waited out and the request sent again, while the
+    /// budget leaves more than the hint.
+    fn send(&self, wire: &WireRequest, budget: &QueryBudget) -> Result<Response, EndpointError> {
+        let mut body = String::new();
+        wire.write(&mut body);
+        body.push('\n');
+        let mut resends = 0;
+        loop {
+            // Refused before anything is sent: no time has been spent on it.
+            budget.check_expired()?;
+            match self.exchange(body.as_bytes(), budget) {
+                // Admission refused the job, so it never ran: safe to
+                // send again once the hint has passed.
+                Err(EndpointError::Unavailable {
+                    retry_after: Some(hint),
+                    ..
+                }) if resends < MAX_HINTED_RESENDS
+                    && budget.remaining_time().is_none_or(|left| left > hint) =>
+                {
+                    std::thread::sleep(hint);
+                    resends += 1;
+                }
+                result => return result,
+            }
+        }
+    }
+
     /// One `POST /query` exchange, decoded as local execution answers.
     fn exchange(&self, body: &[u8], budget: &QueryBudget) -> Result<Response, EndpointError> {
         let response = self.roundtrip("POST", "/query", body, budget)?;
@@ -271,29 +301,15 @@ impl Endpoint for RemoteEndpoint {
         req: Request<'_>,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        let wire = WireRequest::from_request(&req)?;
-        let mut body = String::new();
-        wire.write(&mut body);
-        body.push('\n');
-        let mut resends = 0;
-        loop {
-            // Refused before anything is sent: no time has been spent on it.
-            budget.check_expired()?;
-            match self.exchange(body.as_bytes(), budget) {
-                // Admission refused the job, so it never ran: safe to
-                // send again once the hint has passed.
-                Err(EndpointError::Unavailable {
-                    retry_after: Some(hint),
-                    ..
-                }) if resends < MAX_HINTED_RESENDS
-                    && budget.remaining_time().is_none_or(|left| left > hint) =>
-                {
-                    std::thread::sleep(hint);
-                    resends += 1;
-                }
-                result => return result,
-            }
+        if let Request::Table { prepared, rows } = req {
+            let table = prepared.table(rows)?;
+            let answer = self.send(&WireRequest::Select(table.render()?), budget)?;
+            let answers = table.split(answer.into_rows()?)?;
+            return Ok(Response::Batch(
+                answers.into_iter().map(Response::from).collect(),
+            ));
         }
+        self.send(&WireRequest::from_request(&req)?, budget)
     }
 
     fn name(&self) -> &str {

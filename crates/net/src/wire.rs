@@ -3,7 +3,9 @@
 //! A [`sofya_endpoint::Request`] crosses the wire as a [`WireRequest`]:
 //! every non-batch shape is rendered to its SPARQL text client-side (via
 //! [`Request::to_sparql`]), tagged with its response shape (`select` /
-//! `ask`), and batches nest structurally. Prepared templates therefore
+//! `ask`), and batches nest structurally. A table is a `select` of the
+//! one query it renders to, its rows inline; the client splits the
+//! answer (see [`crate::RemoteEndpoint`]). Prepared templates therefore
 //! never travel — the server sees plain SPARQL, and the response tree a
 //! remote client observes is **bit-identical** to local execution.
 //!

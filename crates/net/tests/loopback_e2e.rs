@@ -6,10 +6,14 @@
 //! reject over-budget clients with a typed error.
 
 use sofya_core::{Aligner, AlignerConfig};
-use sofya_endpoint::{EndpointCounters, EndpointExt, InstrumentedEndpoint, LocalEndpoint};
+use sofya_endpoint::{
+    BudgetConfig, Endpoint, EndpointCounters, EndpointError, EndpointExt, InstrumentedEndpoint,
+    LocalEndpoint, Request, Response,
+};
 use sofya_net::{HttpServer, Json, RemoteConfig, RemoteEndpoint, ServerConfig};
 use sofya_rdf::{Term, TripleStore};
 use sofya_service::SchedulerConfig;
+use sofya_sparql::QueryBudget;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -105,8 +109,8 @@ fn federated_alignment_is_bit_identical_to_local() {
 /// same relation aligned through `Instrumented(Local)` and
 /// `Instrumented(Remote)` counts the same leaf queries, requests, batches
 /// and rows; the server completes exactly the requests the client
-/// counted; and evidence probes batch, so those requests stay well below
-/// the leaf-query count a per-subject client would have issued.
+/// counted; and probes travel as tables, one query per batched phase,
+/// well below the leaf queries a per-subject client would have issued.
 #[test]
 fn federated_alignment_batches_probes_over_the_wire() {
     let (dbp_store, yago_store) = movie_stores();
@@ -132,22 +136,30 @@ fn federated_alignment_batches_probes_over_the_wire() {
             c.requests(),
             c.batches(),
             c.largest_request(),
+            c.largest_table(),
             c.rows_returned(),
         ]
     };
     assert_eq!(
         cost(&there),
         cost(&here),
-        "queries, requests, batches, largest, rows"
+        "queries, requests, batches, largest, largest table, rows"
     );
     // The server's `completed` counts scheduler jobs = HTTP round trips.
     assert_eq!(server.metrics().completed, there.requests());
-    assert!(there.batches() > 0, "probes must batch");
-    assert!(
-        there.requests() < there.total_queries(),
-        "batching must compress round trips: {} trips for {} leaves",
-        there.requests(),
-        there.total_queries()
+    // Probes travel as tables: every request is one query, and the
+    // relation costs 8 of them where one leaf per probe was 61 leaf
+    // queries in 9 requests (6 of them batches of up to 12 leaves).
+    assert_eq!(
+        [
+            there.total_queries(),
+            there.requests(),
+            there.batches(),
+            there.largest_request(),
+            there.largest_table()
+        ],
+        [8, 8, 0, 1, 12],
+        "probes must travel as tables: queries, requests, batches, largest, largest table"
     );
     server.shutdown();
 }
@@ -157,6 +169,75 @@ fn federated_alignment_batches_probes_over_the_wire() {
 /// both KBs of a seeded kbgen pair each count helper still equals its
 /// page template read in full — and what the same helper answers in
 /// process.
+/// Runs every request under one budget, as a capped server runs it.
+struct Capped<E>(E, QueryBudget);
+
+impl<E: Endpoint> Endpoint for Capped<E> {
+    fn execute_with_budget(
+        &self,
+        req: Request<'_>,
+        _budget: &QueryBudget,
+    ) -> Result<Response, EndpointError> {
+        self.0.execute_with_budget(req, &self.1)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// A server's scan and binding caps are per query, and each row of a
+/// table is charged as the query it stands for — as an in-process
+/// endpoint charges it, running the rows as leaves. So under the least
+/// caps the local alignment fits, the alignment through a server with
+/// those caps is the same, table rows and all.
+#[test]
+fn a_capped_server_aligns_as_a_capped_local_endpoint() {
+    let (dbp_store, yago_store) = movie_stores();
+    let source = LocalEndpoint::new("dbp", dbp_store);
+    let config = AlignerConfig::paper_defaults(5);
+    let local = |caps: BudgetConfig| {
+        let budget = QueryBudget {
+            max_rows_scanned: caps.max_rows_scanned,
+            max_bindings: caps.max_bindings,
+            ..QueryBudget::default()
+        };
+        let target = Capped(LocalEndpoint::new("yago", yago_store.clone()), budget);
+        Aligner::new(&source, &target, config.clone()).align_relation("y:directedBy")
+    };
+    let least = |cap: &dyn Fn(u64) -> BudgetConfig| {
+        let fits: Vec<bool> = (0..512).map(|n| local(cap(n)).is_ok()).collect();
+        fits.iter().position(|&ok| ok).expect("some cap fits")
+    };
+    let caps = BudgetConfig {
+        max_rows_scanned: Some(least(&|n| BudgetConfig {
+            max_rows_scanned: Some(n),
+            ..BudgetConfig::default()
+        }) as u64),
+        max_bindings: Some(least(&|n| BudgetConfig {
+            max_bindings: Some(n as usize),
+            ..BudgetConfig::default()
+        })),
+        ..BudgetConfig::default()
+    };
+    let local_rules = local(caps).expect("both least caps fit");
+    assert!(!local_rules.is_empty());
+
+    let server = start_server(
+        yago_store,
+        ServerConfig {
+            budget: caps,
+            ..ServerConfig::default()
+        },
+    );
+    let remote = RemoteEndpoint::new("yago", server.addr());
+    let remote_rules = Aligner::new(&source, &remote, config)
+        .align_relation("y:directedBy")
+        .expect("a capped server answers what a capped local endpoint answers");
+    assert_eq!(remote_rules, local_rules);
+    server.shutdown();
+}
+
 #[test]
 fn remote_count_helpers_equal_their_page_template_read_in_full() {
     use sofya_endpoint::helpers::{

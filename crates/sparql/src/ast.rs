@@ -66,15 +66,19 @@ pub struct OrderKey {
 }
 
 /// A group graph pattern: a basic graph pattern plus filters, `UNION`
-/// blocks, and `OPTIONAL` extensions.
+/// blocks, `OPTIONAL` extensions, and at most one inline data table.
 ///
-/// Evaluation order (documented subset semantics): the basic pattern is
-/// joined first; each `UNION` block then joins every solution with each
-/// of its branches (concatenating the per-branch results); each
-/// `OPTIONAL` left-joins; filters whose variables are bound by the basic
-/// pattern run during the join, the rest run at the end of the group.
+/// Evaluation order (documented subset semantics): a group with a
+/// `VALUES` table runs once per table row, seeded with that row; then
+/// the basic pattern is joined; each `UNION` block then joins every
+/// solution with each of its branches (concatenating the per-branch
+/// results); each `OPTIONAL` left-joins; filters whose variables are
+/// bound by the table or the basic pattern run during the join, the rest
+/// run at the end of the group.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupGraphPattern {
+    /// Inline data (`VALUES`), if the group has a table.
+    pub values: Option<ValuesTable>,
     /// Triple patterns, joined conjunctively.
     pub triples: Vec<TriplePatternAst>,
     /// Filter expressions, all of which must evaluate to true.
@@ -84,6 +88,46 @@ pub struct GroupGraphPattern {
     pub unions: Vec<Vec<GroupGraphPattern>>,
     /// `OPTIONAL { … }` extensions, left-joined in order.
     pub optionals: Vec<GroupGraphPattern>,
+}
+
+/// An inline data table, `VALUES (?a ?b) { (<x> "y") … }`: one or more
+/// variables and rows of constants, IRIs and literals only, every row as
+/// wide as the variable list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValuesTable {
+    /// The columns' variables, by name (without `?`).
+    pub vars: Vec<String>,
+    /// The rows, back to back: `vars.len()` terms each.
+    pub cells: Vec<Term>,
+}
+
+impl ValuesTable {
+    /// The rows, in order.
+    pub fn rows(&self) -> std::slice::Chunks<'_, Term> {
+        self.cells.chunks(self.vars.len().max(1))
+    }
+}
+
+impl GroupGraphPattern {
+    /// Whether this group or any group nested in it — a `UNION` branch,
+    /// an `OPTIONAL`, an `EXISTS` body — carries a `VALUES` table.
+    pub fn has_inline_data(&self) -> bool {
+        fn in_expr(expr: &Expr) -> bool {
+            match expr {
+                Expr::Var(_) | Expr::Const(_) => false,
+                Expr::Compare(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                    in_expr(a) || in_expr(b)
+                }
+                Expr::Not(inner) => in_expr(inner),
+                Expr::Call(_, args) => args.iter().any(in_expr),
+                Expr::Exists { pattern, .. } => pattern.has_inline_data(),
+            }
+        }
+        self.values.is_some()
+            || self.filters.iter().any(in_expr)
+            || self.unions.iter().flatten().any(Self::has_inline_data)
+            || self.optionals.iter().any(Self::has_inline_data)
+    }
 }
 
 /// A triple pattern over [`NodePattern`]s.
@@ -209,9 +253,10 @@ impl Expr {
     }
 }
 
-/// All variables appearing in a pattern — including `UNION` branches and
-/// `OPTIONAL` extensions, but not `EXISTS` filter bodies (those are
-/// scoped locally) — in order of first appearance.
+/// All variables appearing in a pattern — including its `VALUES` table,
+/// `UNION` branches and `OPTIONAL` extensions, but not `EXISTS` filter
+/// bodies (those are scoped locally) — in order of first appearance, a
+/// group's table first.
 pub fn pattern_variables(pattern: &GroupGraphPattern) -> Vec<String> {
     let mut vars: Vec<String> = Vec::new();
     collect_pattern_vars(pattern, &mut vars);
@@ -221,13 +266,14 @@ pub fn pattern_variables(pattern: &GroupGraphPattern) -> Vec<String> {
 /// Appends the pattern's variables (recursing into unions/optionals) to
 /// `vars`, skipping duplicates.
 pub fn collect_pattern_vars(pattern: &GroupGraphPattern, vars: &mut Vec<String>) {
-    for tp in &pattern.triples {
-        for node in [&tp.s, &tp.p, &tp.o] {
-            if let NodePattern::Var(v) = node {
-                if !vars.iter().any(|existing| existing == v) {
-                    vars.push(v.clone());
-                }
-            }
+    let table = pattern.values.iter().flat_map(|t| &t.vars);
+    let triples = pattern.triples.iter().flat_map(|tp| [&tp.s, &tp.p, &tp.o]);
+    for v in table
+        .map(String::as_str)
+        .chain(triples.filter_map(NodePattern::as_var))
+    {
+        if !vars.iter().any(|existing| existing == v) {
+            vars.push(v.to_owned());
         }
     }
     for block in &pattern.unions {
@@ -247,6 +293,7 @@ mod tests {
     #[test]
     fn pattern_variables_in_first_appearance_order() {
         let pattern = GroupGraphPattern {
+            values: None,
             triples: vec![
                 TriplePatternAst {
                     s: NodePattern::Var("x".into()),

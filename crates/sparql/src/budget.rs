@@ -95,6 +95,9 @@ pub struct QueryBudget {
     /// Absolute wall-clock deadline; polled every [`POLL_INTERVAL`] rows.
     pub deadline: Option<Instant>,
     /// Exact cap on rows scanned across all index ranges of the query.
+    /// A row of a `VALUES` table is charged as a query of its own, here
+    /// and for `max_bindings`: what it scans and binds does not carry
+    /// over to the next row.
     pub max_rows_scanned: Option<u64>,
     /// Exact cap on intermediate bindings held at any point.
     pub max_bindings: Option<usize>,
@@ -227,6 +230,17 @@ impl<'a> BudgetTracker<'a> {
             self.budget.check_expired()?;
         }
         Ok(())
+    }
+
+    /// Rows scanned so far.
+    pub(crate) fn scanned(&self) -> u64 {
+        self.scanned
+    }
+
+    /// Forgets every row scanned since [`BudgetTracker::scanned`] read
+    /// `mark`.
+    pub(crate) fn rewind(&mut self, mark: u64) {
+        self.scanned = mark;
     }
 
     /// Exact check against the binding cap for a solution set about to

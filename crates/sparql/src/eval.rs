@@ -11,7 +11,7 @@ use crate::ast::{Builtin, Projection, Query, SelectQuery};
 use crate::budget::{BudgetTracker, QueryBudget};
 use crate::error::SparqlError;
 use crate::parser::parse_query;
-use crate::plan::{GroupPlan, PExpr, PlanOptions, Slot};
+use crate::plan::{Foreign, GroupPlan, PExpr, PlanOptions, Slot};
 use crate::solution::ResultSet;
 use crate::value::Value;
 use sofya_rdf::{Term, TermId, TriplePattern, TripleStore};
@@ -64,18 +64,13 @@ pub fn execute_ast_budgeted(
     opts: PlanOptions<'_>,
     budget: &QueryBudget,
 ) -> Result<QueryOutcome, SparqlError> {
-    let mut ex = Exec::new(store, budget)?;
+    let plan = GroupPlan::build_with(store, query.pattern(), &[], opts);
+    let mut ex = Exec::new(store, &plan.foreign, budget)?;
     match query {
-        Query::Select(select) => {
-            let plan = GroupPlan::build_with(store, &select.pattern, &[], opts);
-            Ok(QueryOutcome::Solutions(execute_select_planned_paged(
-                &mut ex, select, &plan, None, None,
-            )?))
-        }
-        Query::Ask(pattern) => {
-            let plan = GroupPlan::build_with(store, pattern, &[], opts);
-            Ok(QueryOutcome::Boolean(execute_ask_planned(&mut ex, &plan)?))
-        }
+        Query::Select(select) => Ok(QueryOutcome::Solutions(execute_select_planned_paged(
+            &mut ex, select, &plan, None, None,
+        )?)),
+        Query::Ask(_) => Ok(QueryOutcome::Boolean(execute_ask_planned(&mut ex, &plan)?)),
     }
 }
 
@@ -89,6 +84,16 @@ pub fn execute_ast_budgeted(
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     inner: CompiledInner,
+    inline_data: bool,
+}
+
+impl CompiledQuery {
+    /// Whether the query carries inline data (a `VALUES` table in any of
+    /// its groups). Such a plan answers its one request: a plan cache
+    /// keyed by text would hold a text that never comes again.
+    pub fn carries_inline_data(&self) -> bool {
+        self.inline_data
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -109,7 +114,9 @@ pub fn compile_with_options(
     query: &str,
     opts: PlanOptions<'_>,
 ) -> Result<CompiledQuery, SparqlError> {
-    let inner = match parse_query(query)? {
+    let query = parse_query(query)?;
+    let inline_data = query.pattern().has_inline_data();
+    let inner = match query {
         Query::Select(select) => CompiledInner::Select {
             plan: GroupPlan::build_with(store, &select.pattern, &[], opts),
             query: Box::new(select),
@@ -118,7 +125,7 @@ pub fn compile_with_options(
             plan: GroupPlan::build_with(store, &pattern, &[], opts),
         },
     };
-    Ok(CompiledQuery { inner })
+    Ok(CompiledQuery { inner, inline_data })
 }
 
 /// Plans an already-parsed (e.g. prepared-and-bound) query for repeated
@@ -140,7 +147,10 @@ pub fn compile_ast_with_options(
             plan: GroupPlan::build_with(store, pattern, &[], opts),
         },
     };
-    CompiledQuery { inner }
+    CompiledQuery {
+        inner,
+        inline_data: query.pattern().has_inline_data(),
+    }
 }
 
 /// Executes a compiled query against the store it was compiled for.
@@ -163,12 +173,15 @@ pub fn execute_compiled_paged_budgeted(
     offset: Option<usize>,
     budget: &QueryBudget,
 ) -> Result<QueryOutcome, SparqlError> {
-    let mut ex = Exec::new(store, budget)?;
     match &compiled.inner {
-        CompiledInner::Select { query, plan } => Ok(QueryOutcome::Solutions(
-            execute_select_planned_paged(&mut ex, query, plan, limit, offset)?,
-        )),
+        CompiledInner::Select { query, plan } => {
+            let mut ex = Exec::new(store, &plan.foreign, budget)?;
+            Ok(QueryOutcome::Solutions(execute_select_planned_paged(
+                &mut ex, query, plan, limit, offset,
+            )?))
+        }
         CompiledInner::Ask { plan } => {
+            let mut ex = Exec::new(store, &plan.foreign, budget)?;
             if limit.is_some() || offset.is_some() {
                 return Err(SparqlError::eval(
                     "LIMIT/OFFSET cannot be applied to an ASK query",
@@ -205,11 +218,13 @@ pub fn execute_ask(store: &TripleStore, query: &str) -> Result<bool, SparqlError
     }
 }
 
-/// One execution's state: the store, the budget, and a spare binding
-/// buffer that `EXISTS` probes reuse, so probing once per outer solution
-/// does not allocate once per outer solution.
+/// One execution's state: the store, the terms of the query's tables
+/// the store lacks, the budget, and a spare binding buffer that `EXISTS`
+/// probes reuse, so probing once per outer solution does not allocate
+/// once per outer solution.
 struct Exec<'s, 'b> {
     store: &'s TripleStore,
+    foreign: &'s Foreign,
     budget: BudgetTracker<'b>,
     spare: Vec<Option<TermId>>,
 }
@@ -218,14 +233,24 @@ impl<'s, 'b> Exec<'s, 'b> {
     /// Starts an execution. An already-expired or already-cancelled
     /// budget fails here, even on paths that never scan (index-shortcut
     /// counts, provably-empty plans).
-    fn new(store: &'s TripleStore, budget: &'b QueryBudget) -> Result<Self, SparqlError> {
+    fn new(
+        store: &'s TripleStore,
+        foreign: &'s Foreign,
+        budget: &'b QueryBudget,
+    ) -> Result<Self, SparqlError> {
         let budget = BudgetTracker::new(budget);
         budget.preflight()?;
         Ok(Self {
             store,
+            foreign,
             budget,
             spare: Vec::new(),
         })
+    }
+
+    /// The term a bound id stands for.
+    fn term(&self, id: TermId) -> &'s Term {
+        self.foreign.resolve(self.store, id)
     }
 
     /// Hands `row` to `sink`, charging the binding cap every solution the
@@ -359,6 +384,25 @@ impl Sink for Count {
     }
 }
 
+/// The sink of one row of a `VALUES` table: it passes solutions on and
+/// charges the binding cap only those the row has delivered.
+struct RowCharged<'s, S> {
+    sink: &'s mut S,
+    taken: usize,
+}
+
+impl<S: Sink> Sink for RowCharged<'_, S> {
+    fn accept(&mut self, row: &[Option<TermId>]) -> usize {
+        self.sink.accept(row);
+        self.taken += 1;
+        self.taken
+    }
+
+    fn done(&self) -> bool {
+        self.sink.done()
+    }
+}
+
 /// Whether any solution exists: stops at the first.
 #[derive(Default)]
 struct Any {
@@ -377,12 +421,15 @@ impl Sink for Any {
 }
 
 /// The exact row count of `plan`, when it can be read straight off the
-/// store's indexes: no filters or sub-groups, and at most one triple
-/// pattern whose variables are all distinct. `None` when the plan needs
-/// the full join machinery. The empty pattern set contributes the single
-/// empty solution μ0.
+/// store's indexes: no table, filters or sub-groups, and at most one
+/// triple pattern whose variables are all distinct. `None` when the plan
+/// needs the full join machinery. The empty pattern set contributes the
+/// single empty solution μ0.
 fn exact_pattern_count(store: &TripleStore, plan: &GroupPlan) -> Option<usize> {
-    if plan.has_subgroups() || plan.filters_at.iter().any(|f| !f.is_empty()) {
+    if plan.values.is_some()
+        || plan.has_subgroups()
+        || plan.filters_at.iter().any(|f| !f.is_empty())
+    {
         return None;
     }
     match plan.patterns.len() {
@@ -506,7 +553,7 @@ fn execute_select_planned_paged(
             rows: Table::new(cols.len()),
         };
         eval_group(ex, plan, &mut binding, &mut page)?;
-        return Ok(resolve_rows(ex.store, vars, page.rows.iter()));
+        return Ok(resolve_rows(ex, vars, page.rows.iter()));
     }
 
     let mut table = Table::new(width);
@@ -520,9 +567,9 @@ fn execute_select_planned_paged(
         .iter()
         .filter_map(|k| column(&k.var).map(|i| (i, k.descending)))
         .collect();
-    let store = ex.store;
+    let term = |id| ex.term(id);
     let cmp =
-        |a: usize, b: usize| compare_keys(store, &keys, table.row(a), table.row(b)).then(a.cmp(&b));
+        |a: usize, b: usize| compare_keys(term, &keys, table.row(a), table.row(b)).then(a.cmp(&b));
     let mut order: Vec<usize> = if query.distinct {
         // One solution per projected row, the one that sorts first, so
         // only the distinct rows are sorted. The dictionary is injective,
@@ -550,7 +597,7 @@ fn execute_select_planned_paged(
     for &i in order.iter().skip(skip) {
         page.push_projected(table.row(i), &cols);
     }
-    Ok(resolve_rows(ex.store, vars, page.iter()))
+    Ok(resolve_rows(ex, vars, page.iter()))
 }
 
 /// Puts the `wanted` least elements of `order` under `cmp`, a total
@@ -568,13 +615,13 @@ fn sort_prefix<T>(order: &mut Vec<T>, wanted: usize, mut cmp: impl FnMut(&T, &T)
 
 /// Compares two solutions by the `ORDER BY` keys `(column, descending)`:
 /// by term, an unbound cell first.
-fn compare_keys(
-    store: &TripleStore,
+fn compare_keys<'s>(
+    resolve: impl Fn(TermId) -> &'s Term,
     keys: &[(usize, bool)],
     a: &[Option<TermId>],
     b: &[Option<TermId>],
 ) -> Ordering {
-    let term = |cell: Option<TermId>| cell.map(|id| store.dict().resolve(id));
+    let term = |cell: Option<TermId>| cell.map(&resolve);
     for &(col, descending) in keys {
         // Distinct ids are distinct terms; only they need resolving.
         if a[col] != b[col] {
@@ -588,14 +635,14 @@ fn compare_keys(
 /// The result set of projected `rows`, resolved to terms: the one place
 /// the evaluator clones a term.
 fn resolve_rows<'r>(
-    store: &TripleStore,
+    ex: &Exec<'_, '_>,
     vars: Vec<String>,
     rows: impl Iterator<Item = &'r [Option<TermId>]>,
 ) -> ResultSet {
     let rows = rows
         .map(|row| {
             row.iter()
-                .map(|cell| cell.map(|id| store.dict().resolve(id).clone()))
+                .map(|cell| cell.map(|id| ex.term(id).clone()))
                 .collect()
         })
         .collect();
@@ -624,12 +671,50 @@ fn reseed(binding: &mut Vec<Option<TermId>>, row: &[Option<TermId>], plan: &Grou
     binding.resize(plan.var_names.len(), None);
 }
 
-/// Evaluates a full group from the seed `binding`: basic pattern join,
-/// then `UNION` blocks, then `OPTIONAL` left-joins, then the group's
-/// post-filters, handing the solutions to `sink`. A group with none of
-/// the last three streams its join into the sink; otherwise each stage
-/// fills a table of its own.
+/// Evaluates a full group from the seed `binding`: a group with a
+/// `VALUES` table runs [`eval_seeded`] once per row, the binding seeded
+/// with that row, in row order; a row that disagrees with a binding the
+/// group inherited has no solution. Each row is charged to the budget
+/// as the query it stands for: the scan and binding caps count its own
+/// scans and solutions, not those of the rows before it.
 fn eval_group<S: Sink>(
+    ex: &mut Exec<'_, '_>,
+    plan: &GroupPlan,
+    binding: &mut [Option<TermId>],
+    sink: &mut S,
+) -> Result<(), SparqlError> {
+    let Some(values) = &plan.values else {
+        return eval_seeded(ex, plan, binding, sink);
+    };
+    let mut seed = binding.to_vec();
+    for row in values.rows() {
+        if sink.done() {
+            break;
+        }
+        seed.copy_from_slice(binding);
+        let agrees = values.vars.iter().zip(row).all(|(&var, &id)| {
+            let cell = &mut seed[var];
+            *cell.get_or_insert(id) == id
+        });
+        if agrees {
+            let scanned = ex.budget.scanned();
+            let mut row_sink = RowCharged {
+                sink: &mut *sink,
+                taken: 0,
+            };
+            eval_seeded(ex, plan, &mut seed, &mut row_sink)?;
+            ex.budget.rewind(scanned);
+        }
+    }
+    Ok(())
+}
+
+/// Evaluates a group from the seed `binding`, its table's row included:
+/// basic pattern join, then `UNION` blocks, then `OPTIONAL` left-joins,
+/// then the group's post-filters, handing the solutions to `sink`. A
+/// group with none of the last three streams its join into the sink;
+/// otherwise each stage fills a table of its own.
+fn eval_seeded<S: Sink>(
     ex: &mut Exec<'_, '_>,
     plan: &GroupPlan,
     binding: &mut [Option<TermId>],
@@ -799,7 +884,7 @@ fn filter_passes(
 }
 
 fn var_value<'s>(
-    store: &'s TripleStore,
+    ex: &Exec<'s, '_>,
     idx: usize,
     binding: &[Option<TermId>],
 ) -> Result<Value<'s>, SparqlError> {
@@ -808,7 +893,7 @@ fn var_value<'s>(
         .copied()
         .flatten()
         .ok_or_else(|| SparqlError::eval("unbound variable in expression"))?;
-    Ok(Value::Term(Cow::Borrowed(store.dict().resolve(id))))
+    Ok(Value::Term(Cow::Borrowed(ex.term(id))))
 }
 
 /// Evaluates `expr` over `binding`. The value borrows its terms from the
@@ -819,7 +904,7 @@ fn eval_expr<'a, 's: 'a>(
     binding: &[Option<TermId>],
 ) -> Result<Value<'a>, SparqlError> {
     match expr {
-        PExpr::Var(i) => var_value(ex.store, *i, binding),
+        PExpr::Var(i) => var_value(ex, *i, binding),
         PExpr::Const(term) => Ok(Value::Term(Cow::Borrowed(term))),
         PExpr::Compare(op, a, b) => {
             let va = eval_expr(ex, a, binding)?;
@@ -1331,6 +1416,98 @@ mod tests {
         let budget = QueryBudget::unlimited().with_max_rows_scanned(1);
         let err = execute_ast_budgeted(&s, &q, PlanOptions::default(), &budget).unwrap_err();
         assert!(err.is_budget(), "got {err:?}");
+    }
+
+    /// A table runs its group once per row, in row order; a term the
+    /// store lacks matches no triple but projects, compares and fails an
+    /// `EXISTS` as itself.
+    #[test]
+    fn values_rows_seed_the_group_in_order() {
+        let s = demo_store();
+        let rs = execute(
+            &s,
+            "SELECT ?x ?c WHERE { VALUES (?x) { (<e:s3>) (<e:ghost>) (<e:s1>) } \
+             OPTIONAL { ?x <r:bornIn> ?c } }",
+        )
+        .unwrap();
+        let cell = |i: usize, v: &str| rs.cell(i, v).cloned();
+        assert_eq!(rs.len(), 3);
+        assert_eq!(cell(0, "x"), Some(Term::iri("e:s3")));
+        assert_eq!(cell(0, "c"), Some(Term::iri("e:france")));
+        assert_eq!(cell(1, "x"), Some(Term::iri("e:ghost")));
+        assert_eq!(cell(1, "c"), None);
+        assert_eq!(cell(2, "c"), Some(Term::iri("e:usa")));
+
+        let rs = execute(
+            &s,
+            "SELECT ?x ?y WHERE { VALUES (?x ?y) { (<e:s1> <e:usa>) (<e:s2> <e:mars>) \
+             (<e:s3> <e:usa>) } ?x <r:bornIn> ?c FILTER NOT EXISTS { ?x <r:livesIn> ?y } \
+             FILTER(?y != <e:usa>) }",
+        )
+        .unwrap();
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs.cell(0, "y"), Some(&Term::iri("e:mars")));
+        let rs = execute(
+            &s,
+            "SELECT ?n WHERE { VALUES ?n { \"Ella\" \"Nobody\" } FILTER(STRSTARTS(?n, \"N\")) }",
+        )
+        .unwrap();
+        assert_eq!(rs.column("n"), vec![&Term::literal("Nobody")]);
+    }
+
+    /// A row disagreeing with a binding the group inherited has no
+    /// solution; agreeing, it joins.
+    #[test]
+    fn values_rows_conflicting_with_an_outer_binding_are_skipped() {
+        let s = demo_store();
+        let rs = execute(
+            &s,
+            "SELECT ?x WHERE { ?x <r:bornIn> <e:usa> \
+             FILTER EXISTS { VALUES ?x { <e:s2> <e:s3> } } }",
+        )
+        .unwrap();
+        assert_eq!(rs.column("x"), vec![&Term::iri("e:s2")]);
+        let rs = execute(
+            &s,
+            "SELECT ?x WHERE { VALUES (?x ?x) { (<e:s1> <e:s1>) (<e:s1> <e:s2>) } }",
+        )
+        .unwrap();
+        assert_eq!(rs.len(), 1);
+        // No rows, no solutions; and never an index shortcut.
+        assert!(!execute_ask(&s, "ASK { VALUES ?x { } }").unwrap());
+        let rs = execute(
+            &s,
+            "SELECT (COUNT(*) AS ?n) { VALUES ?p { <r:bornIn> <r:bornIn> } ?x ?p ?y }",
+        )
+        .unwrap();
+        assert_eq!(rs.single_integer(), Some(6));
+    }
+
+    /// Under the scan cap and the binding cap alike, a table passes
+    /// exactly the caps that each of its rows' own queries passes: the
+    /// smallest cap it fits is its largest row's, not their sum.
+    #[test]
+    fn values_rows_are_charged_one_by_one() {
+        use crate::budget::QueryBudget;
+        let s = demo_store();
+        let fits = |query: &str, budget: &QueryBudget| {
+            let ast = parse_query(query).unwrap();
+            execute_ast_budgeted(&s, &ast, PlanOptions::default(), budget).is_ok()
+        };
+        let least = |query: &str, cap: &dyn Fn(u64) -> QueryBudget| {
+            (0..64).find(|&n| fits(query, &cap(n))).unwrap()
+        };
+        let caps: [&dyn Fn(u64) -> QueryBudget; 2] = [
+            &|n| QueryBudget::unlimited().with_max_rows_scanned(n),
+            &|n| QueryBudget::unlimited().with_max_bindings(n as usize),
+        ];
+        let subjects = ["e:s1", "e:s2", "e:s3"];
+        for cap in caps {
+            let rows = subjects.map(|x| least(&format!("SELECT ?p ?o {{ <{x}> ?p ?o }}"), cap));
+            let table = "SELECT ?x ?p ?o { VALUES ?x { <e:s1> <e:s2> <e:s3> } ?x ?p ?o }";
+            assert!(rows.iter().sum::<u64>() > rows[0], "{rows:?}");
+            assert_eq!(least(table, cap), *rows.iter().max().unwrap(), "{rows:?}");
+        }
     }
 
     #[test]

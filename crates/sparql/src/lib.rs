@@ -19,6 +19,11 @@
 //!   group-level filters — see [`ast::GroupGraphPattern`]).
 //! * Solution modifiers: `ORDER BY [ASC|DESC]`, `LIMIT`, `OFFSET`.
 //! * `ASK { … }`.
+//! * Inline data: one `VALUES ?v { … }` or `VALUES (?a ?b) { (…) … }`
+//!   table per group, of IRIs and literals (no `UNDEF`, no blank nodes).
+//!   The group runs once per row, seeded with it; a term the store lacks
+//!   matches no triple but compares and projects as itself.
+//!   [`Prepared::table`] sends a template's argument rows this way.
 //! * An [`unparse`](unparse::unparse) serialiser (AST → text), used by
 //!   SOFYA's cross-KB query rewriting.
 //!
@@ -60,7 +65,7 @@ pub use eval::{
 };
 pub use parser::parse_query;
 pub use plan::PlanOptions;
-pub use prepared::Prepared;
+pub use prepared::{BoundTable, Prepared};
 pub use solution::ResultSet;
 pub use unparse::unparse;
 

@@ -2,7 +2,7 @@
 
 use crate::ast::{
     Builtin, CompareOp, Expr, GroupGraphPattern, NodePattern, OrderKey, Projection, Query,
-    SelectQuery, TriplePatternAst,
+    SelectQuery, TriplePatternAst, ValuesTable,
 };
 use crate::error::SparqlError;
 use crate::token::{tokenize, Token};
@@ -236,6 +236,16 @@ impl Parser {
                         self.bump();
                     }
                 }
+                Some(Token::Keyword("VALUES")) => {
+                    self.bump();
+                    if group.values.is_some() {
+                        return Err(SparqlError::parse("a group holds at most one VALUES table"));
+                    }
+                    group.values = Some(self.parse_values()?);
+                    while matches!(self.peek(), Some(Token::Dot)) {
+                        self.bump();
+                    }
+                }
                 Some(Token::LBrace) => {
                     // A nested group, possibly the head of a UNION chain.
                     let mut branches = vec![self.parse_group()?];
@@ -263,6 +273,79 @@ impl Parser {
             }
         }
         Ok(group)
+    }
+
+    /// After `VALUES`: `?v { term… }` or `(?a ?b) { (term term) … }`.
+    fn parse_values(&mut self) -> Result<ValuesTable, SparqlError> {
+        let (vars, bare) = match self.next()? {
+            Token::Var(v) => (vec![v], true),
+            Token::LParen => {
+                let mut vars = Vec::new();
+                loop {
+                    match self.next()? {
+                        Token::Var(v) => vars.push(v),
+                        Token::RParen => break,
+                        other => {
+                            return Err(SparqlError::parse(format!(
+                                "expected a VALUES variable, found {other:?}"
+                            )))
+                        }
+                    }
+                }
+                (vars, false)
+            }
+            other => {
+                return Err(SparqlError::parse(format!(
+                    "expected VALUES variables, found {other:?}"
+                )))
+            }
+        };
+        if vars.is_empty() {
+            return Err(SparqlError::parse("VALUES needs at least one variable"));
+        }
+        self.expect(&Token::LBrace)?;
+        let mut cells = Vec::new();
+        loop {
+            match self.peek() {
+                Some(Token::RBrace) => {
+                    self.bump();
+                    break;
+                }
+                _ if bare => cells.push(self.parse_value()?),
+                _ => {
+                    self.expect(&Token::LParen)?;
+                    let start = cells.len();
+                    while !matches!(self.peek(), Some(Token::RParen)) {
+                        cells.push(self.parse_value()?);
+                    }
+                    self.bump();
+                    if cells.len() - start != vars.len() {
+                        return Err(SparqlError::parse(format!(
+                            "a VALUES row of {} terms under {} variables",
+                            cells.len() - start,
+                            vars.len()
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(ValuesTable { vars, cells })
+    }
+
+    /// One cell of a `VALUES` row: an IRI or a literal.
+    fn parse_value(&mut self) -> Result<Term, SparqlError> {
+        match self.next()? {
+            Token::Iri(iri) => Ok(Term::iri(iri)),
+            Token::Str(s) => self.finish_literal(s),
+            Token::Integer(n) => Ok(Term::integer(n)),
+            Token::Keyword("TRUE") => Ok(Term::typed_literal("true", XSD_BOOLEAN)),
+            Token::Keyword("FALSE") => Ok(Term::typed_literal("false", XSD_BOOLEAN)),
+            Token::Keyword("UNDEF") => Err(SparqlError::parse("UNDEF is not supported in VALUES")),
+            Token::BNode(_) => Err(SparqlError::parse("a VALUES cell cannot be a blank node")),
+            other => Err(SparqlError::parse(format!(
+                "expected a VALUES cell, found {other:?}"
+            ))),
+        }
     }
 
     fn parse_triple(&mut self) -> Result<TriplePatternAst, SparqlError> {
@@ -649,6 +732,56 @@ mod tests {
     #[test]
     fn rejects_negative_limit() {
         assert!(parse_query("SELECT ?x { ?x <p> ?y } LIMIT -1").is_err());
+    }
+
+    #[test]
+    fn parses_both_values_forms() {
+        let q = select("SELECT ?p { VALUES (?s ?o) { (<a> \"b\"@en) (<c> 4) } ?s ?p ?o }");
+        let table = q.pattern.values.expect("a table");
+        assert_eq!(table.vars, vec!["s", "o"]);
+        let rows: Vec<&[Term]> = table.rows().collect();
+        assert_eq!(
+            rows,
+            [
+                &[Term::iri("a"), Term::lang_literal("b", "en")][..],
+                &[Term::iri("c"), Term::integer(4)][..],
+            ]
+        );
+        let q = select("SELECT ?p { ?s ?p ?o . VALUES ?s { <a> <c> TRUE } }");
+        let table = q.pattern.values.expect("a table");
+        assert_eq!(table.vars, vec!["s"]);
+        assert_eq!(table.cells.len(), 3);
+        // No rows is a table too; it has no solutions.
+        let q = select("SELECT ?p { VALUES (?s) { } ?s ?p ?o }");
+        assert_eq!(q.pattern.values.expect("a table").cells, vec![]);
+        // A table in a nested group belongs to that group.
+        let q = select("SELECT ?p { ?s ?p ?o FILTER NOT EXISTS { VALUES ?o { <b> } ?s ?p ?o } }");
+        assert!(q.pattern.values.is_none());
+        assert!(q.pattern.has_inline_data());
+    }
+
+    #[test]
+    fn values_refusals() {
+        for bad in [
+            // UNDEF, in either form.
+            "SELECT ?p { VALUES (?s ?o) { (<a> UNDEF) } ?s ?p ?o }",
+            "SELECT ?p { VALUES ?s { UNDEF } ?s ?p ?o }",
+            // Blank nodes.
+            "SELECT ?p { VALUES (?s) { (_:b) } ?s ?p ?o }",
+            "SELECT ?p { VALUES ?s { _:b } ?s ?p ?o }",
+            // Rows of the wrong width.
+            "SELECT ?p { VALUES (?s ?o) { (<a>) } ?s ?p ?o }",
+            "SELECT ?p { VALUES (?s ?o) { (<a> <b> <c>) } ?s ?p ?o }",
+            "SELECT ?p { VALUES (?s ?o) { (<a> <b>) (<c>) } ?s ?p ?o }",
+            // A second table in one group.
+            "SELECT ?p { VALUES ?s { <a> } VALUES ?o { <b> } ?s ?p ?o }",
+            // No variables, a bare cell under a list, an unclosed table.
+            "SELECT ?p { VALUES () { () } ?s ?p ?o }",
+            "SELECT ?p { VALUES (?s) { <a> } ?s ?p ?o }",
+            "SELECT ?p { VALUES ?s { <a> ?s ?p ?o }",
+        ] {
+            assert!(parse_query(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! dictionary proves the pattern matches nothing), and BGP patterns are
 //! reordered so the most selective ones run first in the index
 //! nested-loop join.
+//!
+//! A `VALUES` cell is a binding, not a pattern: a term the store lacks
+//! still matches no triple, but it must compare and project as itself.
+//! It gets an id past the end of the store's dictionary, one per distinct
+//! term, and [`Foreign`] resolves those ids.
 
 use crate::ast::{Builtin, CompareOp, Expr, GroupGraphPattern, NodePattern};
 use sofya_rdf::{StoreStats, Term, TermId, TriplePattern, TripleStore};
+use std::collections::HashMap;
 
 /// Planner knobs.
 ///
@@ -108,17 +114,83 @@ impl PExpr {
             PExpr::Exists { plan, .. } => {
                 // Shared variables are exactly those sub-plan variables that
                 // fall inside the outer table prefix.
-                for pattern in &plan.patterns {
-                    for slot in pattern.slots() {
-                        if let Slot::Var(i) = slot {
-                            if i < outer_len {
-                                acc.push(i);
-                            }
-                        }
-                    }
-                }
+                let pattern_vars =
+                    plan.patterns
+                        .iter()
+                        .flat_map(|p| p.slots())
+                        .filter_map(|slot| match slot {
+                            Slot::Var(i) => Some(i),
+                            Slot::Const(_) => None,
+                        });
+                let table_vars = plan.values.iter().flat_map(|t| t.vars.iter().copied());
+                acc.extend(pattern_vars.chain(table_vars).filter(|&i| i < outer_len));
             }
         }
+    }
+}
+
+/// The terms a query's `VALUES` tables name that the store lacks, by the
+/// ids planning gave them: the first is the store dictionary's length
+/// at planning time, so no id of the store's own is one of them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Foreign {
+    base: u32,
+    terms: Vec<Term>,
+}
+
+impl Foreign {
+    /// The term `id` stands for: the store's, or a foreign one.
+    pub fn resolve<'a>(&'a self, store: &'a TripleStore, id: TermId) -> &'a Term {
+        id.0.checked_sub(self.base)
+            .and_then(|i| self.terms.get(i as usize))
+            .unwrap_or_else(|| store.dict().resolve(id))
+    }
+}
+
+/// Hands out the ids of [`Foreign`] while a query is planned.
+struct Interner<'q> {
+    foreign: Foreign,
+    ids: HashMap<&'q Term, TermId>,
+}
+
+impl<'q> Interner<'q> {
+    fn new(store: &TripleStore) -> Self {
+        Self {
+            foreign: Foreign {
+                base: store.dict().len() as u32,
+                terms: Vec::new(),
+            },
+            ids: HashMap::new(),
+        }
+    }
+
+    /// `term`'s id in the store, or else its foreign id.
+    fn id(&mut self, store: &TripleStore, term: &'q Term) -> TermId {
+        if let Some(id) = store.dict().lookup(term) {
+            return id;
+        }
+        let Foreign { base, terms } = &mut self.foreign;
+        *self.ids.entry(term).or_insert_with(|| {
+            terms.push(term.clone());
+            TermId(*base + (terms.len() - 1) as u32)
+        })
+    }
+}
+
+/// A group's `VALUES` table, planned.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValuesPlan {
+    /// The column variables, by index into the plan's variable table.
+    pub vars: Vec<usize>,
+    /// The rows, back to back, one id per column: the store's id of the
+    /// cell's term, or its [`Foreign`] id.
+    pub cells: Vec<TermId>,
+}
+
+impl ValuesPlan {
+    /// The rows, in order.
+    pub fn rows(&self) -> std::slice::Chunks<'_, TermId> {
+        self.cells.chunks(self.vars.len().max(1))
     }
 }
 
@@ -126,6 +198,12 @@ impl PExpr {
 /// union blocks, and optional extensions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupPlan {
+    /// The group's `VALUES` table: evaluation runs the group once per
+    /// row, seeded with it.
+    pub values: Option<ValuesPlan>,
+    /// What the ids of the query's tables that the store lacks stand for;
+    /// empty except in the top-level plan.
+    pub foreign: Foreign,
     /// All variables in scope, indices matching [`Slot::Var`]. The table
     /// includes every variable of nested `UNION`/`OPTIONAL` groups, so all
     /// solution rows of one query share a width. For an `EXISTS` sub-plan
@@ -159,6 +237,21 @@ impl GroupPlan {
         outer_vars: &[String],
         opts: PlanOptions<'_>,
     ) -> Self {
+        let mut interner = Interner::new(store);
+        let mut plan = Self::plan(store, pattern, outer_vars, opts, &mut interner);
+        plan.foreign = interner.foreign;
+        plan
+    }
+
+    /// [`GroupPlan::build_with`] of one group of a query, whose tables'
+    /// foreign terms `interner` collects.
+    fn plan<'q>(
+        store: &TripleStore,
+        pattern: &'q GroupGraphPattern,
+        outer_vars: &[String],
+        opts: PlanOptions<'_>,
+        interner: &mut Interner<'q>,
+    ) -> Self {
         // Pre-collect every variable of the group tree so the parent and
         // all union/optional sub-plans agree on one binding width.
         let mut var_names: Vec<String> = outer_vars.to_vec();
@@ -191,13 +284,32 @@ impl GroupPlan {
             })
             .collect();
 
+        // The table's cells, and its variables' indices.
+        let values = pattern.values.as_ref().map(|table| ValuesPlan {
+            vars: table
+                .vars
+                .iter()
+                .map(|v| var_index(v, &mut var_names))
+                .collect(),
+            cells: table
+                .cells
+                .iter()
+                .map(|term| interner.id(store, term))
+                .collect(),
+        });
+
         // Greedy ordering: repeatedly pick the pattern with the smallest
-        // estimated result cardinality given the variables bound so far.
+        // estimated result cardinality given the variables bound so far:
+        // inherited ones and the table's, from the start.
         let outer_len = outer_vars.len();
         let mut bound: Vec<bool> = vec![false; var_names.len()];
         for b in bound.iter_mut().take(outer_len) {
             *b = true;
         }
+        for &v in values.iter().flat_map(|table| &table.vars) {
+            bound[v] = true;
+        }
+        let seeded = bound.clone();
         let mut ordered: Vec<PlannedPattern> = Vec::with_capacity(patterns.len());
         if opts.preserve_order {
             for p in &patterns {
@@ -241,13 +353,13 @@ impl GroupPlan {
         let mut filters_at: Vec<Vec<PExpr>> = vec![Vec::new(); levels + 1];
         let mut post_filters = Vec::new();
         for filter in &pattern.filters {
-            let compiled = compile_expr(filter, store, &var_names, opts);
+            let compiled = compile_expr(filter, store, &var_names, opts, interner);
             let mut used = Vec::new();
             compiled.max_outer_var(var_names.len(), &mut used);
             if used.iter().any(|&v| !bgp_bound[v]) {
                 post_filters.push(compiled);
             } else {
-                let level = earliest_level(&used, outer_len, &ordered);
+                let level = earliest_level(&used, &seeded, &ordered);
                 filters_at[level].push(compiled);
             }
         }
@@ -260,17 +372,19 @@ impl GroupPlan {
             .map(|block| {
                 block
                     .iter()
-                    .map(|branch| GroupPlan::build_with(store, branch, &var_names, opts))
+                    .map(|branch| GroupPlan::plan(store, branch, &var_names, opts, interner))
                     .collect()
             })
             .collect();
         let optionals: Vec<GroupPlan> = pattern
             .optionals
             .iter()
-            .map(|optional| GroupPlan::build_with(store, optional, &var_names, opts))
+            .map(|optional| GroupPlan::plan(store, optional, &var_names, opts, interner))
             .collect();
 
         GroupPlan {
+            values,
+            foreign: Foreign::default(),
             var_names,
             patterns: ordered,
             filters_at,
@@ -383,12 +497,13 @@ fn estimated_cardinality(
     card
 }
 
-/// Earliest pattern level at which every index in `used` is bound.
-fn earliest_level(used: &[usize], outer_len: usize, ordered: &[PlannedPattern]) -> usize {
-    if used.iter().all(|&v| v < outer_len) {
+/// Earliest pattern level at which every index in `used` is bound, those
+/// `seeded` being bound from the start.
+fn earliest_level(used: &[usize], seeded: &[bool], ordered: &[PlannedPattern]) -> usize {
+    let mut bound: Vec<usize> = used.iter().copied().filter(|&v| !seeded[v]).collect();
+    if bound.is_empty() {
         return 0;
     }
-    let mut bound: Vec<usize> = used.iter().copied().filter(|&v| v >= outer_len).collect();
     for (level, p) in ordered.iter().enumerate() {
         for slot in p.slots() {
             if let Slot::Var(v) = slot {
@@ -402,11 +517,12 @@ fn earliest_level(used: &[usize], outer_len: usize, ordered: &[PlannedPattern]) 
     ordered.len()
 }
 
-fn compile_expr(
-    expr: &Expr,
+fn compile_expr<'q>(
+    expr: &'q Expr,
     store: &TripleStore,
     var_names: &[String],
     opts: PlanOptions<'_>,
+    interner: &mut Interner<'q>,
 ) -> PExpr {
     match expr {
         Expr::Var(name) => {
@@ -422,26 +538,28 @@ fn compile_expr(
         Expr::Const(t) => PExpr::Const(t.clone()),
         Expr::Compare(op, a, b) => PExpr::Compare(
             *op,
-            Box::new(compile_expr(a, store, var_names, opts)),
-            Box::new(compile_expr(b, store, var_names, opts)),
+            Box::new(compile_expr(a, store, var_names, opts, interner)),
+            Box::new(compile_expr(b, store, var_names, opts, interner)),
         ),
         Expr::And(a, b) => PExpr::And(
-            Box::new(compile_expr(a, store, var_names, opts)),
-            Box::new(compile_expr(b, store, var_names, opts)),
+            Box::new(compile_expr(a, store, var_names, opts, interner)),
+            Box::new(compile_expr(b, store, var_names, opts, interner)),
         ),
         Expr::Or(a, b) => PExpr::Or(
-            Box::new(compile_expr(a, store, var_names, opts)),
-            Box::new(compile_expr(b, store, var_names, opts)),
+            Box::new(compile_expr(a, store, var_names, opts, interner)),
+            Box::new(compile_expr(b, store, var_names, opts, interner)),
         ),
-        Expr::Not(inner) => PExpr::Not(Box::new(compile_expr(inner, store, var_names, opts))),
+        Expr::Not(inner) => PExpr::Not(Box::new(compile_expr(
+            inner, store, var_names, opts, interner,
+        ))),
         Expr::Call(builtin, args) => PExpr::Call(
             *builtin,
             args.iter()
-                .map(|a| compile_expr(a, store, var_names, opts))
+                .map(|a| compile_expr(a, store, var_names, opts, interner))
                 .collect(),
         ),
         Expr::Exists { pattern, negated } => {
-            let plan = GroupPlan::build_with(store, pattern, var_names, opts);
+            let plan = GroupPlan::plan(store, pattern, var_names, opts, interner);
             PExpr::Exists {
                 plan: Box::new(plan),
                 negated: *negated,
@@ -521,6 +639,29 @@ mod tests {
         // Outer vars x, y are the prefix of the sub-plan's table.
         assert_eq!(&exists.0.var_names[..2], &plan.var_names[..2]);
         assert!(exists.0.var_names.contains(&"w".to_string()));
+    }
+
+    #[test]
+    fn table_variables_are_bound_from_the_start() {
+        let store = demo_store();
+        let plan = plan_of(
+            &store,
+            "SELECT ?x { VALUES (?y ?z) { (<b> <nowhere>) } ?x ?p ?w . ?x <p> ?y FILTER(?z != ?y) }",
+        );
+        // `?x <p> ?y` has `?y` bound by the table, so it runs first, and
+        // the filter reads only table variables: level 0.
+        assert!(matches!(plan.patterns[0].p, Slot::Const(Some(_))));
+        assert_eq!(plan.filters_at[0].len(), 1);
+        let values = plan.values.as_ref().unwrap();
+        // A term the store lacks gets an id past its dictionary, and
+        // resolves as itself.
+        let lacking = values.cells[1];
+        assert!(lacking.index() >= store.dict().len());
+        assert_eq!(plan.foreign.resolve(&store, lacking), &Term::iri("nowhere"));
+        assert_eq!(
+            plan.foreign.resolve(&store, values.cells[0]),
+            &Term::iri("b")
+        );
     }
 
     #[test]

@@ -96,6 +96,8 @@ const KEYWORDS: &[&str] = &[
     "FALSE",
     "UNION",
     "OPTIONAL",
+    "VALUES",
+    "UNDEF",
 ];
 
 /// Tokenises a query string.

@@ -12,6 +12,7 @@
 
 use crate::ast::{
     Builtin, CompareOp, Expr, GroupGraphPattern, NodePattern, Projection, Query, SelectQuery,
+    ValuesTable,
 };
 use sofya_rdf::term::is_delimitable_iri;
 use sofya_rdf::Term;
@@ -19,7 +20,7 @@ use std::fmt::Write;
 
 /// Serialises a query back to SPARQL text.
 pub fn unparse(query: &Query) -> String {
-    let (mut text, _) = unparse_template(query, &[]);
+    let (mut text, ..) = unparse_template(query, &[]);
     if let Query::Select(s) = query {
         write_page(&mut text, s.limit, s.offset);
     }
@@ -33,8 +34,22 @@ pub(crate) enum Place {
     Node,
     /// Predicate of a triple pattern: an IRI.
     Predicate,
-    /// An operand of a `FILTER` expression: an IRI or a literal.
+    /// An operand of a `FILTER` expression, or a cell of a `VALUES`
+    /// table: an IRI or a literal.
     Expr,
+}
+
+/// Where a table render of a template writes into its text (see
+/// [`crate::Prepared::table`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Marks {
+    /// Start of a `SELECT`'s projection.
+    pub(crate) projection: usize,
+    /// Just inside the query's own group, where [`unparse`] writes its
+    /// `VALUES` table.
+    pub(crate) group: usize,
+    /// Just after ` ORDER BY`, if the query has one.
+    pub(crate) order: Option<usize>,
 }
 
 /// One parameter occurrence cut out of a template's text.
@@ -50,17 +65,47 @@ pub(crate) struct Hole {
 
 /// `query`'s text up to, not including, its `LIMIT`/`OFFSET`, with every
 /// occurrence of a variable named in `params` left out and recorded as a
-/// [`Hole`], in text order. Writing each hole's argument (its N-Triples
-/// text) and the page with [`write_page`] gives exactly [`unparse`] of
-/// the bound query.
-pub(crate) fn unparse_template(query: &Query, params: &[String]) -> (String, Vec<Hole>) {
+/// [`Hole`], in text order, and the [`Marks`] a table render writes at.
+/// Writing each hole's argument (its N-Triples text) and the page with
+/// [`write_page`] gives exactly [`unparse`] of the bound query.
+pub(crate) fn unparse_template(query: &Query, params: &[String]) -> (String, Vec<Hole>, Marks) {
     let mut w = Writer {
         out: String::new(),
         params,
         holes: Vec::new(),
+        marks: None,
     };
     w.query(query);
-    (w.out, w.holes)
+    (w.out, w.holes, w.marks.unwrap_or_default())
+}
+
+/// Appends a `VALUES` table as [`unparse`] writes it: `VALUES (?a ?b)
+/// { (<x> <y>) … } `.
+pub(crate) fn write_values<'t>(
+    out: &mut String,
+    vars: impl IntoIterator<Item = &'t str>,
+    rows: impl IntoIterator<Item = impl IntoIterator<Item = &'t Term>>,
+) {
+    out.push_str("VALUES (");
+    write_vars(out, vars);
+    out.push_str(") { ");
+    for row in rows {
+        out.push('(');
+        for (i, cell) in row.into_iter().enumerate() {
+            out.push_str(if i > 0 { " " } else { "" });
+            let _ = write!(out, "{cell}");
+        }
+        out.push_str(") ");
+    }
+    out.push_str("} ");
+}
+
+/// Appends `?a ?b …`.
+pub(crate) fn write_vars<'v>(out: &mut String, vars: impl IntoIterator<Item = &'v str>) {
+    for (i, var) in vars.into_iter().enumerate() {
+        out.push_str(if i > 0 { " ?" } else { "?" });
+        out.push_str(var);
+    }
 }
 
 /// Appends a query's ` LIMIT n` / ` OFFSET n`, as [`unparse`] writes them.
@@ -110,6 +155,8 @@ struct Writer<'p> {
     out: String,
     params: &'p [String],
     holes: Vec<Hole>,
+    /// Set at the query's own group, which is the first written.
+    marks: Option<Marks>,
 }
 
 impl Writer<'_> {
@@ -129,12 +176,10 @@ impl Writer<'_> {
         if q.distinct {
             self.out.push_str("DISTINCT ");
         }
+        let projection = self.out.len();
         match &q.projection {
             Projection::Star => self.out.push('*'),
-            Projection::Vars(vars) => {
-                let names: Vec<String> = vars.iter().map(|v| format!("?{v}")).collect();
-                self.out.push_str(&names.join(" "));
-            }
+            Projection::Vars(vars) => write_vars(&mut self.out, vars.iter().map(String::as_str)),
             Projection::Count {
                 var,
                 distinct,
@@ -147,8 +192,14 @@ impl Writer<'_> {
         }
         self.out.push_str(" WHERE ");
         self.group(&q.pattern);
+        if let Some(marks) = &mut self.marks {
+            marks.projection = projection;
+        }
         if !q.order_by.is_empty() {
             self.out.push_str(" ORDER BY");
+            if let Some(marks) = &mut self.marks {
+                marks.order = Some(self.out.len());
+            }
             for key in &q.order_by {
                 if key.descending {
                     let _ = write!(self.out, " DESC(?{})", key.var);
@@ -161,6 +212,15 @@ impl Writer<'_> {
 
     fn group(&mut self, group: &GroupGraphPattern) {
         self.out.push_str("{ ");
+        if self.marks.is_none() {
+            self.marks = Some(Marks {
+                group: self.out.len(),
+                ..Marks::default()
+            });
+        }
+        if let Some(table) = &group.values {
+            self.values(table);
+        }
         for tp in &group.triples {
             self.node(&tp.s, Place::Node);
             self.out.push(' ');
@@ -187,6 +247,14 @@ impl Writer<'_> {
             self.out.push_str(") . ");
         }
         self.out.push('}');
+    }
+
+    fn values(&mut self, table: &ValuesTable) {
+        write_values(
+            &mut self.out,
+            table.vars.iter().map(String::as_str),
+            table.rows(),
+        );
     }
 
     fn node(&mut self, node: &NodePattern, place: Place) {
@@ -316,6 +384,19 @@ mod tests {
         round_trip("SELECT ?x { ?x <p> ?y FILTER(STRSTARTS(STR(?y), \"A\")) }");
         round_trip("SELECT ?x { ?x <p> ?y FILTER NOT EXISTS { ?x <q> ?y } }");
         round_trip("SELECT ?x { ?x <p> ?y FILTER EXISTS { ?x <q> ?z } }");
+    }
+
+    #[test]
+    fn round_trips_tables() {
+        round_trip("SELECT ?p { VALUES (?s ?o) { (<a> <b>) (<c> \"d\"@en) } ?s ?p ?o }");
+        round_trip("SELECT ?p { ?s ?p ?o VALUES ?s { <a> 3 } }");
+        round_trip("ASK { VALUES (?s) { } ?s ?p ?o }");
+        round_trip("SELECT ?x { ?x <p> ?y FILTER NOT EXISTS { VALUES ?y { <b> } ?x <q> ?y } }");
+        let ast = parse_query("SELECT ?p { VALUES ?s { <a> <c> } ?s ?p ?o }").unwrap();
+        assert_eq!(
+            unparse(&ast),
+            "SELECT ?p WHERE { VALUES (?s) { (<a>) (<c>) } ?s ?p ?o . }"
+        );
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! `Prepared::render` against the reference it replaces: the spliced
 //! text is byte for byte `unparse(bind(..))` (and `render_paged`,
 //! `unparse(bind_paged(..))`), and it parses back to the bound query —
-//! or the render is refused, exactly when that text would not.
+//! or the render is refused, exactly when that text would not. The same
+//! for a table of argument rows: `BoundTable::render` is byte for byte
+//! `unparse` of `BoundTable::query`, and parses back to it, or is
+//! refused exactly when that text would not; a key cell is refused
+//! exactly when a `VALUES` table would not read it back as itself.
 //!
 //! Templates: every one `sofya_endpoint::helpers` sends, captured by
 //! running the helpers against an endpoint that records them, and
@@ -31,6 +35,10 @@ impl Capture {
         let prepared = match req {
             Request::Batch(reqs) => {
                 return Response::Batch(reqs.into_iter().map(|r| self.answer(r)).collect())
+            }
+            Request::Table { prepared, rows } => {
+                let leaves = rows.iter().map(|args| Request::leaf(prepared, args));
+                return Response::Batch(leaves.map(|leaf| self.answer(leaf)).collect());
             }
             Request::Select { .. } => {
                 return Response::Rows(ResultSet::new(Vec::new(), Vec::new()))
@@ -80,8 +88,9 @@ fn helper_templates() -> Vec<Prepared> {
     helpers::has_fact_batch(&ep, r, &[(e, e)]).unwrap();
     helpers::same_as_of(&ep, e, sa).unwrap();
     helpers::linked_contrastive_subjects_page(&ep, r, "r:q", sa, 5, 0).unwrap();
+    helpers::premise_contradiction_batch(&ep, r, &[(e, e, e)]).unwrap();
     let templates = ep.0.into_inner().unwrap();
-    assert_eq!(templates.len(), 11, "one template per prepared helper");
+    assert_eq!(templates.len(), 12, "one template per prepared helper");
     templates
 }
 
@@ -211,10 +220,121 @@ fn check_all(templates: &[Prepared], rounds: usize, rng: &mut TestRng) {
     );
 }
 
+/// Checks one table of `rows` against the reference. `None` when the
+/// template has no per-row answer to table; otherwise whether the table
+/// was accepted.
+fn check_table(template: &Prepared, rows: &[Vec<Term>]) -> Option<bool> {
+    let refs: Vec<&[Term]> = rows.iter().map(Vec::as_slice).collect();
+    let case = || format!("template {template:?}\nrows {rows:?}");
+    let args: Vec<Term> = rows.concat();
+    match template.table(&refs) {
+        Ok(table) => Some(same(Ok(table.query()), table.render(), &args, &case)),
+        Err(SparqlError::Unrenderable { term }) => {
+            assert!(args.contains(&term), "{}", case());
+            let cell = format!("ASK {{ VALUES ?x {{ {term} }} }}");
+            assert!(
+                parse_query(&cell).map_or(true, |q| q.pattern().values.as_ref().unwrap().cells
+                    != [term.clone()]),
+                "refused a cell that reads back\n{}",
+                case()
+            );
+            Some(false)
+        }
+        Err(SparqlError::Eval { .. }) => None,
+        Err(other) => panic!("{other:?}\n{}", case()),
+    }
+}
+
+/// `rounds` tables of up to four rows per template: a column keeps the
+/// first row's argument half the time, and a row repeats an earlier one
+/// now and then, so tables with every shape of key columns come up.
+fn check_all_tables(templates: &[Prepared], rounds: usize, rng: &mut TestRng) {
+    let (mut accepted, mut refused) = (0, 0);
+    for template in templates {
+        let arity = (0..).find(|&n| template.bind(&vec![Term::iri("e:x"); n]).is_ok());
+        let arity = arity.unwrap();
+        for _ in 0..rounds {
+            let mut rows: Vec<Vec<Term>> = Vec::new();
+            for _ in 0..rng.below(5) {
+                let row = match rows.first() {
+                    Some(_) if rng.below(4) == 0 => rows[rng.below(rows.len())].clone(),
+                    Some(first) => {
+                        let first = first.clone();
+                        first
+                            .into_iter()
+                            .map(|t| if rng.below(2) == 0 { t } else { term(rng) })
+                            .collect()
+                    }
+                    None => (0..arity).map(|_| term(rng)).collect(),
+                };
+                rows.push(row);
+            }
+            match check_table(template, &rows) {
+                Some(true) => accepted += 1,
+                Some(false) => refused += 1,
+                None => break,
+            }
+        }
+    }
+    let total = accepted + refused;
+    assert!(
+        accepted * 5 >= total,
+        "{accepted} of {total} tables accepted"
+    );
+    assert!(refused * 10 >= total, "{refused} of {total} tables refused");
+}
+
+#[test]
+fn table_render_is_unparse_of_table_query_on_every_helper_template() {
+    let mut rng = TestRng::deterministic("table_render_on_every_helper_template");
+    let templates: Vec<Prepared> = helper_templates()
+        .into_iter()
+        .filter(|t| t.table(&[]).is_ok())
+        .collect();
+    // All but the two counts.
+    assert_eq!(templates.len(), 10, "{templates:?}");
+    check_all_tables(&templates, 400, &mut rng);
+}
+
+#[test]
+fn table_render_is_unparse_of_table_query_on_generated_templates() {
+    let mut rng = TestRng::deterministic("table_render_on_generated_templates");
+    let templates: Vec<Prepared> = (0..300).map(|_| TemplateGen::template(&mut rng)).collect();
+    check_all_tables(&templates, 30, &mut rng);
+}
+
+/// Generated queries with a `VALUES` table in some of their groups read
+/// back from their text as themselves.
+#[test]
+fn queries_with_tables_round_trip_through_text() {
+    let mut rng = TestRng::deterministic("queries_with_tables_round_trip_through_text");
+    let mut tables = 0;
+    for _ in 0..500 {
+        let mut g = TemplateGen {
+            rng: &mut rng,
+            params: BTreeSet::new(),
+            vars: BTreeSet::new(),
+            tables: true,
+        };
+        let text = format!("SELECT * WHERE {{ {} }}", g.group(2));
+        let query = parse_query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        tables += usize::from(query.pattern().has_inline_data());
+        assert_eq!(parse_query(&unparse(&query)), Ok(query), "{text}");
+    }
+    assert!(tables >= 200, "{tables} of 500 queries carry a table");
+}
+
 #[test]
 fn render_is_unparse_of_bind_on_every_helper_template() {
     let mut rng = TestRng::deterministic("render_is_unparse_of_bind_on_every_helper_template");
-    check_all(&helper_templates(), 400, &mut rng);
+    let mut templates = helper_templates();
+    // The last, UBS's premise probe, has four arguments, one of them a
+    // predicate, and random ones pass one time in thirteen: with it the
+    // share of accepted renders falls under the floor `check_all` holds
+    // (912 of 4800). It only ever travels as table rows, which the
+    // table check below covers.
+    templates.pop();
+    check_all(&templates, 400, &mut rng);
 }
 
 /// Random templates over parameters `?p0`–`?p2` and variables
@@ -223,6 +343,8 @@ struct TemplateGen<'r> {
     rng: &'r mut TestRng,
     params: BTreeSet<usize>,
     vars: BTreeSet<usize>,
+    /// Whether a group may carry a `VALUES` table (a template may not).
+    tables: bool,
 }
 
 impl TemplateGen<'_> {
@@ -246,8 +368,34 @@ impl TemplateGen<'_> {
         }
     }
 
+    /// A table of up to three rows over one to three variables.
+    fn table(&mut self) -> String {
+        let width = 1 + self.rng.below(3);
+        let vars: Vec<String> = (0..width).map(|_| self.var()).collect();
+        let cells = [
+            "<e:c>",
+            "\"k\"@en",
+            "7",
+            "\"x\\ty\"",
+            "\"d\"^^<x:t>",
+            "TRUE",
+        ];
+        let rows: Vec<String> = (0..self.rng.below(4))
+            .map(|_| {
+                let row: Vec<&str> = (0..width)
+                    .map(|_| cells[self.rng.below(cells.len())])
+                    .collect();
+                format!("({})", row.join(" "))
+            })
+            .collect();
+        format!("VALUES ({}) {{ {} }}", vars.join(" "), rows.join(" "))
+    }
+
     fn group(&mut self, depth: usize) -> String {
         let mut parts = Vec::new();
+        if self.tables && self.rng.below(2) == 0 {
+            parts.push(self.table());
+        }
         for _ in 0..1 + self.rng.below(2) {
             let s = self.node(&["<e:c>", "_:k"]);
             let p = self.node(&["<r:c>"]);
@@ -294,6 +442,7 @@ impl TemplateGen<'_> {
             rng,
             params: BTreeSet::new(),
             vars: BTreeSet::new(),
+            tables: false,
         };
         let body = g.group(2);
         let vars: Vec<String> = g.vars.iter().map(|i| format!("?v{i}")).collect();

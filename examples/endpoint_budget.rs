@@ -44,15 +44,14 @@ fn client(name: &str, server: &HttpServer) -> InstrumentedEndpoint<RemoteEndpoin
     InstrumentedEndpoint::new(RemoteEndpoint::new(name, server.addr()))
 }
 
-/// One side's cost line: leaf queries, the requests (round trips) that
-/// carried them, and the rows they brought back.
+/// One side's cost line: leaf queries (a table of probes is one), the
+/// requests (round trips) that carried them, and the rows they brought
+/// back.
 fn cost_line(side: &str, counters: &EndpointCounters) -> String {
     format!(
-        "{side}: {} queries in {} requests ({} batched, at most {} in one), {} rows",
+        "{side}: {} queries in {} requests, {} rows",
         counters.total_queries(),
         counters.requests(),
-        counters.batches(),
-        counters.largest_request(),
         counters.rows_returned(),
     )
 }

@@ -23,7 +23,7 @@ fn main() {
     let pair = generate(&PairConfig::small(42));
 
     // Both KBs count what they are sent; the WAN model prices the
-    // counts (20 ms per request, a whole batch being one request).
+    // counts (20 ms per request, a whole table of probes being one).
     let yago = InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb1_name(), pair.kb1.clone()));
     let dbp = InstrumentedEndpoint::new(LocalEndpoint::new(pair.kb2_name(), pair.kb2.clone()));
     let wan = LatencyModel::wan();

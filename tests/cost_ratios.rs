@@ -1,4 +1,4 @@
-//! Eight costs held as ratios, not times: each test measures two things
+//! Nine costs held as ratios, not times: each test measures two things
 //! in one process, sampling them in turn so drift of the host lands on
 //! both, and asserts how far apart they may lie, so it means the same on
 //! any machine and needs no committed baseline.
@@ -21,7 +21,10 @@
 //! * `SELECT DISTINCT ?p … ORDER BY ?p` over a whole KB costs at most
 //!   1.5x the same query unordered: only the distinct rows are sorted;
 //! * a query text new to a full 4096-entry plan cache costs at most 1.5x
-//!   one new to a full 64-entry cache: an insert does not scan.
+//!   one new to a full 64-entry cache: an insert does not scan;
+//! * a server compiles and runs one 16-row `VALUES` table of a probe
+//!   template for at most 0.85x (`has_fact`) and 0.6x (`objects_of`)
+//!   the sixteen per-row texts it stands for.
 //!
 //! Timing-sensitive, so the assertions only run in release builds
 //! (`cargo test --release --test cost_ratios`). Absolute times are the
@@ -37,7 +40,9 @@ use sofya::kbgen::{generate, GeneratedPair, PairConfig};
 use sofya::net::wire::{parse_envelope, write_envelope};
 use sofya::net::{execute_wire_budgeted, Json, WireRequest};
 use sofya::rdf::{StoreSnapshot, StoreStats, Term, TermId, TripleStore};
-use sofya::sparql::QueryBudget;
+use sofya::sparql::{
+    compile_with_options, execute_compiled_paged_budgeted, PlanOptions, Prepared, QueryBudget,
+};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -554,4 +559,93 @@ fn a_plan_cache_insert_does_not_scan_the_cache() {
         "64 new texts cost {large_ns} ns against a full 4096-entry plan cache and {small_ns} ns \
          against a full 64-entry one ({ratio:.2}x) — an insert scans the cache"
     );
+}
+
+/// What a table saves the server, per probe shape: parsing, planning
+/// and running one 16-row table of a probe template, against the same
+/// for the sixteen per-row texts it stands for, on the paper-scale KB
+/// (half the `has_fact` rows hold). Both sides are compiled per text,
+/// as a plan cache does a text it has not seen; a row's text is seldom
+/// seen twice.
+#[cfg_attr(debug_assertions, ignore = "timing ratio: run with --release")]
+#[test]
+fn a_sixteen_row_table_costs_the_server_less_than_its_rows() {
+    let _alone = alone();
+    let kb = generate(&PairConfig::yago_dbpedia(SEED)).kb1;
+    let stats = StoreStats::compute(&kb);
+    let opts = PlanOptions {
+        stats: Some(&stats),
+        ..PlanOptions::default()
+    };
+    let run = |text: &str| {
+        let compiled = compile_with_options(&kb, text, opts).unwrap();
+        let budget = QueryBudget::unlimited();
+        let outcome = execute_compiled_paged_budgeted(&kb, &compiled, None, None, &budget);
+        u64::from(outcome.is_ok())
+    };
+    // Sixteen facts of the relation with the most subjects.
+    let facts: Vec<(Term, Term, Term)> = kb
+        .iter()
+        .map(|t| {
+            let (s, p, o) = kb.resolve(t);
+            (s.clone(), p.clone(), o.clone())
+        })
+        .collect();
+    let relation = {
+        let mut subjects = std::collections::BTreeMap::<&Term, Vec<&Term>>::new();
+        for (s, p, _) in &facts {
+            subjects.entry(p).or_default().push(s);
+        }
+        let busiest = subjects.into_iter().max_by_key(|(_, s)| s.len()).unwrap();
+        busiest.0.clone()
+    };
+    let of_relation: Vec<&(Term, Term, Term)> =
+        facts.iter().filter(|(_, p, _)| *p == relation).collect();
+    let stride = of_relation.len() / 16;
+    let sixteen: Vec<&(Term, Term, Term)> = (0..16).map(|i| of_relation[i * stride]).collect();
+    let has_fact_rows: Vec<Vec<Term>> = sixteen
+        .iter()
+        .enumerate()
+        .map(|(i, (s, p, o))| {
+            // Every other row asks a fact that does not hold.
+            let o = if i % 2 == 0 {
+                o
+            } else {
+                &sixteen[(i + 1) % 16].2
+            };
+            vec![s.clone(), p.clone(), o.clone()]
+        })
+        .collect();
+    let objects_of_rows: Vec<Vec<Term>> = sixteen
+        .iter()
+        .map(|(s, p, _)| vec![s.clone(), p.clone()])
+        .collect();
+    for (name, template, rows, bound) in [
+        (
+            "has_fact",
+            Prepared::new("ASK { ?s ?r ?o }", &["s", "r", "o"]).unwrap(),
+            has_fact_rows,
+            0.85,
+        ),
+        (
+            "objects_of",
+            Prepared::new("SELECT ?y WHERE { ?s ?r ?y } ORDER BY ?y", &["s", "r"]).unwrap(),
+            objects_of_rows,
+            0.6,
+        ),
+    ] {
+        let per_row: Vec<String> = rows.iter().map(|r| template.render(r).unwrap()).collect();
+        let refs: Vec<&[Term]> = rows.iter().map(Vec::as_slice).collect();
+        let table = template.table(&refs).unwrap().render().unwrap();
+        let (table_ns, rows_ns) = interleaved_medians(
+            timed(|| run(&table)),
+            timed(|| per_row.iter().map(|text| run(text)).sum()),
+        );
+        let ratio = table_ns as f64 / rows_ns.max(1) as f64;
+        assert!(
+            ratio <= bound,
+            "a 16-row {name} table costs the server {table_ns} ns against {rows_ns} ns for its \
+             rows' texts ({ratio:.2}x, bound {bound}x)"
+        );
+    }
 }
