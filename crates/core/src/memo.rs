@@ -8,6 +8,13 @@
 //! `LIMIT` and `OFFSET` — until a delta could have changed it, one memo
 //! per side of the session.
 //!
+//! **A suspect** is an answer a delta could have changed. It leaves the
+//! key table and the index, so no lookup serves it and no later delta
+//! checks it, but it keeps its old answer, and its template keeps its
+//! [`Prepared`]: a read-set holding it can ask it again
+//! ([`Memo::suspects`]) and [`Memo::settle`] it. An equal answer files
+//! it again; a different one is kept beside it as a fresh entry.
+//!
 //! **Invalidation** is per triple pattern: an answer depends only on
 //! the triples its patterns match, and a pattern can match a changed
 //! triple only if every one of its constants is in the delta
@@ -35,6 +42,7 @@ use sofya_rdf::Term;
 use sofya_sparql::{Prepared, ResultSet};
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// A free position of a pattern, or an unbound cell of a row.
 const NONE: u32 = u32::MAX;
@@ -204,6 +212,8 @@ struct Entry {
     answer: Answer,
     /// The read-sets holding this entry.
     refs: u32,
+    /// Out of `by_key` and the index: a delta may have changed it.
+    suspect: bool,
 }
 
 impl Entry {
@@ -245,9 +255,10 @@ impl Anchor {
     }
 }
 
-/// What the entries of one template share: its projection and its
-/// patterns.
+/// What the entries of one template share: the template itself, its
+/// projection and its patterns.
 struct Template {
+    prepared: Arc<Prepared>,
     vars: Vec<String>,
     /// Every triple pattern, `[s, p, o]`: the id of a term the template
     /// writes, `PARAM | i` for parameter `i`, or `NONE`.
@@ -278,6 +289,7 @@ impl Template {
             }),
         }
         Self {
+            prepared: Arc::new(prepared.clone()),
             vars: vars.to_vec(),
             shape: shape.into(),
             entries: 0,
@@ -304,6 +316,34 @@ pub(crate) struct Held {
     side: Side,
     slot: u32,
     generation: u32,
+}
+
+/// A suspect a read-set holds, with what it takes to ask it again.
+pub(crate) struct Suspect {
+    held: Held,
+    prepared: Arc<Prepared>,
+    args: Vec<Term>,
+    limit: Option<usize>,
+    offset: Option<usize>,
+}
+
+impl Suspect {
+    pub(crate) fn side(&self) -> Side {
+        self.held.side
+    }
+
+    /// The leaf it answers.
+    pub(crate) fn request(&self) -> Request<'_> {
+        match (self.limit, self.offset) {
+            (None, None) => Request::leaf(&self.prepared, &self.args),
+            (limit, offset) => Request::PreparedSelectPaged {
+                prepared: &self.prepared,
+                args: &self.args,
+                limit,
+                offset,
+            },
+        }
+    }
 }
 
 #[derive(Default)]
@@ -373,16 +413,13 @@ impl Memo {
         })
     }
 
-    /// The kept answer to `req`, held for the caller's read-set. Text
-    /// requests and batches are never kept.
-    pub(crate) fn lookup(&mut self, side: Side, req: &Request<'_>) -> Option<(Held, Response)> {
-        let leaf = leaf(req)?;
-        let slot = self.find(side, &leaf).1?;
+    /// The answer the entry in `slot` keeps.
+    fn answer(&self, side: Side, slot: u32) -> Option<Response> {
         let memo = &self.sides[side as usize];
         let (_, Some(entry)) = memo.slots.get(slot as usize)? else {
             return None;
         };
-        let answer = match &entry.answer {
+        Some(match &entry.answer {
             Answer::Boolean(b) => Response::Boolean(*b),
             Answer::Rows { rows, cells } => {
                 let vars = memo.templates.get(&entry.key.token)?.vars.clone();
@@ -396,13 +433,25 @@ impl Memo {
                 };
                 Response::Rows(ResultSet::new(vars, rows))
             }
-        };
+        })
+    }
+
+    /// The kept answer to `req`, held for the caller's read-set. Text
+    /// requests and batches are never kept, and a suspect is never
+    /// served.
+    pub(crate) fn lookup(&mut self, side: Side, req: &Request<'_>) -> Option<(Held, Response)> {
+        let slot = self.find(side, &leaf(req)?).1?;
+        let answer = self.answer(side, slot)?;
         Some((self.hold(side, slot)?, answer))
     }
 
     /// Keeps `answer` as the answer to `req` and holds it for the
     /// caller's read-set. Keeps nothing for a request that is not a
-    /// prepared leaf, or an answer of the wrong shape.
+    /// prepared leaf, or an answer of the wrong shape. An entry kept
+    /// meanwhile for the same leaf is held only if its answer is this
+    /// one: a read-set holds the answers its alignment read, and two
+    /// alignments may read a leaf on either side of a publish the
+    /// session has not been told of yet.
     pub(crate) fn keep(
         &mut self,
         side: Side,
@@ -423,7 +472,10 @@ impl Memo {
         }
         let (hash, found) = self.find(side, &leaf);
         if let Some(slot) = found {
-            // Another alignment kept the same answer meanwhile.
+            // Another alignment kept this leaf meanwhile.
+            if self.answer(side, slot).as_ref() != Some(answer) {
+                return None;
+            }
             return self.hold(side, slot);
         }
         if memo.by_key.contains_key(&hash) {
@@ -470,6 +522,8 @@ impl Memo {
             },
             answer,
             refs: 1,
+            // Until `insert` files it.
+            suspect: true,
         };
         let memo = &mut self.sides[side as usize];
         let arity = entry.key.args.len();
@@ -497,8 +551,8 @@ impl Memo {
         }
     }
 
-    /// Drops every answer of `side` a triple of `delta` could match.
-    /// Returns how many went.
+    /// Marks suspect every answer of `side` a triple of `delta` could
+    /// match. Returns how many became suspect.
     pub(crate) fn invalidate(&mut self, side: Side, delta: &DeltaView) -> usize {
         let memo = &mut self.sides[side as usize];
         let anchors = std::iter::once(Anchor::Any)
@@ -511,7 +565,7 @@ impl Memo {
             .collect();
         candidates.sort_unstable();
         candidates.dedup();
-        let mut dropped = 0;
+        let mut suspects = 0;
         for slot in candidates {
             let Some((_, Some(entry))) = memo.slots.get(slot as usize) else {
                 continue;
@@ -528,14 +582,70 @@ impl Memo {
                 )
             });
             if changed {
-                memo.free(slot, &mut self.terms);
-                dropped += 1;
+                memo.file(slot, false, &self.terms);
+                suspects += 1;
             }
         }
-        dropped
+        suspects
     }
 
-    /// Drops every answer of both sides, for a change of unknown shape.
+    /// The suspects among `reads`, once each, to be asked again; `None`
+    /// if an entry of `reads` is gone — a change of unknown shape freed
+    /// it — so they no longer say what their alignment read.
+    pub(crate) fn suspects(&self, reads: &[Held]) -> Option<Vec<Suspect>> {
+        let mut suspects = Vec::new();
+        for &held in reads {
+            let memo = &self.sides[held.side as usize];
+            let (generation, Some(entry)) = memo.slots.get(held.slot as usize)? else {
+                return None;
+            };
+            if *generation != held.generation {
+                return None;
+            }
+            if !entry.suspect {
+                continue;
+            }
+            let term = |&id: &u32| self.terms.term(id).map(Stored::term);
+            suspects.push(Suspect {
+                held,
+                prepared: Arc::clone(&memo.templates.get(&entry.key.token)?.prepared),
+                args: entry.key.args.iter().map(term).collect::<Option<_>>()?,
+                limit: entry.key.limit,
+                offset: entry.key.offset,
+            });
+        }
+        suspects.sort_unstable_by_key(|s| (s.held.side as u8, s.held.slot));
+        suspects.dedup_by_key(|s| (s.held.side as u8, s.held.slot));
+        Some(suspects)
+    }
+
+    /// Settles `suspect` against `answer`, asked again since. An equal
+    /// answer files it again, unless another entry holds its key by now,
+    /// and returns `true`. A different one is kept as a fresh entry,
+    /// held into `fresh` for a re-mine to read.
+    pub(crate) fn settle(
+        &mut self,
+        suspect: &Suspect,
+        answer: &Response,
+        fresh: &mut Vec<Held>,
+    ) -> bool {
+        let Held {
+            side,
+            slot,
+            generation,
+        } = suspect.held;
+        let memo = &self.sides[side as usize];
+        let held = matches!(memo.slots.get(slot as usize), Some((g, Some(_))) if *g == generation);
+        if held && self.answer(side, slot).as_ref() == Some(answer) {
+            self.sides[side as usize].file(slot, true, &self.terms);
+            return true;
+        }
+        fresh.extend(self.keep(side, &suspect.request(), answer));
+        false
+    }
+
+    /// Drops every answer of both sides, suspects too, for a change of
+    /// unknown shape.
     pub(crate) fn clear(&mut self) {
         for memo in &mut self.sides {
             for slot in 0..memo.slots.len() as u32 {
@@ -564,12 +674,7 @@ impl SideMemo {
         };
         if let Some(template) = self.templates.get_mut(&entry.key.token) {
             template.entries += 1;
-            for pattern in template.patterns(&entry.key.args) {
-                let anchor = Anchor::of(pattern, terms);
-                self.index.entry(anchor).or_default().push(slot);
-            }
         }
-        self.by_key.insert(entry.hash, slot);
         let generation = match self.slots.get_mut(slot as usize) {
             Some((generation, free)) => {
                 *free = Some(entry);
@@ -577,6 +682,7 @@ impl SideMemo {
             }
             None => 0,
         };
+        self.file(slot, true, terms);
         Held {
             side,
             slot,
@@ -584,9 +690,49 @@ impl SideMemo {
         }
     }
 
+    /// Files the entry in `slot` under its key and its patterns' anchors,
+    /// so lookups serve it and deltas check it, or takes it out of both,
+    /// as a suspect. A suspect whose key another entry holds by now stays
+    /// one.
+    fn file(&mut self, slot: u32, filed: bool, terms: &Terms) {
+        let Some((_, Some(entry))) = self.slots.get_mut(slot as usize) else {
+            return;
+        };
+        let is_filed = !entry.suspect;
+        if is_filed == filed {
+            return;
+        }
+        if filed {
+            if self.by_key.contains_key(&entry.hash) {
+                return;
+            }
+            self.by_key.insert(entry.hash, slot);
+        } else {
+            self.by_key.remove(&entry.hash);
+        }
+        entry.suspect = !filed;
+        let Some(template) = self.templates.get(&entry.key.token) else {
+            return;
+        };
+        for pattern in template.patterns(&entry.key.args) {
+            let anchor = Anchor::of(pattern, terms);
+            if filed {
+                self.index.entry(anchor).or_default().push(slot);
+            } else if let Some(slots) = self.index.get_mut(&anchor) {
+                if let Some(at) = slots.iter().position(|&s| s == slot) {
+                    slots.swap_remove(at);
+                }
+                if slots.is_empty() {
+                    self.index.remove(&anchor);
+                }
+            }
+        }
+    }
+
     /// Drops the entry in `slot`, if any, and moves the slot on a
     /// generation.
     fn free(&mut self, slot: u32, terms: &mut Terms) {
+        self.file(slot, false, terms);
         let Some((generation, taken)) = self.slots.get_mut(slot as usize) else {
             return;
         };
@@ -595,19 +741,7 @@ impl SideMemo {
         };
         *generation = generation.wrapping_add(1);
         self.free.push(slot);
-        self.by_key.remove(&entry.hash);
         if let Some(template) = self.templates.get_mut(&entry.key.token) {
-            for pattern in template.patterns(&entry.key.args) {
-                let anchor = Anchor::of(pattern, terms);
-                if let Some(slots) = self.index.get_mut(&anchor) {
-                    if let Some(at) = slots.iter().position(|&s| s == slot) {
-                        slots.swap_remove(at);
-                    }
-                    if slots.is_empty() {
-                        self.index.remove(&anchor);
-                    }
-                }
-            }
             template.entries -= 1;
             if template.entries == 0 {
                 let shape = template.shape.iter().flatten();
@@ -622,7 +756,7 @@ impl SideMemo {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sofya_endpoint::helpers::*;
     use sofya_endpoint::testing::RequestBuf;
@@ -631,7 +765,7 @@ mod tests {
     use sofya_sparql::QueryBudget;
     use std::sync::{Arc, Mutex};
 
-    const SA: &str = "o:sameAs";
+    pub(crate) const SA: &str = "o:sameAs";
     const ENTITIES: [&str; 3] = ["e:0", "e:1", "e:2"];
     const RELATIONS: [&str; 3] = ["r:a", "r:b", SA];
 
@@ -645,7 +779,7 @@ mod tests {
 
     /// Every triple of the universe: 3 subjects × 3 predicates × 4
     /// objects.
-    fn universe() -> Vec<(Term, Term, Term)> {
+    pub(crate) fn universe() -> Vec<(Term, Term, Term)> {
         let mut triples = Vec::new();
         for s in ENTITIES {
             for p in RELATIONS {
@@ -659,7 +793,7 @@ mod tests {
 
     /// Links, facts on both relations, a contrastive subject (`e:0`)
     /// and a literal.
-    fn base() -> Vec<(Term, Term, Term)> {
+    pub(crate) fn base() -> Vec<(Term, Term, Term)> {
         let iri = |(s, p, o): (&str, &str, &str)| (Term::iri(s), Term::iri(p), Term::iri(o));
         let mut triples: Vec<_> = [
             ("e:0", "r:a", "e:1"),
@@ -677,12 +811,38 @@ mod tests {
         triples
     }
 
-    fn endpoint(triples: &[(Term, Term, Term)]) -> LocalEndpoint {
+    pub(crate) fn store(triples: &[(Term, Term, Term)]) -> TripleStore {
         let mut store = TripleStore::new();
         for (s, p, o) in triples {
             store.insert_terms(s, p, o);
         }
-        LocalEndpoint::new("kb", store)
+        store
+    }
+
+    fn endpoint(triples: &[(Term, Term, Term)]) -> LocalEndpoint {
+        LocalEndpoint::new("kb", store(triples))
+    }
+
+    /// The delta of a change to `(s, p, o)`.
+    fn delta_of((s, p, o): &(Term, Term, Term)) -> PublishDelta {
+        PublishDelta {
+            prev_epoch: 1,
+            epoch: 2,
+            predicates: vec![p.clone()],
+            terms: vec![s.clone(), o.clone()],
+        }
+    }
+
+    /// `base` with `triple` removed if it holds, added if not.
+    fn toggled(
+        base: &[(Term, Term, Term)],
+        triple: &(Term, Term, Term),
+    ) -> Vec<(Term, Term, Term)> {
+        let mut after: Vec<_> = base.iter().filter(|t| *t != triple).cloned().collect();
+        if after.len() == base.len() {
+            after.push(triple.clone());
+        }
+        after
     }
 
     /// Forwards to a store and keeps every prepared leaf it was sent.
@@ -849,23 +1009,13 @@ mod tests {
             .collect();
         let (mut changed, mut kept) = (0, 0);
         for triple in universe() {
-            let mut after: Vec<_> = base.iter().filter(|t| **t != triple).cloned().collect();
-            if after.len() == base.len() {
-                after.push(triple.clone());
-            }
-            let after = endpoint(&after);
+            let after = endpoint(&toggled(&base, &triple));
             let mut memo = Memo::default();
             for (leaf, answer) in leaves.iter().zip(&answers) {
                 memo.keep(Side::Target, &leaf.as_request(), answer);
             }
+            memo.invalidate(Side::Target, &DeltaView::new(&delta_of(&triple)));
             let (s, p, o) = triple;
-            let delta = PublishDelta {
-                prev_epoch: 1,
-                epoch: 2,
-                predicates: vec![p.clone()],
-                terms: vec![s.clone(), o.clone()],
-            };
-            memo.invalidate(Side::Target, &DeltaView::new(&delta));
             for (leaf, answer) in leaves.iter().zip(&answers) {
                 let req = leaf.as_request();
                 let now = after.execute(req.clone()).unwrap();
@@ -889,29 +1039,127 @@ mod tests {
         );
     }
 
-    /// Entries, terms and templates go with their last holder.
+    /// A suspect asked again settles as unchanged exactly when its
+    /// answer is, and once every suspect is settled the memo serves
+    /// each leaf its answer after the change: an equal answer is filed
+    /// again, a different one kept fresh.
+    #[test]
+    fn settling_every_suspect_serves_the_answers_after_the_change() {
+        let leaves = leaves();
+        let base = base();
+        let before = endpoint(&base);
+        let answers: Vec<Response> = leaves
+            .iter()
+            .map(|leaf| before.execute(leaf.as_request()).unwrap())
+            .collect();
+        let (mut equal, mut different) = (0, 0);
+        for triple in universe() {
+            let after = endpoint(&toggled(&base, &triple));
+            let mut memo = Memo::default();
+            let held: Vec<Held> = leaves
+                .iter()
+                .zip(&answers)
+                .filter_map(|(leaf, answer)| memo.keep(Side::Target, &leaf.as_request(), answer))
+                .collect();
+            let suspects = memo.invalidate(Side::Target, &DeltaView::new(&delta_of(&triple)));
+            let asks = memo.suspects(&held).unwrap();
+            assert_eq!(asks.len(), suspects);
+            let mut fresh = Vec::new();
+            for suspect in &asks {
+                let req = suspect.request();
+                let now = after.execute(req.clone()).unwrap();
+                let was = before.execute(req).unwrap();
+                let fresh_before = fresh.len();
+                let same = memo.settle(suspect, &now, &mut fresh);
+                assert_eq!(same, now == was, "{:?}", suspect.request());
+                assert_eq!(fresh.len() - fresh_before, usize::from(!same));
+                if same {
+                    equal += 1;
+                } else {
+                    different += 1;
+                }
+            }
+            for leaf in &leaves {
+                let req = leaf.as_request();
+                let (_, served) = memo.lookup(Side::Target, &req).unwrap();
+                assert_eq!(served, after.execute(req).unwrap(), "{leaf:?}");
+            }
+        }
+        assert!(equal > 100 && different > 100, "{equal} {different}");
+    }
+
+    /// Two alignments that read a leaf on either side of a publish: the
+    /// first answer kept stands, and the other is not held, so its
+    /// read-set is not taken for one that holds what it read.
+    #[test]
+    fn a_leaf_kept_with_another_answer_is_not_held() {
+        let leaves = leaves();
+        let base = base();
+        let triple = (Term::iri("e:0"), Term::iri("r:a"), Term::iri("e:1"));
+        let (before, after) = (endpoint(&base), endpoint(&toggled(&base, &triple)));
+        let mut moved = 0;
+        for leaf in &leaves {
+            let req = leaf.as_request();
+            let (old, new) = (
+                before.execute(req.clone()).unwrap(),
+                after.execute(req.clone()).unwrap(),
+            );
+            if old == new {
+                continue;
+            }
+            moved += 1;
+            let mut memo = Memo::default();
+            let first = memo.keep(Side::Target, &req, &new).unwrap();
+            assert!(memo.keep(Side::Target, &req, &old).is_none(), "{leaf:?}");
+            let again = memo.keep(Side::Target, &req, &new).unwrap();
+            assert_eq!(
+                (again.slot, again.generation),
+                (first.slot, first.generation)
+            );
+            assert_eq!(memo.lookup(Side::Target, &req).unwrap().1, new, "{leaf:?}");
+        }
+        assert!(moved > 10, "{moved}");
+    }
+
+    /// Entries, suspects among them, terms and templates go with their
+    /// last holder, and `clear` drops them all.
     #[test]
     fn releasing_every_holder_empties_the_memo() {
         let leaves = leaves();
         let before = endpoint(&base());
-        let mut memo = Memo::default();
-        let mut held = Vec::new();
-        for _ in 0..2 {
-            for leaf in &leaves {
-                let req = leaf.as_request();
-                let answer = before.execute(req.clone()).unwrap();
-                held.extend(memo.keep(Side::Source, &req, &answer));
+        let filled = || {
+            let mut memo = Memo::default();
+            let mut held = Vec::new();
+            for _ in 0..2 {
+                for leaf in &leaves {
+                    let req = leaf.as_request();
+                    let answer = before.execute(req.clone()).unwrap();
+                    held.extend(memo.keep(Side::Source, &req, &answer));
+                }
             }
-        }
+            let all = memo.len(Side::Source);
+            let triple = (Term::iri("e:0"), Term::iri("r:a"), Term::iri("e:1"));
+            let suspects = memo.invalidate(Side::Source, &DeltaView::new(&delta_of(&triple)));
+            assert!(all > 100 && suspects > 10, "{all} {suspects}");
+            assert_eq!(memo.len(Side::Source), all - suspects);
+            (memo, held)
+        };
+        let empty = |memo: &Memo| {
+            let source = &memo.sides[Side::Source as usize];
+            assert_eq!(memo.len(Side::Source), 0);
+            assert!(source.slots.iter().all(|(_, entry)| entry.is_none()));
+            assert!(source.index.is_empty() && source.templates.is_empty());
+            assert!(memo.terms.ids.is_empty());
+        };
+        let (mut memo, held) = filled();
         assert_eq!(held.len(), 2 * leaves.len());
-        assert!(memo.len(Side::Source) > 100);
         memo.release(&held);
-        let source = &memo.sides[Side::Source as usize];
-        assert_eq!(memo.len(Side::Source), 0);
-        assert!(source.index.is_empty() && source.templates.is_empty());
-        assert!(memo.terms.ids.is_empty());
+        empty(&memo);
         // A release after the slot moved on lets go of nothing.
         memo.release(&held);
         assert!(memo.terms.ids.is_empty());
+        let (mut memo, _) = filled();
+        memo.clear();
+        empty(&memo);
     }
 }

@@ -10,15 +10,27 @@
 //! ([`AlignmentSession::apply_source_delta`],
 //! [`AlignmentSession::apply_target_delta`]): each marks dirty the
 //! cached relations whose [`EvidenceFootprint`] it intersects, and the
-//! next lookup (or [`AlignmentSession::refresh_dirty`]) re-mines them.
+//! next lookup (or [`AlignmentSession::refresh_dirty`]) refreshes them.
 //! From the first delta on, the session also keeps a probe memo per
 //! side: the answers of the prepared leaf queries its cached relations
-//! last read. A re-mine is answered from it wherever no delta since
-//! could have changed the answer, and a batch sends only its misses, so
-//! a re-mine costs the few queries a delta moved rather than a whole
-//! alignment. A session never told of a delta keeps no memo and sends
-//! exactly what the aligner asks. An invalidation or a resync stands
-//! for a change of unknown shape and empties the memo.
+//! last read. A delta marks suspect every answer a changed triple could
+//! match. A re-mine is answered from the memo wherever no answer is
+//! suspect, and a batch sends only its misses, so a re-mine costs the
+//! few queries a delta moved rather than a whole alignment.
+//!
+//! **A dirty relation is checked before it is re-mined** when the memo
+//! holds every answer its last alignment read. An alignment is a
+//! deterministic function of the answers it reads, in order, so the
+//! session asks that relation's suspect answers again, outside the
+//! lock: if no change was applied meanwhile and every answer is what
+//! it was, the relation goes clean with its rules, a build system's
+//! early cutoff. Otherwise it is re-mined, and the answers that changed
+//! are in the memo for the re-mine to read. A relation mined before the
+//! memo was live, or one whose reads were not all kept, is re-mined.
+//!
+//! A session never told of a delta keeps no memo and sends exactly what
+//! the aligner asks. An invalidation or a resync stands for a change of
+//! unknown shape and empties the memo.
 
 use crate::aligner::Aligner;
 use crate::config::AlignerConfig;
@@ -49,9 +61,15 @@ enum Slot {
         footprint: Box<EvidenceFootprint>,
         /// The memo answers the alignment read, held until the slot goes.
         reads: Vec<Held>,
+        /// Whether `reads` holds every answer the alignment read: the
+        /// memo was live, it kept every answer, no text or batch was
+        /// sent, and no change was applied while an answer was out. A
+        /// dirty slot that is complete is checked before it is re-mined.
+        complete: bool,
         /// Set by [`AlignmentSession::apply_source_delta`] /
         /// [`AlignmentSession::apply_target_delta`]; a dirty slot is
-        /// re-mined on the next [`AlignmentSession::rules_for`].
+        /// checked or re-mined on the next
+        /// [`AlignmentSession::rules_for`].
         dirty: bool,
     },
     Failed {
@@ -70,6 +88,9 @@ struct State {
     /// finds this moved between its claim and its result lands dirty,
     /// and an answer read while it moved is not kept.
     changes: u64,
+    /// How many alignments have landed.
+    #[cfg(test)]
+    mines: usize,
 }
 
 /// Locks the session state. A panic in the computing thread must not
@@ -117,20 +138,19 @@ impl<'a> AlignmentSession<'a> {
         // Claim the slot or wait for whoever holds it.
         let my_epoch = self.epochs.fetch_add(1, Ordering::Relaxed);
         let mut state = self.lock();
-        // A dirty slot's reads stay held until the re-mine lands, so the
-        // re-mine finds them in the memo.
-        let mut stale_reads = Vec::new();
-        let changes_at_claim = loop {
+        // A dirty slot is taken out whole: its reads stay held until the
+        // relation is clean again, so a check or a re-mine finds them in
+        // the memo.
+        let mut stale = None;
+        let mut changes_at_claim = loop {
             match state.slots.get(relation) {
                 Some(Slot::Done { rules, dirty, .. }) => {
                     if !dirty {
                         return Ok(rules.clone());
                     }
                     // Dirtied by a delta: fall through to a fresh
-                    // (single-flight) re-mine.
-                    if let Some(Slot::Done { reads, .. }) = state.slots.remove(relation) {
-                        stale_reads = reads;
-                    }
+                    // (single-flight) check or re-mine.
+                    stale = state.slots.remove(relation);
                 }
                 Some(Slot::InProgress { epoch }) => {
                     let waited_on = *epoch;
@@ -157,6 +177,9 @@ impl<'a> AlignmentSession<'a> {
                 }
             }
         };
+        // Once live the memo stays live, so this holds for the whole
+        // alignment.
+        let live = state.memo.is_live();
         drop(state);
 
         // The claim must be released on *every* exit — including a panic
@@ -164,7 +187,7 @@ impl<'a> AlignmentSession<'a> {
         // the panic, but a stuck `InProgress` slot would block every
         // later request for this relation forever). The guard's `Drop`
         // removes the slot unless it was already replaced with `Done` or
-        // `Failed`, lets go of the re-mined slot's reads, and wakes the
+        // `Failed`, lets go of the dirty slot's reads, and wakes the
         // waiters either way.
         struct Claim<'s> {
             cache: &'s Mutex<State>,
@@ -186,15 +209,46 @@ impl<'a> AlignmentSession<'a> {
                 self.done.notify_all();
             }
         }
-        let claim = Claim {
+        let mut claim = Claim {
             cache: &self.cache,
             done: &self.done,
             relation,
-            stale_reads,
+            stale_reads: Vec::new(),
         };
 
-        let source = Probes::new(self.source, Side::Source, &self.cache);
-        let target = Probes::new(self.target, Side::Target, &self.cache);
+        if let Some(Slot::Done {
+            rules,
+            footprint,
+            reads,
+            complete,
+            ..
+        }) = stale
+        {
+            claim.stale_reads = reads;
+            if complete {
+                match self.recheck(&mut claim.stale_reads) {
+                    Ok(mut state) => {
+                        let reads = std::mem::take(&mut claim.stale_reads);
+                        state.slots.insert(
+                            relation.to_owned(),
+                            Slot::Done {
+                                rules: rules.clone(),
+                                footprint,
+                                reads,
+                                dirty: false,
+                                complete: true,
+                            },
+                        );
+                        drop(state);
+                        return Ok(rules);
+                    }
+                    Err(changes) => changes_at_claim = changes,
+                }
+            }
+        }
+
+        let source = Probes::new(self.source, Side::Source, &self.cache, live);
+        let target = Probes::new(self.target, Side::Target, &self.cache, live);
         // The wrappers answer every request as the endpoint did, and
         // sampling seeds its RNG from the relation, so the rules are
         // those of an alignment without them.
@@ -206,8 +260,13 @@ impl<'a> AlignmentSession<'a> {
             Ok(rules) => {
                 // A delta that arrived while this ran found no `Done`
                 // slot to mark; whether it touched what was read is not
-                // known, so the result lands dirty and is mined again.
+                // known, so the result lands dirty and is checked or
+                // mined again.
                 let dirty = state.changes != changes_at_claim;
+                #[cfg(test)]
+                {
+                    state.mines += 1;
+                }
                 let mut reads = source.held;
                 reads.extend(target.held);
                 state.slots.insert(
@@ -220,6 +279,7 @@ impl<'a> AlignmentSession<'a> {
                         }),
                         reads,
                         dirty,
+                        complete: source.complete && target.complete,
                     },
                 );
             }
@@ -240,6 +300,53 @@ impl<'a> AlignmentSession<'a> {
         drop(state);
         drop(claim); // wakes waiters; Done/Failed slots survive the guard
         result
+    }
+
+    /// Asks the suspects among a dirty relation's complete `reads` again,
+    /// outside the lock. Every answer they hold that is not suspect is
+    /// one no delta since could have changed, and an alignment is a
+    /// deterministic function of the answers it reads, in order: if no
+    /// change was applied while the suspects were out and every one
+    /// held, the relation's rules stand — `Ok`, with the lock held.
+    /// Otherwise `Err` with the change count a re-mine starts from; the
+    /// answers that differ are held in `reads` for it to read. Each
+    /// suspect goes as a request of its own, one round trip apiece over
+    /// a remote endpoint.
+    fn recheck(&self, reads: &mut Vec<Held>) -> Result<MutexGuard<'_, State>, u64> {
+        let mut state = self.lock();
+        let changes = state.changes;
+        let Some(suspects) = state.memo.suspects(reads) else {
+            return Err(changes);
+        };
+        let mut answers = Vec::with_capacity(suspects.len());
+        if !suspects.is_empty() {
+            drop(state);
+            for suspect in &suspects {
+                let endpoint = match suspect.side() {
+                    Side::Source => self.source,
+                    Side::Target => self.target,
+                };
+                // The re-mine meets the error, and reports it.
+                let Ok(answer) = endpoint.execute(suspect.request()) else {
+                    break;
+                };
+                answers.push(answer);
+            }
+            state = self.lock();
+            if state.changes != changes {
+                return Err(state.changes);
+            }
+        }
+        let mut held = answers.len() == suspects.len();
+        for (suspect, answer) in suspects.iter().zip(&answers) {
+            let same = state.memo.settle(suspect, answer, reads);
+            held &= same;
+        }
+        if held {
+            Ok(state)
+        } else {
+            Err(changes)
+        }
     }
 
     /// The best source relation for `relation` (highest confidence), if
@@ -291,8 +398,8 @@ impl<'a> AlignmentSession<'a> {
 
     /// Applies a delta published by the **source** KB's store: marks
     /// dirty every cached relation whose source-side evidence footprint
-    /// intersects it, and drops every source-side memo answer a changed
-    /// triple could match. Returns the number of newly dirtied
+    /// intersects it, and marks suspect every source-side memo answer a
+    /// changed triple could match. Returns the number of newly dirtied
     /// relations. A relation being aligned right now has no footprint
     /// yet; it lands dirty when it finishes. The first delta a session
     /// is told of turns its memo on.
@@ -318,6 +425,7 @@ impl<'a> AlignmentSession<'a> {
             slots,
             memo,
             changes,
+            ..
         } = &mut *state;
         *changes += 1;
         memo.go_live();
@@ -365,8 +473,11 @@ impl<'a> AlignmentSession<'a> {
         relations
     }
 
-    /// Eagerly re-mines every dirty relation (the background refresher's
-    /// work loop). Returns how many relations were refreshed.
+    /// Eagerly refreshes every dirty relation (the background refresher's
+    /// work loop): one whose last alignment's reads are all held in the
+    /// memo is checked first, by asking its suspect answers again, and
+    /// re-mined only if one changed; any other is re-mined. Returns how
+    /// many relations were refreshed, checked or re-mined.
     pub fn refresh_dirty(&self) -> Result<usize, AlignError> {
         let dirty = self.dirty_relations();
         let n = dirty.len();
@@ -388,6 +499,8 @@ struct Read {
     footprint: SideFootprint,
     /// The memo answers it was given or kept.
     held: Vec<Held>,
+    /// Whether `held` holds every answer read so far.
+    complete: bool,
 }
 
 /// One alignment's view of one side's endpoint. It records every
@@ -396,21 +509,27 @@ struct Read {
 /// table row by row, as the leaf each row stands for, and its misses as
 /// one table, in order — and keeps their answers unless a change was
 /// applied while they were read. The session lock is never held across
-/// the endpoint call.
+/// the endpoint call. Before the memo is live it passes every request
+/// through, and its read is incomplete.
 struct Probes<'s> {
     inner: &'s dyn Endpoint,
     side: Side,
     cache: &'s Mutex<State>,
+    live: bool,
     read: Mutex<Read>,
 }
 
 impl<'s> Probes<'s> {
-    fn new(inner: &'s dyn Endpoint, side: Side, cache: &'s Mutex<State>) -> Self {
+    fn new(inner: &'s dyn Endpoint, side: Side, cache: &'s Mutex<State>, live: bool) -> Self {
         Self {
             inner,
             side,
             cache,
-            read: Mutex::new(Read::default()),
+            live,
+            read: Mutex::new(Read {
+                complete: live,
+                ..Read::default()
+            }),
         }
     }
 
@@ -423,19 +542,23 @@ impl<'s> Probes<'s> {
     }
 
     /// Keeps the answers to `requests`, unless the session was told of
-    /// a change since `changes` — the answers may predate it.
+    /// a change since `changes` — the answers may predate it. An answer
+    /// not kept leaves the read incomplete.
     fn keep(&self, changes: u64, requests: &[Request<'_>], answers: &[Response]) {
         let mut state = lock(self.cache);
-        if state.changes != changes {
-            return;
-        }
-        let held: Vec<Held> = requests
-            .iter()
-            .zip(answers)
-            .filter_map(|(req, answer)| state.memo.keep(self.side, req, answer))
-            .collect();
+        let held: Vec<Held> = if state.changes == changes {
+            requests
+                .iter()
+                .zip(answers)
+                .filter_map(|(req, answer)| state.memo.keep(self.side, req, answer))
+                .collect()
+        } else {
+            Vec::new()
+        };
         drop(state);
-        self.read().held.extend(held);
+        let mut read = self.read();
+        read.complete &= held.len() == requests.len();
+        read.held.extend(held);
     }
 }
 
@@ -456,11 +579,10 @@ impl Endpoint for Probes<'_> {
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
         self.read().footprint.record_request(&req);
-        let mut state = lock(self.cache);
-        if !state.memo.is_live() {
-            drop(state);
+        if !self.live {
             return self.inner.execute_with_budget(req, budget);
         }
+        let mut state = lock(self.cache);
         let changes = state.changes;
         let mut held = Vec::new();
         let (prepared, rows) = match req {
@@ -470,6 +592,7 @@ impl Endpoint for Probes<'_> {
             // whole, neither answered from the memo nor kept in it.
             batch @ Request::Batch(_) => {
                 drop(state);
+                self.read().complete = false;
                 return self.inner.execute_with_budget(batch, budget);
             }
             leaf => match state.memo.lookup(self.side, &leaf) {
@@ -835,7 +958,9 @@ mod tests {
     /// links moves the relation's own pages and counts — 3 leaves in 3
     /// requests, all on the target — against the 8 leaves in 8 requests
     /// of the whole alignment (each batched phase one table), which is
-    /// what a re-mine sent before the memo.
+    /// what a re-mine sent before the memo. The check before the re-mine
+    /// asks those 3, finds them changed, and the re-mine reads its
+    /// answers from the memo.
     #[test]
     fn a_re_mine_sends_only_what_the_delta_could_change() {
         let (dbp, mut writer, yago) = live_target();
@@ -899,7 +1024,7 @@ mod tests {
         let answers = Response::Batch(vec![Response::Boolean(true), Response::Boolean(false)]);
         let counters = yago.counters();
         counters.reset();
-        let probes = Probes::new(&yago, Side::Target, &session.cache);
+        let probes = Probes::new(&yago, Side::Target, &session.cache, true);
         let sent = |request: Request<'_>| {
             let before = counters.requests();
             assert_eq!(probes.execute(request).unwrap(), answers);
@@ -951,7 +1076,7 @@ mod tests {
         session.rules_for("y:born").unwrap();
         assert_eq!((kept(Side::Source), kept(Side::Target)), (source, target));
 
-        // A target delta drops target answers only.
+        // A target delta makes target answers suspect, and no others.
         writer.store_mut().insert_terms(
             &Term::iri("y:p1"),
             &Term::iri("y:born"),
@@ -997,5 +1122,146 @@ mod tests {
         };
         let (source, target) = kept(false);
         assert_eq!(kept(true), (source, target - 1));
+    }
+
+    /// A triple that comes and goes between two refreshes: the relation
+    /// is dirty, but every answer the delta could have moved is what it
+    /// was. The refresh asks those suspects again — the same 3 leaves in
+    /// 3 requests a re-mine sends after the triple's insert alone — finds
+    /// them unchanged and keeps the cached rules, with nothing re-mined.
+    #[test]
+    fn a_delta_whose_answers_hold_re_asks_only_its_suspects() {
+        let (dbp, mut writer, yago) = live_target();
+        let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(1));
+        let (source, target) = (dbp.counters(), yago.counters());
+        let cost = |c: &sofya_endpoint::EndpointCounters| (c.total_queries(), c.requests());
+        let stranger = |o: &str| [Term::iri("y:stranger"), Term::iri("y:born"), Term::iri(o)];
+        let [s, p, o] = stranger("y:nowhere");
+        session.rules_for("y:born").unwrap();
+        writer.store_mut().insert_terms(&s, &p, &o);
+        // The first delta turns the memo on; its re-mine fills it.
+        assert_eq!(session.apply_target_delta(&writer.publish()), 1);
+        session.refresh_dirty().unwrap();
+        let cached = session.rules_for("y:born").unwrap();
+        let (filled, mines) = {
+            let state = session.lock();
+            (state.memo.len(Side::Target), state.mines)
+        };
+        source.reset();
+        target.reset();
+
+        let [s, p, o] = stranger("y:elsewhere");
+        writer.store_mut().insert_terms(&s, &p, &o);
+        session.apply_target_delta(&writer.publish());
+        let store = writer.store_mut();
+        let [s, p, o] = [s, p, o].map(|t| store.dict().lookup(&t).unwrap());
+        store.remove(s, p, o);
+        session.apply_target_delta(&writer.publish());
+        let suspects = filled - session.lock().memo.len(Side::Target);
+        assert_eq!(suspects, 3);
+
+        assert_eq!(session.refresh_dirty().unwrap(), 1);
+        assert_eq!(cost(&source), (0, 0), "the source did not change");
+        assert_eq!(cost(&target), (3, 3), "the suspects, and nothing else");
+        let state = session.lock();
+        assert_eq!(state.mines, mines, "nothing was re-mined");
+        assert_eq!(
+            state.memo.len(Side::Target),
+            filled,
+            "every suspect filed again"
+        );
+        drop(state);
+        assert_eq!(session.rules_for("y:born").unwrap(), cached);
+        assert_eq!(cost(&target), (3, 3));
+    }
+
+    /// The small-scope check of the check before a re-mine, over the memo
+    /// tests' universe (three entities, two relations and `sameAs`): a
+    /// session with both relations cached, their reads whole, against
+    /// every single-triple insert and remove on either side, from the
+    /// memo tests' base and from one where each relation is mined as a
+    /// premise of both. A relation kept without a re-mine has the rules
+    /// a from-scratch alignment mines, every relation whose from-scratch
+    /// rules changed is re-mined, and both outcomes occur.
+    #[test]
+    fn a_dirty_relation_is_kept_only_if_its_rules_still_hold() {
+        use crate::memo::tests::{base, store, universe, SA};
+        use sofya_endpoint::SnapshotStore;
+
+        // One fact is support enough in a universe this small.
+        let config = AlignerConfig {
+            same_as: SA.to_owned(),
+            min_support: 1,
+            ..AlignerConfig::paper_defaults(1)
+        };
+        let linked: Vec<_> = [
+            ("e:0", "r:a", "e:1"),
+            ("e:1", "r:a", "e:2"),
+            ("e:0", "r:b", "e:1"),
+            ("e:1", "r:b", "e:2"),
+            ("e:2", "r:b", "e:0"),
+            ("e:0", SA, "e:0"),
+            ("e:1", SA, "e:1"),
+            ("e:2", SA, "e:2"),
+        ]
+        .map(|(s, p, o)| (Term::iri(s), Term::iri(p), Term::iri(o)))
+        .into();
+        let relations = ["r:a", "r:b"];
+        let (mut kept, mut remined, mut moved, mut mined_rules) = (0, 0, 0, 0);
+        for base in [base(), linked] {
+            for side in [Side::Source, Side::Target] {
+                for (s, p, o) in universe() {
+                    let mut stores = [store(&base), store(&base)].map(SnapshotStore::new);
+                    let [source, target] = [&stores[0], &stores[1]].map(|s| s.reader("kb"));
+                    let session = AlignmentSession::new(&source, &target, config.clone());
+                    // Live from a delta nothing read; then every relation
+                    // is mined with its reads whole.
+                    session.apply_target_delta(&PublishDelta {
+                        prev_epoch: 1,
+                        epoch: 1,
+                        predicates: vec![Term::iri("r:none")],
+                        terms: vec![Term::iri("e:none")],
+                    });
+                    let cached = relations.map(|r| session.rules_for(r).unwrap());
+                    mined_rules += cached.iter().map(Vec::len).sum::<usize>();
+
+                    let writer = &mut stores[side as usize];
+                    let store = writer.store_mut();
+                    if !store.insert_terms(&s, &p, &o) {
+                        let id = |t: &Term| store.dict().lookup(t).unwrap();
+                        let (s, p, o) = (id(&s), id(&p), id(&o));
+                        assert!(store.remove(s, p, o));
+                    }
+                    let delta = writer.publish();
+                    match side {
+                        Side::Source => session.apply_source_delta(&delta),
+                        Side::Target => session.apply_target_delta(&delta),
+                    };
+                    let fresh = AlignmentSession::new(&source, &target, config.clone());
+                    for (relation, cached) in relations.iter().zip(&cached) {
+                        let dirty = session.dirty_relations().iter().any(|r| r == relation);
+                        let mines = session.lock().mines;
+                        let rules = session.rules_for(relation).unwrap();
+                        let mined = session.lock().mines > mines;
+                        let scratch = fresh.rules_for(relation).unwrap();
+                        let case = format!("{relation} after ({s}, {p}, {o}) on {side:?}");
+                        assert_eq!(rules, scratch, "{case}");
+                        if scratch != *cached {
+                            moved += 1;
+                            assert!(mined, "{case}: its rules changed, but it was kept");
+                        }
+                        match (dirty, mined) {
+                            (true, false) => kept += 1,
+                            (_, true) => remined += 1,
+                            (false, false) => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            kept > 0 && remined > 0 && moved > 0 && mined_rules > 0,
+            "kept {kept}, re-mined {remined}, rules moved {moved}, cached rules {mined_rules}"
+        );
     }
 }
