@@ -30,8 +30,9 @@
 //! The same walk, `for_each_pattern`, serves the session's probe
 //! memo, which asks the finer question per answer: a pattern can match
 //! a changed triple only if **every** one of its constants is in the
-//! delta (`may_match`), so an answer survives a delta unless one of
-//! its patterns does.
+//! delta (`may_match`). An answer one of whose patterns may match
+//! becomes a suspect, which a dirty relation's check asks again; the
+//! rest are served as they are.
 
 use sofya_endpoint::{PublishDelta, Request};
 use sofya_rdf::Term;

@@ -28,13 +28,18 @@
 //! **Memory** is bounded by what the session caches: every entry counts
 //! the read-sets that hold it — the cached relations whose last
 //! alignment read it and the alignments in flight — and goes when the
-//! last one lets go. Terms are interned once per session, counted the
-//! same way, so an answer is stored as ids, and a template's patterns
-//! are stored once, with slots its entries' arguments fill. A freed
-//! entry's slot changes generation, so a read-set that still names it
-//! lets go of nothing. Terms and keys are found by their 64-bit hash
-//! and then compared; the rare second term or key on a taken hash is
-//! simply not kept.
+//! last one lets go. The terms of its arguments and its answer are
+//! shared through one map keyed by fingerprint, so a term many answers
+//! name is stored once; a term whose fingerprint another term holds is
+//! kept unshared. No shared term leaves the memo — lookups and suspects
+//! get owned copies — so an entry that goes is a term's last holder
+//! exactly when only the map holds it besides, and the term goes too.
+//! A template's patterns are stored once, its constants as
+//! fingerprints, with slots its entries' argument fingerprints fill. A
+//! freed entry's slot changes generation, so a read-set that still
+//! names it lets go of nothing. Keys are found by their 64-bit hash and
+//! then compared; the rare second key on a taken hash is simply not
+//! kept.
 
 use crate::footprint::{fingerprint, for_each_pattern, may_match, DeltaView, Fx, FxBuild};
 use sofya_endpoint::{Request, Response};
@@ -44,12 +49,6 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 
-/// A free position of a pattern, or an unbound cell of a row.
-const NONE: u32 = u32::MAX;
-
-/// In a template's shape, `PARAM | i` stands for argument `i`.
-const PARAM: u32 = 1 << 31;
-
 /// Which endpoint of the session a memo, a delta or a read belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Side {
@@ -57,117 +56,44 @@ pub(crate) enum Side {
     Target = 1,
 }
 
-/// A term as the memo stores it: an IRI, nearly every term, in the
-/// 16 bytes of its text.
-enum Stored {
-    Iri(Box<str>),
-    Other(Box<Term>),
-}
+/// The terms the entries share, by fingerprint.
+type Terms = HashMap<u64, Arc<Term>, FxBuild>;
 
-impl Stored {
-    fn new(term: &Term) -> Self {
-        match term.as_iri() {
-            Some(iri) => Stored::Iri(iri.into()),
-            None => Stored::Other(Box::new(term.clone())),
-        }
-    }
-
-    fn term(&self) -> Term {
-        match self {
-            Stored::Iri(iri) => Term::iri(&**iri),
-            Stored::Other(term) => (**term).clone(),
-        }
-    }
-
-    fn is(&self, term: &Term) -> bool {
-        match self {
-            Stored::Iri(iri) => term.as_iri() == Some(iri),
-            Stored::Other(other) => **other == *term,
-        }
+/// `term`, shared with the entries holding it already, or kept unshared
+/// if another term holds its fingerprint.
+fn share(terms: &mut Terms, term: &Term, fingerprint: u64) -> Arc<Term> {
+    let shared = terms
+        .entry(fingerprint)
+        .or_insert_with(|| Arc::new(term.clone()));
+    if **shared == *term {
+        Arc::clone(shared)
+    } else {
+        Arc::new(term.clone())
     }
 }
 
-/// One interned term and how many times the entries hold it.
-struct Interned {
-    term: Stored,
-    fingerprint: u64,
-    refs: u32,
-}
-
-/// Terms by id, each stored once and counted by the entries holding it.
-#[derive(Default)]
-struct Terms {
-    /// Fingerprint → id.
-    ids: HashMap<u64, u32, FxBuild>,
-    slots: Vec<Option<Interned>>,
-    free: Vec<u32>,
-}
-
-impl Terms {
-    fn term(&self, id: u32) -> Option<&Stored> {
-        Some(&self.slots.get(id as usize)?.as_ref()?.term)
-    }
-
-    fn fingerprint(&self, id: u32) -> Option<u64> {
-        Some(self.slots.get(id as usize)?.as_ref()?.fingerprint)
-    }
-
-    /// Interns `term` and counts one more holder of it; `None` if
-    /// another term holds its fingerprint.
-    fn hold(&mut self, term: &Term) -> Option<u32> {
-        let fingerprint = fingerprint(term);
-        let id = match self.ids.get(&fingerprint) {
-            Some(&id) => id,
-            None => {
-                let interned = Some(Interned {
-                    term: Stored::new(term),
-                    fingerprint,
-                    refs: 0,
-                });
-                let id = match self.free.pop() {
-                    Some(id) => {
-                        self.slots[id as usize] = interned;
-                        id
-                    }
-                    None => {
-                        self.slots.push(interned);
-                        self.slots.len() as u32 - 1
-                    }
-                };
-                self.ids.insert(fingerprint, id);
-                id
-            }
-        };
-        let interned = self.slots.get_mut(id as usize)?.as_mut()?;
-        if !interned.term.is(term) {
-            return None;
-        }
-        interned.refs += 1;
-        Some(id)
-    }
-
-    fn release(&mut self, id: u32) {
-        let Some(slot) = self.slots.get_mut(id as usize) else {
-            return;
-        };
-        if let Some(interned) = slot {
-            interned.refs -= 1;
-            if interned.refs == 0 {
-                self.ids.remove(&interned.fingerprint);
-                *slot = None;
-                self.free.push(id);
-            }
+/// Lets go of `term`; its last holder takes a shared term out of the
+/// map.
+fn unshare(terms: &mut Terms, term: Arc<Term>) {
+    // The map and this hold are all that is left.
+    if Arc::strong_count(&term) == 2 {
+        let fingerprint = fingerprint(&term);
+        if terms
+            .get(&fingerprint)
+            .is_some_and(|shared| Arc::ptr_eq(shared, &term))
+        {
+            terms.remove(&fingerprint);
         }
     }
 }
 
 /// What identifies one leaf's answer: a template, its arguments and its
 /// page. Filed under [`Key::hash`], which a request's terms give
-/// without interning them.
+/// without sharing them.
 struct Key {
     token: u64,
     ask: bool,
-    args: Box<[u32]>,
+    args: Box<[Arc<Term>]>,
     limit: Option<usize>,
     offset: Option<usize>,
 }
@@ -184,15 +110,10 @@ impl Key {
         h.finish()
     }
 
-    fn is(&self, &(ask, prepared, args, limit, offset): &Leaf<'_>, terms: &Terms) -> bool {
+    fn is(&self, &(ask, prepared, args, limit, offset): &Leaf<'_>) -> bool {
         self.token == prepared.cache_token()
             && (self.ask, self.limit, self.offset) == (ask, limit, offset)
-            && self.args.len() == args.len()
-            && self
-                .args
-                .iter()
-                .zip(args)
-                .all(|(&id, t)| terms.term(id).is_some_and(|s| s.is(t)))
+            && self.args.iter().map(|t| &**t).eq(args)
     }
 }
 
@@ -201,7 +122,7 @@ enum Answer {
     /// `rows` rows of the template's width, flattened.
     Rows {
         rows: usize,
-        cells: Box<[u32]>,
+        cells: Box<[Option<Arc<Term>>]>,
     },
 }
 
@@ -209,27 +130,13 @@ struct Entry {
     /// Its hash in `by_key`.
     hash: u64,
     key: Key,
+    /// The fingerprints of the key's arguments, for its patterns.
+    fingerprints: Box<[u64]>,
     answer: Answer,
     /// The read-sets holding this entry.
     refs: u32,
     /// Out of `by_key` and the index: a delta may have changed it.
     suspect: bool,
-}
-
-impl Entry {
-    /// Every term id the entry holds, once per occurrence.
-    fn term_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        let cells = match &self.answer {
-            Answer::Rows { cells, .. } => &cells[..],
-            Answer::Boolean(_) => &[],
-        };
-        self.key
-            .args
-            .iter()
-            .chain(cells)
-            .copied()
-            .filter(|&id| id != NONE)
-    }
 }
 
 /// Where a pattern is filed: under the fingerprint of a constant every
@@ -245,9 +152,8 @@ enum Anchor {
 impl Anchor {
     /// A subject or object if the pattern has one (fewer answers share
     /// it), else its predicate.
-    fn of([s, p, o]: [u32; 3], terms: &Terms) -> Self {
-        let constant = |id| terms.fingerprint(id);
-        match (constant(s).or(constant(o)), constant(p)) {
+    fn of([s, p, o]: [Option<u64>; 3]) -> Self {
+        match (s.or(o), p) {
             (Some(term), _) => Anchor::Term(term),
             (None, Some(predicate)) => Anchor::Predicate(predicate),
             (None, None) => Anchor::Any,
@@ -255,19 +161,28 @@ impl Anchor {
     }
 }
 
+/// A position of a template's triple pattern.
+#[derive(Clone, Copy)]
+enum Node {
+    Free,
+    /// The argument of this index.
+    Param(usize),
+    /// The fingerprint of a term the template writes.
+    Constant(u64),
+}
+
 /// What the entries of one template share: the template itself, its
 /// projection and its patterns.
 struct Template {
     prepared: Arc<Prepared>,
     vars: Vec<String>,
-    /// Every triple pattern, `[s, p, o]`: the id of a term the template
-    /// writes, `PARAM | i` for parameter `i`, or `NONE`.
-    shape: Box<[[u32; 3]]>,
+    /// Every triple pattern, `[s, p, o]`.
+    shape: Box<[[Node; 3]]>,
     entries: usize,
 }
 
 impl Template {
-    fn new(prepared: &Prepared, arity: usize, vars: &[String], terms: &mut Terms) -> Self {
+    fn new(prepared: &Prepared, arity: usize, vars: &[String]) -> Self {
         // Stand-ins no template can write (a blank node label holds no
         // NUL) show which positions the parameters fill.
         let params: Vec<Term> = (0..arity).map(|i| Term::BNode(format!("\0{i}"))).collect();
@@ -275,15 +190,13 @@ impl Template {
         match prepared.pattern_with(&params) {
             // Nothing to read off: one all-variable pattern, which every
             // delta matches.
-            Err(_) => shape.push([NONE; 3]),
+            Err(_) => shape.push([Node::Free; 3]),
             Ok((pattern, arg)) => for_each_pattern(pattern, &arg, &mut |spo| {
                 shape.push(spo.map(|node| match node {
-                    None => NONE,
+                    None => Node::Free,
                     Some(t) => match params.iter().position(|p| p == t) {
-                        Some(i) => PARAM | i as u32,
-                        // A constant whose fingerprint another term holds
-                        // is read as a variable: it then matches more.
-                        None => terms.hold(t).unwrap_or(NONE),
+                        Some(i) => Node::Param(i),
+                        None => Node::Constant(fingerprint(t)),
                     },
                 }));
             }),
@@ -296,15 +209,14 @@ impl Template {
         }
     }
 
-    /// An entry's patterns: the shape with its arguments in place.
-    fn patterns<'e>(&'e self, args: &'e [u32]) -> impl Iterator<Item = [u32; 3]> + 'e {
+    /// An entry's patterns, each constant as its fingerprint: the shape
+    /// with the arguments' fingerprints in place.
+    fn patterns<'e>(&'e self, args: &'e [u64]) -> impl Iterator<Item = [Option<u64>; 3]> + 'e {
         self.shape.iter().map(move |spo| {
             spo.map(|node| match node {
-                NONE => NONE,
-                param if param & PARAM != 0 => {
-                    args.get((param & !PARAM) as usize).copied().unwrap_or(NONE)
-                }
-                id => id,
+                Node::Free => None,
+                Node::Param(i) => args.get(i).copied(),
+                Node::Constant(fingerprint) => Some(fingerprint),
             })
         })
     }
@@ -396,9 +308,9 @@ impl Memo {
     fn find(&self, side: Side, leaf: &Leaf<'_>) -> (u64, Option<u32>) {
         let hash = Key::hash(leaf);
         let memo = &self.sides[side as usize];
-        let slot = memo.by_key.get(&hash).copied().filter(|&slot| {
-            matches!(memo.slots.get(slot as usize), Some((_, Some(e))) if e.key.is(leaf, &self.terms))
-        });
+        let slot = memo.by_key.get(&hash).copied().filter(
+            |&slot| matches!(memo.slots.get(slot as usize), Some((_, Some(e))) if e.key.is(leaf)),
+        );
         (hash, slot)
     }
 
@@ -423,12 +335,11 @@ impl Memo {
             Answer::Boolean(b) => Response::Boolean(*b),
             Answer::Rows { rows, cells } => {
                 let vars = memo.templates.get(&entry.key.token)?.vars.clone();
-                let cell = |&id: &u32| self.terms.term(id).map(Stored::term);
                 let rows = match vars.len() {
                     0 => vec![Vec::new(); *rows],
                     width => cells
                         .chunks(width)
-                        .map(|row| row.iter().map(cell).collect())
+                        .map(|row| row.iter().map(|cell| cell.as_deref().cloned()).collect())
                         .collect(),
                 };
                 Response::Rows(ResultSet::new(vars, rows))
@@ -482,35 +393,24 @@ impl Memo {
             // Another key holds the hash: this answer is not kept.
             return None;
         }
-        let mut taken = Vec::new();
-        let mut hold = |term: Option<&Term>| match term {
-            None => Some(NONE),
-            Some(term) => {
-                let id = self.terms.hold(term);
-                taken.extend(id);
-                id
-            }
+        let terms = &mut self.terms;
+        let answer = match rows {
+            Ok(rs) => Answer::Rows {
+                rows: rs.len(),
+                cells: rs
+                    .iter()
+                    .flatten()
+                    .map(|cell| cell.as_ref().map(|t| share(terms, t, fingerprint(t))))
+                    .collect(),
+            },
+            Err(b) => Answer::Boolean(b),
         };
-        let mut interned = || {
-            let answer = match rows {
-                Ok(rs) => Answer::Rows {
-                    rows: rs.len(),
-                    cells: rs
-                        .iter()
-                        .flatten()
-                        .map(|cell| hold(cell.as_ref()))
-                        .collect::<Option<_>>()?,
-                },
-                Err(b) => Answer::Boolean(b),
-            };
-            let args = args.iter().map(|t| hold(Some(t))).collect::<Option<_>>()?;
-            Some((answer, args))
-        };
-        let Some((answer, args)) = interned() else {
-            // A term's fingerprint is another term's: nothing is kept.
-            taken.into_iter().for_each(|id| self.terms.release(id));
-            return None;
-        };
+        let fingerprints: Box<[u64]> = args.iter().map(fingerprint).collect();
+        let args = args
+            .iter()
+            .zip(&*fingerprints)
+            .map(|(t, &f)| share(terms, t, f))
+            .collect();
         let entry = Entry {
             hash,
             key: Key {
@@ -520,6 +420,7 @@ impl Memo {
                 limit,
                 offset,
             },
+            fingerprints,
             answer,
             refs: 1,
             // Until `insert` files it.
@@ -527,11 +428,10 @@ impl Memo {
         };
         let memo = &mut self.sides[side as usize];
         let arity = entry.key.args.len();
-        let terms = &mut self.terms;
         memo.templates
             .entry(token)
-            .or_insert_with(|| Template::new(prepared, arity, vars, terms));
-        Some(memo.insert(side, entry, &self.terms))
+            .or_insert_with(|| Template::new(prepared, arity, vars));
+        Some(memo.insert(side, entry))
     }
 
     /// Lets go of what a read-set held; an entry nobody holds goes.
@@ -573,16 +473,11 @@ impl Memo {
             let Some(template) = memo.templates.get(&entry.key.token) else {
                 continue;
             };
-            let terms = &self.terms;
-            let changed = template.patterns(&entry.key.args).any(|spo| {
-                may_match(
-                    spo.map(|id| (id != NONE).then(|| terms.fingerprint(id)).flatten()),
-                    |p| delta.has_predicate(p),
-                    |t| delta.has_term(t),
-                )
-            });
+            let changed = template
+                .patterns(&entry.fingerprints)
+                .any(|spo| may_match(spo, |p| delta.has_predicate(p), |t| delta.has_term(t)));
             if changed {
-                memo.file(slot, false, &self.terms);
+                memo.file(slot, false);
                 suspects += 1;
             }
         }
@@ -605,11 +500,10 @@ impl Memo {
             if !entry.suspect {
                 continue;
             }
-            let term = |&id: &u32| self.terms.term(id).map(Stored::term);
             suspects.push(Suspect {
                 held,
                 prepared: Arc::clone(&memo.templates.get(&entry.key.token)?.prepared),
-                args: entry.key.args.iter().map(term).collect::<Option<_>>()?,
+                args: entry.key.args.iter().map(|t| (**t).clone()).collect(),
                 limit: entry.key.limit,
                 offset: entry.key.offset,
             });
@@ -637,7 +531,7 @@ impl Memo {
         let memo = &self.sides[side as usize];
         let held = matches!(memo.slots.get(slot as usize), Some((g, Some(_))) if *g == generation);
         if held && self.answer(side, slot).as_ref() == Some(answer) {
-            self.sides[side as usize].file(slot, true, &self.terms);
+            self.sides[side as usize].file(slot, true);
             return true;
         }
         fresh.extend(self.keep(side, &suspect.request(), answer));
@@ -664,7 +558,7 @@ impl Memo {
 impl SideMemo {
     /// Files a new entry, held once, in a free slot; its template is
     /// filed already.
-    fn insert(&mut self, side: Side, entry: Entry, terms: &Terms) -> Held {
+    fn insert(&mut self, side: Side, entry: Entry) -> Held {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -682,7 +576,7 @@ impl SideMemo {
             }
             None => 0,
         };
-        self.file(slot, true, terms);
+        self.file(slot, true);
         Held {
             side,
             slot,
@@ -694,7 +588,7 @@ impl SideMemo {
     /// so lookups serve it and deltas check it, or takes it out of both,
     /// as a suspect. A suspect whose key another entry holds by now stays
     /// one.
-    fn file(&mut self, slot: u32, filed: bool, terms: &Terms) {
+    fn file(&mut self, slot: u32, filed: bool) {
         let Some((_, Some(entry))) = self.slots.get_mut(slot as usize) else {
             return;
         };
@@ -714,8 +608,8 @@ impl SideMemo {
         let Some(template) = self.templates.get(&entry.key.token) else {
             return;
         };
-        for pattern in template.patterns(&entry.key.args) {
-            let anchor = Anchor::of(pattern, terms);
+        for pattern in template.patterns(&entry.fingerprints) {
+            let anchor = Anchor::of(pattern);
             if filed {
                 self.index.entry(anchor).or_default().push(slot);
             } else if let Some(slots) = self.index.get_mut(&anchor) {
@@ -732,7 +626,7 @@ impl SideMemo {
     /// Drops the entry in `slot`, if any, and moves the slot on a
     /// generation.
     fn free(&mut self, slot: u32, terms: &mut Terms) {
-        self.file(slot, false, terms);
+        self.file(slot, false);
         let Some((generation, taken)) = self.slots.get_mut(slot as usize) else {
             return;
         };
@@ -744,14 +638,17 @@ impl SideMemo {
         if let Some(template) = self.templates.get_mut(&entry.key.token) {
             template.entries -= 1;
             if template.entries == 0 {
-                let shape = template.shape.iter().flatten();
-                shape
-                    .filter(|&&id| id & PARAM == 0)
-                    .for_each(|&id| terms.release(id));
                 self.templates.remove(&entry.key.token);
             }
         }
-        entry.term_ids().for_each(|id| terms.release(id));
+        let cells = match entry.answer {
+            Answer::Rows { cells, .. } => cells.into_vec(),
+            Answer::Boolean(_) => Vec::new(),
+        };
+        let args = entry.key.args.into_vec();
+        for term in args.into_iter().chain(cells.into_iter().flatten()) {
+            unshare(terms, term);
+        }
     }
 }
 
@@ -1121,6 +1018,64 @@ pub(crate) mod tests {
         assert!(moved > 10, "{moved}");
     }
 
+    /// Terms that print alike are kept and served apart, as answer cells
+    /// and as arguments; a term two entries share goes with the second
+    /// of them; and a term whose fingerprint another term holds is kept
+    /// unshared, without disturbing the other.
+    #[test]
+    fn terms_are_shared_only_with_equal_terms_and_go_with_their_last_holder() {
+        let prepared = Prepared::new("SELECT ?o WHERE { ?s <r:a> ?o }", &["s"]).unwrap();
+        let ones = [
+            Term::literal("1"),
+            Term::lang_literal("1", "en"),
+            Term::typed_literal("1", "http://www.w3.org/2001/XMLSchema#integer"),
+            Term::iri("1"),
+        ];
+        let rows = |terms: &[&Term]| {
+            let rows = terms.iter().map(|&t| vec![Some(t.clone())]).collect();
+            Response::Rows(ResultSet::new(vec!["o".into()], rows))
+        };
+        let req = |i: usize| Request::leaf(&prepared, std::slice::from_ref(&ones[i]));
+        // Each `1` as the argument, answered by the next two.
+        let answer = |i: usize| rows(&[&ones[(i + 1) % 4], &ones[(i + 2) % 4]]);
+        let mut memo = Memo::default();
+        for i in 0..4 {
+            memo.keep(Side::Target, &req(i), &answer(i)).unwrap();
+        }
+        assert_eq!(memo.terms.len(), ones.len());
+        for (i, one) in ones.iter().enumerate() {
+            let (_, served) = memo.lookup(Side::Target, &req(i)).unwrap();
+            assert_eq!(served, answer(i), "{one}");
+        }
+
+        // `x` is one entry's answer and the other's argument.
+        let (x, y, z) = (0, 3, 1);
+        let mut memo = Memo::default();
+        let first = memo
+            .keep(Side::Source, &req(y), &rows(&[&ones[x]]))
+            .unwrap();
+        let second = memo
+            .keep(Side::Source, &req(x), &rows(&[&ones[z]]))
+            .unwrap();
+        memo.release(&[first]);
+        let held = |memo: &Memo, i: usize| memo.terms.contains_key(&fingerprint(&ones[i]));
+        assert!(held(&memo, x) && held(&memo, z) && !held(&memo, y));
+        let (again, served) = memo.lookup(Side::Source, &req(x)).unwrap();
+        assert_eq!(served, rows(&[&ones[z]]));
+        memo.release(&[second, again]);
+        assert!(memo.terms.is_empty() && memo.len(Side::Source) == 0);
+
+        // `y` as if its fingerprint were `x`'s.
+        let (mut terms, f) = (Terms::default(), fingerprint(&ones[x]));
+        let shared = share(&mut terms, &ones[x], f);
+        let other = share(&mut terms, &ones[y], f);
+        assert!(*other == ones[y] && !Arc::ptr_eq(&terms[&f], &other));
+        unshare(&mut terms, other);
+        assert!(Arc::ptr_eq(&terms[&f], &shared));
+        unshare(&mut terms, shared);
+        assert!(terms.is_empty());
+    }
+
     /// Entries, suspects among them, terms and templates go with their
     /// last holder, and `clear` drops them all.
     #[test]
@@ -1149,7 +1104,7 @@ pub(crate) mod tests {
             assert_eq!(memo.len(Side::Source), 0);
             assert!(source.slots.iter().all(|(_, entry)| entry.is_none()));
             assert!(source.index.is_empty() && source.templates.is_empty());
-            assert!(memo.terms.ids.is_empty());
+            assert!(memo.terms.is_empty());
         };
         let (mut memo, held) = filled();
         assert_eq!(held.len(), 2 * leaves.len());
@@ -1157,7 +1112,7 @@ pub(crate) mod tests {
         empty(&memo);
         // A release after the slot moved on lets go of nothing.
         memo.release(&held);
-        assert!(memo.terms.ids.is_empty());
+        assert!(memo.terms.is_empty());
         let (mut memo, _) = filled();
         memo.clear();
         empty(&memo);

@@ -587,14 +587,9 @@ impl Endpoint for Probes<'_> {
         let mut held = Vec::new();
         let (prepared, rows) = match req {
             Request::Table { prepared, rows } => (prepared, rows),
-            // The aligner sends no batch (its probes go as tables), and
-            // the memo keeps prepared leaves only: a batch goes through
-            // whole, neither answered from the memo nor kept in it.
-            batch @ Request::Batch(_) => {
-                drop(state);
-                self.read().complete = false;
-                return self.inner.execute_with_budget(batch, budget);
-            }
+            // The memo serves and keeps prepared leaves only: a text
+            // query or a batch goes through whole and leaves the read
+            // incomplete.
             leaf => match state.memo.lookup(self.side, &leaf) {
                 Some((hit, answer)) => {
                     drop(state);
@@ -827,10 +822,9 @@ mod tests {
         assert!(counters.total_queries() > after_mine, "dirty slot re-mines");
         assert!(session.dirty_relations().is_empty());
 
-        // Re-applying the same delta after the refresh dirties nothing:
-        // the refreshed footprint was mined at the newer state.
-        // (Conservative tracking may legitimately dirty again if the
-        // footprint still covers the predicate — it does here.)
+        // Re-applying the same delta after the refresh dirties the
+        // relation again: the test is conservative, and the refreshed
+        // footprint still covers `y:born`.
         assert_eq!(session.apply_target_delta(&touching), 1);
         assert_eq!(session.refresh_dirty().unwrap(), 1);
         assert!(session.dirty_relations().is_empty());

@@ -1,5 +1,5 @@
 #!/bin/sh
-# The LOC ledger of ROADMAP item 9: lines before the first `#[cfg(test)]`
+# The LOC ledger of ROADMAP item 11: lines before the first `#[cfg(test)]`
 # of each crates/<c>/src/*.rs, summed per crate.
 cd "$(dirname "$0")/.." || exit 1
 for c in crates/*/; do
