@@ -1,7 +1,7 @@
 //! The alignment orchestrator.
 
 use crate::confidence::{cwaconf, pcaconf, SampleEvidence};
-use crate::config::{AlignerConfig, ConfidenceMeasure, SamplingStrategy};
+use crate::config::{AlignerConfig, ConfidenceMeasure, SamplingStrategy, MIN_SUPPORT};
 use crate::discovery;
 use crate::error::AlignError;
 use crate::evidence;
@@ -99,22 +99,14 @@ impl<'a> Aligner<'a> {
                     &mut rng,
                 )?
             };
-            if ev.total() < self.config.min_support {
-                continue;
-            }
-            // Under PCA, confidence is estimated over the PCA-known pairs
-            // only; a single known pair makes any coincidence score 1.0,
-            // so the support floor applies to the denominator too.
-            if self.config.measure == ConfidenceMeasure::Pca
-                && ev.pca_known() < self.config.min_support
-            {
-                continue;
-            }
-            let confidence = match self.config.measure {
-                ConfidenceMeasure::Cwa => cwaconf(&ev),
-                ConfidenceMeasure::Pca => pcaconf(&ev),
+            // The support floor applies to the confidence's denominator:
+            // under PCA the PCA-known pairs only, a single one of which
+            // makes any coincidence score 1.0.
+            let (confidence, pairs) = match self.config.measure {
+                ConfidenceMeasure::Cwa => (cwaconf(&ev), ev.total()),
+                ConfidenceMeasure::Pca => (pcaconf(&ev), ev.pca_known()),
             };
-            if confidence > self.config.tau {
+            if pairs >= MIN_SUPPORT && confidence > self.config.tau {
                 scored.push(Scored {
                     premise: premise.clone(),
                     evidence: ev,
@@ -125,7 +117,7 @@ impl<'a> Aligner<'a> {
         }
 
         // UBS: one contradiction eliminates a rule.
-        if self.config.strategy == SamplingStrategy::Unbiased {
+        if self.config.strategy != SamplingStrategy::Simple {
             scored = unbiased::prune(
                 self.source,
                 self.target,

@@ -1,4 +1,19 @@
-//! Aligner configuration.
+//! Aligner configuration: what the paper varies, the method and the
+//! sample size, is an [`AlignerConfig`]; every other bound is a constant.
+
+/// Minimum number of evidence pairs in a confidence's denominator, all
+/// sampled pairs under CWA and the PCA-known ones under PCA, for a rule
+/// to be considered at all (guards against single-fact coincidences).
+pub const MIN_SUPPORT: usize = 2;
+
+/// Facts fetched from the target relation during candidate discovery.
+pub const DISCOVERY_FACTS: usize = 40;
+
+/// Contrastive subjects checked per sibling pair in UBS.
+pub const CONTRASTIVE_SAMPLES: usize = 20;
+
+/// Maximum sibling relations tried per rule in UBS, on either side.
+pub const MAX_SIBLINGS: usize = 4;
 
 /// Which confidence measure validates candidate rules (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -13,17 +28,30 @@ pub enum ConfidenceMeasure {
 }
 
 /// Which sampling strategy feeds the measure (§2.2).
+///
+/// The two `Unbiased…Only` variants are ablations: UBS with one of its
+/// two contrastive checks, to show that each is needed
+/// (`sofya-eval frontier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingStrategy {
     /// Simple Sample Extraction: pseudo-random linked facts.
     #[default]
     Simple,
     /// Unbiased Sample Extraction: Simple plus contrastive-sample
-    /// pruning; one contradiction eliminates a rule.
+    /// pruning on both sides; one contradiction eliminates a rule.
     Unbiased,
+    /// UBS with only the premise-side check (the *overlap* trap filter,
+    /// e.g. `hasProducer ⇒ directedBy`).
+    UnbiasedPremiseOnly,
+    /// UBS with only the conclusion-side check (the *equivalence* trap
+    /// filter, e.g. `creatorOf ⇒ composerOf`).
+    UnbiasedConclusionOnly,
 }
 
-/// Configuration of an [`crate::Aligner`].
+/// Configuration of an [`crate::Aligner`]: the method (measure,
+/// strategy and τ), the sample size, the `sameAs` predicate and the
+/// seed. [`AlignerConfig::paper_defaults`], [`AlignerConfig::baseline_pca`]
+/// and [`AlignerConfig::baseline_cwa`] are the three rows of Table 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlignerConfig {
     /// Number of sample *subjects* per validation (the paper evaluates
@@ -35,23 +63,6 @@ pub struct AlignerConfig {
     pub strategy: SamplingStrategy,
     /// Acceptance threshold τ: rules with confidence > τ are emitted.
     pub tau: f64,
-    /// Minimum number of evidence pairs for a rule to be considered at
-    /// all (guards against single-fact coincidences).
-    pub min_support: usize,
-    /// Facts fetched from the target relation during candidate discovery.
-    pub discovery_facts: usize,
-    /// Contrastive subjects checked per sibling pair in UBS.
-    pub contrastive_samples: usize,
-    /// Maximum sibling relations tried per rule in UBS (both sides).
-    pub max_siblings: usize,
-    /// Enable UBS's premise-side contrastive check (the *overlap* trap
-    /// filter, e.g. `hasProducer ⇒ directedBy`). Ablation knob; on by
-    /// default.
-    pub ubs_premise_side: bool,
-    /// Enable UBS's conclusion-side contrastive check (the *equivalence*
-    /// trap filter, e.g. `creatorOf ⇒ composerOf`). Ablation knob; on by
-    /// default.
-    pub ubs_conclusion_side: bool,
     /// `sameAs` predicate IRI.
     pub same_as: String,
     /// Seed for pseudo-random sample offsets.
@@ -67,12 +78,6 @@ impl AlignerConfig {
             measure: ConfidenceMeasure::Pca,
             strategy: SamplingStrategy::Unbiased,
             tau: 0.3,
-            min_support: 2,
-            discovery_facts: 40,
-            contrastive_samples: 20,
-            max_siblings: 4,
-            ubs_premise_side: true,
-            ubs_conclusion_side: true,
             same_as: "http://www.w3.org/2002/07/owl#sameAs".to_owned(),
             seed,
         }
@@ -82,8 +87,6 @@ impl AlignerConfig {
     pub fn baseline_pca(seed: u64) -> Self {
         Self {
             strategy: SamplingStrategy::Simple,
-            measure: ConfidenceMeasure::Pca,
-            tau: 0.3,
             ..Self::paper_defaults(seed)
         }
     }
@@ -108,11 +111,6 @@ impl AlignerConfig {
         if !(0.0..=1.0).contains(&self.tau) {
             return Err(crate::AlignError::Config(
                 "tau must be within [0, 1]".into(),
-            ));
-        }
-        if self.discovery_facts == 0 {
-            return Err(crate::AlignError::Config(
-                "discovery_facts must be positive".into(),
             ));
         }
         if self.same_as.is_empty() {
@@ -159,9 +157,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = AlignerConfig::paper_defaults(0);
         c.same_as = String::new();
-        assert!(c.validate().is_err());
-        let mut c = AlignerConfig::paper_defaults(0);
-        c.discovery_facts = 0;
         assert!(c.validate().is_err());
     }
 }

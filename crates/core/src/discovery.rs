@@ -7,7 +7,7 @@
 //! translation goes through string similarity instead of `sameAs` links
 //! on the object side.
 
-use crate::config::AlignerConfig;
+use crate::config::{AlignerConfig, DISCOVERY_FACTS};
 use crate::error::AlignError;
 use crate::evidence::random_offset;
 use rand::rngs::StdRng;
@@ -66,7 +66,7 @@ fn discover_entity(
     if count == 0 {
         return Ok(Discovery::default());
     }
-    let window = config.discovery_facts;
+    let window = DISCOVERY_FACTS;
     let offset = random_offset(rng, count, window);
     let facts =
         helpers::linked_entity_facts_page(target, relation, &config.same_as, window, offset)?;
@@ -115,12 +115,12 @@ fn discover_literal(
     relation: &str,
     rng: &mut StdRng,
 ) -> Result<Discovery, AlignError> {
-    let window = config.discovery_facts;
     // Literal facts only need the subject linked.
     let count = helpers::linked_literal_fact_count(target, relation, &config.same_as)?;
     if count == 0 {
         return Ok(Discovery::default());
     }
+    let window = DISCOVERY_FACTS;
     let offset = random_offset(rng, count, window);
     let facts =
         helpers::linked_literal_facts_page(target, relation, &config.same_as, window, offset)?;

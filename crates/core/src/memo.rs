@@ -325,26 +325,13 @@ impl Memo {
         })
     }
 
-    /// The answer the entry in `slot` keeps.
-    fn answer(&self, side: Side, slot: u32) -> Option<Response> {
+    /// What the entry in `slot` keeps, with its template's variables.
+    fn kept(&self, side: Side, slot: u32) -> Option<(&Answer, &[String])> {
         let memo = &self.sides[side as usize];
         let (_, Some(entry)) = memo.slots.get(slot as usize)? else {
             return None;
         };
-        Some(match &entry.answer {
-            Answer::Boolean(b) => Response::Boolean(*b),
-            Answer::Rows { rows, cells } => {
-                let vars = memo.templates.get(&entry.key.token)?.vars.clone();
-                let rows = match vars.len() {
-                    0 => vec![Vec::new(); *rows],
-                    width => cells
-                        .chunks(width)
-                        .map(|row| row.iter().map(|cell| cell.as_deref().cloned()).collect())
-                        .collect(),
-                };
-                Response::Rows(ResultSet::new(vars, rows))
-            }
-        })
+        Some((&entry.answer, &memo.templates.get(&entry.key.token)?.vars))
     }
 
     /// The kept answer to `req`, held for the caller's read-set. Text
@@ -352,8 +339,36 @@ impl Memo {
     /// served.
     pub(crate) fn lookup(&mut self, side: Side, req: &Request<'_>) -> Option<(Held, Response)> {
         let slot = self.find(side, &leaf(req)?).1?;
-        let answer = self.answer(side, slot)?;
+        let answer = match self.kept(side, slot)? {
+            (Answer::Boolean(b), _) => Response::Boolean(*b),
+            (Answer::Rows { rows, cells }, vars) => {
+                let rows = match vars.len() {
+                    0 => vec![Vec::new(); *rows],
+                    width => cells
+                        .chunks(width)
+                        .map(|row| row.iter().map(|cell| cell.as_deref().cloned()).collect())
+                        .collect(),
+                };
+                Response::Rows(ResultSet::new(vars.to_vec(), rows))
+            }
+        };
         Some((self.hold(side, slot)?, answer))
+    }
+
+    /// Whether the entry in `slot` keeps `answer`, compared in place:
+    /// its template's variables, its row count and every cell, or its
+    /// boolean.
+    fn keeps(&self, side: Side, slot: u32, answer: &Response) -> bool {
+        match (self.kept(side, slot), answer) {
+            (Some((Answer::Boolean(kept), _)), Response::Boolean(b)) => kept == b,
+            (Some((Answer::Rows { rows, cells }, vars)), Response::Rows(rs)) => {
+                vars == rs.vars()
+                    && *rows == rs.len()
+                    && (cells.iter().map(Option::as_deref))
+                        .eq(rs.iter().flatten().map(Option::as_ref))
+            }
+            _ => false,
+        }
     }
 
     /// Keeps `answer` as the answer to `req` and holds it for the
@@ -376,21 +391,21 @@ impl Memo {
             (false, Response::Rows(rs)) => (rs.vars(), Ok(rs)),
             _ => return None,
         };
-        let token = prepared.cache_token();
-        let memo = &self.sides[side as usize];
-        if memo.templates.get(&token).is_some_and(|t| t.vars != vars) {
-            return None;
-        }
         let (hash, found) = self.find(side, &leaf);
         if let Some(slot) = found {
             // Another alignment kept this leaf meanwhile.
-            if self.answer(side, slot).as_ref() != Some(answer) {
+            if !self.keeps(side, slot, answer) {
                 return None;
             }
             return self.hold(side, slot);
         }
-        if memo.by_key.contains_key(&hash) {
-            // Another key holds the hash: this answer is not kept.
+        let token = prepared.cache_token();
+        let memo = &self.sides[side as usize];
+        // Another key holds the hash, or the template's variables are
+        // others: this answer is not kept.
+        if memo.by_key.contains_key(&hash)
+            || memo.templates.get(&token).is_some_and(|t| t.vars != vars)
+        {
             return None;
         }
         let terms = &mut self.terms;
@@ -530,7 +545,7 @@ impl Memo {
         } = suspect.held;
         let memo = &self.sides[side as usize];
         let held = matches!(memo.slots.get(slot as usize), Some((g, Some(_))) if *g == generation);
-        if held && self.answer(side, slot).as_ref() == Some(answer) {
+        if held && self.keeps(side, slot, answer) {
             self.sides[side as usize].file(slot, true);
             return true;
         }
@@ -656,7 +671,6 @@ impl SideMemo {
 pub(crate) mod tests {
     use super::*;
     use sofya_endpoint::helpers::*;
-    use sofya_endpoint::testing::RequestBuf;
     use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, PublishDelta};
     use sofya_rdf::TripleStore;
     use sofya_sparql::QueryBudget;
@@ -742,16 +756,34 @@ pub(crate) mod tests {
         after
     }
 
+    /// A prepared leaf, owned: its template, arguments and page.
+    #[derive(Debug)]
+    struct Owned(Arc<Prepared>, Vec<Term>, Option<usize>, Option<usize>);
+
+    impl Owned {
+        fn as_request(&self) -> Request<'_> {
+            let Owned(prepared, args, limit, offset) = self;
+            match (limit, offset) {
+                (None, None) => Request::leaf(prepared, args),
+                (&limit, &offset) => Request::PreparedSelectPaged {
+                    prepared,
+                    args,
+                    limit,
+                    offset,
+                },
+            }
+        }
+    }
+
     /// Forwards to a store and keeps every prepared leaf it was sent.
     struct Capture {
         inner: LocalEndpoint,
-        leaves: Mutex<Vec<RequestBuf>>,
+        leaves: Mutex<Vec<Owned>>,
     }
 
     impl Capture {
         fn record(&self, req: &Request<'_>) {
-            let own = |prepared: &Prepared| Arc::new(prepared.clone());
-            let leaf = match *req {
+            let (prepared, args, limit, offset) = match *req {
                 Request::Batch(ref requests) => {
                     return requests.iter().for_each(|r| self.record(r))
                 }
@@ -760,27 +792,17 @@ pub(crate) mod tests {
                         .iter()
                         .for_each(|args| self.record(&Request::leaf(prepared, args)))
                 }
-                Request::PreparedSelect { prepared, args } => RequestBuf::PreparedSelect {
-                    prepared: own(prepared),
-                    args: args.to_vec(),
-                },
-                Request::PreparedAsk { prepared, args } => RequestBuf::PreparedAsk {
-                    prepared: own(prepared),
-                    args: args.to_vec(),
-                },
+                Request::PreparedSelect { prepared, args }
+                | Request::PreparedAsk { prepared, args } => (prepared, args, None, None),
                 Request::PreparedSelectPaged {
                     prepared,
                     args,
                     limit,
                     offset,
-                } => RequestBuf::PreparedSelectPaged {
-                    prepared: own(prepared),
-                    args: args.to_vec(),
-                    limit,
-                    offset,
-                },
+                } => (prepared, args, limit, offset),
                 Request::Select { .. } | Request::Ask { .. } => return,
             };
+            let leaf = Owned(Arc::new(prepared.clone()), args.to_vec(), limit, offset);
             self.leaves.lock().unwrap().push(leaf);
         }
     }
@@ -823,7 +845,7 @@ pub(crate) mod tests {
 
     /// Every leaf every helper sends over the universe, each argument
     /// ranging over it, plus the nested templates' leaves.
-    fn leaves() -> Vec<RequestBuf> {
+    fn leaves() -> Vec<Owned> {
         let ep = Capture {
             inner: endpoint(&base()),
             leaves: Mutex::new(Vec::new()),
@@ -866,17 +888,7 @@ pub(crate) mod tests {
             // Every argument vector over the universe's terms.
             'all: loop {
                 let args_now: Vec<Term> = args.iter().map(|&i| terms[i].clone()).collect();
-                leaves.push(if template.is_select() {
-                    RequestBuf::PreparedSelect {
-                        prepared: Arc::clone(&template),
-                        args: args_now,
-                    }
-                } else {
-                    RequestBuf::PreparedAsk {
-                        prepared: Arc::clone(&template),
-                        args: args_now,
-                    }
-                });
+                leaves.push(Owned(Arc::clone(&template), args_now, None, None));
                 for digit in args.iter_mut() {
                     *digit += 1;
                     if *digit < terms.len() {
@@ -1016,6 +1028,43 @@ pub(crate) mod tests {
             assert_eq!(memo.lookup(Side::Target, &req).unwrap().1, new, "{leaf:?}");
         }
         assert!(moved > 10, "{moved}");
+
+        // Answers that differ from the kept one in one part only: a cell,
+        // the variables, or, with no variables, the row count.
+        let iris = |cells: [&str; 2]| cells.map(|c| Some(Term::iri(c))).to_vec();
+        let rows = |vars: &[&str], rows| {
+            let vars = vars.iter().map(|v| (*v).to_owned()).collect();
+            Response::Rows(ResultSet::new(vars, rows))
+        };
+        let kept = rows(
+            &["x", "y"],
+            vec![iris(["e:1", "e:2"]), iris(["e:2", "e:0"])],
+        );
+        for (kept, other) in [
+            (
+                &kept,
+                rows(
+                    &["x", "y"],
+                    vec![iris(["e:1", "e:2"]), iris(["e:2", "e:1"])],
+                ),
+            ),
+            (
+                &kept,
+                rows(
+                    &["x", "z"],
+                    vec![iris(["e:1", "e:2"]), iris(["e:2", "e:0"])],
+                ),
+            ),
+            (&rows(&[], vec![vec![]]), rows(&[], vec![vec![], vec![]])),
+        ] {
+            let template = Prepared::new("SELECT ?x ?y WHERE { ?s ?x ?y }", &["s"]).unwrap();
+            let args = [Term::iri("e:0")];
+            let req = Request::leaf(&template, &args);
+            let mut memo = Memo::default();
+            memo.keep(Side::Target, &req, kept).unwrap();
+            assert!(memo.keep(Side::Target, &req, &other).is_none(), "{other:?}");
+            assert_eq!(memo.lookup(Side::Target, &req).unwrap().1, *kept);
+        }
     }
 
     /// Terms that print alike are kept and served apart, as answer cells

@@ -1182,10 +1182,8 @@ mod tests {
         use crate::memo::tests::{base, store, universe, SA};
         use sofya_endpoint::SnapshotStore;
 
-        // One fact is support enough in a universe this small.
         let config = AlignerConfig {
             same_as: SA.to_owned(),
-            min_support: 1,
             ..AlignerConfig::paper_defaults(1)
         };
         let linked: Vec<_> = [

@@ -17,7 +17,7 @@
 //!   `p` holds where `r` is known to fail — prune `p ⇒ r`.
 
 use crate::aligner::Scored;
-use crate::config::AlignerConfig;
+use crate::config::{AlignerConfig, SamplingStrategy, CONTRASTIVE_SAMPLES, MAX_SIBLINGS};
 use crate::discovery::most_frequent_first;
 use crate::error::AlignError;
 use sofya_endpoint::helpers;
@@ -44,7 +44,7 @@ pub fn conclusion_siblings(
             .flatten()
             .filter(|rel| rel != relation && *rel != config.same_as),
     );
-    siblings.truncate(config.max_siblings);
+    siblings.truncate(MAX_SIBLINGS);
     Ok(siblings)
 }
 
@@ -55,7 +55,8 @@ type ContrastivePage = Vec<(Term, Term, Term)>;
 ///
 /// Returns the surviving candidates (order preserved). Literal rules are
 /// returned untouched: their objects carry no `sameAs` links, so the
-/// contrastive constructions do not apply.
+/// contrastive constructions do not apply. A side the strategy switches
+/// off has no siblings, so it is not hunted for and contradicts nothing.
 pub fn prune(
     source: &dyn Endpoint,
     target: &dyn Endpoint,
@@ -67,8 +68,13 @@ pub fn prune(
     if accepted.iter().all(|c| c.literal) {
         return Ok(accepted);
     }
-    let t_siblings = conclusion_siblings(target, config, relation, target_subjects)?;
-    let premises: Vec<String> = accepted.iter().map(|c| c.premise.clone()).collect();
+    let (mut t_siblings, mut premises) = (Vec::new(), Vec::new());
+    if config.strategy != SamplingStrategy::UnbiasedPremiseOnly {
+        t_siblings = conclusion_siblings(target, config, relation, target_subjects)?;
+    }
+    if config.strategy != SamplingStrategy::UnbiasedConclusionOnly {
+        premises = accepted.iter().map(|c| c.premise.clone()).collect();
+    }
     // A conclusion-side page depends on `relation` and the sibling, not
     // on the candidate: each is fetched when the first candidate gets as
     // far as its sibling, and kept for the others.
@@ -81,24 +87,10 @@ pub fn prune(
             survivors.push(candidate);
             continue;
         }
-        let contradicted = (config.ubs_premise_side
-            && premise_side_contradiction(
-                source,
-                target,
-                config,
-                relation,
-                &candidate.premise,
-                &premises,
-            )?)
-            || (config.ubs_conclusion_side
-                && conclusion_side_contradiction(
-                    source,
-                    target,
-                    config,
-                    relation,
-                    &candidate.premise,
-                    &mut t_pages,
-                )?);
+        let (suspect, pages) = (candidate.premise.as_str(), &mut t_pages);
+        let contradicted =
+            premise_side_contradiction(source, target, config, relation, suspect, &premises)?
+                || conclusion_side_contradiction(source, target, config, relation, suspect, pages)?;
         if !contradicted {
             survivors.push(candidate);
         }
@@ -118,14 +110,14 @@ fn premise_side_contradiction(
     for sibling in premises
         .iter()
         .filter(|p| p.as_str() != suspect)
-        .take(config.max_siblings)
+        .take(MAX_SIBLINGS)
     {
         let page = helpers::linked_contrastive_subjects_page(
             source,
             sibling,
             suspect,
             &config.same_as,
-            config.contrastive_samples,
+            CONTRASTIVE_SAMPLES,
             0,
         )?;
         let samples: Vec<(&str, &str, &str)> = page
@@ -158,7 +150,7 @@ fn conclusion_side_contradiction(
                 relation,
                 sibling,
                 &config.same_as,
-                config.contrastive_samples,
+                CONTRASTIVE_SAMPLES,
                 0,
             )?),
         };

@@ -15,9 +15,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sofya_core::aligner::Scored;
+use sofya_core::config::{CONTRASTIVE_SAMPLES, DISCOVERY_FACTS, MAX_SIBLINGS};
 use sofya_core::discovery::{discover, Discovery};
-use sofya_core::unbiased::prune;
-use sofya_core::{Aligner, AlignerConfig, SampleEvidence};
+use sofya_core::unbiased::{conclusion_siblings, prune};
+use sofya_core::{Aligner, AlignerConfig, SampleEvidence, SamplingStrategy};
 use sofya_endpoint::{Endpoint, InstrumentedEndpoint, LocalEndpoint};
 use sofya_rdf::{Term, TripleStore};
 
@@ -82,7 +83,7 @@ mod reference {
         rng: &mut StdRng,
     ) -> Result<Discovery, AlignError> {
         let same_as = &config.same_as;
-        let window = config.discovery_facts;
+        let window = DISCOVERY_FACTS;
         let mut freq: BTreeMap<String, usize> = BTreeMap::new();
         let mut subjects: Vec<String> = Vec::new();
         if literal {
@@ -162,7 +163,7 @@ mod reference {
             }
         }
         let mut siblings = most_frequent_first(freq);
-        siblings.truncate(config.max_siblings);
+        siblings.truncate(MAX_SIBLINGS);
         Ok(siblings)
     }
 
@@ -179,14 +180,14 @@ mod reference {
         for sibling in premises
             .iter()
             .filter(|p| p.as_str() != suspect)
-            .take(config.max_siblings)
+            .take(MAX_SIBLINGS)
         {
             for (xt, y1t, y2t) in helpers::linked_contrastive_subjects_page(
                 source,
                 sibling,
                 suspect,
                 &config.same_as,
-                config.contrastive_samples,
+                CONTRASTIVE_SAMPLES,
                 0,
             )? {
                 let (Some(xt), Some(y1t), Some(y2t)) = (xt.as_iri(), y1t.as_iri(), y2t.as_iri())
@@ -215,7 +216,7 @@ mod reference {
                 relation,
                 sibling,
                 &config.same_as,
-                config.contrastive_samples,
+                CONTRASTIVE_SAMPLES,
                 0,
             )? {
                 let (Some(xs), Some(y2s)) = (xs.as_iri(), y2s.as_iri()) else {
@@ -242,15 +243,18 @@ mod reference {
         }
         let t_siblings = conclusion_siblings(target, config, relation, target_subjects)?;
         let premises: Vec<String> = accepted.iter().map(|c| c.premise.clone()).collect();
+        use SamplingStrategy::*;
+        let premise_side = matches!(config.strategy, Unbiased | UnbiasedPremiseOnly);
+        let conclusion_side = matches!(config.strategy, Unbiased | UnbiasedConclusionOnly);
         let mut survivors = Vec::new();
         for candidate in accepted {
             let suspect = candidate.premise.as_str();
             let contradicted = !candidate.literal
-                && ((config.ubs_premise_side
+                && ((premise_side
                     && premise_side_contradiction(
                         source, target, config, relation, suspect, &premises,
                     )?)
-                    || (config.ubs_conclusion_side
+                    || (conclusion_side
                         && conclusion_side_contradiction(
                             source,
                             target,
@@ -367,15 +371,13 @@ fn build(spec: &PairSpec) -> (LocalEndpoint, LocalEndpoint) {
     )
 }
 
-/// The paper's settings, and a tight variant whose caps (subjects per
-/// discovery, page sizes, siblings) all bite on an eight-entity pair.
+/// The paper's settings, and a tight variant whose sample size bites on
+/// an eight-entity pair. The fixed caps are reached in
+/// `every_cap_bites_as_in_the_reference`.
 fn configs(seed: u64) -> [AlignerConfig; 2] {
     let paper = AlignerConfig::paper_defaults(seed);
     let tight = AlignerConfig {
         sample_size: 3,
-        discovery_facts: 7,
-        contrastive_samples: 3,
-        max_siblings: 2,
         ..paper.clone()
     };
     [paper, tight]
@@ -406,7 +408,7 @@ proptest! {
                 ).unwrap();
                 prop_assert_eq!(&found.candidates, &expected.candidates, "{}", relation);
                 prop_assert_eq!(&found.target_subjects, &expected.target_subjects, "{}", relation);
-                prop_assert!(found.target_subjects.len() <= config.discovery_facts);
+                prop_assert!(found.target_subjects.len() <= DISCOVERY_FACTS);
                 if literal {
                     prop_assert!(found.target_subjects.len() <= config.sample_size);
                     continue;
@@ -504,6 +506,143 @@ fn premise_side_verdict_over_every_probe_outcome() {
             contradicted,
             "outcome {outcome:012b}"
         );
+    }
+}
+
+// --- the fixed caps, each reached ------------------------------------------
+
+/// One linked pair in which every fixed cap is reached and something lies
+/// past it: `y:many` has more linked facts than `DISCOVERY_FACTS`, and
+/// under each of three UBS checks the suspect's only contradiction lies
+/// past `CONTRASTIVE_SAMPLES` samples or past `MAX_SIBLINGS` siblings.
+/// Discovery and UBS stop where the reference stops.
+#[test]
+fn every_cap_bites_as_in_the_reference() {
+    let (mut source_facts, mut target_facts) = (Vec::new(), Vec::new());
+    let fact = |s: &str, p: &str, o: &str| (s.to_owned(), p.to_owned(), o.to_owned());
+    let beyond = CONTRASTIVE_SAMPLES + 5;
+    for i in 0..DISCOVERY_FACTS + 10 {
+        let (s, o) = (format!("s{i:02}"), format!("o{i:02}"));
+        target_facts.push(fact(&s, "y:many", &o));
+        source_facts.push(fact(&s, "d:many", &o));
+    }
+    // Premise side, samples: `d:sib(c, a) ∧ d:sus(c, b)`; the target
+    // knows `y:r(c, b)` for the first CONTRASTIVE_SAMPLES subjects only.
+    for j in 0..beyond {
+        let (c, a, b) = (format!("c{j:02}"), format!("a{j:02}"), format!("b{j:02}"));
+        source_facts.extend([fact(&c, "d:sib", &a), fact(&c, "d:sus", &b)]);
+        target_facts.push(fact(&c, "y:r", &a));
+        if j < CONTRASTIVE_SAMPLES {
+            target_facts.push(fact(&c, "y:r", &b));
+        }
+    }
+    // Premise side, siblings: only the last of MAX_SIBLINGS + 1 siblings
+    // of `d:sus2` has a contradicting sample.
+    let siblings: Vec<String> = (0..=MAX_SIBLINGS).map(|k| format!("d:p{k}")).collect();
+    for (k, sibling) in siblings.iter().enumerate() {
+        let (x, u, v) = (format!("x{k}"), format!("u{k}"), format!("v{k}"));
+        source_facts.extend([fact(&x, sibling, &u), fact(&x, "d:sus2", &v)]);
+        target_facts.push(fact(&x, "y:r2", &u));
+        if k < MAX_SIBLINGS {
+            target_facts.push(fact(&x, "y:r2", &v));
+        }
+    }
+    // Conclusion side: `y:r3`'s subject `e` has MAX_SIBLINGS + 1 sibling
+    // relations; `d:sus3` holds on the last one's object only.
+    target_facts.push(fact("e", "y:r3", "f"));
+    for k in 0..=MAX_SIBLINGS {
+        target_facts.push(fact("e", &format!("y:t{k}"), &format!("g{k}")));
+    }
+    source_facts.push(fact("e", "d:sus3", &format!("g{MAX_SIBLINGS}")));
+
+    let entities: std::collections::BTreeSet<&String> = source_facts
+        .iter()
+        .chain(&target_facts)
+        .flat_map(|(s, _, o)| [s, o])
+        .collect();
+    let (mut source, mut target) = (TripleStore::new(), TripleStore::new());
+    for (store, facts, (mine, theirs)) in [
+        (&mut source, &source_facts, ("d:", "y:")),
+        (&mut target, &target_facts, ("y:", "d:")),
+    ] {
+        for (s, p, o) in facts {
+            let [s, o] = [s, o].map(|e| Term::iri(format!("{mine}{e}")));
+            store.insert_terms(&s, &Term::iri(p), &o);
+        }
+        for e in &entities {
+            let [here, there] = [mine, theirs].map(|kb| Term::iri(format!("{kb}{e}")));
+            store.insert_terms(&here, &Term::iri(SA), &there);
+        }
+    }
+    let (source, target) = (
+        LocalEndpoint::new("source", source),
+        LocalEndpoint::new("target", target),
+    );
+    let config = AlignerConfig::paper_defaults(7);
+
+    let found = discover(
+        &source,
+        &target,
+        &config,
+        "y:many",
+        false,
+        &mut StdRng::seed_from_u64(7),
+    )
+    .unwrap();
+    let expected = reference::discover(
+        &source,
+        &target,
+        &config,
+        "y:many",
+        false,
+        &mut StdRng::seed_from_u64(7),
+    )
+    .unwrap();
+    assert_eq!(found.candidates, ["d:many"]);
+    assert_eq!(found.candidates, expected.candidates);
+    assert_eq!(found.target_subjects, expected.target_subjects);
+    assert_eq!(found.target_subjects.len(), DISCOVERY_FACTS);
+
+    let page = |r1, r2| {
+        sofya_endpoint::helpers::linked_contrastive_subjects_page(&source, r1, r2, SA, 99, 0)
+    };
+    assert_eq!(page("d:sib", "d:sus").unwrap().len(), beyond);
+    let subjects = ["y:e".to_owned()];
+    let hunted = conclusion_siblings(&target, &config, "y:r3", &subjects).unwrap();
+    assert_eq!(hunted, ["y:t0", "y:t1", "y:t2", "y:t3"][..MAX_SIBLINGS]);
+
+    let mut sus2 = vec!["d:sus2"];
+    sus2.extend(siblings.iter().map(String::as_str));
+    for (relation, candidates, subjects) in [
+        ("y:r", &["d:sus", "d:sib"][..], &[][..]),
+        ("y:r2", &sus2, &[][..]),
+        ("y:r3", &["d:sus3"], &subjects),
+    ] {
+        let survivors = prune(
+            &source,
+            &target,
+            &config,
+            relation,
+            subjects,
+            accepted(candidates),
+        )
+        .unwrap();
+        let expected = reference::prune(
+            &source,
+            &target,
+            &config,
+            relation,
+            subjects,
+            accepted(candidates),
+        )
+        .unwrap();
+        assert_eq!(
+            premises_of(&survivors),
+            premises_of(&expected),
+            "{relation}"
+        );
+        // The suspect's only contradiction lies past a cap.
+        assert_eq!(premises_of(&survivors), candidates, "{relation}");
     }
 }
 

@@ -414,7 +414,6 @@ impl<E: Endpoint + ?Sized> Endpoint for Arc<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::RequestBuf;
 
     struct Fake;
 
@@ -519,24 +518,5 @@ mod tests {
         assert_eq!(Request::Ask { query: q }.leaf_count(), 1);
         // A batch has leaves but no single rendering.
         assert!(batch.to_sparql().is_err());
-    }
-
-    #[test]
-    fn request_buf_round_trips() {
-        let prepared = Arc::new(Prepared::new("ASK { ?s ?r ?o }", &["s"]).unwrap());
-        let buf = RequestBuf::Batch(vec![
-            RequestBuf::Select {
-                query: "SELECT * { }".to_owned(),
-            },
-            RequestBuf::PreparedAsk {
-                prepared,
-                args: vec![Term::iri("a")],
-            },
-        ]);
-        let req = buf.as_request();
-        assert_eq!(req.leaf_count(), 2);
-        let ep = Fake;
-        let resp = ep.execute(req).unwrap();
-        assert_eq!(resp.row_count(), 1); // empty rows + one boolean
     }
 }

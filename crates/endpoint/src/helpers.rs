@@ -16,10 +16,10 @@
 //! leaf queries per aligned relation on the paper-scale pair
 //! (`PairConfig::yago_dbpedia(42)`, 92 relations against 1313, both
 //! endpoints counted; the totals are the `UBS pcaconf`,
-//! `dbpedia ⊂ yago` row of `sofya-eval query-cost --scale=paper`, the
-//! split classifies each request by its template and the side it went
-//! to), sent one request per probe, as batches of up to 16 leaves, and
-//! as tables of up to 16 rows:
+//! `dbpedia ⊂ yago` row at sample size 10 of `sofya-eval frontier
+//! --scale=paper --seeds=1`, the split classifies each request by its
+//! template and the side it went to), sent one request per probe, as
+//! batches of up to 16 leaves, and as tables of up to 16 rows:
 //!
 //! | phase | requests: per probe → batches → tables | leaf queries: per probe → batches → tables |
 //! |---|---|---|

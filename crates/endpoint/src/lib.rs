@@ -38,16 +38,14 @@
 //!   publishes.
 //! * [`InstrumentedEndpoint`] — counts requests, leaf queries and
 //!   transferred rows, so experiments can report the paper's "works with
-//!   few queries" claim quantitatively (experiment S3, `sofya-eval
-//!   query-cost`); [`LatencyModel::cost`] prices those counts in
+//!   few queries" claim quantitatively (the cost columns of
+//!   `sofya-eval frontier`); [`LatencyModel::cost`] prices those counts in
 //!   simulated network time.
 //! * [`BudgetConfig`] — the per-request limits a server is configured
 //!   with, from which it builds each request's budget.
 //! * [`helpers`] — the typed query builders for every query shape the
 //!   SOFYA algorithms issue (facts of a relation, relations of an entity,
 //!   `sameAs` resolution, existence probes, counts).
-//! * [`testing`] — the owning request form proptest strategies generate,
-//!   for tests.
 //!
 //! `InstrumentedEndpoint` is the one wrapper: `sofya-eval` and the
 //! benchmark run `Instrumented(Local)`, a federated client
@@ -68,7 +66,6 @@ pub mod helpers;
 pub mod instrument;
 pub mod local;
 pub(crate) mod plan_cache;
-pub mod testing;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};

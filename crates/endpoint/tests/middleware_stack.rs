@@ -14,7 +14,6 @@
 //! it comes back as.
 
 use proptest::prelude::*;
-use sofya_endpoint::testing::RequestBuf;
 use sofya_endpoint::{
     Endpoint, EndpointError, InstrumentedEndpoint, LocalEndpoint, Request, Response, SnapshotStore,
 };
@@ -38,25 +37,59 @@ fn store() -> TripleStore {
     store
 }
 
-fn objects_template() -> Arc<Prepared> {
-    static Q: OnceLock<Arc<Prepared>> = OnceLock::new();
-    Arc::clone(Q.get_or_init(|| {
-        Arc::new(Prepared::new("SELECT ?o WHERE { ?s ?r ?o } ORDER BY ?o", &["s", "r"]).unwrap())
-    }))
+fn objects_template() -> &'static Prepared {
+    static Q: OnceLock<Prepared> = OnceLock::new();
+    Q.get_or_init(|| {
+        Prepared::new("SELECT ?o WHERE { ?s ?r ?o } ORDER BY ?o", &["s", "r"]).unwrap()
+    })
 }
 
-fn probe_template() -> Arc<Prepared> {
-    static Q: OnceLock<Arc<Prepared>> = OnceLock::new();
-    Arc::clone(
-        Q.get_or_init(|| Arc::new(Prepared::new("ASK { ?s ?r ?o }", &["s", "r", "o"]).unwrap())),
-    )
+fn probe_template() -> &'static Prepared {
+    static Q: OnceLock<Prepared> = OnceLock::new();
+    Q.get_or_init(|| Prepared::new("ASK { ?s ?r ?o }", &["s", "r", "o"]).unwrap())
 }
 
-fn count_template() -> Arc<Prepared> {
-    static Q: OnceLock<Arc<Prepared>> = OnceLock::new();
-    Arc::clone(Q.get_or_init(|| {
-        Arc::new(Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["r"]).unwrap())
-    }))
+fn count_template() -> &'static Prepared {
+    static Q: OnceLock<Prepared> = OnceLock::new();
+    Q.get_or_init(|| Prepared::new("SELECT (COUNT(*) AS ?n) WHERE { ?s ?r ?o }", &["r"]).unwrap())
+}
+
+const OBJECTS: u8 = 11;
+
+/// Every query text and argument list a [`Spec`] can name, built once,
+/// so a spec's request borrows them for good: texts and `(s, p)` pairs
+/// by `s * PREDICATES + p`, `(s, p, o)` triples by `pair * OBJECTS + o`.
+struct Names {
+    selects: Vec<String>,
+    asks: Vec<String>,
+    pairs: Vec<[Term; 2]>,
+    triples: Vec<[Term; 3]>,
+    predicates: Vec<[Term; 1]>,
+}
+
+fn names() -> &'static Names {
+    static N: OnceLock<Names> = OnceLock::new();
+    N.get_or_init(|| {
+        let [s, p, o] = [("e:s", SUBJECTS), ("r:p", PREDICATES), ("e:o", OBJECTS)]
+            .map(|(prefix, n)| (0..n).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>());
+        let pairs: Vec<(&String, &String)> = s
+            .iter()
+            .flat_map(|s| p.iter().map(move |p| (s, p)))
+            .collect();
+        Names {
+            selects: (pairs.iter())
+                .map(|(s, p)| format!("SELECT ?o {{ <{s}> <{p}> ?o }} ORDER BY ?o"))
+                .collect(),
+            asks: (pairs.iter())
+                .map(|(s, p)| format!("ASK {{ <{s}> <{p}> ?o }}"))
+                .collect(),
+            triples: (pairs.iter())
+                .flat_map(|(s, p)| o.iter().map(move |o| [*s, *p, o].map(Term::iri)))
+                .collect(),
+            pairs: pairs.iter().map(|(s, p)| [*s, *p].map(Term::iri)).collect(),
+            predicates: p.iter().map(|p| [Term::iri(p)]).collect(),
+        }
+    })
 }
 
 /// A generatable request description; materialized into a [`Request`]
@@ -89,45 +122,43 @@ impl Spec {
         }
     }
 
-    /// Materializes this spec as an owned request buffer; nesting in the
-    /// spec carries straight through to nested [`RequestBuf::Batch`]es.
-    fn to_buf(&self) -> RequestBuf {
+    /// This spec as a request; nesting in the spec carries straight
+    /// through to nested batches.
+    fn request(&self) -> Request<'static> {
+        let n = names();
+        let pair = |s: &u8, p: &u8| usize::from(*s) * usize::from(PREDICATES) + usize::from(*p);
         match self {
-            Spec::Select(s, p) => RequestBuf::Select {
-                query: format!("SELECT ?o {{ <e:s{s}> <r:p{p}> ?o }} ORDER BY ?o"),
+            Spec::Select(s, p) => Request::Select {
+                query: &n.selects[pair(s, p)],
             },
-            Spec::Ask(s, p) => RequestBuf::Ask {
-                query: format!("ASK {{ <e:s{s}> <r:p{p}> ?o }}"),
+            Spec::Ask(s, p) => Request::Ask {
+                query: &n.asks[pair(s, p)],
             },
-            Spec::PreparedSelect(s, p) => RequestBuf::PreparedSelect {
+            Spec::PreparedSelect(s, p) => Request::PreparedSelect {
                 prepared: objects_template(),
-                args: vec![Term::iri(format!("e:s{s}")), Term::iri(format!("r:p{p}"))],
+                args: &n.pairs[pair(s, p)],
             },
-            Spec::PreparedAsk(s, p, o) => RequestBuf::PreparedAsk {
+            Spec::PreparedAsk(s, p, o) => Request::PreparedAsk {
                 prepared: probe_template(),
-                args: vec![
-                    Term::iri(format!("e:s{s}")),
-                    Term::iri(format!("r:p{p}")),
-                    Term::iri(format!("e:o{o}")),
-                ],
+                args: &n.triples[pair(s, p) * usize::from(OBJECTS) + usize::from(*o)],
             },
-            Spec::Paged(s, p, limit, offset) => RequestBuf::PreparedSelectPaged {
+            Spec::Paged(s, p, limit, offset) => Request::PreparedSelectPaged {
                 prepared: objects_template(),
-                args: vec![Term::iri(format!("e:s{s}")), Term::iri(format!("r:p{p}"))],
-                limit: Some(*limit as usize),
-                offset: Some(*offset as usize),
+                args: &n.pairs[pair(s, p)],
+                limit: Some(usize::from(*limit)),
+                offset: Some(usize::from(*offset)),
             },
-            Spec::Count(p) => RequestBuf::PreparedSelect {
+            Spec::Count(p) => Request::PreparedSelect {
                 prepared: count_template(),
-                args: vec![Term::iri(format!("r:p{p}"))],
+                args: &n.predicates[usize::from(*p)],
             },
-            Spec::Batch(subs) => RequestBuf::Batch(subs.iter().map(Spec::to_buf).collect()),
+            Spec::Batch(subs) => Request::Batch(subs.iter().map(Spec::request).collect()),
         }
     }
 
     /// Executes this spec against `ep`, materializing the request.
     fn run(&self, ep: &dyn Endpoint) -> Result<Response, EndpointError> {
-        ep.execute(self.to_buf().as_request())
+        ep.execute(self.request())
     }
 
     /// [`Spec::run`] under a budget.
@@ -136,7 +167,7 @@ impl Spec {
         ep: &dyn Endpoint,
         budget: &QueryBudget,
     ) -> Result<Response, EndpointError> {
-        ep.execute_with_budget(self.to_buf().as_request(), budget)
+        ep.execute_with_budget(self.request(), budget)
     }
 }
 
@@ -166,7 +197,7 @@ fn leaf_spec() -> impl Strategy<Value = Spec> {
         (0..SUBJECTS, 0..PREDICATES).prop_map(|(s, p)| Spec::Select(s, p)),
         (0..SUBJECTS, 0..PREDICATES).prop_map(|(s, p)| Spec::Ask(s, p)),
         (0..SUBJECTS, 0..PREDICATES).prop_map(|(s, p)| Spec::PreparedSelect(s, p)),
-        (0..SUBJECTS, 0..PREDICATES, 0..11u8).prop_map(|(s, p, o)| Spec::PreparedAsk(s, p, o)),
+        (0..SUBJECTS, 0..PREDICATES, 0..OBJECTS).prop_map(|(s, p, o)| Spec::PreparedAsk(s, p, o)),
         (0..SUBJECTS, 0..PREDICATES, 0..4u8, 0..4u8)
             .prop_map(|(s, p, l, o)| Spec::Paged(s, p, l, o)),
         (0..PREDICATES).prop_map(Spec::Count),

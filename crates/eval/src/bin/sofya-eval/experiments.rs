@@ -6,7 +6,7 @@ use sofya_core::{AlignError, AlignerConfig, SamplingStrategy, SubsumptionRule};
 use sofya_eval::report::{direction_header, direction_row, Table};
 use sofya_eval::{
     align_direction, align_pair, evaluate_rules, mine_equivalences, run_table1, sweep,
-    table1_over_seeds, DirectionOutcome, PrecisionRecall,
+    table1_over_seeds, Aggregate, DirectionOutcome, PrecisionRecall,
 };
 use sofya_kbgen::{generate, GeneratedPair, MappingKind, PairConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,16 +15,14 @@ use std::error::Error;
 type Experiment = fn(&Options) -> Result<(), Box<dyn Error>>;
 
 /// Every experiment by its command-line name.
-const ALL: [(&str, Experiment); 11] = [
+const ALL: [(&str, Experiment); 9] = [
     ("table1", table1),
     ("table1-multiseed", table1_multiseed),
     ("threshold-sweep", threshold_sweep),
-    ("sample-sweep", sample_sweep),
+    ("frontier", frontier),
     ("coverage-sweep", coverage_sweep),
     ("incompleteness-sweep", incompleteness_sweep),
-    ("ubs-ablation", ubs_ablation),
     ("equivalence-table", equivalence_table),
-    ("query-cost", query_cost),
     ("export-pair", export_pair),
     ("diagnose", diagnose),
 ];
@@ -169,34 +167,6 @@ fn threshold_sweep(options: &Options) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// S2. The paper evaluates at 10 sample subjects and claims high
-/// accuracy "based on only very small samples"; this shows how quality
-/// grows with the sample and where it saturates.
-fn sample_sweep(options: &Options) -> Result<(), Box<dyn Error>> {
-    let seed = options.seed;
-    let pair = options.generate_pair();
-    let (kb1, kb2) = (pair.kb1_name(), pair.kb2_name());
-    let sizes = [1usize, 2, 5, 10, 20, 50];
-
-    for (label, base) in [
-        ("pcaconf (SSE)", AlignerConfig::baseline_pca(seed)),
-        ("UBS pcaconf", AlignerConfig::paper_defaults(seed)),
-    ] {
-        eprintln!("sweeping sample size for {label}…");
-        let points = sweep::sample_size_sweep(&pair, &base, &sizes, options.threads)?;
-        let mut table = Table::new(direction_header("sample", kb1, kb2));
-        for p in &points {
-            table.push(direction_row(
-                format!("{}", p.x as usize),
-                &p.backward,
-                &p.forward,
-            ));
-        }
-        println!("\n== {label}\n{}", table.render());
-    }
-    Ok(())
-}
-
 /// S5. SOFYA leans on entity links for sampling, translation and UBS's
 /// contrastive checks; this measures how gracefully quality degrades.
 fn coverage_sweep(options: &Options) -> Result<(), Box<dyn Error>> {
@@ -253,54 +223,6 @@ fn incompleteness_sweep(options: &Options) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// S4. §2.2 motivates two failure modes: subsumptions mistaken for
-/// equivalences (fixed by the conclusion-side check) and overlaps
-/// mistaken for subsumptions (fixed by the premise-side check). Running
-/// UBS with each check disabled shows both are needed.
-fn ubs_ablation(options: &Options) -> Result<(), Box<dyn Error>> {
-    let pair = options.generate_pair();
-    let (kb1, kb2) = (pair.kb1_name(), pair.kb2_name());
-
-    let ubs = AlignerConfig::paper_defaults(options.seed);
-    let variants = [
-        (
-            "no UBS (SSE pcaconf)",
-            AlignerConfig {
-                strategy: SamplingStrategy::Simple,
-                ..ubs.clone()
-            },
-        ),
-        (
-            "premise-side only",
-            AlignerConfig {
-                ubs_conclusion_side: false,
-                ..ubs.clone()
-            },
-        ),
-        (
-            "conclusion-side only",
-            AlignerConfig {
-                ubs_premise_side: false,
-                ..ubs.clone()
-            },
-        ),
-        ("full UBS", ubs.clone()),
-    ];
-
-    let mut table = Table::new(direction_header("variant", kb1, kb2));
-    for (label, config) in variants {
-        eprintln!("running {label}…");
-        let (fwd, bwd) = align_pair(&pair, &config, options.threads)?;
-        table.push(direction_row(
-            label.to_owned(),
-            &evaluate_rules(&bwd.rules, &pair.gold, kb1, kb2),
-            &evaluate_rules(&fwd.rules, &pair.gold, kb2, kb1),
-        ));
-    }
-    println!("{}", table.render());
-    Ok(())
-}
-
 /// S7. §2.1: "Equivalence of relations is expressed as a double
 /// subsumption."
 fn equivalence_table(options: &Options) -> Result<(), Box<dyn Error>> {
@@ -318,44 +240,100 @@ fn equivalence_table(options: &Options) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// S3. "Since our method works with few queries, it could be used at
-/// query time." A request is a round trip: a batch counts once.
-fn query_cost(options: &Options) -> Result<(), Box<dyn Error>> {
-    let pair = options.generate_pair();
-    let (kb1, kb2) = (pair.kb1_name(), pair.kb2_name());
+/// S2. The paper evaluates at 10 sample subjects and claims high
+/// accuracy "based on only very small samples" and, "since our method
+/// works with few queries", use at query time. Each method — Table 1's
+/// three, and UBS with only one of the two contrastive checks that §2.2
+/// motivates — at each sample size, over `--seeds` pairs: P/R/F1 per
+/// direction as mean ± sd, next to what a relation costs. A request is
+/// a round trip: a table of probes counts once.
+fn frontier(options: &Options) -> Result<(), Box<dyn Error>> {
+    let Options { scale, threads, .. } = *options;
+    // Per method, size and direction: one [P, R, F1, queries, requests,
+    // rows] per seed, the costs per relation.
+    let mut rows: Vec<([String; 3], Vec<[f64; 6]>)> = Vec::new();
+    let mut triples = None;
+    for seed in (0..options.seeds).map(|i| options.seed + i) {
+        eprintln!("generating pair: scale {scale:?}, seed {seed}…");
+        let pair = generate(&scale.pair_config(seed));
+        let (kb1, kb2) = (pair.kb1_name(), pair.kb2_name());
+        triples.get_or_insert((pair.kb1.len(), pair.kb2.len()));
+        let [pca, cwa, (label, ubs)] = methods(seed);
+        let ablation = |strategy| AlignerConfig {
+            strategy,
+            ..ubs.clone()
+        };
+        let methods = [
+            pca,
+            cwa,
+            (label, ubs.clone()),
+            (
+                "UBS premise-side only",
+                ablation(SamplingStrategy::UnbiasedPremiseOnly),
+            ),
+            (
+                "UBS conclusion-side only",
+                ablation(SamplingStrategy::UnbiasedConclusionOnly),
+            ),
+        ];
+        let mut row = 0;
+        for (label, method) in methods {
+            eprintln!("  {label}…");
+            for sample_size in [1, 2, 5, 10, 20, 50] {
+                let config = AlignerConfig {
+                    sample_size,
+                    ..method.clone()
+                };
+                let (fwd, bwd) = align_pair(&pair, &config, threads)?;
+                for (out, premises, conclusions) in [(fwd, kb2, kb1), (bwd, kb1, kb2)] {
+                    let m = evaluate_rules(&out.rules, &pair.gold, premises, conclusions);
+                    if rows.len() == row {
+                        let direction = format!("{premises} ⊂ {conclusions}");
+                        rows.push((
+                            [label.to_owned(), sample_size.to_string(), direction],
+                            vec![],
+                        ));
+                    }
+                    rows[row].1.push([
+                        m.precision(),
+                        m.recall(),
+                        m.f1(),
+                        out.queries_per_relation(),
+                        out.requests_per_relation(),
+                        out.rows_per_relation(),
+                    ]);
+                    row += 1;
+                }
+            }
+        }
+    }
 
     let mut table = table(&[
         "method",
+        "sample",
         "direction",
-        "queries",
-        "rows",
-        "relations",
+        "P",
+        "R",
+        "F1",
         "queries/relation",
         "requests/relation",
+        "rows/relation",
     ]);
-    for (label, config) in methods(options.seed) {
-        let (fwd, bwd) = align_pair(&pair, &config, options.threads)?;
-        for (out, direction) in [
-            (fwd, format!("{kb2} ⊂ {kb1}")),
-            (bwd, format!("{kb1} ⊂ {kb2}")),
-        ] {
-            table.push(vec![
-                label.to_owned(),
-                direction,
-                out.total_queries().to_string(),
-                out.rows_transferred.to_string(),
-                out.relations_aligned.to_string(),
-                format!("{:.1}", out.queries_per_relation()),
-                format!("{:.1}", out.requests_per_relation()),
-            ]);
+    for (name, samples) in &rows {
+        let mut row = name.to_vec();
+        for i in 0..6 {
+            let column = Aggregate::of(&samples.iter().map(|s| s[i]).collect::<Vec<_>>());
+            row.push(match i {
+                0..=2 => column.to_string(),
+                _ => format!("{:.1}±{:.1}", column.mean, column.std_dev),
+            });
         }
+        table.push(row);
     }
     println!("{}", table.render());
-    println!(
-        "for scale: downloading the KBs outright would move {} + {} triples",
-        pair.kb1.len(),
-        pair.kb2.len()
-    );
+    if let Some((kb1, kb2)) = triples {
+        println!("for scale: downloading the KBs outright would move {kb1} + {kb2} triples");
+    }
     Ok(())
 }
 

@@ -27,11 +27,10 @@ experiments (tables on stdout, progress on stderr):
                             both directions, next to the published numbers
   threshold-sweep       S1  F1 against the threshold tau for both SSE measures
                             (how the paper chose tau>0.3 and tau>0.1)
-  sample-sweep          S2  quality against sample size, SSE-pcaconf and UBS
-  query-cost            S3  queries, round trips and rows per aligned relation
+  frontier              S2  quality and cost against sample size (1 to 50) for
+                            the three methods and UBS with one contrastive check:
+                            P/R/F1, queries, round trips and rows per relation
                             (\"few queries, so usable at query time\")
-  ubs-ablation          S4  UBS with its premise-side or conclusion-side
-                            contrastive check disabled
   coverage-sweep        S5  sensitivity to sameAs link coverage
   incompleteness-sweep  S6  sensitivity to fact-level (PCA-violating) drops in KB1
   equivalence-table     S7  equivalences mined as double subsumptions
@@ -45,7 +44,8 @@ options:
   --seed=N                  generator and sampling seed (default 42)
   --threads=N               alignment workers (default: the available cores)
   --sample-size=N           table1, table1-multiseed: sample subjects (default 10)
-  --seeds=N                 table1-multiseed: consecutive seeds to run (default 5)
+  --seeds=N                 table1-multiseed, frontier: consecutive seeds to run
+                            (default 5)
   --out=DIR                 export-pair: target directory (default ./sofya-pair)
   --verbose                 diagnose: list every false positive and missed rule
 ";

@@ -13,8 +13,9 @@
 //! * [`table1`] — the Table 1 experiment: three method rows
 //!   (pcaconf-SSE τ>0.3, cwaconf-SSE τ>0.1, UBS-pcaconf) × two directions
 //!   (`yago ⊂ dbpd`, `dbpd ⊂ yago`);
-//! * [`sweep`] — threshold sweeps (how the paper picked τ), sample-size
-//!   sweeps, and `sameAs`-coverage sweeps;
+//! * [`sweep`] — the threshold sweep (how the paper picked τ); the
+//!   frontier of quality and cost against sample size, and the
+//!   generator sweeps, run in the `sofya-eval` binary;
 //! * [`report`] — fixed-width ASCII tables for terminal output.
 
 #![forbid(unsafe_code)]
@@ -31,5 +32,5 @@ pub use equivalence::{mine_equivalences, EquivalenceOutcome};
 pub use metrics::{evaluate_rules, PrecisionRecall};
 pub use multiseed::{table1_over_seeds, Aggregate, AggregatedRow};
 pub use runner::{align_direction, align_pair, DirectionOutcome};
-pub use sweep::{sample_size_sweep, threshold_sweep, SweepPoint};
+pub use sweep::{threshold_sweep, SweepPoint};
 pub use table1::{run_table1, MethodRow, Table1Result};

@@ -46,6 +46,11 @@ impl DirectionOutcome {
         self.per_relation(self.requests)
     }
 
+    /// Average rows transferred per aligned target relation.
+    pub fn rows_per_relation(&self) -> f64 {
+        self.per_relation(self.rows_transferred)
+    }
+
     fn per_relation(&self, n: u64) -> f64 {
         if self.relations_aligned == 0 {
             0.0

@@ -1,5 +1,4 @@
-//! Parameter sweeps: threshold τ (how the paper picked its thresholds),
-//! sample size, and `sameAs` coverage.
+//! The threshold sweep: how the paper picked its thresholds τ.
 
 use crate::metrics::{evaluate_rules, PrecisionRecall};
 use crate::runner::align_pair;
@@ -77,27 +76,6 @@ pub fn best_tau(points: &[SweepPoint]) -> Option<f64> {
         .map(|p| p.x)
 }
 
-/// Full re-runs with varying sample sizes (experiment S2).
-pub fn sample_size_sweep(
-    pair: &GeneratedPair,
-    base: &AlignerConfig,
-    sizes: &[usize],
-    threads: usize,
-) -> Result<Vec<SweepPoint>, AlignError> {
-    let mut out = Vec::new();
-    for &size in sizes {
-        let mut config = base.clone();
-        config.sample_size = size;
-        let (fwd, bwd) = align_pair(pair, &config, threads)?;
-        out.push(SweepPoint {
-            x: size as f64,
-            forward: evaluate_rules(&fwd.rules, &pair.gold, pair.kb2_name(), pair.kb1_name()),
-            backward: evaluate_rules(&bwd.rules, &pair.gold, pair.kb1_name(), pair.kb2_name()),
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,18 +108,5 @@ mod tests {
         let points = vec![mk(0.1, 1, 5), mk(0.3, 4, 1), mk(0.5, 2, 0)];
         assert_eq!(best_tau(&points), Some(0.3));
         assert_eq!(best_tau(&[]), None);
-    }
-
-    #[test]
-    fn sample_size_sweep_runs() {
-        let pair = generate(&PairConfig::tiny(32));
-        let base = AlignerConfig::paper_defaults(32);
-        let points = sample_size_sweep(&pair, &base, &[2, 10], 2).unwrap();
-        assert_eq!(points.len(), 2);
-        // More samples should not hurt recall badly; just assert sane values.
-        for p in &points {
-            assert!(p.forward.precision() <= 1.0);
-            assert!(p.mean_f1() <= 1.0);
-        }
     }
 }

@@ -4,16 +4,14 @@
 
 use std::process::{Command, Output};
 
-const EXPERIMENTS: [&str; 11] = [
+const EXPERIMENTS: [&str; 9] = [
     "table1",
     "table1-multiseed",
     "threshold-sweep",
-    "sample-sweep",
+    "frontier",
     "coverage-sweep",
     "incompleteness-sweep",
-    "ubs-ablation",
     "equivalence-table",
-    "query-cost",
     "export-pair",
     "diagnose",
 ];
@@ -83,18 +81,26 @@ fn table1_prints_three_methods_and_their_costs() {
 }
 
 #[test]
-fn query_cost_reports_requests_per_relation() {
-    let stdout = tiny("query-cost", &[]);
+fn frontier_reports_requests_per_relation() {
+    let stdout = tiny("frontier", &["--seeds=1"]);
     let header = stdout.lines().next().expect("header line");
-    assert!(header.ends_with("requests/relation"), "{header}");
+    assert!(header.ends_with("rows/relation"), "{header}");
     let rows = table_rows(&stdout);
-    assert_eq!(rows.len(), 6, "three methods, two directions: {stdout}");
+    assert_eq!(
+        rows.len(),
+        60,
+        "five methods, six sizes, two directions: {stdout}"
+    );
+    let mean = |cell: &str| -> f64 {
+        let (mean, sd) = cell.trim().split_once('±').expect("mean±sd");
+        assert_eq!(sd, "0.0", "one seed has no spread");
+        mean.parse().expect("numeric cell")
+    };
+    // Table 1's three methods at its sample size, both directions.
     let per_relation: Vec<(f64, f64)> = rows
         .iter()
-        .map(|row| {
-            let number = |i: usize| row[i].trim().parse::<f64>().expect("numeric cell");
-            (number(5), number(6))
-        })
+        .filter(|row| row[1].trim() == "10" && !row[0].ends_with("only"))
+        .map(|row| (mean(row[6]), mean(row[7])))
         .collect();
     // Every request is one query: a batched phase asks its probes as one
     // table. (One leaf per probe read 21.2, 15.4, 21.2, 15.4, 39.8 and

@@ -15,8 +15,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use sofya_endpoint::testing::RequestBuf;
-use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, Response};
+use sofya_endpoint::{Endpoint, EndpointError, LocalEndpoint, Request, Response};
 use sofya_net::wire::{envelope_from_json, envelope_to_json, parse_envelope, write_envelope};
 use sofya_net::{execute_wire_budgeted, Json, WireRequest};
 use sofya_rdf::{Term, TripleStore};
@@ -64,6 +63,100 @@ fn ask_template() -> Arc<Prepared> {
     Arc::clone(
         T.get_or_init(|| Arc::new(Prepared::new("ASK { ?s ?p ?o }", &["s", "p", "o"]).unwrap())),
     )
+}
+
+// --------------------------------------------------- owned request form
+
+/// An owning [`Request`]: the same variants with owned strings,
+/// `Arc`-shared templates, and owned argument vectors, so a proptest
+/// strategy can generate a request tree as a value. Borrow it back with
+/// [`RequestBuf::as_request`] at execution time.
+#[derive(Debug, Clone)]
+enum RequestBuf {
+    /// Owned form of [`Request::Select`].
+    Select {
+        /// The SPARQL text.
+        query: String,
+    },
+    /// Owned form of [`Request::Ask`].
+    Ask {
+        /// The SPARQL text.
+        query: String,
+    },
+    /// Owned form of [`Request::PreparedSelect`].
+    PreparedSelect {
+        /// The shared template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+    },
+    /// Owned form of [`Request::PreparedAsk`].
+    PreparedAsk {
+        /// The shared template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+    },
+    /// Owned form of [`Request::PreparedSelectPaged`].
+    PreparedSelectPaged {
+        /// The shared template.
+        prepared: Arc<Prepared>,
+        /// One constant per template parameter.
+        args: Vec<Term>,
+        /// Page size.
+        limit: Option<usize>,
+        /// Page start.
+        offset: Option<usize>,
+    },
+    /// Owned form of [`Request::Batch`].
+    Batch(Vec<RequestBuf>),
+}
+
+impl RequestBuf {
+    /// The borrowed view this buffer executes as.
+    fn as_request(&self) -> Request<'_> {
+        match self {
+            RequestBuf::Select { query } => Request::Select { query },
+            RequestBuf::Ask { query } => Request::Ask { query },
+            RequestBuf::PreparedSelect { prepared, args } => {
+                Request::PreparedSelect { prepared, args }
+            }
+            RequestBuf::PreparedAsk { prepared, args } => Request::PreparedAsk { prepared, args },
+            RequestBuf::PreparedSelectPaged {
+                prepared,
+                args,
+                limit,
+                offset,
+            } => Request::PreparedSelectPaged {
+                prepared,
+                args,
+                limit: *limit,
+                offset: *offset,
+            },
+            RequestBuf::Batch(reqs) => Request::Batch(reqs.iter().map(Self::as_request).collect()),
+        }
+    }
+}
+
+#[test]
+fn request_buf_round_trips() {
+    let prepared = ask_template();
+    let buf = RequestBuf::Batch(vec![
+        RequestBuf::Select {
+            query: "SELECT * { }".to_owned(),
+        },
+        RequestBuf::PreparedAsk {
+            prepared,
+            args: vec![Term::iri("e:s0"), Term::iri("e:p"), Term::iri("e:o0")],
+        },
+    ]);
+    let req = buf.as_request();
+    assert_eq!(req.leaf_count(), 2);
+    let Response::Batch(answers) = store_endpoint().execute(req).unwrap() else {
+        panic!("a batch answers as a batch");
+    };
+    assert_eq!(answers.len(), 2);
+    assert_eq!(answers[1], Response::Boolean(true));
 }
 
 // ------------------------------------------------------------- strategies
