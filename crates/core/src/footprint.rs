@@ -27,17 +27,20 @@
 //! through its predicate and through both its entities. Filters only
 //! restrict results, so they never widen the footprint.
 //!
-//! The same walk, `for_each_pattern`, serves the session's probe
+//! The same walk, `for_each_triple`, serves the session's probe
 //! memo, which asks the finer question per answer: a pattern can match
 //! a changed triple only if **every** one of its constants is in the
-//! delta (`may_match`). An answer one of whose patterns may match
-//! becomes a suspect, which a dirty relation's check asks again; the
-//! rest are served as they are.
+//! delta (`may_match`), and even then a join partner the delta's links
+//! rule out may clear it (`DeltaView::may_link`). An answer with a
+//! pattern that may match and is not cleared becomes a suspect, which
+//! a dirty relation's check asks again; the rest are served as they
+//! are.
 
 use sofya_endpoint::{PublishDelta, Request};
 use sofya_rdf::Term;
-use sofya_sparql::ast::GroupGraphPattern;
+use sofya_sparql::ast::{GroupGraphPattern, TriplePatternAst};
 use sofya_sparql::{parse_query, Expr, NodePattern};
+use std::cell::OnceCell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -90,18 +93,37 @@ pub(crate) type Fingerprints = HashSet<u64, FxBuild>;
 /// A [`PublishDelta`] fingerprinted once, to be asked about every
 /// footprint and every memo answer.
 #[derive(Debug)]
-pub struct DeltaView {
+pub struct DeltaView<'d> {
+    delta: &'d PublishDelta,
     predicates: Fingerprints,
     terms: Fingerprints,
+    /// The delta's links, subject then object, read when first asked.
+    links: OnceCell<Option<[Fingerprints; 2]>>,
 }
 
-impl DeltaView {
+impl<'d> DeltaView<'d> {
     /// Indexes the delta's predicates and subject/object terms.
-    pub fn new(delta: &PublishDelta) -> Self {
+    pub fn new(delta: &'d PublishDelta) -> Self {
         Self {
+            delta,
             predicates: delta.predicates.iter().map(fingerprint).collect(),
             terms: delta.terms.iter().map(fingerprint).collect(),
+            links: OnceCell::new(),
         }
+    }
+
+    /// Whether `position` (0 subject, 1 object) of an unchanged triple
+    /// with predicate `predicate` may hold a delta term: unless the
+    /// delta's [`PublishDelta::links`] say it does not, it may.
+    pub(crate) fn may_link(&self, position: usize, predicate: u64) -> bool {
+        let links = self.links.get_or_init(|| {
+            let links = self.delta.links()?;
+            Some([&links.subject, &links.object].map(|ps| ps.iter().map(fingerprint).collect()))
+        });
+        links
+            .as_ref()
+            .and_then(|links| links.get(position))
+            .is_none_or(|linked| linked.contains(&predicate))
     }
 
     /// Whether the delta names no triple.
@@ -137,11 +159,65 @@ fn intersects(ours: &Fingerprints, theirs: &Fingerprints) -> bool {
     }
 }
 
+/// Where a triple pattern sits in a query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Place {
+    /// In the top group: every solution matches it.
+    Top,
+    /// In the body of an `EXISTS` or `NOT EXISTS` filter of the top
+    /// group, outside its nested groups.
+    Exists,
+    /// Anywhere else: a `UNION` branch, an `OPTIONAL`, a nested body.
+    Nested,
+}
+
 /// Calls `visit` with every triple pattern of `group` — `UNION`
-/// branches, `OPTIONAL` bodies and `EXISTS` bodies included — as
-/// `[subject, predicate, object]`, each position resolved to its
-/// constant: the term the template writes, or the argument `arg` says a
-/// parameter stands for; `None` for a free variable.
+/// branches, `OPTIONAL` bodies and `EXISTS` bodies included — and where
+/// it sits, `group` being at `place`.
+pub(crate) fn for_each_triple<'t>(
+    group: &'t GroupGraphPattern,
+    place: Place,
+    visit: &mut impl FnMut(Place, &'t TriplePatternAst),
+) {
+    for tp in &group.triples {
+        visit(place, tp);
+    }
+    for branch in group.unions.iter().flatten() {
+        for_each_triple(branch, Place::Nested, visit);
+    }
+    for optional in &group.optionals {
+        for_each_triple(optional, Place::Nested, visit);
+    }
+    for filter in &group.filters {
+        match filter {
+            Expr::Exists { pattern, .. } if place == Place::Top => {
+                for_each_triple(pattern, Place::Exists, visit)
+            }
+            _ => exists_triples(filter, visit),
+        }
+    }
+}
+
+/// [`for_each_triple`] over the `EXISTS` bodies of a filter: they
+/// match triples too, though their variables are scoped locally.
+fn exists_triples<'t>(expr: &'t Expr, visit: &mut impl FnMut(Place, &'t TriplePatternAst)) {
+    match expr {
+        Expr::Exists { pattern, .. } => for_each_triple(pattern, Place::Nested, visit),
+        Expr::Compare(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+            exists_triples(a, visit);
+            exists_triples(b, visit);
+        }
+        Expr::Not(inner) => exists_triples(inner, visit),
+        Expr::Call(_, args) => args.iter().for_each(|a| exists_triples(a, visit)),
+        Expr::Var(_) | Expr::Const(_) => {}
+    }
+}
+
+/// Calls `visit` with every triple pattern of `group`, as
+/// [`for_each_triple`] finds them, as `[subject, predicate, object]`,
+/// each position resolved to its constant: the term the template
+/// writes, or the argument `arg` says a parameter stands for; `None`
+/// for a free variable.
 pub(crate) fn for_each_pattern<'t>(
     group: &'t GroupGraphPattern,
     arg: &impl Fn(&str) -> Option<&'t Term>,
@@ -151,39 +227,9 @@ pub(crate) fn for_each_pattern<'t>(
         NodePattern::Term(term) => Some(term),
         NodePattern::Var(name) => arg(name),
     };
-    for tp in &group.triples {
-        visit([constant(&tp.s), constant(&tp.p), constant(&tp.o)]);
-    }
-    for branches in &group.unions {
-        for branch in branches {
-            for_each_pattern(branch, arg, visit);
-        }
-    }
-    for optional in &group.optionals {
-        for_each_pattern(optional, arg, visit);
-    }
-    for filter in &group.filters {
-        exists_patterns(filter, arg, visit);
-    }
-}
-
-/// [`for_each_pattern`] over the `EXISTS` bodies of a filter: they
-/// match triples too, though their variables are scoped locally.
-fn exists_patterns<'t>(
-    expr: &'t Expr,
-    arg: &impl Fn(&str) -> Option<&'t Term>,
-    visit: &mut impl FnMut([Option<&'t Term>; 3]),
-) {
-    match expr {
-        Expr::Exists { pattern, .. } => for_each_pattern(pattern, arg, visit),
-        Expr::Compare(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-            exists_patterns(a, arg, visit);
-            exists_patterns(b, arg, visit);
-        }
-        Expr::Not(inner) => exists_patterns(inner, arg, visit),
-        Expr::Call(_, args) => args.iter().for_each(|a| exists_patterns(a, arg, visit)),
-        Expr::Var(_) | Expr::Const(_) => {}
-    }
+    for_each_triple(group, Place::Top, &mut |_, tp| {
+        visit([constant(&tp.s), constant(&tp.p), constant(&tp.o)])
+    });
 }
 
 /// Whether a triple pattern `[subject, predicate, object]` may match a
@@ -309,6 +355,7 @@ mod tests {
             epoch: 2,
             predicates: preds.iter().map(|p| Term::iri(*p)).collect(),
             terms: terms.iter().map(|t| Term::iri(*t)).collect(),
+            links: Default::default(),
         }
     }
 

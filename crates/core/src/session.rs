@@ -14,9 +14,12 @@
 //! From the first delta on, the session also keeps a probe memo per
 //! side: the answers of the prepared leaf queries its cached relations
 //! last read. A delta marks suspect every answer a changed triple could
-//! match. A re-mine is answered from the memo wherever no answer is
-//! suspect, and a batch sends only its misses, so a re-mine costs the
-//! few queries a delta moved rather than a whole alignment.
+//! reach: one it could match, unless the delta's links show that no
+//! solution joins it, as a fact between entities no `sameAs` links
+//! joins no linked count or contrastive page. A re-mine is answered
+//! from the memo wherever no answer is suspect, and a batch sends only
+//! its misses, so a re-mine costs the few queries a delta moved rather
+//! than a whole alignment.
 //!
 //! **A dirty relation is checked before it is re-mined** when the memo
 //! holds every answer its last alignment read. An alignment is a
@@ -399,7 +402,9 @@ impl<'a> AlignmentSession<'a> {
     /// Applies a delta published by the **source** KB's store: marks
     /// dirty every cached relation whose source-side evidence footprint
     /// intersects it, and marks suspect every source-side memo answer a
-    /// changed triple could match. Returns the number of newly dirtied
+    /// changed triple could reach, as far as the delta's links tell; a
+    /// delta that cannot read its links any more, or one built by hand,
+    /// marks every answer a changed triple could match. Returns the number of newly dirtied
     /// relations. A relation being aligned right now has no footprint
     /// yet; it lands dirty when it finishes. The first delta a session
     /// is told of turns its memo on.
@@ -803,6 +808,7 @@ mod tests {
             epoch: 2,
             predicates: vec![Term::iri("y:unrelated")],
             terms: vec![Term::iri("y:nobody")],
+            links: Default::default(),
         };
         assert_eq!(session.apply_target_delta(&unrelated), 0);
         session.rules_for("y:born").unwrap();
@@ -815,6 +821,7 @@ mod tests {
             epoch: 3,
             predicates: vec![Term::iri("y:born")],
             terms: vec![Term::iri("y:p0")],
+            links: Default::default(),
         };
         assert_eq!(session.apply_target_delta(&touching), 1);
         assert_eq!(session.dirty_relations(), vec!["y:born"]);
@@ -845,6 +852,7 @@ mod tests {
             epoch: 2,
             predicates: vec![Term::iri("y:born")],
             terms: vec![Term::iri("y:p0")],
+            links: Default::default(),
         };
         std::thread::scope(|scope| {
             let aligning = scope.spawn(|| session.rules_for("y:born"));
@@ -949,11 +957,13 @@ mod tests {
 
     /// What a re-mine sends once the memo holds the last mine's reads: a
     /// delta that touches `y:born` only through entities no `sameAs`
-    /// links moves the relation's own pages and counts — 3 leaves in 3
-    /// requests, all on the target — against the 8 leaves in 8 requests
-    /// of the whole alignment (each batched phase one table), which is
-    /// what a re-mine sent before the memo. The check before the re-mine
-    /// asks those 3, finds them changed, and the re-mine reads its
+    /// links may move the relation's own pages — 2 leaves in 2 requests,
+    /// all on the target — against the 8 leaves in 8 requests of the
+    /// whole alignment (each batched phase one table), which is what a
+    /// re-mine sent before the memo. The linked count is not among them:
+    /// it joins the changed fact's subject to a `sameAs` link, which the
+    /// delta's links say no new entity has. The check before the re-mine
+    /// asks those 2, finds them changed, and the re-mine reads its
     /// answers from the memo.
     #[test]
     fn a_re_mine_sends_only_what_the_delta_could_change() {
@@ -991,7 +1001,7 @@ mod tests {
         assert_eq!(session.apply_target_delta(&unlinked(1)), 1);
         assert_eq!(session.refresh_dirty().unwrap(), 1);
         assert_eq!(cost(&source), (0, 0), "the source did not change");
-        assert_eq!(cost(&target), (3, 3));
+        assert_eq!(cost(&target), (2, 2));
         assert_eq!(session.rules_for("y:born").unwrap(), whole);
     }
 
@@ -1101,6 +1111,7 @@ mod tests {
                 epoch: 3,
                 predicates: vec![Term::iri("y:elsewhere")],
                 terms: vec![Term::iri("y:nobody")],
+                links: Default::default(),
             };
             std::thread::scope(|scope| {
                 let aligning = scope.spawn(|| session.rules_for("y:born"));
@@ -1120,9 +1131,11 @@ mod tests {
 
     /// A triple that comes and goes between two refreshes: the relation
     /// is dirty, but every answer the delta could have moved is what it
-    /// was. The refresh asks those suspects again — the same 3 leaves in
-    /// 3 requests a re-mine sends after the triple's insert alone — finds
-    /// them unchanged and keeps the cached rules, with nothing re-mined.
+    /// was. The refresh asks those suspects again — the same 2 leaves in
+    /// 2 requests a re-mine sends after the triple's insert alone, the
+    /// relation's pages; `y:stranger` has no `sameAs` link, so the linked
+    /// count is cleared — finds them unchanged and keeps the cached
+    /// rules, with nothing re-mined.
     #[test]
     fn a_delta_whose_answers_hold_re_asks_only_its_suspects() {
         let (dbp, mut writer, yago) = live_target();
@@ -1152,11 +1165,11 @@ mod tests {
         store.remove(s, p, o);
         session.apply_target_delta(&writer.publish());
         let suspects = filled - session.lock().memo.len(Side::Target);
-        assert_eq!(suspects, 3);
+        assert_eq!(suspects, 2);
 
         assert_eq!(session.refresh_dirty().unwrap(), 1);
         assert_eq!(cost(&source), (0, 0), "the source did not change");
-        assert_eq!(cost(&target), (3, 3), "the suspects, and nothing else");
+        assert_eq!(cost(&target), (2, 2), "the suspects, and nothing else");
         let state = session.lock();
         assert_eq!(state.mines, mines, "nothing was re-mined");
         assert_eq!(
@@ -1166,7 +1179,7 @@ mod tests {
         );
         drop(state);
         assert_eq!(session.rules_for("y:born").unwrap(), cached);
-        assert_eq!(cost(&target), (3, 3));
+        assert_eq!(cost(&target), (2, 2));
     }
 
     /// The small-scope check of the check before a re-mine, over the memo
@@ -1213,6 +1226,7 @@ mod tests {
                         epoch: 1,
                         predicates: vec![Term::iri("r:none")],
                         terms: vec![Term::iri("e:none")],
+                        links: Default::default(),
                     });
                     let cached = relations.map(|r| session.rules_for(r).unwrap());
                     mined_rules += cached.iter().map(Vec::len).sum::<usize>();

@@ -28,7 +28,7 @@
 //! crate-private `plan_cache` module); a publish therefore invalidates
 //! stale plans lazily, on their next lookup.
 
-use crate::delta::{DeltaLog, FreshnessGauge, PublishDelta};
+use crate::delta::{DeltaLinks, DeltaLog, FreshnessGauge, PublishDelta};
 use crate::endpoint::{Endpoint, Request, Response};
 use crate::error::EndpointError;
 use crate::local::LocalEndpoint;
@@ -237,7 +237,9 @@ impl SnapshotStore {
     /// published one, which costs the pages written in between: its
     /// predicates are the pages the new state's statistics recompute, and
     /// with the subject/object terms of the changed triples they make the
-    /// returned [`PublishDelta`], which is appended to the delta ring. The
+    /// returned [`PublishDelta`], which is appended to the delta ring. Its
+    /// [`PublishDelta::links`] are not read here: the delta holds the new
+    /// snapshot weakly and reads them if a subscriber asks. The
     /// change is net, so writes that cancel out within one publish show
     /// nowhere, and a write landing after `snapshot` was taken belongs to
     /// the next publish.
@@ -249,13 +251,13 @@ impl SnapshotStore {
         let terms = ascending(changed().flat_map(|&(s, _, o)| [s, o]));
         let published = Arc::new(outgoing.succeeded_by(snapshot, &predicates));
         let dict = published.snapshot().dict();
-        let resolve =
-            |ids: Vec<TermId>| ids.into_iter().map(|id| dict.resolve(id).clone()).collect();
+        let resolve = |ids: &[TermId]| ids.iter().map(|&id| dict.resolve(id).clone()).collect();
         let delta = Arc::new(PublishDelta {
             prev_epoch: outgoing.version(),
             epoch: published.version(),
-            predicates: resolve(predicates),
-            terms: resolve(terms),
+            predicates: resolve(&predicates),
+            terms: resolve(&terms),
+            links: DeltaLinks::new(&published, terms, predicates),
         });
         self.cell.swap(published);
         self.deltas.push(Arc::clone(&delta));

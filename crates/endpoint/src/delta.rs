@@ -6,9 +6,12 @@
 //! resolves it into a [`PublishDelta`]: the new epoch, the predicates of
 //! the triples added or removed, and their subject/object terms. The
 //! change is net: writes that cancel within one publish show nowhere.
-//! Subscribers (the incremental alignment session, external change
-//! consumers) use it to decide *which* cached work a publish actually
-//! invalidated, instead of discarding everything.
+//! With them it carries the [`DeltaLinks`] of its terms: which other
+//! predicates the triples it left as they were give each term, read
+//! only when a subscriber first asks. Subscribers (the incremental
+//! alignment session, external change consumers) use it to decide
+//! *which* cached work a publish actually invalidated, instead of
+//! discarding everything.
 //!
 //! A [`DeltaLog`] ring retains the last K deltas so a subscriber that
 //! missed some publishes can catch up by replaying the gap; if the gap
@@ -16,11 +19,12 @@
 //! [`CatchUp::Resync`] and the subscriber must rebuild from the current
 //! snapshot.
 
+use crate::concurrent::PublishedSnapshot;
 use parking_lot::Mutex;
-use sofya_rdf::Term;
+use sofya_rdf::{Term, TermId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Default number of deltas the ring retains.
 pub const DEFAULT_DELTA_LOG_CAPACITY: usize = 64;
@@ -42,6 +46,10 @@ pub struct PublishDelta {
     /// Subject/object terms of the triples added or removed, ascending by
     /// dictionary id.
     pub terms: Vec<Term>,
+    /// What the triples the publish left as they were say of `terms`;
+    /// see [`PublishDelta::links`]. A delta built by hand has none:
+    /// `DeltaLinks::default()`.
+    pub links: DeltaLinks,
 }
 
 impl PublishDelta {
@@ -52,7 +60,23 @@ impl PublishDelta {
             epoch,
             predicates: Vec::new(),
             terms: Vec::new(),
+            links: DeltaLinks::default(),
         }
+    }
+
+    /// The links of the delta's terms: the predicates, outside
+    /// `predicates`, of the triples with one of `terms` as subject, and
+    /// of those with one as object. Such a triple is one the publish
+    /// left as it was, so it held before the publish too. Read on first
+    /// call from the snapshot this delta published, never a later one:
+    /// a later publish may have removed a link this one left. `None`
+    /// once that snapshot is gone before the first call, and for a
+    /// delta built by hand.
+    pub fn links(&self) -> Option<&Links> {
+        self.links
+            .read
+            .get_or_init(|| self.links.read_off())
+            .as_ref()
     }
 
     /// Whether the delta names no triple: a no-op, or a publish whose
@@ -67,6 +91,69 @@ impl PublishDelta {
         self.epoch == self.prev_epoch
     }
 }
+
+/// The predicates of a delta's links, by the position its term holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Links {
+    /// Predicates of unchanged triples whose subject is a delta term.
+    pub subject: Vec<Term>,
+    /// Predicates of unchanged triples whose object is a delta term.
+    pub object: Vec<Term>,
+}
+
+/// Where a delta's [`Links`] come from, and once read, what they are.
+/// The published snapshot is held weakly, so a delta in the ring keeps
+/// no retired snapshot alive, and the links cost a publish nothing until
+/// a subscriber asks.
+#[derive(Debug, Clone, Default)]
+pub struct DeltaLinks {
+    published: Weak<PublishedSnapshot>,
+    /// The delta's terms and predicates, as ids of that snapshot, each
+    /// ascending.
+    terms: Vec<TermId>,
+    predicates: Vec<TermId>,
+    read: OnceLock<Option<Links>>,
+}
+
+impl DeltaLinks {
+    /// The links of `terms` in `published`, outside `predicates`, read
+    /// on first use.
+    pub(crate) fn new(
+        published: &Arc<PublishedSnapshot>,
+        terms: Vec<TermId>,
+        predicates: Vec<TermId>,
+    ) -> Self {
+        Self {
+            published: Arc::downgrade(published),
+            terms,
+            predicates,
+            read: OnceLock::new(),
+        }
+    }
+
+    /// One walk of the snapshot's subject and object indexes.
+    fn read_off(&self) -> Option<Links> {
+        let published = self.published.upgrade()?;
+        let snapshot = published.snapshot();
+        let [subject, object] = snapshot.predicates_touching(&self.terms).map(|predicates| {
+            (predicates.into_iter())
+                .filter(|p| self.predicates.binary_search(p).is_err())
+                .map(|p| snapshot.dict().resolve(p).clone())
+                .collect()
+        });
+        Some(Links { subject, object })
+    }
+}
+
+/// Links are read off the snapshot, not part of the change: deltas are
+/// equal when their changes are.
+impl PartialEq for DeltaLinks {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DeltaLinks {}
 
 /// How a subscriber at some past epoch gets back to the present.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,6 +311,7 @@ mod tests {
             epoch,
             predicates: vec![Term::iri(format!("p{epoch}"))],
             terms: vec![Term::iri(format!("e{epoch}"))],
+            links: DeltaLinks::default(),
         })
     }
 
@@ -280,6 +368,41 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.latest_epoch(), 5);
         assert_eq!(log.deltas_since(5), CatchUp::UpToDate);
+    }
+
+    /// A delta's links are read from the snapshot it published, even
+    /// after a later publish removed a link; a delta whose snapshot went
+    /// before anyone asked has none, and so has one built by hand.
+    #[test]
+    fn links_come_from_the_snapshot_the_delta_published() {
+        let mut store = sofya_rdf::TripleStore::new();
+        for (s, p, o) in [("e", "r", "o"), ("e", "sa", "e2"), ("x", "q", "e")] {
+            store.insert_terms(&Term::iri(s), &Term::iri(p), &Term::iri(o));
+        }
+        let mut writer = crate::SnapshotStore::new(store);
+        let mut toggle = |(s, p, o): (&str, &str, &str)| {
+            let store = writer.store_mut();
+            let [s, p, o] = [s, p, o].map(Term::iri);
+            if !store.insert_terms(&s, &p, &o) {
+                let [s, p, o] = [s, p, o].map(|t| store.dict().lookup(&t).unwrap());
+                store.remove(s, p, o);
+            }
+            (writer.publish(), writer.current())
+        };
+        let (unlinked, _first) = toggle(("e", "r", "o"));
+        let (delinked, _) = toggle(("e", "sa", "e2"));
+        let [sa, q] = ["sa", "q"].map(Term::iri);
+        let links = |subject: &[&Term], object: &[&Term]| Links {
+            subject: subject.iter().map(|&t| t.clone()).collect(),
+            object: object.iter().map(|&t| t.clone()).collect(),
+        };
+        assert_eq!(unlinked.links(), Some(&links(&[&sa], &[&q])));
+        assert_eq!(delinked.links(), Some(&links(&[], &[&q])));
+        // The next publish retires this delta's snapshot, unread.
+        let (relinked, _) = toggle(("e", "sa", "e2"));
+        toggle(("y", "r", "o"));
+        assert_eq!(relinked.links(), None);
+        assert_eq!(PublishDelta::noop(1).links(), None);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub(crate) mod plan_cache;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use concurrent::{ConcurrentEndpoint, PublishedSnapshot, SnapshotStore};
 pub use deadline::BudgetConfig;
-pub use delta::{CatchUp, DeltaLog, FreshnessGauge, PublishDelta};
+pub use delta::{CatchUp, DeltaLinks, DeltaLog, FreshnessGauge, Links, PublishDelta};
 pub use durable::{DurabilityGauge, DurableStore};
 pub use endpoint::{Endpoint, EndpointExt, Request, Response};
 pub use error::EndpointError;

@@ -513,6 +513,54 @@ mod tests {
         assert_bounded(&c);
     }
 
+    /// The counted twin of `a_plan_cache_insert_does_not_scan_the_cache`
+    /// in `tests/cost_ratios.rs`: 64 new texts into a full shard move
+    /// its clock hand one slot each when nothing was hit since the hand
+    /// last passed. When every entry was, the first insert takes one
+    /// turn more, clearing the marks on its way round, and the rest one
+    /// slot each. No insert takes more than twice the shard's slots.
+    #[test]
+    fn an_insert_into_a_full_shard_moves_the_hand_one_slot() {
+        let p = plan();
+        let marked = |c: &ClockPlanCache| c.slots.iter().flatten().filter(|e| e.referenced).count();
+        // The hand steps of one insert: each clears a mark, or, the
+        // last, finds the slot to refill, and moves the hand a slot.
+        let insert = |c: &mut ClockPlanCache, text: &str| {
+            let (hand, marks) = (c.hand, marked(c));
+            c.put(text, 0, Arc::clone(&p));
+            let steps = marks - marked(c) + 1;
+            assert_eq!((hand + steps) % c.slots.len(), c.hand, "{steps} steps");
+            steps
+        };
+        for capacity in [64, 512] {
+            for hit in [false, true] {
+                let mut c = ClockPlanCache::new(capacity);
+                for i in 0..2 * capacity {
+                    c.put(&format!("fill{i}"), 0, Arc::clone(&p));
+                }
+                if hit {
+                    for i in capacity..2 * capacity {
+                        assert!(c.find(&format!("fill{i}"), 0).is_some());
+                    }
+                }
+                let steps: Vec<usize> = (0..64)
+                    .map(|i| insert(&mut c, &format!("new{i}")))
+                    .collect();
+                let total: usize = steps.iter().sum();
+                let worst = steps.iter().copied().max().unwrap_or(0);
+                println!(
+                    "{capacity} slots, all hit: {hit}: {total} hand steps per 64 inserts, \
+                     the worst insert {worst}"
+                );
+                let turn = if hit { capacity } else { 0 };
+                assert_eq!(total, 64 + turn, "{capacity} slots, all hit: {hit}");
+                assert_eq!(worst, 1 + turn);
+                assert!(worst <= 2 * capacity);
+                assert_bounded(&c);
+            }
+        }
+    }
+
     /// What a publish does to a full cache, 1000 times over: every
     /// lookup at the new version evicts its stale entry, and the
     /// re-insert refills a slot. Half the texts are new each round, so

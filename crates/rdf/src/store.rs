@@ -986,6 +986,29 @@ impl StoreSnapshot {
     }
 }
 
+impl StoreSnapshot {
+    /// The distinct predicates of the triples with one of `terms` as
+    /// subject, then of those with one as object, each ascending; `terms`
+    /// must ascend. A snapshot is flushed, so the SPO and OSP runs are
+    /// their main runs alone: one forward walk of each, galloping from
+    /// term to term, costs the terms and their triples, not the store.
+    pub fn predicates_touching(&self, terms: &[TermId]) -> [Vec<TermId>; 2] {
+        let store = self.store();
+        [(&store.spo.main, Perm::Spo), (&store.osp.main, Perm::Osp)].map(|(run, perm)| {
+            let (mut rest, mut found) = (&run[..], Vec::new());
+            for &TermId(term) in terms {
+                rest = &rest[gallop_by(rest, |k| k.0 < term)..];
+                let (touching, after) = rest.split_at(gallop_by(rest, |k| k.0 == term));
+                found.extend(touching.iter().map(|&k| perm.decode(k).p));
+                rest = after;
+            }
+            found.sort_unstable();
+            found.dedup();
+            found
+        })
+    }
+}
+
 /// The main run of `pred`'s page if the directory `pages` starts with it,
 /// which it then moves past.
 fn next_page<'a>(pages: &mut &'a [PredPage], pred: u32) -> Option<&'a Arc<Vec<Pair>>> {

@@ -1,4 +1,5 @@
-//! `StoreSnapshot::diff_since` against set difference: over random
+//! `StoreSnapshot::diff_since` against set difference, and
+//! `StoreSnapshot::predicates_touching` against its definition: over random
 //! insert / remove / `load_batch` / flush scripts that take snapshots and
 //! drop some of them again, every pair of snapshots still live differs
 //! by exactly what their models differ by, in ascending order, in both
@@ -115,4 +116,38 @@ fn snapshots_of_one_run_differ_by_nothing() {
     let (added, removed) = first.diff_since(&TripleStore::new().snapshot());
     assert_eq!((added.len(), removed.len()), (1000, 0));
     assert!(added.windows(2).all(|w| w[0] < w[1]));
+}
+
+proptest! {
+    /// The predicates around some terms, read off the snapshot, are
+    /// those of the model's triples with one of them as subject, and as
+    /// object.
+    #[test]
+    fn predicates_touching_are_those_of_the_terms_triples(
+        keys in proptest::collection::vec(key_strategy(), 0..40),
+        removed in proptest::collection::vec(key_strategy(), 0..10),
+        terms in proptest::collection::vec(0u32..15, 0..8),
+    ) {
+        let terms: BTreeSet<u32> = terms.into_iter().collect();
+        let mut store = TripleStore::new();
+        for id in 0..15 {
+            prop_assert_eq!(store.intern(&Term::iri(format!("t{id}"))), TermId(id));
+        }
+        store.load_batch(keys.iter().copied().map(ids));
+        let mut model: BTreeSet<Key> = keys.into_iter().collect();
+        for key in removed {
+            let (s, p, o) = ids(key);
+            prop_assert_eq!(store.remove(s, p, o), model.remove(&key));
+        }
+        let around = |position: fn(&Key) -> u32| -> Vec<TermId> {
+            let found: BTreeSet<u32> = (model.iter())
+                .filter(|k| terms.contains(&position(k)))
+                .map(|k| k.1)
+                .collect();
+            found.into_iter().map(TermId).collect()
+        };
+        let expected = [around(|k| k.0), around(|k| k.2)];
+        let terms: Vec<TermId> = terms.iter().copied().map(TermId).collect();
+        prop_assert_eq!(store.snapshot().predicates_touching(&terms), expected);
+    }
 }

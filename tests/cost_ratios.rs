@@ -436,6 +436,7 @@ fn a_publish_costs_its_readers_what_it_wrote() {
         terms: (0..512)
             .map(|i| Term::iri(format!("http://perf.example/resource/entity{i}")))
             .collect(),
+        links: Default::default(),
     };
     let source = LocalEndpoint::new("kb2", pair.kb2.clone());
     let target = LocalEndpoint::new("kb1", pair.kb1.clone());
@@ -479,6 +480,7 @@ fn a_publish_costs_its_readers_what_it_wrote() {
         epoch: 1,
         predicates: vec![Term::iri("perf:warm")],
         terms: Vec::new(),
+        links: Default::default(),
     };
     // Hashing the delta is most of either side, so the bound is tight:
     // ≈1.05x here, where a scan of every answer the memo holds read 4–5x.
