@@ -13,12 +13,12 @@
 //!   touching that entity changes);
 //! * a fully unbound pattern (`?s ?p ?o`) sets the **wildcard** flag.
 //!
-//! A [`PublishDelta`] carries the predicates and the subject/object
-//! terms of every triple a publish added or removed, so
+//! A [`PublishDelta`] carries the ids of the predicates and the
+//! subject/object terms of every triple a publish added or removed, so
 //! [`SideFootprint::is_dirty`] is a pair of set intersections. Both
 //! sides hold 64-bit fingerprints of terms, and a delta is asked about
-//! every cached relation, so it is fingerprinted once, into a
-//! [`DeltaView`], and each intersection walks its smaller side: marking
+//! every cached relation, so it is resolved and fingerprinted once, into
+//! a [`DeltaView`], and each intersection walks its smaller side: marking
 //! costs the delta plus the footprints, not their product. The test
 //! is conservative: it may re-mine a relation whose results did not
 //! change, but a relation whose results *could* have changed is always
@@ -37,7 +37,7 @@
 //! are.
 
 use sofya_endpoint::{PublishDelta, Request};
-use sofya_rdf::Term;
+use sofya_rdf::{Dict, Term, TermId};
 use sofya_sparql::ast::{GroupGraphPattern, TriplePatternAst};
 use sofya_sparql::{parse_query, Expr, NodePattern};
 use std::cell::OnceCell;
@@ -95,6 +95,7 @@ pub(crate) type Fingerprints = HashSet<u64, FxBuild>;
 #[derive(Debug)]
 pub struct DeltaView<'d> {
     delta: &'d PublishDelta,
+    dict: &'d Dict,
     predicates: Fingerprints,
     terms: Fingerprints,
     /// The delta's links, subject then object, read when first asked.
@@ -102,12 +103,13 @@ pub struct DeltaView<'d> {
 }
 
 impl<'d> DeltaView<'d> {
-    /// Indexes the delta's predicates and subject/object terms.
-    pub fn new(delta: &'d PublishDelta) -> Self {
+    /// Indexes the delta's predicates and subject/object terms, read in `dict`.
+    pub fn new(delta: &'d PublishDelta, dict: &'d Dict) -> Self {
         Self {
             delta,
-            predicates: delta.predicates.iter().map(fingerprint).collect(),
-            terms: delta.terms.iter().map(fingerprint).collect(),
+            dict,
+            predicates: fingerprints(&delta.predicates, dict),
+            terms: fingerprints(&delta.terms, dict),
             links: OnceCell::new(),
         }
     }
@@ -118,7 +120,7 @@ impl<'d> DeltaView<'d> {
     pub(crate) fn may_link(&self, position: usize, predicate: u64) -> bool {
         let links = self.links.get_or_init(|| {
             let links = self.delta.links()?;
-            Some([&links.subject, &links.object].map(|ps| ps.iter().map(fingerprint).collect()))
+            Some([&links.subject, &links.object].map(|ps| fingerprints(ps, self.dict)))
         });
         links
             .as_ref()
@@ -148,6 +150,13 @@ impl<'d> DeltaView<'d> {
     pub(crate) fn terms(&self) -> impl Iterator<Item = u64> + '_ {
         self.terms.iter().copied()
     }
+}
+
+/// The fingerprints of the terms `ids` name in `dict`.
+fn fingerprints(ids: &[TermId], dict: &Dict) -> Fingerprints {
+    ids.iter()
+        .map(|&id| fingerprint(dict.resolve(id)))
+        .collect()
 }
 
 /// Whether the two sets share a term, probing from the smaller one.
@@ -349,14 +358,26 @@ mod tests {
     use sofya_endpoint::{Endpoint, EndpointError, Response};
     use sofya_sparql::QueryBudget;
 
-    fn delta(preds: &[&str], terms: &[&str]) -> PublishDelta {
-        PublishDelta {
+    /// A delta of the IRIs `preds` and `terms`, with a dictionary that
+    /// holds them.
+    fn delta(preds: &[&str], terms: &[&str]) -> (PublishDelta, Dict) {
+        let mut dict = Dict::new();
+        let mut ids = |iris: &[&str]| iris.iter().map(|i| dict.intern(&Term::iri(*i))).collect();
+        let (predicates, terms) = (ids(preds), ids(terms));
+        let delta = PublishDelta {
             prev_epoch: 1,
             epoch: 2,
-            predicates: preds.iter().map(|p| Term::iri(*p)).collect(),
-            terms: terms.iter().map(|t| Term::iri(*t)).collect(),
+            predicates,
+            terms,
             links: Default::default(),
-        }
+        };
+        (delta, dict)
+    }
+
+    /// Whether the delta of [`delta`] dirties `fp`.
+    fn dirties(fp: &SideFootprint, preds: &[&str], terms: &[&str]) -> bool {
+        let (delta, dict) = delta(preds, terms);
+        fp.is_dirty(&DeltaView::new(&delta, &dict))
     }
 
     fn footprint_of(queries: &[&str]) -> SideFootprint {
@@ -372,8 +393,8 @@ mod tests {
         let fp = footprint_of(&["SELECT ?x ?y { ?x <r:born> ?y . ?y <r:in> ?z }"]);
         assert_eq!(fp.predicate_count(), 2);
         assert!(fp.covers_predicate(&Term::iri("r:born")));
-        assert!(fp.is_dirty(&DeltaView::new(&delta(&["r:born"], &[]))));
-        assert!(!fp.is_dirty(&DeltaView::new(&delta(&["r:other"], &["e:unrelated"]))));
+        assert!(dirties(&fp, &["r:born"], &[]));
+        assert!(!dirties(&fp, &["r:other"], &["e:unrelated"]));
     }
 
     #[test]
@@ -381,17 +402,17 @@ mod tests {
         // The "relations of an entity" discovery probe shape.
         let fp = footprint_of(&["SELECT ?p ?o { <e:alice> ?p ?o }"]);
         assert!(!fp.is_wildcard());
-        assert!(fp.is_dirty(&DeltaView::new(&delta(&["r:any"], &["e:alice"]))));
-        assert!(!fp.is_dirty(&DeltaView::new(&delta(&["r:any"], &["e:bob"]))));
+        assert!(dirties(&fp, &["r:any"], &["e:alice"]));
+        assert!(!dirties(&fp, &["r:any"], &["e:bob"]));
     }
 
     #[test]
     fn fully_unbound_pattern_is_a_wildcard() {
         let fp = footprint_of(&["SELECT ?s ?p ?o { ?s ?p ?o }"]);
         assert!(fp.is_wildcard());
-        assert!(fp.is_dirty(&DeltaView::new(&delta(&["r:any"], &[]))));
+        assert!(dirties(&fp, &["r:any"], &[]));
         // …but an empty delta dirties nothing, wildcard or not.
-        assert!(!fp.is_dirty(&DeltaView::new(&PublishDelta::noop(3))));
+        assert!(!fp.is_dirty(&DeltaView::new(&PublishDelta::noop(3), &Dict::new())));
     }
 
     #[test]
@@ -543,14 +564,16 @@ mod tests {
                 entities: terms(&fp_ents).iter().map(fingerprint).collect(),
                 wildcard: wildcard == 0,
             };
-            let mut delta = delta(&[], &[]);
-            delta.terms = terms(&delta_terms);
-            delta.predicates = terms(&delta_preds);
+            let mut dict = Dict::new();
+            let (delta_terms, delta_preds) = (terms(&delta_terms), terms(&delta_preds));
+            let (mut delta, _) = delta(&[], &[]);
+            delta.terms = delta_terms.iter().map(|t| dict.intern(t)).collect();
+            delta.predicates = delta_preds.iter().map(|p| dict.intern(p)).collect();
             let defined = !delta.is_empty()
                 && (fp.wildcard
-                    || delta.predicates.iter().any(|p| fp.covers_predicate(p))
-                    || delta.terms.iter().any(|t| fp.entities.contains(&fingerprint(t))));
-            proptest::prop_assert_eq!(fp.is_dirty(&DeltaView::new(&delta)), defined);
+                    || delta_preds.iter().any(|p| fp.covers_predicate(p))
+                    || delta_terms.iter().any(|t| fp.entities.contains(&fingerprint(t))));
+            proptest::prop_assert_eq!(fp.is_dirty(&DeltaView::new(&delta, &dict)), defined);
         }
     }
 

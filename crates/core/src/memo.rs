@@ -871,6 +871,11 @@ pub(crate) mod tests {
         (writer, delta)
     }
 
+    /// The writer's published dictionary, which reads its deltas' ids.
+    fn dict(writer: &SnapshotStore) -> sofya_rdf::Dict {
+        writer.current().snapshot().dict().clone()
+    }
+
     /// The same change without links, as a delta built by hand has.
     fn blind(delta: &PublishDelta) -> PublishDelta {
         PublishDelta {
@@ -1082,7 +1087,7 @@ pub(crate) mod tests {
                 for (leaf, answer) in leaves.iter().zip(&answers) {
                     memo.keep(Side::Target, &leaf.as_request(), answer);
                 }
-                memo.invalidate(Side::Target, &DeltaView::new(&delta));
+                memo.invalidate(Side::Target, &DeltaView::new(&delta, &dict(&writer)));
                 for (leaf, answer) in leaves.iter().zip(&answers) {
                     let req = leaf.as_request();
                     match memo.lookup(Side::Target, &req) {
@@ -1102,7 +1107,8 @@ pub(crate) mod tests {
                     }
                 }
                 // What the links cleared: a delta without them marks it.
-                cleared += memo.invalidate(Side::Target, &DeltaView::new(&blind(&delta)));
+                let blind = blind(&delta);
+                cleared += memo.invalidate(Side::Target, &DeltaView::new(&blind, &dict(&writer)));
             }
         }
         assert!(
@@ -1139,7 +1145,8 @@ pub(crate) mod tests {
                         Some(held)
                     })
                     .collect();
-                let suspects = memo.invalidate(Side::Target, &DeltaView::new(&delta));
+                let suspects =
+                    memo.invalidate(Side::Target, &DeltaView::new(&delta, &dict(&writer)));
                 let asks = memo.suspects(&held).unwrap();
                 assert_eq!(asks.len(), suspects);
                 let mut now: Vec<Option<Response>> = vec![None; leaves.len()];
@@ -1317,8 +1324,8 @@ pub(crate) mod tests {
             }
             let all = memo.len(Side::Source);
             let triple = (Term::iri("e:0"), Term::iri("r:a"), Term::iri("e:1"));
-            let (_writer, delta) = publish(&base(), &[triple]);
-            let suspects = memo.invalidate(Side::Source, &DeltaView::new(&delta));
+            let (writer, delta) = publish(&base(), &[triple]);
+            let suspects = memo.invalidate(Side::Source, &DeltaView::new(&delta, &dict(&writer)));
             assert!(all > 100 && suspects > 10, "{all} {suspects}");
             assert_eq!(memo.len(Side::Source), all - suspects);
             (memo, held)

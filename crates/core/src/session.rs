@@ -42,6 +42,7 @@ use crate::footprint::{DeltaView, EvidenceFootprint, SideFootprint};
 use crate::memo::{Held, Memo, Side};
 use crate::rule::SubsumptionRule;
 use sofya_endpoint::{Endpoint, EndpointError, PublishDelta, Request, Response};
+use sofya_rdf::Dict;
 use sofya_sparql::QueryBudget;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -399,7 +400,8 @@ impl<'a> AlignmentSession<'a> {
             .retain(|_, slot| matches!(slot, Slot::InProgress { .. }));
     }
 
-    /// Applies a delta published by the **source** KB's store: marks
+    /// Applies a delta published by the **source** KB's store, its ids
+    /// read in `dict`, that store's dictionary at or after the delta: marks
     /// dirty every cached relation whose source-side evidence footprint
     /// intersects it, and marks suspect every source-side memo answer a
     /// changed triple could reach, as far as the delta's links tell; a
@@ -408,22 +410,22 @@ impl<'a> AlignmentSession<'a> {
     /// relations. A relation being aligned right now has no footprint
     /// yet; it lands dirty when it finishes. The first delta a session
     /// is told of turns its memo on.
-    pub fn apply_source_delta(&self, delta: &PublishDelta) -> usize {
-        self.apply_delta(Side::Source, delta)
+    pub fn apply_source_delta(&self, delta: &PublishDelta, dict: &Dict) -> usize {
+        self.apply_delta(Side::Source, delta, dict)
     }
 
     /// Applies a delta published by the **target** KB's store (see
     /// [`AlignmentSession::apply_source_delta`]).
-    pub fn apply_target_delta(&self, delta: &PublishDelta) -> usize {
-        self.apply_delta(Side::Target, delta)
+    pub fn apply_target_delta(&self, delta: &PublishDelta, dict: &Dict) -> usize {
+        self.apply_delta(Side::Target, delta, dict)
     }
 
-    fn apply_delta(&self, side: Side, delta: &PublishDelta) -> usize {
+    fn apply_delta(&self, side: Side, delta: &PublishDelta, dict: &Dict) -> usize {
         if delta.is_empty() {
             return 0;
         }
         // Hashed once, outside the lock, for every cached relation to probe.
-        let view = DeltaView::new(delta);
+        let view = DeltaView::new(delta, dict);
         let mut newly_dirty = 0;
         let mut state = self.lock();
         let State {
@@ -662,7 +664,7 @@ impl Endpoint for Probes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofya_endpoint::{InstrumentedEndpoint, LocalEndpoint};
+    use sofya_endpoint::{InstrumentedEndpoint, LocalEndpoint, SnapshotStore};
     use sofya_rdf::{Term, TripleStore};
 
     const SA: &str = "http://www.w3.org/2002/07/owl#sameAs";
@@ -682,6 +684,29 @@ mod tests {
             dbp.insert_terms(&Term::iri(&cd), &Term::iri(SA), &Term::iri(&cy));
         }
         (dbp, yago)
+    }
+
+    /// A delta from `epochs.0` to `epochs.1` of the IRIs `predicates`
+    /// and `terms`, built by hand, with a dictionary that holds them.
+    fn delta(epochs: (u64, u64), predicates: &[&str], terms: &[&str]) -> (PublishDelta, Dict) {
+        let mut dict = Dict::new();
+        let mut ids = |iris: &[&str]| iris.iter().map(|i| dict.intern(&Term::iri(*i))).collect();
+        let (predicates, terms) = (ids(predicates), ids(terms));
+        let delta = PublishDelta {
+            prev_epoch: epochs.0,
+            epoch: epochs.1,
+            predicates,
+            terms,
+            links: Default::default(),
+        };
+        (delta, dict)
+    }
+
+    /// Publishes `writer` and tells the session's target side, read in
+    /// the writer's dictionary; returns the relations newly dirty.
+    fn publish_target(session: &AlignmentSession<'_>, writer: &mut SnapshotStore) -> usize {
+        let delta = writer.publish();
+        session.apply_target_delta(&delta, writer.current().snapshot().dict())
     }
 
     fn endpoints() -> (
@@ -792,8 +817,6 @@ mod tests {
 
     #[test]
     fn deltas_dirty_only_intersecting_relations() {
-        use sofya_endpoint::PublishDelta;
-
         let (dbp, yago) = endpoints();
         let counters = dbp.counters();
         let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(1));
@@ -803,27 +826,15 @@ mod tests {
 
         // A target-side delta on an unrelated predicate: still clean,
         // and the next lookup is still free.
-        let unrelated = PublishDelta {
-            prev_epoch: 1,
-            epoch: 2,
-            predicates: vec![Term::iri("y:unrelated")],
-            terms: vec![Term::iri("y:nobody")],
-            links: Default::default(),
-        };
-        assert_eq!(session.apply_target_delta(&unrelated), 0);
+        let (unrelated, dict) = delta((1, 2), &["y:unrelated"], &["y:nobody"]);
+        assert_eq!(session.apply_target_delta(&unrelated, &dict), 0);
         session.rules_for("y:born").unwrap();
         assert_eq!(counters.total_queries(), after_mine);
 
         // A delta touching the mined relation's own predicate dirties it;
         // the next lookup re-mines.
-        let touching = PublishDelta {
-            prev_epoch: 2,
-            epoch: 3,
-            predicates: vec![Term::iri("y:born")],
-            terms: vec![Term::iri("y:p0")],
-            links: Default::default(),
-        };
-        assert_eq!(session.apply_target_delta(&touching), 1);
+        let (touching, dict) = delta((2, 3), &["y:born"], &["y:p0"]);
+        assert_eq!(session.apply_target_delta(&touching, &dict), 1);
         assert_eq!(session.dirty_relations(), vec!["y:born"]);
         session.rules_for("y:born").unwrap();
         assert!(counters.total_queries() > after_mine, "dirty slot re-mines");
@@ -832,7 +843,7 @@ mod tests {
         // Re-applying the same delta after the refresh dirties the
         // relation again: the test is conservative, and the refreshed
         // footprint still covers `y:born`.
-        assert_eq!(session.apply_target_delta(&touching), 1);
+        assert_eq!(session.apply_target_delta(&touching, &dict), 1);
         assert_eq!(session.refresh_dirty().unwrap(), 1);
         assert!(session.dirty_relations().is_empty());
     }
@@ -847,17 +858,15 @@ mod tests {
         let (dbp, yago) = endpoints();
         let yago = ParksFirstRequest::new(yago);
         let session = AlignmentSession::new(&dbp, &yago, AlignerConfig::paper_defaults(1));
-        let touching = PublishDelta {
-            prev_epoch: 1,
-            epoch: 2,
-            predicates: vec![Term::iri("y:born")],
-            terms: vec![Term::iri("y:p0")],
-            links: Default::default(),
-        };
+        let (touching, dict) = delta((1, 2), &["y:born"], &["y:p0"]);
         std::thread::scope(|scope| {
             let aligning = scope.spawn(|| session.rules_for("y:born"));
             yago.gate.wait();
-            assert_eq!(session.apply_target_delta(&touching), 0, "no slot to mark");
+            assert_eq!(
+                session.apply_target_delta(&touching, &dict),
+                0,
+                "no slot to mark"
+            );
             yago.gate.wait();
             aligning.join().unwrap().unwrap();
         });
@@ -942,11 +951,11 @@ mod tests {
     /// publishing store, counted.
     fn live_target() -> (
         InstrumentedEndpoint<LocalEndpoint>,
-        sofya_endpoint::SnapshotStore,
+        SnapshotStore,
         InstrumentedEndpoint<sofya_endpoint::ConcurrentEndpoint>,
     ) {
         let (dbp, yago) = stores();
-        let writer = sofya_endpoint::SnapshotStore::new(yago);
+        let writer = SnapshotStore::new(yago);
         let target = InstrumentedEndpoint::new(writer.reader("yago"));
         (
             InstrumentedEndpoint::new(LocalEndpoint::new("dbp", dbp)),
@@ -987,10 +996,10 @@ mod tests {
                 &Term::iri("y:born"),
                 &Term::iri(format!("y:nowhere{i}")),
             );
-            writer.publish()
+            publish_target(&session, &mut writer)
         };
         // The first delta turns the memo on; its re-mine fills it.
-        assert_eq!(session.apply_target_delta(&unlinked(0)), 1);
+        assert_eq!(unlinked(0), 1);
         session.refresh_dirty().unwrap();
         let twice = |(leaves, requests): (u64, u64)| (2 * leaves, 2 * requests);
         assert_eq!(cost(&source), twice(whole_source));
@@ -998,7 +1007,7 @@ mod tests {
         source.reset();
         target.reset();
 
-        assert_eq!(session.apply_target_delta(&unlinked(1)), 1);
+        assert_eq!(unlinked(1), 1);
         assert_eq!(session.refresh_dirty().unwrap(), 1);
         assert_eq!(cost(&source), (0, 0), "the source did not change");
         assert_eq!(cost(&target), (2, 2));
@@ -1018,7 +1027,7 @@ mod tests {
             &Term::iri("y:unrelated"),
             &Term::iri("y:y"),
         );
-        session.apply_target_delta(&writer.publish());
+        publish_target(&session, &mut writer);
         let probe = sofya_sparql::Prepared::new("ASK { ?s ?r ?o }", &["s", "r", "o"]).unwrap();
         let (hit, miss) = (
             [Term::iri("y:p0"), Term::iri("y:born"), Term::iri("y:c0")],
@@ -1069,7 +1078,7 @@ mod tests {
             &Term::iri("y:born"),
             &Term::iri("y:c1"),
         );
-        session.apply_target_delta(&writer.publish());
+        publish_target(&session, &mut writer);
         session.refresh_dirty().unwrap();
         let (source, target) = (kept(Side::Source), kept(Side::Target));
         assert!(source > 0 && target > 0, "{source} {target}");
@@ -1086,7 +1095,7 @@ mod tests {
             &Term::iri("y:born"),
             &Term::iri("y:c2"),
         );
-        session.apply_target_delta(&writer.publish());
+        publish_target(&session, &mut writer);
         assert_eq!(kept(Side::Source), source);
         assert!(kept(Side::Target) < target);
     }
@@ -1105,19 +1114,13 @@ mod tests {
                 &Term::iri("y:unrelated"),
                 &Term::iri("y:y"),
             );
-            session.apply_target_delta(&writer.publish());
-            let elsewhere = PublishDelta {
-                prev_epoch: 2,
-                epoch: 3,
-                predicates: vec![Term::iri("y:elsewhere")],
-                terms: vec![Term::iri("y:nobody")],
-                links: Default::default(),
-            };
+            publish_target(&session, &mut writer);
+            let (elsewhere, dict) = delta((2, 3), &["y:elsewhere"], &["y:nobody"]);
             std::thread::scope(|scope| {
                 let aligning = scope.spawn(|| session.rules_for("y:born"));
                 yago.gate.wait();
                 if disturb {
-                    session.apply_source_delta(&elsewhere);
+                    session.apply_source_delta(&elsewhere, &dict);
                 }
                 yago.gate.wait();
                 aligning.join().unwrap().unwrap();
@@ -1147,7 +1150,7 @@ mod tests {
         session.rules_for("y:born").unwrap();
         writer.store_mut().insert_terms(&s, &p, &o);
         // The first delta turns the memo on; its re-mine fills it.
-        assert_eq!(session.apply_target_delta(&writer.publish()), 1);
+        assert_eq!(publish_target(&session, &mut writer), 1);
         session.refresh_dirty().unwrap();
         let cached = session.rules_for("y:born").unwrap();
         let (filled, mines) = {
@@ -1159,11 +1162,11 @@ mod tests {
 
         let [s, p, o] = stranger("y:elsewhere");
         writer.store_mut().insert_terms(&s, &p, &o);
-        session.apply_target_delta(&writer.publish());
+        publish_target(&session, &mut writer);
         let store = writer.store_mut();
         let [s, p, o] = [s, p, o].map(|t| store.dict().lookup(&t).unwrap());
         store.remove(s, p, o);
-        session.apply_target_delta(&writer.publish());
+        publish_target(&session, &mut writer);
         let suspects = filled - session.lock().memo.len(Side::Target);
         assert_eq!(suspects, 2);
 
@@ -1193,7 +1196,6 @@ mod tests {
     #[test]
     fn a_dirty_relation_is_kept_only_if_its_rules_still_hold() {
         use crate::memo::tests::{base, store, universe, SA};
-        use sofya_endpoint::SnapshotStore;
 
         let config = AlignerConfig {
             same_as: SA.to_owned(),
@@ -1221,13 +1223,8 @@ mod tests {
                     let session = AlignmentSession::new(&source, &target, config.clone());
                     // Live from a delta nothing read; then every relation
                     // is mined with its reads whole.
-                    session.apply_target_delta(&PublishDelta {
-                        prev_epoch: 1,
-                        epoch: 1,
-                        predicates: vec![Term::iri("r:none")],
-                        terms: vec![Term::iri("e:none")],
-                        links: Default::default(),
-                    });
+                    let (nothing_read, dict) = delta((1, 1), &["r:none"], &["e:none"]);
+                    session.apply_target_delta(&nothing_read, &dict);
                     let cached = relations.map(|r| session.rules_for(r).unwrap());
                     mined_rules += cached.iter().map(Vec::len).sum::<usize>();
 
@@ -1239,9 +1236,10 @@ mod tests {
                         assert!(store.remove(s, p, o));
                     }
                     let delta = writer.publish();
+                    let dict = writer.current().snapshot().dict().clone();
                     match side {
-                        Side::Source => session.apply_source_delta(&delta),
-                        Side::Target => session.apply_target_delta(&delta),
+                        Side::Source => session.apply_source_delta(&delta, &dict),
+                        Side::Target => session.apply_target_delta(&delta, &dict),
                     };
                     let fresh = AlignmentSession::new(&source, &target, config.clone());
                     for (relation, cached) in relations.iter().zip(&cached) {

@@ -8,8 +8,10 @@
 //! last commit and writes what the new one changed since, in ids: the
 //! terms interned since, the first id explicit, and the SPO keys added
 //! and removed ([`StoreSnapshot::diff_since`], walking the pages written
-//! since). Recovery gives every term the writer's id, so the recovered
-//! dictionary is the writer's term for term and the fingerprint identical.
+//! since), the one diff a commit takes: it hands the keys back for the
+//! owner's swap to publish. Recovery gives every term the writer's id, so
+//! the recovered dictionary is the writer's term for term and the
+//! fingerprint identical.
 //!
 //! ## Protocol
 //!
@@ -18,18 +20,18 @@
 //!   returning is the ack. A commit that changed nothing writes nothing.
 //! * **Checkpoint** (every [`DurabilityConfig::checkpoint_every`]
 //!   commits): write what changed since the previous one — the terms
-//!   interned since, and the SPO keys added and removed (`diff_since`
-//!   against the snapshot retained from it) — as checksummed segments
-//!   (fsynced), stage at `MANIFEST.tmp` a manifest listing them after the
-//!   segments already listed (fsynced), atomically rename it over
-//!   `MANIFEST`, then truncate the WAL. A crash on either side of the
-//!   rename leaves a valid manifest — old (the new segment an orphan
-//!   nothing names) or new — and recovery skips every frame the manifest
-//!   already covers. The cost follows the change, not the store.
+//!   interned since, and the SPO keys added and removed, into which each
+//!   commit composes its frame (an add cancels a pending remove) — as
+//!   checksummed segments (fsynced), stage at `MANIFEST.tmp` a manifest
+//!   listing them after the segments already listed (fsynced), atomically
+//!   rename it over `MANIFEST`, then truncate the WAL. A crash on either
+//!   side of the rename leaves a valid manifest — old (the new segment an
+//!   orphan nothing names) or new — and recovery skips every frame the
+//!   manifest already covers. The cost follows the change, not the store.
 //! * **Fold**: the checkpoint instead writes every key, in SPO order, as
-//!   a fresh base listed alone (its predecessor the empty store) when
-//!   nothing is retained to diff against (`create`, the first checkpoint
-//!   after `recover`), when the deltas with the new one would hold
+//!   a fresh base listed alone (its predecessor the empty store) when no
+//!   change since the last is held (`create`, the first checkpoint after
+//!   `recover`), when the deltas with the new one would hold
 //!   `FOLD_AT_BASE_SHARE` × the base's triples, or when there would be
 //!   more than `MAX_DELTA_SEGMENTS` of them (of dictionary segments: those
 //!   are rewritten as one in the same swap). Run segments on disk stay
@@ -115,10 +117,10 @@ pub struct DurableLog {
     /// The snapshot of the last commit, which the next frame is the
     /// change from.
     committed: StoreSnapshot,
-    /// The snapshot the manifest describes (a handful of `Arc`s) for the
-    /// next checkpoint to diff against; `None` after `create` and
-    /// `recover`.
-    checkpointed: Option<StoreSnapshot>,
+    /// The change from the state the manifest describes to the last
+    /// commit, each key added (`true`) or removed, ascending, for the next
+    /// checkpoint to write; `None`, so that it folds, after `recover`.
+    pending: Option<Vec<(Key, bool)>>,
     poisoned: bool,
 }
 
@@ -152,7 +154,7 @@ impl DurableLog {
             wal_bytes: 0,
             manifest: Manifest::default(),
             committed: initial.clone(),
-            checkpointed: None,
+            pending: None,
             poisoned: false,
         };
         let fingerprint = initial.fingerprint();
@@ -182,13 +184,17 @@ impl DurableLog {
     }
 
     /// Makes what `snapshot` changed since the last commit durable as the
-    /// next epoch — one frame, one fsync — and returns the receipt. If it
-    /// interned no term and added or removed no key, nothing is written
-    /// and the receipt acks the current epoch. The caller passes the
-    /// snapshot it is about to publish, taken from the store this log was
-    /// created or recovered with; its fingerprint is sealed into the frame
-    /// and verified at recovery.
-    pub fn commit(&mut self, snapshot: &StoreSnapshot) -> Result<CommitReceipt, DurabilityError> {
+    /// next epoch — one frame, one fsync — and returns the receipt with
+    /// the keys [`StoreSnapshot::diff_since`] the last commit adds and
+    /// removes. If it interned no term and added or removed no key,
+    /// nothing is written and the receipt acks the current epoch. The
+    /// caller passes the snapshot it is about to publish, taken from the
+    /// store this log was created or recovered with; its fingerprint is
+    /// sealed into the frame and verified at recovery.
+    pub fn commit(
+        &mut self,
+        snapshot: &StoreSnapshot,
+    ) -> Result<(CommitReceipt, [Vec<Key>; 2]), DurabilityError> {
         if self.poisoned {
             return Err(DurabilityError::Poisoned);
         }
@@ -199,13 +205,14 @@ impl DurableLog {
         );
         let (adds, removes) = snapshot.diff_since(&self.committed);
         if start == end && adds.is_empty() && removes.is_empty() {
-            return Ok(CommitReceipt {
+            let receipt = CommitReceipt {
                 epoch: self.epoch,
                 fingerprint,
                 wal_bytes: 0,
                 fsync_latency: Duration::ZERO,
                 checkpointed: false,
-            });
+            };
+            return Ok((receipt, [adds, removes]));
         }
         let dict = snapshot.dict();
         let frame = Frame {
@@ -232,6 +239,9 @@ impl DurableLog {
         self.epoch = frame.epoch;
         self.committed = snapshot.clone();
         self.wal_bytes += buf.len() as u64;
+        if let Some(pending) = &mut self.pending {
+            compose(pending, &frame.adds, &frame.removes);
+        }
 
         let mut checkpointed = false;
         if self.epoch - self.manifest.epoch >= self.config.checkpoint_every {
@@ -239,27 +249,26 @@ impl DurableLog {
                 .map_err(|e| self.poison(e))?;
             checkpointed = true;
         }
-        Ok(CommitReceipt {
+        let receipt = CommitReceipt {
             epoch: self.epoch,
             fingerprint,
             wal_bytes: buf.len() as u64,
             fsync_latency,
             checkpointed,
-        })
+        };
+        Ok((receipt, [frame.adds, frame.removes]))
     }
 
-    /// What `snapshot` adds to and removes from the retained one, or
-    /// `None` when the checkpoint has to fold.
-    fn delta_since_checkpoint(&self, snapshot: &StoreSnapshot) -> Option<(Vec<Key>, Vec<Key>)> {
-        let (older, base) = (self.checkpointed.as_ref()?, self.manifest.runs.first()?);
-        if self.manifest.runs.len() > MAX_DELTA_SEGMENTS {
-            return None; // known without walking the runs
-        }
-        let delta = snapshot.diff_since(older);
+    /// The keys added and removed since the last checkpoint, or `None`
+    /// when the checkpoint has to fold.
+    fn delta_since_checkpoint(&self) -> Option<(Vec<Key>, Vec<Key>)> {
+        let (pending, base) = (self.pending.as_ref()?, self.manifest.runs.first()?);
         let deltas = self.manifest.runs.iter().skip(1);
-        let delta_triples = deltas.map(|seg| seg.adds + seg.removes).sum::<u64>()
-            + (delta.0.len() + delta.1.len()) as u64;
-        (delta_triples < FOLD_AT_BASE_SHARE * base.adds).then_some(delta)
+        let delta_triples = deltas.map(|seg| seg.adds + seg.removes).sum::<u64>();
+        let fold = self.manifest.runs.len() > MAX_DELTA_SEGMENTS
+            || delta_triples + pending.len() as u64 >= FOLD_AT_BASE_SHARE * base.adds;
+        let keys = |add: bool| pending.iter().filter(|c| c.1 == add).map(|c| c.0).collect();
+        (!fold).then(|| (keys(true), keys(false)))
     }
 
     /// Writes segments + manifest for `snapshot` and truncates the WAL.
@@ -274,7 +283,7 @@ impl DurableLog {
 
         // Runs: the change since the previous checkpoint after the
         // segments listed, or — a fold — every key, in SPO order, alone.
-        let delta = self.delta_since_checkpoint(snapshot);
+        let delta = self.delta_since_checkpoint();
         let fold = delta.is_none();
         let mut runs = Vec::new();
         if !fold {
@@ -343,7 +352,7 @@ impl DurableLog {
                 let _ = io.remove(name);
             }
         }
-        self.checkpointed = Some(snapshot.clone());
+        self.pending = Some(Vec::new());
         self.wal_bytes = 0;
         Ok(())
     }
@@ -468,10 +477,26 @@ impl DurableLog {
             wal_bytes: cut as u64,
             manifest,
             committed: store.snapshot(),
-            checkpointed: None,
+            pending: None,
             poisoned: false,
         };
         Ok((log, store))
+    }
+}
+
+/// Composes `pending`, a net change, with the next, `adds` and `removes`,
+/// all ascending: a stable sort merges the three runs, and a key both
+/// name cancels, an add undoing a pending remove or a remove an add.
+fn compose(pending: &mut Vec<(Key, bool)>, adds: &[Key], removes: &[Key]) {
+    pending.extend(adds.iter().map(|&key| (key, true)));
+    pending.extend(removes.iter().map(|&key| (key, false)));
+    pending.sort_by_key(|&(key, _)| key);
+    for change in std::mem::take(pending) {
+        if pending.last().is_some_and(|last| last.0 == change.0) {
+            pending.pop();
+        } else {
+            pending.push(change);
+        }
     }
 }
 
@@ -576,7 +601,7 @@ mod tests {
 
         fn publish(&mut self) -> CommitReceipt {
             let snapshot = self.store.snapshot();
-            self.log.commit(&snapshot).unwrap()
+            self.log.commit(&snapshot).unwrap().0
         }
 
         /// The store's contents in terms, as a set.
@@ -1151,7 +1176,7 @@ mod tests {
             for i in 0..publishes {
                 store.insert_terms(&Term::iri(format!("e:s{i}")), &p, &o);
                 match log.commit(&store.snapshot()) {
-                    Ok(receipt) => acked.push((receipt.epoch, receipt.fingerprint)),
+                    Ok((receipt, _)) => acked.push((receipt.epoch, receipt.fingerprint)),
                     Err(_) => break,
                 }
             }
@@ -1190,6 +1215,206 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    // ------------------------------------ checkpoints built from frames
+
+    /// The keys of the run segment `seg` names: its adds and removes.
+    fn run_keys(io: &MemIo, seg: &RunsSegment) -> (Vec<Key>, Vec<Key>) {
+        let payload = read_segment(io, &seg.name, SegmentKind::Runs).unwrap();
+        let mut reader = ByteReader::new(&payload);
+        let adds = codec::decode_triples(&mut reader).unwrap();
+        (adds, codec::decode_triples(&mut reader).unwrap())
+    }
+
+    /// What [`Checked`] saw: checkpoints written as deltas and as folds,
+    /// deltas in which a frame's change cancelled an earlier one's, and
+    /// folds that were the first checkpoint after a recovery.
+    #[derive(Debug, Default)]
+    struct Seen {
+        deltas: usize,
+        folds: usize,
+        cancelled: usize,
+        recovered_folds: usize,
+    }
+
+    /// A writer that checks every checkpoint's run segment against its
+    /// definition as it goes: a delta is `diff_since` the snapshot of the
+    /// previous checkpoint, a fold is every key, and which of the two it
+    /// is follows the fold rule, a recovery's first checkpoint folding.
+    struct Checked {
+        io: Arc<MemIo>,
+        writer: Writer,
+        config: DurabilityConfig,
+        /// The snapshot of the last checkpoint; `None` after a recovery.
+        checkpointed: Option<StoreSnapshot>,
+        /// Keys the frames since the last checkpoint added and removed.
+        framed: usize,
+        seen: Seen,
+    }
+
+    impl Checked {
+        fn create(config: DurabilityConfig) -> Self {
+            let io = mem();
+            let mut writer = Writer::create(io.clone(), config.clone());
+            let checkpointed = Some(writer.store.snapshot());
+            Self {
+                io,
+                writer,
+                config,
+                checkpointed,
+                framed: 0,
+                seen: Seen::default(),
+            }
+        }
+
+        fn publish(&mut self, context: &str) {
+            let before = manifest_of(&self.io);
+            let snapshot = self.writer.store.snapshot();
+            let (receipt, [adds, removes]) = self.writer.log.commit(&snapshot).unwrap();
+            self.framed += adds.len() + removes.len();
+            if !receipt.checkpointed {
+                return;
+            }
+            let after = manifest_of(&self.io);
+            let written = run_keys(&self.io, after.runs.last().unwrap());
+            let diff = (self.checkpointed.as_ref()).map(|older| snapshot.diff_since(older));
+            let fold = diff.as_ref().is_none_or(|(adds, removes)| {
+                before.runs.len() > MAX_DELTA_SEGMENTS
+                    || delta_triples(&before) + (adds.len() + removes.len()) as u64
+                        >= FOLD_AT_BASE_SHARE * before.runs[0].adds
+            });
+            if fold {
+                let every = snapshot.iter().map(|t| (t.s.0, t.p.0, t.o.0)).collect();
+                assert_eq!(
+                    after.runs.len(),
+                    1,
+                    "{context}: a fold lists its base alone"
+                );
+                assert_eq!(
+                    written,
+                    (every, Vec::new()),
+                    "{context}: a fold is every key"
+                );
+                self.seen.folds += 1;
+                self.seen.recovered_folds += usize::from(diff.is_none());
+            } else {
+                assert_eq!(after.runs.len(), before.runs.len() + 1, "{context}");
+                let diff = diff.unwrap();
+                assert_eq!(
+                    written, diff,
+                    "{context}: a delta is the diff since the last"
+                );
+                self.seen.deltas += 1;
+                self.seen.cancelled += usize::from(diff.0.len() + diff.1.len() < self.framed);
+            }
+            self.checkpointed = Some(snapshot);
+            self.framed = 0;
+        }
+
+        /// Crashes the directory and carries on with what recovers.
+        fn recover(&mut self) {
+            let copy = crashed_copy(&self.io);
+            self.writer = Writer::recover(copy.clone(), self.config.clone());
+            self.io = copy;
+            self.checkpointed = None;
+            self.framed = 0;
+        }
+
+        /// A recovery from the crashed directory is the writer,
+        /// dictionary included term for term.
+        fn check_recovery(&mut self, context: &str) {
+            let mut recovered = Writer::recover(crashed_copy(&self.io), self.config.clone());
+            let writer = &mut self.writer;
+            assert_eq!(recovered.log.epoch(), writer.log.epoch(), "{context}");
+            assert_eq!(recovered.fingerprint(), writer.fingerprint(), "{context}");
+            assert_eq!(recovered.triples(), writer.triples(), "{context}");
+            assert_eq!(recovered.terms(), writer.terms(), "{context}");
+        }
+    }
+
+    /// Small scope, every case: every sequence of four publishes, each of
+    /// a change to three keys — any of them toggled, none (a publish that
+    /// commits nothing) or all — from a fresh directory and from one that
+    /// holds eight keys, checkpointing every second and every third
+    /// commit, with and without a recovery after the second publish. The
+    /// windows hold a key added and then removed and one removed and then
+    /// re-added; the fresh directory's small base folds by size.
+    #[test]
+    fn every_checkpoint_written_from_frames_is_the_diff_it_replaces() {
+        let mut seen = Seen::default();
+        for every in [2, 3] {
+            let config = DurabilityConfig {
+                checkpoint_every: every,
+            };
+            for base in [0, 8] {
+                for recover in [false, true] {
+                    for code in 0..8usize.pow(4) {
+                        let masks = [0, 1, 2, 3].map(|i| (code >> (3 * i)) & 7);
+                        let context = format!("every {every}, base {base}, {masks:?}");
+                        let mut checked = Checked::create(config.clone());
+                        if base > 0 {
+                            checked
+                                .writer
+                                .batch(&(0..base).map(tiny).collect::<Vec<_>>());
+                            checked.publish(&context);
+                        }
+                        for (at, mask) in masks.into_iter().enumerate() {
+                            for key in (0..3).filter(|key| mask >> key & 1 == 1) {
+                                let (s, p, o) = tiny(key);
+                                if !checked.writer.store.insert_terms(&s, &p, &o) {
+                                    checked.writer.remove(&s, &p, &o);
+                                }
+                            }
+                            checked.publish(&context);
+                            if recover && at == 1 {
+                                checked.recover();
+                            }
+                        }
+                        checked.check_recovery(&context);
+                        seen.deltas += checked.seen.deltas;
+                        seen.folds += checked.seen.folds;
+                        seen.cancelled += checked.seen.cancelled;
+                        seen.recovered_folds += checked.seen.recovered_folds;
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.deltas > 1000
+                && seen.folds > 1000
+                && seen.cancelled > 100
+                && seen.recovered_folds > 100,
+            "{seen:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The same, over random scripts of inserts, removes, publishes
+        /// and recoveries on twelve keys, at every cadence up to four.
+        #[test]
+        fn random_checkpoints_from_frames_are_the_diffs_they_replace(
+            script in proptest::collection::vec((0u8..10, 0usize..12), 1..60),
+            every in 1u64..5,
+        ) {
+            let mut checked = Checked::create(DurabilityConfig {
+                checkpoint_every: every,
+            });
+            for (step, &(op, i)) in script.iter().enumerate() {
+                let (s, p, o) = numbered(i);
+                let context = format!("every {every}, step {step} of {script:?}");
+                match op {
+                    0..=2 => checked.writer.insert(&s, &p, &o),
+                    3..=5 => checked.writer.remove(&s, &p, &o),
+                    6..=8 => checked.publish(&context),
+                    _ => checked.recover(),
+                }
+            }
+            checked.publish("the last publish");
+            checked.check_recovery(&format!("every {every}, {script:?}"));
         }
     }
 

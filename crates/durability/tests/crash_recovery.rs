@@ -69,7 +69,7 @@ impl Writer {
 
     fn publish(&mut self) -> Result<CommitReceipt, DurabilityError> {
         let snapshot = self.store.snapshot();
-        self.log.commit(&snapshot)
+        self.log.commit(&snapshot).map(|(receipt, _)| receipt)
     }
 
     fn fingerprint(&mut self) -> u64 {

@@ -230,34 +230,42 @@ impl SnapshotStore {
     ///
     /// This is [`SnapshotStore::publish`] split in two, for callers that
     /// must act between snapshotting and the visibility swap — the
-    /// durable store commits its write-ahead log against the snapshot
-    /// first, so readers never observe state that a crash could lose.
+    /// durable store commits its write-ahead log first, so readers never
+    /// observe state that a crash could lose.
     ///
     /// What `snapshot` changed is [`StoreSnapshot::diff_since`] the
     /// published one, which costs the pages written in between: its
     /// predicates are the pages the new state's statistics recompute, and
-    /// with the subject/object terms of the changed triples they make the
-    /// returned [`PublishDelta`], which is appended to the delta ring. Its
-    /// [`PublishDelta::links`] are not read here: the delta holds the new
-    /// snapshot weakly and reads them if a subscriber asks. The
-    /// change is net, so writes that cancel out within one publish show
-    /// nowhere, and a write landing after `snapshot` was taken belongs to
-    /// the next publish.
+    /// with the subject/object ids of the changed triples they make the
+    /// returned [`PublishDelta`], which is appended to the delta ring,
+    /// resolving nothing. Its [`PublishDelta::links`] are not read here:
+    /// the delta holds the new snapshot weakly and reads them if a
+    /// subscriber asks. The change is net, so writes that cancel out
+    /// within one publish show nowhere, and a write landing after
+    /// `snapshot` was taken belongs to the next publish.
     pub fn install(&mut self, snapshot: StoreSnapshot) -> Arc<PublishDelta> {
+        let (adds, removes) = snapshot.diff_since(self.current().snapshot());
+        self.install_change(snapshot, &adds, &removes)
+    }
+
+    /// [`SnapshotStore::install`] with its diff known: the durable
+    /// store's log has just framed it.
+    pub(crate) fn install_change(
+        &mut self,
+        snapshot: StoreSnapshot,
+        adds: &[(u32, u32, u32)],
+        removes: &[(u32, u32, u32)],
+    ) -> Arc<PublishDelta> {
         let outgoing = self.current();
-        let (adds, removes) = snapshot.diff_since(outgoing.snapshot());
-        let changed = || adds.iter().chain(&removes);
+        let changed = || adds.iter().chain(removes);
         let predicates = ascending(changed().map(|&(_, p, _)| p));
-        let terms = ascending(changed().flat_map(|&(s, _, o)| [s, o]));
         let published = Arc::new(outgoing.succeeded_by(snapshot, &predicates));
-        let dict = published.snapshot().dict();
-        let resolve = |ids: &[TermId]| ids.iter().map(|&id| dict.resolve(id).clone()).collect();
         let delta = Arc::new(PublishDelta {
             prev_epoch: outgoing.version(),
             epoch: published.version(),
-            predicates: resolve(&predicates),
-            terms: resolve(&terms),
-            links: DeltaLinks::new(&published, terms, predicates),
+            predicates,
+            terms: ascending(changed().flat_map(|&(s, _, o)| [s, o])),
+            links: DeltaLinks::new(&published),
         });
         self.cell.swap(published);
         self.deltas.push(Arc::clone(&delta));
@@ -771,6 +779,13 @@ mod tests {
         assert_eq!(ep.select("SELECT ?o { <e:a> <r:p> ?o }").unwrap().len(), 3);
     }
 
+    /// The terms `ids` name in the writer's published dictionary.
+    fn resolved(writer: &SnapshotStore, ids: &[TermId]) -> Vec<Term> {
+        let published = writer.current();
+        let dict = published.snapshot().dict();
+        ids.iter().map(|&id| dict.resolve(id).clone()).collect()
+    }
+
     /// The delta feed reports exactly the predicates/terms touched since
     /// the previous epoch, and the ring replays a lagging subscriber's
     /// gap in order.
@@ -784,8 +799,11 @@ mod tests {
             .insert_terms(&Term::iri("e:x"), &Term::iri("r:q"), &Term::iri("e:y"));
         let d1 = writer.publish();
         assert_eq!(d1.prev_epoch, base_epoch);
-        assert_eq!(d1.predicates, vec![Term::iri("r:q")]);
-        assert_eq!(d1.terms, vec![Term::iri("e:x"), Term::iri("e:y")]);
+        assert_eq!(resolved(&writer, &d1.predicates), vec![Term::iri("r:q")]);
+        assert_eq!(
+            resolved(&writer, &d1.terms),
+            vec![Term::iri("e:x"), Term::iri("e:y")]
+        );
 
         // A removal names the same predicate and terms.
         {
@@ -826,14 +844,23 @@ mod tests {
         store.insert_terms(&Term::iri("e:z"), &Term::iri("r:z"), &Term::iri("e:w"));
 
         let installed = writer.install(snapshot);
-        assert_eq!(installed.predicates, vec![Term::iri("r:q")]);
-        assert_eq!(installed.terms, vec![Term::iri("e:x"), Term::iri("e:y")]);
+        assert_eq!(
+            resolved(&writer, &installed.predicates),
+            vec![Term::iri("r:q")]
+        );
+        assert_eq!(
+            resolved(&writer, &installed.terms),
+            vec![Term::iri("e:x"), Term::iri("e:y")]
+        );
         assert_eq!(ep.select("SELECT ?s { ?s ?p ?o }").unwrap().len(), 3);
 
         let next = writer.publish();
         assert_eq!(next.prev_epoch, installed.epoch);
-        assert_eq!(next.predicates, vec![Term::iri("r:z")]);
-        assert_eq!(next.terms, vec![Term::iri("e:z"), Term::iri("e:w")]);
+        assert_eq!(resolved(&writer, &next.predicates), vec![Term::iri("r:z")]);
+        assert_eq!(
+            resolved(&writer, &next.terms),
+            vec![Term::iri("e:z"), Term::iri("e:w")]
+        );
         assert_eq!(ep.select("SELECT ?s { ?s ?p ?o }").unwrap().len(), 4);
     }
 

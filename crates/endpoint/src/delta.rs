@@ -2,16 +2,17 @@
 //!
 //! Every [`crate::SnapshotStore::publish`] learns what it changed from
 //! the one definition of it, [`sofya_rdf::StoreSnapshot::diff_since`] the
-//! outgoing snapshot, which costs the pages written in between, and
-//! resolves it into a [`PublishDelta`]: the new epoch, the predicates of
-//! the triples added or removed, and their subject/object terms. The
-//! change is net: writes that cancel within one publish show nowhere.
-//! With them it carries the [`DeltaLinks`] of its terms: which other
-//! predicates the triples it left as they were give each term, read
-//! only when a subscriber first asks. Subscribers (the incremental
-//! alignment session, external change consumers) use it to decide
-//! *which* cached work a publish actually invalidated, instead of
-//! discarding everything.
+//! outgoing snapshot (a durable publish takes it from its log's commit),
+//! and keeps it as a [`PublishDelta`]: the new epoch, the predicates of
+//! the triples added or removed, and their subject/object terms, as ids.
+//! A subscriber reads those in the dictionary of any snapshot of the same
+//! writer at or after the delta's epoch, as ids only grow; the delta holds
+//! no dictionary and no strong reference to a snapshot, which would pin
+//! what the writer frees. The change is net: writes that cancel within
+//! one publish show nowhere. With them it carries the [`DeltaLinks`] of
+//! its terms, read only when a subscriber first asks. Subscribers (the
+//! incremental alignment session, external change consumers) use it to
+//! decide *which* cached work a publish invalidated.
 //!
 //! A [`DeltaLog`] ring retains the last K deltas so a subscriber that
 //! missed some publishes can catch up by replaying the gap; if the gap
@@ -21,7 +22,7 @@
 
 use crate::concurrent::PublishedSnapshot;
 use parking_lot::Mutex;
-use sofya_rdf::{Term, TermId};
+use sofya_rdf::TermId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -40,12 +41,10 @@ pub struct PublishDelta {
     pub prev_epoch: u64,
     /// The epoch readers see after this publish.
     pub epoch: u64,
-    /// Predicates of the triples added or removed, ascending by
-    /// dictionary id.
-    pub predicates: Vec<Term>,
-    /// Subject/object terms of the triples added or removed, ascending by
-    /// dictionary id.
-    pub terms: Vec<Term>,
+    /// Predicates of the triples added or removed, ascending.
+    pub predicates: Vec<TermId>,
+    /// Subject/object terms of the triples added or removed, ascending.
+    pub terms: Vec<TermId>,
     /// What the triples the publish left as they were say of `terms`;
     /// see [`PublishDelta::links`]. A delta built by hand has none:
     /// `DeltaLinks::default()`.
@@ -75,7 +74,7 @@ impl PublishDelta {
     pub fn links(&self) -> Option<&Links> {
         self.links
             .read
-            .get_or_init(|| self.links.read_off())
+            .get_or_init(|| self.links.read_off(&self.terms, &self.predicates))
             .as_ref()
     }
 
@@ -96,9 +95,9 @@ impl PublishDelta {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Links {
     /// Predicates of unchanged triples whose subject is a delta term.
-    pub subject: Vec<Term>,
+    pub subject: Vec<TermId>,
     /// Predicates of unchanged triples whose object is a delta term.
-    pub object: Vec<Term>,
+    pub object: Vec<TermId>,
 }
 
 /// Where a delta's [`Links`] come from, and once read, what they are.
@@ -108,38 +107,24 @@ pub struct Links {
 #[derive(Debug, Clone, Default)]
 pub struct DeltaLinks {
     published: Weak<PublishedSnapshot>,
-    /// The delta's terms and predicates, as ids of that snapshot, each
-    /// ascending.
-    terms: Vec<TermId>,
-    predicates: Vec<TermId>,
     read: OnceLock<Option<Links>>,
 }
 
 impl DeltaLinks {
-    /// The links of `terms` in `published`, outside `predicates`, read
-    /// on first use.
-    pub(crate) fn new(
-        published: &Arc<PublishedSnapshot>,
-        terms: Vec<TermId>,
-        predicates: Vec<TermId>,
-    ) -> Self {
+    /// The links of the delta that published `published`.
+    pub(crate) fn new(published: &Arc<PublishedSnapshot>) -> Self {
         Self {
             published: Arc::downgrade(published),
-            terms,
-            predicates,
             read: OnceLock::new(),
         }
     }
 
-    /// One walk of the snapshot's subject and object indexes.
-    fn read_off(&self) -> Option<Links> {
+    /// One walk of the snapshot's indexes for `terms`, outside `predicates`.
+    fn read_off(&self, terms: &[TermId], predicates: &[TermId]) -> Option<Links> {
         let published = self.published.upgrade()?;
-        let snapshot = published.snapshot();
-        let [subject, object] = snapshot.predicates_touching(&self.terms).map(|predicates| {
-            (predicates.into_iter())
-                .filter(|p| self.predicates.binary_search(p).is_err())
-                .map(|p| snapshot.dict().resolve(p).clone())
-                .collect()
+        let [subject, object] = (published.snapshot().predicates_touching(terms)).map(|mut ps| {
+            ps.retain(|p| predicates.binary_search(p).is_err());
+            ps
         });
         Some(Links { subject, object })
     }
@@ -309,8 +294,8 @@ mod tests {
         Arc::new(PublishDelta {
             prev_epoch: prev,
             epoch,
-            predicates: vec![Term::iri(format!("p{epoch}"))],
-            terms: vec![Term::iri(format!("e{epoch}"))],
+            predicates: vec![TermId(2 * epoch as u32)],
+            terms: vec![TermId(2 * epoch as u32 + 1)],
             links: DeltaLinks::default(),
         })
     }
@@ -375,6 +360,7 @@ mod tests {
     /// before anyone asked has none, and so has one built by hand.
     #[test]
     fn links_come_from_the_snapshot_the_delta_published() {
+        use sofya_rdf::Term;
         let mut store = sofya_rdf::TripleStore::new();
         for (s, p, o) in [("e", "r", "o"), ("e", "sa", "e2"), ("x", "q", "e")] {
             store.insert_terms(&Term::iri(s), &Term::iri(p), &Term::iri(o));
@@ -389,15 +375,15 @@ mod tests {
             }
             (writer.publish(), writer.current())
         };
-        let (unlinked, _first) = toggle(("e", "r", "o"));
+        let (unlinked, first) = toggle(("e", "r", "o"));
         let (delinked, _) = toggle(("e", "sa", "e2"));
-        let [sa, q] = ["sa", "q"].map(Term::iri);
-        let links = |subject: &[&Term], object: &[&Term]| Links {
-            subject: subject.iter().map(|&t| t.clone()).collect(),
-            object: object.iter().map(|&t| t.clone()).collect(),
+        let [sa, q] = ["sa", "q"].map(|p| first.snapshot().dict().lookup_iri(p).unwrap());
+        let links = |subject: &[TermId], object: &[TermId]| Links {
+            subject: subject.to_vec(),
+            object: object.to_vec(),
         };
-        assert_eq!(unlinked.links(), Some(&links(&[&sa], &[&q])));
-        assert_eq!(delinked.links(), Some(&links(&[], &[&q])));
+        assert_eq!(unlinked.links(), Some(&links(&[sa], &[q])));
+        assert_eq!(delinked.links(), Some(&links(&[], &[q])));
         // The next publish retires this delta's snapshot, unread.
         let (relinked, _) = toggle(("e", "sa", "e2"));
         toggle(("y", "r", "o"));

@@ -132,16 +132,19 @@ impl DurableStore {
     }
 
     /// Durably publishes the writer's state: snapshot, WAL commit of what
-    /// it changed (the fsync is the ack), then the visibility swap. A
-    /// commit that wrote nothing swaps nothing and records no fsync:
-    /// readers keep the same snapshot `Arc`, statistics and epoch. On a
-    /// commit error nothing is swapped — readers keep the previous epoch
-    /// and the log is poisoned until [`DurableStore::recover`].
+    /// it changed (the fsync is the ack), then the visibility swap. The
+    /// commit diffs the snapshot once and hands back the keys it framed,
+    /// which are what the swap's delta is made of: the last commit is the
+    /// published state. A commit that wrote nothing swaps nothing and
+    /// records no fsync: readers keep the same snapshot `Arc`, statistics
+    /// and epoch. On a commit error nothing is swapped — readers keep the
+    /// previous epoch and the log is poisoned until
+    /// [`DurableStore::recover`].
     pub fn publish(&mut self) -> Result<CommitReceipt, DurabilityError> {
         let snapshot = self.store.store_mut().snapshot();
-        let receipt = self.log.commit(&snapshot)?;
+        let (receipt, [adds, removes]) = self.log.commit(&snapshot)?;
         if receipt.wal_bytes > 0 {
-            self.store.install(snapshot);
+            self.store.install_change(snapshot, &adds, &removes);
             self.gauge.on_commit(&receipt);
         }
         Ok(receipt)
@@ -177,6 +180,7 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::CatchUp;
     use crate::endpoint::EndpointExt;
     use sofya_durability::MemIo;
 
@@ -305,6 +309,74 @@ mod tests {
         }
         assert_eq!(durable.gauge().fsync_p99_ns(), p99);
         assert_eq!(durable.gauge().durable_epoch(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A durable publish installs the keys its commit framed, without
+        /// a diff of its own: over random loads, removes, inserts and
+        /// publishes — some with nothing to commit, as a remove and
+        /// re-insert of one triple — the delta it pushes equals, links
+        /// included, the one a plain `install` of the same snapshot
+        /// computes on a shadow store given the same writes. A publish
+        /// that commits nothing pushes nothing and keeps the readers'
+        /// snapshot.
+        #[test]
+        fn a_durable_publish_delta_is_a_plain_installs(
+            script in proptest::collection::vec((0u8..6, 0usize..16), 1..40),
+        ) {
+            let io: Arc<dyn StorageIo> = Arc::new(MemIo::new());
+            let config = DurabilityConfig { checkpoint_every: 2 };
+            let mut durable = DurableStore::create(io, config).unwrap();
+            let mut shadow = SnapshotStore::new(TripleStore::new());
+            let log = durable.store.delta_log();
+            let key = |i: usize| {
+                let s = Term::iri(format!("e:s{}", i % 5));
+                (s, Term::iri(format!("e:p{}", i % 3)), Term::integer(i as i64 / 2))
+            };
+            for (step, &(op, i)) in script.iter().enumerate() {
+                let (s, p, o) = key(i);
+                let write = |store: &mut TripleStore| match op {
+                    0 => {
+                        let batch: Vec<_> = (i..i + 3).map(key).collect();
+                        store.load_batch_terms(batch.iter().map(|(s, p, o)| (s, p, o)));
+                    }
+                    1 => {
+                        store.insert_terms(&s, &p, &o);
+                    }
+                    // A remove; or a remove and re-insert, which nets nothing.
+                    _ => {
+                        let present = !store.insert_terms(&s, &p, &o);
+                        let [s, p, o] = [&s, &p, &o].map(|t| store.dict().lookup(t).unwrap());
+                        store.remove(s, p, o);
+                        if op == 3 && present {
+                            store.insert(s, p, o);
+                        }
+                    }
+                };
+                if op < 4 {
+                    write(durable.store.store_mut());
+                    write(shadow.store_mut());
+                    continue;
+                }
+                let (before, latest) = (durable.current(), log.latest_epoch());
+                let receipt = durable.publish().unwrap();
+                if receipt.wal_bytes == 0 {
+                    proptest::prop_assert!(Arc::ptr_eq(&before, &durable.current()));
+                    proptest::prop_assert_eq!(log.latest_epoch(), latest);
+                    continue;
+                }
+                let snapshot = shadow.store_mut().snapshot();
+                let installed = shadow.install(snapshot);
+                let CatchUp::Deltas(logged) = log.deltas_since(latest) else {
+                    panic!("step {step}: the publish pushed no delta");
+                };
+                proptest::prop_assert_eq!(logged.len(), 1);
+                proptest::prop_assert_eq!(&*logged[0], &*installed, "step {}", step);
+                proptest::prop_assert_eq!(logged[0].links(), installed.links());
+            }
+        }
     }
 
     /// Modelled on `concurrent.rs::noop_publish_keeps_snapshot_epoch_and_plans`:

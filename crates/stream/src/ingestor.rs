@@ -301,7 +301,14 @@ impl IngestSink for SharedIngestor {
 mod tests {
     use super::*;
     use sofya_endpoint::EndpointExt;
-    use sofya_rdf::TripleStore;
+    use sofya_rdf::{TermId, TripleStore};
+
+    /// The terms `ids` name in the ingestor's published dictionary.
+    fn resolved(ing: &StreamIngestor, ids: &[TermId]) -> Vec<Term> {
+        let published = ing.reader("kb").current();
+        let dict = published.snapshot().dict();
+        ids.iter().map(|&id| dict.resolve(id).clone()).collect()
+    }
 
     fn triple(i: usize) -> (Term, Term, Term) {
         (
@@ -336,7 +343,7 @@ mod tests {
         assert!(!delta.is_noop());
         assert_eq!(ing.buffered(), 0);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 3);
-        assert_eq!(delta.predicates, vec![Term::iri("r:p")]);
+        assert_eq!(resolved(&ing, &delta.predicates), vec![Term::iri("r:p")]);
         assert_eq!(delta.terms.len(), 6);
     }
 
@@ -383,7 +390,7 @@ mod tests {
         let reader = ing.reader("kb");
         let (s, p, o) = triple(0);
         let d1 = ing.offer(s, p, o).expect("publish_count=1 publishes");
-        assert_eq!(d1.predicates, vec![Term::iri("r:p")]);
+        assert_eq!(resolved(&ing, &d1.predicates), vec![Term::iri("r:p")]);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 1);
         assert_eq!(ing.live_in_window(), 1);
 
@@ -391,15 +398,18 @@ mod tests {
         // second: the delta names the terms of both.
         let (s, p, o) = triple(1);
         let d2 = ing.offer(s, p, o).expect("publish");
-        assert_eq!(d2.predicates, vec![Term::iri("r:p")]);
+        assert_eq!(resolved(&ing, &d2.predicates), vec![Term::iri("r:p")]);
         let [s0, o0, s1, o1] = ["e:s0", "e:o0", "e:s1", "e:o1"].map(Term::iri);
-        assert_eq!(d2.terms, vec![s0, o0, s1.clone(), o1.clone()]);
+        assert_eq!(
+            resolved(&ing, &d2.terms),
+            vec![s0, o0, s1.clone(), o1.clone()]
+        );
         let rows = reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap();
         assert_eq!(rows.len(), 1, "window holds only the newest triple");
 
         // Draining the window entirely via tick: the last triple expires.
         let d3 = ing.tick().expect("expiry is due");
-        assert_eq!(d3.terms, vec![s1, o1]);
+        assert_eq!(resolved(&ing, &d3.terms), vec![s1, o1]);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 0);
         assert_eq!(ing.live_in_window(), 0);
         assert!(ing.tick().is_none(), "nothing left to expire");
@@ -426,7 +436,7 @@ mod tests {
         assert!(ing.tick().is_none(), "4s < 5s interval: not due");
         clock.advance(Duration::from_secs(1));
         let d = ing.tick().expect("5s elapsed: time trigger fires");
-        assert_eq!(d.predicates, vec![Term::iri("r:p")]);
+        assert_eq!(resolved(&ing, &d.predicates), vec![Term::iri("r:p")]);
         assert_eq!(reader.select("SELECT ?s { ?s <r:p> ?o }").unwrap().len(), 1);
 
         // The published triple was stamped at t=5s; a 60s window expires
@@ -477,7 +487,7 @@ mod tests {
         assert!(present(&s));
         clock.advance(Duration::from_secs(50)); // t = 111 s
         let expiry = ing.tick().expect("60 s after the latest arrival");
-        assert_eq!(expiry.terms, vec![s.clone(), o]);
+        assert_eq!(resolved(&ing, &expiry.terms), vec![s.clone(), o]);
         assert!(!present(&s));
         assert!(present(&bs));
         assert_eq!(ing.live_in_window(), 0);

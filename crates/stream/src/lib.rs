@@ -11,7 +11,7 @@
 //!    micro-batched (count / time / capacity publish triggers) into a
 //!    [`sofya_endpoint::SnapshotStore`], optionally under a sliding
 //!    window that expires old triples on publish. Every publish yields
-//!    a [`sofya_endpoint::PublishDelta`] — the diff of two snapshots,
+//!    a [`sofya_endpoint::PublishDelta`] — the diff of two snapshots, in ids,
 //!    costing the pages written — retained in a ring for subscribers.
 //!    [`SharedIngestor`] adapts it to the network tier's
 //!    [`sofya_net::IngestSink`], so `POST /ingest` feeds the same

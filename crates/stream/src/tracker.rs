@@ -8,9 +8,10 @@
 //!
 //! * **up to date** — nothing to do;
 //! * **replayable gap** — each missed [`sofya_endpoint::PublishDelta`]
-//!   is applied in
-//!   order, marking dirty exactly the cached relations whose evidence
-//!   footprints intersect it;
+//!   is applied in order, its ids read in the dictionary of the snapshot
+//!   current after the deltas were taken (a publish swaps its snapshot in
+//!   before it pushes its delta), marking dirty exactly the cached
+//!   relations whose evidence footprints intersect it;
 //! * **evicted gap** — the ring no longer covers the subscriber's
 //!   epoch, so footprint-based dirtiness cannot be decided: the session
 //!   drops every cached alignment ([`AlignmentSession::invalidate_all`])
@@ -24,7 +25,7 @@
 //! recovery.
 
 use sofya_core::AlignmentSession;
-use sofya_endpoint::{CatchUp, DeltaLog, FreshnessGauge, SnapshotStore};
+use sofya_endpoint::{CatchUp, ConcurrentEndpoint, DeltaLog, FreshnessGauge, SnapshotStore};
 use std::sync::Arc;
 
 /// Which side of an [`AlignmentSession`] a store feeds: the source KB
@@ -55,6 +56,8 @@ pub struct SyncOutcome {
 /// [`KbSide`] — each pacing its own store's delta ring.
 pub struct FreshnessTracker {
     log: Arc<DeltaLog>,
+    /// The store's published state, whose dictionary reads the deltas.
+    published: ConcurrentEndpoint,
     gauge: Arc<FreshnessGauge>,
     side: KbSide,
     last_applied: u64,
@@ -69,6 +72,7 @@ impl FreshnessTracker {
         let epoch = store.current().version();
         Self {
             log: store.delta_log(),
+            published: store.reader("tracker"),
             gauge: store.freshness(),
             side,
             last_applied: epoch,
@@ -93,10 +97,12 @@ impl FreshnessTracker {
         match self.log.deltas_since(self.last_applied) {
             CatchUp::UpToDate => {}
             CatchUp::Deltas(deltas) => {
+                let current = self.published.current();
+                let dict = current.snapshot().dict();
                 for delta in &deltas {
                     outcome.newly_dirty += match self.side {
-                        KbSide::Source => session.apply_source_delta(delta),
-                        KbSide::Target => session.apply_target_delta(delta),
+                        KbSide::Source => session.apply_source_delta(delta, dict),
+                        KbSide::Target => session.apply_target_delta(delta, dict),
                     };
                     self.last_applied = delta.epoch;
                 }

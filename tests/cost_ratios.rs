@@ -39,7 +39,7 @@ use sofya::endpoint::{
 use sofya::kbgen::{generate, GeneratedPair, PairConfig};
 use sofya::net::wire::{parse_envelope, write_envelope};
 use sofya::net::{execute_wire_budgeted, Json, WireRequest};
-use sofya::rdf::{StoreSnapshot, StoreStats, Term, TermId, TripleStore};
+use sofya::rdf::{Dict, StoreSnapshot, StoreStats, Term, TermId, TripleStore};
 use sofya::sparql::{
     compile_with_options, execute_compiled_paged_budgeted, PlanOptions, Prepared, QueryBudget,
 };
@@ -428,16 +428,30 @@ fn a_publish_costs_its_readers_what_it_wrote() {
     );
 
     // A delta of 512 terms no footprint holds: every cached relation is
-    // asked, none is marked, so each call does the same work.
+    // asked, none is marked, so each call does the same work. Its ids
+    // are those of a dictionary that holds its terms.
+    let mut dict = Dict::new();
     let delta = PublishDelta {
         prev_epoch: 1,
         epoch: 2,
-        predicates: vec![Term::iri("perf:unread")],
+        predicates: vec![dict.intern(&Term::iri("perf:unread"))],
         terms: (0..512)
-            .map(|i| Term::iri(format!("http://perf.example/resource/entity{i}")))
+            .map(|i| {
+                dict.intern(&Term::iri(format!(
+                    "http://perf.example/resource/entity{i}"
+                )))
+            })
             .collect(),
         links: Default::default(),
     };
+    let warm = PublishDelta {
+        prev_epoch: 0,
+        epoch: 1,
+        predicates: vec![dict.intern(&Term::iri("perf:warm"))],
+        terms: Vec::new(),
+        links: Default::default(),
+    };
+    let dict = &dict;
     let source = LocalEndpoint::new("kb2", pair.kb2.clone());
     let target = LocalEndpoint::new("kb1", pair.kb1.clone());
     // A session that has aligned `cached` relations, after `first` if
@@ -445,7 +459,7 @@ fn a_publish_costs_its_readers_what_it_wrote() {
     let session = |cached: usize, first: Option<&PublishDelta>| {
         let session = AlignmentSession::new(&source, &target, AlignerConfig::paper_defaults(SEED));
         if let Some(first) = first {
-            session.apply_target_delta(first);
+            session.apply_target_delta(first, dict);
         }
         for relation in &pair.kb1_relations[..cached] {
             session.rules_for(relation).unwrap();
@@ -456,15 +470,17 @@ fn a_publish_costs_its_readers_what_it_wrote() {
     fn asking<'s>(
         session: &'s AlignmentSession<'_>,
         delta: &'s PublishDelta,
+        dict: &'s Dict,
     ) -> impl FnMut() -> u64 + 's {
         timed(move || {
             (0..16)
-                .map(|_| session.apply_target_delta(delta) as u64)
+                .map(|_| session.apply_target_delta(delta, dict) as u64)
                 .sum()
         })
     }
     let (one, many) = (session(1, None), session(64, None));
-    let (one_ns, many_ns) = interleaved_medians(asking(&one, &delta), asking(&many, &delta));
+    let (one_ns, many_ns) =
+        interleaved_medians(asking(&one, &delta, dict), asking(&many, &delta, dict));
     let ratio = many_ns as f64 / one_ns.max(1) as f64;
     assert!(
         ratio <= 8.0,
@@ -475,17 +491,11 @@ fn a_publish_costs_its_readers_what_it_wrote() {
     // The same, asked of a live session: a first delta turns its probe
     // memo on, so the mines fill it with everything they read, and the
     // 512-term delta looks its answers up through the memo's index.
-    let warm = PublishDelta {
-        prev_epoch: 0,
-        epoch: 1,
-        predicates: vec![Term::iri("perf:warm")],
-        terms: Vec::new(),
-        links: Default::default(),
-    };
     // Hashing the delta is most of either side, so the bound is tight:
     // ≈1.05x here, where a scan of every answer the memo holds read 4–5x.
     let (one, many) = (session(1, Some(&warm)), session(64, Some(&warm)));
-    let (one_ns, many_ns) = interleaved_medians(asking(&one, &delta), asking(&many, &delta));
+    let (one_ns, many_ns) =
+        interleaved_medians(asking(&one, &delta, dict), asking(&many, &delta, dict));
     let ratio = many_ns as f64 / one_ns.max(1) as f64;
     assert!(
         ratio <= 2.0,
