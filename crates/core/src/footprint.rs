@@ -37,45 +37,14 @@
 //! are.
 
 use sofya_endpoint::{PublishDelta, Request};
-use sofya_rdf::{Dict, Term, TermId};
+use sofya_rdf::{Dict, FxBuild, Term, TermId};
 use sofya_sparql::ast::{GroupGraphPattern, TriplePatternAst};
 use sofya_sparql::{parse_query, Expr, NodePattern};
 use std::cell::OnceCell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::BuildHasher;
 use std::sync::OnceLock;
-
-/// A word-at-a-time hasher (FxHash's step, with a final mix so the low
-/// bits a table indexes by are as good as the high ones), for keys that
-/// are already [`fingerprint`]s or built from them: a table need not
-/// hash those again the slow way.
-#[derive(Default)]
-pub(crate) struct Fx(u64);
-
-impl Hasher for Fx {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^ (h >> 33)
-    }
-}
-
-pub(crate) type FxBuild = BuildHasherDefault<Fx>;
 
 /// 64 bits standing for a term in the dirtiness tests: its hash under
 /// keys drawn once per process, so terms that arrive from outside cannot

@@ -55,9 +55,9 @@
 //! then compared; the rare second key on a taken hash is simply not
 //! kept.
 
-use crate::footprint::{fingerprint, for_each_triple, may_match, DeltaView, Fx, FxBuild, Place};
+use crate::footprint::{fingerprint, for_each_triple, may_match, DeltaView, Place};
 use sofya_endpoint::{Request, Response};
-use sofya_rdf::Term;
+use sofya_rdf::{Fx, FxBuild, Term};
 use sofya_sparql::ast::pattern_variables;
 use sofya_sparql::{NodePattern, Prepared, Projection, Query, ResultSet};
 use std::collections::HashMap;

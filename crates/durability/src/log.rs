@@ -29,22 +29,23 @@
 //!   orphan nothing names) or new — and recovery skips every frame the
 //!   manifest already covers. The cost follows the change, not the store.
 //! * **Fold**: the checkpoint instead writes every key, in SPO order, as
-//!   a fresh base listed alone (its predecessor the empty store) when no
-//!   change since the last is held (`create`, the first checkpoint after
-//!   `recover`), when the deltas with the new one would hold
-//!   `FOLD_AT_BASE_SHARE` × the base's triples, or when there would be
-//!   more than `MAX_DELTA_SEGMENTS` of them (of dictionary segments: those
-//!   are rewritten as one in the same swap). Run segments on disk stay
-//!   under twice the base and the manifest bounded. Superseded files are
-//!   removed, best-effort, after the rename.
+//!   a fresh base listed alone (its predecessor the empty store) when
+//!   there is no base yet (`create`), when the deltas with the new one
+//!   would hold `FOLD_AT_BASE_SHARE` × the base's triples, or when there
+//!   would be more than `MAX_DELTA_SEGMENTS` of them (of dictionary
+//!   segments: those are rewritten as one in the same swap). Run segments
+//!   on disk stay under twice the base and the manifest bounded.
+//!   Superseded files are removed, best-effort, after the rename.
 //! * **Recover**: load the manifest (missing ⇒ fresh store), then apply
 //!   the dictionary segments, the run segments in order and the WAL
 //!   frames newer than the checkpoint through one routine: intern a term
 //!   slice that starts at the dictionary's length, remove keys that must
 //!   be present, add keys that must be absent, and check the fingerprint
-//!   a frame sealed (the manifest's, after the segments). The WAL is cut
-//!   at its torn tail and rewritten to the cut, so post-recovery appends
-//!   never land after it.
+//!   a frame sealed (the manifest's, after the segments). The frames it
+//!   replays are exactly the change since the manifest, so they compose
+//!   into the change the next checkpoint writes, as commits' frames do.
+//!   The WAL is cut at its torn tail and rewritten to the cut, so
+//!   post-recovery appends never land after it.
 //!
 //! The WAL truncation needs no fsync of its own: once the manifest is
 //! renamed, recovery skips every frame the WAL can still hold, and the
@@ -119,8 +120,8 @@ pub struct DurableLog {
     committed: StoreSnapshot,
     /// The change from the state the manifest describes to the last
     /// commit, each key added (`true`) or removed, ascending, for the next
-    /// checkpoint to write; `None`, so that it folds, after `recover`.
-    pending: Option<Vec<(Key, bool)>>,
+    /// checkpoint to write.
+    pending: Vec<(Key, bool)>,
     poisoned: bool,
 }
 
@@ -154,7 +155,7 @@ impl DurableLog {
             wal_bytes: 0,
             manifest: Manifest::default(),
             committed: initial.clone(),
-            pending: None,
+            pending: Vec::new(),
             poisoned: false,
         };
         let fingerprint = initial.fingerprint();
@@ -239,9 +240,7 @@ impl DurableLog {
         self.epoch = frame.epoch;
         self.committed = snapshot.clone();
         self.wal_bytes += buf.len() as u64;
-        if let Some(pending) = &mut self.pending {
-            compose(pending, &frame.adds, &frame.removes);
-        }
+        compose(&mut self.pending, &frame.adds, &frame.removes);
 
         let mut checkpointed = false;
         if self.epoch - self.manifest.epoch >= self.config.checkpoint_every {
@@ -262,7 +261,7 @@ impl DurableLog {
     /// The keys added and removed since the last checkpoint, or `None`
     /// when the checkpoint has to fold.
     fn delta_since_checkpoint(&self) -> Option<(Vec<Key>, Vec<Key>)> {
-        let (pending, base) = (self.pending.as_ref()?, self.manifest.runs.first()?);
+        let (pending, base) = (&self.pending, self.manifest.runs.first()?);
         let deltas = self.manifest.runs.iter().skip(1);
         let delta_triples = deltas.map(|seg| seg.adds + seg.removes).sum::<u64>();
         let fold = self.manifest.runs.len() > MAX_DELTA_SEGMENTS
@@ -352,7 +351,7 @@ impl DurableLog {
                 let _ = io.remove(name);
             }
         }
-        self.pending = Some(Vec::new());
+        self.pending.clear();
         self.wal_bytes = 0;
         Ok(())
     }
@@ -435,7 +434,7 @@ impl DurableLog {
             Err(e) => return Err(e.into()),
         };
         let (frames, cut) = scan(&wal)?;
-        let mut epoch = manifest.epoch;
+        let (mut epoch, mut pending) = (manifest.epoch, Vec::new());
         for frame in frames.iter().filter(|frame| frame.epoch > manifest.epoch) {
             let applied = if frame.epoch != epoch + 1 {
                 Err(format!("follows epoch {epoch}"))
@@ -451,6 +450,7 @@ impl DurableLog {
             };
             applied
                 .map_err(|what| Corrupt(format!("wal frame of epoch {}: {what}", frame.epoch)))?;
+            compose(&mut pending, &frame.adds, &frame.removes);
             epoch = frame.epoch;
         }
         store.flush();
@@ -477,7 +477,7 @@ impl DurableLog {
             wal_bytes: cut as u64,
             manifest,
             committed: store.snapshot(),
-            pending: None,
+            pending,
             poisoned: false,
         };
         Ok((log, store))
@@ -536,10 +536,7 @@ fn apply(
         return Err("names a term id the dictionary does not hold".into());
     }
     let ids = |&(s, p, o): &Key| (TermId(s), TermId(p), TermId(o));
-    if !removes
-        .iter()
-        .map(ids)
-        .all(|(s, p, o)| store.remove(s, p, o))
+    if store.remove_batch(removes.iter().map(ids)) != removes.len()
         || store.load_batch(adds.iter().map(ids)) != adds.len()
     {
         return Err("removes an absent key or adds a present one".into());
@@ -1230,27 +1227,30 @@ mod tests {
 
     /// What [`Checked`] saw: checkpoints written as deltas and as folds,
     /// deltas in which a frame's change cancelled an earlier one's, and
-    /// folds that were the first checkpoint after a recovery.
+    /// deltas and folds that were the first checkpoint after a recovery.
     #[derive(Debug, Default)]
     struct Seen {
         deltas: usize,
         folds: usize,
         cancelled: usize,
+        recovered_deltas: usize,
         recovered_folds: usize,
     }
 
     /// A writer that checks every checkpoint's run segment against its
     /// definition as it goes: a delta is `diff_since` the snapshot of the
     /// previous checkpoint, a fold is every key, and which of the two it
-    /// is follows the fold rule, a recovery's first checkpoint folding.
+    /// is follows the fold rule, across recoveries too.
     struct Checked {
         io: Arc<MemIo>,
         writer: Writer,
         config: DurabilityConfig,
-        /// The snapshot of the last checkpoint; `None` after a recovery.
-        checkpointed: Option<StoreSnapshot>,
+        /// The snapshot of the last checkpoint, kept across a recovery.
+        checkpointed: StoreSnapshot,
         /// Keys the frames since the last checkpoint added and removed.
         framed: usize,
+        /// Whether there was a recovery since the last checkpoint.
+        recovered: bool,
         seen: Seen,
     }
 
@@ -1258,13 +1258,14 @@ mod tests {
         fn create(config: DurabilityConfig) -> Self {
             let io = mem();
             let mut writer = Writer::create(io.clone(), config.clone());
-            let checkpointed = Some(writer.store.snapshot());
+            let checkpointed = writer.store.snapshot();
             Self {
                 io,
                 writer,
                 config,
                 checkpointed,
                 framed: 0,
+                recovered: false,
                 seen: Seen::default(),
             }
         }
@@ -1279,12 +1280,10 @@ mod tests {
             }
             let after = manifest_of(&self.io);
             let written = run_keys(&self.io, after.runs.last().unwrap());
-            let diff = (self.checkpointed.as_ref()).map(|older| snapshot.diff_since(older));
-            let fold = diff.as_ref().is_none_or(|(adds, removes)| {
-                before.runs.len() > MAX_DELTA_SEGMENTS
-                    || delta_triples(&before) + (adds.len() + removes.len()) as u64
-                        >= FOLD_AT_BASE_SHARE * before.runs[0].adds
-            });
+            let diff = snapshot.diff_since(&self.checkpointed);
+            let fold = before.runs.len() > MAX_DELTA_SEGMENTS
+                || delta_triples(&before) + (diff.0.len() + diff.1.len()) as u64
+                    >= FOLD_AT_BASE_SHARE * before.runs[0].adds;
             if fold {
                 let every = snapshot.iter().map(|t| (t.s.0, t.p.0, t.o.0)).collect();
                 assert_eq!(
@@ -1298,28 +1297,29 @@ mod tests {
                     "{context}: a fold is every key"
                 );
                 self.seen.folds += 1;
-                self.seen.recovered_folds += usize::from(diff.is_none());
+                self.seen.recovered_folds += usize::from(self.recovered);
             } else {
                 assert_eq!(after.runs.len(), before.runs.len() + 1, "{context}");
-                let diff = diff.unwrap();
                 assert_eq!(
                     written, diff,
                     "{context}: a delta is the diff since the last"
                 );
                 self.seen.deltas += 1;
                 self.seen.cancelled += usize::from(diff.0.len() + diff.1.len() < self.framed);
+                self.seen.recovered_deltas += usize::from(self.recovered);
             }
-            self.checkpointed = Some(snapshot);
+            self.checkpointed = snapshot;
             self.framed = 0;
+            self.recovered = false;
         }
 
-        /// Crashes the directory and carries on with what recovers.
+        /// Crashes the directory and carries on with what recovers: every
+        /// committed frame, so the change since the last checkpoint too.
         fn recover(&mut self) {
             let copy = crashed_copy(&self.io);
             self.writer = Writer::recover(copy.clone(), self.config.clone());
             self.io = copy;
-            self.checkpointed = None;
-            self.framed = 0;
+            self.recovered = true;
         }
 
         /// A recovery from the crashed directory is the writer,
@@ -1376,6 +1376,7 @@ mod tests {
                         seen.deltas += checked.seen.deltas;
                         seen.folds += checked.seen.folds;
                         seen.cancelled += checked.seen.cancelled;
+                        seen.recovered_deltas += checked.seen.recovered_deltas;
                         seen.recovered_folds += checked.seen.recovered_folds;
                     }
                 }
@@ -1385,6 +1386,7 @@ mod tests {
             seen.deltas > 1000
                 && seen.folds > 1000
                 && seen.cancelled > 100
+                && seen.recovered_deltas > 1000
                 && seen.recovered_folds > 100,
             "{seen:?}"
         );

@@ -65,6 +65,41 @@ impl Hasher for FnvHasher {
     }
 }
 
+/// FxHash's word step with a final mix, for words the program assigned:
+/// [`TermId`]s or keyed fingerprints of terms, never raw outside keys.
+#[derive(Debug, Default, Clone)]
+pub struct Fx(u64);
+
+impl Hasher for Fx {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
+}
+
+/// Builds [`Fx`] hashers: `HashMap<K, V, FxBuild>`.
+pub type FxBuild = std::hash::BuildHasherDefault<Fx>;
+
 /// The 32-bit tag a term is indexed under: FNV-1a folded to a word.
 fn tag_of(term: &Term) -> u32 {
     let mut hasher = FnvHasher::default();

@@ -54,7 +54,7 @@ pub mod store;
 pub mod term;
 pub mod triple;
 
-pub use dict::{Dict, TermId};
+pub use dict::{Dict, Fx, FxBuild, TermId};
 pub use error::RdfError;
 pub use inverse::{
     inverse_iri, is_inverse_iri, materialize_inverses, materialize_inverses_filtered,

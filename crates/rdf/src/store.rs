@@ -29,12 +29,14 @@
 //!
 //! * [`TripleStore::insert`] costs a sorted insertion into the buffers
 //!   (or clears the key's tombstone). [`TripleStore::remove`] deletes a
-//!   buffered key directly and otherwise records a tombstone. Neither
-//!   touches a main run.
+//!   buffered key directly and otherwise records a tombstone, and
+//!   [`TripleStore::remove_batch`] does so for a batch, in one sorted
+//!   merge per touched run. None of them touches a main run.
 //! * Pending keys are **applied** to a main run — buffer merged in,
 //!   tombstoned keys dropped — by [`TripleStore::flush`] (which
 //!   [`TripleStore::snapshot`] calls first), by
-//!   [`TripleStore::load_batch`] (together with its batch), and when a
+//!   [`TripleStore::load_batch`] (together with its batch, so a
+//!   `remove_batch` then a `load_batch` cost one pass per run), and when a
 //!   buffer reaches its threshold. Applying is one linear pass over that
 //!   run and skips runs with nothing pending: in place when no snapshot
 //!   shares the run, otherwise written straight into a fresh vector, which
@@ -65,6 +67,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 type Key = (u32, u32, u32);
+type Ids = (TermId, TermId, TermId);
 /// An `(o, s)` entry of one predicate's POS page.
 type Pair = (u32, u32);
 
@@ -272,6 +275,24 @@ impl<T: Copy + Ord + Default> Run<T> {
     #[inline]
     fn is_due(&self, threshold: usize) -> bool {
         self.buf.len() >= threshold || self.dead.len() >= threshold
+    }
+
+    /// Applies the sorted, absent `keys` with what is pending if `add`;
+    /// else makes the sorted, live `keys` absent in one pass: those only
+    /// buffered leave the buffer, the rest merge into the tombstones.
+    fn write(&mut self, mut keys: Vec<T>, add: bool) {
+        if add {
+            return self.apply(keys);
+        }
+        let (mut rest, mut buffered) = (&self.buf[..], Vec::new());
+        keys.retain(|key| {
+            rest = &rest[gallop(rest, key)..];
+            let only_buffered = rest.first() == Some(key);
+            buffered.extend(only_buffered.then_some(*key));
+            !only_buffered
+        });
+        drop_sorted(&mut self.buf, &buffered);
+        merge_run(&mut self.dead, &mut keys);
     }
 
     /// Applies the pending inserts and tombstones, plus the sorted
@@ -582,7 +603,7 @@ impl TripleStore {
     }
 
     /// The mutation counter: bumped once per successful `insert`,
-    /// `remove`, or non-empty `load_batch`. Snapshots record it, so
+    /// `remove`, or batch call that changed anything. Snapshots record it, so
     /// `store.generation() - snapshot.version()` is the number of writes
     /// a snapshot is behind.
     pub fn generation(&self) -> u64 {
@@ -706,22 +727,32 @@ impl TripleStore {
     /// that run had pending, instead of a sorted-buffer memmove per
     /// triple. Returns the number of *new* triples inserted (duplicates
     /// within the batch and against the store are skipped).
-    pub fn load_batch(
-        &mut self,
-        triples: impl IntoIterator<Item = (TermId, TermId, TermId)>,
-    ) -> usize {
+    pub fn load_batch(&mut self, triples: impl IntoIterator<Item = Ids>) -> usize {
+        self.write_batch(triples, true)
+    }
+
+    /// Bulk-removes encoded triples, the mirror of `load_batch`: one sort
+    /// and dedup, then per touched run one sorted merge of the live keys
+    /// into its buffers, applied only if one comes due. Returns the number
+    /// of triples removed (duplicates and absent triples are skipped).
+    pub fn remove_batch(&mut self, triples: impl IntoIterator<Item = Ids>) -> usize {
+        self.write_batch(triples, false)
+    }
+
+    /// `load_batch` (`add`) or `remove_batch`.
+    fn write_batch(&mut self, triples: impl IntoIterator<Item = Ids>, add: bool) -> usize {
         let mut batch: Vec<Key> = triples
             .into_iter()
             .map(|(s, p, o)| (s.0, p.0, o.0))
             .collect();
         batch.sort_unstable();
         batch.dedup();
-        batch.retain(|key| !self.spo.contains(key));
+        batch.retain(|key| self.spo.contains(key) != add);
         if batch.is_empty() {
             return 0;
         }
-        let inserted = batch.len();
-        // `batch` now holds exactly the new triples.
+        let written = batch.len();
+        // `batch` now holds exactly the triples whose presence flips.
         for &(s, p, o) in &batch {
             self.fold ^= fingerprint_mix(s, p, o);
         }
@@ -729,21 +760,25 @@ impl TripleStore {
         // OSP: re-key and sort once.
         let mut osp_batch: Vec<Key> = batch.iter().map(|&(s, p, o)| (o, s, p)).collect();
         osp_batch.sort_unstable();
-        self.osp.apply(osp_batch);
+        self.osp.write(osp_batch, add);
 
-        // POS pages: sort the batch by (p, o, s) and apply each predicate's
+        // POS pages: sort the batch by (p, o, s) and hand each predicate's
         // contiguous sub-run to its page.
         let mut pos_batch: Vec<Key> = batch.iter().map(|&(s, p, o)| (p, o, s)).collect();
         pos_batch.sort_unstable();
         for group in pos_batch.chunk_by(|a, b| a.0 == b.0) {
-            let pairs = group.iter().map(|&(_, o, s)| (o, s)).collect();
-            self.page_mut(group[0].0).pairs.apply(pairs);
+            let pairs = &mut self.page_mut(group[0].0).pairs;
+            pairs.write(group.iter().map(|&(_, o, s)| (o, s)).collect(), add);
+            if pairs.is_due(PAGE_BUFFER_THRESHOLD) {
+                pairs.apply(Vec::new());
+            }
         }
 
         // SPO: the batch is already in SPO order.
-        self.spo.apply(batch);
+        self.spo.write(batch, add);
         self.generation += 1;
-        inserted
+        self.maybe_merge();
+        written
     }
 
     /// Interns and bulk-loads term triples (see [`TripleStore::load_batch`]).

@@ -1,6 +1,6 @@
 //! Model-based differential for the store's write path: buffered inserts,
-//! tombstoned removals, one-pass applies, snapshots that share runs and
-//! dictionary segments with the writer.
+//! tombstoned removals (one by one and batched), one-pass applies,
+//! snapshots that share runs and dictionary segments with the writer.
 //!
 //! A [`Harness`] drives a [`TripleStore`] and a `BTreeSet` model through
 //! the same operations and compares, after every step, the whole read
@@ -109,6 +109,7 @@ enum Op {
     Insert(Key),
     Remove(Key),
     LoadBatch(Vec<Key>),
+    RemoveBatch(Vec<Key>),
     Flush,
     /// Take a snapshot and keep it.
     Snapshot,
@@ -167,6 +168,18 @@ impl Harness {
                 assert_eq!(loaded, fresh.len(), "load_batch {keys:?}");
                 self.model.extend(fresh);
             }
+            Op::RemoveBatch(keys) => {
+                let removed = self.store.remove_batch(
+                    keys.iter()
+                        .map(|&(s, p, o)| (TermId(s), TermId(p), TermId(o))),
+                );
+                let live: BTreeSet<Key> = keys
+                    .iter()
+                    .copied()
+                    .filter(|key| self.model.remove(key))
+                    .collect();
+                assert_eq!(removed, live.len(), "remove_batch {keys:?}");
+            }
             Op::Flush => self.store.flush(),
             Op::Snapshot => {
                 let snapshot = self.store.snapshot();
@@ -196,7 +209,7 @@ impl Harness {
     fn touched(op: &Op) -> Vec<Key> {
         match op {
             Op::Insert(key) | Op::Remove(key) => vec![*key],
-            Op::LoadBatch(keys) => keys.clone(),
+            Op::LoadBatch(keys) | Op::RemoveBatch(keys) => keys.clone(),
             _ => Vec::new(),
         }
     }
@@ -294,6 +307,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key_strategy().prop_map(Op::Remove),
         key_strategy().prop_map(Op::Remove),
         proptest::collection::vec(key_strategy(), 1..24).prop_map(Op::LoadBatch),
+        proptest::collection::vec(key_strategy(), 1..24).prop_map(Op::RemoveBatch),
         Just(Op::Flush),
         Just(Op::Snapshot),
         (0usize..4).prop_map(Op::Release),
@@ -344,6 +358,7 @@ fn long_walk_crosses_the_page_thresholds() {
             0 => Op::Snapshot,
             1 => Op::Release(next() as usize),
             2 => Op::LoadBatch((0..5).map(|_| universe.key(next(), 0, next())).collect()),
+            3 => Op::RemoveBatch((0..5).map(|_| universe.key(next(), 0, next())).collect()),
             n if (n % 8 == 3) != removing => Op::Remove(key),
             _ => Op::Insert(key),
         };
@@ -436,6 +451,31 @@ fn load_batch_of_a_tombstoned_key_brings_it_back_once() {
     assert_eq!(harness.retained[1].snapshot.len(), 2);
 }
 
+#[test]
+fn remove_batch_unbuffers_tombstones_and_skips_what_is_absent() {
+    let (a, b, c, absent) = (
+        TINY.key(0, 0, 0),
+        TINY.key(0, 0, 1),
+        TINY.key(1, 1, 1),
+        TINY.key(1, 0, 1),
+    );
+    let harness = run(
+        1024,
+        &[
+            Op::LoadBatch(vec![a, b]),
+            Op::Snapshot,  // the main runs are shared from here on
+            Op::Insert(c), // buffered only
+            Op::RemoveBatch(vec![c, a, absent, a]), // c unbuffered, a tombstoned
+            Op::LoadBatch(vec![a]), // before a flush: the apply clears a's tombstone
+            Op::Snapshot,
+            Op::RemoveBatch(vec![b, a, b]),
+            Op::Flush,
+        ],
+    );
+    assert!(harness.store.is_empty());
+    assert!(harness.retained.iter().all(|p| p.snapshot.len() == 2));
+}
+
 // ---------------------------------------------------------------------------
 // Small-scope exhaustive.
 // ---------------------------------------------------------------------------
@@ -443,7 +483,7 @@ fn load_batch_of_a_tombstoned_key_brings_it_back_once() {
 /// Every operation sequence up to the depth bound over 2 subjects × 2
 /// predicates × 2 objects at merge threshold 2, every pattern checked on
 /// the writer and on every retained snapshot after every step. Debug
-/// builds stop one level short (204k states instead of 4.3M); CI runs
+/// builds stop one level short (245k states instead of 5.4M); CI runs
 /// this suite in release.
 #[test]
 fn every_short_sequence_over_a_tiny_universe() {
@@ -455,6 +495,7 @@ fn every_short_sequence_over_a_tiny_universe() {
     alphabet.extend(keys.iter().copied().map(Op::Remove));
     alphabet.push(Op::LoadBatch(keys.clone()));
     alphabet.push(Op::LoadBatch(vec![keys[0], keys[3], keys[5]]));
+    alphabet.push(Op::RemoveBatch(vec![keys[5], keys[0], keys[3], keys[0]]));
     alphabet.push(Op::Flush);
     alphabet.push(Op::Snapshot);
     alphabet.push(Op::Release(0));

@@ -24,6 +24,13 @@
 //! flows through the same [`PublishDelta`] machinery as any other
 //! removal, so cached alignments over expired evidence go dirty like any
 //! other staleness.
+//!
+//! A publish makes two batch calls on the store: one `remove_batch` of
+//! the expired triples, which leaves them as tombstones, and one
+//! `load_batch` of the buffer, whose one pass per touched run applies
+//! those tombstones too. A triple that expires and is offered again in
+//! the same publish stays live, is stamped at its new arrival, and nets
+//! out of the delta.
 
 use crate::tracker::{FreshnessTracker, KbSide};
 use parking_lot::Mutex;
@@ -32,7 +39,7 @@ use sofya_endpoint::{
     SnapshotStore, WallClock,
 };
 use sofya_net::IngestSink;
-use sofya_rdf::{Term, TermId};
+use sofya_rdf::{FxBuild, Term, TermId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,7 +90,7 @@ pub struct StreamIngestor {
     oldest_buffered: Option<Duration>,
     /// The triples the window inserted and has not expired, each with
     /// its latest arrival on the injected clock (window mode only).
-    stamps: HashMap<Ids, Duration>,
+    stamps: HashMap<Ids, Duration, FxBuild>,
     /// Arrivals in order, oldest first. One whose triple has arrived
     /// again since is stale and skipped; the front never is.
     arrivals: VecDeque<(Duration, Ids)>,
@@ -109,7 +116,7 @@ impl StreamIngestor {
             buffer: Vec::new(),
             clock,
             oldest_buffered: None,
-            stamps: HashMap::new(),
+            stamps: HashMap::default(),
             arrivals: VecDeque::new(),
         }
     }
@@ -117,11 +124,7 @@ impl StreamIngestor {
     /// Stages one triple; publishes and returns the delta if a trigger
     /// fired, `None` if the triple only joined the buffer.
     pub fn offer(&mut self, s: Term, p: Term, o: Term) -> Option<Arc<PublishDelta>> {
-        if self.buffer.is_empty() {
-            self.oldest_buffered = Some(self.clock.now());
-        }
-        self.buffer.push((s, p, o));
-        self.maybe_publish()
+        self.offer_batch([(s, p, o)])
     }
 
     /// Stages a batch of triples as one unit; publishes at most once, at
@@ -130,19 +133,17 @@ impl StreamIngestor {
         &mut self,
         triples: impl IntoIterator<Item = (Term, Term, Term)>,
     ) -> Option<Arc<PublishDelta>> {
-        let mut offered = false;
-        for (s, p, o) in triples {
+        let before = self.buffer.len();
+        for triple in triples {
             if self.buffer.is_empty() {
                 self.oldest_buffered = Some(self.clock.now());
             }
-            self.buffer.push((s, p, o));
-            offered = true;
+            self.buffer.push(triple);
         }
-        if offered {
-            self.maybe_publish()
-        } else {
-            None
-        }
+        let (config, len) = (&self.config, self.buffer.len());
+        let count_due = len >= config.publish_count.min(config.max_buffered).max(1);
+        let due = len > before && (count_due || self.time_due(self.clock.now()));
+        due.then(|| self.publish_now())
     }
 
     /// Time-driven check with nothing new to offer: publishes if the
@@ -150,47 +151,28 @@ impl StreamIngestor {
     /// triples. Call periodically from the owner's housekeeping loop.
     pub fn tick(&mut self) -> Option<Arc<PublishDelta>> {
         let now = self.clock.now();
-        let time_due = match (self.config.publish_interval, self.oldest_buffered) {
-            (Some(interval), Some(oldest)) => now.saturating_sub(oldest) >= interval,
-            _ => false,
-        };
-        let expiry_due = match self.config.window {
-            Some(window) => self
-                .arrivals
-                .front()
-                .is_some_and(|(at, _)| now.saturating_sub(*at) >= window),
-            None => false,
-        };
-        if time_due || expiry_due {
-            Some(self.publish_now())
-        } else {
-            None
-        }
+        let expiry_due = (self.config.window.zip(self.arrivals.front()))
+            .is_some_and(|(window, (at, _))| now.saturating_sub(*at) >= window);
+        (self.time_due(now) || expiry_due).then(|| self.publish_now())
     }
 
-    fn maybe_publish(&mut self) -> Option<Arc<PublishDelta>> {
-        let count_due = self.buffer.len() >= self.config.publish_count.max(1);
-        let cap_due = self.buffer.len() >= self.config.max_buffered.max(1);
-        let time_due = match (self.config.publish_interval, self.oldest_buffered) {
-            (Some(interval), Some(oldest)) => self.clock.now().saturating_sub(oldest) >= interval,
-            _ => false,
-        };
-        if count_due || cap_due || time_due {
-            Some(self.publish_now())
-        } else {
-            None
-        }
+    /// Whether the oldest buffered triple is `publish_interval` old.
+    fn time_due(&self, now: Duration) -> bool {
+        (self.config.publish_interval.zip(self.oldest_buffered))
+            .is_some_and(|(interval, oldest)| now.saturating_sub(oldest) >= interval)
     }
 
-    /// Flushes the buffer into the store, expires the window, and
-    /// publishes. With nothing buffered and nothing expired this is the
-    /// store's no-op publish fast path (same epoch, no delta logged).
+    /// Expires the window, loads the buffer into the store, and
+    /// publishes: one `remove_batch` and one `load_batch` (module docs).
+    /// With nothing buffered and nothing expired this is the store's
+    /// no-op publish fast path (same epoch, no delta logged).
     pub fn publish_now(&mut self) -> Arc<PublishDelta> {
         let now = self.clock.now();
         let store = self.store.store_mut();
-        // Expire before flushing, so a triple always survives the
-        // publish that makes it visible (even with a zero window).
+        // Expire before loading, so a triple always survives the publish
+        // that makes it visible (even with a zero window).
         if let Some(window) = self.config.window {
+            let mut expired = Vec::new();
             while let Some(&(at, ids)) = self.arrivals.front() {
                 if now.saturating_sub(at) < window {
                     break;
@@ -198,22 +180,25 @@ impl StreamIngestor {
                 self.arrivals.pop_front();
                 if self.stamps.get(&ids) == Some(&at) {
                     self.stamps.remove(&ids);
-                    store.remove(ids.0, ids.1, ids.2);
+                    expired.push(ids);
                 }
             }
+            store.remove_batch(expired);
         }
+        let mut batch = Vec::with_capacity(self.buffer.len());
         for (s, p, o) in self.buffer.drain(..) {
             let ids = (store.intern(&s), store.intern(&p), store.intern(&o));
-            let fresh = store.insert(ids.0, ids.1, ids.2);
             // A base fact the window never inserted stays untracked; one
-            // it did is stamped again at its latest arrival.
+            // it did, or is about to, is stamped at its latest arrival.
             if self.config.window.is_some()
-                && (fresh || self.stamps.contains_key(&ids))
+                && (!store.contains(ids.0, ids.1, ids.2) || self.stamps.contains_key(&ids))
                 && self.stamps.insert(ids, now) != Some(now)
             {
                 self.arrivals.push_back((now, ids));
             }
+            batch.push(ids);
         }
+        store.load_batch(batch);
         while let Some((at, ids)) = self.arrivals.front() {
             if self.stamps.get(ids) == Some(at) {
                 break;
@@ -492,6 +477,78 @@ mod tests {
         assert!(present(&bs));
         assert_eq!(ing.live_in_window(), 0);
         assert!(ing.tick().is_none());
+    }
+
+    /// An ingestor over `base` with a 60 s window, publishing every offer.
+    fn windowed(base: TripleStore) -> (StreamIngestor, Arc<sofya_endpoint::ManualClock>) {
+        let clock = Arc::new(sofya_endpoint::ManualClock::new());
+        let config = IngestorConfig {
+            max_buffered: 64,
+            publish_count: 1,
+            publish_interval: None,
+            window: Some(Duration::from_secs(60)),
+        };
+        let as_clock = Arc::clone(&clock) as Arc<dyn Clock>;
+        (
+            StreamIngestor::with_clock(SnapshotStore::new(base), config, as_clock),
+            clock,
+        )
+    }
+
+    /// A triple that expires and is offered again in one publish stays
+    /// live, nets out of that publish's delta, and expires a window after
+    /// its new arrival.
+    #[test]
+    fn a_triple_expired_and_re_offered_in_one_publish_stays_live() {
+        let (mut ing, clock) = windowed(TripleStore::new());
+        let (x, y) = (triple(0), triple(1));
+        assert!(ing.offer_batch([x.clone()]).is_some());
+        clock.advance(Duration::from_secs(60)); // x is due to expire
+        let delta = ing.offer_batch([x.clone(), y.clone()]).expect("publish");
+        assert_eq!(resolved(&ing, &delta.terms), vec![y.0.clone(), y.2.clone()]);
+        assert_eq!(ing.reader("kb").current().snapshot().len(), 2);
+        assert_eq!((ing.live_in_window(), ing.arrivals.len()), (2, 2));
+
+        clock.advance(Duration::from_secs(59));
+        assert!(ing.tick().is_none(), "x arrived again at t = 60 s");
+        clock.advance(Duration::from_secs(1));
+        let expiry = ing.tick().expect("both expire at t = 120 s");
+        assert_eq!(resolved(&ing, &expiry.terms), vec![x.0, x.2, y.0, y.2]);
+        assert_eq!(ing.live_in_window(), 0);
+    }
+
+    /// A triple twice in one batch is inserted and stamped once.
+    #[test]
+    fn a_duplicate_within_a_batch_is_stamped_once() {
+        let (mut ing, clock) = windowed(TripleStore::new());
+        let delta = ing.offer_batch([triple(0), triple(1), triple(0)]).unwrap();
+        assert_eq!(delta.terms.len(), 4);
+        assert_eq!((ing.live_in_window(), ing.arrivals.len()), (2, 2));
+        clock.advance(Duration::from_secs(60));
+        assert_eq!(ing.tick().expect("expiry").terms.len(), 4);
+        assert_eq!(ing.reader("kb").current().snapshot().len(), 0);
+    }
+
+    /// A base fact offered again, twice in one batch beside a new triple,
+    /// is never stamped and never expires.
+    #[test]
+    fn a_re_offered_base_fact_stays_unstamped() {
+        let mut base = TripleStore::new();
+        let (bs, bp, bo) = triple(9);
+        base.insert_terms(&bs, &bp, &bo);
+        let (mut ing, clock) = windowed(base);
+        let delta = ing.offer_batch([triple(9), triple(0), triple(9)]).unwrap();
+        assert_eq!(resolved(&ing, &delta.terms), vec![triple(0).0, triple(0).2]);
+        assert_eq!((ing.live_in_window(), ing.arrivals.len()), (1, 1));
+        clock.advance(Duration::from_secs(60));
+        let expiry = ing.tick().expect("the new triple expires");
+        assert_eq!(
+            resolved(&ing, &expiry.terms),
+            vec![triple(0).0, triple(0).2]
+        );
+        assert_eq!(ing.reader("kb").current().snapshot().len(), 1);
+        clock.advance(Duration::from_secs(600));
+        assert!(ing.tick().is_none(), "the base fact never expires");
     }
 
     #[test]
